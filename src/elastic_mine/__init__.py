@@ -23,9 +23,11 @@ from .datasets import (
     write_libsvm,
     write_ratings_csv,
 )
+from .errors import DimensionMismatchError, ElasticMineError, ForeignStateError
 from .coding import (
     Code,
     CodeBook,
+    CodeColumns,
     CodeNode,
     ItemAggregate,
     Mbr,

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import Code, CodeBook, ItemAggregate
+from .coding import Code, CodeBook, ItemAggregate, state_filter
 from .datasets import RatingMatrix
 from .errors import DivergenceError, UndefinedMetricError
 
@@ -197,13 +197,10 @@ def predict(
     """
     if isinstance(code, int):
         code = book.code_at_depth(code)
-    candidates = list(code.node_ids)
+    candidates = code.node_ids
     if state is not None:
-        if code.depth <= state.depth:
-            raise ValueError(f"state depth {state.depth} must be above code depth {code.depth}")
-        candidates = [
-            nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
-        ]
+        keep = state_filter(book, code.depth, state)
+        candidates = book.columns(code.depth).ids[keep].tolist()
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
     raters: list[int] = []
     weighted: list[tuple[int, float, float]] = []  # (node, weight, deviation of target item)

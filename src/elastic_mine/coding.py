@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
-from .errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError
+from .errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ForeignStateError
 
 FORMAT_VERSION = 1
 
@@ -109,6 +109,60 @@ class Code:
 
 
 @dataclass(frozen=True)
+class CodeColumns:
+    """One depth of a codebook as arrays; row r describes node ``ids[r]``.
+
+    ``ancestors[s]`` holds, for every row, the row of the node's ancestor
+    in the view of the shallower depth s. Unlabeled (CF) nodes carry label 0.
+    """
+
+    depth: int
+    ids: np.ndarray  # (L,) ascending node ids
+    low: np.ndarray  # (L, d)
+    upp: np.ndarray  # (L, d)
+    labels: np.ndarray  # (L,)
+    ancestors: dict[int, np.ndarray]  # shallower depth -> (L,) rows at that depth
+
+    @property
+    def dimensionality(self) -> int:
+        return self.low.shape[1]
+
+    def rows(self, node_ids) -> np.ndarray:
+        """Row positions of the given node ids, which must all lie at this depth."""
+        wanted = np.asarray(node_ids, dtype=np.intp)
+        pos = np.minimum(np.searchsorted(self.ids, wanted), len(self.ids) - 1)
+        foreign = self.ids[pos] != wanted
+        if foreign.any():
+            raise ForeignStateError(
+                f"{int(foreign.sum())} of {len(wanted)} node ids are not nodes at depth {self.depth}"
+            )
+        return pos
+
+
+def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
+    """Columnar views of depths 0..usable; ancestors come from stepping a parent array."""
+    parent = np.array([-1 if n.parent is None else n.parent for n in book.nodes], dtype=np.intp)
+    depth_of = np.array([n.depth for n in book.nodes])
+    columns = {}
+    for depth in range(book.usable_depth() + 1):
+        ids = np.flatnonzero(depth_of == depth)
+        nodes = [book.nodes[i] for i in ids]
+        ancestors, up = {}, ids
+        for shallower in range(depth - 1, -1, -1):
+            up = parent[up]
+            ancestors[shallower] = np.searchsorted(columns[shallower].ids, up)
+        columns[depth] = CodeColumns(
+            depth=depth,
+            ids=ids,
+            low=np.array([n.mbr.low for n in nodes]),
+            upp=np.array([n.mbr.upp for n in nodes]),
+            labels=np.array([0 if n.label is None else n.label for n in nodes], dtype=int),
+            ancestors=ancestors,
+        )
+    return columns
+
+
+@dataclass(frozen=True)
 class CodeBook:
     kind: str
     nodes: tuple[CodeNode, ...]
@@ -118,6 +172,7 @@ class CodeBook:
     features: np.ndarray | None = None  # CF coders: the user feature matrix
     warnings: tuple[str, ...] = ()
     _codes: dict = field(default=None, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_depth: dict[int, list[int]] = {}
@@ -148,6 +203,20 @@ class CodeBook:
             raise DepthNotFoundError(f"no code at depth {depth}; available depths {self.depths()}")
         return self._codes[depth]
 
+    def columns(self, depth: int) -> CodeColumns:
+        """The columnar view of one depth (0 holds the roots).
+
+        Views of every depth are built together on first use and cached;
+        they are derived data and never written by :func:`dump_codebook`.
+        """
+        if not self._columns:
+            # concurrent first calls each build equal views; the update
+            # is a single dict operation, so readers never see a partial set
+            self._columns.update(_build_columns(self))
+        if depth not in self._columns:
+            raise DepthNotFoundError(f"no nodes at depth {depth} in every tree")
+        return self._columns[depth]
+
     def ancestor_at(self, node_id: int, depth: int) -> int:
         """The id of the node's ancestor at the given shallower depth."""
         node = self.nodes[node_id]
@@ -160,6 +229,25 @@ class CodeBook:
 
 def code_at_depth(book: CodeBook, depth: int) -> Code:
     return book.code_at_depth(depth)
+
+
+def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
+    """Boolean mask over the rows of ``book.columns(depth)``: true where the
+    node's ancestor at ``state.depth`` is in ``state.retained``.
+
+    ``state`` is a kNN or CF state. It must come from a shallower depth of
+    this book: a retained id that is not a node of that depth raises
+    :class:`ForeignStateError`.
+    """
+    if depth <= state.depth:
+        raise ValueError(f"state depth {state.depth} must be above code depth {depth}")
+    try:
+        at_state = book.columns(state.depth)
+    except DepthNotFoundError:
+        raise ForeignStateError(f"state depth {state.depth} is not a depth of this book") from None
+    retained = np.zeros(len(at_state.ids), dtype=bool)
+    retained[at_state.rows(list(state.retained))] = True
+    return retained[book.columns(depth).ancestors[state.depth]]
 
 
 def select_code(book: CodeBook, length_budget: int) -> Code:
@@ -288,13 +376,12 @@ def build_dual_rtrees(
         rows = index_maps[nd["tree"]]
         nd["members"] = tuple(int(rows[i]) for i in nd["members"])
     config = {"max_entries": max_entries, "leaf_capacity": leaf_capacity, "task": "knn"}
-    book = builder.finish(KIND_DUAL, roots, config, seed, warnings=warnings)
-    heights = [book.tree_depth(0), book.tree_depth(1)]
+    heights = [max(nd["depth"] for nd in builder.nodes if nd["tree"] == t) for t in (0, 1)]
     if heights[0] != heights[1]:
         warnings.append(
             f"tree heights differ ({heights[0]} vs {heights[1]}); depths beyond {min(heights)} dropped"
         )
-    if book.usable_depth() < 1:
+    if min(heights) < 1:
         warnings.append("a class tree is a single leaf; no usable code exists")
     return builder.finish(KIND_DUAL, roots, config, seed, warnings=warnings)
 

@@ -31,6 +31,14 @@ class BudgetTooSmallError(ElasticMineError, ValueError):
     """No code fits within the given length budget."""
 
 
+class DimensionMismatchError(ElasticMineError, ValueError):
+    """A query's length differs from the dimensionality of the boxes it is measured against."""
+
+
+class ForeignStateError(ElasticMineError, ValueError):
+    """A state or result names nodes that are not in the code it claims to come from."""
+
+
 class InsufficientCandidatesError(ElasticMineError):
     """State filtering left fewer candidate nodes than the requested k."""
 

@@ -6,8 +6,21 @@ Euclidean distance to any point of the node's bounding box. A result's
 state keeps the scanned nodes that could still matter; deeper codes are
 then filtered through that state, which only ever shrinks the scan.
 
+The kernel works on the book's columnar per-depth view
+(:meth:`CodeBook.columns`): the boxes of a code as two (L, d) arrays, a
+label array and, per shallower depth, an array giving each node's
+ancestor there. A scan is one vector expression over the
+(state-filtered) rows, a partial sort for the k smallest distances, and
+a lexicographic sort of the few nodes at or below the k-th distance, so
+ties still break by node id. State filtering marks the retained nodes
+and looks every row's ancestor up in that mark. A query at a code of
+length L costs O(L * d) array work, with no per-node Python step; the
+view is built once per book, on first use.
+
 Distance comparisons run on squared values internally; every distance a
-caller sees is a true (un-squared) Euclidean distance.
+caller sees is a true (un-squared) Euclidean distance. Squared norms go
+through the same dot routine for a single box and for a whole code, so
+a vectorised scan returns the same bits as a box-by-box one.
 """
 
 from __future__ import annotations
@@ -16,39 +29,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import Code, CodeBook, Mbr
+from .coding import Code, CodeBook, CodeColumns, Mbr, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
-from .errors import InsufficientCandidatesError, UndefinedMetricError
+from .errors import DimensionMismatchError, InsufficientCandidatesError, UndefinedMetricError
 
 EXACT_DEPTH = -1  # marker depth for results of the full linear scan
 
 
-def _check_dim(q: np.ndarray, mbr: Mbr):
-    if len(q) != mbr.dimensionality:
-        raise ValueError(f"query dimension {len(q)} != MBR dimension {mbr.dimensionality}")
+def _check_dim(q: np.ndarray, dimensionality: int):
+    if q.shape != (dimensionality,):
+        raise DimensionMismatchError(
+            f"query of shape {q.shape} against {dimensionality}-dimensional boxes"
+        )
+
+
+def _norm_sq(d: np.ndarray):
+    """Squared Euclidean norm of a vector, or of every row of a matrix.
+
+    Each row goes through the dot routine ``d @ d`` uses, so a row's value
+    does not depend on how many rows are scored at once; ``einsum`` or a
+    row sum round differently wherever that routine fuses multiply-adds.
+    """
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+
+
+def _max_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
+    return _norm_sq(np.maximum(np.abs(q - low), np.abs(q - upp)))
+
+
+def _min_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
+    return _norm_sq(np.maximum(0.0, np.maximum(low - q, q - upp)))
+
+
+def _spread(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """q repeated once per row: subtracting it from short rows is faster
+    as a full array than as a broadcast."""
+    return np.tile(q, (len(rows), 1))
 
 
 def dist_max_sq(q: np.ndarray, mbr: Mbr) -> float:
-    d = np.maximum(np.abs(q - mbr.low), np.abs(q - mbr.upp))
-    return float(d @ d)
+    return float(_max_sq(q, mbr.low, mbr.upp))
 
 
 def dist_min_sq(q: np.ndarray, mbr: Mbr) -> float:
-    d = np.maximum(0.0, np.maximum(mbr.low - q, q - mbr.upp))
-    return float(d @ d)
+    return float(_min_sq(q, mbr.low, mbr.upp))
 
 
 def dist_max(q, mbr: Mbr) -> float:
     """Maximal Euclidean distance from q to any point of the box."""
     q = np.asarray(q, dtype=float)
-    _check_dim(q, mbr)
+    _check_dim(q, mbr.dimensionality)
     return float(np.sqrt(dist_max_sq(q, mbr)))
 
 
 def dist_min(q, mbr: Mbr) -> float:
     """Minimal Euclidean distance from q to the box (0 inside)."""
     q = np.asarray(q, dtype=float)
-    _check_dim(q, mbr)
+    _check_dim(q, mbr.dimensionality)
     return float(np.sqrt(dist_min_sq(q, mbr)))
 
 
@@ -98,6 +135,13 @@ def _vote(labels) -> tuple[int, int, int]:
     return k_pos, k_neg, predicted
 
 
+def _code_columns(book: CodeBook, code: Code | int, query: KnnQuery) -> CodeColumns:
+    depth = book.code_at_depth(code).depth if isinstance(code, int) else code.depth
+    columns = book.columns(depth)
+    _check_dim(query.point, columns.dimensionality)
+    return columns
+
+
 def classify(
     book: CodeBook, code: Code | int, query: KnnQuery, state: KnnState | None = None
 ) -> KnnApproxResult:
@@ -107,55 +151,50 @@ def classify(
     retained are scanned; the scanned-node count is the result's
     computational cost. Distance ties break by node id.
     """
-    if isinstance(code, int):
-        code = book.code_at_depth(code)
-    candidates = list(code.node_ids)
+    columns = _code_columns(book, code, query)
+    ids, low, upp, labels = columns.ids, columns.low, columns.upp, columns.labels
     if state is not None:
-        if code.depth <= state.depth:
-            raise ValueError(f"state depth {state.depth} must be above code depth {code.depth}")
-        candidates = [
-            nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
-        ]
-    if len(candidates) < query.k:
-        raise InsufficientCandidatesError(
-            f"{len(candidates)} candidate nodes after filtering < k={query.k}"
-        )
-    q = query.point
-    scored = sorted((dist_max_sq(q, book.node(nid).mbr), nid) for nid in candidates)
-    top = scored[: query.k]
-    k_pos, k_neg, predicted = _vote([book.node(nid).label for _, nid in top])
+        keep = state_filter(book, columns.depth, state)
+        ids, low, upp, labels = ids[keep], low[keep], upp[keep], labels[keep]
+    k = query.k
+    if len(ids) < k:
+        raise InsufficientCandidatesError(f"{len(ids)} candidate nodes after filtering < k={k}")
+    d2 = _max_sq(_spread(query.point, low), low, upp)
+    # only nodes at or below the k-th smallest distance can be selected;
+    # sorting those by (distance, id) keeps the node-id tie rule
+    near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    top = near[np.lexsort((ids[near], d2[near]))][:k]
+    distances = np.sqrt(d2[top]).tolist()
+    k_pos, k_neg, predicted = _vote(labels[top].tolist())
     return KnnApproxResult(
-        depth=code.depth,
-        node_ids=tuple(nid for _, nid in top),
-        distances=tuple(float(np.sqrt(d2)) for d2, _ in top),
+        depth=columns.depth,
+        node_ids=tuple(ids[top].tolist()),
+        distances=tuple(distances),
         k_pos=k_pos,
         k_neg=k_neg,
         predicted=predicted,
-        threshold=float(np.sqrt(top[-1][0])),
-        scanned=len(candidates),
+        threshold=distances[-1],
+        scanned=len(ids),
     )
 
 
 def maintain_state(
     book: CodeBook, code: Code | int, query: KnnQuery, result: KnnApproxResult
 ) -> KnnState:
-    """Keep every scanned node whose minimal distance is within the threshold.
+    """Keep every node of the code whose minimal distance is within the threshold.
 
     Nodes with ``dist_min > dist_max_kNN`` cannot contain any of the
     query's nearest neighbours at any deeper depth and are dropped; the k
     result nodes always survive.
     """
-    if isinstance(code, int):
-        code = book.code_at_depth(code)
+    columns = _code_columns(book, code, query)
     q = query.point
     # rebuild the squared threshold from the result nodes: equality at the
     # boundary must keep a node, so no sqrt round trip is allowed here
-    thr_sq = max(dist_max_sq(q, book.node(nid).mbr) for nid in result.node_ids)
-    thr_sq = max(thr_sq, result.threshold**2)
-    retained = frozenset(
-        nid for nid in code.node_ids if dist_min_sq(q, book.node(nid).mbr) <= thr_sq
-    )
-    return KnnState(depth=code.depth, retained=retained)
+    rows = columns.rows(result.node_ids)
+    thr_sq = max(float(_max_sq(q, columns.low[rows], columns.upp[rows]).max()), result.threshold**2)
+    keep = _min_sq(_spread(q, columns.low), columns.low, columns.upp) <= thr_sq
+    return KnnState(depth=columns.depth, retained=frozenset(columns.ids[keep].tolist()))
 
 
 def refine_chain(book: CodeBook, query: KnnQuery, depths=None) -> list[KnnApproxResult]:
@@ -180,8 +219,8 @@ def exact_knn(train: LabeledDataset, query: KnnQuery) -> KnnApproxResult:
     if query.k > len(train):
         raise ValueError(f"k={query.k} exceeds training size {len(train)}")
     q = np.asarray(query.point, dtype=float)
-    if q.shape[0] != train.dimensionality:
-        raise ValueError("query dimensionality does not match the training set")
+    if q.shape != (train.dimensionality,):
+        raise DimensionMismatchError("query dimensionality does not match the training set")
     d2 = ((train.features - q) ** 2).sum(axis=1)
     idx = np.argsort(d2, kind="stable")[: query.k]
     k_pos, k_neg, predicted = _vote(train.labels[idx])

@@ -5,7 +5,7 @@ import pytest
 
 import elastic_mine as em
 from elastic_mine.coding import CodeNode, ItemAggregate, Mbr
-from elastic_mine.errors import DivergenceError, UndefinedMetricError
+from elastic_mine.errors import DivergenceError, ForeignStateError, UndefinedMetricError
 
 from conftest import TABLE_FEATURES, leaf_with_members
 
@@ -180,6 +180,14 @@ class TestPredict:
         result = em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
         assert result.scanned == 0
         assert result.fallback
+
+    def test_foreign_state_rejected(self, example_matrix, example_cf_book):
+        query = em.CfQuery.from_matrix(example_matrix, user=1, item=4)
+        leaf = example_cf_book.code_at_depth(2).node_ids[0]  # not a depth-1 node
+        state = em.CfState(depth=1, retained=frozenset({leaf}))
+        with pytest.raises(ForeignStateError) as info:
+            em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
+        assert isinstance(info.value, ValueError)
 
     def test_all_raters_retained_when_all_rate(self, example_matrix, example_cf_book):
         # item 3 is rated inside both halves of the user hierarchy

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.coding import Mbr
-from elastic_mine.errors import InsufficientCandidatesError, UndefinedMetricError
+from elastic_mine.errors import (
+    DimensionMismatchError,
+    ElasticMineError,
+    ForeignStateError,
+    InsufficientCandidatesError,
+    UndefinedMetricError,
+)
 from elastic_mine.knn import EXACT_DEPTH, KnnApproxResult, refine_chain
 
 BOX = Mbr(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
@@ -125,6 +131,40 @@ class TestClassify:
         with pytest.raises(InsufficientCandidatesError):
             em.classify(book, 2, em.KnnQuery([0.0], 3), state)
 
+    def test_query_dimension_must_match_book(self, fourclass_book):
+        query = em.KnnQuery([100.0], 3)  # a 1-d query against 2-d boxes
+        with pytest.raises(DimensionMismatchError) as info:
+            em.classify(fourclass_book, 1, query)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, ElasticMineError)
+        result = em.classify(fourclass_book, 1, em.KnnQuery([0.0, 0.0], 3))
+        with pytest.raises(DimensionMismatchError):
+            em.maintain_state(fourclass_book, 1, query, result)
+
+    def test_foreign_state_rejected(self, worked_example, fourclass_book):
+        _, book, ids = worked_example
+        query = em.KnnQuery([0.0], 3)
+        # N12 is a depth-2 node, so no depth-1 state of this book can retain it
+        state = em.KnnState(depth=1, retained=frozenset({ids["N9"], ids["N12"]}))
+        with pytest.raises(ForeignStateError) as info:
+            em.classify(book, 2, query, state)
+        assert isinstance(info.value, ValueError)
+        # a state of the larger book names ids that are no depth-1 nodes here
+        other = em.KnnQuery([0.0, 0.0], 3)
+        first = em.classify(fourclass_book, 1, other)
+        foreign = em.maintain_state(fourclass_book, 1, other, first)
+        with pytest.raises(ForeignStateError):
+            em.classify(book, 2, query, foreign)
+        with pytest.raises(ForeignStateError):
+            em.classify(book, 2, query, em.KnnState(depth=-1, retained=frozenset()))
+
+    def test_result_of_another_code_rejected(self, worked_example):
+        _, book, _ = worked_example
+        query = em.KnnQuery([0.0], 3)
+        result = em.classify(book, 1, query)
+        with pytest.raises(ForeignStateError):
+            em.maintain_state(book, 2, query, result)
+
     def test_state_depth_must_be_shallower(self, worked_example):
         _, book, ids = worked_example
         state = em.KnnState(depth=2, retained=frozenset(ids.values()))
@@ -205,6 +245,136 @@ class TestMonotonicityProperties:
                 state = em.maintain_state(book, depth, query, result)
                 costs.append(em.classify(book, deepest, query, state).scanned)
             assert all(a >= b for a, b in zip(costs, costs[1:]))
+
+
+def _reference_max_sq(q, mbr):
+    d = np.maximum(np.abs(q - mbr.low), np.abs(q - mbr.upp))
+    return float(d @ d)
+
+
+def _reference_min_sq(q, mbr):
+    d = np.maximum(0.0, np.maximum(mbr.low - q, q - mbr.upp))
+    return float(d @ d)
+
+
+def reference_classify(book, code, query, state=None):
+    """The node-by-node kernel: every candidate scored by its own box distance."""
+    if isinstance(code, int):
+        code = book.code_at_depth(code)
+    candidates = list(code.node_ids)
+    if state is not None:
+        candidates = [
+            nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
+        ]
+    if len(candidates) < query.k:
+        raise InsufficientCandidatesError(f"{len(candidates)} candidates < k={query.k}")
+    scored = sorted((_reference_max_sq(query.point, book.node(nid).mbr), nid) for nid in candidates)
+    top = scored[: query.k]
+    k_pos = sum(1 for _, nid in top if book.node(nid).label == em.POSITIVE)
+    k_neg = query.k - k_pos
+    return KnnApproxResult(
+        depth=code.depth,
+        node_ids=tuple(nid for _, nid in top),
+        distances=tuple(float(np.sqrt(d2)) for d2, _ in top),
+        k_pos=k_pos,
+        k_neg=k_neg,
+        predicted=em.POSITIVE if k_pos > k_neg else em.NEGATIVE,
+        threshold=float(np.sqrt(top[-1][0])),
+        scanned=len(candidates),
+    )
+
+
+def reference_maintain_state(book, code, query, result):
+    if isinstance(code, int):
+        code = book.code_at_depth(code)
+    q = query.point
+    thr_sq = max(_reference_max_sq(q, book.node(nid).mbr) for nid in result.node_ids)
+    thr_sq = max(thr_sq, result.threshold**2)
+    retained = frozenset(
+        nid for nid in code.node_ids if _reference_min_sq(q, book.node(nid).mbr) <= thr_sq
+    )
+    return em.KnnState(depth=code.depth, retained=retained)
+
+
+def reference_chain(book, query):
+    results, state = [], None
+    for depth in book.depths():
+        result = reference_classify(book, depth, query, state)
+        results.append(result)
+        state = reference_maintain_state(book, depth, query, result)
+    return results
+
+
+@st.composite
+def books_and_queries(draw, leaf_capacity=None, same_class_sizes=False):
+    """A dual-tree book over points of which some or all sit on an integer
+    grid (so distance ties occur), plus a few queries against it."""
+    dim = draw(st.integers(1, 3))
+    max_entries = draw(st.integers(2, 5))
+    if leaf_capacity is None:
+        leaf_capacity = draw(st.sampled_from([1, None]))
+    low = max_entries + 1
+    pos = draw(st.integers(low, 40))
+    neg = pos if same_class_sizes else draw(st.integers(low, 40))
+    grid_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = rng.normal(0.0, 2.0, size=(pos + neg, dim))
+    snap = rng.random(pos + neg) < grid_share
+    feats[snap] = np.round(feats[snap])
+    train = em.LabeledDataset(feats, [1] * pos + [-1] * neg)
+    book = em.build_dual_rtrees(train, max_entries=max_entries, leaf_capacity=leaf_capacity)
+    shortest = book.code_at_depth(book.depths()[0]).length
+    queries = []
+    for _ in range(4):
+        point = rng.normal(0.0, 2.5, dim)
+        if rng.random() < grid_share:
+            point = np.round(2 * point) / 2
+        queries.append(em.KnnQuery(point, int(rng.integers(1, min(shortest, 6) + 1))))
+    return train, book, queries
+
+
+def _plain(result):
+    return (
+        all(type(i) is int for i in result.node_ids)
+        and all(type(x) is float for x in result.distances)
+        and type(result.threshold) is float
+        and type(result.scanned) is int
+        and type(result.k_pos) is int
+        and type(result.k_neg) is int
+    )
+
+
+class TestVectorisedKernel:
+    """The columnar kernel against the node-by-node reference, field for field."""
+
+    @given(books_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_kernel(self, case):
+        _, book, queries = case
+        for query in queries:
+            for depth in book.depths():
+                result = em.classify(book, depth, query)
+                assert result == reference_classify(book, depth, query)
+                assert _plain(result)
+                state = em.maintain_state(book, depth, query, result)
+                assert state == reference_maintain_state(book, depth, query, result)
+                assert type(state.retained) is frozenset
+                assert all(type(i) is int for i in state.retained)
+            chain = refine_chain(book, query)
+            assert chain == reference_chain(book, query)
+            assert all(_plain(r) for r in chain)
+
+    @given(books_and_queries(leaf_capacity=1, same_class_sizes=True))
+    @settings(max_examples=40, deadline=None)
+    def test_leaf_chain_distances_equal_exact(self, case):
+        train, book, queries = case
+        deepest = book.depths()[-1]
+        assert book.code_at_depth(deepest).length == len(train)
+        for query in queries:
+            chain = refine_chain(book, query)
+            exact = em.exact_knn(train, query)
+            assert chain[-1].distances == pytest.approx(exact.distances, rel=1e-12, abs=0.0)
+            assert chain[-1].threshold == pytest.approx(exact.threshold, rel=1e-12, abs=0.0)
 
 
 class TestExactKnn:
