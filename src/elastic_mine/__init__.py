@@ -36,7 +36,6 @@ from .coding import (
     build_dual_rtrees,
     build_kmeans_codebook,
     cf_book_from_hierarchy,
-    code_at_depth,
     dual_book_from_hierarchy,
     dump_codebook,
     kmeans,

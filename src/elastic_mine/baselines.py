@@ -11,13 +11,11 @@ at their maximal budget all of them reproduce the exact oracles.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cf import CfApproxResult, CfQuery, node_weight, _weighted_prediction
-from .coding import CodeBook, ItemAggregate, kmeans
+from .cf import CfApproxResult, CfQuery, _predict_over_users
+from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import InsufficientBudgetError
 from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _vote, dist_max_sq
@@ -25,20 +23,6 @@ from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _vote, dist_max_sq
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
 STRATEGY_OFS = "ofs"
-
-
-@dataclass(frozen=True)
-class AnytimeRunConfig:
-    algorithm: str
-    budget: int
-    strategy: str | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.strategy is not None and self.strategy not in (STRATEGY_BFS, STRATEGY_DFS, STRATEGY_OFS):
-            raise ValueError(f"unknown descent strategy {self.strategy!r}")
 
 
 def rank_training_points(train: LabeledDataset) -> np.ndarray:
@@ -195,38 +179,6 @@ def anytime_knn_rtree(
 
 # ---------------------------------------------------------------------------
 # Time-adaptive CF baselines
-
-
-def _predict_over_users(matrix: RatingMatrix, query: CfQuery, users: Sequence[int]) -> CfApproxResult:
-    """Exact-style prediction restricted to the given 1-based user ids."""
-    raters = []
-    weighted = []
-    for v in users:
-        if v == query.user:
-            continue
-        row = matrix.user_ratings(v)
-        if query.item not in row:
-            continue
-        raters.append(v)
-        v_mean = matrix.user_mean(v)
-        aggs = {i: ItemAggregate(r, v_mean, 1) for i, r in row.items()}
-        w = node_weight(query.ratings, query.mean, aggs)
-        if w is None or w == 0.0:
-            continue
-        weighted.append((v, w, row[query.item] - v_mean))
-    prediction, fallback, clamped = _weighted_prediction(
-        query, [(w, dev) for _, w, dev in weighted], matrix.rating_scale
-    )
-    return CfApproxResult(
-        depth=EXACT_DEPTH,
-        rater_node_ids=tuple(v for v, _, _ in weighted),
-        weights=tuple(w for _, w, _ in weighted),
-        all_rater_node_ids=tuple(raters),
-        prediction=prediction,
-        scanned=len(users),
-        fallback=fallback,
-        clamped=clamped,
-    )
 
 
 def sample_users(num_users: int, sample_size: int, seed: int) -> tuple[int, ...]:

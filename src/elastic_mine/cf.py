@@ -179,6 +179,34 @@ def _weighted_prediction(query: CfQuery, contributions, scale) -> tuple[float, b
     return clamped, fallback, clamped != raw
 
 
+def _score(query: CfQuery, depth: int, sources, scanned: int, scale) -> CfApproxResult:
+    """The recommendation step of :func:`predict` over ``(id, item aggregates)`` candidates."""
+    raters: list[int] = []
+    weighted: list[tuple[int, float, float]] = []  # (id, weight, deviation of target item)
+    for cid, aggs in sources:
+        agg = aggs.get(query.item) if aggs else None
+        if agg is None:
+            continue
+        raters.append(cid)
+        w = node_weight(query.ratings, query.mean, aggs)
+        if w is None or w == 0.0:
+            continue
+        weighted.append((cid, w, agg.rating - agg.rater_mean))
+    prediction, fallback, clamped = _weighted_prediction(
+        query, [(w, dev) for _, w, dev in weighted], scale
+    )
+    return CfApproxResult(
+        depth=depth,
+        rater_node_ids=tuple(cid for cid, _, _ in weighted),
+        weights=tuple(w for _, w, _ in weighted),
+        all_rater_node_ids=tuple(raters),
+        prediction=prediction,
+        scanned=scanned,
+        fallback=fallback,
+        clamped=clamped,
+    )
+
+
 def predict(
     book: CodeBook,
     code: Code | int,
@@ -202,31 +230,8 @@ def predict(
         keep = state_filter(book, code.depth, state)
         candidates = book.columns(code.depth).ids[keep].tolist()
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
-    raters: list[int] = []
-    weighted: list[tuple[int, float, float]] = []  # (node, weight, deviation of target item)
-    for nid in candidates:
-        aggs = book.node(nid).aggregates
-        agg = aggs.get(query.item) if aggs else None
-        if agg is None:
-            continue
-        raters.append(nid)
-        w = node_weight(query.ratings, query.mean, aggs)
-        if w is None or w == 0.0:
-            continue
-        weighted.append((nid, w, agg.rating - agg.rater_mean))
-    prediction, fallback, clamped = _weighted_prediction(
-        query, [(w, dev) for _, w, dev in weighted], scale
-    )
-    return CfApproxResult(
-        depth=code.depth,
-        rater_node_ids=tuple(nid for nid, _, _ in weighted),
-        weights=tuple(w for _, w, _ in weighted),
-        all_rater_node_ids=tuple(raters),
-        prediction=prediction,
-        scanned=len(candidates),
-        fallback=fallback,
-        clamped=clamped,
-    )
+    sources = ((nid, book.node(nid).aggregates) for nid in candidates)
+    return _score(query, code.depth, sources, len(candidates), scale)
 
 
 def maintain_cf_state(result: CfApproxResult) -> CfState:
@@ -249,6 +254,24 @@ def refine_chain(book: CodeBook, query: CfQuery, depths=None, matrix=None) -> li
 EXACT_DEPTH = -1
 
 
+def _user_sources(matrix: RatingMatrix, query: CfQuery, users):
+    """Each listed user other than the active one who rated the target item,
+    as a single-rater node: ``(user, {item: ItemAggregate(r, user mean, 1)})``."""
+    for v in users:
+        if v == query.user:
+            continue
+        row = matrix.user_ratings(v)
+        if query.item in row:
+            v_mean = matrix.user_mean(v)
+            yield v, {i: ItemAggregate(r, v_mean, 1) for i, r in row.items()}
+
+
+def _predict_over_users(matrix: RatingMatrix, query: CfQuery, users) -> CfApproxResult:
+    """User-granularity prediction restricted to the given 1-based user ids."""
+    return _score(query, EXACT_DEPTH, _user_sources(matrix, query, users), len(users),
+                  matrix.rating_scale)
+
+
 def exact_cf_predict(matrix: RatingMatrix, query: CfQuery) -> CfApproxResult:
     """User-granularity prediction over the full matrix: the exact oracle.
 
@@ -256,34 +279,9 @@ def exact_cf_predict(matrix: RatingMatrix, query: CfQuery) -> CfApproxResult:
     the same degenerate-weight, fallback and clamping rules as
     :func:`predict`, scanning every user who rated the target item.
     """
-    raters: list[int] = []
-    weighted: list[tuple[int, float, float]] = []
-    for v in range(1, matrix.num_users + 1):
-        if v == query.user:
-            continue
-        row = matrix.user_ratings(v)
-        if query.item not in row:
-            continue
-        raters.append(v)
-        v_mean = matrix.user_mean(v)
-        aggs = {i: ItemAggregate(r, v_mean, 1) for i, r in row.items()}
-        w = node_weight(query.ratings, query.mean, aggs)
-        if w is None or w == 0.0:
-            continue
-        weighted.append((v, w, row[query.item] - v_mean))
-    prediction, fallback, clamped = _weighted_prediction(
-        query, [(w, dev) for _, w, dev in weighted], matrix.rating_scale
-    )
-    return CfApproxResult(
-        depth=EXACT_DEPTH,
-        rater_node_ids=tuple(v for v, _, _ in weighted),
-        weights=tuple(w for _, w, _ in weighted),
-        all_rater_node_ids=tuple(raters),
-        prediction=prediction,
-        scanned=matrix.num_users - 1,
-        fallback=fallback,
-        clamped=clamped,
-    )
+    users = range(1, matrix.num_users + 1)
+    return _score(query, EXACT_DEPTH, _user_sources(matrix, query, users), matrix.num_users - 1,
+                  matrix.rating_scale)
 
 
 def rmse(predictions, actuals) -> float:

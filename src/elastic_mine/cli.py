@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, baselines, cf, coding, datasets, elasticity, knn, planner
-from .errors import ElasticMineError
+from .errors import ElasticMineError, ParseError
 
 
 def _default_seed() -> int:
@@ -43,6 +43,28 @@ def _write(path, config: dict, body: str):
 def _read_data_lines(path):
     with open(path, encoding="utf-8") as fh:
         return [line for line in fh if not line.startswith("#")]
+
+
+def _read_table(path) -> list[dict[str, str]]:
+    """Rows of a CSV with a header line, as header -> cell strings."""
+    lines = [l.strip() for l in _read_data_lines(path) if l.strip()]
+    if not lines:
+        raise ParseError(f"{path}: no header line")
+    header = [h.strip() for h in lines[0].split(",")]
+    return [dict(zip(header, (c.strip() for c in line.split(",")))) for line in lines[1:]]
+
+
+def _load_states(path, key_fields, state_type) -> dict:
+    """``state <key ints> <depth> <ids>`` lines, keyed by the tuple of key ints."""
+    states = {}
+    for line in _read_data_lines(path):
+        toks = line.split()
+        if not toks or toks[0] != "state":
+            continue
+        key = tuple(int(t) for t in toks[1 : 1 + key_fields])
+        depth = int(toks[1 + key_fields])
+        states[key] = state_type(depth, frozenset(int(t) for t in toks[2 + key_fields :]))
+    return states
 
 
 def _config(args, keys) -> dict:
@@ -109,17 +131,6 @@ def _resolve_depth(book, args) -> int:
     raise ElasticMineError("one of --depth, --budget-nodes, --budget-ms is required")
 
 
-def _load_states(path) -> dict[int, knn.KnnState]:
-    states = {}
-    for line in _read_data_lines(path):
-        toks = line.split()
-        if not toks or toks[0] != "state":
-            continue
-        qid, depth = int(toks[1]), int(toks[2])
-        states[qid] = knn.KnnState(depth, frozenset(int(t) for t in toks[3:]))
-    return states
-
-
 def _run_ordered(worker, count, threads):
     """Run worker(i) for i in range(count), preserving input order in the output."""
     if threads <= 1:
@@ -136,12 +147,12 @@ def _cmd_mine_knn(args) -> int:
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
     depth = _resolve_depth(book, args)
-    states = _load_states(args.from_state) if args.from_state else {}
+    states = _load_states(args.from_state, 1, knn.KnnState) if args.from_state else {}
     code = book.code_at_depth(depth)
 
     def classify_one(qid):
         query = knn.KnnQuery(test.features[qid], args.k)
-        result = knn.classify(book, code, query, states.get(qid))
+        result = knn.classify(book, code, query, states.get((qid,)))
         state = knn.maintain_state(book, code, query, result) if args.save_state else None
         return result, state
 
@@ -168,17 +179,6 @@ def _cmd_mine_knn(args) -> int:
     return 0
 
 
-def _load_cf_states(path) -> dict[tuple[int, int], cf.CfState]:
-    states = {}
-    for line in _read_data_lines(path):
-        toks = line.split()
-        if not toks or toks[0] != "state":
-            continue
-        user, item, depth = int(toks[1]), int(toks[2]), int(toks[3])
-        states[(user, item)] = cf.CfState(depth, frozenset(int(t) for t in toks[4:]))
-    return states
-
-
 def _cmd_mine_cf(args) -> int:
     keys = ["book", "ratings", "test", "user", "item", "depth", "budget_nodes",
             "from_state", "save_state", "out", "seed", "threads"]
@@ -201,7 +201,7 @@ def _cmd_mine_cf(args) -> int:
         depth = coding.select_code(book, args.budget_nodes).depth
     else:
         raise ElasticMineError("one of --depth, --budget-nodes is required")
-    states = _load_cf_states(args.from_state) if args.from_state else {}
+    states = _load_states(args.from_state, 2, cf.CfState) if args.from_state else {}
 
     def predict_one(idx):
         user, item, _ = queries[idx]
@@ -285,9 +285,7 @@ def _cmd_mine_baseline(args) -> int:
 def _cmd_report_quality(args) -> int:
     keys = ["pred", "task", "out"]
     config = _config(args, keys)
-    lines = [l.strip() for l in _read_data_lines(args.pred) if l.strip()]
-    header = lines[0].split(",")
-    body = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    body = _read_table(args.pred)
     out_rows = ["depth,metric,value"]
     if args.task == "knn":
         by_depth: dict[int, list[dict]] = {}
@@ -331,11 +329,9 @@ def _cmd_report_quality(args) -> int:
 def _cmd_report_elasticity(args) -> int:
     keys = ["series", "out"]
     config = _config(args, keys)
-    lines = [l.strip() for l in _read_data_lines(args.series) if l.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
     points = []
-    for line in lines[1:]:
-        row = dict(zip(header, (float(v) for v in line.split(","))))
+    for cells in _read_table(args.series):
+        row = {k: float(v) for k, v in cells.items()}
         points.append(elasticity.InvestmentPoint(
             quality=row["quality"], investment=row["investment"],
             resource=row.get("resource"), price=row.get("price"),
@@ -371,16 +367,6 @@ def _cmd_report_resolution(args) -> int:
 # plan
 
 
-def _read_results_csv(path) -> list[planner.ResultPoint]:
-    lines = [l.strip() for l in _read_data_lines(path) if l.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
-    out = []
-    for line in lines[1:]:
-        row = dict(zip(header, (float(v) for v in line.split(","))))
-        out.append(planner.ResultPoint(row["quality"], row["hours"]))
-    return out
-
-
 _ANSWER_FIELDS = ("result_index", "quality", "price", "investment", "work_hours",
                   "execution_hours", "suspended_hours", "elapsed_hours",
                   "completion_hours", "hours_per_day", "binding")
@@ -403,7 +389,8 @@ def _cmd_plan(args) -> int:
     keys = ["results", "scheme", "query", "fixed_price", "schedule", "budget",
             "quality", "deadline_hours", "elasticity_floor", "out"]
     config = _config(args, keys)
-    results = _read_results_csv(args.results)
+    results = [planner.ResultPoint(float(row["quality"]), float(row["hours"]))
+               for row in _read_table(args.results)]
     out_rows = []
     if args.scheme in ("fixed", "both"):
         # the deadline-driven spot query maps to the quality-floor fixed query
@@ -453,8 +440,6 @@ def _cmd_bench(args) -> int:
         ms = repr(wall_ms) if args.timings else "0.0"
         rows.append(f"{name},{algorithm},{args.seed},{budget},{metric},{value!r},{scanned},{ms}")
 
-    if args.task != "knn":
-        raise ElasticMineError("bench currently covers the knn task")
     with open(args.input, encoding="utf-8") as fh:
         data = datasets.parse_libsvm(fh)
     train, test = datasets.split_dataset(

@@ -24,7 +24,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
-from .errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ForeignStateError
+from .errors import (
+    BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ForeignStateError, ParseError,
+)
 
 FORMAT_VERSION = 1
 
@@ -225,10 +227,6 @@ class CodeBook:
         if node.depth != depth:
             raise ValueError(f"node {node_id} has no ancestor at depth {depth}")
         return node.node_id
-
-
-def code_at_depth(book: CodeBook, depth: int) -> Code:
-    return book.code_at_depth(depth)
 
 
 def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
@@ -657,69 +655,88 @@ def save_codebook(book: CodeBook, path) -> None:
 
 
 def load_codebook(path_or_text) -> CodeBook:
+    """Read a dump written by :func:`dump_codebook` (a path, or the text itself).
+
+    A bad header, a malformed line, a missing ``end`` line or a node count
+    that differs from the ``nodes`` line raises :class:`ParseError` with
+    the 1-based line number.
+    """
     if isinstance(path_or_text, str) and "\n" in path_or_text:
         text = path_or_text
     else:
         with open(path_or_text, encoding="utf-8") as fh:
             text = fh.read()
     lines = text.splitlines()
-    header = lines[0].split()
-    if header[0] != "elastic-mine-codebook" or int(header[1]) != FORMAT_VERSION:
-        raise ValueError(f"unsupported codebook header {lines[0]!r}")
+    if not lines or lines[0].split() != ["elastic-mine-codebook", str(FORMAT_VERSION)]:
+        raise ParseError(f"unsupported codebook header {lines[0] if lines else ''!r}", 1)
     kind = seed = config = None
     roots: tuple[int, ...] = ()
     warnings: list[str] = []
     features = None
     feat_rows: list[list[float]] = []
     nodes: dict[int, dict] = {}
-    for line in lines[1:]:
-        if not line or line == "end":
+    declared = declared_at = None
+    ended = False
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        if line == "end":
+            ended = True
             continue
         tag, _, rest = line.partition(" ")
-        if tag == "kind":
-            kind = rest
-        elif tag == "seed":
-            seed = int(rest)
-        elif tag == "config":
-            config = json.loads(rest)
-        elif tag == "warning":
-            warnings.append(rest)
-        elif tag == "roots":
-            roots = tuple(int(t) for t in rest.split())
-        elif tag == "features":
-            m, d = (int(t) for t in rest.split())
-            features = (m, d)
-        elif tag == "F":
-            feat_rows.append([float(t) for t in rest.split()])
-        elif tag == "N":
-            toks = rest.split()
-            nid, tree, depth = int(toks[0]), int(toks[1]), int(toks[2])
-            parent = None if toks[3] == "-" else int(toks[3])
-            label = None if toks[4] == "-" else int(toks[4])
-            ci = toks.index("C")
-            mi = toks.index("M")
-            pi = toks.index("P")
-            bar = toks.index("|")
-            children = tuple(int(t) for t in toks[ci + 1 : mi])
-            low = [float(t) for t in toks[mi + 1 : bar]]
-            upp = [float(t) for t in toks[bar + 1 : pi]]
-            members = tuple(int(t) for t in toks[pi + 1 :])
-            nodes[nid] = dict(
-                node_id=nid, tree=tree, depth=depth, parent=parent, label=label,
-                children=children, mbr=Mbr(np.array(low), np.array(upp)),
-                members=members, aggregates=None,
-            )
-        elif tag == "A":
-            toks = rest.split()
-            nid, item = int(toks[0]), int(toks[1])
-            agg = ItemAggregate(float(toks[2]), float(toks[3]), int(toks[4]))
-            if nodes[nid]["aggregates"] is None:
-                nodes[nid]["aggregates"] = {}
-            nodes[nid]["aggregates"][item] = agg
-        elif tag == "nodes":
-            continue
-        else:
-            raise ValueError(f"unknown codebook line tag {tag!r}")
+        try:
+            if tag == "kind":
+                kind = rest
+            elif tag == "seed":
+                seed = int(rest)
+            elif tag == "config":
+                config = json.loads(rest)
+            elif tag == "warning":
+                warnings.append(rest)
+            elif tag == "roots":
+                roots = tuple(int(t) for t in rest.split())
+            elif tag == "features":
+                m, d = (int(t) for t in rest.split())
+                features = (m, d)
+            elif tag == "F":
+                feat_rows.append([float(t) for t in rest.split()])
+            elif tag == "N":
+                toks = rest.split()
+                nid, tree, depth = int(toks[0]), int(toks[1]), int(toks[2])
+                parent = None if toks[3] == "-" else int(toks[3])
+                label = None if toks[4] == "-" else int(toks[4])
+                ci = toks.index("C")
+                mi = toks.index("M")
+                pi = toks.index("P")
+                bar = toks.index("|")
+                children = tuple(int(t) for t in toks[ci + 1 : mi])
+                low = [float(t) for t in toks[mi + 1 : bar]]
+                upp = [float(t) for t in toks[bar + 1 : pi]]
+                members = tuple(int(t) for t in toks[pi + 1 :])
+                nodes[nid] = dict(
+                    node_id=nid, tree=tree, depth=depth, parent=parent, label=label,
+                    children=children, mbr=Mbr(np.array(low), np.array(upp)),
+                    members=members, aggregates=None,
+                )
+            elif tag == "A":
+                toks = rest.split()
+                nid, item = int(toks[0]), int(toks[1])
+                agg = ItemAggregate(float(toks[2]), float(toks[3]), int(toks[4]))
+                if nodes[nid]["aggregates"] is None:
+                    nodes[nid]["aggregates"] = {}
+                nodes[nid]["aggregates"][item] = agg
+            elif tag == "nodes":
+                declared, declared_at = int(rest), lineno
+            else:
+                raise ParseError(f"unknown codebook line tag {tag!r}", lineno)
+        except ParseError:
+            raise
+        except (ValueError, IndexError, KeyError) as exc:
+            raise ParseError(f"malformed {tag!r} line ({exc})", lineno) from None
+    if not ended:
+        raise ParseError("no 'end' line: the codebook is truncated", len(lines) + 1)
+    if declared != len(nodes):
+        raise ParseError(f"'nodes {declared}' but {len(nodes)} node lines", declared_at)
     feat_array = None
     if features and features[0] > 0:
         feat_array = np.array(feat_rows)

@@ -150,10 +150,12 @@ def parse_libsvm(source) -> LabeledDataset:
 
     Labels map to the binary classes by sign: raw values > 0 are positive,
     values <= 0 negative. Absent feature indices read as 0.0. The declared
-    dimensionality is the largest index seen anywhere in the stream.
+    dimensionality is the largest index seen anywhere in the stream. A NaN
+    or infinite feature value is a :class:`ParseError`.
     """
     rows: list[dict[int, float]] = []
     raw_labels: list[float] = []
+    linenos: list[int] = []
     dim = 0
     for lineno, line in _as_lines(source):
         parts = line.split()
@@ -175,6 +177,7 @@ def parse_libsvm(source) -> LabeledDataset:
             dim = max(dim, j)
         rows.append(feats)
         raw_labels.append(raw)
+        linenos.append(lineno)
     if not rows:
         raise ParseError("empty stream: no data points")
     distinct = sorted(set(raw_labels))
@@ -184,6 +187,9 @@ def parse_libsvm(source) -> LabeledDataset:
     for i, feats in enumerate(rows):
         for j, v in feats.items():
             features[i, j - 1] = v
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite feature value", linenos[int(np.argmin(finite))])
     labels = np.where(np.asarray(raw_labels) > 0, POSITIVE, NEGATIVE)
     return LabeledDataset(features, labels)
 
@@ -209,7 +215,8 @@ def parse_ratings_csv(source, rating_scale=(1.0, 5.0)) -> RatingMatrix:
 
     An optional header line is detected by a non-numeric first field.
     Duplicate (user, item) pairs keep the last value; the collision count
-    is recorded on the returned matrix.
+    is recorded on the returned matrix. A rating that is not finite or lies
+    outside ``rating_scale`` is a :class:`ParseError`.
     """
     ratings: dict[tuple[int, int], float] = {}
     duplicates = 0
@@ -233,6 +240,8 @@ def parse_ratings_csv(source, rating_scale=(1.0, 5.0)) -> RatingMatrix:
             raise ParseError(f"non-numeric field in {parts!r}", lineno) from None
         if u < 1 or i < 1:
             raise ParseError(f"ids must be >= 1, got user={u} item={i}", lineno)
+        if not (math.isfinite(r) and rating_scale[0] <= r <= rating_scale[1]):
+            raise ParseError(f"rating {r!r} outside the scale {tuple(rating_scale)}", lineno)
         if (u, i) in ratings:
             duplicates += 1
         ratings[(u, i)] = r

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -246,6 +247,104 @@ class TestExactPredict:
             exact = em.exact_cf_predict(matrix, query)
             assert approx.prediction == exact.prediction
             assert approx.fallback == exact.fallback
+
+
+def _reference_over_users(matrix, query, users):
+    """User-level prediction over the listed users, written out as a plain loop."""
+    raters = []
+    weighted = []
+    for v in users:
+        if v == query.user:
+            continue
+        row = matrix.user_ratings(v)
+        if query.item not in row:
+            continue
+        raters.append(v)
+        v_mean = matrix.user_mean(v)
+        aggs = {i: ItemAggregate(r, v_mean, 1) for i, r in row.items()}
+        w = em.node_weight(query.ratings, query.mean, aggs)
+        if w is None or w == 0.0:
+            continue
+        weighted.append((v, w, row[query.item] - v_mean))
+    num = math.fsum(w * dev for _, w, dev in weighted)
+    den = math.fsum(abs(w) for _, w, _ in weighted)
+    raw = query.mean if den == 0.0 else query.mean + num / den
+    prediction = min(max(raw, matrix.rating_scale[0]), matrix.rating_scale[1])
+    return em.CfApproxResult(
+        depth=-1,
+        rater_node_ids=tuple(v for v, _, _ in weighted),
+        weights=tuple(w for _, w, _ in weighted),
+        all_rater_node_ids=tuple(raters),
+        prediction=prediction,
+        scanned=len(users),
+        fallback=den == 0.0,
+        clamped=prediction != raw,
+    )
+
+
+_RESULT_FIELDS = ("depth", "prediction", "rater_node_ids", "weights", "all_rater_node_ids",
+                  "scanned", "fallback", "clamped")
+
+
+def _assert_same_result(got, want):
+    for name in _RESULT_FIELDS:
+        # repr tells -0.0 from 0.0 and prints floats exactly: equal reprs are equal bits
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+class TestUserLevelScorer:
+    """exact_cf_predict and the user-subset baselines equal the plain reference loop."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        base = em.synthetic.ratings_like(num_users=50, num_items=40, seed=21)
+        # user 51 has no ratings (a cold user) and nobody rated item 41
+        matrix = em.RatingMatrix(51, 41, dict(base.ratings))
+        feats = em.train_incremental_svd(matrix, d=2, epochs_per_feature=40, seed=2)
+        rng = np.random.default_rng(8)
+        pairs = [(int(rng.integers(1, 51)), int(rng.integers(1, 41))) for _ in range(40)]
+        pairs += [(51, 3), (7, 41), (51, 41)]
+        queries = [em.CfQuery.from_matrix(matrix, u, i) for u, i in pairs]
+        assert any(q.cold for q in queries)
+        return matrix, feats, queries
+
+    def test_exact_oracle(self, setup):
+        matrix, _, queries = setup
+        users = range(1, matrix.num_users + 1)
+        fallbacks = 0
+        for query in queries:
+            want = dataclasses.replace(_reference_over_users(matrix, query, users),
+                                       scanned=matrix.num_users - 1)
+            got = em.exact_cf_predict(matrix, query)
+            _assert_same_result(got, want)
+            fallbacks += got.fallback
+        assert fallbacks >= 2
+
+    def test_cold_user_outside_matrix(self, setup):
+        matrix, _, _ = setup
+        query = em.CfQuery.from_matrix(matrix, matrix.num_users + 1, 3)
+        assert query.cold
+        users = range(1, matrix.num_users + 1)
+        want = dataclasses.replace(_reference_over_users(matrix, query, users),
+                                   scanned=matrix.num_users - 1)
+        _assert_same_result(em.exact_cf_predict(matrix, query), want)
+        _assert_same_result(em.cf_sampling(matrix, query, matrix.num_users, seed=3),
+                            _reference_over_users(matrix, query, em.baselines.sample_users(
+                                matrix.num_users, matrix.num_users, 3)))
+
+    def test_sampling_at_full_size(self, setup):
+        matrix, _, queries = setup
+        users = em.baselines.sample_users(matrix.num_users, matrix.num_users, 5)
+        for query in queries:
+            _assert_same_result(em.cf_sampling(matrix, query, matrix.num_users, seed=5),
+                                _reference_over_users(matrix, query, users))
+
+    def test_clustering_with_one_cluster(self, setup):
+        matrix, feats, queries = setup
+        users = tuple(range(1, matrix.num_users + 1))
+        for query in queries:
+            _assert_same_result(em.cf_clustering(matrix, feats, query, k_clusters=1),
+                                _reference_over_users(matrix, query, users))
 
 
 class TestKmeansCoderMining:

@@ -161,6 +161,13 @@ class TestReports:
         first = float(lines[1].split(",")[3])
         assert abs(first - 0.368421) < 1e-4
 
+    def test_empty_table_fails_loudly(self, workdir, capsys):
+        empty = workdir / "empty.csv"
+        empty.write_text("# comment only\n\n")
+        assert run(["report", "quality", "--pred", empty, "--task", "knn"]) == 2
+        assert run(["plan", "--results", empty, "--scheme", "fixed"]) == 2
+        assert "no header line" in capsys.readouterr().err
+
     def test_resolution_verdict(self, workdir, capsys):
         out = workdir / "resolution.csv"
         assert run(["report", "resolution", "--book", workdir / "a.ecb",

@@ -3,7 +3,7 @@ import pytest
 
 import elastic_mine as em
 from elastic_mine.coding import Mbr, kmeans
-from elastic_mine.errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError
+from elastic_mine.errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ParseError
 
 from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, leaf_with_members
 
@@ -310,3 +310,33 @@ class TestPersistence:
     def test_version_check(self):
         with pytest.raises(ValueError):
             em.load_codebook("elastic-mine-codebook 99\nkind x\n")
+
+    @pytest.mark.parametrize("text", ["", "\n", "elastic-mine-codebook\n", "codebook 1\nkind x\n"])
+    def test_bad_header_reports_line_one(self, tmp_path, text):
+        path = tmp_path / "bad.ecb"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            em.load_codebook(path)
+        assert err.value.line == 1
+
+    def test_malformed_number_reports_line(self, example_cf_book):
+        lines = em.dump_codebook(example_cf_book).splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines) if line.startswith("seed "))
+        lines[at] = "seed x\n"
+        with pytest.raises(ParseError) as err:
+            em.load_codebook("".join(lines))
+        assert err.value.line == at + 1
+
+    def test_truncated_dump_rejected(self, fourclass_book):
+        lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
+        with pytest.raises(ParseError) as err:
+            em.load_codebook("".join(lines[: len(lines) // 2]))
+        assert err.value.line == len(lines) // 2 + 1
+
+    def test_node_count_must_match_header(self, fourclass_book):
+        lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines) if line.startswith("nodes "))
+        lines[at] = f"nodes {len(fourclass_book.nodes) + 1}\n"
+        with pytest.raises(ParseError) as err:
+            em.load_codebook("".join(lines))
+        assert err.value.line == at + 1

@@ -50,6 +50,12 @@ class TestParseLibsvm:
             em.parse_libsvm("+1 1:0.5\nx 1:0.5")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line(self, value):
+        with pytest.raises(ParseError) as err:
+            em.parse_libsvm(f"+1 1:0.5 2:1.0\n-1 1:0.5\n+1 1:2.0 2:{value}\n")
+        assert err.value.line == 3
+
     def test_round_trip(self, fourclass):
         text = em.write_libsvm(fourclass)
         again = em.parse_libsvm(text)
@@ -85,6 +91,16 @@ class TestParseRatingsCsv:
         with pytest.raises(ParseError) as err:
             em.parse_ratings_csv("1,1,5\n2,x,3")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("value", ["9", "0.5", "nan", "inf"])
+    def test_rating_outside_scale_reports_line(self, value):
+        with pytest.raises(ParseError) as err:
+            em.parse_ratings_csv(f"user,item,rating\n1,1,5\n2,1,{value}\n")
+        assert err.value.line == 3
+
+    def test_rating_scale_bounds_accepted(self):
+        matrix = em.parse_ratings_csv("1,1,0\n1,2,10", rating_scale=(0.0, 10.0))
+        assert matrix.ratings == {(1, 1): 0.0, (1, 2): 10.0}
 
     def test_round_trip(self, example_matrix):
         text = em.write_ratings_csv(example_matrix)
