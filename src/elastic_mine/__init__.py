@@ -23,7 +23,7 @@ from .datasets import (
     write_libsvm,
     write_ratings_csv,
 )
-from .errors import DimensionMismatchError, ElasticMineError, ForeignStateError
+from .errors import DimensionMismatchError, ElasticMineError, ForeignStateError, UnknownUserError
 from .coding import (
     Code,
     CodeBook,

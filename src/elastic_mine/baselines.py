@@ -17,7 +17,7 @@ import numpy as np
 from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
-from .errors import InsufficientBudgetError
+from .errors import InsufficientBudgetError, UnknownUserError
 from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _vote, dist_max_sq
 
 STRATEGY_BFS = "bfs"
@@ -194,6 +194,13 @@ def cf_sampling(matrix: RatingMatrix, query: CfQuery, sample_size: int, seed: in
     return _predict_over_users(matrix, query, sample_users(matrix.num_users, sample_size, seed))
 
 
+def _user_vector(values: np.ndarray, query: CfQuery) -> np.ndarray:
+    """The active user's feature row; a user without one raises :class:`UnknownUserError`."""
+    if not 1 <= query.user <= len(values):
+        raise UnknownUserError(f"user {query.user} has no feature row (users 1..{len(values)})")
+    return values[query.user - 1]
+
+
 def cf_clustering(
     matrix: RatingMatrix,
     features,
@@ -207,7 +214,7 @@ def cf_clustering(
     if not 1 <= k_clusters <= matrix.num_users:
         raise ValueError(f"k_clusters must be in [1, {matrix.num_users}]")
     labels, centroids = kmeans(values, k_clusters, iterations, seed)
-    own = values[query.user - 1]
+    own = _user_vector(values, query)
     cluster = int(np.argmin(((centroids - own) ** 2).sum(axis=1)))
     users = tuple(int(r) + 1 for r in np.flatnonzero(labels == cluster))
     return _predict_over_users(matrix, query, users)
@@ -232,7 +239,7 @@ def cf_recttree(
         raise ValueError("levels must be >= 1")
     values = np.asarray(getattr(features, "values", features), dtype=float)
     rows = np.arange(matrix.num_users)
-    own = values[query.user - 1]
+    own = _user_vector(values, query)
     for _ in range(levels - 1):
         if len(rows) <= 1 or len(rows) < branching:
             break

@@ -6,6 +6,20 @@ prediction for (user, item) correlates the user's rating row against each
 candidate node's aggregated deviations and takes the weighted average of
 the nodes' deviations for the target item. The exact oracle applies the
 same two formulas at user granularity over the raw matrix.
+
+Every route scores through one array kernel over an item-major deviation
+table, whose entry (i, c) is candidate c's ``rating - rater_mean`` for
+item i, NaN where c did not rate i. For a codebook the candidates are the
+nodes of one depth (:meth:`CodeBook.deviations`, items x nodes x 8 bytes
+per depth); for the exact oracle and the user-subset baselines they are
+the users (:meth:`RatingMatrix.deviations`, items x users x 8 bytes). Both
+are built on first use and cached, never dumped. A query gathers the
+table's rows of its rated items and its columns of the candidates that
+rated the target item, then takes every candidate's correlation sums as
+column sums: O(candidates + ratings x raters) array work, with no
+per-candidate Python step. The sums add the rows in
+``query.ratings`` order, so weights equal the scalar :func:`node_weight`
+bit for bit.
 """
 
 from __future__ import annotations
@@ -179,27 +193,60 @@ def _weighted_prediction(query: CfQuery, contributions, scale) -> tuple[float, b
     return clamped, fallback, clamped != raw
 
 
-def _score(query: CfQuery, depth: int, sources, scanned: int, scale) -> CfApproxResult:
-    """The recommendation step of :func:`predict` over ``(id, item aggregates)`` candidates."""
-    raters: list[int] = []
-    weighted: list[tuple[int, float, float]] = []  # (id, weight, deviation of target item)
-    for cid, aggs in sources:
-        agg = aggs.get(query.item) if aggs else None
-        if agg is None:
-            continue
-        raters.append(cid)
-        w = node_weight(query.ratings, query.mean, aggs)
-        if w is None or w == 0.0:
-            continue
-        weighted.append((cid, w, agg.rating - agg.rater_mean))
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered (rows, cols) array, adding the rows first to last.
+
+    numpy reduces the outer axis of a C-ordered array row by row, the
+    order of the scalar loop in :func:`node_weight`. A single column is a
+    contiguous vector, which numpy sums pairwise, so it is summed beside a
+    copy of itself.
+    """
+    if a.shape[1] == 1:
+        return np.add.reduce(np.hstack((a, a)), axis=0)[:1]
+    return np.add.reduce(a, axis=0)
+
+
+def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids: np.ndarray,
+           scanned: int, scale) -> CfApproxResult:
+    """The recommendation step over candidate columns of an item-major deviation table.
+
+    ``table[i, c]`` is candidate c's ``rating - rater_mean`` for item i, NaN
+    where c did not rate i; ``cols`` are the candidates' columns in scan
+    order and ``ids`` the ids reported for them. Every candidate that rated
+    the target item is a rater; its weight is :func:`node_weight` over the
+    query's items, with each sum taken in ``query.ratings`` order so that
+    the weights equal the scalar definition bit for bit.
+    """
+    if 0 <= query.item < len(table):
+        target = table[query.item, cols]
+    else:
+        target = np.full(len(cols), np.nan)
+    rated = ~np.isnan(target)
+    cols, ids, target = cols[rated], ids[rated], target[rated]
+    count = len(query.ratings)
+    items = np.fromiter(query.ratings, dtype=np.intp, count=count)
+    x = np.fromiter(query.ratings.values(), dtype=float, count=count) - query.mean
+    known = (items >= 0) & (items < len(table))
+    # a C-ordered gather, so the column sums add rows in query.ratings order
+    y = np.ascontiguousarray(table[items[known, None], cols])
+    x = x[known, None]
+    overlap = ~np.isnan(y)
+    num = _column_sums(np.where(overlap, x * y, 0.0))
+    du = _column_sums(np.where(overlap, x * x, 0.0))
+    dn = _column_sums(np.where(overlap, y * y, 0.0))
+    defined = overlap.any(axis=0) & (du > 0.0) & (dn > 0.0)
+    weights = np.zeros(len(cols))
+    weights[defined] = num[defined] / np.sqrt(du[defined] * dn[defined])
+    used = weights != 0.0  # no overlap (None) and degenerate (0.0) weights are skipped
+    used_weights = weights[used].tolist()
     prediction, fallback, clamped = _weighted_prediction(
-        query, [(w, dev) for _, w, dev in weighted], scale
+        query, list(zip(used_weights, target[used].tolist())), scale
     )
     return CfApproxResult(
         depth=depth,
-        rater_node_ids=tuple(cid for cid, _, _ in weighted),
-        weights=tuple(w for _, w, _ in weighted),
-        all_rater_node_ids=tuple(raters),
+        rater_node_ids=tuple(ids[used].tolist()),
+        weights=tuple(used_weights),
+        all_rater_node_ids=tuple(ids.tolist()),
         prediction=prediction,
         scanned=scanned,
         fallback=fallback,
@@ -223,15 +270,14 @@ def predict(
     entering the weighted average. An empty weighted set falls back to the
     user's mean; predictions clamp to the rating scale.
     """
-    if isinstance(code, int):
-        code = book.code_at_depth(code)
-    candidates = code.node_ids
-    if state is not None:
-        keep = state_filter(book, code.depth, state)
-        candidates = book.columns(code.depth).ids[keep].tolist()
+    depth = book.code_at_depth(code).depth if isinstance(code, int) else code.depth
+    ids = book.columns(depth).ids
+    if state is None:
+        cols = np.arange(len(ids))
+    else:
+        cols = np.flatnonzero(state_filter(book, depth, state))
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
-    sources = ((nid, book.node(nid).aggregates) for nid in candidates)
-    return _score(query, code.depth, sources, len(candidates), scale)
+    return _score(query, depth, book.deviations(depth), cols, ids[cols], len(cols), scale)
 
 
 def maintain_cf_state(result: CfApproxResult) -> CfState:
@@ -254,22 +300,13 @@ def refine_chain(book: CodeBook, query: CfQuery, depths=None, matrix=None) -> li
 EXACT_DEPTH = -1
 
 
-def _user_sources(matrix: RatingMatrix, query: CfQuery, users):
-    """Each listed user other than the active one who rated the target item,
-    as a single-rater node: ``(user, {item: ItemAggregate(r, user mean, 1)})``."""
-    for v in users:
-        if v == query.user:
-            continue
-        row = matrix.user_ratings(v)
-        if query.item in row:
-            v_mean = matrix.user_mean(v)
-            yield v, {i: ItemAggregate(r, v_mean, 1) for i, r in row.items()}
-
-
-def _predict_over_users(matrix: RatingMatrix, query: CfQuery, users) -> CfApproxResult:
-    """User-granularity prediction restricted to the given 1-based user ids."""
-    return _score(query, EXACT_DEPTH, _user_sources(matrix, query, users), len(users),
-                  matrix.rating_scale)
+def _predict_over_users(matrix: RatingMatrix, query: CfQuery, users, scanned=None):
+    """User-granularity prediction restricted to the given 1-based user ids,
+    scanned in their order; ``scanned`` defaults to the number of ids."""
+    users = np.asarray(users, dtype=np.intp)
+    others = users[users != query.user]
+    return _score(query, EXACT_DEPTH, matrix.deviations(), others - 1, others,
+                  len(users) if scanned is None else scanned, matrix.rating_scale)
 
 
 def exact_cf_predict(matrix: RatingMatrix, query: CfQuery) -> CfApproxResult:
@@ -279,9 +316,8 @@ def exact_cf_predict(matrix: RatingMatrix, query: CfQuery) -> CfApproxResult:
     the same degenerate-weight, fallback and clamping rules as
     :func:`predict`, scanning every user who rated the target item.
     """
-    users = range(1, matrix.num_users + 1)
-    return _score(query, EXACT_DEPTH, _user_sources(matrix, query, users), matrix.num_users - 1,
-                  matrix.rating_scale)
+    users = np.arange(1, matrix.num_users + 1)
+    return _predict_over_users(matrix, query, users, scanned=matrix.num_users - 1)
 
 
 def rmse(predictions, actuals) -> float:

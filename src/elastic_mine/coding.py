@@ -23,12 +23,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
+from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, deviation_table
 from .errors import (
     BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ForeignStateError, ParseError,
 )
 
 FORMAT_VERSION = 1
+MAGIC = "elastic-mine-codebook"  # first token of a dump's header line
 
 KIND_DUAL = "rtree-dual"
 KIND_CF = "rtree-cf"
@@ -175,6 +176,7 @@ class CodeBook:
     warnings: tuple[str, ...] = ()
     _codes: dict = field(default=None, repr=False, compare=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_depth: dict[int, list[int]] = {}
@@ -218,6 +220,28 @@ class CodeBook:
         if depth not in self._columns:
             raise DepthNotFoundError(f"no nodes at depth {depth} in every tree")
         return self._columns[depth]
+
+    def deviations(self, depth: int) -> np.ndarray:
+        """The item-major deviation table of one depth of a CF book.
+
+        Entry (i, r) is ``rating - rater_mean`` of item i's aggregate in the
+        node of row r of :meth:`columns`, NaN where that node has none. Rows
+        run up to the largest item id the depth aggregates (row 0 is all
+        NaN): 8 bytes per item and node. Built on first use of the depth
+        and cached; derived data, never written by :func:`dump_codebook`.
+        """
+        table = self._deviations.get(depth)
+        if table is None:
+            ids = self.columns(depth).ids
+            items, rows, devs = [], [], []
+            for row, nid in enumerate(ids.tolist()):
+                for item, agg in (self.nodes[nid].aggregates or {}).items():
+                    items.append(item)
+                    rows.append(row)
+                    devs.append(agg.rating - agg.rater_mean)
+            table = deviation_table(max(items, default=0) + 1, len(ids), items, rows, devs)
+            self._deviations[depth] = table  # a single dict store, as in columns()
+        return table
 
     def ancestor_at(self, node_id: int, depth: int) -> int:
         """The id of the node's ancestor at the given shallower depth."""
@@ -617,7 +641,7 @@ def _fmt_floats(values) -> str:
 
 
 def dump_codebook(book: CodeBook) -> str:
-    lines = [f"elastic-mine-codebook {FORMAT_VERSION}"]
+    lines = [f"{MAGIC} {FORMAT_VERSION}"]
     lines.append(f"kind {book.kind}")
     lines.append(f"seed {book.seed}")
     lines.append("config " + json.dumps(book.config, sort_keys=True, separators=(",", ":")))
@@ -657,17 +681,21 @@ def save_codebook(book: CodeBook, path) -> None:
 def load_codebook(path_or_text) -> CodeBook:
     """Read a dump written by :func:`dump_codebook` (a path, or the text itself).
 
-    A bad header, a malformed line, a missing ``end`` line or a node count
-    that differs from the ``nodes`` line raises :class:`ParseError` with
-    the 1-based line number.
+    A string is read as the text itself when it is empty, holds a newline
+    or starts with the header's first token; any other string is a path.
+    A bad header, a malformed line, an item id below 1, a missing ``end``
+    line or a node count that differs from the ``nodes`` line raises
+    :class:`ParseError` with the 1-based line number.
     """
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
+    if isinstance(path_or_text, str) and (
+        "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)
+    ):
         text = path_or_text
     else:
         with open(path_or_text, encoding="utf-8") as fh:
             text = fh.read()
     lines = text.splitlines()
-    if not lines or lines[0].split() != ["elastic-mine-codebook", str(FORMAT_VERSION)]:
+    if not lines or lines[0].split() != [MAGIC, str(FORMAT_VERSION)]:
         raise ParseError(f"unsupported codebook header {lines[0] if lines else ''!r}", 1)
     kind = seed = config = None
     roots: tuple[int, ...] = ()
@@ -721,6 +749,8 @@ def load_codebook(path_or_text) -> CodeBook:
             elif tag == "A":
                 toks = rest.split()
                 nid, item = int(toks[0]), int(toks[1])
+                if item < 1:
+                    raise ParseError(f"item id {item} must be >= 1", lineno)
                 agg = ItemAggregate(float(toks[2]), float(toks[3]), int(toks[4]))
                 if nodes[nid]["aggregates"] is None:
                     nodes[nid]["aggregates"] = {}

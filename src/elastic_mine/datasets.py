@@ -79,6 +79,7 @@ class RatingMatrix:
     rating_scale: tuple[float, float] = (1.0, 5.0)
     duplicate_count: int = 0
     _by_user: dict = field(default=None, repr=False, compare=False)
+    _deviations: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_users < 1 or self.num_items < 1:
@@ -112,6 +113,34 @@ class RatingMatrix:
 
     def items_of(self, user: int) -> list[int]:
         return sorted(self._by_user.get(user, {}))
+
+    def deviations(self) -> np.ndarray:
+        """The item-major user deviation table, built on first use and cached.
+
+        Entry (i, u - 1) is user u's rating of item i minus the user's mean
+        rating, NaN where u did not rate i; row 0 is all NaN. The shape is
+        (num_items + 1, num_users), 8 bytes per cell.
+        """
+        if self._deviations is None:
+            items, users, devs = [], [], []
+            for u, row in self._by_user.items():
+                mean = self.user_mean(u)
+                for i, r in row.items():
+                    items.append(i)
+                    users.append(u - 1)
+                    devs.append(r - mean)
+            table = deviation_table(self.num_items + 1, self.num_users, items, users, devs)
+            # one attribute store: concurrent first calls each build an equal table
+            object.__setattr__(self, "_deviations", table)
+        return self._deviations
+
+
+def deviation_table(num_rows: int, num_columns: int, items, columns, deviations) -> np.ndarray:
+    """A (num_rows, num_columns) table holding ``deviations[k]`` at
+    (``items[k]``, ``columns[k]``) and NaN everywhere else."""
+    table = np.full((num_rows, num_columns), np.nan)
+    table[np.asarray(items, dtype=np.intp), np.asarray(columns, dtype=np.intp)] = deviations
+    return table
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ class ForeignStateError(ElasticMineError, ValueError):
     """A state or result names nodes that are not in the code it claims to come from."""
 
 
+class UnknownUserError(ElasticMineError, ValueError):
+    """A query names a user id outside the users a model was built from."""
+
+
 class InsufficientCandidatesError(ElasticMineError):
     """State filtering left fewer candidate nodes than the requested k."""
 

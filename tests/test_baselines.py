@@ -223,3 +223,27 @@ class TestDeterminism:
         assert em.cf_recttree(matrix, feats, q, 3, seed=5) == em.cf_recttree(
             matrix, feats, q, 3, seed=5
         )
+
+
+class TestUnknownUser:
+    """Routing baselines reject an active user without a feature row."""
+
+    @pytest.mark.parametrize("baseline", [
+        lambda m, f, q: em.cf_clustering(m, f, q, k_clusters=2),
+        lambda m, f, q: em.cf_recttree(m, f, q, levels=2),
+    ])
+    @pytest.mark.parametrize("user", [0, 51])
+    def test_user_outside_features_rejected(self, cf_setup, baseline, user):
+        matrix, feats, _ = cf_setup
+        query = em.CfQuery.from_matrix(matrix, user, 3)
+        with pytest.raises(em.UnknownUserError) as info:
+            baseline(matrix, feats, query)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, em.ElasticMineError)
+
+    def test_edge_users_accepted(self, cf_setup):
+        matrix, feats, _ = cf_setup
+        for user in (1, matrix.num_users):
+            query = em.CfQuery.from_matrix(matrix, user, 3)
+            assert em.cf_clustering(matrix, feats, query, k_clusters=2).scanned >= 1
+            assert em.cf_recttree(matrix, feats, query, levels=2).scanned >= 1

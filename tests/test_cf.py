@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.coding import CodeNode, ItemAggregate, Mbr
@@ -345,6 +349,183 @@ class TestUserLevelScorer:
         for query in queries:
             _assert_same_result(em.cf_clustering(matrix, feats, query, k_clusters=1),
                                 _reference_over_users(matrix, query, users))
+
+
+def _reference_score(query, depth, sources, scanned, scale):
+    """The dict-driven recommendation step: node_weight per ``(id, aggregates)`` candidate."""
+    raters = []
+    weighted = []  # (id, weight, deviation of target item)
+    for cid, aggs in sources:
+        agg = aggs.get(query.item) if aggs else None
+        if agg is None:
+            continue
+        raters.append(cid)
+        w = em.node_weight(query.ratings, query.mean, aggs)
+        if w is None or w == 0.0:
+            continue
+        weighted.append((cid, w, agg.rating - agg.rater_mean))
+    num = math.fsum(w * dev for _, w, dev in weighted)
+    den = math.fsum(abs(w) for _, w, _ in weighted)
+    raw = query.mean if den == 0.0 else query.mean + num / den
+    prediction = min(max(raw, scale[0]), scale[1])
+    return em.CfApproxResult(
+        depth=depth,
+        rater_node_ids=tuple(cid for cid, _, _ in weighted),
+        weights=tuple(w for _, w, _ in weighted),
+        all_rater_node_ids=tuple(raters),
+        prediction=prediction,
+        scanned=scanned,
+        fallback=den == 0.0,
+        clamped=prediction != raw,
+    )
+
+
+def _reference_predict(book, depth, query, state=None, matrix=None):
+    candidates = list(book.code_at_depth(depth).node_ids)
+    if state is not None:
+        candidates = [
+            nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
+        ]
+    scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
+    sources = ((nid, book.node(nid).aggregates) for nid in candidates)
+    return _reference_score(query, depth, sources, len(candidates), scale)
+
+
+def _reference_chain(book, query, matrix=None):
+    results, state = [], None
+    for depth in book.depths():
+        result = _reference_predict(book, depth, query, state, matrix)
+        results.append(result)
+        state = em.CfState(depth, frozenset(result.all_rater_node_ids))
+    return results
+
+
+def _plain(result):
+    return (
+        all(type(i) is int for i in result.rater_node_ids + result.all_rater_node_ids)
+        and all(type(w) is float for w in result.weights)
+        and type(result.prediction) is float
+        and type(result.scanned) is int
+    )
+
+
+@st.composite
+def cf_books_and_queries(draw):
+    """A CF book over random ratings on a non-integer scale, plus queries.
+
+    The last user is cold (no ratings) and nobody rated the last item, so it
+    lies beyond the book's item range. Some ratings sit on a half-step grid,
+    so zero-variance (degenerate) weights occur. Queries include a cold
+    user, the unrated item, a target item beyond every range, and a rating
+    row holding items beyond the book's range.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users = draw(st.integers(4, 30))
+    items = draw(st.integers(2, 12))
+    low = draw(st.sampled_from([-2.25, 0.5, 1.0]))
+    scale = (low, low + draw(st.sampled_from([1.5, 3.75, 4.0])))
+    density = draw(st.sampled_from([0.15, 0.5, 0.9]))
+    grid_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    ratings = {}
+    for u in range(1, users + 1):
+        for i in range(1, items + 1):
+            if rng.random() < density:
+                r = rng.uniform(*scale)
+                if rng.random() < grid_share:
+                    r = min(max(np.round(2 * r) / 2, scale[0]), scale[1])
+                ratings[(u, i)] = float(r)
+    ratings.setdefault((1, 1), scale[1])
+    matrix = em.RatingMatrix(users + 1, items + 1, ratings, rating_scale=scale)
+    features = rng.normal(0.0, 1.0, size=(users + 1, 2))
+    book = em.build_cf_codebook(matrix, features, max_entries=draw(st.integers(2, 4)),
+                                leaf_capacity=draw(st.sampled_from([1, None])))
+    pairs = [(int(rng.integers(1, users + 1)), int(rng.integers(1, items + 1))) for _ in range(4)]
+    pairs += [(users + 1, 1), (1, items + 1), (2, items + 7)]
+    queries = [em.CfQuery.from_matrix(matrix, u, i) for u, i in pairs]
+    row = dict(matrix.user_ratings(1))
+    row[items + 3] = scale[0]
+    queries.append(em.CfQuery(1, 1, row, matrix.user_mean(1)))
+    return matrix, book, queries
+
+
+class TestVectorisedKernel:
+    """The deviation-table kernel against the dict-driven reference, field for field."""
+
+    @given(cf_books_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_predict_and_chain_equal_reference(self, case):
+        matrix, book, queries = case
+        for query in queries:
+            for given_matrix in (matrix, None):
+                for depth in book.depths():
+                    result = em.predict(book, depth, query, matrix=given_matrix)
+                    _assert_same_result(result, _reference_predict(book, depth, query, None,
+                                                                   given_matrix))
+                    assert _plain(result)
+                    state = em.maintain_cf_state(result)
+                    for deeper in book.depths():
+                        if deeper > depth:
+                            _assert_same_result(
+                                em.predict(book, deeper, query, state, matrix=given_matrix),
+                                _reference_predict(book, deeper, query, state, given_matrix))
+                chain = em.cf.refine_chain(book, query, matrix=given_matrix)
+                want = _reference_chain(book, query, given_matrix)
+                assert len(chain) == len(want)
+                for got, expected in zip(chain, want):
+                    _assert_same_result(got, expected)
+
+    @given(cf_books_and_queries(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_user_level_routes_equal_reference(self, case, seed):
+        matrix, _, queries = case
+        users = range(1, matrix.num_users + 1)
+        size = 1 + seed % matrix.num_users
+        sample = em.baselines.sample_users(matrix.num_users, size, seed)
+        for query in queries:
+            exact = em.exact_cf_predict(matrix, query)
+            _assert_same_result(exact, dataclasses.replace(
+                _reference_over_users(matrix, query, users), scanned=matrix.num_users - 1))
+            assert _plain(exact)
+            sampled = em.cf_sampling(matrix, query, size, seed=seed)
+            _assert_same_result(sampled, _reference_over_users(matrix, query, sample))
+            assert _plain(sampled)
+
+
+class TestSharedTables:
+    def test_concurrent_first_use_matches_serial(self):
+        """Threads racing to build a fresh book's and matrix's deviation
+        tables get the results of a serial run."""
+        matrix = em.synthetic.ratings_like(num_users=60, num_items=40, seed=3)
+        feats = np.random.default_rng(3).normal(size=(60, 2))
+        text = em.dump_codebook(em.build_cf_codebook(matrix, feats, max_entries=3))
+        queries = [em.CfQuery.from_matrix(matrix, u, i) for u, i in [(1, 2), (9, 30), (41, 7)]]
+
+        def run_all(book, ratings):
+            return [repr(r) for q in queries for r in (
+                *em.cf.refine_chain(book, q, matrix=ratings), em.exact_cf_predict(ratings, q))]
+
+        want = run_all(em.load_codebook(text), em.RatingMatrix(60, 40, dict(matrix.ratings)))
+        book = em.load_codebook(text)
+        ratings = em.RatingMatrix(60, 40, dict(matrix.ratings))
+        got = []
+        start = threading.Barrier(6)
+
+        def worker():
+            start.wait(timeout=30)
+            got.append(run_all(book, ratings))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 6
 
 
 class TestKmeansCoderMining:

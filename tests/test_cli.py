@@ -239,6 +239,18 @@ class TestThreadsAndBudgets:
             bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
         assert bodies[0] == bodies[1]
 
+    def test_cf_thread_count_does_not_change_rows(self, workdir):
+        # threads share the book's and the matrix's lazily built deviation tables
+        bodies = []
+        for threads in (1, 3):
+            out = workdir / f"cf_threads{threads}.csv"
+            assert run(["mine", "cf", "--book", workdir / "cf.ecb", "--ratings",
+                        workdir / "ratings.csv", "--test", workdir / "ratings_test.csv",
+                        "--depth", 2, "--threads", threads, "--out", out]) == 0
+            bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert len(bodies[0]) > 10
+        assert bodies[0] == bodies[1]
+
     def test_budget_ms_through_profile(self, workdir):
         profile = workdir / "profile.txt"
         profile.write_text("nodes_per_second 1000.0\n")

@@ -333,6 +333,25 @@ class TestPersistence:
             em.load_codebook("".join(lines[: len(lines) // 2]))
         assert err.value.line == len(lines) // 2 + 1
 
+    def test_empty_string_is_text(self):
+        with pytest.raises(ParseError) as err:
+            em.load_codebook("")
+        assert err.value.line == 1
+
+    def test_header_only_string_is_text(self):
+        with pytest.raises(ParseError, match="no 'end' line") as err:
+            em.load_codebook("elastic-mine-codebook 1")
+        assert err.value.line == 2
+
+    def test_item_id_below_one_rejected(self, example_cf_book):
+        lines = em.dump_codebook(example_cf_book).splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines) if line.startswith("A "))
+        toks = lines[at].split()
+        lines[at] = " ".join(toks[:2] + ["-1"] + toks[3:]) + "\n"
+        with pytest.raises(ParseError) as err:
+            em.load_codebook("".join(lines))
+        assert err.value.line == at + 1
+
     def test_node_count_must_match_header(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith("nodes "))
