@@ -23,7 +23,13 @@ from .datasets import (
     write_libsvm,
     write_ratings_csv,
 )
-from .errors import DimensionMismatchError, ElasticMineError, ForeignStateError, UnknownUserError
+from .errors import (
+    DimensionMismatchError,
+    ElasticMineError,
+    ForeignStateError,
+    TrainingConfigError,
+    UnknownUserError,
+)
 from .coding import (
     Code,
     CodeBook,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .coding import Code, CodeBook, ItemAggregate, state_filter
 from .datasets import RatingMatrix
-from .errors import DivergenceError, UndefinedMetricError
+from .errors import DivergenceError, TrainingConfigError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -66,43 +66,65 @@ def train_incremental_svd(
 
     Minimises squared reconstruction error on observed cells only, so the
     cost is O(d * epochs * ratings) regardless of matrix shape. Features
-    initialise at 0.1 plus a seeded jitter of +-1e-4; ratings are visited
-    in (user, item) order, making training deterministic under the seed.
-    Item features steer the fit but only user features are returned.
+    initialise at 0.1 plus a seeded jitter of +-1e-4; each epoch updates
+    the ratings in (user, item) order, making training deterministic under
+    the seed. Item features steer the fit but only user features are
+    returned (both with ``return_item_features``).
+
+    The updates run as a wavefront: a rating's level is one more than the
+    larger of the levels of its user's previous rating and its item's
+    previous rating, so the ratings of one level share no user and no item
+    and update together as one array step. Each rating still reads exactly
+    the values it would read in the sequential loop, and the step applies
+    the loop's IEEE operations in the same order, so the features are the
+    same bit for bit. There are at most ``users + items - 1`` levels per
+    epoch whatever the number of ratings (381 levels for the 38,724
+    training ratings of ``ratings_like()``). Narrow levels pay numpy call
+    overhead per step: on small dense matrices the wavefront is slower than
+    a Python loop (about 21 against 5.8 ms for 3 features x 20 epochs on
+    20 x 15), with break-even near 100 x 70.
+
+    Raises :class:`TrainingConfigError` for ``d`` or ``epochs_per_feature``
+    below 1 and for a learning rate that is not positive and finite, and
+    :class:`DivergenceError` when a feature turns non-finite.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise TrainingConfigError(f"d must be >= 1, got {d!r}")
     if epochs_per_feature < 1:
-        raise ValueError("epochs_per_feature must be >= 1")
+        raise TrainingConfigError(f"epochs_per_feature must be >= 1, got {epochs_per_feature!r}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise TrainingConfigError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     m, n = matrix.num_users, matrix.num_items
     rng = np.random.default_rng(seed)
     U = 0.1 + rng.uniform(-1e-4, 1e-4, size=(m, d))
     V = 0.1 + rng.uniform(-1e-4, 1e-4, size=(n, d))
-    keys = sorted(matrix.ratings)
-    users = [u - 1 for u, _ in keys]
-    items = [i - 1 for _, i in keys]
-    values = [float(matrix.ratings[k]) for k in keys]
-    residual = list(values)  # rating minus contribution of trained features
-    lr = learning_rate
-    for f in range(d):
-        uf = U[:, f].tolist()
-        vf = V[:, f].tolist()
-        for epoch in range(epochs_per_feature):
-            for j in range(len(values)):
-                u = users[j]
-                i = items[j]
-                err = residual[j] - uf[u] * vf[i]
-                u_old = uf[u]
-                uf[u] = u_old + lr * err * vf[i]
-                vf[i] += lr * err * u_old
-            if not (math.isfinite(uf[users[0]]) and math.isfinite(vf[items[0]])):
-                raise DivergenceError(
-                    f"non-finite parameters at feature {f}, epoch {epoch}", feature=f, epoch=epoch
-                )
-        U[:, f] = uf
-        V[:, f] = vf
-        for j in range(len(values)):
-            residual[j] -= uf[users[j]] * vf[items[j]]
+    cells, spans = _wavefront(sorted(matrix.ratings), m, n)
+    users, items = (np.array(cells, dtype=np.intp) - 1).T.copy()
+    # rating minus the contribution of the features trained so far
+    residual = np.array([float(matrix.ratings[c]) for c in cells])
+    levels = [(users[span], items[span]) for span in spans]
+    lr = float(learning_rate)
+    # Python floats overflow to inf and nan silently; so does the array step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(d):
+            uf = U[:, f].copy()
+            vf = V[:, f].copy()
+            steps = [(u, i, residual[span]) for (u, i), span in zip(levels, spans)]
+            for epoch in range(epochs_per_feature):
+                for u, i, r in steps:
+                    a = uf[u]
+                    b = vf[i]
+                    g = lr * (r - a * b)
+                    uf[u] = a + g * b
+                    vf[i] = b + g * a
+                # cell 0 is the first rating in (user, item) order, as in the loop
+                if not (math.isfinite(uf[users[0]]) and math.isfinite(vf[items[0]])):
+                    raise DivergenceError(
+                        f"non-finite parameters at feature {f}, epoch {epoch}", feature=f, epoch=epoch
+                    )
+            U[:, f] = uf
+            V[:, f] = vf
+            residual = residual - uf[users] * vf[items]
     if not np.all(np.isfinite(U)):
         raise DivergenceError("non-finite user features after training")
     config = {"d": d, "learning_rate": learning_rate,
@@ -111,6 +133,34 @@ def train_incremental_svd(
     if return_item_features:
         return features, V
     return features
+
+
+def _wavefront(cells: list[tuple[int, int]], m: int, n: int) -> tuple[list, list[slice]]:
+    """Group (user, item) cells into wavefront levels.
+
+    A cell's level is one more than the larger of the levels of the
+    previous cell of its user and of its item. No two cells of a level
+    share a user or an item, and a cell's level is above the level of
+    every earlier cell that shares its user or its item. Returns the cells
+    level by level, each level in the given order, and each level's slice
+    of that list.
+    """
+    user_level = [-1] * (m + 1)
+    item_level = [-1] * (n + 1)
+    levels: list[list[tuple[int, int]]] = []
+    for cell in cells:
+        u, i = cell
+        level = max(user_level[u], item_level[i]) + 1
+        user_level[u] = item_level[i] = level
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(cell)
+    order: list[tuple[int, int]] = []
+    spans = []
+    for level in levels:
+        spans.append(slice(len(order), len(order) + len(level)))
+        order.extend(level)
+    return order, spans
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,10 @@ class InsufficientBudgetError(ElasticMineError, ValueError):
     """An anytime baseline was given a budget below its minimum."""
 
 
+class TrainingConfigError(ElasticMineError, ValueError):
+    """A training setting is out of range, such as a non-positive learning rate."""
+
+
 class DivergenceError(ElasticMineError):
     """Gradient-descent training produced a non-finite loss."""
 

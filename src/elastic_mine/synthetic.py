@@ -93,9 +93,12 @@ def ratings_like(
         count = int(rng.integers(min_per_user, max_per_user + 1))
         items = rng.choice(num_items, size=min(count, num_items), replace=False)
         taste = group_vec[user_group[u]] + rng.normal(0.0, 0.25, size=4)
-        for i in items:
-            mu = 3.0 + 0.55 * float(taste @ item_vec[i]) + item_bias[i] + rng.normal(0.0, 0.35)
-            ratings[(u + 1, int(i) + 1)] = float(np.clip(round(mu), 1.0, 5.0))
+        # one dot per item: a batched matmul may round differently
+        affinity = np.array([taste @ item_vec[i] for i in items])
+        noise = rng.normal(0.0, 0.35, size=len(items))
+        mu = 3.0 + 0.55 * affinity + item_bias[items] + noise
+        for i, r in zip(items.tolist(), np.clip(np.rint(mu), 1.0, 5.0).tolist()):
+            ratings[(u + 1, i + 1)] = r
     matrix = RatingMatrix(num_users, num_items, ratings, rating_scale=(1.0, 5.0))
     if return_groups:
         return matrix, user_group

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
@@ -76,6 +76,105 @@ def _reconstruction_rmse(matrix, d, lr, epochs, seed):
     V = {i: sum(u * r for u, r in rows) / sum(u * u for u, _ in rows) for i, rows in items.items()}
     sq = [(matrix.ratings[(u, i)] - U[u - 1] * V[i]) ** 2 for (u, i) in keys]
     return math.sqrt(sum(sq) / len(sq))
+
+
+def _reference_svd(matrix, d, learning_rate, epochs_per_feature, seed):
+    """The sequential SGD loop the wavefront schedule must reproduce bit for bit."""
+    m, n = matrix.num_users, matrix.num_items
+    rng = np.random.default_rng(seed)
+    U = 0.1 + rng.uniform(-1e-4, 1e-4, size=(m, d))
+    V = 0.1 + rng.uniform(-1e-4, 1e-4, size=(n, d))
+    keys = sorted(matrix.ratings)
+    users = [u - 1 for u, _ in keys]
+    items = [i - 1 for _, i in keys]
+    values = [float(matrix.ratings[k]) for k in keys]
+    residual = list(values)
+    lr = learning_rate
+    for f in range(d):
+        uf = U[:, f].tolist()
+        vf = V[:, f].tolist()
+        for epoch in range(epochs_per_feature):
+            for j in range(len(values)):
+                u = users[j]
+                i = items[j]
+                err = residual[j] - uf[u] * vf[i]
+                u_old = uf[u]
+                uf[u] = u_old + lr * err * vf[i]
+                vf[i] += lr * err * u_old
+            if not (math.isfinite(uf[users[0]]) and math.isfinite(vf[items[0]])):
+                raise DivergenceError(
+                    f"non-finite parameters at feature {f}, epoch {epoch}", feature=f, epoch=epoch
+                )
+        U[:, f] = uf
+        V[:, f] = vf
+        for j in range(len(values)):
+            residual[j] -= uf[users[j]] * vf[items[j]]
+    if not np.all(np.isfinite(U)):
+        raise DivergenceError("non-finite user features after training")
+    return U, V
+
+
+def _svd_outcome(train, matrix, d, lr, epochs, seed):
+    """U and V as bytes, or the DivergenceError's feature, epoch and message."""
+    try:
+        U, V = train(matrix, d, lr, epochs, seed)
+    except DivergenceError as exc:
+        return ("diverged", exc.feature, exc.epoch, str(exc))
+    return ("trained", U.tobytes(), V.tobytes())
+
+
+def _wavefront_svd(matrix, d, lr, epochs, seed):
+    features, V = em.train_incremental_svd(matrix, d, lr, epochs, seed, return_item_features=True)
+    return features.values, V
+
+
+@st.composite
+def sparse_rating_matrices(draw):
+    """Non-integer ratings, with up to two users and two items that have none."""
+    rated_users = draw(st.integers(1, 9))
+    rated_items = draw(st.integers(1, 9))
+    cells = draw(st.lists(
+        st.tuples(st.integers(1, rated_users), st.integers(1, rated_items)),
+        min_size=1, max_size=rated_users * rated_items, unique=True,
+    ))
+    values = draw(st.lists(st.floats(1.0, 5.0), min_size=len(cells), max_size=len(cells)))
+    return em.RatingMatrix(rated_users + draw(st.integers(0, 2)),
+                           rated_items + draw(st.integers(0, 2)), dict(zip(cells, values)))
+
+
+class TestWavefrontSvd:
+    """The wavefront schedule equals the sequential SGD loop bit for bit."""
+
+    @given(sparse_rating_matrices(), st.integers(1, 3), st.sampled_from([0.001, 0.01, 0.05]),
+           st.integers(1, 30), st.integers(0, 2**16))
+    @example(em.RatingMatrix(1, 1, {(1, 1): 3.5}), 2, 0.01, 5, 0)
+    @example(em.RatingMatrix(3, 4, {(2, 3): 4.25}), 3, 0.05, 30, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_sequential_loop(self, matrix, d, lr, epochs, seed):
+        want = _svd_outcome(_reference_svd, matrix, d, lr, epochs, seed)
+        assert want[0] == "trained"
+        assert _svd_outcome(_wavefront_svd, matrix, d, lr, epochs, seed) == want
+
+    def test_equals_sequential_loop_on_grouped_ratings(self):
+        matrix = em.synthetic.ratings_like(num_users=80, num_items=60, seed=7)
+        args = (matrix, 3, 0.001, 15, 4)
+        assert _svd_outcome(_wavefront_svd, *args) == _svd_outcome(_reference_svd, *args)
+
+    @pytest.mark.parametrize("lr", [1e6, 1.0, 0.3])
+    def test_divergence_parity(self, example_matrix, lr):
+        want = _svd_outcome(_reference_svd, example_matrix, 3, lr, 50, 0)
+        assert want[0] == "diverged"
+        assert _svd_outcome(_wavefront_svd, example_matrix, 3, lr, 50, 0) == want
+
+    @pytest.mark.parametrize("d, epochs, lr", [
+        (0, 10, 0.001), (-1, 10, 0.001), (2, 0, 0.001), (2, 10, 0.0), (2, 10, -0.001),
+        (2, 10, math.nan), (2, 10, math.inf),
+    ])
+    def test_bad_settings_rejected(self, example_matrix, d, epochs, lr):
+        with pytest.raises(em.TrainingConfigError) as err:
+            em.train_incremental_svd(example_matrix, d, lr, epochs)
+        assert isinstance(err.value, ValueError)
+        assert isinstance(err.value, em.ElasticMineError)
 
 
 class TestNodeWeight:

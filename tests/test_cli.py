@@ -63,6 +63,16 @@ class TestCodeBuild:
         assert book.features is not None
         assert book.config["cli"]["features"] == 2
 
+    @pytest.mark.parametrize("setting", [["--epochs", 0], ["--lr", 0], ["--lr", -0.001],
+                                         ["--lr", "nan"], ["--features", 0]])
+    def test_bad_svd_setting_fails_loudly(self, workdir, capsys, setting):
+        out = workdir / "never.ecb"
+        code = run(["code", "build", "--task", "cf", "--input", workdir / "ratings.csv",
+                    *setting, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestMine:
     def test_knn_rows_and_state_refinement(self, workdir):

@@ -171,3 +171,38 @@ class TestSplit:
         assert train.ratings == again_train.ratings
         held = {(u, i) for u, i, _ in test}
         assert held.isdisjoint(train.ratings.keys())
+
+
+def _reference_ratings_like(num_users, num_items, min_per_user, max_per_user, groups, seed):
+    """The per-rating generator loop ``synthetic.ratings_like`` must reproduce."""
+    rng = np.random.default_rng(seed)
+    user_group = rng.integers(0, groups, size=num_users)
+    group_vec = rng.normal(0.0, 1.0, size=(groups, 4))
+    item_vec = rng.normal(0.0, 1.0, size=(num_items, 4))
+    item_bias = rng.normal(0.0, 0.3, size=num_items)
+    ratings = {}
+    for u in range(num_users):
+        count = int(rng.integers(min_per_user, max_per_user + 1))
+        items = rng.choice(num_items, size=min(count, num_items), replace=False)
+        taste = group_vec[user_group[u]] + rng.normal(0.0, 0.25, size=4)
+        for i in items:
+            mu = 3.0 + 0.55 * float(taste @ item_vec[i]) + item_bias[i] + rng.normal(0.0, 0.35)
+            ratings[(u + 1, int(i) + 1)] = float(np.clip(round(mu), 1.0, 5.0))
+    return ratings, user_group
+
+
+class TestRatingsLike:
+    @pytest.mark.parametrize("shape", [
+        dict(num_users=40, num_items=60, min_per_user=15, max_per_user=120, groups=8),
+        dict(num_users=25, num_items=10, min_per_user=3, max_per_user=40, groups=3),
+        dict(num_users=1, num_items=1, min_per_user=1, max_per_user=1, groups=1),
+        dict(num_users=12, num_items=5, min_per_user=5, max_per_user=5, groups=2),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3, 97])
+    def test_equals_per_rating_loop(self, shape, seed):
+        matrix, groups = em.synthetic.ratings_like(**shape, seed=seed, return_groups=True)
+        want, want_groups = _reference_ratings_like(**shape, seed=seed)
+        assert list(matrix.ratings.items()) == list(want.items())
+        assert all(type(u) is int and type(i) is int and type(r) is float
+                   for (u, i), r in matrix.ratings.items())
+        assert np.array_equal(groups, want_groups)
