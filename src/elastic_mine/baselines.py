@@ -18,7 +18,7 @@ from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import InsufficientBudgetError, UnknownUserError
-from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _vote, dist_max_sq
+from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _max_sq, _vote
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -108,7 +108,8 @@ def anytime_knn_rtree(
     def add_node(nid):
         nonlocal counter
         node = book.node(nid)
-        entry = _FrontierEntry(nid, None, node.label, dist_max_sq(q, node.mbr), counter)
+        d2 = float(_max_sq(q, node.mbr.low, node.mbr.upp))
+        entry = _FrontierEntry(nid, None, node.label, d2, counter)
         frontier[counter] = entry
         per_tree[node.tree].add(counter)
         counter += 1

@@ -25,12 +25,12 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .coding import Code, CodeBook, ItemAggregate, state_filter
+from .coding import Code, CodeBook, CodeColumns, ItemAggregate, StateRows, state_filter
 from .datasets import RatingMatrix
 from .errors import DivergenceError, TrainingConfigError, UndefinedMetricError
 
@@ -86,7 +86,8 @@ def train_incremental_svd(
 
     Raises :class:`TrainingConfigError` for ``d`` or ``epochs_per_feature``
     below 1 and for a learning rate that is not positive and finite, and
-    :class:`DivergenceError` when a feature turns non-finite.
+    :class:`DivergenceError`, naming the feature and the epoch, when any
+    user or item value of a feature is non-finite at the end of an epoch.
     """
     if d < 1:
         raise TrainingConfigError(f"d must be >= 1, got {d!r}")
@@ -117,16 +118,13 @@ def train_incremental_svd(
                     g = lr * (r - a * b)
                     uf[u] = a + g * b
                     vf[i] = b + g * a
-                # cell 0 is the first rating in (user, item) order, as in the loop
-                if not (math.isfinite(uf[users[0]]) and math.isfinite(vf[items[0]])):
+                if not (np.isfinite(uf).all() and np.isfinite(vf).all()):
                     raise DivergenceError(
                         f"non-finite parameters at feature {f}, epoch {epoch}", feature=f, epoch=epoch
                     )
             U[:, f] = uf
             V[:, f] = vf
             residual = residual - uf[users] * vf[items]
-    if not np.all(np.isfinite(U)):
-        raise DivergenceError("non-finite user features after training")
     config = {"d": d, "learning_rate": learning_rate,
               "epochs_per_feature": epochs_per_feature, "seed": seed}
     features = UserFeatureMatrix(U, config)
@@ -192,12 +190,15 @@ class CfApproxResult:
     scanned: int
     fallback: bool
     clamped: bool
+    # rows of every rater in the code's view, for maintain_cf_state; None for user-level routes
+    state_rows: StateRows | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class CfState:
     depth: int
     retained: frozenset[int]
+    rows: StateRows | None = field(default=None, compare=False, repr=False)  # see state_filter
 
 
 def node_weight(
@@ -257,7 +258,7 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids: np.ndarray,
-           scanned: int, scale) -> CfApproxResult:
+           scanned: int, scale, view: CodeColumns | None = None) -> CfApproxResult:
     """The recommendation step over candidate columns of an item-major deviation table.
 
     ``table[i, c]`` is candidate c's ``rating - rater_mean`` for item i, NaN
@@ -265,7 +266,8 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
     order and ``ids`` the ids reported for them. Every candidate that rated
     the target item is a rater; its weight is :func:`node_weight` over the
     query's items, with each sum taken in ``query.ratings`` order so that
-    the weights equal the scalar definition bit for bit.
+    the weights equal the scalar definition bit for bit. With the view
+    that ``cols`` index, the result carries its raters' rows.
     """
     if 0 <= query.item < len(table):
         target = table[query.item, cols]
@@ -301,6 +303,7 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
         scanned=scanned,
         fallback=fallback,
         clamped=clamped,
+        state_rows=None if view is None else StateRows(view, cols),
     )
 
 
@@ -321,18 +324,16 @@ def predict(
     user's mean; predictions clamp to the rating scale.
     """
     depth = book.code_at_depth(code).depth if isinstance(code, int) else code.depth
-    ids = book.columns(depth).ids
-    if state is None:
-        cols = np.arange(len(ids))
-    else:
-        cols = np.flatnonzero(state_filter(book, depth, state))
+    view = book.columns(depth)
+    cols = np.arange(len(view.ids)) if state is None else state_filter(book, depth, state)
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
-    return _score(query, depth, book.deviations(depth), cols, ids[cols], len(cols), scale)
+    return _score(query, depth, book.deviations(depth), cols, view.ids[cols], len(cols), scale,
+                  view)
 
 
 def maintain_cf_state(result: CfApproxResult) -> CfState:
     """The state is the full rater set: every scanned node that rated the item."""
-    return CfState(depth=result.depth, retained=frozenset(result.all_rater_node_ids))
+    return CfState(result.depth, frozenset(result.all_rater_node_ids), rows=result.state_rows)
 
 
 def refine_chain(book: CodeBook, query: CfQuery, depths=None, matrix=None) -> list[CfApproxResult]:

@@ -115,8 +115,11 @@ class Code:
 class CodeColumns:
     """One depth of a codebook as arrays; row r describes node ``ids[r]``.
 
-    ``ancestors[s]`` holds, for every row, the row of the node's ancestor
-    in the view of the shallower depth s. Unlabeled (CF) nodes carry label 0.
+    Node ids follow a depth-first build order, so the descendants at this
+    depth of any node at a shallower depth s are one contiguous run of rows
+    (the interval, or "nested set", encoding of a tree): rows
+    ``offsets[s][r]`` up to ``offsets[s][r + 1]`` descend from row r of the
+    view of depth s. Unlabeled (CF) nodes carry label 0.
     """
 
     depth: int
@@ -124,7 +127,7 @@ class CodeColumns:
     low: np.ndarray  # (L, d)
     upp: np.ndarray  # (L, d)
     labels: np.ndarray  # (L,)
-    ancestors: dict[int, np.ndarray]  # shallower depth -> (L,) rows at that depth
+    offsets: dict[int, np.ndarray]  # shallower depth s -> (L_s + 1,) first descendant rows
 
     @property
     def dimensionality(self) -> int:
@@ -142,27 +145,73 @@ class CodeColumns:
         return pos
 
 
+class StateRows(NamedTuple):
+    """Ascending rows of a state's retained nodes in the view they index.
+
+    A state carries them so that refining need not look its node ids up
+    again; :func:`state_filter` trusts them only while ``view`` is the
+    book's own view of the state's depth.
+    """
+
+    view: CodeColumns
+    rows: np.ndarray
+
+
 def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
-    """Columnar views of depths 0..usable; ancestors come from stepping a parent array."""
+    """Columnar views of depths 0..usable; ancestor rows come from stepping a parent array.
+
+    Raises :class:`ParseError` unless the book is in tree order (parent
+    rows never decrease along a depth, so subtrees are row ranges), every
+    node above the deepest view has a child, and every box lies inside its
+    parent's box. Refined scans rely on all three.
+    """
     parent = np.array([-1 if n.parent is None else n.parent for n in book.nodes], dtype=np.intp)
     depth_of = np.array([n.depth for n in book.nodes])
     columns = {}
     for depth in range(book.usable_depth() + 1):
         ids = np.flatnonzero(depth_of == depth)
         nodes = [book.nodes[i] for i in ids]
-        ancestors, up = {}, ids
+        low = np.array([n.mbr.low for n in nodes])
+        upp = np.array([n.mbr.upp for n in nodes])
+        offsets, up = {}, ids
         for shallower in range(depth - 1, -1, -1):
             up = parent[up]
-            ancestors[shallower] = np.searchsorted(columns[shallower].ids, up)
+            above = columns[shallower].ids
+            rows = np.searchsorted(above, up)  # each node's ancestor row at that depth
+            if shallower == depth - 1:
+                parents = rows
+            offsets[shallower] = np.searchsorted(rows, np.arange(len(above) + 1))
+        if depth:
+            _check_nesting(columns[depth - 1], ids, low, upp, parents, offsets[depth - 1])
         columns[depth] = CodeColumns(
             depth=depth,
             ids=ids,
-            low=np.array([n.mbr.low for n in nodes]),
-            upp=np.array([n.mbr.upp for n in nodes]),
+            low=low,
+            upp=upp,
             labels=np.array([0 if n.label is None else n.label for n in nodes], dtype=int),
-            ancestors=ancestors,
+            offsets=offsets,
         )
     return columns
+
+
+def _check_nesting(above: CodeColumns, ids, low, upp, parents, offsets):
+    """Raise :class:`ParseError` unless one depth nests in the depth above it."""
+    bad = np.flatnonzero(np.diff(parents) < 0)
+    if len(bad):
+        raise ParseError(
+            f"node {ids[bad[0] + 1]} breaks tree order: its parent {above.ids[parents[bad[0] + 1]]}"
+            f" precedes {above.ids[parents[bad[0]]]}, the parent of node {ids[bad[0]]}"
+        )
+    bad = np.flatnonzero(np.diff(offsets) == 0)
+    if len(bad):
+        raise ParseError(f"node {above.ids[bad[0]]} has no child at depth {above.depth + 1}")
+    outside = (low < above.low[parents]).any(axis=1) | (upp > above.upp[parents]).any(axis=1)
+    bad = np.flatnonzero(outside)
+    if len(bad):
+        raise ParseError(
+            f"the box of node {ids[bad[0]]} is not inside the box of its parent"
+            f" {above.ids[parents[bad[0]]]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -254,12 +303,16 @@ class CodeBook:
 
 
 def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
-    """Boolean mask over the rows of ``book.columns(depth)``: true where the
-    node's ancestor at ``state.depth`` is in ``state.retained``.
+    """Ascending rows of ``book.columns(depth)`` whose ancestor at
+    ``state.depth`` is in ``state.retained``.
 
     ``state`` is a kNN or CF state. It must come from a shallower depth of
     this book: a retained id that is not a node of that depth raises
-    :class:`ForeignStateError`.
+    :class:`ForeignStateError`. The rows are the concatenated subtree
+    ranges of the retained nodes, so the cost is O(retained + candidates),
+    not O(code length). The retained nodes' rows are taken from
+    ``state.rows`` when they index this book's own view of the state's
+    depth, and are looked up from the node ids otherwise.
     """
     if depth <= state.depth:
         raise ValueError(f"state depth {state.depth} must be above code depth {depth}")
@@ -267,9 +320,17 @@ def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
         at_state = book.columns(state.depth)
     except DepthNotFoundError:
         raise ForeignStateError(f"state depth {state.depth} is not a depth of this book") from None
-    retained = np.zeros(len(at_state.ids), dtype=bool)
-    retained[at_state.rows(list(state.retained))] = True
-    return retained[book.columns(depth).ancestors[state.depth]]
+    if state.rows is not None and state.rows.view is at_state:
+        retained = state.rows.rows
+    else:
+        ids = np.fromiter(state.retained, dtype=np.intp, count=len(state.retained))
+        retained = at_state.rows(np.sort(ids))
+    offsets = book.columns(depth).offsets[state.depth]
+    stops = offsets[retained + 1]
+    lengths = stops - offsets[retained]
+    ends = np.cumsum(lengths)  # where each run ends among the candidates
+    # candidate c of the run ending at e has row stop - (e - c)
+    return np.repeat(stops - ends, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def select_code(book: CodeBook, length_budget: int) -> Code:
@@ -685,7 +746,10 @@ def load_codebook(path_or_text) -> CodeBook:
     or starts with the header's first token; any other string is a path.
     A bad header, a malformed line, an item id below 1, a missing ``end``
     line or a node count that differs from the ``nodes`` line raises
-    :class:`ParseError` with the 1-based line number.
+    :class:`ParseError` with the 1-based line number. The columnar views
+    are built here, so a book out of tree order, with a childless node
+    above its deepest usable depth or with a box outside its parent's box
+    raises :class:`ParseError` too.
     """
     if isinstance(path_or_text, str) and (
         "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)
@@ -773,5 +837,7 @@ def load_codebook(path_or_text) -> CodeBook:
     node_tuple = tuple(
         CodeNode(**nodes[nid]) for nid in sorted(nodes)
     )
-    return CodeBook(kind, node_tuple, roots, config, seed,
+    book = CodeBook(kind, node_tuple, roots, config, seed,
                     features=feat_array, warnings=tuple(warnings))
+    book.columns(0)  # builds the views, which checks the tree's structure
+    return book

@@ -8,14 +8,22 @@ then filtered through that state, which only ever shrinks the scan.
 
 The kernel works on the book's columnar per-depth view
 (:meth:`CodeBook.columns`): the boxes of a code as two (L, d) arrays, a
-label array and, per shallower depth, an array giving each node's
-ancestor there. A scan is one vector expression over the
-(state-filtered) rows, a partial sort for the k smallest distances, and
-a lexicographic sort of the few nodes at or below the k-th distance, so
-ties still break by node id. State filtering marks the retained nodes
-and looks every row's ancestor up in that mark. A query at a code of
-length L costs O(L * d) array work, with no per-node Python step; the
-view is built once per book, on first use.
+label array and, per shallower depth, the range of this code's rows that
+lies below each node of that depth. A scan is one vector expression
+over the (state-filtered) rows, a partial sort for the k smallest
+distances, and a lexicographic sort of the few nodes at or below the
+k-th distance, so ties still break by node id. A one-shot query at a
+code of length L costs O(L * d) array work, with no per-node Python step;
+the view is built once per book, on first use.
+
+State filtering gathers the subtree row ranges of the retained nodes, so
+a refined query costs O(candidates * d). A refined scan also keeps its
+survivors: the scanned nodes whose minimal distance is within the
+threshold, which become the next state. For a state built by
+:func:`maintain_state` they are exactly the nodes a scan of the whole
+code would keep (child boxes lie inside their parent's box, so the
+threshold never grows down a chain and every such node lies under a
+retained one); for a hand-made, narrower state they are fewer.
 
 Distance comparisons run on squared values internally; every distance a
 caller sees is a true (un-squared) Euclidean distance. Squared norms go
@@ -25,11 +33,11 @@ a vectorised scan returns the same bits as a box-by-box one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import Code, CodeBook, CodeColumns, Mbr, state_filter
+from .coding import Code, CodeBook, CodeColumns, Mbr, StateRows, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import DimensionMismatchError, InsufficientCandidatesError, UndefinedMetricError
 
@@ -67,26 +75,28 @@ def _spread(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.tile(q, (len(rows), 1))
 
 
-def dist_max_sq(q: np.ndarray, mbr: Mbr) -> float:
-    return float(_max_sq(q, mbr.low, mbr.upp))
+def _within(q: np.ndarray, low: np.ndarray, upp: np.ndarray, top_sq: float, threshold: float):
+    """Where the minimal distance is within the threshold of a result.
 
-
-def dist_min_sq(q: np.ndarray, mbr: Mbr) -> float:
-    return float(_min_sq(q, mbr.low, mbr.upp))
+    ``top_sq`` is the largest squared distance of the result's nodes.
+    Equality at the boundary must keep a node, so the squared threshold is
+    rebuilt from it, with no sqrt round trip.
+    """
+    return _min_sq(q, low, upp) <= max(top_sq, threshold**2)
 
 
 def dist_max(q, mbr: Mbr) -> float:
     """Maximal Euclidean distance from q to any point of the box."""
     q = np.asarray(q, dtype=float)
     _check_dim(q, mbr.dimensionality)
-    return float(np.sqrt(dist_max_sq(q, mbr)))
+    return float(np.sqrt(_max_sq(q, mbr.low, mbr.upp)))
 
 
 def dist_min(q, mbr: Mbr) -> float:
     """Minimal Euclidean distance from q to the box (0 inside)."""
     q = np.asarray(q, dtype=float)
     _check_dim(q, mbr.dimensionality)
-    return float(np.sqrt(dist_min_sq(q, mbr)))
+    return float(np.sqrt(_min_sq(q, mbr.low, mbr.upp)))
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,8 @@ class KnnApproxResult:
     predicted: int
     threshold: float  # largest of the k distances (the pruning threshold)
     scanned: int
+    # a refined scan's survivors, for maintain_state; None after a one-shot scan
+    state_rows: StateRows | None = field(default=None, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -125,6 +137,7 @@ class KnnApproxResult:
 class KnnState:
     depth: int
     retained: frozenset[int]
+    rows: StateRows | None = field(default=None, compare=False, repr=False)  # see state_filter
 
 
 def _vote(labels) -> tuple[int, int, int]:
@@ -149,23 +162,33 @@ def classify(
 
     With a state, only nodes whose ancestor at the state's depth was
     retained are scanned; the scanned-node count is the result's
-    computational cost. Distance ties break by node id.
+    computational cost. Distance ties break by node id. A refined result
+    also carries the rows of the scanned nodes within its threshold, which
+    :func:`maintain_state` turns into the next state.
     """
     columns = _code_columns(book, code, query)
     ids, low, upp, labels = columns.ids, columns.low, columns.upp, columns.labels
     if state is not None:
-        keep = state_filter(book, columns.depth, state)
-        ids, low, upp, labels = ids[keep], low[keep], upp[keep], labels[keep]
+        rows = state_filter(book, columns.depth, state)
+        # take() gathers (L, d) rows several times faster than fancy indexing
+        ids, low, upp, labels = (a.take(rows, axis=0) for a in (ids, low, upp, labels))
     k = query.k
     if len(ids) < k:
         raise InsufficientCandidatesError(f"{len(ids)} candidate nodes after filtering < k={k}")
-    d2 = _max_sq(_spread(query.point, low), low, upp)
+    q = _spread(query.point, low)
+    d2 = _max_sq(q, low, upp)
     # only nodes at or below the k-th smallest distance can be selected;
     # sorting those by (distance, id) keeps the node-id tie rule
     near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
     top = near[np.lexsort((ids[near], d2[near]))][:k]
     distances = np.sqrt(d2[top]).tolist()
     k_pos, k_neg, predicted = _vote(labels[top].tolist())
+    survivors = None
+    if state is not None:
+        # the candidates are gathered already, so the next state costs one
+        # more pass over them instead of a scan of the whole code
+        keep = _within(q, low, upp, float(d2[top[-1]]), distances[-1])
+        survivors = StateRows(columns, rows[keep])
     return KnnApproxResult(
         depth=columns.depth,
         node_ids=tuple(ids[top].tolist()),
@@ -175,26 +198,37 @@ def classify(
         predicted=predicted,
         threshold=distances[-1],
         scanned=len(ids),
+        state_rows=survivors,
     )
 
 
 def maintain_state(
     book: CodeBook, code: Code | int, query: KnnQuery, result: KnnApproxResult
 ) -> KnnState:
-    """Keep every node of the code whose minimal distance is within the threshold.
+    """Keep the scanned nodes whose minimal distance is within the threshold.
 
     Nodes with ``dist_min > dist_max_kNN`` cannot contain any of the
     query's nearest neighbours at any deeper depth and are dropped; the k
-    result nodes always survive.
+    result nodes always survive. A result of a refined scan of this very
+    view carries its survivors, which are taken as they are; any other
+    result (one-shot, hand-built, or of another book) has the whole code
+    scanned. From a state this function built, both give the same nodes.
+    ``result`` must be the result of ``query`` at this code; a result of
+    another code raises :class:`ForeignStateError`.
     """
     columns = _code_columns(book, code, query)
-    q = query.point
-    # rebuild the squared threshold from the result nodes: equality at the
-    # boundary must keep a node, so no sqrt round trip is allowed here
-    rows = columns.rows(result.node_ids)
-    thr_sq = max(float(_max_sq(q, columns.low[rows], columns.upp[rows]).max()), result.threshold**2)
-    keep = _min_sq(_spread(q, columns.low), columns.low, columns.upp) <= thr_sq
-    return KnnState(depth=columns.depth, retained=frozenset(columns.ids[keep].tolist()))
+    if result.state_rows is not None and result.state_rows.view is columns:
+        keep = result.state_rows.rows
+    else:
+        rows = columns.rows(result.node_ids)
+        q, low, upp = query.point, columns.low, columns.upp
+        top_sq = float(_max_sq(q, low[rows], upp[rows]).max())
+        keep = np.flatnonzero(_within(_spread(q, low), low, upp, top_sq, result.threshold))
+    return KnnState(
+        depth=columns.depth,
+        retained=frozenset(columns.ids[keep].tolist()),
+        rows=StateRows(columns, keep),
+    )
 
 
 def refine_chain(book: CodeBook, query: KnnQuery, depths=None) -> list[KnnApproxResult]:

@@ -61,6 +61,16 @@ class TestIncrementalSvd:
                                      epochs_per_feature=50, seed=0)
         assert err.value.epoch is not None
 
+    def test_divergence_away_from_the_first_rating_reported(self):
+        # user 1 / item 1 stay finite; only the second cell's pair blows up
+        matrix = em.RatingMatrix(2, 2, {(1, 1): 1.0, (2, 2): 5.0})
+        with pytest.raises(DivergenceError) as err:
+            em.train_incremental_svd(matrix, d=2, learning_rate=0.5, epochs_per_feature=200)
+        assert err.value.feature is not None
+        assert err.value.epoch is not None
+        assert _svd_outcome(_reference_svd, matrix, 2, 0.5, 200, 0) == (
+            "diverged", err.value.feature, err.value.epoch, str(err.value))
+
 
 def _reconstruction_rmse(matrix, d, lr, epochs, seed):
     feats = em.train_incremental_svd(matrix, d, lr, epochs, seed)
@@ -101,7 +111,7 @@ def _reference_svd(matrix, d, learning_rate, epochs_per_feature, seed):
                 u_old = uf[u]
                 uf[u] = u_old + lr * err * vf[i]
                 vf[i] += lr * err * u_old
-            if not (math.isfinite(uf[users[0]]) and math.isfinite(vf[items[0]])):
+            if not all(math.isfinite(x) for x in uf + vf):
                 raise DivergenceError(
                     f"non-finite parameters at feature {f}, epoch {epoch}", feature=f, epoch=epoch
                 )
@@ -490,9 +500,9 @@ def _reference_predict(book, depth, query, state=None, matrix=None):
     return _reference_score(query, depth, sources, len(candidates), scale)
 
 
-def _reference_chain(book, query, matrix=None):
+def _reference_chain(book, query, matrix=None, depths=None):
     results, state = [], None
-    for depth in book.depths():
+    for depth in book.depths() if depths is None else depths:
         result = _reference_predict(book, depth, query, state, matrix)
         results.append(result)
         state = em.CfState(depth, frozenset(result.all_rater_node_ids))
@@ -572,6 +582,18 @@ class TestVectorisedKernel:
                 assert len(chain) == len(want)
                 for got, expected in zip(chain, want):
                     _assert_same_result(got, expected)
+
+    @given(cf_books_and_queries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_depth_subsets_equal_reference_chain(self, case, data):
+        matrix, book, queries = case
+        depths = sorted(data.draw(st.sets(st.sampled_from(book.depths()), min_size=1)))
+        for query in queries:
+            chain = em.cf.refine_chain(book, query, depths, matrix=matrix)
+            want = _reference_chain(book, query, matrix, depths)
+            assert len(chain) == len(want)
+            for got, expected in zip(chain, want):
+                _assert_same_result(got, expected)
 
     @given(cf_books_and_queries(), st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)

@@ -352,6 +352,33 @@ class TestPersistence:
             em.load_codebook("".join(lines))
         assert err.value.line == at + 1
 
+    def test_child_box_outside_parent_rejected(self, fourclass_book):
+        lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines)
+                  if line.startswith("N ") and line.split()[3] == "2")
+        toks = lines[at].split()
+        low = toks.index("M") + 1
+        toks[low] = repr(float(toks[low]) - 1e6)  # still a valid box, now wider than its parent
+        lines[at] = " ".join(toks) + "\n"
+        with pytest.raises(ParseError, match="not inside the box of its parent"):
+            em.load_codebook("".join(lines))
+
+    def test_renumbered_sibling_subtrees_rejected(self, fourclass_book):
+        """Swapping the ids of two sibling subtrees keeps every link and box
+        consistent but breaks tree order: a subtree is no row range then."""
+        first, second = fourclass_book.node(fourclass_book.roots[0]).children[:2]
+        swap = {str(first): str(second), str(second): str(first)}
+        lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
+        for n, line in enumerate(lines):
+            if line.startswith("N "):
+                toks = line.split()
+                links = [1, 4] + list(range(toks.index("C") + 1, toks.index("M")))
+                for i in links:
+                    toks[i] = swap.get(toks[i], toks[i])
+                lines[n] = " ".join(toks) + "\n"
+        with pytest.raises(ParseError, match="tree order"):
+            em.load_codebook("".join(lines))
+
     def test_node_count_must_match_header(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith("nodes "))
@@ -359,3 +386,33 @@ class TestPersistence:
         with pytest.raises(ParseError) as err:
             em.load_codebook("".join(lines))
         assert err.value.line == at + 1
+
+
+class TestColumnarViews:
+    def test_childless_node_above_deepest_code_rejected(self):
+        def box(w):
+            return Mbr(np.zeros(1), np.full(1, w))
+
+        nodes = (
+            em.CodeNode(0, 0, 0, box(2.0), None, (1, 2), (0, 1), label=1),
+            em.CodeNode(1, 0, 1, box(1.0), 0, (), (0,), label=1),  # a leaf one level early
+            em.CodeNode(2, 0, 1, box(2.0), 0, (3,), (1,), label=1),
+            em.CodeNode(3, 0, 2, box(2.0), 2, (), (1,), label=1),
+            em.CodeNode(4, 1, 0, box(2.0), None, (5,), (2,), label=-1),
+            em.CodeNode(5, 1, 1, box(2.0), 4, (6,), (2,), label=-1),
+            em.CodeNode(6, 1, 2, box(2.0), 5, (), (2,), label=-1),
+        )
+        book = em.CodeBook("rtree-dual", nodes, (0, 4), {}, 0)
+        with pytest.raises(ParseError, match="node 1 has no child"):
+            book.columns(2)
+
+    def test_offsets_are_subtree_row_ranges(self, fourclass_book):
+        book = fourclass_book
+        for deeper in range(book.usable_depth() + 1):
+            view = book.columns(deeper)
+            for shallower in range(deeper):
+                offsets = view.offsets[shallower]
+                above = [book.ancestor_at(x, shallower) for x in view.ids.tolist()]
+                for r, nid in enumerate(book.columns(shallower).ids.tolist()):
+                    below = [row for row, x in enumerate(above) if x == nid]
+                    assert below == list(range(offsets[r], offsets[r + 1]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +166,16 @@ class TestClassify:
         with pytest.raises(ForeignStateError):
             em.maintain_state(book, 2, query, result)
 
+    def test_refined_result_of_another_code_rejected(self, worked_example):
+        """A refined result's kept rows index its own code's view only."""
+        _, book, _ = worked_example
+        query = em.KnnQuery([0.0], 3)
+        state = em.maintain_state(book, 1, query, em.classify(book, 1, query))
+        refined = em.classify(book, 2, query, state)
+        assert refined.state_rows is not None
+        with pytest.raises(ForeignStateError):
+            em.maintain_state(book, 1, query, refined)
+
     def test_state_depth_must_be_shallower(self, worked_example):
         _, book, ids = worked_example
         state = em.KnnState(depth=2, retained=frozenset(ids.values()))
@@ -296,9 +307,9 @@ def reference_maintain_state(book, code, query, result):
     return em.KnnState(depth=code.depth, retained=retained)
 
 
-def reference_chain(book, query):
+def reference_chain(book, query, depths=None):
     results, state = [], None
-    for depth in book.depths():
+    for depth in book.depths() if depths is None else depths:
         result = reference_classify(book, depth, query, state)
         results.append(result)
         state = reference_maintain_state(book, depth, query, result)
@@ -363,6 +374,69 @@ class TestVectorisedKernel:
             chain = refine_chain(book, query)
             assert chain == reference_chain(book, query)
             assert all(_plain(r) for r in chain)
+
+    @given(books_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_refined_states_equal_whole_code_scan(self, case):
+        """A state kept from a refined scan's own candidates is the state a
+        scan of the whole code keeps, and its carried rows name its nodes."""
+        _, book, queries = case
+        for query in queries:
+            state = None
+            for depth in book.depths():
+                result = em.classify(book, depth, query, state)
+                assert (result.state_rows is None) == (state is None)
+                state = em.maintain_state(book, depth, query, result)
+                assert state == reference_maintain_state(book, depth, query, result)
+                view = book.columns(depth)
+                assert state.rows.view is view
+                assert np.all(np.diff(state.rows.rows) > 0)
+                assert view.ids[state.rows.rows].tolist() == sorted(state.retained)
+
+    @given(books_and_queries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_depth_subsets_equal_reference_chain(self, case, data):
+        _, book, queries = case
+        depths = sorted(data.draw(st.sets(st.sampled_from(book.depths()), min_size=1)))
+        for query in queries:
+            assert refine_chain(book, query, depths) == reference_chain(book, query, depths)
+
+    @given(books_and_queries())
+    @settings(max_examples=40, deadline=None)
+    def test_hand_made_state_equals_carried_state(self, case):
+        _, book, queries = case
+        for query in queries:
+            chain_state = None
+            for depth in book.depths():
+                result = em.classify(book, depth, query, chain_state)
+                chain_state = em.maintain_state(book, depth, query, result)
+                hand = em.KnnState(chain_state.depth, chain_state.retained)
+                for deeper in book.depths():
+                    if deeper <= depth:
+                        continue
+                    carried = em.classify(book, deeper, query, chain_state)
+                    assert em.classify(book, deeper, query, hand) == carried
+                    assert em.maintain_state(book, deeper, query, carried) == em.maintain_state(
+                        book, deeper, query, em.classify(book, deeper, query, hand))
+
+    @given(books_and_queries())
+    @settings(max_examples=30, deadline=None)
+    def test_foreign_state_with_in_range_rows_rejected(self, case):
+        """Carried rows of another book's view are not trusted, even where
+        they are valid rows here: the node ids are checked instead."""
+        _, book, queries = case
+        other = em.load_codebook(em.dump_codebook(book))
+        shallow, deeper = book.depths()[0], book.depths()[-1]
+        if shallow == deeper:
+            return
+        query = queries[0]
+        state = em.maintain_state(other, shallow, query, em.classify(other, shallow, query))
+        # ids of the deepest code are no nodes at the state's depth in either book
+        wrong = frozenset(book.columns(deeper).ids[: len(state.retained)].tolist())
+        forged = dataclasses.replace(state, retained=wrong)
+        assert forged.rows.rows.max() < book.code_at_depth(shallow).length
+        with pytest.raises(ForeignStateError):
+            em.classify(book, deeper, query, forged)
 
     @given(books_and_queries(leaf_capacity=1, same_class_sizes=True))
     @settings(max_examples=40, deadline=None)
