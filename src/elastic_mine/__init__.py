@@ -31,12 +31,14 @@ from .errors import (
     UnknownUserError,
 )
 from .coding import (
+    Aggregates,
     Code,
     CodeBook,
     CodeColumns,
     CodeNode,
     ItemAggregate,
     Mbr,
+    NodeArrays,
     aggregate_ratings,
     build_cf_codebook,
     build_dual_rtrees,

@@ -101,18 +101,22 @@ def anytime_knn_rtree(
     if len(book.roots) != 2:
         raise ValueError("anytime rtree descent needs a dual (per-class) codebook")
     q = np.asarray(query.point, dtype=float)
+    nodes = book.arrays
+    labels, trees = nodes.label.tolist(), nodes.tree.tolist()
+    child_ptr, child_ids = (a.tolist() for a in nodes.child_csr)
     frontier: dict[int, _FrontierEntry] = {}
     per_tree: dict[int, set[int]] = {0: set(), 1: set()}
     counter = 0  # frontier elements ever created: the scanned-node cost
 
-    def add_node(nid):
+    def add_nodes(nids):
         nonlocal counter
-        node = book.node(nid)
-        d2 = float(_max_sq(q, node.mbr.low, node.mbr.upp))
-        entry = _FrontierEntry(nid, None, node.label, d2, counter)
-        frontier[counter] = entry
-        per_tree[node.tree].add(counter)
-        counter += 1
+        # scored together: _max_sq gives each row the value a lone box gets
+        rows = np.array(nids)
+        low, upp = nodes.low.take(rows, axis=0), nodes.upp.take(rows, axis=0)
+        for nid, d2 in zip(nids, _max_sq(q, low, upp).tolist()):
+            frontier[counter] = _FrontierEntry(nid, None, labels[nid], d2, counter)
+            per_tree[trees[nid]].add(counter)
+            counter += 1
 
     def add_point(row):
         nonlocal counter
@@ -121,8 +125,7 @@ def anytime_knn_rtree(
         counter += 1
 
     for root in book.roots:
-        for child in book.node(root).children:
-            add_node(child)
+        add_nodes(child_ids[child_ptr[root] : child_ptr[root + 1]])
     if budget < len(frontier):
         raise InsufficientBudgetError(
             f"budget {budget} below the initial frontier size {len(frontier)}"
@@ -145,19 +148,18 @@ def anytime_knn_rtree(
             key = pick(tree)
             if key is None:
                 continue
-            node = book.node(frontier[key].node_id)
-            growth = len(node.children) if node.children else len(node.members)
-            if counter + growth > budget:
+            nid = frontier[key].node_id
+            children = child_ids[child_ptr[nid] : child_ptr[nid + 1]]
+            members = [] if children else nodes.members_of(nid).tolist()
+            if counter + len(children or members) > budget:
                 blocked = True
                 continue
             del frontier[key]
             per_tree[tree].discard(key)
-            if node.children:
-                for child in node.children:
-                    add_node(child)
-            else:
-                for row in node.members:
-                    add_point(row)
+            if children:
+                add_nodes(children)
+            for row in members:
+                add_point(row)
             progressed = True
         if blocked or not progressed:
             break

@@ -10,6 +10,7 @@ file byte for byte. All experiment outputs are CSV for external plotting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -93,9 +94,7 @@ def _cmd_code_build(args) -> int:
             book = coding.build_kmeans_codebook(
                 matrix, feats, args.branching, args.depth_limit, args.iterations, args.seed
             )
-    book = coding.CodeBook(book.kind, book.nodes, book.roots,
-                           {**book.config, "cli": config}, book.seed,
-                           features=book.features, warnings=book.warnings)
+    book = dataclasses.replace(book, config={**book.config, "cli": config})
     coding.save_codebook(book, args.out)
     print(f"codebook {args.out}: kind={book.kind} depths={book.depths()}")
     for depth in book.depths():

@@ -1,6 +1,6 @@
 """Hierarchical codebook construction.
 
-Three coders share one node/codebook representation:
+Three coders share one codebook representation:
 
 * dual per-class R-trees over labeled points (classification),
 * a single R-tree over SVD user vectors carrying aggregated ratings
@@ -12,6 +12,11 @@ children with a sort-tile-recursive pass, so sibling boxes have disjoint
 interiors, every leaf sits at the same depth, and the per-depth sum of
 bounding-box volumes can never grow with depth. A "code" is the set of all
 nodes at one depth; depth 0 (the roots) is never usable as a code.
+
+A book holds its nodes as columns (:class:`NodeArrays`): one array per
+node attribute, with members and aggregates in compressed rows. Builders,
+the dump writer and reader, and the per-depth views work on those arrays;
+:class:`CodeNode` and :class:`Mbr` objects are built only on request.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -80,6 +87,9 @@ class ItemAggregate(NamedTuple):
 
 @dataclass(frozen=True)
 class CodeNode:
+    """One node as a standalone object: a view of a book's columns, or a
+    hand-assembled node to build a book from."""
+
     node_id: int
     tree: int
     depth: int
@@ -97,6 +107,126 @@ class CodeNode:
     @property
     def count(self) -> int:
         return len(self.members)
+
+
+def _ptr(counts) -> np.ndarray:
+    """Row offsets of compressed rows with the given lengths: (len(counts) + 1,)."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integer ranges ``starts[k]`` up to ``stops[k]``, concatenated."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)  # where each range ends in the output
+    # output position c of the range ending at e holds stop - (e - c)
+    return np.repeat(stops - ends, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+class Aggregates(NamedTuple):
+    """Every node's item aggregates as compressed rows: node i's entries are
+    ``ptr[i]`` up to ``ptr[i + 1]``, items ascending."""
+
+    ptr: np.ndarray  # (N + 1,)
+    item: np.ndarray  # item ids
+    rating: np.ndarray  # mean rating of the item over the node's raters
+    rater_mean: np.ndarray  # mean of those raters' average ratings
+    raters: np.ndarray  # rater counts
+
+
+@dataclass(frozen=True, eq=False)
+class NodeArrays:
+    """A codebook's nodes as columns; node i is entry i of every column.
+
+    Node i encloses the point/user rows ``members[member_ptr[i]:member_ptr[i + 1]]``
+    (0-based, in build order). Children are derived from ``parent``, in
+    ascending id order.
+    """
+
+    tree: np.ndarray  # (N,)
+    depth: np.ndarray  # (N,)
+    parent: np.ndarray  # (N,) -1 for roots
+    label: np.ndarray  # (N,) +1/-1 for classification trees, 0 for unlabeled nodes
+    low: np.ndarray  # (N, d)
+    upp: np.ndarray  # (N, d)
+    member_ptr: np.ndarray  # (N + 1,)
+    members: np.ndarray
+    aggregates: Aggregates | None = None  # CF coders
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    @cached_property
+    def child_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, ids): the children of node i are ``ids[ptr[i]:ptr[i + 1]]``."""
+        ids = np.flatnonzero(self.parent >= 0)
+        ids = ids[np.argsort(self.parent[ids], kind="stable")]
+        return _ptr(np.bincount(self.parent[ids], minlength=len(self))), ids
+
+    def children_of(self, i: int) -> np.ndarray:
+        ptr, ids = self.child_csr
+        return ids[ptr[i] : ptr[i + 1]]
+
+    def members_of(self, i: int) -> np.ndarray:
+        return self.members[self.member_ptr[i] : self.member_ptr[i + 1]]
+
+    def node(self, i: int) -> CodeNode:
+        """Node i as a :class:`CodeNode`, built on each call."""
+        parent, label = int(self.parent[i]), int(self.label[i])
+        aggregates = None
+        if self.aggregates is not None:
+            agg = self.aggregates
+            at = slice(agg.ptr[i], agg.ptr[i + 1])
+            aggregates = {
+                item: ItemAggregate(*values)
+                for item, *values in zip(agg.item[at].tolist(), agg.rating[at].tolist(),
+                                         agg.rater_mean[at].tolist(), agg.raters[at].tolist())
+            }
+        return CodeNode(
+            node_id=i, tree=int(self.tree[i]), depth=int(self.depth[i]),
+            mbr=Mbr(self.low[i].copy(), self.upp[i].copy()),
+            parent=None if parent < 0 else parent,
+            children=tuple(self.children_of(i).tolist()),
+            members=tuple(self.members_of(i).tolist()),
+            label=label or None, aggregates=aggregates,
+        )
+
+    @classmethod
+    def from_nodes(cls, nodes) -> "NodeArrays":
+        """Columns of hand-assembled nodes. Node i must have id i, and every
+        node's children must be the nodes that name it as parent, ascending
+        (:class:`ParseError` otherwise, as for a dump)."""
+        for i, n in enumerate(nodes):
+            if n.node_id != i:
+                raise ValueError(f"node {i} carries id {n.node_id}; ids must run 0..N-1 in order")
+        members = [np.asarray(n.members, dtype=np.intp) for n in nodes]
+        aggregates = None
+        if any(n.aggregates is not None for n in nodes):
+            rows = [sorted((n.aggregates or {}).items()) for n in nodes]
+            flat = [(item, *agg) for row in rows for item, agg in row]
+            aggregates = Aggregates(
+                _ptr([len(row) for row in rows]),
+                np.array([e[0] for e in flat], dtype=np.intp),
+                np.array([e[1] for e in flat], dtype=float),
+                np.array([e[2] for e in flat], dtype=float),
+                np.array([e[3] for e in flat], dtype=np.intp),
+            )
+        arrays = cls(
+            tree=np.array([n.tree for n in nodes], dtype=np.intp),
+            depth=np.array([n.depth for n in nodes], dtype=np.intp),
+            parent=np.array([-1 if n.parent is None else n.parent for n in nodes], dtype=np.intp),
+            label=np.array([n.label or 0 for n in nodes], dtype=int),
+            low=np.array([n.mbr.low for n in nodes], dtype=float),
+            upp=np.array([n.mbr.upp for n in nodes], dtype=float),
+            member_ptr=_ptr([len(m) for m in members]),
+            members=np.concatenate(members) if members else np.zeros(0, dtype=np.intp),
+            aggregates=aggregates,
+        )
+        listed = (_ptr([len(n.children) for n in nodes]),
+                  np.array([c for n in nodes for c in n.children], dtype=np.intp))
+        _check_children(arrays, listed, [None] * len(nodes))
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -165,17 +295,15 @@ def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
     node above the deepest view has a child, and every box lies inside its
     parent's box. Refined scans rely on all three.
     """
-    parent = np.array([-1 if n.parent is None else n.parent for n in book.nodes], dtype=np.intp)
-    depth_of = np.array([n.depth for n in book.nodes])
+    nodes = book.arrays
     columns = {}
     for depth in range(book.usable_depth() + 1):
-        ids = np.flatnonzero(depth_of == depth)
-        nodes = [book.nodes[i] for i in ids]
-        low = np.array([n.mbr.low for n in nodes])
-        upp = np.array([n.mbr.upp for n in nodes])
+        ids = np.flatnonzero(nodes.depth == depth)
+        low = nodes.low.take(ids, axis=0)
+        upp = nodes.upp.take(ids, axis=0)
         offsets, up = {}, ids
         for shallower in range(depth - 1, -1, -1):
-            up = parent[up]
+            up = nodes.parent[up]
             above = columns[shallower].ids
             rows = np.searchsorted(above, up)  # each node's ancestor row at that depth
             if shallower == depth - 1:
@@ -188,7 +316,7 @@ def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
             ids=ids,
             low=low,
             upp=upp,
-            labels=np.array([0 if n.label is None else n.label for n in nodes], dtype=int),
+            labels=nodes.label[ids],
             offsets=offsets,
         )
     return columns
@@ -216,31 +344,44 @@ def _check_nesting(above: CodeColumns, ids, low, upp, parents, offsets):
 
 @dataclass(frozen=True)
 class CodeBook:
+    """A codebook: its nodes as columns, plus how it was built.
+
+    ``arrays`` may also be given as a sequence of :class:`CodeNode` (node i
+    with id i), as hand-assembled books are; it is turned into columns
+    once. :meth:`node` and :attr:`nodes` build node objects on request.
+    """
+
     kind: str
-    nodes: tuple[CodeNode, ...]
+    arrays: NodeArrays
     roots: tuple[int, ...]
     config: dict
     seed: int
     features: np.ndarray | None = None  # CF coders: the user feature matrix
     warnings: tuple[str, ...] = ()
-    _codes: dict = field(default=None, repr=False, compare=False)
+    _codes: dict = field(default=None, init=False, repr=False, compare=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_depth: dict[int, list[int]] = {}
-        usable = self.usable_depth()
-        for node in self.nodes:
-            if 1 <= node.depth <= usable:
-                by_depth.setdefault(node.depth, []).append(node.node_id)
-        codes = {d: Code(d, tuple(ids)) for d, ids in by_depth.items()}
+        if not isinstance(self.arrays, NodeArrays):
+            object.__setattr__(self, "arrays", NodeArrays.from_nodes(tuple(self.arrays)))
+        object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
+        depth = self.arrays.depth
+        codes = {d: Code(d, tuple(np.flatnonzero(depth == d).tolist()))
+                 for d in range(1, self.usable_depth() + 1)}
         object.__setattr__(self, "_codes", codes)
 
+    @property
+    def nodes(self) -> tuple[CodeNode, ...]:
+        """Every node as a :class:`CodeNode`, built on each access."""
+        return tuple(self.arrays.node(i) for i in range(len(self.arrays)))
+
     def node(self, node_id: int) -> CodeNode:
-        return self.nodes[node_id]
+        """One node as a :class:`CodeNode`, built on each call."""
+        return self.arrays.node(range(len(self.arrays))[node_id])
 
     def tree_depth(self, tree: int) -> int:
-        return max(n.depth for n in self.nodes if n.tree == tree)
+        return int(self.arrays.depth[self.arrays.tree == tree].max())
 
     def usable_depth(self) -> int:
         """Deepest depth present in every tree; deeper levels are unusable."""
@@ -282,24 +423,27 @@ class CodeBook:
         table = self._deviations.get(depth)
         if table is None:
             ids = self.columns(depth).ids
-            items, rows, devs = [], [], []
-            for row, nid in enumerate(ids.tolist()):
-                for item, agg in (self.nodes[nid].aggregates or {}).items():
-                    items.append(item)
-                    rows.append(row)
-                    devs.append(agg.rating - agg.rater_mean)
-            table = deviation_table(max(items, default=0) + 1, len(ids), items, rows, devs)
+            agg = self.arrays.aggregates
+            if agg is None:
+                table = deviation_table(1, len(ids), [], [], [])
+            else:
+                starts, stops = agg.ptr[ids], agg.ptr[ids + 1]
+                at = _ranges(starts, stops)
+                items = agg.item[at]
+                rows = np.repeat(np.arange(len(ids)), stops - starts)
+                table = deviation_table(int(items.max(initial=0)) + 1, len(ids), items, rows,
+                                        agg.rating[at] - agg.rater_mean[at])
             self._deviations[depth] = table  # a single dict store, as in columns()
         return table
 
     def ancestor_at(self, node_id: int, depth: int) -> int:
         """The id of the node's ancestor at the given shallower depth."""
-        node = self.nodes[node_id]
-        while node.depth > depth:
-            node = self.nodes[node.parent]
-        if node.depth != depth:
+        nodes, at = self.arrays, int(node_id)
+        while nodes.depth[at] > depth:
+            at = int(nodes.parent[at])
+        if nodes.depth[at] != depth:
             raise ValueError(f"node {node_id} has no ancestor at depth {depth}")
-        return node.node_id
+        return at
 
 
 def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
@@ -326,11 +470,7 @@ def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
         ids = np.fromiter(state.retained, dtype=np.intp, count=len(state.retained))
         retained = at_state.rows(np.sort(ids))
     offsets = book.columns(depth).offsets[state.depth]
-    stops = offsets[retained + 1]
-    lengths = stops - offsets[retained]
-    ends = np.cumsum(lengths)  # where each run ends among the candidates
-    # candidate c of the run ending at e has row stop - (e - c)
-    return np.repeat(stops - ends, lengths) + np.arange(ends[-1] if len(ends) else 0)
+    return _ranges(offsets[retained], offsets[retained + 1])
 
 
 def select_code(book: CodeBook, length_budget: int) -> Code:
@@ -351,8 +491,9 @@ def select_code(book: CodeBook, length_budget: int) -> Code:
 
 
 def total_mbr_volume(book: CodeBook, code: Code) -> float:
-    """Sum of bounding-box volumes over the code's nodes."""
-    return sum(book.node(i).mbr.volume() for i in code.node_ids)
+    """Sum of bounding-box volumes over the code's nodes, added in node order."""
+    ids = np.asarray(code.node_ids, dtype=np.intp)
+    return sum(np.prod(book.arrays.upp[ids] - book.arrays.low[ids], axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +528,31 @@ class _Builder:
     """Accumulates nodes for one codebook; node ids are assigned in construction order."""
 
     def __init__(self):
-        self.nodes: list[dict] = []
+        self.tree: list[int] = []
+        self.depth: list[int] = []
+        self.parent: list[int] = []
+        self.label: list[int] = []
+        self.members: list[np.ndarray] = []
 
-    def add(self, tree, depth, mbr, parent, members, label=None) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(
-            dict(node_id=nid, tree=tree, depth=depth, mbr=mbr, parent=parent,
-                 children=[], members=members, label=label, aggregates=None)
-        )
-        if parent is not None:
-            self.nodes[parent]["children"].append(nid)
-        return nid
+    def add(self, tree, depth, parent, members, label=None) -> int:
+        self.tree.append(tree)
+        self.depth.append(depth)
+        self.parent.append(-1 if parent is None else parent)
+        self.label.append(label or 0)
+        self.members.append(members)
+        return len(self.tree) - 1
 
-    def build_rtree(self, X: np.ndarray, tree: int, max_entries: int, leaf_capacity: int, label=None) -> int:
+    def build_rtree(self, X: np.ndarray, tree: int, max_entries: int, leaf_capacity: int,
+                    label=None, rows=None) -> int:
+        """Bulk load one R-tree over the rows of X; returns the root's id.
+
+        Members are X's row numbers, or ``rows[i]`` for row i of X when
+        ``rows`` (the dataset rows X was taken from) is given.
+        """
         height = _tree_height(len(X), max_entries, leaf_capacity)
 
         def rec(order: np.ndarray, remaining: int, depth: int, parent):
-            mbr = Mbr.of_points(X[order])
-            nid = self.add(tree, depth, mbr, parent, tuple(int(i) for i in order), label)
+            nid = self.add(tree, depth, parent, order if rows is None else rows[order], label)
             if remaining == 0:
                 return nid
             child_cap = leaf_capacity * max_entries ** (remaining - 1)
@@ -416,16 +564,35 @@ class _Builder:
 
         return rec(np.arange(len(X)), height, 0, None)
 
-    def finish(self, kind, roots, config, seed, features=None, warnings=()) -> CodeBook:
-        nodes = tuple(
-            CodeNode(
-                node_id=nd["node_id"], tree=nd["tree"], depth=nd["depth"], mbr=nd["mbr"],
-                parent=nd["parent"], children=tuple(nd["children"]), members=nd["members"],
-                label=nd["label"], aggregates=nd["aggregates"],
-            )
-            for nd in self.nodes
+    def finish(self, kind, roots, config, seed, points, matrix=None, features=None,
+               warnings=()) -> CodeBook:
+        """The book. Each box bounds the node's members' rows of ``points``;
+        given a rating matrix, each node aggregates its members' ratings."""
+        member_ptr = _ptr([len(m) for m in self.members])
+        if not np.diff(member_ptr).all():
+            raise ValueError("every node needs at least one member")
+        members = np.concatenate(self.members).astype(np.intp, copy=False)
+        points = np.asarray(points, dtype=float)
+        at = points.take(members, axis=0)
+        low = np.minimum.reduceat(at, member_ptr[:-1], axis=0)
+        upp = np.maximum.reduceat(at, member_ptr[:-1], axis=0)
+        # min and max break a tie of 0.0 and -0.0 by position, which these
+        # loops and Mbr.of_points visit in different orders
+        for i in np.flatnonzero((low == 0).any(axis=1) | (upp == 0).any(axis=1)).tolist():
+            box = Mbr.of_points(points[self.members[i]])
+            low[i], upp[i] = box.low, box.upp
+        arrays = NodeArrays(
+            tree=np.array(self.tree, dtype=np.intp),
+            depth=np.array(self.depth, dtype=np.intp),
+            parent=np.array(self.parent, dtype=np.intp),
+            label=np.array(self.label, dtype=int),
+            low=low,
+            upp=upp,
+            member_ptr=member_ptr,
+            members=members,
+            aggregates=None if matrix is None else _aggregate_nodes(matrix, member_ptr, members),
         )
-        return CodeBook(kind, nodes, tuple(roots), dict(config), seed,
+        return CodeBook(kind, arrays, tuple(roots), dict(config), seed,
                         features=features, warnings=tuple(warnings))
 
 
@@ -449,24 +616,20 @@ def build_dual_rtrees(
     warnings = []
     builder = _Builder()
     roots = []
-    index_maps = []
+    heights = []
     for tree, label in enumerate((POSITIVE, NEGATIVE)):
         rows = np.flatnonzero(train.labels == label)
-        roots.append(builder.build_rtree(train.features[rows], tree, max_entries, leaf_capacity, label))
-        index_maps.append(rows)
-    # node members refer to per-class row order; remap to dataset row indices
-    for nd in builder.nodes:
-        rows = index_maps[nd["tree"]]
-        nd["members"] = tuple(int(rows[i]) for i in nd["members"])
+        roots.append(builder.build_rtree(train.features[rows], tree, max_entries, leaf_capacity,
+                                         label, rows))
+        heights.append(_tree_height(len(rows), max_entries, leaf_capacity))
     config = {"max_entries": max_entries, "leaf_capacity": leaf_capacity, "task": "knn"}
-    heights = [max(nd["depth"] for nd in builder.nodes if nd["tree"] == t) for t in (0, 1)]
     if heights[0] != heights[1]:
         warnings.append(
             f"tree heights differ ({heights[0]} vs {heights[1]}); depths beyond {min(heights)} dropped"
         )
     if min(heights) < 1:
         warnings.append("a class tree is a single leaf; no usable code exists")
-    return builder.finish(KIND_DUAL, roots, config, seed, warnings=warnings)
+    return builder.finish(KIND_DUAL, roots, config, seed, train.features, warnings=warnings)
 
 
 def aggregate_ratings(matrix: RatingMatrix, users: Iterable[int]) -> dict[int, ItemAggregate]:
@@ -492,9 +655,31 @@ def aggregate_ratings(matrix: RatingMatrix, users: Iterable[int]) -> dict[int, I
     }
 
 
-def _attach_aggregates(builder: _Builder, matrix: RatingMatrix):
-    for nd in builder.nodes:
-        nd["aggregates"] = aggregate_ratings(matrix, (m + 1 for m in nd["members"]))
+def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.ndarray) -> Aggregates:
+    """:func:`aggregate_ratings` of every node at once; members are 0-based user rows.
+
+    The sums run over (node, member) pairs in member order through
+    ``bincount``, which adds one weight at a time, so every value equals
+    the scalar definition's bit for bit.
+    """
+    rated = [matrix.user_ratings(u) for u in range(1, matrix.num_users + 1)]
+    user_ptr = _ptr([len(row) for row in rated])
+    items = np.fromiter((i for row in rated for i in row), dtype=np.intp, count=user_ptr[-1])
+    ratings = np.fromiter((r for row in rated for r in row.values()), dtype=float, count=user_ptr[-1])
+    means = np.array([sum(row.values()) / len(row) if row else 0.0 for row in rated])
+    counts = user_ptr[members + 1] - user_ptr[members]
+    entries = _ranges(user_ptr[members], user_ptr[members + 1])  # (node, member, item) order
+    owner = np.repeat(np.repeat(np.arange(len(member_ptr) - 1), np.diff(member_ptr)), counts)
+    width = matrix.num_items + 1
+    keys, slot = np.unique(owner * width + items[entries], return_inverse=True)
+    raters = np.bincount(slot)
+    return Aggregates(
+        ptr=np.searchsorted(keys // width, np.arange(len(member_ptr))),
+        item=keys % width,
+        rating=np.bincount(slot, weights=ratings[entries]) / raters,
+        rater_mean=np.bincount(slot, weights=np.repeat(means[members], counts)) / raters,
+        raters=raters,
+    )
 
 
 def build_cf_codebook(
@@ -519,12 +704,12 @@ def build_cf_codebook(
     leaf_capacity = leaf_capacity or max_entries
     builder = _Builder()
     root = builder.build_rtree(values, 0, max_entries, leaf_capacity)
-    _attach_aggregates(builder, matrix)
     config = {"max_entries": max_entries, "leaf_capacity": leaf_capacity, "task": "cf"}
     warnings = []
-    if builder.nodes[root]["children"] == []:
+    if len(builder.tree) == 1:
         warnings.append("tree is a single leaf; no usable code exists")
-    return builder.finish(KIND_CF, [root], config, seed, features=values, warnings=warnings)
+    return builder.finish(KIND_CF, [root], config, seed, values, matrix, features=values,
+                          warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +782,7 @@ def build_kmeans_codebook(
     builder = _Builder()
 
     def rec(order: np.ndarray, depth: int, parent):
-        nid = builder.add(0, depth, Mbr.of_points(values[order]), parent,
-                          tuple(int(i) for i in order))
+        nid = builder.add(0, depth, parent, order)
         if depth >= depth_limit:
             return nid
         if len(order) < branching:
@@ -616,12 +800,12 @@ def build_kmeans_codebook(
         return nid
 
     root = rec(np.arange(matrix.num_users), 0, None)
-    _attach_aggregates(builder, matrix)
     config = {
         "branching": branching, "depth_limit": depth_limit,
         "iterations": iterations, "task": "cf",
     }
-    return builder.finish(KIND_KMEANS, [root], config, seed, features=values, warnings=warnings)
+    return builder.finish(KIND_KMEANS, [root], config, seed, values, matrix, features=values,
+                          warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -641,19 +825,14 @@ def _hierarchy_depth(spec) -> int:
     return depths.pop() + 1
 
 
-def _build_hierarchy(builder: _Builder, spec, points: np.ndarray, tree: int, depth, parent, label):
+def _build_hierarchy(builder: _Builder, spec, tree: int, depth, parent, label):
     if _is_leaf_spec(spec):
-        members = tuple(int(i) for i in spec)
-        mbr = Mbr.of_points(points[list(members)])
-        return builder.add(tree, depth, mbr, parent, members, label), members
-    nid = builder.add(tree, depth, Mbr.of_points(points[:1]), parent, (), label)
-    all_members: list[int] = []
-    for child in spec:
-        _, members = _build_hierarchy(builder, child, points, tree, depth + 1, nid, label)
-        all_members.extend(members)
-    builder.nodes[nid]["members"] = tuple(all_members)
-    builder.nodes[nid]["mbr"] = Mbr.of_points(points[all_members])
-    return nid, tuple(all_members)
+        members = np.array(spec, dtype=np.intp)
+        return builder.add(tree, depth, parent, members, label), members
+    nid = builder.add(tree, depth, parent, None, label)
+    children = [_build_hierarchy(builder, child, tree, depth + 1, nid, label)[1] for child in spec]
+    builder.members[nid] = np.concatenate(children)
+    return nid, builder.members[nid]
 
 
 def dual_book_from_hierarchy(train: LabeledDataset, positive_spec, negative_spec) -> CodeBook:
@@ -666,9 +845,9 @@ def dual_book_from_hierarchy(train: LabeledDataset, positive_spec, negative_spec
     roots = []
     for tree, (spec, label) in enumerate(((positive_spec, POSITIVE), (negative_spec, NEGATIVE))):
         _hierarchy_depth(spec)
-        nid, _ = _build_hierarchy(builder, spec, train.features, tree, 0, None, label)
+        nid, _ = _build_hierarchy(builder, spec, tree, 0, None, label)
         roots.append(nid)
-    return builder.finish(KIND_DUAL, roots, {"task": "knn", "source": "explicit"}, 0)
+    return builder.finish(KIND_DUAL, roots, {"task": "knn", "source": "explicit"}, 0, train.features)
 
 
 def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBook:
@@ -686,10 +865,9 @@ def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBoo
     builder = _Builder()
     rows_spec = to_rows(spec)
     _hierarchy_depth(rows_spec)
-    root, _ = _build_hierarchy(builder, rows_spec, values, 0, 0, None, None)
-    _attach_aggregates(builder, matrix)
+    root, _ = _build_hierarchy(builder, rows_spec, 0, 0, None, None)
     return builder.finish(
-        KIND_CF, [root], {"task": "cf", "source": "explicit"}, 0, features=values
+        KIND_CF, [root], {"task": "cf", "source": "explicit"}, 0, values, matrix, features=values
     )
 
 
@@ -697,11 +875,23 @@ def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBoo
 # Persistence: canonical, versioned structured text
 
 
-def _fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of every value of an 8-byte array, flattened; formatted once
+    per distinct value, told apart by bits so that 0.0 and -0.0 differ."""
+    flat = np.ascontiguousarray(values).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = list(map(fmt, bits.view(flat.dtype).tolist()))
+    return [text[k] for k in inverse.tolist()]
+
+
+def _joined_rows(ptr: np.ndarray, text: list[str]) -> list[str]:
+    """Each compressed row's texts as one space-separated string."""
+    bounds = ptr.tolist()
+    return [" ".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def dump_codebook(book: CodeBook) -> str:
+    nodes = book.arrays
     lines = [f"{MAGIC} {FORMAT_VERSION}"]
     lines.append(f"kind {book.kind}")
     lines.append(f"seed {book.seed}")
@@ -714,22 +904,32 @@ def dump_codebook(book: CodeBook) -> str:
     else:
         m, d = book.features.shape
         lines.append(f"features {m} {d}")
-        for row in book.features:
-            lines.append("F " + _fmt_floats(row))
-    lines.append(f"nodes {len(book.nodes)}")
-    for node in book.nodes:
-        parent = "-" if node.parent is None else str(node.parent)
-        label = "-" if node.label is None else str(node.label)
+        lines.extend("F " + " ".join(map(repr, row)) for row in book.features.tolist())
+    lines.append(f"nodes {len(nodes)}")
+    parents = ["-" if p < 0 else str(p) for p in nodes.parent.tolist()]
+    labels = ["-" if x == 0 else str(x) for x in nodes.label.tolist()]
+    box_ptr = np.arange(len(nodes) + 1) * nodes.low.shape[1]
+    low = _joined_rows(box_ptr, _texts(nodes.low, repr))
+    upp = _joined_rows(box_ptr, _texts(nodes.upp, repr))
+    child_ptr, child_ids = nodes.child_csr
+    children = _joined_rows(child_ptr, list(map(str, child_ids.tolist())))
+    members = _joined_rows(nodes.member_ptr, list(map(str, nodes.members.tolist())))
+    agg = nodes.aggregates
+    if agg is None:
+        agg_lines, agg_ptr = [], [0] * (len(nodes) + 1)
+    else:
+        owner = np.repeat(np.arange(len(nodes)), np.diff(agg.ptr))
+        agg_lines = list(map(" ".join, zip(
+            repeat("A"), _texts(owner, str), _texts(agg.item, str), _texts(agg.rating, repr),
+            _texts(agg.rater_mean, repr), _texts(agg.raters, str),
+        )))
+        agg_ptr = agg.ptr.tolist()
+    for i, (tree, depth) in enumerate(zip(nodes.tree.tolist(), nodes.depth.tolist())):
         lines.append(
-            f"N {node.node_id} {node.tree} {node.depth} {parent} {label}"
-            f" C {' '.join(str(c) for c in node.children)}"
-            f" M {_fmt_floats(node.mbr.low)} | {_fmt_floats(node.mbr.upp)}"
-            f" P {' '.join(str(p) for p in node.members)}"
+            f"N {i} {tree} {depth} {parents[i]} {labels[i]} C {children[i]}"
+            f" M {low[i]} | {upp[i]} P {members[i]}"
         )
-        if node.aggregates is not None:
-            for item in sorted(node.aggregates):
-                agg = node.aggregates[item]
-                lines.append(f"A {node.node_id} {item} {agg.rating!r} {agg.rater_mean!r} {agg.raters}")
+        lines.extend(agg_lines[agg_ptr[i] : agg_ptr[i + 1]])
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -739,105 +939,297 @@ def save_codebook(book: CodeBook, path) -> None:
         fh.write(dump_codebook(book))
 
 
+_HEADER_TAGS = ("kind", "seed", "config", "roots", "features", "nodes")
+_AGGREGATE_LINE = np.dtype([("tag", "U1"), ("owner", np.intp), ("item", np.intp),
+                            ("rating", float), ("rater_mean", float), ("raters", np.intp)])
+
+
+def _require(ok, at, message):
+    """Raise :class:`ParseError` at line ``at[r]`` for the first row r where
+    ``ok`` is False; ``message(r)`` says what is wrong."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if len(bad):
+        raise ParseError(message(bad[0]), at[bad[0]])
+
+
+def _numbers(tokens: list[str], convert, dtype, tag: str, line_of) -> np.ndarray:
+    """The tokens converted in one pass; ``line_of(k)`` is the line of token k."""
+    try:
+        return np.fromiter(map(convert, tokens), dtype=dtype, count=len(tokens))
+    except (ValueError, OverflowError):
+        for k, token in enumerate(tokens):
+            try:
+                np.array(convert(token), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"malformed {tag!r} line ({exc})", line_of(k)) from None
+        raise
+
+
+def _loadtxt(rows: list[str], dtype) -> np.ndarray | None:
+    try:
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _table(rows: list[str], at, dtype, tag: str, want: str) -> np.ndarray:
+    """Rows of whitespace-separated values read by numpy's C reader, one
+    record of ``dtype`` per row. The reader accepts a subset of what
+    ``int`` and ``float`` accept, with the same values; the first row it
+    rejects raises :class:`ParseError` at its line, found by bisection."""
+    table = _loadtxt(rows, dtype) if rows else np.zeros(0, dtype)
+    if table is not None and len(table) == len(rows):
+        return table
+    _require([bool(row.strip()) for row in rows], at, lambda r: f"empty {tag!r} line")
+    lo, hi = 0, len(rows)  # the first rejected row lies in rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _loadtxt(rows[lo:mid], dtype) is None:
+            hi = mid
+        else:
+            lo = mid
+    raise ParseError(f"malformed {tag!r} line (want {want})", at[lo])
+
+
+def _parent_id(token: str) -> int:
+    if token == "-":
+        return -1
+    if int(token) < 0:
+        raise ValueError(f"parent id {token} is negative")
+    return int(token)
+
+
+def _label(token: str) -> int:
+    if token not in ("-", "1", "-1"):
+        raise ValueError(f"label {token!r} is not 1, -1 or -")
+    return 0 if token == "-" else int(token)
+
+
+def _shape(rest: str) -> tuple[int, int]:
+    m, d = (int(t) for t in rest.split())
+    if m < 0 or d < 0:
+        raise ValueError("negative size")
+    return m, d
+
+
+def _in_rows(ptr: np.ndarray, at):
+    """The line of entry k of compressed rows whose row r sits on line ``at[r]``."""
+    return lambda k: at[int(np.searchsorted(ptr, k, side="right")) - 1]
+
+
+def _take_rows(ptr: np.ndarray, values: np.ndarray, order: np.ndarray):
+    """Compressed rows reordered so that row r is old row ``order[r]``."""
+    return _ptr(np.diff(ptr)[order]), values[_ranges(ptr[order], ptr[order + 1])]
+
+
+def _read_features(bodies, at, m, d, lineno) -> np.ndarray | None:
+    if len(bodies) != m:
+        raise ParseError(f"'features {m} {d}' but {len(bodies)} 'F' lines", lineno)
+    if not m:
+        return None
+    values = _table(bodies, at, [("f", float, (d,))], "F", f"{d} values")["f"]
+    _require(np.isfinite(values).all(axis=1), at, lambda r: "non-finite value in an 'F' line")
+    return np.ascontiguousarray(values)
+
+
+def _member_rows(rows: list[str], at) -> tuple[np.ndarray, np.ndarray]:
+    """The member lists of 'N' lines as compressed rows."""
+    joined = " ".join(rows)
+    if joined and "  " not in joined and joined[0] != " " and joined[-1] != " ":
+        # single spaces only: each row's spaces count its members
+        counts = np.fromiter(map(str.count, rows, repeat(" ")), np.intp, len(rows)) + 1
+        values = _loadtxt([joined], np.intp)
+        if values is not None and len(values) == counts.sum():
+            return _ptr(counts), values
+    split = [row.split() for row in rows]
+    ptr = _ptr(list(map(len, split)))
+    return ptr, _numbers([t for row in split for t in row], int, np.intp, "N", _in_rows(ptr, at))
+
+
+def _boxes(rows: list[str], at) -> tuple[np.ndarray, np.ndarray]:
+    """The 'low | upp' boxes of 'N' lines as two (N, d) arrays."""
+    d = len(rows[0].split()) // 2 if rows else 1
+    want = f"{d} low values, '|' and {d} upp values after 'M'"
+    if not d:
+        raise ParseError(f"malformed 'N' line (want {want})", at[0])
+    table = _table(rows, at, [("low", float, (d,)), ("bar", "U2"), ("upp", float, (d,))], "N", want)
+    _require(table["bar"] == "|", at, lambda r: f"malformed 'N' line (want {want})")
+    low, upp = np.ascontiguousarray(table["low"]), np.ascontiguousarray(table["upp"])
+    _require(np.isfinite(low).all(axis=1) & np.isfinite(upp).all(axis=1), at,
+             lambda r: "non-finite box coordinate in an 'N' line")
+    _require((low <= upp).all(axis=1), at,
+             lambda r: "malformed 'N' line (MBR requires low_i <= upp_i in every dimension)")
+    return low, upp
+
+
+def _read_nodes(bodies, at, agg_lines, agg_at):
+    """The columns of the 'N' and 'A' lines, the child lists as written and
+    each node's line number, in node id order."""
+    heads, children, child_counts, box_rows, member_rows = [], [], [], [], []
+    for body, lineno in zip(bodies, at):
+        head, marked, rest = body.partition(" M ")
+        box_row, marked_p, member_row = rest.partition(" P ")
+        toks = head.split()
+        if not (marked and marked_p and len(toks) > 5 and toks[5] == "C"):
+            raise ParseError("malformed 'N' line (want 5 fields, then C, M and P lists)", lineno)
+        heads += toks[:5]
+        children += toks[6:]
+        child_counts.append(len(toks) - 6)
+        box_rows.append(box_row)
+        member_rows.append(member_row)
+    n, line = len(bodies), at.__getitem__
+    nid = _numbers(heads[0::5], int, np.intp, "N", line)
+    tree = _numbers(heads[1::5], int, np.intp, "N", line)
+    depth = _numbers(heads[2::5], int, np.intp, "N", line)
+    parent = _numbers(heads[3::5], _parent_id, np.intp, "N", line)
+    label = _numbers(heads[4::5], _label, int, "N", line)
+    child_ptr = _ptr(child_counts)
+    child_ids = _numbers(children, int, np.intp, "N", _in_rows(child_ptr, at))
+    member_ptr, member_ids = _member_rows(member_rows, at)
+    negative = np.flatnonzero(member_ids < 0)
+    if len(negative):
+        raise ParseError("negative member in an 'N' line", _in_rows(member_ptr, at)(negative[0]))
+    low, upp = _boxes(box_rows, at)
+    at = np.asarray(at, dtype=np.intp)
+    if not np.array_equal(nid, np.arange(n)):
+        order = np.argsort(nid, kind="stable")
+        _require(nid[order] == np.arange(n), at[order],
+                 lambda r: f"node id {nid[order[r]]} repeats or skips an id: ids run 0..{n - 1}")
+        tree, depth, parent, label, low, upp, at = (
+            x[order] for x in (tree, depth, parent, label, low, upp, at))
+        child_ptr, child_ids = _take_rows(child_ptr, child_ids, order)
+        member_ptr, member_ids = _take_rows(member_ptr, member_ids, order)
+    arrays = NodeArrays(tree=tree, depth=depth, parent=parent, label=label, low=low, upp=upp,
+                        member_ptr=member_ptr, members=member_ids,
+                        aggregates=_read_aggregates(agg_lines, agg_at, n) if agg_lines else None)
+    return arrays, (child_ptr, child_ids), at
+
+
+def _read_aggregates(lines, at, n) -> Aggregates:
+    """The aggregates of whole 'A' lines."""
+    table = _table(lines, at, _AGGREGATE_LINE, "A",
+                   "node id, item id, rating, rater mean and rater count")
+    owner, item, rating, rater_mean, raters = (table[f] for f in _AGGREGATE_LINE.names[1:])
+    _require(np.isfinite(rating) & np.isfinite(rater_mean), at,
+             lambda r: "non-finite value in an 'A' line")
+    _require((owner >= 0) & (owner < n), at,
+             lambda r: f"aggregate of node {owner[r]}, which has no 'N' line")
+    _require(item >= 1, at, lambda r: f"item id {item[r]} must be >= 1")
+    order = np.lexsort((item, owner))
+    owner, item = owner[order], item[order]
+    repeated = np.r_[False, (np.diff(owner) == 0) & (np.diff(item) == 0)]
+    _require(~repeated, np.asarray(at)[order],
+             lambda r: f"a second aggregate of item {item[r]} in node {owner[r]}")
+    return Aggregates(np.searchsorted(owner, np.arange(n + 1)), item, rating[order],
+                      rater_mean[order], raters[order])
+
+
+def _check_links(nodes: NodeArrays, roots, at, roots_at):
+    """Raise :class:`ParseError` unless every tree has its root and every
+    other node a parent one depth above it in its tree."""
+    n, tree, depth, parent = len(nodes), nodes.tree, nodes.depth, nodes.parent
+    if not roots:
+        raise ParseError("the 'roots' line names no node", roots_at)
+    for t, r in enumerate(roots):
+        if not (0 <= r < n and depth[r] == 0 and tree[r] == t):
+            raise ParseError(f"root {r} of tree {t} is not a depth-0 node of that tree", roots_at)
+    _require((tree >= 0) & (tree < len(roots)), at,
+             lambda i: f"node {i} is in tree {tree[i]} of {len(roots)}")
+    _require(depth >= 0, at, lambda i: f"node {i} has negative depth {depth[i]}")
+    _require((depth > 0) | np.isin(np.arange(n), roots), at,
+             lambda i: f"node {i} at depth 0 is no root")
+    _require((depth == 0) | (parent >= 0), at,
+             lambda i: f"node {i} at depth {depth[i]} has no parent")
+    _require((depth > 0) | (parent < 0), at, lambda i: f"root {i} has parent {parent[i]}")
+    _require(parent < n, at, lambda i: f"node {i} names parent {parent[i]}, which has no 'N' line")
+    up = np.maximum(parent, 0)
+    _require((parent < 0) | ((depth[up] == depth - 1) & (tree[up] == tree)), at,
+             lambda i: f"node {i} at depth {depth[i]} of tree {tree[i]} has parent {parent[i]}"
+                       f" at depth {depth[parent[i]]} of tree {tree[parent[i]]}")
+
+
+def _check_children(nodes: NodeArrays, listed, at):
+    """Raise :class:`ParseError` unless each node lists, in order, the nodes naming it as parent."""
+    (ptr, ids), (listed_ptr, listed_ids) = nodes.child_csr, listed
+    wrong = np.diff(ptr) != np.diff(listed_ptr)
+    if not wrong.any():
+        wrong[np.searchsorted(ptr, np.flatnonzero(ids != listed_ids), side="right") - 1] = True
+    _require(~wrong, at, lambda i: f"node {i} lists children"
+             f" {listed_ids[listed_ptr[i]:listed_ptr[i + 1]].tolist()}"
+             f" but nodes {nodes.children_of(i).tolist()} name it as parent")
+
+
 def load_codebook(path_or_text) -> CodeBook:
     """Read a dump written by :func:`dump_codebook` (a path, or the text itself).
 
     A string is read as the text itself when it is empty, holds a newline
     or starts with the header's first token; any other string is a path.
-    A bad header, a malformed line, an item id below 1, a missing ``end``
-    line or a node count that differs from the ``nodes`` line raises
-    :class:`ParseError` with the 1-based line number. The columnar views
-    are built here, so a book out of tree order, with a childless node
-    above its deepest usable depth or with a box outside its parent's box
-    raises :class:`ParseError` too.
+    :class:`ParseError`, with the 1-based line number, is raised for: a
+    bad header; a missing ``end``, ``kind``, ``seed``, ``config``,
+    ``roots``, ``features`` or ``nodes`` line; a malformed line; a NaN or
+    infinite number; an item id below 1; an ``F`` line count or width that
+    differs from the ``features`` line; a node count that differs from the
+    ``nodes`` line; node ids that are not 0..N-1; a root that is not a
+    depth-0 node of its tree; a parent outside the depth above or another
+    tree; and a child list that differs from the children named by parent
+    links. The columnar views are built here, so a book out of tree
+    order, with a childless node above its deepest usable depth or with a
+    box outside its parent's box raises :class:`ParseError` too.
     """
     if isinstance(path_or_text, str) and (
         "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)
     ):
-        text = path_or_text
+        lines = path_or_text.splitlines()
     else:
         with open(path_or_text, encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
+            lines = fh.read().splitlines()
     if not lines or lines[0].split() != [MAGIC, str(FORMAT_VERSION)]:
         raise ParseError(f"unsupported codebook header {lines[0] if lines else ''!r}", 1)
-    kind = seed = config = None
-    roots: tuple[int, ...] = ()
+    header: dict[str, tuple[int, str]] = {}
     warnings: list[str] = []
-    features = None
-    feat_rows: list[list[float]] = []
-    nodes: dict[int, dict] = {}
-    declared = declared_at = None
-    ended = False
+    # 'N' and 'F' line bodies follow their tag; 'A' lines are kept whole
+    body: dict[str, tuple[list[str], list[int]]] = {"N": ([], []), "A": ([], []), "F": ([], [])}
+    ended_at = None
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        if line == "end":
-            ended = True
-            continue
         tag, _, rest = line.partition(" ")
-        try:
-            if tag == "kind":
-                kind = rest
-            elif tag == "seed":
-                seed = int(rest)
-            elif tag == "config":
-                config = json.loads(rest)
-            elif tag == "warning":
-                warnings.append(rest)
-            elif tag == "roots":
-                roots = tuple(int(t) for t in rest.split())
-            elif tag == "features":
-                m, d = (int(t) for t in rest.split())
-                features = (m, d)
-            elif tag == "F":
-                feat_rows.append([float(t) for t in rest.split()])
-            elif tag == "N":
-                toks = rest.split()
-                nid, tree, depth = int(toks[0]), int(toks[1]), int(toks[2])
-                parent = None if toks[3] == "-" else int(toks[3])
-                label = None if toks[4] == "-" else int(toks[4])
-                ci = toks.index("C")
-                mi = toks.index("M")
-                pi = toks.index("P")
-                bar = toks.index("|")
-                children = tuple(int(t) for t in toks[ci + 1 : mi])
-                low = [float(t) for t in toks[mi + 1 : bar]]
-                upp = [float(t) for t in toks[bar + 1 : pi]]
-                members = tuple(int(t) for t in toks[pi + 1 :])
-                nodes[nid] = dict(
-                    node_id=nid, tree=tree, depth=depth, parent=parent, label=label,
-                    children=children, mbr=Mbr(np.array(low), np.array(upp)),
-                    members=members, aggregates=None,
-                )
-            elif tag == "A":
-                toks = rest.split()
-                nid, item = int(toks[0]), int(toks[1])
-                if item < 1:
-                    raise ParseError(f"item id {item} must be >= 1", lineno)
-                agg = ItemAggregate(float(toks[2]), float(toks[3]), int(toks[4]))
-                if nodes[nid]["aggregates"] is None:
-                    nodes[nid]["aggregates"] = {}
-                nodes[nid]["aggregates"][item] = agg
-            elif tag == "nodes":
-                declared, declared_at = int(rest), lineno
-            else:
-                raise ParseError(f"unknown codebook line tag {tag!r}", lineno)
-        except ParseError:
-            raise
-        except (ValueError, IndexError, KeyError) as exc:
-            raise ParseError(f"malformed {tag!r} line ({exc})", lineno) from None
-    if not ended:
+        rows = body.get(tag)
+        if rows is not None:
+            rows[0].append(line if tag == "A" else rest)
+            rows[1].append(lineno)
+        elif tag in _HEADER_TAGS:
+            header[tag] = (lineno, rest)
+        elif tag == "warning":
+            warnings.append(rest)
+        elif line == "end":
+            ended_at = lineno
+        elif line:
+            raise ParseError(f"unknown codebook line tag {tag!r}", lineno)
+    if ended_at is None:
         raise ParseError("no 'end' line: the codebook is truncated", len(lines) + 1)
-    if declared != len(nodes):
-        raise ParseError(f"'nodes {declared}' but {len(nodes)} node lines", declared_at)
-    feat_array = None
-    if features and features[0] > 0:
-        feat_array = np.array(feat_rows)
-    node_tuple = tuple(
-        CodeNode(**nodes[nid]) for nid in sorted(nodes)
-    )
-    book = CodeBook(kind, node_tuple, roots, config, seed,
-                    features=feat_array, warnings=tuple(warnings))
+    del lines
+    missing = [tag for tag in _HEADER_TAGS if tag not in header]
+    if missing:
+        raise ParseError(f"no {missing[0]!r} line", ended_at)
+
+    def read(tag, convert):
+        lineno, rest = header[tag]
+        try:
+            return convert(rest)
+        except ValueError as exc:
+            raise ParseError(f"malformed {tag!r} line ({exc})", lineno) from None
+
+    seed = read("seed", int)
+    config = read("config", json.loads)
+    roots = read("roots", lambda rest: tuple(int(t) for t in rest.split()))
+    m, d = read("features", _shape)
+    declared = read("nodes", int)
+    if declared != len(body["N"][0]):
+        raise ParseError(f"'nodes {declared}' but {len(body['N'][0])} node lines", header["nodes"][0])
+    features = _read_features(*body["F"], m, d, header["features"][0])
+    nodes, listed, at = _read_nodes(*body["N"], *body["A"])
+    _check_links(nodes, roots, at, header["roots"][0])
+    book = CodeBook(header["kind"][1], nodes, roots, config, seed,
+                    features=features, warnings=tuple(warnings))
     book.columns(0)  # builds the views, which checks the tree's structure
+    _check_children(nodes, listed, at)
     return book

@@ -20,7 +20,9 @@ import warnings as _warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coding import CodeBook, total_mbr_volume
+import numpy as np
+
+from .coding import Code, CodeBook, total_mbr_volume
 from .errors import AssumptionRequiredError, ResolutionInfeasibleError
 
 
@@ -112,19 +114,14 @@ def default_cell_volume(book: CodeBook) -> float:
     Chosen so every non-degenerate leaf box holds at least one possible
     point; the audit verdict is invariant to this constant anyway.
     """
-    deepest = book.code_at_depth(book.depths()[-1])
-    extents = []
-    for nid in deepest.node_ids:
-        mbr = book.node(nid).mbr
-        for e in (mbr.upp - mbr.low):
-            if e > 0:
-                extents.append(float(e))
-    if not extents:
+    ids = np.asarray(book.code_at_depth(book.depths()[-1]).node_ids)
+    extents = book.arrays.upp[ids] - book.arrays.low[ids]
+    positive = extents[extents > 0]
+    if not len(positive):
         raise ResolutionInfeasibleError(
             "every leaf box is a point; volumes carry no resolution signal"
         )
-    d = book.node(deepest.node_ids[0]).mbr.dimensionality
-    return (min(extents) / 2.0) ** d
+    return (float(positive.min()) / 2.0) ** extents.shape[1]
 
 
 def audit_entropy_monotonicity(
@@ -145,9 +142,9 @@ def audit_entropy_monotonicity(
     if len(depths) == 1:
         _warnings.warn("single usable code: the monotonicity verdict is vacuous")
     if m is None:
-        m = sum(book.node(r).count for r in book.roots)
+        m = int(np.diff(book.arrays.member_ptr)[list(book.roots)].sum())
     cell = cell_volume if cell_volume is not None else default_cell_volume(book)
-    root_volume = sum(book.node(r).mbr.volume() for r in book.roots)
+    root_volume = total_mbr_volume(book, Code(0, book.roots))
     volumes = [total_mbr_volume(book, book.code_at_depth(d)) for d in depths]
     lengths = [book.code_at_depth(d).length for d in depths]
     counts = [int(v / cell) for v in volumes]

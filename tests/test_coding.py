@@ -1,11 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.coding import Mbr, kmeans
 from elastic_mine.errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ParseError
 
 from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, leaf_with_members
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_dataset(n_pos, n_neg, d=2, seed=0):
@@ -379,6 +386,73 @@ class TestPersistence:
         with pytest.raises(ParseError, match="tree order"):
             em.load_codebook("".join(lines))
 
+    def test_missing_roots_line_rejected(self, fourclass_book):
+        lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
+        lines = [line for line in lines if not line.startswith("roots ")]
+        with pytest.raises(ParseError, match="no 'roots' line") as err:
+            em.load_codebook("".join(lines))
+        assert err.value.line == len(lines)  # the 'end' line
+
+    def test_root_must_be_a_depth_zero_node(self, fourclass_book):
+        text, at = edited(em.dump_codebook(fourclass_book), "roots ",
+                          lambda toks: toks.__setitem__(1, "1"))  # a depth-1 node
+        with pytest.raises(ParseError, match="not a depth-0 node") as err:
+            em.load_codebook(text)
+        assert err.value.line == at
+
+    def test_feature_rows_must_match_header(self, example_cf_book):
+        lines = em.dump_codebook(example_cf_book).splitlines(keepends=True)
+        last = max(n for n, line in enumerate(lines) if line.startswith("F "))
+        at = next(n for n, line in enumerate(lines) if line.startswith("features ")) + 1
+        with pytest.raises(ParseError, match="'F' lines") as err:
+            em.load_codebook("".join(lines[:last] + lines[last + 1 :]))
+        assert err.value.line == at
+
+    def test_ragged_feature_row_rejected(self, example_cf_book):
+        text, at = edited(em.dump_codebook(example_cf_book), "F ", lambda toks: toks.append("1.0"))
+        with pytest.raises(ParseError) as err:
+            em.load_codebook(text)
+        assert err.value.line == at
+
+    @pytest.mark.parametrize("prefix, index, value", [
+        ("N ", lambda toks: toks.index("M") + 1, "nan"),
+        ("N ", lambda toks: toks.index("|") + 1, "inf"),
+        ("A ", lambda toks: 4, "inf"),
+        ("A ", lambda toks: 3, "-inf"),
+        ("F ", lambda toks: 1, "nan"),
+    ], ids=["low", "upp", "rater-mean", "rating", "feature"])
+    def test_non_finite_numbers_rejected(self, example_cf_book, prefix, index, value):
+        text, at = edited(em.dump_codebook(example_cf_book), prefix,
+                          lambda toks: toks.__setitem__(index(toks), value))
+        with pytest.raises(ParseError, match="non-finite") as err:
+            em.load_codebook(text)
+        assert err.value.line == at
+
+    def test_child_list_must_match_parent_links(self, fourclass_book):
+        """A root listing its first child twice keeps every parent link intact."""
+        def repeat_first_child(toks):
+            c = toks.index("C")
+            toks[c + 2] = toks[c + 1]
+
+        text, at = edited(em.dump_codebook(fourclass_book), "N 0 ", repeat_first_child)
+        with pytest.raises(ParseError, match="lists children") as err:
+            em.load_codebook(text)
+        assert err.value.line == at
+
+    @pytest.mark.parametrize("edit", [
+        lambda toks: toks.__setitem__(5, "0"),
+        lambda toks: toks.__setitem__(4, "-3"),
+        lambda toks: toks.__setitem__(4, "0"),
+        lambda toks: toks.__setitem__(1, "1"),
+        lambda toks: toks.insert(toks.index("|"), "7.0"),
+        lambda toks: toks.remove("P"),
+    ], ids=["label-0", "negative-parent", "grandparent", "repeated-id", "uneven-box", "no-P"])
+    def test_malformed_node_line_reports_line(self, fourclass_book, edit):
+        text, at = edited(em.dump_codebook(fourclass_book), "N 2 ", edit)
+        with pytest.raises(ParseError) as err:
+            em.load_codebook(text)
+        assert err.value.line == at
+
     def test_node_count_must_match_header(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith("nodes "))
@@ -388,7 +462,117 @@ class TestPersistence:
         assert err.value.line == at + 1
 
 
+class TestV1Fixtures:
+    """Version 1 dumps written by the object-per-node implementation."""
+
+    def test_extra_spaces_load_the_same_book(self):
+        """Numbers a line spreads over doubled spaces take the token-by-token path."""
+        text = (DATA / "example_cf_v1.ecb").read_text()
+        spaced = "".join(line.replace(" ", "  ") if line[:2] in ("N ", "A ", "F ") else line
+                         for line in text.splitlines(keepends=True))
+        assert em.dump_codebook(em.load_codebook(spaced)) == text
+
+    @pytest.mark.parametrize("name", ["fourclass_dual_v1.ecb", "example_cf_v1.ecb"])
+    def test_load_and_dump_byte_for_byte(self, name):
+        text = (DATA / name).read_text(encoding="utf-8")
+        assert em.dump_codebook(em.load_codebook(DATA / name)) == text
+
+    def test_builders_write_the_fixtures(self, fourclass_book, example_cf_book):
+        assert em.dump_codebook(fourclass_book) == (DATA / "fourclass_dual_v1.ecb").read_text()
+        assert em.dump_codebook(example_cf_book) == (DATA / "example_cf_v1.ecb").read_text()
+
+
+@st.composite
+def dual_datasets(draw):
+    """Labeled points, some on an integer grid so that 0.0, -0.0 and ties occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos, neg = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    feats = rng.normal(0.0, 1.5, size=(pos + neg, draw(st.integers(1, 3))))
+    snap = rng.random(pos + neg) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    feats[snap] = np.round(feats[snap])
+    return em.LabeledDataset(feats, [1] * pos + [-1] * neg)
+
+
+@st.composite
+def rated_books(draw):
+    """A rating matrix, its user features and an R-tree or k-means book over them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users, items = draw(st.integers(2, 25)), draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    ratings = {(u, i): float(np.round(rng.uniform(1, 5), int(rng.integers(0, 3))))
+               for u in range(1, users + 1) for i in range(1, items + 1) if rng.random() < density}
+    ratings.setdefault((1, 1), 3.0)
+    matrix = em.RatingMatrix(users + draw(st.integers(0, 2)), items, ratings)
+    feats = np.round(rng.normal(0.0, 1.0, size=(matrix.num_users, draw(st.integers(1, 3)))),
+                     draw(st.sampled_from([0, 2])))
+    if draw(st.booleans()):
+        book = em.build_cf_codebook(matrix, feats, max_entries=draw(st.integers(2, 4)),
+                                    leaf_capacity=draw(st.sampled_from([1, None])))
+    else:
+        book = em.build_kmeans_codebook(matrix, feats, branching=draw(st.integers(2, 3)),
+                                        depth_limit=draw(st.integers(1, 3)), iterations=2)
+    return matrix, feats, book
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestArrayBuilders:
+    """The column builders against the scalar definitions, and dump round trips."""
+
+    @given(dual_datasets(), st.integers(2, 4), st.sampled_from([1, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_dual_boxes_are_of_points(self, train, max_entries, leaf_capacity):
+        book = em.build_dual_rtrees(train, max_entries=max_entries, leaf_capacity=leaf_capacity)
+        for node in book.nodes:
+            box = Mbr.of_points(train.features[list(node.members)])
+            assert _same_bits(node.mbr.low, box.low) and _same_bits(node.mbr.upp, box.upp)
+        assert_round_trip(book)
+
+    @given(rated_books())
+    @settings(max_examples=60, deadline=None)
+    def test_rated_boxes_and_aggregates(self, case):
+        matrix, feats, book = case
+        for node in book.nodes:
+            box = Mbr.of_points(feats[list(node.members)])
+            assert _same_bits(node.mbr.low, box.low) and _same_bits(node.mbr.upp, box.upp)
+            want = em.aggregate_ratings(matrix, [m + 1 for m in node.members])
+            assert node.aggregates == want  # exact: the same sums in the same order
+        assert_round_trip(book)
+
+
+def assert_round_trip(book):
+    """dump -> load -> dump is byte-identical, and so is a book rebuilt from node views."""
+    text = em.dump_codebook(book)
+    assert em.dump_codebook(em.load_codebook(text)) == text
+    rebuilt = em.CodeBook(book.kind, book.nodes, book.roots, book.config, book.seed,
+                          features=book.features, warnings=book.warnings)
+    assert em.dump_codebook(rebuilt) == text
+
+
+def edited(text, prefix, edit):
+    """The text with ``edit(tokens)`` applied to the first line starting with
+    ``prefix``, and that line's 1-based number."""
+    lines = text.splitlines(keepends=True)
+    at = next(n for n, line in enumerate(lines) if line.startswith(prefix))
+    toks = lines[at].split()
+    edit(toks)
+    lines[at] = " ".join(toks) + "\n"
+    return "".join(lines), at + 1
+
+
 class TestColumnarViews:
+    def test_hand_made_child_lists_must_match_parents(self):
+        box = Mbr(np.zeros(1), np.ones(1))
+        nodes = (
+            em.CodeNode(0, 0, 0, box, None, (1,), (0, 1), label=1),
+            em.CodeNode(1, 0, 1, box, 0, (), (0, 1), label=1),
+            em.CodeNode(2, 0, 1, box, 0, (), (0, 1), label=1),  # a child node 0 does not list
+        )
+        with pytest.raises(ValueError, match="node 0 lists children"):
+            em.CodeBook("rtree-dual", nodes, (0,), {}, 0)
+
     def test_childless_node_above_deepest_code_rejected(self):
         def box(w):
             return Mbr(np.zeros(1), np.full(1, w))
