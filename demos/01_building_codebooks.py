@@ -32,8 +32,9 @@ matrix = em.synthetic.ratings_like(num_users=120, num_items=80, seed=3)
 features = em.train_incremental_svd(matrix, d=3, epochs_per_feature=60, seed=5)
 cf_book = em.build_cf_codebook(matrix, features, max_entries=3, seed=5)
 print(f"\nCF codebook over {matrix.num_users} users: depths {cf_book.depths()}")
-root = cf_book.node(cf_book.roots[0])
-print(f"root aggregates cover {len(root.aggregates)} of {matrix.num_items} items")
+# node i's aggregates are entries ptr[i] up to ptr[i + 1] of the aggregate columns
+root, ptr = cf_book.roots[0], cf_book.arrays.aggregates.ptr
+print(f"root aggregates cover {ptr[root + 1] - ptr[root]} of {matrix.num_items} items")
 
 # --- divisive k-means alternate coder ---------------------------------------
 km_book = em.build_kmeans_codebook(matrix, features, branching=2, depth_limit=4, seed=5)

@@ -35,7 +35,6 @@ from .coding import (
     Code,
     CodeBook,
     CodeColumns,
-    CodeNode,
     ItemAggregate,
     Mbr,
     NodeArrays,

@@ -118,11 +118,13 @@ def anytime_knn_rtree(
             per_tree[trees[nid]].add(counter)
             counter += 1
 
-    def add_point(row):
+    def add_points(rows):
         nonlocal counter
-        d2 = float(((train.features[row] - q) ** 2).sum())
-        frontier[counter] = _FrontierEntry(None, row, int(train.labels[row]), d2, counter)
-        counter += 1
+        # scored together: each row sum equals the lone point's sum bit for bit
+        d2s = ((train.features.take(rows, axis=0) - q) ** 2).sum(axis=1)
+        for row, label, d2 in zip(rows.tolist(), train.labels.take(rows).tolist(), d2s.tolist()):
+            frontier[counter] = _FrontierEntry(None, row, label, d2, counter)
+            counter += 1
 
     for root in book.roots:
         add_nodes(child_ids[child_ptr[root] : child_ptr[root + 1]])
@@ -150,7 +152,7 @@ def anytime_knn_rtree(
                 continue
             nid = frontier[key].node_id
             children = child_ids[child_ptr[nid] : child_ptr[nid + 1]]
-            members = [] if children else nodes.members_of(nid).tolist()
+            members = [] if children else nodes.members_of(nid)
             if counter + len(children or members) > budget:
                 blocked = True
                 continue
@@ -158,8 +160,8 @@ def anytime_knn_rtree(
             per_tree[tree].discard(key)
             if children:
                 add_nodes(children)
-            for row in members:
-                add_point(row)
+            else:
+                add_points(members)
             progressed = True
         if blocked or not progressed:
             break

@@ -15,8 +15,9 @@ nodes at one depth; depth 0 (the roots) is never usable as a code.
 
 A book holds its nodes as columns (:class:`NodeArrays`): one array per
 node attribute, with members and aggregates in compressed rows. Builders,
-the dump writer and reader, and the per-depth views work on those arrays;
-:class:`CodeNode` and :class:`Mbr` objects are built only on request.
+the dump writer and reader, and the per-depth views work on those arrays.
+:class:`Mbr`, :class:`ItemAggregate` and :func:`aggregate_ratings` are
+the scalar definitions the array code is tested against.
 """
 
 from __future__ import annotations
@@ -85,30 +86,6 @@ class ItemAggregate(NamedTuple):
     raters: int
 
 
-@dataclass(frozen=True)
-class CodeNode:
-    """One node as a standalone object: a view of a book's columns, or a
-    hand-assembled node to build a book from."""
-
-    node_id: int
-    tree: int
-    depth: int
-    mbr: Mbr
-    parent: int | None
-    children: tuple[int, ...]
-    members: tuple[int, ...]  # enclosed point/user row indices (0-based)
-    label: int | None = None  # +1/-1 for classification trees
-    aggregates: dict[int, ItemAggregate] | None = None  # item id -> aggregate, CF coders
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-
 def _ptr(counts) -> np.ndarray:
     """Row offsets of compressed rows with the given lengths: (len(counts) + 1,)."""
     ptr = np.zeros(len(counts) + 1, dtype=np.intp)
@@ -170,63 +147,6 @@ class NodeArrays:
 
     def members_of(self, i: int) -> np.ndarray:
         return self.members[self.member_ptr[i] : self.member_ptr[i + 1]]
-
-    def node(self, i: int) -> CodeNode:
-        """Node i as a :class:`CodeNode`, built on each call."""
-        parent, label = int(self.parent[i]), int(self.label[i])
-        aggregates = None
-        if self.aggregates is not None:
-            agg = self.aggregates
-            at = slice(agg.ptr[i], agg.ptr[i + 1])
-            aggregates = {
-                item: ItemAggregate(*values)
-                for item, *values in zip(agg.item[at].tolist(), agg.rating[at].tolist(),
-                                         agg.rater_mean[at].tolist(), agg.raters[at].tolist())
-            }
-        return CodeNode(
-            node_id=i, tree=int(self.tree[i]), depth=int(self.depth[i]),
-            mbr=Mbr(self.low[i].copy(), self.upp[i].copy()),
-            parent=None if parent < 0 else parent,
-            children=tuple(self.children_of(i).tolist()),
-            members=tuple(self.members_of(i).tolist()),
-            label=label or None, aggregates=aggregates,
-        )
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "NodeArrays":
-        """Columns of hand-assembled nodes. Node i must have id i, and every
-        node's children must be the nodes that name it as parent, ascending
-        (:class:`ParseError` otherwise, as for a dump)."""
-        for i, n in enumerate(nodes):
-            if n.node_id != i:
-                raise ValueError(f"node {i} carries id {n.node_id}; ids must run 0..N-1 in order")
-        members = [np.asarray(n.members, dtype=np.intp) for n in nodes]
-        aggregates = None
-        if any(n.aggregates is not None for n in nodes):
-            rows = [sorted((n.aggregates or {}).items()) for n in nodes]
-            flat = [(item, *agg) for row in rows for item, agg in row]
-            aggregates = Aggregates(
-                _ptr([len(row) for row in rows]),
-                np.array([e[0] for e in flat], dtype=np.intp),
-                np.array([e[1] for e in flat], dtype=float),
-                np.array([e[2] for e in flat], dtype=float),
-                np.array([e[3] for e in flat], dtype=np.intp),
-            )
-        arrays = cls(
-            tree=np.array([n.tree for n in nodes], dtype=np.intp),
-            depth=np.array([n.depth for n in nodes], dtype=np.intp),
-            parent=np.array([-1 if n.parent is None else n.parent for n in nodes], dtype=np.intp),
-            label=np.array([n.label or 0 for n in nodes], dtype=int),
-            low=np.array([n.mbr.low for n in nodes], dtype=float),
-            upp=np.array([n.mbr.upp for n in nodes], dtype=float),
-            member_ptr=_ptr([len(m) for m in members]),
-            members=np.concatenate(members) if members else np.zeros(0, dtype=np.intp),
-            aggregates=aggregates,
-        )
-        listed = (_ptr([len(n.children) for n in nodes]),
-                  np.array([c for n in nodes for c in n.children], dtype=np.intp))
-        _check_children(arrays, listed, [None] * len(nodes))
-        return arrays
 
 
 @dataclass(frozen=True)
@@ -346,9 +266,10 @@ def _check_nesting(above: CodeColumns, ids, low, upp, parents, offsets):
 class CodeBook:
     """A codebook: its nodes as columns, plus how it was built.
 
-    ``arrays`` may also be given as a sequence of :class:`CodeNode` (node i
-    with id i), as hand-assembled books are; it is turned into columns
-    once. :meth:`node` and :attr:`nodes` build node objects on request.
+    Books come from the builders or from :func:`load_codebook`, which
+    checks a custom book written as version 1 text. A book made straight
+    from :class:`NodeArrays` is taken as given: its views check tree order,
+    children and box nesting on first use, but nothing checks its links.
     """
 
     kind: str
@@ -363,22 +284,11 @@ class CodeBook:
     _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.arrays, NodeArrays):
-            object.__setattr__(self, "arrays", NodeArrays.from_nodes(tuple(self.arrays)))
         object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
         depth = self.arrays.depth
         codes = {d: Code(d, tuple(np.flatnonzero(depth == d).tolist()))
                  for d in range(1, self.usable_depth() + 1)}
         object.__setattr__(self, "_codes", codes)
-
-    @property
-    def nodes(self) -> tuple[CodeNode, ...]:
-        """Every node as a :class:`CodeNode`, built on each access."""
-        return tuple(self.arrays.node(i) for i in range(len(self.arrays)))
-
-    def node(self, node_id: int) -> CodeNode:
-        """One node as a :class:`CodeNode`, built on each call."""
-        return self.arrays.node(range(len(self.arrays))[node_id])
 
     def tree_depth(self, tree: int) -> int:
         return int(self.arrays.depth[self.arrays.tree == tree].max())

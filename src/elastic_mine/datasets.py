@@ -111,9 +111,6 @@ class RatingMatrix:
     def global_mean(self) -> float:
         return sum(self.ratings.values()) / len(self.ratings)
 
-    def items_of(self, user: int) -> list[int]:
-        return sorted(self._by_user.get(user, {}))
-
     def deviations(self) -> np.ndarray:
         """The item-major user deviation table, built on first use and cached.
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .coding import Code, CodeBook, total_mbr_volume
-from .errors import AssumptionRequiredError, ResolutionInfeasibleError
+from .errors import AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError
 
 
 def log_binomial(n: int, m: int, base: float = 2.0) -> float:
@@ -67,6 +67,18 @@ class ResolutionReport:
         return None
 
 
+def _check_settings(m: int | None, log_base: float, cell_volume: float | None = None):
+    """Raise :class:`ResolutionConfigError` for settings no entropy can be computed with."""
+    if m is not None and m < 1:
+        raise ResolutionConfigError(f"m must be >= 1, got {m}")
+    if not (math.isfinite(log_base) and log_base > 1.0):
+        raise ResolutionConfigError(f"log base must be a finite number above 1, got {log_base}")
+    if cell_volume is not None and not (math.isfinite(cell_volume) and cell_volume > 0.0):
+        raise ResolutionConfigError(
+            f"cell volume must be a finite number above 0, got {cell_volume}"
+        )
+
+
 def resolution(
     counts: Sequence[int],
     m: int,
@@ -80,12 +92,11 @@ def resolution(
 
     ``counts[j]`` is the number of point placements consistent with code j;
     the prior admits ``prior_points`` placements. Entropy is
-    log C(count, m); resolution is the prior entropy minus it.
+    log C(count, m); resolution is the prior entropy minus it. An m below 1
+    or a log base that is not a finite number above 1 raises
+    :class:`ResolutionConfigError`.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if log_base <= 1.0:
-        raise ValueError("log_base must exceed 1")
+    _check_settings(m, log_base)
     for c in list(counts) + [prior_points]:
         if c < m:
             raise ResolutionInfeasibleError(
@@ -133,12 +144,18 @@ def audit_entropy_monotonicity(
     """Resolution per code of an R-tree book, with the monotonicity verdict.
 
     Possible-point counts are total code volume divided by ``cell_volume``
-    (floored); the prior count comes from the root boxes. Any count below
-    m raises, reporting the largest cell volume that would have worked.
+    (floored); the prior count comes from the root boxes. A book with no
+    usable code, or any count below m, raises
+    :class:`ResolutionInfeasibleError`; for a count below m it reports the
+    largest cell volume that would have worked.
+    A given m below 1, a cell volume that is not a finite number above 0
+    or a log base that is not a finite number above 1 raises
+    :class:`ResolutionConfigError` before any arithmetic.
     """
+    _check_settings(m, log_base, cell_volume)
     depths = list(book.depths())
     if not depths:
-        raise ValueError("book has no usable codes")
+        raise ResolutionInfeasibleError("book has no usable codes")
     if len(depths) == 1:
         _warnings.warn("single usable code: the monotonicity verdict is vacuous")
     if m is None:
@@ -156,15 +173,8 @@ def audit_entropy_monotonicity(
             f"cell volume {cell} too coarse: a code admits fewer than m={m} points",
             min_cell_volume=workable,
         )
-    return ResolutionReport(
-        m=m,
-        log_base=log_base,
-        prior_points=prior,
-        prior_entropy=log_binomial(prior, m, log_base),
-        codes=resolution(counts, m, prior, log_base, depths=depths,
-                         lengths=lengths, volumes=volumes).codes,
-        cell_volume=cell,
-    )
+    report = resolution(counts, m, prior, log_base, depths=depths, lengths=lengths, volumes=volumes)
+    return replace(report, cell_volume=cell)
 
 
 # ---------------------------------------------------------------------------

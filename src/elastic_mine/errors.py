@@ -68,6 +68,10 @@ class UndefinedMetricError(ElasticMineError, ValueError):
     """A quality metric is undefined for the given inputs."""
 
 
+class ResolutionConfigError(ElasticMineError, ValueError):
+    """A resolution setting is out of range, such as a log base of 1 or less."""
+
+
 class ResolutionInfeasibleError(ElasticMineError, ValueError):
     """A derived possible-point count fell below the dataset size.
 

@@ -56,8 +56,26 @@ def fourclass_book(fourclass_split) -> em.CodeBook:
     return em.build_dual_rtrees(train, max_entries=3, seed=7)
 
 
-def leaf_with_members(book: em.CodeBook, members: set) -> em.CodeNode:
-    for node in book.nodes:
-        if node.is_leaf and set(node.members) == members:
-            return node
+def leaf_with_members(book: em.CodeBook, members: set) -> int:
+    """The id of the leaf whose member rows are exactly ``members``."""
+    nodes = book.arrays
+    for i in range(len(nodes)):
+        if not len(nodes.children_of(i)) and set(nodes.members_of(i).tolist()) == members:
+            return i
     raise AssertionError(f"no leaf with members {members}")
+
+
+def box_of(book: em.CodeBook, i: int) -> em.Mbr:
+    """Node i's box as a scalar :class:`Mbr`, read from the book's columns."""
+    return em.Mbr(book.arrays.low[i], book.arrays.upp[i])
+
+
+def aggregates_of(book: em.CodeBook, i: int) -> dict[int, em.ItemAggregate]:
+    """Node i's item -> :class:`ItemAggregate` map, read from ``arrays.aggregates``."""
+    agg = book.arrays.aggregates
+    at = slice(agg.ptr[i], agg.ptr[i + 1])
+    return {
+        item: em.ItemAggregate(*values)
+        for item, *values in zip(agg.item[at].tolist(), agg.rating[at].tolist(),
+                                 agg.rater_mean[at].tolist(), agg.raters[at].tolist())
+    }

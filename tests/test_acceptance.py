@@ -22,7 +22,7 @@ from elastic_mine.planner import (
     ResultPoint,
 )
 
-from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, leaf_with_members
+from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
 
 SPOT_PRICES = (
     0.10, 0.11, 0.12, 0.14, 0.16, 0.18, 0.20, 0.22, 0.24, 0.26, 0.28, 0.30,
@@ -41,16 +41,15 @@ def verdict(number, name, started):
 def test_01_aggregation_oracle(example_matrix):
     t0 = time.perf_counter()
     book = em.build_cf_codebook(example_matrix, TABLE_FEATURES, max_entries=3)
-    leaf = leaf_with_members(book, {0, 1, 2})
-    assert leaf.aggregates[1].rating == pytest.approx(4.67, abs=0.005)
-    assert leaf.aggregates[1].rater_mean == pytest.approx(4.33, abs=0.005)
-    assert leaf.aggregates[3].rating == pytest.approx(3.00, abs=0.005)
-    assert leaf.aggregates[3].rater_mean == pytest.approx(4.00, abs=0.005)
-    assert 2 not in leaf.aggregates
+    leaf = aggregates_of(book, leaf_with_members(book, {0, 1, 2}))
+    assert leaf[1].rating == pytest.approx(4.67, abs=0.005)
+    assert leaf[1].rater_mean == pytest.approx(4.33, abs=0.005)
+    assert leaf[3].rating == pytest.approx(3.00, abs=0.005)
+    assert leaf[3].rater_mean == pytest.approx(4.00, abs=0.005)
+    assert 2 not in leaf
     # the explicit grouping route agrees
     explicit = em.cf_book_from_hierarchy(example_matrix, EXAMPLE_HIERARCHY, TABLE_FEATURES)
-    leaf2 = leaf_with_members(explicit, {0, 1, 2})
-    assert leaf2.aggregates == leaf.aggregates
+    assert aggregates_of(explicit, leaf_with_members(explicit, {0, 1, 2})) == leaf
     assert time.perf_counter() - t0 < 1.0
     verdict(1, "aggregation oracle", t0)
 
@@ -115,7 +114,7 @@ def test_05_pruning_safety(fourclass_split, fourclass_book):
             result = em.classify(book, code, query)
             state = em.maintain_state(book, code, query, result)
             for nid in set(code.node_ids) - state.retained:
-                if not exact.isdisjoint(book.node(nid).members):
+                if not exact.isdisjoint(book.arrays.members_of(nid).tolist()):
                     violations += 1
     assert violations == 0
     assert time.perf_counter() - t0 < 60.0

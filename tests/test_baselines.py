@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.baselines import recttree_partition, sample_users
@@ -108,6 +110,23 @@ class TestAnytimeRtree:
         result = em.anytime_knn_rtree(book, ds, em.KnnQuery([0.0], 3), 10, "ofs")
         assert result.scanned == 10
         assert set(result.node_ids) == {5, 6, 7}  # both near leaves plus a box
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(10, 40), st.integers(2, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_batched_point_scores_equal_one_point_sums(self, seed, d, n, max_entries):
+        """With every point in the result, each distance is the one-point
+        sum's, bit for bit, over coordinates of mixed magnitudes."""
+        # n >= 10 gives each class a tree with a depth-1 code
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 7, size=(n + 1, d))
+        points = rng.normal(size=(n + 1, d)) * scale
+        ds = em.LabeledDataset(points[:n], [1, -1] * (n // 2) + [1] * (n % 2))
+        book = em.build_dual_rtrees(ds, max_entries=max_entries)
+        q = points[n]
+        result = em.anytime_knn_rtree(book, ds, em.KnnQuery(q, n), 10**9)
+        assert sorted(result.node_ids) == list(range(n))
+        for row, dist in zip(result.node_ids, result.distances):
+            assert dist == float(np.sqrt(((ds.features[row] - q) ** 2).sum()))
 
     def test_determinism(self, small_tree_setup):
         ds, book = small_tree_setup

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import CodeNode, ItemAggregate, Mbr
+from elastic_mine.coding import ItemAggregate
 from elastic_mine.errors import DivergenceError, ForeignStateError, UndefinedMetricError
 
-from conftest import TABLE_FEATURES, leaf_with_members
+from conftest import TABLE_FEATURES, aggregates_of
 
 
 class TestIncrementalSvd:
@@ -222,21 +222,28 @@ class TestNodeWeight:
 
 
 def make_two_node_book():
-    """A hand-assembled two-node code with weights 1 and 0.5 for the test query."""
-    y = 2.0 - math.sqrt(3.0)  # solves (1-y)^2 = (1+y^2)/2, giving weight 1/2
-    box = Mbr(np.zeros(1), np.ones(1))
-    nodes = (
-        CodeNode(0, 0, 0, box, None, (1, 2), (0, 1), aggregates={}),
-        CodeNode(1, 0, 1, box, 0, (), (0,), aggregates={
-            1: ItemAggregate(5.0, 4.0, 1), 2: ItemAggregate(2.0, 3.0, 1),
-            10: ItemAggregate(5.0, 4.0, 1),
-        }),
-        CodeNode(2, 0, 1, box, 0, (), (1,), aggregates={
-            1: ItemAggregate(4.0, 3.0, 1), 2: ItemAggregate(3.0, 1.0 + math.sqrt(3.0), 1),
-            10: ItemAggregate(3.0, 4.0, 1),
-        }),
-    )
-    return em.CodeBook("rtree-cf", nodes, (0,), {}, 0)
+    """A hand-written two-node code with weights 1 and 0.5 for the test query."""
+    # node 2's item-2 deviation is y = 2 - sqrt(3), which solves
+    # (1 - y)^2 = (1 + y^2) / 2 and so gives weight 1/2
+    return em.load_codebook(f"""\
+elastic-mine-codebook 1
+kind rtree-cf
+seed 0
+config {{}}
+roots 0
+features 0 0
+nodes 3
+N 0 0 0 - - C 1 2 M 0.0 | 1.0 P 0 1
+N 1 0 1 0 - C  M 0.0 | 1.0 P 0
+A 1 1 5.0 4.0 1
+A 1 2 2.0 3.0 1
+A 1 10 5.0 4.0 1
+N 2 0 1 0 - C  M 0.0 | 1.0 P 1
+A 2 1 4.0 3.0 1
+A 2 2 3.0 {1.0 + math.sqrt(3.0)!r} 1
+A 2 10 3.0 4.0 1
+end
+""")
 
 
 class TestPredict:
@@ -257,15 +264,21 @@ class TestPredict:
         assert result.all_rater_node_ids == ()
 
     def test_prediction_clamped_to_scale(self):
-        box = Mbr(np.zeros(1), np.ones(1))
-        nodes = (
-            CodeNode(0, 0, 0, box, None, (1,), (0,), aggregates={}),
-            CodeNode(1, 0, 1, box, 0, (), (0,), aggregates={
-                1: ItemAggregate(5.0, 4.0, 1), 2: ItemAggregate(2.0, 3.0, 1),
-                10: ItemAggregate(5.0, 1.0, 1),
-            }),
-        )
-        book = em.CodeBook("rtree-cf", nodes, (0,), {}, 0)
+        book = em.load_codebook("""\
+elastic-mine-codebook 1
+kind rtree-cf
+seed 0
+config {}
+roots 0
+features 0 0
+nodes 2
+N 0 0 0 - - C 1 M 0.0 | 1.0 P 0
+N 1 0 1 0 - C  M 0.0 | 1.0 P 0
+A 1 1 5.0 4.0 1
+A 1 2 2.0 3.0 1
+A 1 10 5.0 1.0 1
+end
+""")
         query = em.CfQuery(user=9, item=10, ratings={1: 5.0, 2: 3.0}, mean=4.0)
         result = em.predict(book, 1, query)
         assert result.clamped
@@ -276,7 +289,7 @@ class TestPredict:
         book = example_cf_book
         query = em.CfQuery.from_matrix(example_matrix, user=7, item=2)
         first = em.predict(book, 1, query, matrix=example_matrix)
-        left = book.node(book.roots[0]).children[0]  # subtree of users 1..6
+        left = int(book.arrays.children_of(book.roots[0])[0])  # subtree of users 1..6
         assert first.all_rater_node_ids == (left,)
         assert first.scanned == 2
         state = em.maintain_cf_state(first)
@@ -284,7 +297,7 @@ class TestPredict:
         refined = em.predict(book, 2, query, state, matrix=example_matrix)
         assert refined.scanned == 2  # both leaves under the retained node
         rater_members = {
-            frozenset(book.node(n).members) for n in refined.all_rater_node_ids
+            frozenset(book.arrays.members_of(n).tolist()) for n in refined.all_rater_node_ids
         }
         assert rater_members == {frozenset({3, 4, 5})}  # the users-4..6 leaf
 
@@ -496,7 +509,7 @@ def _reference_predict(book, depth, query, state=None, matrix=None):
             nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
         ]
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
-    sources = ((nid, book.node(nid).aggregates) for nid in candidates)
+    sources = ((nid, aggregates_of(book, nid)) for nid in candidates)
     return _reference_score(query, depth, sources, len(candidates), scale)
 
 

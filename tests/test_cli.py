@@ -185,6 +185,21 @@ class TestReports:
         assert "pass" in capsys.readouterr().out
         assert "verdict,,,,,pass" in out.read_text()
 
+    @pytest.mark.parametrize("setting", [
+        ("--log-base", "1"), ("--log-base", "0.5"), ("--log-base", "nan"),
+        ("--cell-volume", "0"), ("--cell-volume", "-1"), ("--m", "0"),
+    ], ids=["log-base-1", "log-base-half", "log-base-nan", "cell-volume-0",
+            "cell-volume-negative", "m-0"])
+    def test_bad_resolution_setting_fails_cleanly(self, fourclass_book, tmp_path, capsys,
+                                                   setting):
+        book = tmp_path / "book.ecb"
+        em.save_codebook(fourclass_book, book)
+        assert run(["report", "resolution", "--book", book, *setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "too coarse" not in captured.err
+
 
 class TestPlan:
     def test_fixed_scenario(self, workdir):

@@ -9,7 +9,7 @@ import elastic_mine as em
 from elastic_mine.coding import Mbr, kmeans
 from elastic_mine.errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ParseError
 
-from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, leaf_with_members
+from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, box_of, leaf_with_members
 
 
 DATA = Path(__file__).parent / "data"
@@ -37,10 +37,12 @@ class TestDualRtrees:
         """21 points at capacity 3 pack into 7 three-point leaves over 3 tree levels."""
         ds = make_dataset(21, 21, seed=4)
         book = em.build_dual_rtrees(ds, max_entries=3, seed=0)
+        nodes = book.arrays
+        is_leaf = np.diff(nodes.child_csr[0]) == 0
         for tree in (0, 1):
-            leaves = [n for n in book.nodes if n.tree == tree and n.is_leaf]
+            leaves = np.flatnonzero((nodes.tree == tree) & is_leaf)
             assert len(leaves) == 7
-            assert all(n.count == 3 for n in leaves)
+            assert (np.diff(nodes.member_ptr)[leaves] == 3).all()
             assert book.tree_depth(tree) == 2  # root, internal, leaves
         assert book.depths() == (1, 2)
 
@@ -73,7 +75,7 @@ class TestDualRtrees:
         for depth in fourclass_book.depths():
             members = []
             for nid in fourclass_book.code_at_depth(depth).node_ids:
-                members.extend(fourclass_book.node(nid).members)
+                members.extend(fourclass_book.arrays.members_of(nid).tolist())
             assert sorted(members) == list(range(len(train)))
 
     def test_unequal_tree_heights_drop_extra_depths(self):
@@ -83,15 +85,16 @@ class TestDualRtrees:
         assert book.depths()[-1] == book.tree_depth(0)
         assert any("heights differ" in w for w in book.warnings)
         for depth in book.depths():
-            trees = {book.node(n).tree for n in book.code_at_depth(depth).node_ids}
+            trees = set(book.arrays.tree[list(book.code_at_depth(depth).node_ids)].tolist())
             assert trees == {0, 1}
 
     def test_parent_count_is_sum_of_children(self, fourclass_book):
-        for node in fourclass_book.nodes:
-            if not node.is_leaf:
-                assert node.count == sum(
-                    fourclass_book.node(c).count for c in node.children
-                )
+        nodes = fourclass_book.arrays
+        counts = np.diff(nodes.member_ptr)
+        for i in range(len(nodes)):
+            children = nodes.children_of(i)
+            if len(children):
+                assert counts[i] == counts[children].sum()
 
 
 class TestTreeInvariants:
@@ -105,12 +108,14 @@ class TestTreeInvariants:
         ds = make_dataset(n_pos, n_neg, d=d, seed=seed + 100)
         book = em.build_dual_rtrees(ds, max_entries=cap, seed=seed)
         # enclosure: every parent box contains every child box
-        for node in book.nodes:
-            for child_id in node.children:
-                assert node.mbr.contains(book.node(child_id).mbr)
+        nodes = book.arrays
+        for i in range(len(nodes)):
+            for child_id in nodes.children_of(i).tolist():
+                assert box_of(book, i).contains(box_of(book, child_id))
         # depth balance: every leaf of a tree sits at that tree's max depth
+        is_leaf = np.diff(nodes.child_csr[0]) == 0
         for tree in (0, 1):
-            depths = {n.depth for n in book.nodes if n.tree == tree and n.is_leaf}
+            depths = set(nodes.depth[(nodes.tree == tree) & is_leaf].tolist())
             assert len(depths) == 1
         # volume never grows with depth; lengths strictly grow
         vols = [em.total_mbr_volume(book, book.code_at_depth(dd)) for dd in book.depths()]
@@ -127,24 +132,26 @@ class TestTreeInvariants:
 class TestCfCodebook:
     def test_leaf_aggregates_match_worked_example(self, example_cf_book):
         """Three users' shared item averages 4.67/4.33; a single rater passes through."""
-        leaf = leaf_with_members(example_cf_book, {0, 1, 2})
-        agg1 = leaf.aggregates[1]
+        leaf = aggregates_of(example_cf_book, leaf_with_members(example_cf_book, {0, 1, 2}))
+        agg1 = leaf[1]
         assert agg1.rating == pytest.approx(14 / 3, abs=1e-9)
         assert agg1.rater_mean == pytest.approx(13 / 3, abs=1e-9)
         assert agg1.raters == 3
-        assert 2 not in leaf.aggregates
-        agg3 = leaf.aggregates[3]
+        assert 2 not in leaf
+        agg3 = leaf[3]
         assert (agg3.rating, agg3.rater_mean, agg3.raters) == (3.0, 4.0, 1)
 
     def test_root_covers_all_items(self, example_matrix):
         book = em.build_cf_codebook(example_matrix, TABLE_FEATURES, max_entries=3)
-        root = book.node(book.roots[0])
-        assert sorted(root.aggregates) == [1, 2, 3, 4, 5]
-        assert root.count == 12
+        root = book.roots[0]
+        assert sorted(aggregates_of(book, root)) == [1, 2, 3, 4, 5]
+        assert len(book.arrays.members_of(root)) == 12
 
     def test_str_build_recovers_example_leaves(self, example_matrix):
         book = em.build_cf_codebook(example_matrix, TABLE_FEATURES, max_entries=3)
-        leaf_sets = {frozenset(n.members) for n in book.nodes if n.is_leaf}
+        nodes = book.arrays
+        leaf_sets = {frozenset(nodes.members_of(i).tolist())
+                     for i in range(len(nodes)) if not len(nodes.children_of(i))}
         assert leaf_sets == {
             frozenset({0, 1, 2}), frozenset({3, 4, 5}),
             frozenset({6, 7, 8}), frozenset({9, 10, 11}),
@@ -152,13 +159,14 @@ class TestCfCodebook:
 
     def test_aggregates_recomputed_from_raw_matrix(self, example_matrix):
         book = em.build_cf_codebook(example_matrix, TABLE_FEATURES, max_entries=2)
-        for node in book.nodes:
-            users = [m + 1 for m in node.members]
+        for nid in range(len(book.arrays)):
+            users = [m + 1 for m in book.arrays.members_of(nid).tolist()]
+            aggregates = aggregates_of(book, nid)
             items = {i for u in users for i in example_matrix.user_ratings(u)}
-            assert set(node.aggregates) == items
+            assert set(aggregates) == items
             for item in items:
                 raters = [u for u in users if item in example_matrix.user_ratings(u)]
-                agg = node.aggregates[item]
+                agg = aggregates[item]
                 assert agg.raters == len(raters)
                 assert agg.rating == pytest.approx(
                     np.mean([example_matrix.ratings[(u, item)] for u in raters]), abs=1e-9
@@ -177,7 +185,8 @@ class TestKmeansCodebook:
         book = em.build_kmeans_codebook(
             example_matrix, TABLE_FEATURES, branching=2, depth_limit=2, iterations=10, seed=1
         )
-        level2 = {frozenset(book.node(n).members) for n in book.code_at_depth(1).node_ids}
+        level2 = {frozenset(book.arrays.members_of(n).tolist())
+                  for n in book.code_at_depth(1).node_ids}
         assert level2 == {frozenset(range(6)), frozenset(range(6, 12))}
 
     def test_cluster_count_bound(self, example_matrix):
@@ -195,7 +204,7 @@ class TestKmeansCodebook:
         for depth in book.depths():
             members = []
             for nid in book.code_at_depth(depth).node_ids:
-                members.extend(book.node(nid).members)
+                members.extend(book.arrays.members_of(nid).tolist())
             assert sorted(members) == list(range(12))
 
     def test_singletons_carried_to_every_level(self):
@@ -205,7 +214,7 @@ class TestKmeansCodebook:
         for depth in book.depths():
             members = []
             for nid in book.code_at_depth(depth).node_ids:
-                members.extend(book.node(nid).members)
+                members.extend(book.arrays.members_of(nid).tolist())
             assert sorted(members) == [0, 1, 2]
 
     def test_small_cluster_not_split(self, example_matrix):
@@ -219,7 +228,7 @@ class TestKmeansCodebook:
             example_matrix, TABLE_FEATURES, branching=2, depth_limit=2, seed=1
         )
         for nid in book.code_at_depth(1).node_ids:
-            assert book.node(nid).aggregates
+            assert aggregates_of(book, nid)
 
 
 class TestKmeans:
@@ -272,7 +281,7 @@ class TestCodeSelection:
     def test_code_ordering_by_tree_then_construction(self, fourclass_book):
         for depth in fourclass_book.depths():
             ids = fourclass_book.code_at_depth(depth).node_ids
-            trees = [fourclass_book.node(i).tree for i in ids]
+            trees = fourclass_book.arrays.tree[list(ids)].tolist()
             assert trees == sorted(trees)
             assert list(ids) == sorted(ids)
 
@@ -312,7 +321,7 @@ class TestPersistence:
         loaded = em.load_codebook(text)
         assert em.dump_codebook(loaded) == text
         leaf = leaf_with_members(loaded, {0, 1, 2})
-        assert leaf.aggregates[1].raters == 3
+        assert aggregates_of(loaded, leaf)[1].raters == 3
 
     def test_version_check(self):
         with pytest.raises(ValueError):
@@ -373,7 +382,7 @@ class TestPersistence:
     def test_renumbered_sibling_subtrees_rejected(self, fourclass_book):
         """Swapping the ids of two sibling subtrees keeps every link and box
         consistent but breaks tree order: a subtree is no row range then."""
-        first, second = fourclass_book.node(fourclass_book.roots[0]).children[:2]
+        first, second = fourclass_book.arrays.children_of(fourclass_book.roots[0])[:2].tolist()
         swap = {str(first): str(second), str(second): str(first)}
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
         for n, line in enumerate(lines):
@@ -456,7 +465,7 @@ class TestPersistence:
     def test_node_count_must_match_header(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith("nodes "))
-        lines[at] = f"nodes {len(fourclass_book.nodes) + 1}\n"
+        lines[at] = f"nodes {len(fourclass_book.arrays) + 1}\n"
         with pytest.raises(ParseError) as err:
             em.load_codebook("".join(lines))
         assert err.value.line == at + 1
@@ -525,30 +534,29 @@ class TestArrayBuilders:
     @settings(max_examples=60, deadline=None)
     def test_dual_boxes_are_of_points(self, train, max_entries, leaf_capacity):
         book = em.build_dual_rtrees(train, max_entries=max_entries, leaf_capacity=leaf_capacity)
-        for node in book.nodes:
-            box = Mbr.of_points(train.features[list(node.members)])
-            assert _same_bits(node.mbr.low, box.low) and _same_bits(node.mbr.upp, box.upp)
+        nodes = book.arrays
+        for i in range(len(nodes)):
+            box = Mbr.of_points(train.features[nodes.members_of(i)])
+            assert _same_bits(nodes.low[i], box.low) and _same_bits(nodes.upp[i], box.upp)
         assert_round_trip(book)
 
     @given(rated_books())
     @settings(max_examples=60, deadline=None)
     def test_rated_boxes_and_aggregates(self, case):
         matrix, feats, book = case
-        for node in book.nodes:
-            box = Mbr.of_points(feats[list(node.members)])
-            assert _same_bits(node.mbr.low, box.low) and _same_bits(node.mbr.upp, box.upp)
-            want = em.aggregate_ratings(matrix, [m + 1 for m in node.members])
-            assert node.aggregates == want  # exact: the same sums in the same order
+        nodes = book.arrays
+        for i in range(len(nodes)):
+            box = Mbr.of_points(feats[nodes.members_of(i)])
+            assert _same_bits(nodes.low[i], box.low) and _same_bits(nodes.upp[i], box.upp)
+            want = em.aggregate_ratings(matrix, [m + 1 for m in nodes.members_of(i).tolist()])
+            assert aggregates_of(book, i) == want  # exact: the same sums in the same order
         assert_round_trip(book)
 
 
 def assert_round_trip(book):
-    """dump -> load -> dump is byte-identical, and so is a book rebuilt from node views."""
+    """dump -> load -> dump is byte-identical."""
     text = em.dump_codebook(book)
     assert em.dump_codebook(em.load_codebook(text)) == text
-    rebuilt = em.CodeBook(book.kind, book.nodes, book.roots, book.config, book.seed,
-                          features=book.features, warnings=book.warnings)
-    assert em.dump_codebook(rebuilt) == text
 
 
 def edited(text, prefix, edit):
@@ -563,32 +571,23 @@ def edited(text, prefix, edit):
 
 
 class TestColumnarViews:
-    def test_hand_made_child_lists_must_match_parents(self):
-        box = Mbr(np.zeros(1), np.ones(1))
-        nodes = (
-            em.CodeNode(0, 0, 0, box, None, (1,), (0, 1), label=1),
-            em.CodeNode(1, 0, 1, box, 0, (), (0, 1), label=1),
-            em.CodeNode(2, 0, 1, box, 0, (), (0, 1), label=1),  # a child node 0 does not list
-        )
-        with pytest.raises(ValueError, match="node 0 lists children"):
-            em.CodeBook("rtree-dual", nodes, (0,), {}, 0)
-
     def test_childless_node_above_deepest_code_rejected(self):
-        def box(w):
-            return Mbr(np.zeros(1), np.full(1, w))
+        """Moving node 1's only leaf under its sibling keeps every link, child
+        list and box consistent, but leaves node 1 childless above depth 2."""
+        ds = em.LabeledDataset([[0.0], [0.0], [1.0]], [1, 1, -1])
+        book = em.dual_book_from_hierarchy(ds, [[[0]], [[1]]], [[[2]]])
+        assert book.arrays.parent.tolist() == [-1, 0, 1, 0, 3, -1, 5, 6]
+        text = em.dump_codebook(book)
 
-        nodes = (
-            em.CodeNode(0, 0, 0, box(2.0), None, (1, 2), (0, 1), label=1),
-            em.CodeNode(1, 0, 1, box(1.0), 0, (), (0,), label=1),  # a leaf one level early
-            em.CodeNode(2, 0, 1, box(2.0), 0, (3,), (1,), label=1),
-            em.CodeNode(3, 0, 2, box(2.0), 2, (), (1,), label=1),
-            em.CodeNode(4, 1, 0, box(2.0), None, (5,), (2,), label=-1),
-            em.CodeNode(5, 1, 1, box(2.0), 4, (6,), (2,), label=-1),
-            em.CodeNode(6, 1, 2, box(2.0), 5, (), (2,), label=-1),
-        )
-        book = em.CodeBook("rtree-dual", nodes, (0, 4), {}, 0)
-        with pytest.raises(ParseError, match="node 1 has no child"):
-            book.columns(2)
+        def set_children(*ids):
+            return lambda toks: toks.__setitem__(
+                slice(toks.index("C") + 1, toks.index("M")), list(ids))
+
+        text, _ = edited(text, "N 1 ", set_children())
+        text, _ = edited(text, "N 2 ", lambda toks: toks.__setitem__(4, "3"))
+        text, _ = edited(text, "N 3 ", set_children("2", "4"))
+        with pytest.raises(ParseError, match="node 1 has no child at depth 2"):
+            em.load_codebook(text)
 
     def test_offsets_are_subtree_row_ranges(self, fourclass_book):
         book = fourclass_book

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import elastic_mine as em
-from elastic_mine.coding import CodeNode, Mbr
 from elastic_mine.elasticity import (
     InvestmentPoint,
     audit_quality_monotonicity,
     default_cell_volume,
     log_binomial,
 )
-from elastic_mine.errors import AssumptionRequiredError, ResolutionInfeasibleError
+from elastic_mine.errors import (
+    AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError,
+)
 
 # qualities and cumulative investments of the eight-result example series
 EXAMPLE_SERIES = [
@@ -63,6 +64,12 @@ class TestResolution:
         with pytest.raises(ResolutionInfeasibleError):
             em.resolution([1], m=2, prior_points=10)
 
+    @pytest.mark.parametrize("m, log_base", [(0, 2.0), (1, 1.0), (1, math.nan)])
+    def test_bad_setting_is_a_typed_value_error(self, m, log_base):
+        with pytest.raises(ResolutionConfigError) as err:
+            em.resolution([50], m=m, prior_points=100, log_base=log_base)
+        assert isinstance(err.value, ValueError) and isinstance(err.value, em.ElasticMineError)
+
 
 class TestEntropyAudit:
     def test_built_book_passes(self, fourclass_book):
@@ -86,20 +93,28 @@ class TestEntropyAudit:
             report = em.audit_entropy_monotonicity(book)
         assert report.monotone
 
-    def test_enclosure_violation_detected(self):
-        # hand-assembled book whose depth-2 boxes outgrow their parents
-        def box(w):
-            return Mbr(np.zeros(2), np.full(2, w))
+    def test_book_without_codes_is_infeasible(self):
+        ds = em.LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
+        book = em.build_dual_rtrees(ds, max_entries=4)
+        assert book.depths() == ()
+        with pytest.raises(ResolutionInfeasibleError, match="no usable codes"):
+            em.audit_entropy_monotonicity(book)
 
-        nodes = (
-            CodeNode(0, 0, 0, box(4.0), None, (1,), (0, 1), label=1),
-            CodeNode(1, 0, 1, box(1.0), 0, (2,), (0, 1), label=1),
-            CodeNode(2, 0, 2, box(3.0), 1, (), (0, 1), label=1),
-            CodeNode(3, 1, 0, box(4.0), None, (4,), (2, 3), label=-1),
-            CodeNode(4, 1, 1, box(1.0), 3, (5,), (2, 3), label=-1),
-            CodeNode(5, 1, 2, box(3.0), 4, (), (2, 3), label=-1),
+    def test_enclosure_violation_detected(self):
+        # a book whose depth-2 boxes outgrow their parents: load_codebook
+        # rejects it, so it is built from columns
+        widths = np.array([4.0, 1.0, 3.0, 4.0, 1.0, 3.0])
+        arrays = em.NodeArrays(
+            tree=np.array([0, 0, 0, 1, 1, 1]),
+            depth=np.array([0, 1, 2, 0, 1, 2]),
+            parent=np.array([-1, 0, 1, -1, 3, 4]),
+            label=np.array([1, 1, 1, -1, -1, -1]),
+            low=np.zeros((6, 2)),
+            upp=np.repeat(widths[:, None], 2, axis=1),
+            member_ptr=np.arange(0, 13, 2),
+            members=np.array([0, 1] * 3 + [2, 3] * 3),
         )
-        book = em.CodeBook("rtree-dual", nodes, (0, 3), {}, 0)
+        book = em.CodeBook("rtree-dual", arrays, (0, 3), {}, 0)
         report = em.audit_entropy_monotonicity(book, m=4, cell_volume=0.05)
         assert not report.monotone
         assert report.first_violation() == (1, 2)

@@ -17,6 +17,8 @@ from elastic_mine.errors import (
 )
 from elastic_mine.knn import EXACT_DEPTH, KnnApproxResult, refine_chain
 
+from conftest import box_of
+
 BOX = Mbr(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
 
 
@@ -196,7 +198,7 @@ class TestMaintainState:
         book = em.dual_book_from_hierarchy(ds, pos_spec, neg_spec)
         code = book.code_at_depth(1)
         q = em.KnnQuery([0.0], 3)
-        min_sq = [em.dist_min(q.point, book.node(n).mbr) ** 2 for n in code.node_ids]
+        min_sq = [em.dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
         assert min_sq == pytest.approx([0.0, 81.0, 13689.0, 1521.0, 1570.0, 169.0])
         result = em.classify(book, code, q)
         fake = KnnApproxResult(
@@ -233,7 +235,7 @@ class TestMaintainState:
                 state = em.maintain_state(book, code, query, result)
                 pruned = set(code.node_ids) - state.retained
                 for nid in pruned:
-                    assert exact.isdisjoint(book.node(nid).members)
+                    assert exact.isdisjoint(book.arrays.members_of(nid).tolist())
 
 
 class TestMonotonicityProperties:
@@ -279,9 +281,9 @@ def reference_classify(book, code, query, state=None):
         ]
     if len(candidates) < query.k:
         raise InsufficientCandidatesError(f"{len(candidates)} candidates < k={query.k}")
-    scored = sorted((_reference_max_sq(query.point, book.node(nid).mbr), nid) for nid in candidates)
+    scored = sorted((_reference_max_sq(query.point, box_of(book, nid)), nid) for nid in candidates)
     top = scored[: query.k]
-    k_pos = sum(1 for _, nid in top if book.node(nid).label == em.POSITIVE)
+    k_pos = sum(1 for _, nid in top if book.arrays.label[nid] == em.POSITIVE)
     k_neg = query.k - k_pos
     return KnnApproxResult(
         depth=code.depth,
@@ -299,10 +301,10 @@ def reference_maintain_state(book, code, query, result):
     if isinstance(code, int):
         code = book.code_at_depth(code)
     q = query.point
-    thr_sq = max(_reference_max_sq(q, book.node(nid).mbr) for nid in result.node_ids)
+    thr_sq = max(_reference_max_sq(q, box_of(book, nid)) for nid in result.node_ids)
     thr_sq = max(thr_sq, result.threshold**2)
     retained = frozenset(
-        nid for nid in code.node_ids if _reference_min_sq(q, book.node(nid).mbr) <= thr_sq
+        nid for nid in code.node_ids if _reference_min_sq(q, box_of(book, nid)) <= thr_sq
     )
     return em.KnnState(depth=code.depth, retained=retained)
 
