@@ -34,7 +34,6 @@ from .coding import (
     Aggregates,
     Code,
     CodeBook,
-    CodeColumns,
     ItemAggregate,
     Mbr,
     NodeArrays,

@@ -17,8 +17,8 @@ import numpy as np
 from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
-from .errors import InsufficientBudgetError, UnknownUserError
-from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _max_sq, _vote
+from .errors import DepthNotFoundError, InsufficientBudgetError, UnknownUserError
+from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _check_dim, _max_sq, _vote
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -52,10 +52,11 @@ def anytime_knn_ranking(
     """Scan ranked points until the budget runs out; the k nearest vote."""
     if budget < query.k:
         raise InsufficientBudgetError(f"budget {budget} below k={query.k}")
+    q = query.point
+    _check_dim(q, train.dimensionality)
     if order is None:
         order = rank_training_points(train)
     used = order[: min(budget, len(order))]
-    q = np.asarray(query.point, dtype=float)
     d2 = ((train.features[used] - q) ** 2).sum(axis=1)
     top = sorted(zip(d2, used))[: query.k]
     k_pos, k_neg, predicted = _vote([int(train.labels[i]) for _, i in top])
@@ -67,19 +68,6 @@ def anytime_knn_ranking(
         threshold=float(np.sqrt(top[-1][0])),
         scanned=len(used),
     )
-
-
-class _FrontierEntry:
-    """A frontier element: an internal node, a leaf, or a raw training point."""
-
-    __slots__ = ("node_id", "point", "label", "d2", "order")
-
-    def __init__(self, node_id, point, label, d2, order):
-        self.node_id = node_id
-        self.point = point
-        self.label = label
-        self.d2 = d2
-        self.order = order
 
 
 def anytime_knn_rtree(
@@ -97,88 +85,75 @@ def anytime_knn_rtree(
     latest-inserted, OFS the one nearest the query by max-distance. The
     budget counts every frontier element ever created; prediction votes
     among the k nearest frontier elements.
+
+    Every box and every training point is scored once, up front, in two
+    array expressions; the descent itself only moves node ids between
+    lists, so a query costs O((nodes + points) * d) array work plus one
+    Python step per expansion.
     """
     if len(book.roots) != 2:
         raise ValueError("anytime rtree descent needs a dual (per-class) codebook")
-    q = np.asarray(query.point, dtype=float)
+    if not book.depths():
+        raise DepthNotFoundError("a class tree is a single leaf: there is no depth-1 frontier")
+    q = query.point
+    _check_dim(q, train.dimensionality)
     nodes = book.arrays
-    labels, trees = nodes.label.tolist(), nodes.tree.tolist()
+    # each row's value is the one a lone box or point gets: _max_sq scores
+    # row by row, and a C-ordered row sum adds each row on its own
+    node_d2 = _max_sq(q, nodes.low, nodes.upp).tolist()
+    point_d2 = ((np.ascontiguousarray(train.features) - q) ** 2).sum(axis=1).tolist()
     child_ptr, child_ids = (a.tolist() for a in nodes.child_csr)
-    frontier: dict[int, _FrontierEntry] = {}
-    per_tree: dict[int, set[int]] = {0: set(), 1: set()}
-    counter = 0  # frontier elements ever created: the scanned-node cost
-
-    def add_nodes(nids):
-        nonlocal counter
-        # scored together: _max_sq gives each row the value a lone box gets
-        rows = np.array(nids)
-        low, upp = nodes.low.take(rows, axis=0), nodes.upp.take(rows, axis=0)
-        for nid, d2 in zip(nids, _max_sq(q, low, upp).tolist()):
-            frontier[counter] = _FrontierEntry(nid, None, labels[nid], d2, counter)
-            per_tree[trees[nid]].add(counter)
-            counter += 1
-
-    def add_points(rows):
-        nonlocal counter
-        # scored together: each row sum equals the lone point's sum bit for bit
-        d2s = ((train.features.take(rows, axis=0) - q) ** 2).sum(axis=1)
-        for row, label, d2 in zip(rows.tolist(), train.labels.take(rows).tolist(), d2s.tolist()):
-            frontier[counter] = _FrontierEntry(None, row, label, d2, counter)
-            counter += 1
-
+    trees = nodes.tree.tolist()
+    # each tree's unexpanded nodes in insertion order: BFS takes the first, DFS the last
+    open_nodes = ([], [])
     for root in book.roots:
-        add_nodes(child_ids[child_ptr[root] : child_ptr[root + 1]])
-    if budget < len(frontier):
+        open_nodes[trees[root]].extend(child_ids[child_ptr[root] : child_ptr[root + 1]])
+    scanned = len(open_nodes[0]) + len(open_nodes[1])  # frontier elements ever created
+    if budget < scanned:
         raise InsufficientBudgetError(
-            f"budget {budget} below the initial frontier size {len(frontier)}"
+            f"budget {budget} below the initial frontier size {scanned}"
         )
+    points = []  # training rows of expanded leaves
 
-    def pick(tree) -> int | None:
-        keys = per_tree[tree]
-        if not keys:
-            return None
+    def pick(frontier: list[int]) -> int:
         if strategy == STRATEGY_BFS:
-            return min(keys)
+            return 0
         if strategy == STRATEGY_DFS:
-            return max(keys)
-        return min(keys, key=lambda c: (frontier[c].d2, frontier[c].node_id))
+            return len(frontier) - 1
+        return min(range(len(frontier)), key=lambda i: (node_d2[frontier[i]], frontier[i]))
 
-    while per_tree[0] or per_tree[1]:
-        progressed = False
-        blocked = False
-        for tree in (0, 1):
-            key = pick(tree)
-            if key is None:
+    blocked = False  # an expansion that did not fit ends the descent after its round
+    while (open_nodes[0] or open_nodes[1]) and not blocked:
+        for frontier in open_nodes:
+            if not frontier:
                 continue
-            nid = frontier[key].node_id
+            at = pick(frontier)
+            nid = frontier[at]
             children = child_ids[child_ptr[nid] : child_ptr[nid + 1]]
-            members = [] if children else nodes.members_of(nid)
-            if counter + len(children or members) > budget:
+            members = [] if children else nodes.members_of(nid).tolist()
+            added = len(children) + len(members)
+            if scanned + added > budget:
                 blocked = True
                 continue
-            del frontier[key]
-            per_tree[tree].discard(key)
-            if children:
-                add_nodes(children)
-            else:
-                add_points(members)
-            progressed = True
-        if blocked or not progressed:
-            break
+            del frontier[at]
+            frontier.extend(children)
+            points.extend(members)
+            scanned += added
 
+    # (distance, a point before a node, id) orders the frontier
     entries = sorted(
-        frontier.values(),
-        key=lambda e: (e.d2, 0 if e.point is not None else 1, e.point if e.point is not None else e.node_id),
-    )
-    top = entries[: query.k]
-    k_pos, k_neg, predicted = _vote([e.label for e in top])
+        [(point_d2[r], 0, r) for r in points]
+        + [(node_d2[n], 1, n) for n in open_nodes[0] + open_nodes[1]]
+    )[: query.k]
+    labels = [int(train.labels[i]) if kind == 0 else int(nodes.label[i]) for _, kind, i in entries]
+    k_pos, k_neg, predicted = _vote(labels)
     return KnnApproxResult(
         depth=EXACT_DEPTH,
-        node_ids=tuple(e.point if e.point is not None else e.node_id for e in top),
-        distances=tuple(float(np.sqrt(e.d2)) for e in top),
+        node_ids=tuple(i for _, _, i in entries),
+        distances=tuple(float(np.sqrt(d2)) for d2, _, _ in entries),
         k_pos=k_pos, k_neg=k_neg, predicted=predicted,
-        threshold=float(np.sqrt(top[-1].d2)),
-        scanned=counter,
+        threshold=float(np.sqrt(entries[-1][0])),
+        scanned=scanned,
     )
 
 

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import Code, CodeBook, CodeColumns, ItemAggregate, StateRows, state_filter
+from .coding import Code, CodeBook, ItemAggregate, StateRows, state_filter
 from .datasets import RatingMatrix
 from .errors import DivergenceError, TrainingConfigError, UndefinedMetricError
 
@@ -258,7 +258,7 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids: np.ndarray,
-           scanned: int, scale, view: CodeColumns | None = None) -> CfApproxResult:
+           scanned: int, scale, view: Code | None = None) -> CfApproxResult:
     """The recommendation step over candidate columns of an item-major deviation table.
 
     ``table[i, c]`` is candidate c's ``rating - rater_mean`` for item i, NaN
@@ -323,8 +323,8 @@ def predict(
     entering the weighted average. An empty weighted set falls back to the
     user's mean; predictions clamp to the rating scale.
     """
-    depth = book.code_at_depth(code).depth if isinstance(code, int) else code.depth
-    view = book.columns(depth)
+    view = book.code_at_depth(code.depth if isinstance(code, Code) else code)
+    depth = view.depth
     cols = np.arange(len(view.ids)) if state is None else state_filter(book, depth, state)
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
     return _score(query, depth, book.deviations(depth), cols, view.ids[cols], len(cols), scale,

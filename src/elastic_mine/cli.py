@@ -41,30 +41,56 @@ def _write(path, config: dict, body: str):
             fh.write(text)
 
 
-def _read_data_lines(path):
+def _read_data_lines(path) -> list[tuple[int, str]]:
+    """(1-based line number, line) of every line that is not a ``#`` comment."""
     with open(path, encoding="utf-8") as fh:
-        return [line for line in fh if not line.startswith("#")]
+        return [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
 
 
-def _read_table(path) -> list[dict[str, str]]:
-    """Rows of a CSV with a header line, as header -> cell strings."""
-    lines = [l.strip() for l in _read_data_lines(path) if l.strip()]
+def _read_table(path, columns: dict, required=None) -> list[dict]:
+    """Rows of a CSV with a header line, as header -> cell.
+
+    A column named in ``columns`` is converted by its function, any other
+    is kept as a string. Every column of ``required`` (by default, every
+    column of ``columns``) must be in the header. A missing column, a row
+    of the wrong width or a cell that does not convert raises
+    :class:`ParseError` with the path and line number.
+    """
+    lines = [(n, line.strip()) for n, line in _read_data_lines(path) if line.strip()]
     if not lines:
-        raise ParseError(f"{path}: no header line")
-    header = [h.strip() for h in lines[0].split(",")]
-    return [dict(zip(header, (c.strip() for c in line.split(",")))) for line in lines[1:]]
+        raise ParseError(f"no header line in {path}")
+    at, first = lines[0]
+    header = [h.strip() for h in first.split(",")]
+    for name in columns if required is None else required:
+        if name not in header:
+            raise ParseError(f"no {name!r} column in {path}", at)
+    rows = []
+    for at, line in lines[1:]:
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise ParseError(f"{len(cells)} cells under {len(header)} columns in {path}", at)
+        try:
+            rows.append({h: columns.get(h, str)(c) for h, c in zip(header, cells)})
+        except ValueError as exc:
+            raise ParseError(f"malformed row in {path} ({exc})", at) from None
+    return rows
 
 
 def _load_states(path, key_fields, state_type) -> dict:
     """``state <key ints> <depth> <ids>`` lines, keyed by the tuple of key ints."""
     states = {}
-    for line in _read_data_lines(path):
+    for at, line in _read_data_lines(path):
         toks = line.split()
         if not toks or toks[0] != "state":
             continue
-        key = tuple(int(t) for t in toks[1 : 1 + key_fields])
-        depth = int(toks[1 + key_fields])
-        states[key] = state_type(depth, frozenset(int(t) for t in toks[2 + key_fields :]))
+        try:
+            key, depth, ids = toks[1 : 1 + key_fields], toks[1 + key_fields], toks[2 + key_fields :]
+            states[tuple(map(int, key))] = state_type(int(depth), frozenset(map(int, ids)))
+        except (ValueError, IndexError):
+            raise ParseError(
+                f"malformed state line in {path} (want {key_fields} key ints, a depth and node ids)",
+                at,
+            ) from None
     return states
 
 
@@ -118,13 +144,15 @@ def _resolve_depth(book, args) -> int:
     if args.budget_ms is not None:
         if not args.profile:
             raise ElasticMineError("--budget-ms needs --profile with a nodes-per-second line")
-        with open(args.profile, encoding="utf-8") as fh:
-            nps = None
-            for line in fh:
-                if line.startswith("nodes_per_second"):
+        nps = None
+        for at, line in _read_data_lines(args.profile):
+            if line.startswith("nodes_per_second"):
+                try:
                     nps = float(line.split()[1])
-            if nps is None:
-                raise ElasticMineError(f"no nodes_per_second line in {args.profile}")
+                except (ValueError, IndexError):
+                    raise ParseError(f"malformed nodes_per_second line in {args.profile}", at) from None
+        if nps is None:
+            raise ElasticMineError(f"no nodes_per_second line in {args.profile}")
         budget = planner.length_budget(args.budget_ms / 1000.0, planner.ThroughputProfile(nps))
         return coding.select_code(book, budget).depth
     raise ElasticMineError("one of --depth, --budget-nodes, --budget-ms is required")
@@ -284,42 +312,42 @@ def _cmd_mine_baseline(args) -> int:
 def _cmd_report_quality(args) -> int:
     keys = ["pred", "task", "out"]
     config = _config(args, keys)
-    body = _read_table(args.pred)
     out_rows = ["depth,metric,value"]
     if args.task == "knn":
+        body = _read_table(args.pred, dict.fromkeys(("depth", "predicted", "actual", "k_P", "k_N"), int))
         by_depth: dict[int, list[dict]] = {}
         for row in body:
-            by_depth.setdefault(int(row["depth"]), []).append(row)
+            by_depth.setdefault(row["depth"], []).append(row)
         for depth in sorted(by_depth):
             rows = by_depth[depth]
-            preds = [int(r["predicted"]) for r in rows]
-            actuals = [int(r["actual"]) for r in rows]
+            preds = [r["predicted"] for r in rows]
+            actuals = [r["actual"] for r in rows]
             out_rows.append(f"{depth},accuracy,{knn.accuracy(preds, actuals)!r}")
-            scores = [int(r["k_P"]) / (int(r["k_P"]) + int(r["k_N"])) for r in rows]
+            scores = [r["k_P"] / (r["k_P"] + r["k_N"]) for r in rows]
             try:
                 out_rows.append(f"{depth},auc,{knn.auc(scores, actuals)!r}")
             except ElasticMineError:
                 pass
     else:
+        body = _read_table(args.pred, {"depth": int, "prediction": float, "fallback_flag": int,
+                                       "actual": lambda v: float(v) if v else None})
         by_depth = {}
         for row in body:
-            if row["actual"] == "":
+            if row["actual"] is None:
                 continue
-            by_depth.setdefault(int(row["depth"]), []).append(row)
+            by_depth.setdefault(row["depth"], []).append(row)
         exact = by_depth.pop(-1, None)
         exact_rmse = None
         if exact is not None:
-            exact_rmse = cf.rmse([float(r["prediction"]) for r in exact],
-                                 [float(r["actual"]) for r in exact])
+            exact_rmse = cf.rmse([r["prediction"] for r in exact], [r["actual"] for r in exact])
             out_rows.append(f"-1,rmse,{exact_rmse!r}")
         for depth in sorted(by_depth):
             rows = by_depth[depth]
-            value = cf.rmse([float(r["prediction"]) for r in rows],
-                            [float(r["actual"]) for r in rows])
+            value = cf.rmse([r["prediction"] for r in rows], [r["actual"] for r in rows])
             out_rows.append(f"{depth},rmse,{value!r}")
             if exact_rmse:
                 out_rows.append(f"{depth},relative_error,{cf.relative_error(value, exact_rmse)!r}")
-            fallback = sum(int(r["fallback_flag"]) for r in rows) / len(rows)
+            fallback = sum(r["fallback_flag"] for r in rows) / len(rows)
             out_rows.append(f"{depth},fallback_rate,{fallback!r}")
     _write(args.out, config, "\n".join(out_rows) + "\n")
     return 0
@@ -329,8 +357,8 @@ def _cmd_report_elasticity(args) -> int:
     keys = ["series", "out"]
     config = _config(args, keys)
     points = []
-    for cells in _read_table(args.series):
-        row = {k: float(v) for k, v in cells.items()}
+    numbers = dict.fromkeys(("quality", "investment", "resource", "price"), float)
+    for row in _read_table(args.series, numbers, required=("quality", "investment")):
         points.append(elasticity.InvestmentPoint(
             quality=row["quality"], investment=row["investment"],
             resource=row.get("resource"), price=row.get("price"),
@@ -388,8 +416,8 @@ def _cmd_plan(args) -> int:
     keys = ["results", "scheme", "query", "fixed_price", "schedule", "budget",
             "quality", "deadline_hours", "elasticity_floor", "out"]
     config = _config(args, keys)
-    results = [planner.ResultPoint(float(row["quality"]), float(row["hours"]))
-               for row in _read_table(args.results)]
+    results = [planner.ResultPoint(row["quality"], row["hours"])
+               for row in _read_table(args.results, {"quality": float, "hours": float})]
     out_rows = []
     if args.scheme in ("fixed", "both"):
         # the deadline-driven spot query maps to the quality-floor fixed query

@@ -149,21 +149,9 @@ class NodeArrays:
         return self.members[self.member_ptr[i] : self.member_ptr[i + 1]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
-    """All node ids at one depth, in deterministic (tree, construction) order."""
-
-    depth: int
-    node_ids: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.node_ids)
-
-
-@dataclass(frozen=True)
-class CodeColumns:
-    """One depth of a codebook as arrays; row r describes node ``ids[r]``.
+    """The code of one depth, as arrays; row r describes node ``ids[r]``.
 
     Node ids follow a depth-first build order, so the descendants at this
     depth of any node at a shallower depth s are one contiguous run of rows
@@ -178,6 +166,15 @@ class CodeColumns:
     upp: np.ndarray  # (L, d)
     labels: np.ndarray  # (L,)
     offsets: dict[int, np.ndarray]  # shallower depth s -> (L_s + 1,) first descendant rows
+
+    @property
+    def length(self) -> int:
+        return len(self.ids)
+
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        """The ids as Python ints, in deterministic (tree, construction) order."""
+        return tuple(self.ids.tolist())
 
     @property
     def dimensionality(self) -> int:
@@ -203,11 +200,11 @@ class StateRows(NamedTuple):
     book's own view of the state's depth.
     """
 
-    view: CodeColumns
+    view: Code
     rows: np.ndarray
 
 
-def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
+def _build_columns(book: "CodeBook") -> dict[int, Code]:
     """Columnar views of depths 0..usable; ancestor rows come from stepping a parent array.
 
     Raises :class:`ParseError` unless the book is in tree order (parent
@@ -231,7 +228,7 @@ def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
             offsets[shallower] = np.searchsorted(rows, np.arange(len(above) + 1))
         if depth:
             _check_nesting(columns[depth - 1], ids, low, upp, parents, offsets[depth - 1])
-        columns[depth] = CodeColumns(
+        columns[depth] = Code(
             depth=depth,
             ids=ids,
             low=low,
@@ -242,7 +239,7 @@ def _build_columns(book: "CodeBook") -> dict[int, CodeColumns]:
     return columns
 
 
-def _check_nesting(above: CodeColumns, ids, low, upp, parents, offsets):
+def _check_nesting(above: Code, ids, low, upp, parents, offsets):
     """Raise :class:`ParseError` unless one depth nests in the depth above it."""
     bad = np.flatnonzero(np.diff(parents) < 0)
     if len(bad):
@@ -279,16 +276,13 @@ class CodeBook:
     seed: int
     features: np.ndarray | None = None  # CF coders: the user feature matrix
     warnings: tuple[str, ...] = ()
-    _codes: dict = field(default=None, init=False, repr=False, compare=False)
+    _depths: tuple = field(default=(), init=False, repr=False, compare=False)
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
-        depth = self.arrays.depth
-        codes = {d: Code(d, tuple(np.flatnonzero(depth == d).tolist()))
-                 for d in range(1, self.usable_depth() + 1)}
-        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_depths", tuple(range(1, self.usable_depth() + 1)))
 
     def tree_depth(self, tree: int) -> int:
         return int(self.arrays.depth[self.arrays.tree == tree].max())
@@ -298,17 +292,18 @@ class CodeBook:
         return min(self.tree_depth(t) for t in range(len(self.roots)))
 
     def depths(self) -> tuple[int, ...]:
-        return tuple(sorted(self._codes))
+        return self._depths
 
     def code_at_depth(self, depth: int) -> Code:
-        if depth == 0:
-            raise DepthNotFoundError("depth 0 holds only the root nodes and is not a usable code")
-        if depth not in self._codes:
-            raise DepthNotFoundError(f"no code at depth {depth}; available depths {self.depths()}")
-        return self._codes[depth]
+        """The code of one usable depth: the cached view :meth:`columns` returns."""
+        if depth not in self._depths:
+            if depth == 0:
+                raise DepthNotFoundError("depth 0 holds only the root nodes and is not a usable code")
+            raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
+        return self.columns(depth)
 
-    def columns(self, depth: int) -> CodeColumns:
-        """The columnar view of one depth (0 holds the roots).
+    def columns(self, depth: int) -> Code:
+        """The columnar view of one depth, 0 (the roots) included.
 
         Views of every depth are built together on first use and cached;
         they are derived data and never written by :func:`dump_codebook`.
@@ -387,22 +382,25 @@ def select_code(book: CodeBook, length_budget: int) -> Code:
     """The code of greatest length not exceeding the budget."""
     if length_budget < 1:
         raise BudgetTooSmallError(f"length budget {length_budget} must be >= 1")
-    best = None
-    for depth in book.depths():
-        code = book.code_at_depth(depth)
-        if code.length <= length_budget and (best is None or code.length > best.length):
-            best = code
-    if best is None:
-        shortest = min(book.code_at_depth(d).length for d in book.depths())
+    codes = [book.code_at_depth(d) for d in book.depths()]
+    if not codes:
+        raise DepthNotFoundError("the book has no usable code: a tree is a single leaf")
+    fitting = [c for c in codes if c.length <= length_budget]
+    if not fitting:
+        shortest = min(c.length for c in codes)
         raise BudgetTooSmallError(
             f"length budget {length_budget} below the shortest code length {shortest}"
         )
-    return best
+    return max(fitting, key=lambda c: c.length)  # the shallowest of equal lengths
 
 
-def total_mbr_volume(book: CodeBook, code: Code) -> float:
-    """Sum of bounding-box volumes over the code's nodes, added in node order."""
-    ids = np.asarray(code.node_ids, dtype=np.intp)
+def total_mbr_volume(book: CodeBook, code: Code | int) -> float:
+    """Sum of bounding-box volumes over the nodes of a code or depth, added in node order.
+
+    Reads the book's columns, so it works on a book whose views reject it.
+    """
+    depth = code.depth if isinstance(code, Code) else code
+    ids = np.flatnonzero(book.arrays.depth == depth)
     return sum(np.prod(book.arrays.upp[ids] - book.arrays.low[ids], axis=1).tolist())
 
 
@@ -657,11 +655,6 @@ def kmeans(
             if mask.any():
                 centroids[c] = X[mask].mean(axis=0)
     return labels, centroids
-
-
-def wcss(X: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    """Within-cluster sum of squared distances to the assigned centroids."""
-    return float(((np.asarray(X) - centroids[labels]) ** 2).sum())
 
 
 def build_kmeans_codebook(

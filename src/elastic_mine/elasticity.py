@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import Code, CodeBook, total_mbr_volume
+from .coding import CodeBook, total_mbr_volume
 from .errors import AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError
 
 
@@ -125,7 +125,7 @@ def default_cell_volume(book: CodeBook) -> float:
     Chosen so every non-degenerate leaf box holds at least one possible
     point; the audit verdict is invariant to this constant anyway.
     """
-    ids = np.asarray(book.code_at_depth(book.depths()[-1]).node_ids)
+    ids = np.flatnonzero(book.arrays.depth == book.depths()[-1])
     extents = book.arrays.upp[ids] - book.arrays.low[ids]
     positive = extents[extents > 0]
     if not len(positive):
@@ -161,9 +161,9 @@ def audit_entropy_monotonicity(
     if m is None:
         m = int(np.diff(book.arrays.member_ptr)[list(book.roots)].sum())
     cell = cell_volume if cell_volume is not None else default_cell_volume(book)
-    root_volume = total_mbr_volume(book, Code(0, book.roots))
-    volumes = [total_mbr_volume(book, book.code_at_depth(d)) for d in depths]
-    lengths = [book.code_at_depth(d).length for d in depths]
+    root_volume = total_mbr_volume(book, 0)
+    volumes = [total_mbr_volume(book, d) for d in depths]
+    lengths = np.bincount(book.arrays.depth)[depths].tolist()
     counts = [int(v / cell) for v in volumes]
     prior = int(root_volume / cell)
     if any(c < m for c in counts) or prior < m:

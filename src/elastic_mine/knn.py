@@ -7,7 +7,7 @@ state keeps the scanned nodes that could still matter; deeper codes are
 then filtered through that state, which only ever shrinks the scan.
 
 The kernel works on the book's columnar per-depth view
-(:meth:`CodeBook.columns`): the boxes of a code as two (L, d) arrays, a
+(:meth:`CodeBook.code_at_depth`): the boxes of a code as two (L, d) arrays, a
 label array and, per shallower depth, the range of this code's rows that
 lies below each node of that depth. A scan is one vector expression
 over the (state-filtered) rows, a partial sort for the k smallest
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import Code, CodeBook, CodeColumns, Mbr, StateRows, state_filter
+from .coding import Code, CodeBook, Mbr, StateRows, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import DimensionMismatchError, InsufficientCandidatesError, UndefinedMetricError
 
@@ -148,9 +148,8 @@ def _vote(labels) -> tuple[int, int, int]:
     return k_pos, k_neg, predicted
 
 
-def _code_columns(book: CodeBook, code: Code | int, query: KnnQuery) -> CodeColumns:
-    depth = book.code_at_depth(code).depth if isinstance(code, int) else code.depth
-    columns = book.columns(depth)
+def _code_columns(book: CodeBook, code: Code | int, query: KnnQuery) -> Code:
+    columns = book.code_at_depth(code.depth if isinstance(code, Code) else code)
     _check_dim(query.point, columns.dimensionality)
     return columns
 

@@ -366,13 +366,12 @@ def spot_elasticity_bids(
     results: Sequence[ResultPoint],
     schedule: PriceSchedule,
     elasticity_floor: float,
-    base_bid: float | None = None,
 ) -> tuple[ElasticityBid, ...]:
     """Derive one bid per result so every refinement meets the elasticity floor.
 
-    The first result pays the base bid (the maximum price level unless
-    given). Each later result first tries the base bid; when the implied
-    elasticity falls below the floor, its investment increment is capped at
+    The first result pays the base bid, the maximum price level. Each
+    later result first tries the base bid; when the implied elasticity
+    falls below the floor, its investment increment is capped at
     quality-gain / floor of the cumulative investment and the bid becomes
     that increment divided by the result's execution time.
     """
@@ -380,7 +379,7 @@ def spot_elasticity_bids(
     _check_results(results)
     if elasticity_floor <= 0:
         raise ValueError("elasticity floor must be positive")
-    base = base_bid if base_bid is not None else max(schedule.levels())
+    base = max(schedule.levels())
     increments = [results[0].hours] + [
         b.hours - a.hours for a, b in zip(results, results[1:])
     ]

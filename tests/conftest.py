@@ -56,6 +56,13 @@ def fourclass_book(fourclass_split) -> em.CodeBook:
     return em.build_dual_rtrees(train, max_entries=3, seed=7)
 
 
+@pytest.fixture(scope="session")
+def single_leaf_split() -> tuple[em.LabeledDataset, em.CodeBook]:
+    """Six points whose positive class tree is a single leaf: the book has no usable code."""
+    ds = em.LabeledDataset([[i, i] for i in range(6)], [1, 1, -1, -1, -1, -1])
+    return ds, em.build_dual_rtrees(ds, max_entries=2)
+
+
 def leaf_with_members(book: em.CodeBook, members: set) -> int:
     """The id of the leaf whose member rows are exactly ``members``."""
     nodes = book.arrays

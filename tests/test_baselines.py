@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.baselines import recttree_partition, sample_users
-from elastic_mine.errors import InsufficientBudgetError
+from elastic_mine.errors import DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError
 
 from conftest import TABLE_FEATURES
 
@@ -127,6 +127,25 @@ class TestAnytimeRtree:
         assert sorted(result.node_ids) == list(range(n))
         for row, dist in zip(result.node_ids, result.distances):
             assert dist == float(np.sqrt(((ds.features[row] - q) ** 2).sum()))
+
+    @pytest.mark.parametrize("baseline, point, error", [
+        ("rtree", [0.0, 0.0], DepthNotFoundError),
+        ("rtree", [0.0], DimensionMismatchError),
+        ("rtree", [0.0, 0.0, 0.0], DimensionMismatchError),
+        ("ranking", [0.0], DimensionMismatchError),
+        ("ranking", [0.0, 0.0, 0.0], DimensionMismatchError),
+    ], ids=["rtree-single-leaf-tree", "rtree-1d-query", "rtree-3d-query",
+            "ranking-1d-query", "ranking-3d-query"])
+    def test_malformed_question_fails_loudly(self, small_tree_setup, single_leaf_split,
+                                             baseline, point, error):
+        """A book without a depth-1 code, or a query of the wrong length, gets no answer."""
+        ds, book = single_leaf_split if error is DepthNotFoundError else small_tree_setup
+        query = em.KnnQuery(point, 1)
+        with pytest.raises(error):
+            if baseline == "rtree":
+                em.anytime_knn_rtree(book, ds, query, 10**9)
+            else:
+                em.anytime_knn_ranking(ds, query, len(ds))
 
     def test_determinism(self, small_tree_setup):
         ds, book = small_tree_setup

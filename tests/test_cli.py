@@ -108,6 +108,18 @@ class TestMine:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_book_without_codes_fails_loudly(self, single_leaf_split, tmp_path, capsys):
+        ds, book = single_leaf_split
+        em.save_codebook(book, tmp_path / "leaf.ecb")
+        with open(tmp_path / "leaf.libsvm", "w") as fh:
+            em.write_libsvm(ds, fh)
+        assert run(["mine", "knn", "--book", tmp_path / "leaf.ecb", "--test",
+                    tmp_path / "leaf.libsvm", "--k", 1, "--budget-nodes", 5,
+                    "--out", tmp_path / "never.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "no usable code" in captured.err
+
     def test_cf_single_query(self, workdir, capsys):
         assert run(["mine", "cf", "--book", workdir / "cf.ecb", "--ratings",
                     workdir / "ratings.csv", "--user", 5, "--item", 3,
@@ -313,6 +325,33 @@ class TestThreadsAndBudgets:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         full = em.load_codebook(workdir / "cf.ecb").code_at_depth(2).length
         assert all(int(l.split(",")[3]) <= full for l in body[1:])
+
+
+class TestSideFiles:
+    """A malformed state, prediction or profile file exits 2 with one error line
+    naming the file and the line."""
+
+    @pytest.mark.parametrize("name, text, line, command", [
+        ("state.txt", "# header\nstate 0 x 1 2\n", 2,
+         ["mine", "knn", "--depth", 2, "--from-state"]),
+        ("state.txt", "state 0\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
+        ("pred.csv", "query_id,scanned_nodes,k_P,k_N,predicted,actual\n0,4,3,2,1,1\n", 1,
+         ["report", "quality", "--task", "knn", "--pred"]),
+        ("profile.txt", "nodes_per_second abc\n", 1,
+         ["mine", "knn", "--budget-ms", 30, "--profile"]),
+    ], ids=["state-bad-depth", "state-no-depth", "pred-no-depth-column", "profile-bad-rate"])
+    def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
+                                          name, text, line, command):
+        path = tmp_path / name
+        path.write_text(text)
+        em.save_codebook(fourclass_book, tmp_path / "book.ecb")
+        mine = ["--book", tmp_path / "book.ecb", "--test", workdir / "test.libsvm", "--k", 5]
+        args = command + [path] + (mine if command[0] == "mine" else [])
+        assert run(args + ["--out", tmp_path / "never.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+        assert str(path) in captured.err and captured.err.count("\n") == 1
 
 
 class TestReproducibility:

@@ -272,6 +272,12 @@ class TestCodeSelection:
         with pytest.raises(BudgetTooSmallError):
             em.select_code(ladder_book, 1)
 
+    def test_book_without_codes_has_nothing_to_select(self, single_leaf_split):
+        _, book = single_leaf_split
+        assert book.depths() == ()
+        with pytest.raises(DepthNotFoundError):
+            em.select_code(book, 5)
+
     def test_code_at_depth_errors(self, fourclass_book):
         with pytest.raises(DepthNotFoundError):
             fourclass_book.code_at_depth(0)
