@@ -37,6 +37,7 @@ from .coding import (
     ItemAggregate,
     Mbr,
     NodeArrays,
+    State,
     aggregate_ratings,
     build_cf_codebook,
     build_dual_rtrees,
@@ -48,12 +49,12 @@ from .coding import (
     load_codebook,
     save_codebook,
     select_code,
+    state_of,
     total_mbr_volume,
 )
 from .knn import (
     KnnApproxResult,
     KnnQuery,
-    KnnState,
     accuracy,
     auc,
     classify,
@@ -65,7 +66,6 @@ from .knn import (
 from .cf import (
     CfApproxResult,
     CfQuery,
-    CfState,
     UserFeatureMatrix,
     exact_cf_predict,
     maintain_cf_state,

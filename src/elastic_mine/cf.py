@@ -20,6 +20,9 @@ column sums: O(candidates + ratings x raters) array work, with no
 per-candidate Python step. The sums add the rows in
 ``query.ratings`` order, so weights equal the scalar :func:`node_weight`
 bit for bit.
+
+A code-level result carries its raters as its state (the ``coding.State``
+kNN uses too), so a deeper prediction scans only their subtrees.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import Code, CodeBook, ItemAggregate, StateRows, state_filter
+from .coding import Code, CodeBook, ItemAggregate, State, state_filter
 from .datasets import RatingMatrix
-from .errors import DivergenceError, TrainingConfigError, UndefinedMetricError
+from .errors import DivergenceError, ForeignStateError, TrainingConfigError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -190,15 +193,8 @@ class CfApproxResult:
     scanned: int
     fallback: bool
     clamped: bool
-    # rows of every rater in the code's view, for maintain_cf_state; None for user-level routes
-    state_rows: StateRows | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class CfState:
-    depth: int
-    retained: frozenset[int]
-    rows: StateRows | None = field(default=None, compare=False, repr=False)  # see state_filter
+    # every rater, the next state; None for user-level routes
+    state: State | None = field(default=None, repr=False)
 
 
 def node_weight(
@@ -267,7 +263,7 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
     the target item is a rater; its weight is :func:`node_weight` over the
     query's items, with each sum taken in ``query.ratings`` order so that
     the weights equal the scalar definition bit for bit. With the view
-    that ``cols`` index, the result carries its raters' rows.
+    that ``cols`` index, the result carries its raters as its state.
     """
     if 0 <= query.item < len(table):
         target = table[query.item, cols]
@@ -303,7 +299,7 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
         scanned=scanned,
         fallback=fallback,
         clamped=clamped,
-        state_rows=None if view is None else StateRows(view, cols),
+        state=None if view is None else State(view, cols),
     )
 
 
@@ -311,7 +307,7 @@ def predict(
     book: CodeBook,
     code: Code | int,
     query: CfQuery,
-    state: CfState | None = None,
+    state: State | None = None,
     matrix: RatingMatrix | None = None,
 ) -> CfApproxResult:
     """Predict the active user's rating of the target item from a code.
@@ -331,17 +327,20 @@ def predict(
                   view)
 
 
-def maintain_cf_state(result: CfApproxResult) -> CfState:
-    """The state is the full rater set: every scanned node that rated the item."""
-    return CfState(result.depth, frozenset(result.all_rater_node_ids), rows=result.state_rows)
+def maintain_cf_state(result: CfApproxResult) -> State:
+    """The state is the full rater set: every scanned node that rated the item.
+
+    A user-level result (the exact oracle, a baseline) has none: it raises
+    :class:`ForeignStateError`."""
+    if result.state is None:
+        raise ForeignStateError("a user-level result has no state: it scanned no code")
+    return result.state
 
 
 def refine_chain(book: CodeBook, query: CfQuery, depths=None, matrix=None) -> list[CfApproxResult]:
     """Produce one prediction per depth, each refined from the previous state."""
-    depths = list(depths) if depths is not None else list(book.depths())
-    results = []
-    state = None
-    for depth in depths:
+    results, state = [], None
+    for depth in book.depths() if depths is None else depths:
         result = predict(book, depth, query, state, matrix=matrix)
         results.append(result)
         state = maintain_cf_state(result)

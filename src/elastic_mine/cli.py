@@ -76,21 +76,22 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
     return rows
 
 
-def _load_states(path, key_fields, state_type) -> dict:
-    """``state <key ints> <depth> <ids>`` lines, keyed by the tuple of key ints."""
+def _load_states(path, key_fields, book) -> dict:
+    """``state <key ints> <depth> <ids>`` lines as states of ``book``, keyed by the key ints."""
     states = {}
     for at, line in _read_data_lines(path):
         toks = line.split()
         if not toks or toks[0] != "state":
             continue
         try:
-            key, depth, ids = toks[1 : 1 + key_fields], toks[1 + key_fields], toks[2 + key_fields :]
-            states[tuple(map(int, key))] = state_type(int(depth), frozenset(map(int, ids)))
+            key = tuple(map(int, toks[1 : 1 + key_fields]))
+            state_depth, ids = int(toks[1 + key_fields]), list(map(int, toks[2 + key_fields :]))
         except (ValueError, IndexError):
             raise ParseError(
                 f"malformed state line in {path} (want {key_fields} key ints, a depth and node ids)",
                 at,
             ) from None
+        states[key] = coding.state_of(book, state_depth, ids)
     return states
 
 
@@ -174,7 +175,7 @@ def _cmd_mine_knn(args) -> int:
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
     depth = _resolve_depth(book, args)
-    states = _load_states(args.from_state, 1, knn.KnnState) if args.from_state else {}
+    states = _load_states(args.from_state, 1, book) if args.from_state else {}
     code = book.code_at_depth(depth)
 
     def classify_one(qid):
@@ -228,7 +229,7 @@ def _cmd_mine_cf(args) -> int:
         depth = coding.select_code(book, args.budget_nodes).depth
     else:
         raise ElasticMineError("one of --depth, --budget-nodes is required")
-    states = _load_states(args.from_state, 2, cf.CfState) if args.from_state else {}
+    states = _load_states(args.from_state, 2, book) if args.from_state else {}
 
     def predict_one(idx):
         user, item, _ = queries[idx]

@@ -192,16 +192,30 @@ class Code:
         return pos
 
 
-class StateRows(NamedTuple):
-    """Ascending rows of a state's retained nodes in the view they index.
+@dataclass(frozen=True, eq=False)
+class State:
+    """The nodes a refined query keeps at one depth, as ascending rows of ``view``.
 
-    A state carries them so that refining need not look its node ids up
-    again; :func:`state_filter` trusts them only while ``view`` is the
-    book's own view of the state's depth.
+    Only the book that owns ``view`` accepts the state, so a state of another
+    book, an equal copy included, is rejected; equal states index one view at
+    equal rows. :func:`state_of` makes a state from node ids.
     """
 
-    view: Code
+    view: Code = field(repr=False)
     rows: np.ndarray
+
+    @property
+    def depth(self) -> int:
+        return self.view.depth
+
+    @cached_property
+    def retained(self) -> frozenset[int]:
+        """The retained node ids, built on first read."""
+        return frozenset(self.view.ids[self.rows].tolist())
+
+    def __eq__(self, other):
+        same_view = isinstance(other, State) and other.view is self.view
+        return same_view and np.array_equal(other.rows, self.rows)
 
 
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
@@ -296,10 +310,8 @@ class CodeBook:
 
     def code_at_depth(self, depth: int) -> Code:
         """The code of one usable depth: the cached view :meth:`columns` returns."""
-        if depth not in self._depths:
-            if depth == 0:
-                raise DepthNotFoundError("depth 0 holds only the root nodes and is not a usable code")
-            raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
+        if depth == 0:
+            raise DepthNotFoundError("depth 0 holds only the root nodes and is not a usable code")
         return self.columns(depth)
 
     def columns(self, depth: int) -> Code:
@@ -308,12 +320,13 @@ class CodeBook:
         Views of every depth are built together on first use and cached;
         they are derived data and never written by :func:`dump_codebook`.
         """
-        if not self._columns:
-            # concurrent first calls each build equal views; the update
-            # is a single dict operation, so readers never see a partial set
-            self._columns.update(_build_columns(self))
         if depth not in self._columns:
-            raise DepthNotFoundError(f"no nodes at depth {depth} in every tree")
+            if depth != 0 and depth not in self._depths:
+                raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
+            # concurrent first calls each build the views; setdefault never
+            # replaces a stored view, so all callers get the first one stored
+            for d, view in _build_columns(self).items():
+                self._columns.setdefault(d, view)
         return self._columns[depth]
 
     def deviations(self, depth: int) -> np.ndarray:
@@ -338,7 +351,7 @@ class CodeBook:
                 rows = np.repeat(np.arange(len(ids)), stops - starts)
                 table = deviation_table(int(items.max(initial=0)) + 1, len(ids), items, rows,
                                         agg.rating[at] - agg.rater_mean[at])
-            self._deviations[depth] = table  # a single dict store, as in columns()
+            self._deviations[depth] = table  # an equal table may replace it: no state holds one
         return table
 
     def ancestor_at(self, node_id: int, depth: int) -> int:
@@ -351,31 +364,30 @@ class CodeBook:
         return at
 
 
-def state_filter(book: CodeBook, depth: int, state) -> np.ndarray:
-    """Ascending rows of ``book.columns(depth)`` whose ancestor at
-    ``state.depth`` is in ``state.retained``.
-
-    ``state`` is a kNN or CF state. It must come from a shallower depth of
-    this book: a retained id that is not a node of that depth raises
-    :class:`ForeignStateError`. The rows are the concatenated subtree
-    ranges of the retained nodes, so the cost is O(retained + candidates),
-    not O(code length). The retained nodes' rows are taken from
-    ``state.rows`` when they index this book's own view of the state's
-    depth, and are looked up from the node ids otherwise.
-    """
-    if depth <= state.depth:
-        raise ValueError(f"state depth {state.depth} must be above code depth {depth}")
+def state_of(book: CodeBook, depth: int, node_ids) -> State:
+    """The state of ``book`` that retains the given nodes of one depth; a depth
+    or an id that is not one of this book raises :class:`ForeignStateError`."""
     try:
-        at_state = book.columns(state.depth)
+        view = book.columns(depth)
     except DepthNotFoundError:
-        raise ForeignStateError(f"state depth {state.depth} is not a depth of this book") from None
-    if state.rows is not None and state.rows.view is at_state:
-        retained = state.rows.rows
-    else:
-        ids = np.fromiter(state.retained, dtype=np.intp, count=len(state.retained))
-        retained = at_state.rows(np.sort(ids))
+        raise ForeignStateError(f"state depth {depth} is not a depth of this book") from None
+    return State(view, view.rows(np.unique(np.fromiter(node_ids, dtype=np.intp))))
+
+
+def state_filter(book: CodeBook, depth: int, state: State) -> np.ndarray:
+    """Ascending rows of ``book.columns(depth)`` that descend from the state's rows.
+
+    The state must index this book's own view of a shallower depth; any
+    other, a state of an equal copy of the book included, raises
+    :class:`ForeignStateError`. The rows are the concatenated subtree ranges
+    of the state's rows: O(retained + candidates), not O(code length).
+    """
+    if book._columns.get(state.depth) is not state.view:
+        raise ForeignStateError(f"the state indexes another book's view of depth {state.depth}")
+    if depth <= state.depth:
+        raise ForeignStateError(f"state depth {state.depth} must be above code depth {depth}")
     offsets = book.columns(depth).offsets[state.depth]
-    return _ranges(offsets[retained], offsets[retained + 1])
+    return _ranges(offsets[state.rows], offsets[state.rows + 1])
 
 
 def select_code(book: CodeBook, length_budget: int) -> Code:

@@ -2,9 +2,10 @@
 
 A query is answered by linearly scanning a code and voting among the k
 nodes closest to the query point, where node distance is the maximal
-Euclidean distance to any point of the node's bounding box. A result's
-state keeps the scanned nodes that could still matter; deeper codes are
-then filtered through that state, which only ever shrinks the scan.
+Euclidean distance to any point of the node's bounding box. A state (a
+``coding.State``, as in CF) keeps the scanned nodes that could still
+matter as rows of its book's view; deeper codes of that book alone are
+then filtered through it, which only ever shrinks the scan.
 
 The kernel works on the book's columnar per-depth view
 (:meth:`CodeBook.code_at_depth`): the boxes of a code as two (L, d) arrays, a
@@ -16,12 +17,12 @@ k-th distance, so ties still break by node id. A one-shot query at a
 code of length L costs O(L * d) array work, with no per-node Python step;
 the view is built once per book, on first use.
 
-State filtering gathers the subtree row ranges of the retained nodes, so
-a refined query costs O(candidates * d). A refined scan also keeps its
-survivors: the scanned nodes whose minimal distance is within the
-threshold, which become the next state. For a state built by
-:func:`maintain_state` they are exactly the nodes a scan of the whole
-code would keep (child boxes lie inside their parent's box, so the
+State filtering gathers the subtree row ranges of the retained rows, so
+a refined query costs O(candidates * d). A refined result also carries
+its own state: the scanned nodes whose minimal distance is within the
+threshold, which :func:`maintain_state` returns as they are. For a state
+built by :func:`maintain_state` they are exactly the nodes a scan of the
+whole code would keep (child boxes lie inside their parent's box, so the
 threshold never grows down a chain and every such node lies under a
 retained one); for a hand-made, narrower state they are fewer.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import Code, CodeBook, Mbr, StateRows, state_filter
+from .coding import Code, CodeBook, Mbr, State, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import DimensionMismatchError, InsufficientCandidatesError, UndefinedMetricError
 
@@ -120,8 +121,8 @@ class KnnApproxResult:
     predicted: int
     threshold: float  # largest of the k distances (the pruning threshold)
     scanned: int
-    # a refined scan's survivors, for maintain_state; None after a one-shot scan
-    state_rows: StateRows | None = field(default=None, compare=False, repr=False)
+    # a refined scan's survivors, the next state; None after a one-shot scan
+    state: State | None = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -131,13 +132,6 @@ class KnnApproxResult:
     def positive_score(self) -> float:
         """Estimated probability of the positive class, k_pos / k."""
         return self.k_pos / self.k
-
-
-@dataclass(frozen=True)
-class KnnState:
-    depth: int
-    retained: frozenset[int]
-    rows: StateRows | None = field(default=None, compare=False, repr=False)  # see state_filter
 
 
 def _vote(labels) -> tuple[int, int, int]:
@@ -155,15 +149,15 @@ def _code_columns(book: CodeBook, code: Code | int, query: KnnQuery) -> Code:
 
 
 def classify(
-    book: CodeBook, code: Code | int, query: KnnQuery, state: KnnState | None = None
+    book: CodeBook, code: Code | int, query: KnnQuery, state: State | None = None
 ) -> KnnApproxResult:
     """Select the k nodes of smallest max-distance in the (state-filtered) code.
 
     With a state, only nodes whose ancestor at the state's depth was
     retained are scanned; the scanned-node count is the result's
     computational cost. Distance ties break by node id. A refined result
-    also carries the rows of the scanned nodes within its threshold, which
-    :func:`maintain_state` turns into the next state.
+    also carries its state: the scanned nodes within its threshold, which
+    :func:`maintain_state` returns as they are.
     """
     columns = _code_columns(book, code, query)
     ids, low, upp, labels = columns.ids, columns.low, columns.upp, columns.labels
@@ -182,12 +176,11 @@ def classify(
     top = near[np.lexsort((ids[near], d2[near]))][:k]
     distances = np.sqrt(d2[top]).tolist()
     k_pos, k_neg, predicted = _vote(labels[top].tolist())
-    survivors = None
     if state is not None:
-        # the candidates are gathered already, so the next state costs one
-        # more pass over them instead of a scan of the whole code
+        # the next state: the candidates are gathered already, so it costs
+        # one more pass over them instead of a scan of the whole code
         keep = _within(q, low, upp, float(d2[top[-1]]), distances[-1])
-        survivors = StateRows(columns, rows[keep])
+        state = State(columns, rows[keep])
     return KnnApproxResult(
         depth=columns.depth,
         node_ids=tuple(ids[top].tolist()),
@@ -197,45 +190,38 @@ def classify(
         predicted=predicted,
         threshold=distances[-1],
         scanned=len(ids),
-        state_rows=survivors,
+        state=state,
     )
 
 
 def maintain_state(
     book: CodeBook, code: Code | int, query: KnnQuery, result: KnnApproxResult
-) -> KnnState:
+) -> State:
     """Keep the scanned nodes whose minimal distance is within the threshold.
 
     Nodes with ``dist_min > dist_max_kNN`` cannot contain any of the
     query's nearest neighbours at any deeper depth and are dropped; the k
-    result nodes always survive. A result of a refined scan of this very
-    view carries its survivors, which are taken as they are; any other
-    result (one-shot, hand-built, or of another book) has the whole code
-    scanned. From a state this function built, both give the same nodes.
-    ``result`` must be the result of ``query`` at this code; a result of
-    another code raises :class:`ForeignStateError`.
+    result nodes always survive. A refined result of this very view
+    carries that state, which is returned as it is; any other result
+    (one-shot, hand-built, or of another book) has the whole code scanned.
+    From a state this function built, both give the same nodes. ``result``
+    must be the result of ``query`` at this code; a result of another code
+    raises :class:`ForeignStateError`.
     """
     columns = _code_columns(book, code, query)
-    if result.state_rows is not None and result.state_rows.view is columns:
-        keep = result.state_rows.rows
-    else:
-        rows = columns.rows(result.node_ids)
-        q, low, upp = query.point, columns.low, columns.upp
-        top_sq = float(_max_sq(q, low[rows], upp[rows]).max())
-        keep = np.flatnonzero(_within(_spread(q, low), low, upp, top_sq, result.threshold))
-    return KnnState(
-        depth=columns.depth,
-        retained=frozenset(columns.ids[keep].tolist()),
-        rows=StateRows(columns, keep),
-    )
+    if result.state is not None and result.state.view is columns:
+        return result.state
+    rows = columns.rows(result.node_ids)
+    q, low, upp = query.point, columns.low, columns.upp
+    top_sq = float(_max_sq(q, low[rows], upp[rows]).max())
+    keep = _within(_spread(q, low), low, upp, top_sq, result.threshold)
+    return State(columns, np.flatnonzero(keep))
 
 
 def refine_chain(book: CodeBook, query: KnnQuery, depths=None) -> list[KnnApproxResult]:
     """Produce one result per depth, each refined from the previous state."""
-    depths = list(depths) if depths is not None else list(book.depths())
-    results = []
-    state = None
-    for depth in depths:
+    results, state = [], None
+    for depth in book.depths() if depths is None else depths:
         code = book.code_at_depth(depth)
         result = classify(book, code, query, state)
         results.append(result)

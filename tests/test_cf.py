@@ -303,7 +303,7 @@ end
 
     def test_empty_state_prunes_everything(self, example_matrix, example_cf_book):
         query = em.CfQuery.from_matrix(example_matrix, user=1, item=4)
-        state = em.CfState(depth=1, retained=frozenset())
+        state = em.state_of(example_cf_book, 1, [])
         result = em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
         assert result.scanned == 0
         assert result.fallback
@@ -311,10 +311,19 @@ end
     def test_foreign_state_rejected(self, example_matrix, example_cf_book):
         query = em.CfQuery.from_matrix(example_matrix, user=1, item=4)
         leaf = example_cf_book.code_at_depth(2).node_ids[0]  # not a depth-1 node
-        state = em.CfState(depth=1, retained=frozenset({leaf}))
         with pytest.raises(ForeignStateError) as info:
-            em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
+            em.state_of(example_cf_book, 1, [leaf])
         assert isinstance(info.value, ValueError)
+        # a state of an equal copy of the book indexes another view
+        copy = em.load_codebook(em.dump_codebook(example_cf_book))
+        state = em.maintain_cf_state(em.predict(copy, 1, query, matrix=example_matrix))
+        with pytest.raises(ForeignStateError):
+            em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
+
+    def test_user_level_result_has_no_state(self, example_matrix):
+        query = em.CfQuery.from_matrix(example_matrix, user=1, item=4)
+        with pytest.raises(ForeignStateError):
+            em.maintain_cf_state(em.exact_cf_predict(example_matrix, query))
 
     def test_all_raters_retained_when_all_rate(self, example_matrix, example_cf_book):
         # item 3 is rated inside both halves of the user hierarchy
@@ -518,7 +527,7 @@ def _reference_chain(book, query, matrix=None, depths=None):
     for depth in book.depths() if depths is None else depths:
         result = _reference_predict(book, depth, query, state, matrix)
         results.append(result)
-        state = em.CfState(depth, frozenset(result.all_rater_node_ids))
+        state = em.state_of(book, depth, result.all_rater_node_ids)
     return results
 
 

@@ -130,7 +130,7 @@ class TestClassify:
 
     def test_insufficient_candidates_after_filtering(self, worked_example):
         _, book, ids = worked_example
-        state = em.KnnState(depth=1, retained=frozenset({ids["N9"]}))
+        state = em.state_of(book, 1, [ids["N9"]])
         with pytest.raises(InsufficientCandidatesError):
             em.classify(book, 2, em.KnnQuery([0.0], 3), state)
 
@@ -148,9 +148,8 @@ class TestClassify:
         _, book, ids = worked_example
         query = em.KnnQuery([0.0], 3)
         # N12 is a depth-2 node, so no depth-1 state of this book can retain it
-        state = em.KnnState(depth=1, retained=frozenset({ids["N9"], ids["N12"]}))
         with pytest.raises(ForeignStateError) as info:
-            em.classify(book, 2, query, state)
+            em.state_of(book, 1, [ids["N9"], ids["N12"]])
         assert isinstance(info.value, ValueError)
         # a state of the larger book names ids that are no depth-1 nodes here
         other = em.KnnQuery([0.0, 0.0], 3)
@@ -159,7 +158,7 @@ class TestClassify:
         with pytest.raises(ForeignStateError):
             em.classify(book, 2, query, foreign)
         with pytest.raises(ForeignStateError):
-            em.classify(book, 2, query, em.KnnState(depth=-1, retained=frozenset()))
+            em.state_of(book, -1, [])
 
     def test_result_of_another_code_rejected(self, worked_example):
         _, book, _ = worked_example
@@ -174,15 +173,17 @@ class TestClassify:
         query = em.KnnQuery([0.0], 3)
         state = em.maintain_state(book, 1, query, em.classify(book, 1, query))
         refined = em.classify(book, 2, query, state)
-        assert refined.state_rows is not None
+        assert refined.state is not None
         with pytest.raises(ForeignStateError):
             em.maintain_state(book, 1, query, refined)
 
     def test_state_depth_must_be_shallower(self, worked_example):
         _, book, ids = worked_example
-        state = em.KnnState(depth=2, retained=frozenset(ids.values()))
-        with pytest.raises(ValueError):
+        state = em.state_of(book, 2, book.code_at_depth(2).node_ids)
+        with pytest.raises(ForeignStateError):
             em.classify(book, 1, em.KnnQuery([0.0], 3), state)
+        with pytest.raises(ForeignStateError):
+            em.classify(book, 2, em.KnnQuery([0.0], 3), state)
 
 
 class TestMaintainState:
@@ -285,7 +286,7 @@ def reference_classify(book, code, query, state=None):
     top = scored[: query.k]
     k_pos = sum(1 for _, nid in top if book.arrays.label[nid] == em.POSITIVE)
     k_neg = query.k - k_pos
-    return KnnApproxResult(
+    result = KnnApproxResult(
         depth=code.depth,
         node_ids=tuple(nid for _, nid in top),
         distances=tuple(float(np.sqrt(d2)) for d2, _ in top),
@@ -295,18 +296,25 @@ def reference_classify(book, code, query, state=None):
         threshold=float(np.sqrt(top[-1][0])),
         scanned=len(candidates),
     )
+    if state is None:
+        return result
+    # a refined result keeps the candidates it did not prune
+    kept = em.state_of(book, code.depth, _reference_keep(book, query, candidates, result))
+    return dataclasses.replace(result, state=kept)
+
+
+def _reference_keep(book, query, node_ids, result):
+    """The given nodes whose minimal distance is within the result's threshold."""
+    q = query.point
+    thr_sq = max(_reference_max_sq(q, box_of(book, nid)) for nid in result.node_ids)
+    thr_sq = max(thr_sq, result.threshold**2)
+    return [nid for nid in node_ids if _reference_min_sq(q, box_of(book, nid)) <= thr_sq]
 
 
 def reference_maintain_state(book, code, query, result):
     if isinstance(code, int):
         code = book.code_at_depth(code)
-    q = query.point
-    thr_sq = max(_reference_max_sq(q, box_of(book, nid)) for nid in result.node_ids)
-    thr_sq = max(thr_sq, result.threshold**2)
-    retained = frozenset(
-        nid for nid in code.node_ids if _reference_min_sq(q, box_of(book, nid)) <= thr_sq
-    )
-    return em.KnnState(depth=code.depth, retained=retained)
+    return em.state_of(book, code.depth, _reference_keep(book, query, code.node_ids, result))
 
 
 def reference_chain(book, query, depths=None):
@@ -387,13 +395,13 @@ class TestVectorisedKernel:
             state = None
             for depth in book.depths():
                 result = em.classify(book, depth, query, state)
-                assert (result.state_rows is None) == (state is None)
+                assert (result.state is None) == (state is None)
                 state = em.maintain_state(book, depth, query, result)
                 assert state == reference_maintain_state(book, depth, query, result)
                 view = book.columns(depth)
-                assert state.rows.view is view
-                assert np.all(np.diff(state.rows.rows) > 0)
-                assert view.ids[state.rows.rows].tolist() == sorted(state.retained)
+                assert state.view is view
+                assert np.all(np.diff(state.rows) > 0)
+                assert view.ids[state.rows].tolist() == sorted(state.retained)
 
     @given(books_and_queries(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -412,7 +420,8 @@ class TestVectorisedKernel:
             for depth in book.depths():
                 result = em.classify(book, depth, query, chain_state)
                 chain_state = em.maintain_state(book, depth, query, result)
-                hand = em.KnnState(chain_state.depth, chain_state.retained)
+                hand = em.state_of(book, chain_state.depth, chain_state.retained)
+                assert hand == chain_state
                 for deeper in book.depths():
                     if deeper <= depth:
                         continue
@@ -424,8 +433,8 @@ class TestVectorisedKernel:
     @given(books_and_queries())
     @settings(max_examples=30, deadline=None)
     def test_foreign_state_with_in_range_rows_rejected(self, case):
-        """Carried rows of another book's view are not trusted, even where
-        they are valid rows here: the node ids are checked instead."""
+        """A state of an equal copy of the book is rejected, although its
+        rows and its node ids are valid here: it indexes another view."""
         _, book, queries = case
         other = em.load_codebook(em.dump_codebook(book))
         shallow, deeper = book.depths()[0], book.depths()[-1]
@@ -433,12 +442,12 @@ class TestVectorisedKernel:
             return
         query = queries[0]
         state = em.maintain_state(other, shallow, query, em.classify(other, shallow, query))
-        # ids of the deepest code are no nodes at the state's depth in either book
-        wrong = frozenset(book.columns(deeper).ids[: len(state.retained)].tolist())
-        forged = dataclasses.replace(state, retained=wrong)
-        assert forged.rows.rows.max() < book.code_at_depth(shallow).length
+        own = em.state_of(book, shallow, state.retained)
+        assert np.array_equal(own.rows, state.rows) and own != state
         with pytest.raises(ForeignStateError):
-            em.classify(book, deeper, query, forged)
+            em.classify(book, deeper, query, state)
+        assert em.classify(book, deeper, query, own).node_ids == em.classify(
+            other, deeper, query, state).node_ids
 
     @given(books_and_queries(leaf_capacity=1, same_class_sizes=True))
     @settings(max_examples=40, deadline=None)
