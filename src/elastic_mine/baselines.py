@@ -18,7 +18,7 @@ from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import DepthNotFoundError, InsufficientBudgetError, UnknownUserError
-from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _check_dim, _max_sq, _vote
+from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _check_train, _max_sq, _vote
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -50,10 +50,10 @@ def anytime_knn_ranking(
     train: LabeledDataset, query: KnnQuery, budget: int, order: np.ndarray | None = None
 ) -> KnnApproxResult:
     """Scan ranked points until the budget runs out; the k nearest vote."""
+    _check_train(train, query)
     if budget < query.k:
         raise InsufficientBudgetError(f"budget {budget} below k={query.k}")
     q = query.point
-    _check_dim(q, train.dimensionality)
     if order is None:
         order = rank_training_points(train)
     used = order[: min(budget, len(order))]
@@ -84,7 +84,8 @@ def anytime_knn_rtree(
     chosen by the strategy: BFS takes the earliest-inserted, DFS the
     latest-inserted, OFS the one nearest the query by max-distance. The
     budget counts every frontier element ever created; prediction votes
-    among the k nearest frontier elements.
+    among the k nearest frontier elements, so a budget that leaves fewer
+    than k raises :class:`InsufficientBudgetError`.
 
     Every box and every training point is scored once, up front, in two
     array expressions; the descent itself only moves node ids between
@@ -95,8 +96,8 @@ def anytime_knn_rtree(
         raise ValueError("anytime rtree descent needs a dual (per-class) codebook")
     if not book.depths():
         raise DepthNotFoundError("a class tree is a single leaf: there is no depth-1 frontier")
+    _check_train(train, query)
     q = query.point
-    _check_dim(q, train.dimensionality)
     nodes = book.arrays
     # each row's value is the one a lone box or point gets: _max_sq scores
     # row by row, and a C-ordered row sum adds each row on its own
@@ -140,6 +141,9 @@ def anytime_knn_rtree(
             points.extend(members)
             scanned += added
 
+    frontier = len(points) + len(open_nodes[0]) + len(open_nodes[1])
+    if frontier < query.k:
+        raise InsufficientBudgetError(f"budget {budget} leaves {frontier} frontier elements < k={query.k}")
     # (distance, a point before a node, id) orders the frontier
     entries = sorted(
         [(point_d2[r], 0, r) for r in points]

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, baselines, cf, coding, datasets, elasticity, knn, planner
-from .errors import ElasticMineError, ParseError
+from .errors import ElasticMineError, ForeignStateError, ParseError
 
 
 def _default_seed() -> int:
@@ -76,8 +76,9 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
     return rows
 
 
-def _load_states(path, key_fields, book) -> dict:
-    """``state <key ints> <depth> <ids>`` lines as states of ``book``, keyed by the key ints."""
+def _load_states(path, key_fields, book, depth) -> dict:
+    """``state <key ints> <depth> <ids>`` lines as states of ``book`` above the
+    code ``depth``, keyed by the key ints."""
     states = {}
     for at, line in _read_data_lines(path):
         toks = line.split()
@@ -91,7 +92,12 @@ def _load_states(path, key_fields, book) -> dict:
                 f"malformed state line in {path} (want {key_fields} key ints, a depth and node ids)",
                 at,
             ) from None
-        states[key] = coding.state_of(book, state_depth, ids)
+        if state_depth >= depth:
+            raise ParseError(f"state in {path} at depth {state_depth}, not above depth {depth}", at)
+        try:
+            states[key] = coding.state_of(book, state_depth, ids)
+        except ForeignStateError as exc:
+            raise ParseError(f"state in {path} does not fit the book: {exc}", at) from None
     return states
 
 
@@ -175,7 +181,7 @@ def _cmd_mine_knn(args) -> int:
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
     depth = _resolve_depth(book, args)
-    states = _load_states(args.from_state, 1, book) if args.from_state else {}
+    states = _load_states(args.from_state, 1, book, depth) if args.from_state else {}
     code = book.code_at_depth(depth)
 
     def classify_one(qid):
@@ -229,7 +235,7 @@ def _cmd_mine_cf(args) -> int:
         depth = coding.select_code(book, args.budget_nodes).depth
     else:
         raise ElasticMineError("one of --depth, --budget-nodes is required")
-    states = _load_states(args.from_state, 2, book) if args.from_state else {}
+    states = _load_states(args.from_state, 2, book, depth) if args.from_state else {}
 
     def predict_one(idx):
         user, item, _ = queries[idx]

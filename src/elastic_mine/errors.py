@@ -36,19 +36,25 @@ class DimensionMismatchError(ElasticMineError, ValueError):
 
 
 class ForeignStateError(ElasticMineError, ValueError):
-    """A state or result names nodes that are not in the code it claims to come from."""
+    """A state or result that does not fit the code it is used with: it indexes
+    another book, is not above the code's depth, names nodes not at its depth,
+    or comes from a user-level route that scans no code."""
 
 
 class UnknownUserError(ElasticMineError, ValueError):
     """A query names a user id outside the users a model was built from."""
 
 
-class InsufficientCandidatesError(ElasticMineError):
-    """State filtering left fewer candidate nodes than the requested k."""
+class InsufficientCandidatesError(ElasticMineError, ValueError):
+    """Fewer candidates than the requested k: after state filtering, or in a training set."""
+
+
+class InvalidQueryError(ElasticMineError, ValueError):
+    """A query that has no answer: k below 1, or a NaN or infinite coordinate."""
 
 
 class InsufficientBudgetError(ElasticMineError, ValueError):
-    """An anytime baseline was given a budget below its minimum."""
+    """An anytime baseline's budget is below its minimum or leaves fewer than k to vote."""
 
 
 class TrainingConfigError(ElasticMineError, ValueError):

@@ -40,7 +40,9 @@ import numpy as np
 
 from .coding import Code, CodeBook, Mbr, State, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
-from .errors import DimensionMismatchError, InsufficientCandidatesError, UndefinedMetricError
+from .errors import (
+    DimensionMismatchError, InsufficientCandidatesError, InvalidQueryError, UndefinedMetricError,
+)
 
 EXACT_DEPTH = -1  # marker depth for results of the full linear scan
 
@@ -50,6 +52,13 @@ def _check_dim(q: np.ndarray, dimensionality: int):
         raise DimensionMismatchError(
             f"query of shape {q.shape} against {dimensionality}-dimensional boxes"
         )
+
+
+def _check_train(train: LabeledDataset, query: KnnQuery):
+    """Raise unless the training set holds k points of the query's dimensionality."""
+    if query.k > len(train):
+        raise InsufficientCandidatesError(f"k={query.k} exceeds training size {len(train)}")
+    _check_dim(query.point, train.dimensionality)
 
 
 def _norm_sq(d: np.ndarray):
@@ -108,7 +117,9 @@ class KnnQuery:
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvalidQueryError(f"k must be >= 1, got {self.k}")
+        if not np.isfinite(self.point).all():
+            raise InvalidQueryError("a query coordinate is NaN or infinite")
 
 
 @dataclass(frozen=True)
@@ -235,12 +246,8 @@ def exact_knn(train: LabeledDataset, query: KnnQuery) -> KnnApproxResult:
     Point indices play the node-id role; distance ties break by index,
     matching the node-id tie rule of :func:`classify`.
     """
-    if query.k > len(train):
-        raise ValueError(f"k={query.k} exceeds training size {len(train)}")
-    q = np.asarray(query.point, dtype=float)
-    if q.shape != (train.dimensionality,):
-        raise DimensionMismatchError("query dimensionality does not match the training set")
-    d2 = ((train.features - q) ** 2).sum(axis=1)
+    _check_train(train, query)
+    d2 = ((train.features - query.point) ** 2).sum(axis=1)
     idx = np.argsort(d2, kind="stable")[: query.k]
     k_pos, k_neg, predicted = _vote(train.labels[idx])
     return KnnApproxResult(

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.baselines import recttree_partition, sample_users
-from elastic_mine.errors import DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError
+from elastic_mine.errors import (
+    DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError, InsufficientCandidatesError,
+)
 
 from conftest import TABLE_FEATURES
 
@@ -146,6 +148,24 @@ class TestAnytimeRtree:
                 em.anytime_knn_rtree(book, ds, query, 10**9)
             else:
                 em.anytime_knn_ranking(ds, query, len(ds))
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "ofs"])
+    def test_vote_needs_k_elements(self, small_tree_setup, strategy):
+        """k above the training size, or a budget that leaves fewer than k
+        frontier elements, gets no vote."""
+        ds, book = small_tree_setup
+        rows = list(range(6)) + list(range(40, 46))
+        few = em.LabeledDataset(ds.features[rows], ds.labels[rows])
+        query = em.KnnQuery([0.5, 0.5], 20)
+        with pytest.raises(InsufficientCandidatesError):
+            em.anytime_knn_rtree(em.build_dual_rtrees(few, max_entries=3), few, query, 10**9, strategy)
+        with pytest.raises(InsufficientCandidatesError):
+            em.anytime_knn_ranking(few, query, 100)
+        initial = book.code_at_depth(1).length
+        with pytest.raises(InsufficientBudgetError):
+            em.anytime_knn_rtree(book, ds, em.KnnQuery([0.5, 0.5], initial + 5), initial, strategy)
+        result = em.anytime_knn_rtree(book, ds, em.KnnQuery([0.5, 0.5], initial), initial, strategy)
+        assert len(result.node_ids) == initial
 
     def test_determinism(self, small_tree_setup):
         ds, book = small_tree_setup

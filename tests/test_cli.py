@@ -354,6 +354,35 @@ class TestSideFiles:
         assert str(path) in captured.err and captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("depth, state_depth, ids_depth", [(3, 3, 3), (2, 3, 3), (4, 3, 2)],
+                             ids=["same-depth", "deeper-state", "ids-of-another-depth"])
+    def test_state_that_does_not_fit_fails_cleanly(self, workdir, fourclass_book, tmp_path,
+                                                   capsys, depth, state_depth, ids_depth):
+        """A state must lie above the mined depth and name nodes of its own depth."""
+        ids = " ".join(map(str, fourclass_book.code_at_depth(ids_depth).node_ids[:3]))
+        path = tmp_path / "state.txt"
+        path.write_text(f"# header\nstate 0 {state_depth} {ids}\n")
+        em.save_codebook(fourclass_book, tmp_path / "book.ecb")
+        assert run(["mine", "knn", "--book", tmp_path / "book.ecb", "--test", workdir / "test.libsvm",
+                    "--k", 5, "--depth", depth, "--from-state", path,
+                    "--out", tmp_path / "never.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and str(path) in err and err.count("\n") == 1
+
+    def test_cf_state_that_does_not_fit_fails_cleanly(self, workdir, tmp_path, capsys):
+        book_path = tmp_path / "cf.ecb"
+        assert run(["code", "build", "--task", "cf", "--input", workdir / "ratings.csv",
+                    "--max-entries", 3, "--features", 2, "--epochs", 10, "--out", book_path]) == 0
+        ids = " ".join(map(str, em.load_codebook(book_path).code_at_depth(2).node_ids))
+        path = tmp_path / "state.txt"
+        path.write_text(f"state 1 2 2 {ids}\n")
+        assert run(["mine", "cf", "--book", book_path, "--ratings", workdir / "ratings.csv",
+                    "--user", 1, "--item", 2, "--depth", 2, "--from-state", path,
+                    "--out", tmp_path / "never.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ") and str(path) in err and err.count("\n") == 1
+
+
 class TestReproducibility:
     def test_mine_rerun_is_byte_identical(self, workdir):
         out = workdir / "rep.csv"

@@ -13,6 +13,7 @@ from elastic_mine.errors import (
     ElasticMineError,
     ForeignStateError,
     InsufficientCandidatesError,
+    InvalidQueryError,
     UndefinedMetricError,
 )
 from elastic_mine.knn import EXACT_DEPTH, KnnApproxResult, refine_chain
@@ -462,6 +463,18 @@ class TestVectorisedKernel:
             assert chain[-1].threshold == pytest.approx(exact.threshold, rel=1e-12, abs=0.0)
 
 
+class TestMalformedQuery:
+    @pytest.mark.parametrize("point, k", [
+        ([math.nan, 0.0], 5), ([math.inf, 0.0], 5), ([0.0, -math.inf], 5), ([0.0, 0.0], 0),
+    ], ids=["nan", "inf", "minus-inf", "k-zero"])
+    def test_query_without_answer_rejected(self, point, k):
+        """No route answers a NaN or infinite coordinate, or k below 1."""
+        with pytest.raises(InvalidQueryError) as info:
+            em.KnnQuery(point, k)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, ElasticMineError)
+
+
 class TestExactKnn:
     def test_single_training_point(self):
         ds = em.LabeledDataset([[1.0, 1.0]], [1])
@@ -478,6 +491,12 @@ class TestExactKnn:
         ds = em.LabeledDataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(ValueError):
             em.exact_knn(ds, em.KnnQuery([0.0], 3))
+
+    def test_k_larger_than_train_is_typed(self):
+        ds = em.LabeledDataset([[0.0], [1.0]], [1, -1])
+        with pytest.raises(InsufficientCandidatesError) as info:
+            em.exact_knn(ds, em.KnnQuery([0.0], 3))
+        assert isinstance(info.value, ElasticMineError)
 
     def test_fourclass_quality(self, fourclass_split):
         train, test = fourclass_split
