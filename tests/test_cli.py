@@ -335,11 +335,15 @@ class TestSideFiles:
         ("state.txt", "# header\nstate 0 x 1 2\n", 2,
          ["mine", "knn", "--depth", 2, "--from-state"]),
         ("state.txt", "state 0\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
+        ("state.txt", "# header\nstate 0 3 1 2\n", 2, ["mine", "knn", "--depth", 3, "--from-state"]),
+        ("state.txt", "state 0 3 1 2\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
+        ("state.txt", "state 0 1 0\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
         ("pred.csv", "query_id,scanned_nodes,k_P,k_N,predicted,actual\n0,4,3,2,1,1\n", 1,
          ["report", "quality", "--task", "knn", "--pred"]),
         ("profile.txt", "nodes_per_second abc\n", 1,
          ["mine", "knn", "--budget-ms", 30, "--profile"]),
-    ], ids=["state-bad-depth", "state-no-depth", "pred-no-depth-column", "profile-bad-rate"])
+    ], ids=["state-bad-depth", "state-no-depth", "state-at-mined-depth", "state-below-mined-depth",
+            "state-root-id", "pred-no-depth-column", "profile-bad-rate"])
     def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
                                           name, text, line, command):
         path = tmp_path / name
@@ -353,29 +357,13 @@ class TestSideFiles:
         assert captured.err.startswith(f"error: line {line}: ")
         assert str(path) in captured.err and captured.err.count("\n") == 1
 
-
-    @pytest.mark.parametrize("depth, state_depth, ids_depth", [(3, 3, 3), (2, 3, 3), (4, 3, 2)],
-                             ids=["same-depth", "deeper-state", "ids-of-another-depth"])
-    def test_state_that_does_not_fit_fails_cleanly(self, workdir, fourclass_book, tmp_path,
-                                                   capsys, depth, state_depth, ids_depth):
-        """A state must lie above the mined depth and name nodes of its own depth."""
-        ids = " ".join(map(str, fourclass_book.code_at_depth(ids_depth).node_ids[:3]))
-        path = tmp_path / "state.txt"
-        path.write_text(f"# header\nstate 0 {state_depth} {ids}\n")
-        em.save_codebook(fourclass_book, tmp_path / "book.ecb")
-        assert run(["mine", "knn", "--book", tmp_path / "book.ecb", "--test", workdir / "test.libsvm",
-                    "--k", 5, "--depth", depth, "--from-state", path,
-                    "--out", tmp_path / "never.csv"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 2: ") and str(path) in err and err.count("\n") == 1
-
     def test_cf_state_that_does_not_fit_fails_cleanly(self, workdir, tmp_path, capsys):
+        """A CF state must lie above the mined depth, as a kNN state must."""
         book_path = tmp_path / "cf.ecb"
         assert run(["code", "build", "--task", "cf", "--input", workdir / "ratings.csv",
                     "--max-entries", 3, "--features", 2, "--epochs", 10, "--out", book_path]) == 0
-        ids = " ".join(map(str, em.load_codebook(book_path).code_at_depth(2).node_ids))
         path = tmp_path / "state.txt"
-        path.write_text(f"state 1 2 2 {ids}\n")
+        path.write_text("state 1 2 2 1\n")
         assert run(["mine", "cf", "--book", book_path, "--ratings", workdir / "ratings.csv",
                     "--user", 1, "--item", 2, "--depth", 2, "--from-state", path,
                     "--out", tmp_path / "never.csv"]) == 2
