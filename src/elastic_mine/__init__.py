@@ -10,14 +10,12 @@ quality to spent budget.
 
 from .datasets import (
     LabeledDataset,
-    LabeledPoint,
     NEGATIVE,
     POSITIVE,
     RatingMatrix,
     SplitSpec,
     parse_libsvm,
     parse_ratings_csv,
-    split,
     split_dataset,
     split_ratings,
     write_libsvm,
@@ -66,7 +64,6 @@ from .knn import (
 from .cf import (
     CfApproxResult,
     CfQuery,
-    UserFeatureMatrix,
     exact_cf_predict,
     maintain_cf_state,
     node_weight,

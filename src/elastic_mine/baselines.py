@@ -94,6 +94,8 @@ def anytime_knn_rtree(
     """
     if len(book.roots) != 2:
         raise ValueError("anytime rtree descent needs a dual (per-class) codebook")
+    if strategy not in (STRATEGY_BFS, STRATEGY_DFS, STRATEGY_OFS):
+        raise ValueError(f"unknown strategy {strategy!r}: want bfs, dfs or ofs")
     if not book.depths():
         raise DepthNotFoundError("a class tree is a single leaf: there is no depth-1 frontier")
     _check_train(train, query)
@@ -194,7 +196,7 @@ def cf_clustering(
     seed: int = 0,
 ) -> CfApproxResult:
     """Flat k-means over user vectors; predict from the active user's cluster."""
-    values = np.asarray(getattr(features, "values", features), dtype=float)
+    values = np.asarray(features, dtype=float)
     if not 1 <= k_clusters <= matrix.num_users:
         raise ValueError(f"k_clusters must be in [1, {matrix.num_users}]")
     labels, centroids = kmeans(values, k_clusters, iterations, seed)
@@ -221,7 +223,7 @@ def cf_recttree(
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    values = np.asarray(getattr(features, "values", features), dtype=float)
+    values = np.asarray(features, dtype=float)
     rows = np.arange(matrix.num_users)
     own = _user_vector(values, query)
     for _ in range(levels - 1):
@@ -234,23 +236,3 @@ def cf_recttree(
         rows = rows[labels == cluster]
     return _predict_over_users(matrix, query, tuple(int(r) + 1 for r in rows))
 
-
-def recttree_partition(features, levels: int, branching: int = 2, iterations: int = 10, seed: int = 0):
-    """The per-level cluster partitions the routing of :func:`cf_recttree` follows."""
-    values = np.asarray(getattr(features, "values", features), dtype=float)
-    current = [np.arange(len(values))]
-    out = [[rows.copy() for rows in current]]
-    for _ in range(levels - 1):
-        nxt = []
-        for rows in current:
-            if len(rows) <= 1 or len(rows) < branching:
-                nxt.append(rows)
-                continue
-            labels, _ = kmeans(values[rows], branching, iterations, seed)
-            for c in range(branching):
-                grp = rows[labels == c]
-                if len(grp):
-                    nxt.append(grp)
-        current = nxt
-        out.append([rows.copy() for rows in current])
-    return out

@@ -38,25 +38,6 @@ from .datasets import RatingMatrix
 from .errors import DivergenceError, ForeignStateError, TrainingConfigError, UndefinedMetricError
 
 
-@dataclass(frozen=True)
-class UserFeatureMatrix:
-    """Dense (m, d) user features; row u-1 belongs to user u."""
-
-    values: np.ndarray
-    config: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @property
-    def num_users(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_features(self) -> int:
-        return self.values.shape[1]
-
-
 def train_incremental_svd(
     matrix: RatingMatrix,
     d: int = 3,
@@ -71,8 +52,8 @@ def train_incremental_svd(
     cost is O(d * epochs * ratings) regardless of matrix shape. Features
     initialise at 0.1 plus a seeded jitter of +-1e-4; each epoch updates
     the ratings in (user, item) order, making training deterministic under
-    the seed. Item features steer the fit but only user features are
-    returned (both with ``return_item_features``).
+    the seed. Returns the (m, d) user features U (row u-1 for user u), or
+    ``(U, V)`` with the item features V when ``return_item_features``.
 
     The updates run as a wavefront: a rating's level is one more than the
     larger of the levels of its user's previous rating and its item's
@@ -128,12 +109,7 @@ def train_incremental_svd(
             U[:, f] = uf
             V[:, f] = vf
             residual = residual - uf[users] * vf[items]
-    config = {"d": d, "learning_rate": learning_rate,
-              "epochs_per_feature": epochs_per_feature, "seed": seed}
-    features = UserFeatureMatrix(U, config)
-    if return_item_features:
-        return features, V
-    return features
+    return (U, V) if return_item_features else U
 
 
 def _wavefront(cells: list[tuple[int, int]], m: int, n: int) -> tuple[list, list[slice]]:

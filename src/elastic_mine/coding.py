@@ -74,9 +74,6 @@ class Mbr:
         """Product of extents; any zero-extent dimension makes it 0."""
         return float(np.prod(self.upp - self.low))
 
-    def contains(self, other: "Mbr", tol: float = 0.0) -> bool:
-        return bool(np.all(self.low <= other.low + tol) and np.all(other.upp <= self.upp + tol))
-
 
 class ItemAggregate(NamedTuple):
     """A node's summary for one item: mean rating, mean rater average, rater count."""
@@ -198,11 +195,18 @@ class State:
 
     Only the book that owns ``view`` accepts the state, so a state of another
     book, an equal copy included, is rejected; equal states index one view at
-    equal rows. :func:`state_of` makes a state from node ids.
+    equal rows. :func:`state_of` makes a state from node ids. Rows not
+    ascending strictly within the view raise :class:`ForeignStateError`.
     """
 
     view: Code = field(repr=False)
     rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.intp)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) and not (0 <= rows[0] and rows[-1] < len(self.view.ids) and (rows[1:] > rows[:-1]).all()):
+            raise ForeignStateError(f"state rows must ascend strictly within 0..{len(self.view.ids) - 1}")
 
     @property
     def depth(self) -> int:
@@ -611,12 +615,11 @@ def build_cf_codebook(
 ) -> CodeBook:
     """R-tree over user feature vectors; every node aggregates the raw ratings.
 
-    ``features`` is the (m, d) user feature matrix (row u-1 for user u), or
-    a :class:`~elastic_mine.cf.UserFeatureMatrix`. Aggregates are always
-    computed from the original rating matrix, never from other aggregates.
+    ``features`` is the (m, d) user feature matrix (row u-1 for user u).
+    Aggregates are always computed from the original rating matrix, never from
+    other aggregates.
     """
-    values = getattr(features, "values", features)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(features, dtype=float)
     if len(values) != matrix.num_users:
         raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
     if max_entries < 2:
@@ -689,8 +692,7 @@ def build_kmeans_codebook(
         raise ValueError("branching must be >= 2")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    values = getattr(features, "values", features)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(features, dtype=float)
     if len(values) != matrix.num_users:
         raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
     warnings: list[str] = []
@@ -773,10 +775,7 @@ def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBoo
             return [u - 1 for u in s]
         return [to_rows(c) for c in s]
 
-    values = getattr(features, "values", features)
-    if values is None:
-        values = np.arange(matrix.num_users, dtype=float).reshape(-1, 1)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(np.arange(matrix.num_users).reshape(-1, 1) if features is None else features, dtype=float)
     builder = _Builder()
     rows_spec = to_rows(spec)
     _hierarchy_depth(rows_spec)
@@ -932,11 +931,6 @@ def _in_rows(ptr: np.ndarray, at):
     return lambda k: at[int(np.searchsorted(ptr, k, side="right")) - 1]
 
 
-def _take_rows(ptr: np.ndarray, values: np.ndarray, order: np.ndarray):
-    """Compressed rows reordered so that row r is old row ``order[r]``."""
-    return _ptr(np.diff(ptr)[order]), values[_ranges(ptr[order], ptr[order + 1])]
-
-
 def _read_features(bodies, at, m, d, lineno) -> np.ndarray | None:
     if len(bodies) != m:
         raise ParseError(f"'features {m} {d}' but {len(bodies)} 'F' lines", lineno)
@@ -978,8 +972,8 @@ def _boxes(rows: list[str], at) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_nodes(bodies, at, agg_lines, agg_at):
-    """The columns of the 'N' and 'A' lines, the child lists as written and
-    each node's line number, in node id order."""
+    """The columns of the 'N' and 'A' lines and the child lists as written;
+    line r of the 'N' lines must be the line of node r."""
     heads, children, child_counts, box_rows, member_rows = [], [], [], [], []
     for body, lineno in zip(bodies, at):
         head, marked, rest = body.partition(" M ")
@@ -1005,23 +999,16 @@ def _read_nodes(bodies, at, agg_lines, agg_at):
     if len(negative):
         raise ParseError("negative member in an 'N' line", _in_rows(member_ptr, at)(negative[0]))
     low, upp = _boxes(box_rows, at)
-    at = np.asarray(at, dtype=np.intp)
-    if not np.array_equal(nid, np.arange(n)):
-        order = np.argsort(nid, kind="stable")
-        _require(nid[order] == np.arange(n), at[order],
-                 lambda r: f"node id {nid[order[r]]} repeats or skips an id: ids run 0..{n - 1}")
-        tree, depth, parent, label, low, upp, at = (
-            x[order] for x in (tree, depth, parent, label, low, upp, at))
-        child_ptr, child_ids = _take_rows(child_ptr, child_ids, order)
-        member_ptr, member_ids = _take_rows(member_ptr, member_ids, order)
+    _require(nid == np.arange(n), at,
+             lambda r: f"node {nid[r]} out of place: 'N' lines run 0..{n - 1} in id order")
     arrays = NodeArrays(tree=tree, depth=depth, parent=parent, label=label, low=low, upp=upp,
                         member_ptr=member_ptr, members=member_ids,
                         aggregates=_read_aggregates(agg_lines, agg_at, n) if agg_lines else None)
-    return arrays, (child_ptr, child_ids), at
+    return arrays, (child_ptr, child_ids)
 
 
 def _read_aggregates(lines, at, n) -> Aggregates:
-    """The aggregates of whole 'A' lines."""
+    """The aggregates of whole 'A' lines, which run in strictly ascending (node, item) order."""
     table = _table(lines, at, _AGGREGATE_LINE, "A",
                    "node id, item id, rating, rater mean and rater count")
     owner, item, rating, rater_mean, raters = (table[f] for f in _AGGREGATE_LINE.names[1:])
@@ -1030,13 +1017,10 @@ def _read_aggregates(lines, at, n) -> Aggregates:
     _require((owner >= 0) & (owner < n), at,
              lambda r: f"aggregate of node {owner[r]}, which has no 'N' line")
     _require(item >= 1, at, lambda r: f"item id {item[r]} must be >= 1")
-    order = np.lexsort((item, owner))
-    owner, item = owner[order], item[order]
-    repeated = np.r_[False, (np.diff(owner) == 0) & (np.diff(item) == 0)]
-    _require(~repeated, np.asarray(at)[order],
-             lambda r: f"a second aggregate of item {item[r]} in node {owner[r]}")
-    return Aggregates(np.searchsorted(owner, np.arange(n + 1)), item, rating[order],
-                      rater_mean[order], raters[order])
+    step = np.diff(owner)
+    _require(np.r_[True, (step > 0) | (step == 0) & (np.diff(item) > 0)], at,
+             lambda r: f"aggregate of item {item[r]} in node {owner[r]} repeats or breaks (node, item) order")
+    return Aggregates(np.searchsorted(owner, np.arange(n + 1)), item, rating, rater_mean, raters)
 
 
 def _check_links(nodes: NodeArrays, roots, at, roots_at):
@@ -1074,22 +1058,41 @@ def _check_children(nodes: NodeArrays, listed, at):
              f" but nodes {nodes.children_of(i).tolist()} name it as parent")
 
 
+def _check_members(nodes: NodeArrays, usable: int, at):
+    """Raise :class:`ParseError` unless the member lists of the nodes of each
+    depth up to ``usable`` hold every root member exactly once."""
+    depth, members = np.repeat(nodes.depth, np.diff(nodes.member_ptr)), nodes.members
+    # count members by value, or by rank when the values are sparse
+    rank = np.unique(members, return_inverse=True)[1] if members.max(initial=-1) >= len(members) else members
+    size = int(rank.max(initial=-1)) + 1
+    counts = np.bincount(depth * size + rank, minlength=(usable + 1) * size)
+    counts = counts[: (usable + 1) * size].reshape(usable + 1, size)  # depths 0..usable
+    bad = np.argwhere((counts != counts[0]) | (counts > 1))
+    if len(bad):
+        d, r = bad[0]
+        held = np.flatnonzero((rank == r) & (depth == (d if counts[d, r] else 0)))[-1]
+        raise ParseError(f"member {members[held]} is held {counts[d, r]} times at depth {d}:"
+                         f" each depth up to {usable} must hold each root member once",
+                         _in_rows(nodes.member_ptr, at)(held))
+
+
 def load_codebook(path_or_text) -> CodeBook:
     """Read a dump written by :func:`dump_codebook` (a path, or the text itself).
 
-    A string is read as the text itself when it is empty, holds a newline
-    or starts with the header's first token; any other string is a path.
-    :class:`ParseError`, with the 1-based line number, is raised for: a
-    bad header; a missing ``end``, ``kind``, ``seed``, ``config``,
-    ``roots``, ``features`` or ``nodes`` line; a malformed line; a NaN or
-    infinite number; an item id below 1; an ``F`` line count or width that
-    differs from the ``features`` line; a node count that differs from the
-    ``nodes`` line; node ids that are not 0..N-1; a root that is not a
-    depth-0 node of its tree; a parent outside the depth above or another
-    tree; and a child list that differs from the children named by parent
-    links. The columnar views are built here, so a book out of tree
-    order, with a childless node above its deepest usable depth or with a
-    box outside its parent's box raises :class:`ParseError` too.
+    A string is read as the text itself when it is empty, holds a newline or
+    starts with the header's first token; any other string is a path.
+    :class:`ParseError`, with the 1-based line number, is raised for: a bad
+    header; a missing ``end``, ``kind``, ``seed``, ``config``, ``roots``,
+    ``features`` or ``nodes`` line; a malformed line; a NaN or infinite number;
+    an item id below 1; an ``F`` line count or width that differs from the
+    ``features`` line; a node count that differs from the ``nodes`` line; ``N``
+    lines not in id order 0..N-1; ``A`` lines not in strictly ascending (node,
+    item) order; a root that is not a depth-0 node of its tree; a parent
+    outside the depth above or another tree; a child list that differs from the
+    children named by parent links; and members that do not partition each
+    depth up to the usable one. The columnar views are built here, so a book
+    out of tree order, with a childless node above its deepest usable depth or
+    with a box outside its parent's box raises :class:`ParseError` too.
     """
     if isinstance(path_or_text, str) and (
         "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)
@@ -1141,10 +1144,11 @@ def load_codebook(path_or_text) -> CodeBook:
     if declared != len(body["N"][0]):
         raise ParseError(f"'nodes {declared}' but {len(body['N'][0])} node lines", header["nodes"][0])
     features = _read_features(*body["F"], m, d, header["features"][0])
-    nodes, listed, at = _read_nodes(*body["N"], *body["A"])
+    (nodes, listed), at = _read_nodes(*body["N"], *body["A"]), body["N"][1]
     _check_links(nodes, roots, at, header["roots"][0])
     book = CodeBook(header["kind"][1], nodes, roots, config, seed,
                     features=features, warnings=tuple(warnings))
     book.columns(0)  # builds the views, which checks the tree's structure
     _check_children(nodes, listed, at)
+    _check_members(nodes, book.usable_depth(), at)
     return book

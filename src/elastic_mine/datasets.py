@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,11 +23,6 @@ NEGATIVE = -1
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves away from zero (2.5 -> 3)."""
     return int(math.floor(x + 0.5))
-
-
-class LabeledPoint(NamedTuple):
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,6 @@ class LabeledDataset:
     @property
     def dimensionality(self) -> int:
         return self.features.shape[1]
-
-    def point(self, i: int) -> LabeledPoint:
-        return LabeledPoint(self.features[i], int(self.labels[i]))
 
     def class_counts(self) -> tuple[int, int]:
         """(positive count, negative count)."""
@@ -334,11 +326,3 @@ def split_ratings(
     )
     return train, tuple(test)
 
-
-def split(data, spec: SplitSpec, **kwargs):
-    """Dispatch to :func:`split_dataset` or :func:`split_ratings` by input type."""
-    if isinstance(data, LabeledDataset):
-        return split_dataset(data, spec)
-    if isinstance(data, RatingMatrix):
-        return split_ratings(data, spec, **kwargs)
-    raise TypeError(f"cannot split {type(data).__name__}")

@@ -46,19 +46,6 @@ class ThroughputProfile:
         if self.nodes_per_second <= 0:
             raise ValueError("nodes_per_second must be positive")
 
-    def within_band(self, other: "ThroughputProfile", tolerance: float = 0.5) -> bool:
-        """Sanity check: two calibrations of one machine should roughly agree."""
-        lo, hi = sorted((self.nodes_per_second, other.nodes_per_second))
-        return (hi - lo) / hi <= tolerance
-
-    def quality_discrepancy(self, full_qualities) -> tuple[float, ...]:
-        """Per-result gap between profiled and full-run quality (reported, not asserted)."""
-        if self.qualities is None:
-            raise ValueError("profile carries no quality predictions")
-        if len(full_qualities) != len(self.qualities):
-            raise ValueError("quality series lengths disagree")
-        return tuple(abs(a - b) for a, b in zip(self.qualities, full_qualities))
-
 
 def calibrate(
     book: CodeBook, queries: Sequence[KnnQuery], actuals=None, depths=None, clock=time.perf_counter

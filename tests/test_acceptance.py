@@ -291,7 +291,7 @@ def test_13_svd_sanity():
         return_item_features=True,
     )
     sq = [
-        (matrix.ratings[(u, i)] - float(features.values[u - 1] @ items[i - 1])) ** 2
+        (matrix.ratings[(u, i)] - float(features[u - 1] @ items[i - 1])) ** 2
         for (u, i) in matrix.ratings
     ]
     assert math.sqrt(sum(sq) / len(sq)) < 0.05

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.baselines import recttree_partition, sample_users
+from elastic_mine.baselines import sample_users
 from elastic_mine.errors import (
     DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError, InsufficientCandidatesError,
 )
@@ -149,6 +149,11 @@ class TestAnytimeRtree:
             else:
                 em.anytime_knn_ranking(ds, query, len(ds))
 
+    def test_unknown_strategy_rejected(self, small_tree_setup):
+        ds, book = small_tree_setup
+        with pytest.raises(ValueError, match="bfs, dfs or ofs"):
+            em.anytime_knn_rtree(book, ds, em.KnnQuery([0.5, 0.5], 1), 10**9, "xyz")
+
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "ofs"])
     def test_vote_needs_k_elements(self, small_tree_setup, strategy):
         """k above the training size, or a budget that leaves fewer than k
@@ -246,19 +251,6 @@ class TestCfRectTree:
         query = em.CfQuery.from_matrix(example_matrix, user=1, item=4)
         result = em.cf_recttree(example_matrix, TABLE_FEATURES, query, levels=2)
         assert result.scanned == 6
-
-    def test_partitions_refine(self, cf_setup):
-        _, feats, _ = cf_setup
-        levels = recttree_partition(feats, levels=4, branching=2)
-        n = len(feats.values)
-        for level in levels:
-            members = sorted(int(i) for rows in level for i in rows)
-            assert members == list(range(n))
-        for shallow, deep in zip(levels, levels[1:]):
-            shallow_sets = [set(r.tolist()) for r in shallow]
-            for rows in deep:
-                child = set(rows.tolist())
-                assert any(child <= parent for parent in shallow_sets)
 
     def test_deeper_levels_never_enlarge_cluster(self, cf_setup):
         matrix, feats, queries = cf_setup

@@ -25,7 +25,7 @@ class TestIncrementalSvd:
         # must be tiny for an exactly rank-1 matrix
         err = _reconstruction_rmse(matrix, d=1, lr=0.001, epochs=2000, seed=0)
         assert err < 0.05
-        assert feats.values.shape == (4, 1)
+        assert feats.shape == (4, 1)
 
     def test_d_zero_rejected(self, example_matrix):
         with pytest.raises(ValueError):
@@ -34,7 +34,7 @@ class TestIncrementalSvd:
     def test_identical_rating_rows_share_features(self, example_matrix):
         # users 10 and 12 rate exactly the same items with the same values
         feats = em.train_incremental_svd(example_matrix, d=2,
-                                         epochs_per_feature=2000, seed=5).values
+                                         epochs_per_feature=2000, seed=5)
         assert np.linalg.norm(feats[9] - feats[11]) < 1e-3
 
     def test_similar_raters_land_close(self):
@@ -42,7 +42,7 @@ class TestIncrementalSvd:
         matrix, groups = em.synthetic.ratings_like(
             num_users=60, num_items=50, groups=3, seed=4, return_groups=True
         )
-        feats = em.train_incremental_svd(matrix, d=3, seed=1).values
+        feats = em.train_incremental_svd(matrix, d=3, seed=1)
         within, across = [], []
         for a in range(60):
             for b in range(a + 1, 60):
@@ -53,7 +53,7 @@ class TestIncrementalSvd:
     def test_deterministic(self, example_matrix):
         a = em.train_incremental_svd(example_matrix, d=2, epochs_per_feature=30, seed=9)
         b = em.train_incremental_svd(example_matrix, d=2, epochs_per_feature=30, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_divergence_reported(self, example_matrix):
         with pytest.raises(DivergenceError) as err:
@@ -77,7 +77,7 @@ def _reconstruction_rmse(matrix, d, lr, epochs, seed):
     # independent oracle: the matrix is exactly rank one, so the best rank-1
     # reconstruction is the matrix itself; compare against per-cell averages
     # of the learned factors by re-deriving item factors from user ones
-    U = feats.values[:, 0]
+    U = feats[:, 0]
     keys = sorted(matrix.ratings)
     # least-squares item factor given frozen user factors
     items = {}
@@ -134,8 +134,7 @@ def _svd_outcome(train, matrix, d, lr, epochs, seed):
 
 
 def _wavefront_svd(matrix, d, lr, epochs, seed):
-    features, V = em.train_incremental_svd(matrix, d, lr, epochs, seed, return_item_features=True)
-    return features.values, V
+    return em.train_incremental_svd(matrix, d, lr, epochs, seed, return_item_features=True)
 
 
 @st.composite

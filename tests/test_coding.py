@@ -9,7 +9,7 @@ import elastic_mine as em
 from elastic_mine.coding import Mbr, kmeans
 from elastic_mine.errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ParseError
 
-from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, box_of, leaf_with_members
+from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
 
 
 DATA = Path(__file__).parent / "data"
@@ -109,9 +109,10 @@ class TestTreeInvariants:
         book = em.build_dual_rtrees(ds, max_entries=cap, seed=seed)
         # enclosure: every parent box contains every child box
         nodes = book.arrays
-        for i in range(len(nodes)):
-            for child_id in nodes.children_of(i).tolist():
-                assert box_of(book, i).contains(box_of(book, child_id))
+        child = np.flatnonzero(nodes.parent >= 0)
+        parent = nodes.parent[child]
+        assert (nodes.low[parent] <= nodes.low[child]).all()
+        assert (nodes.upp[child] <= nodes.upp[parent]).all()
         # depth balance: every leaf of a tree sits at that tree's max depth
         is_leaf = np.diff(nodes.child_csr[0]) == 0
         for tree in (0, 1):
@@ -387,19 +388,48 @@ class TestPersistence:
 
     def test_renumbered_sibling_subtrees_rejected(self, fourclass_book):
         """Swapping the ids of two sibling subtrees keeps every link and box
-        consistent but breaks tree order: a subtree is no row range then."""
+        consistent but breaks tree order: a subtree is no row range then. The
+        swapped lines are written back in id order, as the reader requires."""
         first, second = fourclass_book.arrays.children_of(fourclass_book.roots[0])[:2].tolist()
         swap = {str(first): str(second), str(second): str(first)}
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
-        for n, line in enumerate(lines):
-            if line.startswith("N "):
-                toks = line.split()
-                links = [1, 4] + list(range(toks.index("C") + 1, toks.index("M")))
-                for i in links:
-                    toks[i] = swap.get(toks[i], toks[i])
-                lines[n] = " ".join(toks) + "\n"
+        at = [n for n, line in enumerate(lines) if line.startswith("N ")]
+        for n in at:
+            toks = lines[n].split()
+            links = [1, 4] + list(range(toks.index("C") + 1, toks.index("M")))
+            for i in links:
+                toks[i] = swap.get(toks[i], toks[i])
+            lines[n] = " ".join(toks) + "\n"
+        in_id_order = sorted((lines[n] for n in at), key=lambda line: int(line.split()[1]))
+        for n, line in zip(at, in_id_order):
+            lines[n] = line
         with pytest.raises(ParseError, match="tree order"):
             em.load_codebook("".join(lines))
+
+    @pytest.mark.parametrize("edit", ["repeat", "swap"])
+    def test_aggregates_out_of_order_rejected(self, example_cf_book, edit):
+        """A repeated 'A' line, or two swapped, fails at the second line."""
+        lines = em.dump_codebook(example_cf_book).splitlines(keepends=True)
+        at = next(n for n, line in enumerate(lines)
+                  if line.startswith("A ") and lines[n + 1].startswith("A "))
+        lines[at + 1 : at + 1] = [lines[at]] if edit == "repeat" else []
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        with pytest.raises(ParseError, match="repeats or breaks") as err:
+            em.load_codebook("".join(lines))
+        assert err.value.line == at + 2
+
+    def test_leaf_repeating_a_sibling_member_rejected(self, fourclass_book):
+        """Members must partition every depth: no leaf may hold its sibling's member."""
+        nodes, depth = fourclass_book.arrays, fourclass_book.usable_depth()
+        leaves = np.flatnonzero((nodes.depth == depth) & (np.diff(nodes.child_csr[0]) == 0))
+        first, second = next(nodes.children_of(p)[:2] for p in np.unique(nodes.parent[leaves])
+                             if len(nodes.children_of(p)) > 1)
+        member = str(nodes.members_of(first)[0])
+        text, at = edited(em.dump_codebook(fourclass_book), f"N {second} ",
+                          lambda toks: toks.append(member))
+        with pytest.raises(ParseError, match=f"member {member} is held 2 times at depth {depth}") as err:
+            em.load_codebook(text)
+        assert err.value.line == at
 
     def test_missing_roots_line_rejected(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)

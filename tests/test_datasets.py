@@ -15,9 +15,8 @@ class TestParseLibsvm:
         ds = em.parse_libsvm("+1 1:0.5 2:1.0\n-1 2:2.0")
         assert len(ds) == 2
         assert ds.dimensionality == 2
-        assert ds.point(1).features.tolist() == [0.0, 2.0]
-        assert ds.point(0).label == em.POSITIVE
-        assert ds.point(1).label == em.NEGATIVE
+        assert ds.features[1].tolist() == [0.0, 2.0]
+        assert ds.labels.tolist() == [em.POSITIVE, em.NEGATIVE]
 
     def test_empty_stream_errors(self):
         with pytest.raises(ParseError):
@@ -111,7 +110,7 @@ class TestParseRatingsCsv:
 
 class TestSplit:
     def test_fourclass_absolute_count(self, fourclass):
-        train, test = em.split(fourclass, em.SplitSpec(test_count=100, seed=7))
+        train, test = em.split_dataset(fourclass, em.SplitSpec(test_count=100, seed=7))
         assert len(test) == 100
         assert len(train) == 762
 
@@ -146,7 +145,7 @@ class TestSplit:
         assert round_half_up(0.2) == 0
 
     def test_ratings_split_active_users(self, example_matrix):
-        train, test = em.split(example_matrix, em.SplitSpec(seed=1))
+        train, test = em.split_ratings(example_matrix, em.SplitSpec(seed=1))
         # 20% of 12 users rounds (half up) to 2 active users
         active = {u for u, _, _ in test}
         assert len(active) <= 2

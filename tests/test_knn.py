@@ -160,6 +160,11 @@ class TestClassify:
             em.classify(book, 2, query, foreign)
         with pytest.raises(ForeignStateError):
             em.state_of(book, -1, [])
+        # hand-made rows: unsorted and repeated, past the view's end, negative
+        view = fourclass_book.columns(2)
+        for rows in ([5, 1, 1], [view.length], [-1]):
+            with pytest.raises(ForeignStateError):
+                em.State(view, rows)
 
     def test_result_of_another_code_rejected(self, worked_example):
         _, book, _ = worked_example

@@ -58,23 +58,6 @@ class TestThroughput:
         assert em.length_budget(0.01, profile) == 20
         assert em.length_budget(1e-6, profile) == 0
 
-    def test_profiles_within_sanity_band(self):
-        a = em.ThroughputProfile(nodes_per_second=2000.0)
-        b = em.ThroughputProfile(nodes_per_second=1400.0)
-        c = em.ThroughputProfile(nodes_per_second=600.0)
-        assert a.within_band(b)
-        assert not a.within_band(c)
-
-    def test_quality_discrepancy_reported(self, fourclass_book, fourclass_split):
-        _, test = fourclass_split
-        queries = [em.KnnQuery(test.features[i], 5) for i in range(10)]
-        ticks = iter([0.0, 1.0])
-        profile = em.calibrate(fourclass_book, queries, actuals=test.labels[:10],
-                               clock=lambda: next(ticks))
-        gaps = profile.quality_discrepancy([1.0] * len(fourclass_book.depths()))
-        assert len(gaps) == len(fourclass_book.depths())
-        assert all(0.0 <= g <= 1.0 for g in gaps)
-
 
 class TestSchedule:
     def test_from_csv_round_trip(self):
