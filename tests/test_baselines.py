@@ -136,23 +136,20 @@ class TestAnytimeRtree:
         ("rtree", [0.0, 0.0, 0.0], DimensionMismatchError),
         ("ranking", [0.0], DimensionMismatchError),
         ("ranking", [0.0, 0.0, 0.0], DimensionMismatchError),
+        ("rtree-xyz", [0.5, 0.5], ValueError),
     ], ids=["rtree-single-leaf-tree", "rtree-1d-query", "rtree-3d-query",
-            "ranking-1d-query", "ranking-3d-query"])
+            "ranking-1d-query", "ranking-3d-query", "rtree-unknown-strategy"])
     def test_malformed_question_fails_loudly(self, small_tree_setup, single_leaf_split,
                                              baseline, point, error):
-        """A book without a depth-1 code, or a query of the wrong length, gets no answer."""
+        """A book without a depth-1 code, a query of the wrong length, or an
+        unknown descent strategy gets no answer."""
         ds, book = single_leaf_split if error is DepthNotFoundError else small_tree_setup
         query = em.KnnQuery(point, 1)
         with pytest.raises(error):
-            if baseline == "rtree":
-                em.anytime_knn_rtree(book, ds, query, 10**9)
+            if baseline.startswith("rtree"):
+                em.anytime_knn_rtree(book, ds, query, 10**9, *baseline.split("-")[1:])
             else:
                 em.anytime_knn_ranking(ds, query, len(ds))
-
-    def test_unknown_strategy_rejected(self, small_tree_setup):
-        ds, book = small_tree_setup
-        with pytest.raises(ValueError, match="bfs, dfs or ofs"):
-            em.anytime_knn_rtree(book, ds, em.KnnQuery([0.5, 0.5], 1), 10**9, "xyz")
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "ofs"])
     def test_vote_needs_k_elements(self, small_tree_setup, strategy):
