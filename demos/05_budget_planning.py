@@ -21,7 +21,7 @@ data = em.synthetic.fourclass_like(seed=42)
 train, test = em.split_dataset(data, em.SplitSpec(test_count=100, seed=3))
 book = em.build_dual_rtrees(train, max_entries=3, seed=7)
 queries = [em.KnnQuery(test.features[i], 5) for i in range(20)]
-profile = em.calibrate(book, queries, actuals=test.labels[:20])
+profile = em.calibrate(book, queries)
 print(f"throughput: {profile.nodes_per_second:,.0f} nodes/second")
 for ms in (0.5, 2.0, 50.0):
     budget = em.length_budget(ms / 1000.0, profile)

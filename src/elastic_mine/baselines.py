@@ -193,13 +193,12 @@ def cf_clustering(
     query: CfQuery,
     k_clusters: int,
     iterations: int = 10,
-    seed: int = 0,
 ) -> CfApproxResult:
     """Flat k-means over user vectors; predict from the active user's cluster."""
     values = np.asarray(features, dtype=float)
     if not 1 <= k_clusters <= matrix.num_users:
         raise ValueError(f"k_clusters must be in [1, {matrix.num_users}]")
-    labels, centroids = kmeans(values, k_clusters, iterations, seed)
+    labels, centroids = kmeans(values, k_clusters, iterations)
     own = _user_vector(values, query)
     cluster = int(np.argmin(((centroids - own) ** 2).sum(axis=1)))
     users = tuple(int(r) + 1 for r in np.flatnonzero(labels == cluster))
@@ -213,7 +212,6 @@ def cf_recttree(
     levels: int,
     branching: int = 2,
     iterations: int = 10,
-    seed: int = 0,
 ) -> CfApproxResult:
     """Recursive k-means hierarchy; predict from the routed bottom-level cluster.
 
@@ -229,7 +227,7 @@ def cf_recttree(
     for _ in range(levels - 1):
         if len(rows) <= 1 or len(rows) < branching:
             break
-        labels, centroids = kmeans(values[rows], branching, iterations, seed)
+        labels, centroids = kmeans(values[rows], branching, iterations)
         sizes = np.bincount(labels, minlength=branching)
         keep = np.flatnonzero(sizes > 0)
         cluster = int(keep[np.argmin(((centroids[keep] - own) ** 2).sum(axis=1))])

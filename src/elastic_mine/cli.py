@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -27,13 +28,16 @@ def _default_seed() -> int:
     return int(os.environ.get("ELASTIC_MINE_SEED", "0"))
 
 
-def _header(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return f"# elastic-mine {__version__}\n# config {blob}\n"
+def _config(args) -> dict:
+    """The command and every option its parser defines, so no option can miss the header."""
+    routing = ("command", "subcommand", "func", "command_path")
+    return {**{k: v for k, v in vars(args).items() if k not in routing}, "command": args.command_path}
 
 
-def _write(path, config: dict, body: str):
-    text = _header(config) + body
+def _write(path, args, lines: list[str]):
+    """Write ``lines`` under a header of the tool version and the config of ``args``."""
+    blob = json.dumps(_config(args), sort_keys=True, separators=(",", ":"))
+    text = f"# elastic-mine {__version__}\n# config {blob}\n" + "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -53,8 +57,8 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
     A column named in ``columns`` is converted by its function, any other
     is kept as a string. Every column of ``required`` (by default, every
     column of ``columns``) must be in the header. A missing column, a row
-    of the wrong width or a cell that does not convert raises
-    :class:`ParseError` with the path and line number.
+    of the wrong width, a cell that does not convert or a number that is
+    NaN or infinite raises :class:`ParseError` with the path and line number.
     """
     lines = [(n, line.strip()) for n, line in _read_data_lines(path) if line.strip()]
     if not lines:
@@ -70,9 +74,12 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
         if len(cells) != len(header):
             raise ParseError(f"{len(cells)} cells under {len(header)} columns in {path}", at)
         try:
-            rows.append({h: columns.get(h, str)(c) for h, c in zip(header, cells)})
+            row = {h: columns.get(h, str)(c) for h, c in zip(header, cells)}
         except ValueError as exc:
             raise ParseError(f"malformed row in {path} ({exc})", at) from None
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row.values()):
+            raise ParseError(f"non-finite number in {path}", at)
+        rows.append(row)
     return rows
 
 
@@ -101,8 +108,16 @@ def _load_states(path, key_fields, book, depth) -> dict:
     return states
 
 
-def _config(args, keys) -> dict:
-    return {"command": args.command_path, **{k: getattr(args, k) for k in keys}}
+def _state_line(key, state: coding.State) -> str:
+    """A state file line: the key ints, the state's depth and its node ids, ascending."""
+    return f"state {key} {state.depth} " + " ".join(map(str, state.view.ids[state.rows].tolist()))
+
+
+def _require(args, mode: str, *names):
+    """Raise, naming the option, unless every option of ``names`` that ``mode`` needs is given."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ElasticMineError(f"{mode} needs --{name.replace('_', '-')}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +125,6 @@ def _config(args, keys) -> dict:
 
 
 def _cmd_code_build(args) -> int:
-    keys = ["task", "input", "out", "seed", "max_entries", "leaf_capacity",
-            "features", "lr", "epochs", "branching", "depth_limit", "iterations"]
-    config = _config(args, keys)
     if args.task == "knn":
         with open(args.input, encoding="utf-8") as fh:
             train = datasets.parse_libsvm(fh)
@@ -127,7 +139,7 @@ def _cmd_code_build(args) -> int:
             book = coding.build_kmeans_codebook(
                 matrix, feats, args.branching, args.depth_limit, args.iterations, args.seed
             )
-    book = dataclasses.replace(book, config={**book.config, "cli": config})
+    book = dataclasses.replace(book, config={**book.config, "cli": _config(args)})
     coding.save_codebook(book, args.out)
     print(f"codebook {args.out}: kind={book.kind} depths={book.depths()}")
     for depth in book.depths():
@@ -143,26 +155,35 @@ def _cmd_code_build(args) -> int:
 # mine
 
 
-def _resolve_depth(book, args) -> int:
+def _open_mine(args, key_fields):
+    """(book, depth, states) of ``mine knn|cf``: the depth that ``--depth``,
+    ``--budget-nodes`` or (knn only) ``--budget-ms`` chooses, and the states of
+    ``--from-state`` keyed by ``key_fields`` ints. The options are checked
+    before any file is read."""
+    budget_ms = getattr(args, "budget_ms", None)
+    if args.depth is None and args.budget_nodes is None:
+        if budget_ms is None:
+            more = ", --budget-ms" if hasattr(args, "budget_ms") else ""
+            raise ElasticMineError(f"one of --depth, --budget-nodes{more} is required")
+        _require(args, "--budget-ms", "profile")
+    book = coding.load_codebook(args.book)
     if args.depth is not None:
-        return args.depth
-    if args.budget_nodes is not None:
-        return coding.select_code(book, args.budget_nodes).depth
-    if args.budget_ms is not None:
-        if not args.profile:
-            raise ElasticMineError("--budget-ms needs --profile with a nodes-per-second line")
-        nps = None
+        depth = args.depth
+    elif args.budget_nodes is not None:
+        depth = coding.select_code(book, args.budget_nodes).depth
+    else:
+        profile = None
         for at, line in _read_data_lines(args.profile):
             if line.startswith("nodes_per_second"):
                 try:
-                    nps = float(line.split()[1])
+                    profile = planner.ThroughputProfile(float(line.split()[1]))
                 except (ValueError, IndexError):
                     raise ParseError(f"malformed nodes_per_second line in {args.profile}", at) from None
-        if nps is None:
+        if profile is None:
             raise ElasticMineError(f"no nodes_per_second line in {args.profile}")
-        budget = planner.length_budget(args.budget_ms / 1000.0, planner.ThroughputProfile(nps))
-        return coding.select_code(book, budget).depth
-    raise ElasticMineError("one of --depth, --budget-nodes, --budget-ms is required")
+        depth = coding.select_code(book, planner.length_budget(budget_ms / 1000.0, profile)).depth
+    states = _load_states(args.from_state, key_fields, book, depth) if args.from_state else {}
+    return book, depth, states
 
 
 def _run_ordered(worker, count, threads):
@@ -174,14 +195,9 @@ def _run_ordered(worker, count, threads):
 
 
 def _cmd_mine_knn(args) -> int:
-    keys = ["book", "test", "k", "depth", "budget_nodes", "budget_ms", "profile",
-            "from_state", "save_state", "out", "seed", "threads"]
-    config = _config(args, keys)
-    book = coding.load_codebook(args.book)
+    book, depth, states = _open_mine(args, 1)
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
-    depth = _resolve_depth(book, args)
-    states = _load_states(args.from_state, 1, book, depth) if args.from_state else {}
     code = book.code_at_depth(depth)
 
     def classify_one(qid):
@@ -205,19 +221,17 @@ def _cmd_mine_knn(args) -> int:
             )
             state_lines.append(f"query {qid} {echo}")
             state_lines.append(f"result {qid} {depth} {pairs}")
-            ids = " ".join(str(i) for i in sorted(state.retained))
-            state_lines.append(f"state {qid} {state.depth} {ids}")
-    _write(args.out, config, "\n".join(rows) + "\n")
+            state_lines.append(_state_line(qid, state))
+    _write(args.out, args, rows)
     if args.save_state:
-        _write(args.save_state, config, "\n".join(state_lines) + "\n")
+        _write(args.save_state, args, state_lines)
     return 0
 
 
 def _cmd_mine_cf(args) -> int:
-    keys = ["book", "ratings", "test", "user", "item", "depth", "budget_nodes",
-            "from_state", "save_state", "out", "seed", "threads"]
-    config = _config(args, keys)
-    book = coding.load_codebook(args.book)
+    if not args.test and None in (args.user, args.item):
+        raise ElasticMineError("mine cf needs --test or --user/--item")
+    book, depth, states = _open_mine(args, 2)
     with open(args.ratings, encoding="utf-8") as fh:
         matrix = datasets.parse_ratings_csv(fh)
     if args.test:
@@ -225,17 +239,8 @@ def _cmd_mine_cf(args) -> int:
             queries = [
                 (u, i, r) for (u, i), r in sorted(datasets.parse_ratings_csv(fh).ratings.items())
             ]
-    elif args.user is not None and args.item is not None:
+    else:
         queries = [(args.user, args.item, None)]
-    else:
-        raise ElasticMineError("mine cf needs --test or --user/--item")
-    if args.depth is not None:
-        depth = args.depth
-    elif args.budget_nodes is not None:
-        depth = coding.select_code(book, args.budget_nodes).depth
-    else:
-        raise ElasticMineError("one of --depth, --budget-nodes is required")
-    states = _load_states(args.from_state, 2, book, depth) if args.from_state else {}
 
     def predict_one(idx):
         user, item, _ = queries[idx]
@@ -251,23 +256,29 @@ def _cmd_mine_cf(args) -> int:
             f"{user},{item},{depth},{result.scanned},{result.prediction!r},{shown},{int(result.fallback)}"
         )
         if args.save_state:
-            state = cf.maintain_cf_state(result)
-            ids = " ".join(str(i) for i in sorted(state.retained))
-            state_lines.append(f"state {user} {item} {state.depth} {ids}")
-    _write(args.out, config, "\n".join(rows) + "\n")
+            state_lines.append(_state_line(f"{user} {item}", cf.maintain_cf_state(result)))
+    _write(args.out, args, rows)
     if args.save_state:
-        _write(args.save_state, config, "\n".join(state_lines) + "\n")
+        _write(args.save_state, args, state_lines)
     return 0
 
 
+_KNN_BASELINES = ("ranking", "rtree-bfs", "rtree-dfs", "rtree-ofs")
+_CF_BASELINES = {"sampling": "sample_size", "clustering": "clusters", "recttree": "levels"}  # -> size option
+
+
+def _knn_baseline(algorithm, train, book, query, budget, order):
+    """One query of the anytime kNN baseline ``algorithm``, a name of ``_KNN_BASELINES``."""
+    if algorithm == "ranking":
+        return baselines.anytime_knn_ranking(train, query, budget, order)
+    return baselines.anytime_knn_rtree(book, train, query, budget, algorithm.split("-")[1])
+
+
 def _cmd_mine_baseline(args) -> int:
-    keys = ["algorithm", "train", "test", "book", "ratings", "k", "budget",
-            "sample_size", "clusters", "levels", "branching", "iterations",
-            "features", "lr", "epochs", "out", "seed"]
-    config = _config(args, keys)
     algo = args.algorithm
     rows = []
-    if algo in ("ranking", "rtree-bfs", "rtree-dfs", "rtree-ofs"):
+    if algo in _KNN_BASELINES:
+        _require(args, f"--algorithm {algo}", "train", "test", "budget")
         with open(args.train, encoding="utf-8") as fh:
             train = datasets.parse_libsvm(fh)
         with open(args.test, encoding="utf-8") as fh:
@@ -279,14 +290,12 @@ def _cmd_mine_baseline(args) -> int:
         )
         for qid in range(len(test)):
             query = knn.KnnQuery(test.features[qid], args.k)
-            if algo == "ranking":
-                result = baselines.anytime_knn_ranking(train, query, args.budget, order)
-            else:
-                result = baselines.anytime_knn_rtree(book, train, query, args.budget, algo.split("-")[1])
+            result = _knn_baseline(algo, train, book, query, args.budget, order)
             rows.append(
                 f"{qid},{algo},{args.budget},{result.scanned},{result.predicted},{int(test.labels[qid])}"
             )
     else:
+        _require(args, f"--algorithm {algo}", "ratings", "test", _CF_BASELINES[algo])
         with open(args.ratings, encoding="utf-8") as fh:
             matrix = datasets.parse_ratings_csv(fh)
         with open(args.test, encoding="utf-8") as fh:
@@ -298,17 +307,14 @@ def _cmd_mine_baseline(args) -> int:
             if algo == "sampling":
                 result = baselines.cf_sampling(matrix, query, args.sample_size, args.seed)
             elif algo == "clustering":
-                result = baselines.cf_clustering(matrix, feats, query, args.clusters,
-                                                 args.iterations, args.seed)
-            elif algo == "recttree":
-                result = baselines.cf_recttree(matrix, feats, query, args.levels,
-                                               args.branching, args.iterations, args.seed)
+                result = baselines.cf_clustering(matrix, feats, query, args.clusters, args.iterations)
             else:
-                raise ElasticMineError(f"unknown baseline algorithm {algo!r}")
+                result = baselines.cf_recttree(matrix, feats, query, args.levels,
+                                               args.branching, args.iterations)
             rows.append(
                 f"{user},{item},{algo},{result.scanned},{result.prediction!r},{actual!r},{int(result.fallback)}"
             )
-    _write(args.out, config, "\n".join(rows) + "\n")
+    _write(args.out, args, rows)
     return 0
 
 
@@ -317,8 +323,6 @@ def _cmd_mine_baseline(args) -> int:
 
 
 def _cmd_report_quality(args) -> int:
-    keys = ["pred", "task", "out"]
-    config = _config(args, keys)
     out_rows = ["depth,metric,value"]
     if args.task == "knn":
         body = _read_table(args.pred, dict.fromkeys(("depth", "predicted", "actual", "k_P", "k_N"), int))
@@ -356,13 +360,11 @@ def _cmd_report_quality(args) -> int:
                 out_rows.append(f"{depth},relative_error,{cf.relative_error(value, exact_rmse)!r}")
             fallback = sum(r["fallback_flag"] for r in rows) / len(rows)
             out_rows.append(f"{depth},fallback_rate,{fallback!r}")
-    _write(args.out, config, "\n".join(out_rows) + "\n")
+    _write(args.out, args, out_rows)
     return 0
 
 
 def _cmd_report_elasticity(args) -> int:
-    keys = ["series", "out"]
-    config = _config(args, keys)
     points = []
     numbers = dict.fromkeys(("quality", "investment", "resource", "price"), float)
     for row in _read_table(args.series, numbers, required=("quality", "investment")):
@@ -376,13 +378,11 @@ def _cmd_report_elasticity(args) -> int:
         value = "" if p.elasticity is None else repr(p.elasticity)
         out_rows.append(f"{p.start + 1}->{p.start + 2},{p.quality_gain_pct!r},{p.investment_gain_pct!r},{value}")
     out_rows.append(f"argmax,,,{report.argmax_pair() + 1}->{report.argmax_pair() + 2}")
-    _write(args.out, config, "\n".join(out_rows) + "\n")
+    _write(args.out, args, out_rows)
     return 0
 
 
 def _cmd_report_resolution(args) -> int:
-    keys = ["book", "m", "cell_volume", "log_base", "out"]
-    config = _config(args, keys)
     book = coding.load_codebook(args.book)
     report = elasticity.audit_entropy_monotonicity(book, args.m, args.cell_volume, args.log_base)
     out_rows = ["depth,length,volume,n,H_cond_bits,resolution_bits"]
@@ -392,7 +392,7 @@ def _cmd_report_resolution(args) -> int:
             f"{c.conditional_entropy!r},{c.resolution!r}"
         )
     out_rows.append(f"verdict,,,,,{'pass' if report.monotone else 'fail'}")
-    _write(args.out, config, "\n".join(out_rows) + "\n")
+    _write(args.out, args, out_rows)
     print("resolution monotonicity:", "pass" if report.monotone else f"fail at {report.first_violation()}")
     return 0
 
@@ -419,18 +419,22 @@ def _answer_lines(answer: planner.PlanAnswer) -> list[str]:
     return out
 
 
+_FIXED_NEEDS = {planner.QUERY_MAX_QUALITY: "budget", planner.QUERY_MIN_INVESTMENT: "quality",
+                planner.QUERY_ELASTICITY: "elasticity_floor"}  # fixed-price query -> option it needs
+
+
 def _cmd_plan(args) -> int:
-    keys = ["results", "scheme", "query", "fixed_price", "schedule", "budget",
-            "quality", "deadline_hours", "elasticity_floor", "out"]
-    config = _config(args, keys)
+    # the deadline-driven spot query maps to the quality-floor fixed query
+    fixed_query = planner.QUERY_MIN_INVESTMENT if args.query == planner.QUERY_MIN_BID else args.query
+    if args.scheme in ("fixed", "both"):
+        _require(args, f"the fixed-price {fixed_query} query", _FIXED_NEEDS[fixed_query])
+    if args.scheme in ("spot", "both"):
+        spot_need = "elasticity_floor" if args.query == planner.QUERY_ELASTICITY else "deadline_hours"
+        _require(args, "a spot plan", "schedule", spot_need)
     results = [planner.ResultPoint(row["quality"], row["hours"])
                for row in _read_table(args.results, {"quality": float, "hours": float})]
     out_rows = []
     if args.scheme in ("fixed", "both"):
-        # the deadline-driven spot query maps to the quality-floor fixed query
-        fixed_query = (
-            planner.QUERY_MIN_INVESTMENT if args.query == planner.QUERY_MIN_BID else args.query
-        )
         answer = planner.fixed_plan(
             results, args.fixed_price, fixed_query, budget=args.budget,
             required_quality=args.quality, elasticity_floor=args.elasticity_floor,
@@ -439,7 +443,10 @@ def _cmd_plan(args) -> int:
         out_rows.extend(_answer_lines(answer))
     if args.scheme in ("spot", "both"):
         with open(args.schedule, encoding="utf-8") as fh:
-            schedule = planner.PriceSchedule.from_csv(fh.read(), args.fixed_price)
+            try:
+                schedule = planner.PriceSchedule.from_csv(fh.read(), args.fixed_price)
+            except ParseError as exc:
+                raise ParseError(f"{exc} in {args.schedule}") from None
         if args.query == planner.QUERY_ELASTICITY:
             bids = planner.spot_elasticity_bids(results, schedule, args.elasticity_floor)
             out_rows.append("[spot]")
@@ -456,7 +463,7 @@ def _cmd_plan(args) -> int:
             )
             out_rows.append("[spot]")
             out_rows.extend(_answer_lines(answer))
-    _write(args.out, config, "\n".join(out_rows) + "\n")
+    _write(args.out, args, out_rows)
     return 0
 
 
@@ -465,8 +472,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    keys = ["task", "input", "k", "max_entries", "seed", "budgets", "out", "timings"]
-    config = _config(args, keys)
     rows = ["dataset,algorithm,seed,budget,metric_name,metric_value,scanned,wall_ms"]
     name = os.path.basename(args.input)
 
@@ -502,18 +507,14 @@ def _cmd_bench(args) -> int:
              int(round(mean_cumulative[j])), (time.perf_counter() - t0) * 1000)
 
     order = baselines.rank_training_points(train)
-    combos = [("ranking", None)] + [(f"rtree-{s}", s) for s in ("bfs", "dfs", "ofs")]
-    for algorithm, strategy in combos:
+    for algorithm in _KNN_BASELINES:
         for budget in budgets:
             t0 = time.perf_counter()
             preds = []
             scanned = 0
             for query in queries:
                 try:
-                    if strategy is None:
-                        r = baselines.anytime_knn_ranking(train, query, budget, order)
-                    else:
-                        r = baselines.anytime_knn_rtree(book, train, query, budget, strategy)
+                    r = _knn_baseline(algorithm, train, book, query, budget, order)
                 except ElasticMineError:
                     preds = None
                     break
@@ -525,7 +526,7 @@ def _cmd_bench(args) -> int:
                 continue
             emit(algorithm, budget, "accuracy", knn.accuracy(preds, actuals),
                  scanned // len(queries), wall)
-    _write(args.out, config, "\n".join(rows) + "\n")
+    _write(args.out, args, rows)
     return 0
 
 
@@ -537,19 +538,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elastic-mine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # options that two commands read the same way, each defined once
+    svd = argparse.ArgumentParser(add_help=False)  # user features: code build, mine baseline
+    svd.add_argument("--features", type=int, default=3)
+    svd.add_argument("--lr", type=float, default=0.001)
+    svd.add_argument("--epochs", type=int, default=120)
+    mining = argparse.ArgumentParser(add_help=False)  # mine knn, mine cf
+    mining.add_argument("--book", required=True)
+    mining.add_argument("--depth", type=int, default=None)
+    mining.add_argument("--budget-nodes", type=int, default=None)
+    mining.add_argument("--from-state", default=None)
+    mining.add_argument("--save-state", default=None)
+    mining.add_argument("--out", default="-")
+    mining.add_argument("--seed", type=int, default=_default_seed())
+    mining.add_argument("--threads", type=int, default=1)
+
     code = sub.add_parser("code", help="codebook construction").add_subparsers(
         dest="subcommand", required=True
     )
-    build = code.add_parser("build", help="build and persist a codebook")
+    build = code.add_parser("build", parents=[svd], help="build and persist a codebook")
     build.add_argument("--task", choices=["knn", "cf", "kmeans"], required=True)
     build.add_argument("--input", required=True)
     build.add_argument("--out", required=True)
     build.add_argument("--seed", type=int, default=_default_seed())
     build.add_argument("--max-entries", type=int, default=4)
     build.add_argument("--leaf-capacity", type=int, default=None)
-    build.add_argument("--features", type=int, default=3)
-    build.add_argument("--lr", type=float, default=0.001)
-    build.add_argument("--epochs", type=int, default=120)
     build.add_argument("--branching", type=int, default=2)
     build.add_argument("--depth-limit", type=int, default=4)
     build.add_argument("--iterations", type=int, default=10)
@@ -558,40 +571,22 @@ def build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser("mine", help="run mining under a budget").add_subparsers(
         dest="subcommand", required=True
     )
-    mine_knn = mine.add_parser("knn")
-    mine_knn.add_argument("--book", required=True)
+    mine_knn = mine.add_parser("knn", parents=[mining])
     mine_knn.add_argument("--test", required=True)
     mine_knn.add_argument("--k", type=int, default=5)
-    mine_knn.add_argument("--depth", type=int, default=None)
-    mine_knn.add_argument("--budget-nodes", type=int, default=None)
     mine_knn.add_argument("--budget-ms", type=float, default=None)
     mine_knn.add_argument("--profile", default=None)
-    mine_knn.add_argument("--from-state", default=None)
-    mine_knn.add_argument("--save-state", default=None)
-    mine_knn.add_argument("--out", default="-")
-    mine_knn.add_argument("--seed", type=int, default=_default_seed())
-    mine_knn.add_argument("--threads", type=int, default=1)
     mine_knn.set_defaults(func=_cmd_mine_knn, command_path="mine knn")
 
-    mine_cf = mine.add_parser("cf")
-    mine_cf.add_argument("--book", required=True)
+    mine_cf = mine.add_parser("cf", parents=[mining])
     mine_cf.add_argument("--ratings", required=True, help="training ratings CSV")
     mine_cf.add_argument("--test", default=None, help="ratings CSV of queries")
     mine_cf.add_argument("--user", type=int, default=None)
     mine_cf.add_argument("--item", type=int, default=None)
-    mine_cf.add_argument("--depth", type=int, default=None)
-    mine_cf.add_argument("--budget-nodes", type=int, default=None)
-    mine_cf.add_argument("--from-state", default=None)
-    mine_cf.add_argument("--save-state", default=None)
-    mine_cf.add_argument("--out", default="-")
-    mine_cf.add_argument("--seed", type=int, default=_default_seed())
-    mine_cf.add_argument("--threads", type=int, default=1)
     mine_cf.set_defaults(func=_cmd_mine_cf, command_path="mine cf")
 
-    mine_base = mine.add_parser("baseline")
-    mine_base.add_argument("--algorithm", required=True,
-                           choices=["ranking", "rtree-bfs", "rtree-dfs", "rtree-ofs",
-                                    "sampling", "clustering", "recttree"])
+    mine_base = mine.add_parser("baseline", parents=[svd])
+    mine_base.add_argument("--algorithm", required=True, choices=[*_KNN_BASELINES, *_CF_BASELINES])
     mine_base.add_argument("--train", default=None)
     mine_base.add_argument("--test", default=None)
     mine_base.add_argument("--book", default=None)
@@ -603,9 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine_base.add_argument("--levels", type=int, default=None)
     mine_base.add_argument("--branching", type=int, default=2)
     mine_base.add_argument("--iterations", type=int, default=10)
-    mine_base.add_argument("--features", type=int, default=3)
-    mine_base.add_argument("--lr", type=float, default=0.001)
-    mine_base.add_argument("--epochs", type=int, default=120)
     mine_base.add_argument("--out", default="-")
     mine_base.add_argument("--seed", type=int, default=_default_seed())
     mine_base.set_defaults(func=_cmd_mine_baseline, command_path="mine baseline")
@@ -665,7 +657,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ElasticMineError as exc:
+    except (ElasticMineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

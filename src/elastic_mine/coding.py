@@ -641,12 +641,10 @@ def build_cf_codebook(
 # Divisive k-means coder
 
 
-def kmeans(
-    X: np.ndarray, k: int, iterations: int = 10, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic k-means (WCSS objective, fixed iteration count).
 
-    Seeding is farthest-point: the first centre is the point farthest from
+    Seeding is farthest-point, so there is no random seed: the first centre is the point farthest from
     the data centroid, each further centre maximises the distance to the
     centres chosen so far (ties by row index). Returns (labels, centroids).
     Empty clusters keep their previous centroid.
@@ -711,7 +709,7 @@ def build_kmeans_codebook(
                 warnings.append(f"cluster of {len(order)} users at depth {depth} not split")
             rec(order, depth + 1, nid)
             return nid
-        labels, _ = kmeans(values[order], branching, iterations, seed)
+        labels, _ = kmeans(values[order], branching, iterations)
         for c in range(branching):
             grp = order[labels == c]
             if len(grp):
@@ -778,6 +776,8 @@ def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBoo
         return [to_rows(c) for c in s]
 
     values = np.asarray(np.arange(matrix.num_users)[:, None] if features is None else features, dtype=float)
+    if len(values) != matrix.num_users:
+        raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
     builder = _Builder()
     rows_spec = to_rows(spec)
     _hierarchy_depth(rows_spec)

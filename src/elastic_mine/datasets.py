@@ -300,7 +300,10 @@ def split_ratings(
     rated items moves to the test side, keeping at least one training
     rating per user. Users with fewer than two ratings yield no test items.
     Returns the reduced training matrix and (user, item, rating) triples.
+    A ``spec.test_count`` has no per-user meaning and raises ``ValueError``.
     """
+    if spec.test_count is not None:
+        raise ValueError("split_ratings holds out a fraction per user; test_count is not supported")
     rng = np.random.default_rng(spec.seed)
     frac = spec.test_fraction if spec.test_fraction is not None else 0.2
     if not 0.0 < frac < 1.0:

@@ -23,7 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .coding import CodeBook, total_mbr_volume
-from .errors import AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError
+from .errors import (
+    AssumptionRequiredError, PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError,
+    UndefinedMetricError,
+)
 
 
 def log_binomial(n: int, m: int, base: float = 2.0) -> float:
@@ -211,19 +214,19 @@ class ElasticityReport:
             if p.elasticity is not None and (best is None or p.elasticity > best.elasticity):
                 best = p
         if best is None:
-            raise ValueError("no pair has a defined elasticity")
+            raise UndefinedMetricError("no pair has a defined elasticity")
         return best.start
 
 
 def investment_elasticity(series: Sequence[InvestmentPoint]) -> ElasticityReport:
     """Pairwise elasticity over consecutive results of an investment series."""
     if len(series) < 2:
-        raise ValueError("need at least two results")
+        raise UndefinedMetricError("elasticity needs at least two results")
     pairs = []
     for i in range(len(series) - 1):
         a, b = series[i], series[i + 1]
         if b.investment < a.investment:
-            raise ValueError(f"cumulative investment decreases at pair {i}")
+            raise PlanConfigError(f"cumulative investment decreases at pair {i}")
         if a.quality <= 0.0 or a.investment <= 0.0:
             pairs.append(PairElasticity(i, math.nan, math.nan, None))
             continue
@@ -260,9 +263,9 @@ def resource_and_price_elasticity(
         )
     for i, p in enumerate(series):
         if p.resource is None or p.price is None:
-            raise ValueError(f"series entry {i} lacks resource or price")
+            raise PlanConfigError(f"series entry {i} lacks resource or price")
         if not math.isclose(p.investment, p.resource * p.price, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(
+            raise PlanConfigError(
                 f"entry {i} violates I = R * P: {p.investment} != {p.resource * p.price}"
             )
     report = investment_elasticity(series)
@@ -299,7 +302,7 @@ def audit_quality_monotonicity(
     those costs must not increase with result quality.
     """
     if len(series) < 2:
-        raise ValueError("need at least two results")
+        raise UndefinedMetricError("the audit needs at least two results")
     measurable = all(math.isfinite(p.quality) and math.isfinite(p.investment) for p in series)
     meaningful = measurable and all(p.quality >= 0.0 for p in series)
     dips = []
@@ -315,7 +318,7 @@ def audit_quality_monotonicity(
     accumulative = None
     if refine_costs is not None:
         if len(refine_costs) != len(series):
-            raise ValueError("refine_costs must align with the series")
+            raise PlanConfigError("refine_costs must align with the series")
         accumulative = all(
             refine_costs[i + 1] <= refine_costs[i] + 1e-12 for i in range(len(refine_costs) - 1)
         )

@@ -74,6 +74,12 @@ class UndefinedMetricError(ElasticMineError, ValueError):
     """A quality metric is undefined for the given inputs."""
 
 
+class PlanConfigError(ElasticMineError, ValueError):
+    """A planning or elasticity setting that has no answer: a price, bid, deadline,
+    floor or throughput that is not positive and finite, a missing query
+    setting, or a result or investment series out of order."""
+
+
 class ResolutionConfigError(ElasticMineError, ValueError):
     """A resolution setting is out of range, such as a log base of 1 or less."""
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .coding import CodeBook
-from .errors import ClockResolutionError, ParseError
-from .knn import KnnQuery, accuracy, classify
+from .errors import ClockResolutionError, ParseError, PlanConfigError
+from .knn import KnnQuery, classify
 
 QUERY_MAX_QUALITY = "max-quality-within-budget"
 QUERY_MIN_INVESTMENT = "min-investment-for-quality"
@@ -39,53 +39,35 @@ class ResultPoint(NamedTuple):
 @dataclass(frozen=True)
 class ThroughputProfile:
     nodes_per_second: float
-    qualities: tuple[float, ...] | None = None
-    time_fractions: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.nodes_per_second <= 0:
-            raise ValueError("nodes_per_second must be positive")
+        if not 0 < self.nodes_per_second < math.inf:
+            raise PlanConfigError(f"nodes_per_second {self.nodes_per_second} is not positive and finite")
 
 
-def calibrate(
-    book: CodeBook, queries: Sequence[KnnQuery], actuals=None, depths=None, clock=time.perf_counter
-) -> ThroughputProfile:
+def calibrate(book: CodeBook, queries: Sequence[KnnQuery], clock=time.perf_counter) -> ThroughputProfile:
     """Measure scanning throughput on a profiling subset of queries.
 
     Classifies every query at every depth, timing the whole run on the
-    given monotone clock. Per-depth time fractions come from scan counts;
-    when actual labels are supplied the per-depth accuracy is recorded as
-    the predicted quality of each result.
+    given monotone clock, and returns the nodes scanned per second.
     """
     if not queries:
-        raise ValueError("need at least one sample query")
-    depths = list(depths) if depths is not None else list(book.depths())
-    scanned = [0] * len(depths)
-    predictions = [[] for _ in depths]
+        raise PlanConfigError("need at least one sample query")
+    scanned = 0
     start = clock()
     for query in queries:
-        for j, depth in enumerate(depths):
-            result = classify(book, depth, query)
-            scanned[j] += result.scanned
-            predictions[j].append(result.predicted)
+        for depth in book.depths():
+            scanned += classify(book, depth, query).scanned
     elapsed = clock() - start
     if elapsed <= 0.0:
         raise ClockResolutionError("profiling run elapsed no measurable time")
-    total = sum(scanned)
-    qualities = None
-    if actuals is not None:
-        qualities = tuple(accuracy(p, actuals) for p in predictions)
-    return ThroughputProfile(
-        nodes_per_second=total / elapsed,
-        qualities=qualities,
-        time_fractions=tuple(s / total for s in scanned),
-    )
+    return ThroughputProfile(nodes_per_second=scanned / elapsed)
 
 
 def length_budget(time_budget_seconds: float, profile: ThroughputProfile) -> int:
     """Largest code length processable within the time budget."""
-    if time_budget_seconds <= 0:
-        raise ValueError("time budget must be positive")
+    if not 0 < time_budget_seconds < math.inf:
+        raise PlanConfigError("time budget must be positive and finite")
     return int(math.floor(time_budget_seconds * profile.nodes_per_second))
 
 
@@ -97,10 +79,9 @@ class PriceSchedule:
     spot_prices: tuple[float, ...]
 
     def __post_init__(self):
-        if self.fixed_price <= 0:
-            raise ValueError("fixed price must be positive")
-        if len(self.spot_prices) != 24 or any(p <= 0 for p in self.spot_prices):
-            raise ValueError("spot schedule needs exactly 24 positive hourly prices")
+        _check_price(self.fixed_price)
+        if len(self.spot_prices) != 24 or not all(0 < p < math.inf for p in self.spot_prices):
+            raise PlanConfigError("spot schedule needs exactly 24 positive finite hourly prices")
 
     def levels(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.spot_prices)))
@@ -116,12 +97,16 @@ class PriceSchedule:
             if len(parts) != 2:
                 raise ParseError(f"expected 'hour,price', got {line!r}", lineno)
             try:
-                hour = int(parts[0])
+                hour, price = int(parts[0]), float(parts[1])
             except ValueError:
                 if lineno == 1:
                     continue  # header
-                raise ParseError(f"non-numeric hour {parts[0]!r}", lineno) from None
-            prices[hour] = float(parts[1])
+                raise ParseError(f"expected a whole hour and a price, got {line!r}", lineno) from None
+            if not 0 < price < math.inf:
+                raise ParseError(f"price {parts[1]!r} is not positive and finite", lineno)
+            if hour in prices:
+                raise ParseError(f"hour {hour} repeated", lineno)
+            prices[hour] = price
         if sorted(prices) != list(range(24)):
             raise ParseError(f"schedule must cover hours 0-23, got {sorted(prices)}")
         return cls(fixed_price, tuple(prices[h] for h in range(24)))
@@ -129,8 +114,8 @@ class PriceSchedule:
 
 def spot_availability(schedule: PriceSchedule, bid: float) -> tuple[tuple[int, ...], int]:
     """Hours of the day the bid covers (price <= bid) and their count."""
-    if bid <= 0:
-        raise ValueError("bid must be positive")
+    if not bid > 0:
+        raise PlanConfigError("bid must be positive")
     hours = tuple(h for h, p in enumerate(schedule.spot_prices) if p <= bid + 1e-12)
     return hours, len(hours)
 
@@ -201,12 +186,17 @@ class PlanAnswer:
     binding: str | None = None  # name of the constraint that decided the answer
 
 
+def _check_price(fixed_price: float):
+    if not 0 < fixed_price < math.inf:
+        raise PlanConfigError(f"fixed price must be positive and finite, got {fixed_price}")
+
+
 def _check_results(results: Sequence[ResultPoint]):
     if not results:
-        raise ValueError("empty result series")
+        raise PlanConfigError("empty result series")
     hours = [r.hours for r in results]
     if any(b < a for a, b in zip(hours, hours[1:])):
-        raise ValueError("results must be ordered by cumulative execution time")
+        raise PlanConfigError("results must be ordered by cumulative execution time")
 
 
 def fixed_plan(
@@ -220,6 +210,7 @@ def fixed_plan(
     """Answer a fixed-price query by scanning the cumulative result series."""
     results = [ResultPoint(*r) for r in results]
     _check_results(results)
+    _check_price(fixed_price)
     invest = [r.hours * fixed_price for r in results]
 
     def answer(i, feasible=True, binding=None):
@@ -237,7 +228,7 @@ def fixed_plan(
 
     if query == QUERY_MIN_INVESTMENT:
         if required_quality is None:
-            raise ValueError("min-investment query needs required_quality")
+            raise PlanConfigError("min-investment query needs required_quality")
         for i, r in enumerate(results):
             if r.quality >= required_quality - 1e-12:
                 if budget is not None and invest[i] > budget + 1e-12:
@@ -247,7 +238,7 @@ def fixed_plan(
 
     if query == QUERY_MAX_QUALITY:
         if budget is None:
-            raise ValueError("max-quality query needs a budget")
+            raise PlanConfigError("max-quality query needs a budget")
         affordable = [i for i in range(len(results)) if invest[i] <= budget + 1e-12]
         if not affordable:
             return answer(None, feasible=False, binding="budget")
@@ -256,7 +247,7 @@ def fixed_plan(
 
     if query == QUERY_ELASTICITY:
         if elasticity_floor is None:
-            raise ValueError("elasticity-constrained query needs elasticity_floor")
+            raise PlanConfigError("elasticity-constrained query needs elasticity_floor")
         if budget is not None and invest[0] > budget + 1e-12:
             return answer(None, feasible=False, binding="budget")
         last = 0
@@ -273,7 +264,7 @@ def fixed_plan(
             last = i + 1
         return answer(last, binding="elasticity")
 
-    raise ValueError(f"unknown fixed-price query {query!r}")
+    raise PlanConfigError(f"unknown fixed-price query {query!r}")
 
 
 def spot_plan(
@@ -295,8 +286,8 @@ def spot_plan(
     """
     results = [ResultPoint(*r) for r in results]
     _check_results(results)
-    if deadline_hours <= 0:
-        raise ValueError("deadline must be positive")
+    if not 0 < deadline_hours < math.inf:
+        raise PlanConfigError("deadline must be positive and finite")
     target = None
     if required_quality is None:
         target = len(results) - 1
@@ -364,8 +355,8 @@ def spot_elasticity_bids(
     """
     results = [ResultPoint(*r) for r in results]
     _check_results(results)
-    if elasticity_floor <= 0:
-        raise ValueError("elasticity floor must be positive")
+    if not 0 < elasticity_floor < math.inf:
+        raise PlanConfigError("elasticity floor must be positive and finite")
     base = max(schedule.levels())
     increments = [results[0].hours] + [
         b.hours - a.hours for a, b in zip(results, results[1:])
@@ -377,9 +368,9 @@ def spot_elasticity_bids(
     for i in range(1, len(results)):
         q0, q1 = results[i - 1].quality, results[i].quality
         if q0 <= 0:
-            raise ValueError(f"result {i - 1} has non-positive quality")
+            raise PlanConfigError(f"result {i - 1} has non-positive quality")
         if q1 <= q0:
-            raise ValueError(
+            raise PlanConfigError(
                 f"result {i} does not improve on result {i - 1}; no bid can meet the floor"
             )
         gain = (q1 - q0) / q0

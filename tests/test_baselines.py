@@ -264,12 +264,8 @@ class TestDeterminism:
         matrix, feats, queries = cf_setup
         q = queries[0]
         assert em.cf_sampling(matrix, q, 10, seed=5) == em.cf_sampling(matrix, q, 10, seed=5)
-        assert em.cf_clustering(matrix, feats, q, 4, seed=5) == em.cf_clustering(
-            matrix, feats, q, 4, seed=5
-        )
-        assert em.cf_recttree(matrix, feats, q, 3, seed=5) == em.cf_recttree(
-            matrix, feats, q, 3, seed=5
-        )
+        assert em.cf_clustering(matrix, feats, q, 4) == em.cf_clustering(matrix, feats, q, 4)
+        assert em.cf_recttree(matrix, feats, q, 3) == em.cf_recttree(matrix, feats, q, 3)
 
 
 class TestUnknownUser:

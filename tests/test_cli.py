@@ -1,9 +1,12 @@
-import os
+import argparse
+import json
 
 import pytest
 
 import elastic_mine as em
-from elastic_mine.cli import main
+from elastic_mine.cli import build_parser, main
+
+SCHEDULE = "hour,price\n" + "".join(f"{h},0.{10 + h}\n" for h in range(24))  # hour h on line h + 2
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +41,28 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory, fourclass_book, example_cf_book, example_matrix):
+    """Books and small side files that the commands read, made without the CLI."""
+    root = tmp_path_factory.mktemp("files")
+    em.save_codebook(fourclass_book, root / "knn.ecb")
+    em.save_codebook(example_cf_book, root / "cf.ecb")
+    with open(root / "ratings.csv", "w") as fh:
+        em.write_ratings_csv(example_matrix, fh)
+    (root / "pred.csv").write_text("query_id,depth,scanned_nodes,k_P,k_N,predicted,actual\n0,1,4,3,2,1,1\n")
+    (root / "series.csv").write_text("investment,quality\n1,0.5\n2,0.6\n")
+    (root / "one.csv").write_text("investment,quality\n1,0.5\n")
+    (root / "profile.txt").write_text("nodes_per_second 1000.0\n")
+    return root
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def fill(argv, workdir, files):
+    """``argv`` with ``{w}`` and ``{f}`` read as the workdir and files directories."""
+    return [str(a).format(w=workdir, f=files) for a in argv]
 
 
 class TestCodeBuild:
@@ -328,8 +351,8 @@ class TestThreadsAndBudgets:
 
 
 class TestSideFiles:
-    """A malformed state, prediction or profile file exits 2 with one error line
-    naming the file and the line."""
+    """A malformed state, prediction, profile, series or schedule file exits 2
+    with one error line naming the file and the line."""
 
     @pytest.mark.parametrize("name, text, line, command", [
         ("state.txt", "# header\nstate 0 x 1 2\n", 2,
@@ -342,14 +365,32 @@ class TestSideFiles:
          ["report", "quality", "--task", "knn", "--pred"]),
         ("profile.txt", "nodes_per_second abc\n", 1,
          ["mine", "knn", "--budget-ms", 30, "--profile"]),
+        ("profile.txt", "nodes_per_second -5\n", 1, ["mine", "knn", "--budget-ms", 30, "--profile"]),
+        ("profile.txt", "nodes_per_second nan\n", 1, ["mine", "knn", "--budget-ms", 30, "--profile"]),
+        ("profile.txt", "nodes_per_second inf\n", 1, ["mine", "knn", "--budget-ms", 30, "--profile"]),
+        ("series.csv", "investment,quality\n1,0.5\n2,nan\n", 3, ["report", "elasticity", "--series"]),
+        ("results.csv", "quality,hours\n0.74,nan\n", 2, ["plan", "--scheme", "fixed", "--quality", 0.7,
+                                                        "--results"]),
+        ("schedule.csv", SCHEDULE.replace("\n3,0.13\n", "\n3,abc\n"), 5,
+         ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
+        ("schedule.csv", SCHEDULE.replace("\n3,0.13\n", "\n3,nan\n"), 5,
+         ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
+        ("schedule.csv", SCHEDULE.replace("\n3,0.13\n", "\n3,inf\n"), 5,
+         ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
+        ("schedule.csv", SCHEDULE + "3,0.5\n", 26,
+         ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
     ], ids=["state-bad-depth", "state-no-depth", "state-at-mined-depth", "state-below-mined-depth",
-            "state-root-id", "pred-no-depth-column", "profile-bad-rate"])
+            "state-root-id", "pred-no-depth-column", "profile-bad-rate", "profile-negative-rate",
+            "profile-nan-rate", "profile-inf-rate", "series-nan", "results-nan-hours",
+            "schedule-bad-price", "schedule-nan-price", "schedule-inf-price", "schedule-repeated-hour"])
     def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
                                           name, text, line, command):
         path = tmp_path / name
         path.write_text(text)
         em.save_codebook(fourclass_book, tmp_path / "book.ecb")
         mine = ["--book", tmp_path / "book.ecb", "--test", workdir / "test.libsvm", "--k", 5]
+        if command[0] == "plan" and name != "results.csv":
+            command = command[:1] + ["--results", workdir / "results.csv"] + command[1:]
         args = command + [path] + (mine if command[0] == "mine" else [])
         assert run(args + ["--out", tmp_path / "never.csv"]) == 2
         captured = capsys.readouterr()
@@ -390,3 +431,90 @@ class TestReproducibility:
             ["mine", "knn", "--book", "x", "--test", "y", "--depth", "1"]
         )
         assert args.seed == 123
+
+
+def _commands(parser, path=""):
+    """(path, parser) of every command ``parser`` runs, such as ``("mine knn", ...)``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, parser)]
+    return [c for name, sub in subs[0].choices.items() for c in _commands(sub, f"{path} {name}".strip())]
+
+
+# the fewest arguments each command runs with, apart from --out
+MINIMAL_ARGV = {
+    "code build": ["--task", "knn", "--input", "{w}/train.libsvm"],
+    "mine knn": ["--book", "{f}/knn.ecb", "--test", "{w}/test.libsvm", "--depth", 1],
+    "mine cf": ["--book", "{f}/cf.ecb", "--ratings", "{f}/ratings.csv", "--user", 1, "--item", 3,
+                "--depth", 1],
+    "mine baseline": ["--algorithm", "ranking", "--train", "{w}/train.libsvm",
+                      "--test", "{w}/test.libsvm", "--budget", 50],
+    "report quality": ["--pred", "{f}/pred.csv", "--task", "knn"],
+    "report elasticity": ["--series", "{f}/series.csv"],
+    "report resolution": ["--book", "{f}/knn.ecb"],
+    "plan": ["--results", "{w}/results.csv", "--scheme", "fixed", "--quality", 0.8],
+    "bench": ["--input", "{w}/train.libsvm", "--budgets", 20],
+}
+
+
+class TestHeader:
+    COMMANDS = dict(_commands(build_parser()))
+
+    @pytest.mark.parametrize("path", COMMANDS)
+    def test_config_echoes_every_option(self, workdir, files, tmp_path, path):
+        """A header's config holds the command and exactly the options its parser defines."""
+        parser = self.COMMANDS[path]
+        out = tmp_path / "out"
+        assert run(path.split() + fill(MINIMAL_ARGV[path], workdir, files) + ["--out", out]) == 0
+        if path == "code build":
+            config = em.load_codebook(out).config["cli"]
+        else:
+            header = out.read_text().splitlines()[1]
+            config = json.loads(header.removeprefix("# config "))
+        assert config["command"] == path
+        assert set(config) == {"command"} | {a.dest for a in parser._actions if a.dest != "help"}
+
+
+class TestMisuse:
+    """Every misuse exits 2 with one error line naming the problem, and writes nothing."""
+
+    SPOT = ["plan", "--results", "{w}/results.csv", "--scheme", "spot", "--schedule", "{w}/schedule.csv"]
+    KNN = ["mine", "knn", "--book", "{f}/knn.ecb", "--test", "{w}/test.libsvm"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["plan", "--results", "{w}/results.csv", "--scheme", "spot", "--deadline-hours", 48],
+         "--schedule"),
+        (SPOT + ["--query", "elasticity-constrained-quality"], "--elasticity-floor"),
+        (["plan", "--results", "{w}/results.csv", "--scheme", "fixed",
+          "--query", "max-quality-within-budget"], "--budget"),
+        (["plan", "--results", "{w}/results.csv", "--scheme", "fixed"], "--quality"),
+        (SPOT + ["--deadline-hours", -1], "deadline"),
+        (SPOT + ["--deadline-hours", 48, "--fixed-price", 0], "fixed price"),
+        (["plan", "--results", "{w}/results.csv", "--scheme", "fixed", "--quality", 0.8,
+          "--fixed-price", -1], "fixed price"),
+        (["report", "elasticity", "--series", "{f}/one.csv"], "two results"),
+        (KNN, "--depth"),
+        (KNN + ["--budget-ms", 5], "--profile"),
+        (KNN + ["--budget-ms", 0, "--profile", "{f}/profile.txt"], "time budget"),
+        (["mine", "cf", "--book", "{f}/cf.ecb", "--ratings", "{f}/ratings.csv", "--depth", 1],
+         "--test"),
+        (["mine", "baseline", "--algorithm", "ranking", "--test", "{w}/test.libsvm", "--budget", 50],
+         "--train"),
+        (["mine", "baseline", "--algorithm", "ranking", "--train", "{w}/train.libsvm",
+          "--test", "{w}/test.libsvm"], "--budget"),
+        (["mine", "baseline", "--algorithm", "clustering", "--ratings", "{f}/ratings.csv",
+          "--test", "{f}/ratings.csv"], "--clusters"),
+        (["mine", "knn", "--book", "{f}/missing.ecb", "--test", "{w}/test.libsvm", "--depth", 1],
+         "missing.ecb"),
+    ], ids=["spot-no-schedule", "elasticity-no-floor", "max-quality-no-budget",
+            "min-investment-no-quality", "negative-deadline", "zero-price-spot", "negative-price-fixed",
+            "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
+            "cf-no-query", "ranking-no-train", "ranking-no-budget", "clustering-no-clusters",
+            "missing-input"])
+    def test_exits_2_with_one_error_line(self, workdir, files, tmp_path, capsys, argv, named):
+        out = tmp_path / "never.txt"
+        assert run(fill(argv, workdir, files) + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err

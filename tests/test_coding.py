@@ -179,6 +179,10 @@ class TestCfCodebook:
     def test_feature_row_count_checked(self, example_matrix):
         with pytest.raises(ValueError):
             em.build_cf_codebook(example_matrix, TABLE_FEATURES[:5], max_entries=3)
+        matrix = em.RatingMatrix(3, 2, {(1, 1): 5.0, (2, 1): 3.0, (3, 2): 1.0})
+        for rows in (5, 2):  # one row per user, neither more nor fewer
+            with pytest.raises(ValueError, match="feature rows"):
+                em.cf_book_from_hierarchy(matrix, [[1, 2], [3]], np.zeros((rows, 1)))
 
 
 class TestKmeansCodebook:
@@ -299,8 +303,11 @@ class TestVolume:
         assert mbr.volume() == 6.0
 
     def test_sum_over_nodes(self, example_matrix):
+        # one feature row per user: the first four users of the example matrix
+        ratings = {(u, i): r for (u, i), r in example_matrix.ratings.items() if u <= 4}
+        four_users = em.RatingMatrix(4, 5, ratings)
         book = em.cf_book_from_hierarchy(
-            example_matrix, [[1, 2], [3, 4]],
+            four_users, [[1, 2], [3, 4]],
             np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
         )
         code = book.code_at_depth(1)

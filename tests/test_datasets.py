@@ -154,6 +154,11 @@ class TestSplit:
             assert example_matrix.ratings[(u, i)] == r
         assert len(train.ratings) + len(test) == example_matrix.num_ratings
 
+    def test_ratings_split_rejects_test_count(self, example_matrix):
+        # the held-out share is per active user, so an absolute count has no meaning
+        with pytest.raises(ValueError, match="test_count"):
+            em.split_ratings(example_matrix, em.SplitSpec(test_count=3, seed=1))
+
     def test_ratings_split_keeps_training_rating(self):
         matrix = em.synthetic.ratings_like(num_users=40, num_items=60, seed=5)
         train, test = em.split_ratings(matrix, em.SplitSpec(seed=9))

@@ -11,7 +11,7 @@ from elastic_mine.elasticity import (
     log_binomial,
 )
 from elastic_mine.errors import (
-    AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError,
+    AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError,
 )
 
 # qualities and cumulative investments of the eight-result example series
@@ -146,6 +146,13 @@ class TestInvestmentElasticity:
     def test_zero_base_is_undefined(self):
         series = [InvestmentPoint(0.0, 1.0), InvestmentPoint(0.5, 2.0)]
         assert em.investment_elasticity(series).pairs[0].elasticity is None
+        with pytest.raises(UndefinedMetricError):
+            em.investment_elasticity(series).argmax_pair()
+
+    def test_one_result_has_no_elasticity(self):
+        with pytest.raises(UndefinedMetricError) as info:
+            em.investment_elasticity(EXAMPLE_SERIES[:1])
+        assert isinstance(info.value, ValueError)
 
 
 class TestResourcePriceElasticity:

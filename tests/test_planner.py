@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import elastic_mine as em
-from elastic_mine.errors import ClockResolutionError, ParseError
+from elastic_mine.errors import ClockResolutionError, ParseError, PlanConfigError
 from elastic_mine.planner import (
     QUERY_ELASTICITY,
     QUERY_MAX_QUALITY,
@@ -18,6 +18,8 @@ SPOT_PRICES = (
     0.30, 0.28, 0.26, 0.24, 0.22, 0.20, 0.18, 0.16, 0.14, 0.12, 0.11, 0.10,
 )
 FIXED_PRICE = 0.5
+SCHEDULE_ROWS = [f"{h},{p}" for h, p in enumerate(SPOT_PRICES)]  # hour h is on line h + 2
+BAD_NUMBERS = [0.0, -5.0, float("nan"), float("inf")]
 
 # Quality and cumulative execution hours of a four-result refinement series.
 RESULTS = [
@@ -38,14 +40,11 @@ class TestThroughput:
         _, test = fourclass_split
         queries = [em.KnnQuery(test.features[i], 5) for i in range(5)]
         ticks = iter([0.0, 2.0])
-        profile = em.calibrate(fourclass_book, queries, actuals=test.labels[:5],
-                               clock=lambda: next(ticks))
+        profile = em.calibrate(fourclass_book, queries, clock=lambda: next(ticks))
         total = 5 * sum(
             fourclass_book.code_at_depth(d).length for d in fourclass_book.depths()
         )
         assert profile.nodes_per_second == pytest.approx(total / 2.0)
-        assert sum(profile.time_fractions) == pytest.approx(1.0)
-        assert len(profile.qualities) == len(fourclass_book.depths())
 
     def test_zero_elapsed_rejected(self, fourclass_book, fourclass_split):
         _, test = fourclass_split
@@ -58,6 +57,13 @@ class TestThroughput:
         assert em.length_budget(0.01, profile) == 20
         assert em.length_budget(1e-6, profile) == 0
 
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_rate_and_time_budget_must_be_positive_and_finite(self, value):
+        with pytest.raises(PlanConfigError):
+            em.ThroughputProfile(nodes_per_second=value)
+        with pytest.raises(PlanConfigError):
+            em.length_budget(value, em.ThroughputProfile(nodes_per_second=2000.0))
+
 
 class TestSchedule:
     def test_from_csv_round_trip(self):
@@ -68,6 +74,27 @@ class TestSchedule:
     def test_missing_hours_rejected(self):
         with pytest.raises(ParseError):
             em.PriceSchedule.from_csv("0,0.1\n1,0.2", FIXED_PRICE)
+
+    @pytest.mark.parametrize("rows, line", [
+        (SCHEDULE_ROWS[:3] + ["3,abc"] + SCHEDULE_ROWS[4:], 5),
+        (SCHEDULE_ROWS[:3] + ["3,nan"] + SCHEDULE_ROWS[4:], 5),
+        (SCHEDULE_ROWS[:3] + ["3,inf"] + SCHEDULE_ROWS[4:], 5),
+        (SCHEDULE_ROWS[:3] + ["3,-0.2"] + SCHEDULE_ROWS[4:], 5),
+        (SCHEDULE_ROWS + ["3,0.5"], 26),
+    ], ids=["price-abc", "price-nan", "price-inf", "price-negative", "hour-repeated"])
+    def test_bad_row_rejected_at_its_line(self, rows, line):
+        with pytest.raises(ParseError) as info:
+            em.PriceSchedule.from_csv("hour,price\n" + "\n".join(rows), FIXED_PRICE)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("price", BAD_NUMBERS)
+    def test_prices_must_be_positive_and_finite(self, price):
+        with pytest.raises(PlanConfigError):
+            em.PriceSchedule(price, SPOT_PRICES)
+        with pytest.raises(PlanConfigError):
+            em.PriceSchedule(FIXED_PRICE, (price,) + SPOT_PRICES[1:])
+        with pytest.raises(PlanConfigError):
+            em.fixed_plan(RESULTS, price, QUERY_MIN_INVESTMENT, required_quality=0.8)
 
     def test_availability_at_16_cents(self, schedule):
         hours, count = em.spot_availability(schedule, 0.16)
@@ -146,6 +173,11 @@ class TestSpotPlan:
         assert not answer.feasible
         assert answer.binding == "deadline"
         assert answer.completion_hours == pytest.approx(10.6)
+
+    @pytest.mark.parametrize("deadline", BAD_NUMBERS)
+    def test_deadline_must_be_positive_and_finite(self, schedule, deadline):
+        with pytest.raises(PlanConfigError):
+            em.spot_plan(RESULTS, schedule, deadline)
 
     def test_unreachable_quality(self, schedule):
         answer = em.spot_plan(RESULTS, schedule, deadline_hours=48.0, required_quality=0.99)
