@@ -17,7 +17,7 @@ import numpy as np
 from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
-from .errors import DepthNotFoundError, InsufficientBudgetError, UnknownUserError
+from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
 from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _check_train, _max_sq, _vote
 
 STRATEGY_BFS = "bfs"
@@ -170,7 +170,7 @@ def anytime_knn_rtree(
 def sample_users(num_users: int, sample_size: int, seed: int) -> tuple[int, ...]:
     """Seeded user sample with the prefix property: growing the size only appends."""
     if not 1 <= sample_size <= num_users:
-        raise ValueError(f"sample_size must be in [1, {num_users}]")
+        raise BaselineConfigError(f"sample size must be in [1, {num_users}], got {sample_size}")
     perm = np.random.default_rng(seed).permutation(num_users) + 1
     return tuple(int(u) for u in perm[:sample_size])
 
@@ -197,7 +197,7 @@ def cf_clustering(
     """Flat k-means over user vectors; predict from the active user's cluster."""
     values = np.asarray(features, dtype=float)
     if not 1 <= k_clusters <= matrix.num_users:
-        raise ValueError(f"k_clusters must be in [1, {matrix.num_users}]")
+        raise BaselineConfigError(f"cluster count must be in [1, {matrix.num_users}], got {k_clusters}")
     labels, centroids = kmeans(values, k_clusters, iterations)
     own = _user_vector(values, query)
     cluster = int(np.argmin(((centroids - own) ** 2).sum(axis=1)))
@@ -219,8 +219,8 @@ def cf_recttree(
     ``branching``-means. The active user is routed to the nearest centroid
     at every level, so deeper levels never enlarge their cluster.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if levels < 1 or branching < 1:
+        raise BaselineConfigError(f"levels and branching must be >= 1, got {levels} and {branching}")
     values = np.asarray(features, dtype=float)
     rows = np.arange(matrix.num_users)
     own = _user_vector(values, query)

@@ -13,11 +13,13 @@ item i, NaN where c did not rate i. For a codebook the candidates are the
 nodes of one depth (:meth:`CodeBook.deviations`, items x nodes x 8 bytes
 per depth); for the exact oracle and the user-subset baselines they are
 the users (:meth:`RatingMatrix.deviations`, items x users x 8 bytes). Both
-are built on first use and cached, never dumped. A query gathers the
-table's rows of its rated items and its columns of the candidates that
-rated the target item, then takes every candidate's correlation sums as
-column sums: O(candidates + ratings x raters) array work, with no
-per-candidate Python step. The sums add the rows in
+are built on first use and cached, never dumped. A :class:`CfQuery`
+builds its item ids and deviations once, for every route and depth. A
+prediction picks the candidates that rated the target item, gathers the
+table's rows of the query's items for them in one step, and takes the
+three correlation sums of every candidate in one reduction: a fixed
+number of numpy calls and O(candidates + ratings x raters) array work,
+with no per-candidate Python step. The sums add the rows in
 ``query.ratings`` order, so weights equal the scalar :func:`node_weight`
 bit for bit.
 
@@ -142,21 +144,44 @@ def _wavefront(cells: list[tuple[int, int]], m: int, n: int) -> tuple[list, list
 
 @dataclass(frozen=True)
 class CfQuery:
-    """An active user's known rating row, their mean, and the target item."""
+    """An active user's known rating row, their mean, and the target item.
+
+    The query keeps its own copy of ``ratings``, to be read and never
+    changed, and builds the arrays the kernel reads from it once: every
+    route and every depth reuses them.
+    """
 
     user: int
     item: int
     ratings: Mapping[int, float]
     mean: float
     cold: bool = False  # mean fell back to the global mean (user had no ratings)
+    # rated item ids as a column, x = rating - mean and x * x (columns too), min and max item id
+    _prepared: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ratings = dict(self.ratings)
+        count = len(ratings)
+        items = np.fromiter(ratings, dtype=np.intp, count=count)[:, None]
+        x = (np.fromiter(ratings.values(), dtype=float, count=count) - self.mean)[:, None]
+        bounds = (min(ratings), max(ratings)) if ratings else (0, -1)
+        object.__setattr__(self, "ratings", ratings)
+        object.__setattr__(self, "_prepared", (items, x, x * x, *bounds))
+
+    def _rows(self, num_rows: int):
+        """The prepared item column, x and x * x of the rated items below ``num_rows``."""
+        items, x, xx, low, high = self._prepared
+        if 0 <= low and high < num_rows:
+            return items, x, xx
+        known = (items[:, 0] >= 0) & (items[:, 0] < num_rows)
+        return items[known], x[known], xx[known]
 
     @classmethod
     def from_matrix(cls, matrix: RatingMatrix, user: int, item: int) -> "CfQuery":
-        row = matrix.user_ratings(user)
         mean = matrix.user_mean(user)
         if mean is None:
             return cls(user, item, {}, matrix.global_mean(), cold=True)
-        return cls(user, item, dict(row), mean)
+        return cls(user, item, matrix.user_ratings(user), mean)
 
 
 @dataclass(frozen=True)
@@ -201,32 +226,17 @@ def node_weight(
     return num / math.sqrt(du * dn)
 
 
-def _weighted_prediction(query: CfQuery, contributions, scale) -> tuple[float, bool, bool]:
-    """Shared recommendation step: weighted deviation average with fallback and clamp.
-
-    Sums are exactly rounded (fsum), so the result does not depend on the
-    order candidates were scanned in: code-level and user-level routes over
-    the same contributions agree bit for bit.
-    """
-    num = math.fsum(w * dev for w, dev in contributions)
-    den = math.fsum(abs(w) for w, _ in contributions)
-    fallback = den == 0.0
-    raw = query.mean if fallback else query.mean + num / den
-    clamped = min(max(raw, scale[0]), scale[1])
-    return clamped, fallback, clamped != raw
-
-
 def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Column sums of a C-ordered (rows, cols) array, adding the rows first to last.
+    """Column sums of a C-ordered (k, rows, cols) stack, adding the rows first to last.
 
-    numpy reduces the outer axis of a C-ordered array row by row, the
-    order of the scalar loop in :func:`node_weight`. A single column is a
+    numpy reduces a C-ordered array's rows one after another, the order
+    of the scalar loop in :func:`node_weight`. A single column is a
     contiguous vector, which numpy sums pairwise, so it is summed beside a
     copy of itself.
     """
-    if a.shape[1] == 1:
-        return np.add.reduce(np.hstack((a, a)), axis=0)[:1]
-    return np.add.reduce(a, axis=0)
+    if a.shape[-1] == 1:
+        return np.add.reduce(np.concatenate((a, a), axis=-1), axis=-2)[:, :1]
+    return np.add.reduce(a, axis=-2)
 
 
 def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids: np.ndarray,
@@ -235,46 +245,52 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
 
     ``table[i, c]`` is candidate c's ``rating - rater_mean`` for item i, NaN
     where c did not rate i; ``cols`` are the candidates' columns in scan
-    order and ``ids`` the ids reported for them. Every candidate that rated
-    the target item is a rater; its weight is :func:`node_weight` over the
-    query's items, with each sum taken in ``query.ratings`` order so that
-    the weights equal the scalar definition bit for bit. With the view
-    that ``cols`` index, the result carries its raters as its state.
+    order and ``ids[c]`` the id reported for column c. Every candidate that
+    rated the target item is a rater; its weight is :func:`node_weight`
+    over the query's items. One gather takes the raters' rows of the
+    query's items, and one reduction takes the three correlation sums,
+    each adding the rows in ``query.ratings`` order, so that the weights
+    equal the scalar definition bit for bit. A non-rated cell adds a zero
+    whose sign may differ from the scalar loop's; only a zero sum can
+    show it, and a zero weight is never used. With the view that
+    ``cols`` index, the result carries its raters as its state.
     """
     if 0 <= query.item < len(table):
         target = table[query.item, cols]
     else:
         target = np.full(len(cols), np.nan)
-    rated = ~np.isnan(target)
-    cols, ids, target = cols[rated], ids[rated], target[rated]
-    count = len(query.ratings)
-    items = np.fromiter(query.ratings, dtype=np.intp, count=count)
-    x = np.fromiter(query.ratings.values(), dtype=float, count=count) - query.mean
-    known = (items >= 0) & (items < len(table))
-    # a C-ordered gather, so the column sums add rows in query.ratings order
-    y = np.ascontiguousarray(table[items[known, None], cols])
-    x = x[known, None]
-    overlap = ~np.isnan(y)
-    num = _column_sums(np.where(overlap, x * y, 0.0))
-    du = _column_sums(np.where(overlap, x * x, 0.0))
-    dn = _column_sums(np.where(overlap, y * y, 0.0))
-    defined = overlap.any(axis=0) & (du > 0.0) & (dn > 0.0)
-    weights = np.zeros(len(cols))
-    weights[defined] = num[defined] / np.sqrt(du[defined] * dn[defined])
+    rated = target == target
+    cols, target = cols[rated], target[rated]
+    items, x, xx = query._rows(len(table))
+    y = table[items, cols]
+    overlap = y == y
+    y = np.where(overlap, y, 0.0)
+    terms = np.empty((3, *y.shape))
+    np.multiply(x, y, out=terms[0])
+    np.multiply(xx, overlap, out=terms[1])
+    np.multiply(y, y, out=terms[2])
+    num, du, dn = _column_sums(terms)
+    defined = (du > 0.0) & (dn > 0.0)  # du > 0 needs an overlap
+    weights = np.divide(num, np.sqrt(du * dn), out=np.zeros(len(cols)), where=defined)
     used = weights != 0.0  # no overlap (None) and degenerate (0.0) weights are skipped
-    used_weights = weights[used].tolist()
-    prediction, fallback, clamped = _weighted_prediction(
-        query, list(zip(used_weights, target[used].tolist())), scale
-    )
+    used_weights = weights[used]
+    ids = ids[cols]
+    # exactly rounded sums, so the result does not depend on the scan order:
+    # code-level and user-level routes over the same contributions agree bit for bit
+    shift = math.fsum((used_weights * target[used]).tolist())
+    total = math.fsum(np.abs(used_weights).tolist())
+    fallback = total == 0.0
+    raw = query.mean if fallback else query.mean + shift / total
+    prediction = min(max(raw, scale[0]), scale[1])
     return CfApproxResult(
         depth=depth,
         rater_node_ids=tuple(ids[used].tolist()),
-        weights=tuple(used_weights),
+        weights=tuple(used_weights.tolist()),
         all_rater_node_ids=tuple(ids.tolist()),
         prediction=prediction,
         scanned=scanned,
         fallback=fallback,
-        clamped=clamped,
+        clamped=prediction != raw,
         state=None if view is None else State(view, cols),
     )
 
@@ -299,8 +315,7 @@ def predict(
     depth = view.depth
     cols = np.arange(len(view.ids)) if state is None else state_filter(book, depth, state)
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
-    return _score(query, depth, book.deviations(depth), cols, view.ids[cols], len(cols), scale,
-                  view)
+    return _score(query, depth, book.deviations(depth), cols, view.ids, len(cols), scale, view)
 
 
 def maintain_cf_state(result: CfApproxResult) -> State:
@@ -331,8 +346,9 @@ def _predict_over_users(matrix: RatingMatrix, query: CfQuery, users, scanned=Non
     scanned in their order; ``scanned`` defaults to the number of ids."""
     users = np.asarray(users, dtype=np.intp)
     others = users[users != query.user]
-    return _score(query, EXACT_DEPTH, matrix.deviations(), others - 1, others,
-                  len(users) if scanned is None else scanned, matrix.rating_scale)
+    return _score(query, EXACT_DEPTH, matrix.deviations(), others - 1,
+                  np.arange(1, matrix.num_users + 1), len(users) if scanned is None else scanned,
+                  matrix.rating_scale)
 
 
 def exact_cf_predict(matrix: RatingMatrix, query: CfQuery) -> CfApproxResult:

@@ -471,7 +471,20 @@ def _cmd_plan(args) -> int:
 # bench
 
 
+def _node_budgets(text: str) -> list[int]:
+    """The positive whole node budgets of a comma-separated ``--budgets`` value."""
+    try:
+        budgets = [int(b) for b in text.split(",")]
+        if min(budgets) >= 1:
+            return budgets
+    except ValueError:
+        pass
+    raise ParseError(f"--budgets wants comma-separated positive whole numbers, got {text!r}")
+
+
 def _cmd_bench(args) -> int:
+    # budgets default to the elastic algorithm's cumulative refinement costs
+    budgets = None if args.budgets is None else _node_budgets(args.budgets)
     rows = ["dataset,algorithm,seed,budget,metric_name,metric_value,scanned,wall_ms"]
     name = os.path.basename(args.input)
 
@@ -488,8 +501,6 @@ def _cmd_bench(args) -> int:
     queries = [knn.KnnQuery(test.features[i], args.k) for i in range(len(test))]
     actuals = [int(y) for y in test.labels]
 
-    # budgets default to the elastic algorithm's cumulative refinement costs
-    budgets = [int(b) for b in args.budgets.split(",")] if args.budgets else None
     chain_scans = []
     elastic_preds: dict[int, list[int]] = {}
     for query in queries:

@@ -57,6 +57,11 @@ class InsufficientBudgetError(ElasticMineError, ValueError):
     """An anytime baseline's budget is below its minimum or leaves fewer than k to vote."""
 
 
+class BaselineConfigError(ElasticMineError, ValueError):
+    """A time-adaptive CF baseline's size is out of range: a user sample or
+    cluster count outside 1..users, or a hierarchy below one level or one branch."""
+
+
 class TrainingConfigError(ElasticMineError, ValueError):
     """A training setting is out of range, such as a non-positive learning rate."""
 
@@ -76,8 +81,9 @@ class UndefinedMetricError(ElasticMineError, ValueError):
 
 class PlanConfigError(ElasticMineError, ValueError):
     """A planning or elasticity setting that has no answer: a price, bid, deadline,
-    floor or throughput that is not positive and finite, a missing query
-    setting, or a result or investment series out of order."""
+    floor or throughput that is not positive and finite, a budget or quality
+    that is not finite, a missing query setting, or a result or investment
+    series out of order."""
 
 
 class ResolutionConfigError(ElasticMineError, ValueError):

@@ -191,6 +191,13 @@ def _check_price(fixed_price: float):
         raise PlanConfigError(f"fixed price must be positive and finite, got {fixed_price}")
 
 
+def _check_finite(**settings):
+    """Reject a given (not None) setting that is NaN or infinite: no comparison can honour it."""
+    for name, value in settings.items():
+        if value is not None and not math.isfinite(value):
+            raise PlanConfigError(f"{name.replace('_', ' ')} must be finite, got {value}")
+
+
 def _check_results(results: Sequence[ResultPoint]):
     if not results:
         raise PlanConfigError("empty result series")
@@ -211,6 +218,7 @@ def fixed_plan(
     results = [ResultPoint(*r) for r in results]
     _check_results(results)
     _check_price(fixed_price)
+    _check_finite(budget=budget, quality=required_quality, elasticity_floor=elasticity_floor)
     invest = [r.hours * fixed_price for r in results]
 
     def answer(i, feasible=True, binding=None):
@@ -288,6 +296,7 @@ def spot_plan(
     _check_results(results)
     if not 0 < deadline_hours < math.inf:
         raise PlanConfigError("deadline must be positive and finite")
+    _check_finite(quality=required_quality, budget=budget)
     target = None
     if required_quality is None:
         target = len(results) - 1

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import elastic_mine as em
 from elastic_mine.baselines import sample_users
 from elastic_mine.errors import (
-    DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError, InsufficientCandidatesError,
+    BaselineConfigError, DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError,
+    InsufficientCandidatesError,
 )
 
 from conftest import TABLE_FEATURES
@@ -257,6 +258,32 @@ class TestCfRectTree:
                 for lv in range(1, 5)
             ]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+
+class TestCfBaselineSizes:
+    @pytest.mark.parametrize("baseline", [
+        lambda m, f, q: em.cf_sampling(m, q, 0),
+        lambda m, f, q: em.cf_sampling(m, q, m.num_users + 1),
+        lambda m, f, q: em.cf_clustering(m, f, q, k_clusters=0),
+        lambda m, f, q: em.cf_clustering(m, f, q, k_clusters=m.num_users + 1),
+        lambda m, f, q: em.cf_recttree(m, f, q, levels=0),
+        lambda m, f, q: em.cf_recttree(m, f, q, levels=2, branching=0),
+        lambda m, f, q: em.cf_recttree(m, f, q, levels=2, branching=-1),
+    ], ids=["sample-0", "sample-above-users", "clusters-0", "clusters-above-users", "levels-0",
+            "branching-0", "branching-negative"])
+    def test_out_of_range_size_rejected(self, cf_setup, baseline):
+        matrix, feats, queries = cf_setup
+        with pytest.raises(BaselineConfigError) as info:
+            baseline(matrix, feats, queries[0])
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, em.ElasticMineError)
+
+    def test_edge_sizes_accepted(self, cf_setup):
+        matrix, feats, queries = cf_setup
+        for size in (1, matrix.num_users):
+            em.cf_sampling(matrix, queries[0], size)
+            em.cf_clustering(matrix, feats, queries[0], k_clusters=size)
+        em.cf_recttree(matrix, feats, queries[0], levels=1, branching=1)
 
 
 class TestDeterminism:

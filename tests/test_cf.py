@@ -632,6 +632,61 @@ class TestVectorisedKernel:
             _assert_same_result(sampled, _reference_over_users(matrix, query, sample))
             assert _plain(sampled)
 
+    @given(cf_books_and_queries(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_query_equals_fresh_query_and_reference(self, case, seed):
+        """One query object serves the one-shot, refined, exact and baseline routes
+        in any order; every result equals the route's result for a fresh query and
+        the dict-driven reference. The routes include a single user column, and the
+        queries a cold user, an item nobody rated and rated items beyond the book."""
+        matrix, book, queries = case
+        users = range(1, matrix.num_users + 1)
+        size = 1 + seed % matrix.num_users
+        sample = em.baselines.sample_users(matrix.num_users, size, seed)
+        order = np.random.default_rng(seed).permutation(5)
+        for query in queries:
+            raters = [v for v in users if v != query.user and query.item in matrix.user_ratings(v)]
+            one = raters[seed % len(raters)] if raters else query.user % matrix.num_users + 1
+            routes = [
+                (lambda q: [em.predict(book, d, q, matrix=matrix) for d in book.depths()],
+                 [_reference_predict(book, d, query, None, matrix) for d in book.depths()]),
+                (lambda q: em.cf.refine_chain(book, q, matrix=matrix),
+                 _reference_chain(book, query, matrix)),
+                (lambda q: [em.exact_cf_predict(matrix, q)],
+                 [dataclasses.replace(_reference_over_users(matrix, query, users),
+                                      scanned=matrix.num_users - 1)]),
+                (lambda q: [em.cf_sampling(matrix, q, size, seed=seed)],
+                 [_reference_over_users(matrix, query, sample)]),
+                (lambda q: [em.cf._predict_over_users(matrix, q, [one])],
+                 [_reference_over_users(matrix, query, [one])]),
+            ]
+            for k in order:
+                route, want = routes[k]
+                fresh = em.CfQuery(query.user, query.item, dict(query.ratings), query.mean,
+                                   query.cold)
+                for results in (route(query), route(fresh)):
+                    assert len(results) == len(want)
+                    for got, expected in zip(results, want):
+                        _assert_same_result(got, expected)
+
+    def test_query_keeps_its_own_ratings(self, example_matrix, example_cf_book):
+        """Changing the dict a query was built from changes none of its predictions."""
+        row = dict(example_matrix.user_ratings(7))
+        query = em.CfQuery(7, 2, row, example_matrix.user_mean(7))
+        assert query.ratings == row and query.ratings is not row
+        for item in row:
+            row[item] += 1.0
+        row[4] = 1.0
+        assert query.ratings != row
+        for depth in example_cf_book.depths():
+            _assert_same_result(em.predict(example_cf_book, depth, query, matrix=example_matrix),
+                                _reference_predict(example_cf_book, depth, query, None,
+                                                   example_matrix))
+        users = range(1, example_matrix.num_users + 1)
+        _assert_same_result(em.exact_cf_predict(example_matrix, query), dataclasses.replace(
+            _reference_over_users(example_matrix, query, users),
+            scanned=example_matrix.num_users - 1))
+
 
 class TestSharedTables:
     def test_concurrent_first_use_matches_serial(self):

@@ -480,6 +480,9 @@ class TestMisuse:
 
     SPOT = ["plan", "--results", "{w}/results.csv", "--scheme", "spot", "--schedule", "{w}/schedule.csv"]
     KNN = ["mine", "knn", "--book", "{f}/knn.ecb", "--test", "{w}/test.libsvm"]
+    CF_BASELINE = ["mine", "baseline", "--ratings", "{w}/ratings.csv", "--test",
+                   "{w}/ratings_test.csv", "--epochs", 2]
+    BAD_BUDGETS = ["abc", "", "20,,40", "20,", "0", "-5", "20,0", "2.5"]
 
     @pytest.mark.parametrize("argv, named", [
         (["plan", "--results", "{w}/results.csv", "--scheme", "spot", "--deadline-hours", 48],
@@ -506,15 +509,48 @@ class TestMisuse:
           "--test", "{f}/ratings.csv"], "--clusters"),
         (["mine", "knn", "--book", "{f}/missing.ecb", "--test", "{w}/test.libsvm", "--depth", 1],
          "missing.ecb"),
+        (CF_BASELINE + ["--algorithm", "sampling", "--sample-size", 0], "sample size"),
+        (CF_BASELINE + ["--algorithm", "sampling", "--sample-size", 41], "sample size"),
+        (CF_BASELINE + ["--algorithm", "clustering", "--clusters", 0], "cluster count"),
+        (CF_BASELINE + ["--algorithm", "clustering", "--clusters", 41], "cluster count"),
+        (CF_BASELINE + ["--algorithm", "recttree", "--levels", 0], "levels"),
+        (CF_BASELINE + ["--algorithm", "recttree", "--levels", 2, "--branching", 0], "branching"),
+        *((["bench", "--input", "{w}/train.libsvm", f"--budgets={b}"], "--budgets")
+          for b in BAD_BUDGETS),
     ], ids=["spot-no-schedule", "elasticity-no-floor", "max-quality-no-budget",
             "min-investment-no-quality", "negative-deadline", "zero-price-spot", "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
             "cf-no-query", "ranking-no-train", "ranking-no-budget", "clustering-no-clusters",
-            "missing-input"])
+            "missing-input", "sample-size-0", "sample-size-above-users", "clusters-0",
+            "clusters-above-users", "levels-0", "branching-0",
+            *(f"budgets-{b or 'empty'}" for b in BAD_BUDGETS)])
     def test_exits_2_with_one_error_line(self, workdir, files, tmp_path, capsys, argv, named):
-        out = tmp_path / "never.txt"
-        assert run(fill(argv, workdir, files) + ["--out", out]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert named in captured.err
+        assert_fails_cleanly(fill(argv, workdir, files), tmp_path, capsys, named)
+
+    PLAN = ["plan", "--results", "{w}/results.csv", "--schedule", "{w}/schedule.csv",
+            "--deadline-hours", 48, "--quality", 0.8]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option, scheme", [
+        (option, scheme) for option in ("--budget", "--quality", "--deadline-hours",
+                                        "--elasticity-floor", "--fixed-price")
+        for scheme in ("fixed", "spot") if (option, scheme) != ("--deadline-hours", "fixed")
+    ])  # a fixed-price plan reads no deadline
+    def test_non_finite_plan_number_rejected(self, workdir, files, tmp_path, capsys, option,
+                                             scheme, value):
+        """A NaN or infinite number gets no plan: every comparison with NaN is false, so it
+        would answer as if the constraint were absent."""
+        query = ["--query", "elasticity-constrained-quality"] if option == "--elasticity-floor" else []
+        argv = self.PLAN + ["--scheme", scheme] + query + [option, value]
+        assert_fails_cleanly(fill(argv, workdir, files), tmp_path, capsys, "finite",
+                             option.split("-")[2])
+
+
+def assert_fails_cleanly(argv, tmp_path, capsys, *named):
+    """``argv`` exits 2 with one ``error:`` line holding every ``named`` text, and writes nothing."""
+    out = tmp_path / "never.txt"
+    assert run(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert all(text in captured.err for text in named)

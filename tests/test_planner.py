@@ -141,6 +141,17 @@ class TestFixedPlan:
         assert not answer.feasible
         assert answer.binding == "budget"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("query, setting", [
+        (QUERY_MAX_QUALITY, "budget"), (QUERY_MIN_INVESTMENT, "budget"),
+        (QUERY_MIN_INVESTMENT, "required_quality"), (QUERY_ELASTICITY, "elasticity_floor"),
+    ])
+    def test_non_finite_setting_rejected(self, query, setting, value):
+        """NaN compares false with everything, so it would answer as if the setting were absent."""
+        settings = {"budget": 20.0, "required_quality": 0.8, "elasticity_floor": 0.1, setting: value}
+        with pytest.raises(PlanConfigError, match="finite"):
+            em.fixed_plan(RESULTS, FIXED_PRICE, query, **settings)
+
     def test_investment_consistency(self):
         answer = em.fixed_plan(RESULTS, FIXED_PRICE, QUERY_MIN_INVESTMENT,
                                required_quality=0.86)
@@ -178,6 +189,13 @@ class TestSpotPlan:
     def test_deadline_must_be_positive_and_finite(self, schedule, deadline):
         with pytest.raises(PlanConfigError):
             em.spot_plan(RESULTS, schedule, deadline)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("setting", ["required_quality", "budget"])
+    def test_non_finite_setting_rejected(self, schedule, setting, value):
+        settings = {"required_quality": 0.8, "budget": 20.0, setting: value}
+        with pytest.raises(PlanConfigError, match="finite"):
+            em.spot_plan(RESULTS, schedule, 48.0, **settings)
 
     def test_unreachable_quality(self, schedule):
         answer = em.spot_plan(RESULTS, schedule, deadline_hours=48.0, required_quality=0.99)
