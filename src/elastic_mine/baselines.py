@@ -18,7 +18,7 @@ from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
-from .knn import EXACT_DEPTH, KnnApproxResult, KnnQuery, _check_train, _max_sq, _vote
+from .knn import KnnApproxResult, KnnQuery, _check_train, _max_sq, _nearest, _point_sq, _result
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -57,17 +57,9 @@ def anytime_knn_ranking(
     if order is None:
         order = rank_training_points(train)
     used = order[: min(budget, len(order))]
-    d2 = ((train.features[used] - q) ** 2).sum(axis=1)
-    top = sorted(zip(d2, used))[: query.k]
-    k_pos, k_neg, predicted = _vote([int(train.labels[i]) for _, i in top])
-    return KnnApproxResult(
-        depth=EXACT_DEPTH,
-        node_ids=tuple(int(i) for _, i in top),
-        distances=tuple(float(np.sqrt(d)) for d, _ in top),
-        k_pos=k_pos, k_neg=k_neg, predicted=predicted,
-        threshold=float(np.sqrt(top[-1][0])),
-        scanned=len(used),
-    )
+    d2 = _point_sq(train.features.take(used, axis=0), q)
+    top = _nearest(d2, query.k, used)
+    return _result(used[top], d2[top], train.labels.take(used[top]), len(used))
 
 
 def anytime_knn_rtree(
@@ -101,10 +93,11 @@ def anytime_knn_rtree(
     _check_train(train, query)
     q = query.point
     nodes = book.arrays
-    # each row's value is the one a lone box or point gets: _max_sq scores
-    # row by row, and a C-ordered row sum adds each row on its own
-    node_d2 = _max_sq(q, nodes.low, nodes.upp).tolist()
-    point_d2 = ((np.ascontiguousarray(train.features) - q) ** 2).sum(axis=1).tolist()
+    # each row's value is the one a lone box or point gets: _max_sq and
+    # _point_sq score row by row
+    node_sq = _max_sq(q, nodes.low, nodes.upp)
+    point_sq = _point_sq(train.features, q)
+    node_d2 = node_sq.tolist()
     child_ptr, child_ids = (a.tolist() for a in nodes.child_csr)
     trees = nodes.tree.tolist()
     # each tree's unexpanded nodes in insertion order: BFS takes the first, DFS the last
@@ -147,20 +140,13 @@ def anytime_knn_rtree(
     if frontier < query.k:
         raise InsufficientBudgetError(f"budget {budget} leaves {frontier} frontier elements < k={query.k}")
     # (distance, a point before a node, id) orders the frontier
-    entries = sorted(
-        [(point_d2[r], 0, r) for r in points]
-        + [(node_d2[n], 1, n) for n in open_nodes[0] + open_nodes[1]]
-    )[: query.k]
-    labels = [int(train.labels[i]) if kind == 0 else int(nodes.label[i]) for _, kind, i in entries]
-    k_pos, k_neg, predicted = _vote(labels)
-    return KnnApproxResult(
-        depth=EXACT_DEPTH,
-        node_ids=tuple(i for _, _, i in entries),
-        distances=tuple(float(np.sqrt(d2)) for d2, _, _ in entries),
-        k_pos=k_pos, k_neg=k_neg, predicted=predicted,
-        threshold=float(np.sqrt(entries[-1][0])),
-        scanned=scanned,
-    )
+    opened = open_nodes[0] + open_nodes[1]
+    d2 = np.concatenate((point_sq.take(points), node_sq.take(opened)))
+    ids = np.array(points + opened, dtype=np.intp)
+    kind = np.repeat((0, 1), (len(points), len(opened)))
+    top = _nearest(d2, query.k, kind, ids)
+    labels = np.concatenate((train.labels.take(points), nodes.label.take(opened)))
+    return _result(ids[top], d2[top], labels[top], scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +184,8 @@ def cf_clustering(
     values = np.asarray(features, dtype=float)
     if not 1 <= k_clusters <= matrix.num_users:
         raise BaselineConfigError(f"cluster count must be in [1, {matrix.num_users}], got {k_clusters}")
+    if iterations < 1:
+        raise BaselineConfigError(f"k-means iterations must be >= 1, got {iterations}")
     labels, centroids = kmeans(values, k_clusters, iterations)
     own = _user_vector(values, query)
     cluster = int(np.argmin(((centroids - own) ** 2).sum(axis=1)))
@@ -219,8 +207,9 @@ def cf_recttree(
     ``branching``-means. The active user is routed to the nearest centroid
     at every level, so deeper levels never enlarge their cluster.
     """
-    if levels < 1 or branching < 1:
-        raise BaselineConfigError(f"levels and branching must be >= 1, got {levels} and {branching}")
+    if min(levels, branching, iterations) < 1:
+        raise BaselineConfigError("levels, branching and k-means iterations must be >= 1, "
+                                  f"got {levels}, {branching} and {iterations}")
     values = np.asarray(features, dtype=float)
     rows = np.arange(matrix.num_users)
     own = _user_vector(values, query)

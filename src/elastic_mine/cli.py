@@ -401,9 +401,8 @@ def _cmd_report_resolution(args) -> int:
 # plan
 
 
-_ANSWER_FIELDS = ("result_index", "quality", "price", "investment", "work_hours",
-                  "execution_hours", "suspended_hours", "elapsed_hours",
-                  "completion_hours", "hours_per_day", "binding")
+_ANSWER_FIELDS = tuple(f.name for f in dataclasses.fields(planner.PlanAnswer)
+                      if f.name not in ("query", "feasible"))
 
 
 def _answer_lines(answer: planner.PlanAnswer) -> list[str]:

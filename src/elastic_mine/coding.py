@@ -33,7 +33,8 @@ import numpy as np
 
 from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, deviation_table
 from .errors import (
-    BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ForeignStateError, ParseError,
+    BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
+    ForeignStateError, ParseError,
 )
 
 FORMAT_VERSION = 1
@@ -522,6 +523,17 @@ class _Builder:
                         features=features, warnings=tuple(warnings))
 
 
+def _check_rtree_sizes(max_entries: int, leaf_capacity: int | None) -> int:
+    """The leaf capacity to build with; raise unless both sizes can build a tree."""
+    if max_entries < 2:
+        raise CodebookConfigError(f"max entries must be >= 2, got {max_entries}")
+    if leaf_capacity is None:
+        return max_entries
+    if leaf_capacity < 1:
+        raise CodebookConfigError(f"leaf capacity must be >= 1, got {leaf_capacity}")
+    return leaf_capacity
+
+
 def build_dual_rtrees(
     train: LabeledDataset, max_entries: int = 4, seed: int = 0, leaf_capacity: int | None = None
 ) -> CodeBook:
@@ -533,9 +545,7 @@ def build_dual_rtrees(
     in both trees are usable and the deeper levels are dropped with a
     warning recorded on the book.
     """
-    if max_entries < 2:
-        raise ValueError("max_entries must be >= 2")
-    leaf_capacity = leaf_capacity or max_entries
+    leaf_capacity = _check_rtree_sizes(max_entries, leaf_capacity)
     pos, neg = train.class_counts()
     if pos < 1 or neg < 1:
         raise ClassMissingError(f"both classes need points (positive={pos}, negative={neg})")
@@ -624,9 +634,7 @@ def build_cf_codebook(
     values = np.asarray(features, dtype=float)
     if len(values) != matrix.num_users:
         raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
-    if max_entries < 2:
-        raise ValueError("max_entries must be >= 2")
-    leaf_capacity = leaf_capacity or max_entries
+    leaf_capacity = _check_rtree_sizes(max_entries, leaf_capacity)
     builder = _Builder()
     root = builder.build_rtree(values, 0, max_entries, leaf_capacity)
     config = {"max_entries": max_entries, "leaf_capacity": leaf_capacity, "task": "cf"}
@@ -649,6 +657,8 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     centres chosen so far (ties by row index). Returns (labels, centroids).
     Empty clusters keep their previous centroid.
     """
+    if iterations < 1:
+        raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
     X = np.asarray(X, dtype=float)
     n = len(X)
     k = min(k, n)
@@ -662,7 +672,7 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
         d2 = np.minimum(d2, ((X - X[nxt]) ** 2).sum(axis=1))
     centroids = X[chosen].copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(max(1, iterations)):
+    for _ in range(iterations):
         dists = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(dists, axis=1)
         for c in range(k):
@@ -689,9 +699,9 @@ def build_kmeans_codebook(
     empty clusters are dropped.
     """
     if branching < 2:
-        raise ValueError("branching must be >= 2")
+        raise CodebookConfigError(f"branching must be >= 2, got {branching}")
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
     values = np.asarray(features, dtype=float)
     if len(values) != matrix.num_users:
         raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")

@@ -59,7 +59,13 @@ class InsufficientBudgetError(ElasticMineError, ValueError):
 
 class BaselineConfigError(ElasticMineError, ValueError):
     """A time-adaptive CF baseline's size is out of range: a user sample or
-    cluster count outside 1..users, or a hierarchy below one level or one branch."""
+    cluster count outside 1..users, a hierarchy below one level or one branch,
+    or fewer than one k-means iteration."""
+
+
+class CodebookConfigError(ElasticMineError, ValueError):
+    """A codebook builder setting is out of range: a fan-out (max entries or
+    branching) below 2, a leaf capacity below 1, or fewer than one k-means iteration."""
 
 
 class TrainingConfigError(ElasticMineError, ValueError):

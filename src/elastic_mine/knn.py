@@ -11,11 +11,12 @@ The kernel works on the book's columnar per-depth view
 (:meth:`CodeBook.code_at_depth`): the boxes of a code as two (L, d) arrays, a
 label array and, per shallower depth, the range of this code's rows that
 lies below each node of that depth. A scan is one vector expression
-over the (state-filtered) rows, a partial sort for the k smallest
-distances, and a lexicographic sort of the few nodes at or below the
-k-th distance, so ties still break by node id. A one-shot query at a
-code of length L costs O(L * d) array work, with no per-node Python step;
-the view is built once per book, on first use.
+over the (state-filtered) rows and the one nearest-k rule, :func:`_nearest`:
+a partial sort to the k-th distance, then a sort of the few entries at or
+below it by distance and node id. The exact oracle and both anytime
+baselines select through the same rule and vote through :func:`_result`.
+A one-shot query at a code of length L costs O(L * d) array work, with no
+per-node Python step; the view is built once per book, on first use.
 
 State filtering gathers the subtree row ranges of the retained rows, so
 a refined query costs O(candidates * d). A refined result also carries
@@ -77,6 +78,12 @@ def _max_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
 
 def _min_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
     return _norm_sq(np.maximum(0.0, np.maximum(low - q, q - upp)))
+
+
+def _point_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance from q to every row: a C-ordered row sum adds each
+    row on its own, so a row's value is the one a lone point gets."""
+    return ((np.ascontiguousarray(points) - q) ** 2).sum(axis=1)
 
 
 def _spread(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -145,12 +152,28 @@ class KnnApproxResult:
         return self.k_pos / self.k
 
 
-def _vote(labels) -> tuple[int, int, int]:
-    k_pos = sum(1 for y in labels if y == POSITIVE)
+def _nearest(d2: np.ndarray, k: int, *ties: np.ndarray) -> np.ndarray:
+    """Positions of the k smallest squared distances, ascending; distance
+    ties go by the ``ties`` keys in the order given, then by position.
+
+    A partial sort finds the k-th distance; only the few entries at or
+    below it are sorted, by a stable lexsort (its last key decides first).
+    """
+    near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    return near[np.lexsort((*(t[near] for t in reversed(ties)), d2[near]))][:k]
+
+
+def _result(ids: np.ndarray, d2: np.ndarray, labels: np.ndarray, scanned: int,
+            depth: int = EXACT_DEPTH, state: State | None = None) -> KnnApproxResult:
+    """The answer from the k nearest elements' ids, squared distances and
+    labels, in ascending distance."""
+    distances = np.sqrt(d2).tolist()
+    k_pos = int(np.count_nonzero(labels == POSITIVE))
     k_neg = len(labels) - k_pos
     # ties (even k) go to the negative class: the vote rule is strict
     predicted = POSITIVE if k_pos > k_neg else NEGATIVE
-    return k_pos, k_neg, predicted
+    return KnnApproxResult(depth, tuple(ids.tolist()), tuple(distances), k_pos, k_neg, predicted,
+                           threshold=distances[-1], scanned=scanned, state=state)
 
 
 def _code_columns(book: CodeBook, code: Code | int, query: KnnQuery) -> Code:
@@ -181,28 +204,14 @@ def classify(
         raise InsufficientCandidatesError(f"{len(ids)} candidate nodes after filtering < k={k}")
     q = _spread(query.point, low)
     d2 = _max_sq(q, low, upp)
-    # only nodes at or below the k-th smallest distance can be selected;
-    # sorting those by (distance, id) keeps the node-id tie rule
-    near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
-    top = near[np.lexsort((ids[near], d2[near]))][:k]
-    distances = np.sqrt(d2[top]).tolist()
-    k_pos, k_neg, predicted = _vote(labels[top].tolist())
+    top = _nearest(d2, k, ids)
     if state is not None:
         # the next state: the candidates are gathered already, so it costs
         # one more pass over them instead of a scan of the whole code
-        keep = _within(q, low, upp, float(d2[top[-1]]), distances[-1])
+        top_sq = float(d2[top[-1]])
+        keep = _within(q, low, upp, top_sq, float(np.sqrt(top_sq)))
         state = State(columns, rows[keep])
-    return KnnApproxResult(
-        depth=columns.depth,
-        node_ids=tuple(ids[top].tolist()),
-        distances=tuple(distances),
-        k_pos=k_pos,
-        k_neg=k_neg,
-        predicted=predicted,
-        threshold=distances[-1],
-        scanned=len(ids),
-        state=state,
-    )
+    return _result(ids[top], d2[top], labels[top], len(ids), columns.depth, state)
 
 
 def maintain_state(
@@ -243,23 +252,14 @@ def refine_chain(book: CodeBook, query: KnnQuery, depths=None) -> list[KnnApprox
 def exact_knn(train: LabeledDataset, query: KnnQuery) -> KnnApproxResult:
     """Brute-force k nearest training points: the exact-result oracle.
 
-    Point indices play the node-id role; distance ties break by index,
-    matching the node-id tie rule of :func:`classify`.
+    Every training point is scored; the k nearest are chosen by the one
+    nearest-k rule of :func:`classify`, with point indices in the node-id
+    role, so distance ties break by index.
     """
     _check_train(train, query)
-    d2 = ((train.features - query.point) ** 2).sum(axis=1)
-    idx = np.argsort(d2, kind="stable")[: query.k]
-    k_pos, k_neg, predicted = _vote(train.labels[idx])
-    return KnnApproxResult(
-        depth=EXACT_DEPTH,
-        node_ids=tuple(int(i) for i in idx),
-        distances=tuple(float(np.sqrt(d2[i])) for i in idx),
-        k_pos=k_pos,
-        k_neg=k_neg,
-        predicted=predicted,
-        threshold=float(np.sqrt(d2[idx[-1]])),
-        scanned=len(train),
-    )
+    d2 = _point_sq(train.features, query.point)
+    top = _nearest(d2, query.k)
+    return _result(top, d2[top], train.labels[top], len(train))
 
 
 def accuracy(predictions, actuals) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from elastic_mine.errors import (
     BaselineConfigError, DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError,
     InsufficientCandidatesError,
 )
+from elastic_mine.knn import EXACT_DEPTH, KnnApproxResult
 
 from conftest import TABLE_FEATURES
 
@@ -114,6 +117,23 @@ class TestAnytimeRtree:
         assert result.scanned == 10
         assert set(result.node_ids) == {5, 6, 7}  # both near leaves plus a box
 
+    def test_point_precedes_node_at_equal_distance(self):
+        """A frontier point and an unexpanded node at the same distance order
+        point first, whatever their ids: the (distance, kind, id) rule."""
+        # 18 far points in one leaf give the near point 18 an id above every node id
+        feats = np.array([[50.0]] * 18 + [[-1.0], [1.0], [-3.0], [3.0], [7.0], [8.0]])
+        ds = em.LabeledDataset(feats, [1] * 20 + [-1] * 4)
+        book = em.dual_book_from_hierarchy(
+            ds, [[[18], [19]], [list(range(18))]], [[[20], [21]], [[22], [23]]]
+        )
+        assert len(book.arrays.depth) <= 18
+        # one descent per tree, then one leaf each: point 18 and the leaf of point 19 lie at distance 1
+        result = em.anytime_knn_rtree(book, ds, em.KnnQuery([0.0], 2), 10, "ofs")
+        assert result.scanned == 10
+        assert result.distances == (1.0, 1.0)
+        point, node = result.node_ids
+        assert point == 18 and book.arrays.members_of(node).tolist() == [19]
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(10, 40), st.integers(2, 4))
     @settings(max_examples=80, deadline=None)
     def test_batched_point_scores_equal_one_point_sums(self, seed, d, n, max_entries):
@@ -177,6 +197,67 @@ class TestAnytimeRtree:
             a = em.anytime_knn_rtree(book, ds, query, 60, strategy)
             b = em.anytime_knn_rtree(book, ds, query, 60, strategy)
             assert a == b
+
+
+def sorted_reference(train, query, ids, scanned):
+    """The k nearest of the training rows ``ids`` by ``sorted(zip(d2, ids))``, and their vote."""
+    d2 = [float(((train.features[i] - query.point) ** 2).sum()) for i in ids]
+    top = sorted(zip(d2, (int(i) for i in ids)))[: query.k]
+    k_pos = sum(1 for _, i in top if train.labels[i] == em.POSITIVE)
+    k_neg = query.k - k_pos
+    return KnnApproxResult(
+        depth=EXACT_DEPTH,
+        node_ids=tuple(i for _, i in top),
+        distances=tuple(math.sqrt(d) for d, _ in top),
+        k_pos=k_pos,
+        k_neg=k_neg,
+        predicted=em.POSITIVE if k_pos > k_neg else em.NEGATIVE,
+        threshold=math.sqrt(top[-1][0]),
+        scanned=scanned,
+    )
+
+
+@st.composite
+def integer_knn_questions(draw):
+    """Points and a query on a small integer grid, so that distance ties and
+    coincident points are common, with a ranking order and a budget."""
+    dim = draw(st.integers(1, 3))
+    max_entries = draw(st.integers(2, 4))
+    # more points per class than a leaf holds: each class tree has a depth-1 code
+    pos, neg = (draw(st.integers(max_entries + 1, 20)) for _ in range(2))
+    n = pos + neg
+    coords = draw(st.lists(st.integers(-3, 3), min_size=n * dim, max_size=n * dim))
+    train = em.LabeledDataset(np.array(coords, dtype=float).reshape(n, dim),
+                              draw(st.permutations([1] * pos + [-1] * neg)))
+    point = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    query = em.KnnQuery(np.array(point, dtype=float), draw(st.integers(1, n)))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    budget = draw(st.integers(query.k, n))
+    return train, max_entries, query, order, budget
+
+
+class TestNearestRule:
+    """The oracle and both anytime baselines choose the k nearest by distance,
+    then by id, and vote strictly: bit for bit the answer of sorting (d2, id)."""
+
+    @given(integer_knn_questions())
+    @settings(max_examples=80, deadline=None)
+    def test_answers_equal_sorted_reference(self, question):
+        train, max_entries, query, order, budget = question
+        n = len(train)
+        everyone = range(n)
+        assert em.exact_knn(train, query) == sorted_reference(train, query, everyone, n)
+        # the ranking order decides which points are scanned, never how ties break
+        assert em.anytime_knn_ranking(train, query, n, order) == sorted_reference(
+            train, query, everyone, n)
+        assert em.anytime_knn_ranking(train, query, budget, order) == sorted_reference(
+            train, query, order[:budget], budget)
+        book = em.build_dual_rtrees(train, max_entries=max_entries)
+        # a full descent creates every non-root node and ends with every point in the frontier
+        created = len(book.arrays.depth) - len(book.roots) + n
+        expected = sorted_reference(train, query, everyone, created)
+        for strategy in ("bfs", "dfs", "ofs"):
+            assert em.anytime_knn_rtree(book, train, query, 10**9, strategy) == expected
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +365,19 @@ class TestCfBaselineSizes:
             em.cf_sampling(matrix, queries[0], size)
             em.cf_clustering(matrix, feats, queries[0], k_clusters=size)
         em.cf_recttree(matrix, feats, queries[0], levels=1, branching=1)
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    @pytest.mark.parametrize("baseline", [
+        lambda m, f, q, i: em.cf_clustering(m, f, q, k_clusters=3, iterations=i),
+        lambda m, f, q, i: em.cf_recttree(m, f, q, levels=2, iterations=i),
+        lambda m, f, q, i: em.cf_recttree(m, f, q, levels=1, iterations=i),
+    ], ids=["clustering", "recttree", "recttree-one-level"])
+    def test_iterations_below_one_rejected(self, cf_setup, baseline, iterations):
+        """No k-means iteration leaves the seeding as the clusters; even a
+        hierarchy that never splits refuses the setting."""
+        matrix, feats, queries = cf_setup
+        with pytest.raises(BaselineConfigError, match="iterations"):
+            baseline(matrix, feats, queries[0], iterations)
 
 
 class TestDeterminism:

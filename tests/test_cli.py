@@ -482,6 +482,8 @@ class TestMisuse:
     KNN = ["mine", "knn", "--book", "{f}/knn.ecb", "--test", "{w}/test.libsvm"]
     CF_BASELINE = ["mine", "baseline", "--ratings", "{w}/ratings.csv", "--test",
                    "{w}/ratings_test.csv", "--epochs", 2]
+    BUILD_KNN = ["code", "build", "--task", "knn", "--input", "{w}/train.libsvm"]
+    BUILD_CF = ["code", "build", "--input", "{w}/ratings.csv", "--epochs", 2, "--task"]
     BAD_BUDGETS = ["abc", "", "20,,40", "20,", "0", "-5", "20,0", "2.5"]
 
     @pytest.mark.parametrize("argv, named", [
@@ -517,13 +519,25 @@ class TestMisuse:
         (CF_BASELINE + ["--algorithm", "recttree", "--levels", 2, "--branching", 0], "branching"),
         *((["bench", "--input", "{w}/train.libsvm", f"--budgets={b}"], "--budgets")
           for b in BAD_BUDGETS),
+        (CF_BASELINE + ["--algorithm", "clustering", "--clusters", 3, "--iterations", 0], "iterations"),
+        (CF_BASELINE + ["--algorithm", "recttree", "--levels", 2, "--iterations", -1], "iterations"),
+        (BUILD_KNN + ["--max-entries", 1], "max entries"),
+        (BUILD_KNN + ["--leaf-capacity", 0], "leaf capacity"),
+        (BUILD_KNN + ["--leaf-capacity", -3], "leaf capacity"),
+        (BUILD_CF + ["cf", "--max-entries", 1], "max entries"),
+        (BUILD_CF + ["cf", "--leaf-capacity", 0], "leaf capacity"),
+        (BUILD_CF + ["kmeans", "--branching", 1], "branching"),
+        (BUILD_CF + ["kmeans", "--iterations", 0], "iterations"),
     ], ids=["spot-no-schedule", "elasticity-no-floor", "max-quality-no-budget",
             "min-investment-no-quality", "negative-deadline", "zero-price-spot", "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
             "cf-no-query", "ranking-no-train", "ranking-no-budget", "clustering-no-clusters",
             "missing-input", "sample-size-0", "sample-size-above-users", "clusters-0",
             "clusters-above-users", "levels-0", "branching-0",
-            *(f"budgets-{b or 'empty'}" for b in BAD_BUDGETS)])
+            *(f"budgets-{b or 'empty'}" for b in BAD_BUDGETS),
+            "clustering-iterations-0", "recttree-iterations-negative", "build-knn-max-entries-1",
+            "build-knn-leaf-capacity-0", "build-knn-leaf-capacity-negative", "build-cf-max-entries-1",
+            "build-cf-leaf-capacity-0", "build-kmeans-branching-1", "build-kmeans-iterations-0"])
     def test_exits_2_with_one_error_line(self, workdir, files, tmp_path, capsys, argv, named):
         assert_fails_cleanly(fill(argv, workdir, files), tmp_path, capsys, named)
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.coding import Mbr, kmeans
-from elastic_mine.errors import BudgetTooSmallError, ClassMissingError, DepthNotFoundError, ParseError
+from elastic_mine.errors import (
+    BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError, ParseError,
+)
 
 from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
 
@@ -247,6 +249,34 @@ class TestKmeans:
         b, cb = kmeans(TABLE_FEATURES, 3, iterations=10)
         assert np.array_equal(a, b)
         assert np.array_equal(ca, cb)
+
+
+class TestBuilderSettings:
+    """A setting that cannot build a usable code raises one typed error, before any work."""
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda ds, m: em.build_dual_rtrees(ds, max_entries=1), "max entries"),
+        (lambda ds, m: em.build_dual_rtrees(ds, leaf_capacity=0), "leaf capacity"),
+        (lambda ds, m: em.build_dual_rtrees(ds, leaf_capacity=-3), "leaf capacity"),
+        (lambda ds, m: em.build_cf_codebook(m, TABLE_FEATURES, max_entries=1), "max entries"),
+        (lambda ds, m: em.build_cf_codebook(m, TABLE_FEATURES, leaf_capacity=0), "leaf capacity"),
+        (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, branching=1), "branching"),
+        (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, iterations=0), "iterations"),
+        (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=0, iterations=-1),
+         "iterations"),
+        (lambda ds, m: kmeans(TABLE_FEATURES, 2, iterations=0), "iterations"),
+    ], ids=["dual-max-entries-1", "dual-leaf-capacity-0", "dual-leaf-capacity-negative",
+            "cf-max-entries-1", "cf-leaf-capacity-0", "kmeans-branching-1", "kmeans-iterations-0",
+            "kmeans-unsplit-iterations-negative", "kmeans-function-iterations-0"])
+    def test_out_of_range_setting_rejected(self, fourclass, example_matrix, build, named):
+        with pytest.raises(CodebookConfigError, match=named) as info:
+            build(fourclass, example_matrix)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, em.ElasticMineError)
+
+    def test_leaf_capacity_defaults_to_max_entries(self, fourclass):
+        assert em.build_dual_rtrees(fourclass, max_entries=3).config["leaf_capacity"] == 3
+        assert em.build_dual_rtrees(fourclass, max_entries=3, leaf_capacity=1).config["leaf_capacity"] == 1
 
 
 @pytest.fixture(scope="module")
