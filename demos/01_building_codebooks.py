@@ -18,7 +18,7 @@ print("\ndual R-tree codebook (one tree per class):")
 print("depth  length  total box volume")
 for depth in book.depths():
     code = book.code_at_depth(depth)
-    volume = em.total_mbr_volume(book, code)
+    volume = em.total_mbr_volume(book, depth)
     print(f"{depth:>5}  {code.length:>6}  {volume:>16.3f}")
 print("volumes shrink and lengths grow with depth: deeper codes are finer.")
 

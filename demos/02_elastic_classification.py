@@ -35,8 +35,8 @@ for f in test.features:
     query = em.KnnQuery(f, k)
     chain = refine_chain(book, query)
     row = [em.classify(book, deepest, query).scanned]
-    for depth, result in zip(book.depths()[:-1], chain[:-1]):
-        state = em.maintain_state(book, depth, query, result)
+    for result in chain[:-1]:
+        state = em.maintain_state(book, query, result)
         row.append(em.classify(book, deepest, query, state).scanned)
     costs.append(row)
 mean = np.mean(costs, axis=0)

@@ -18,7 +18,7 @@ from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
-from .knn import KnnApproxResult, KnnQuery, _check_train, _max_sq, _nearest, _point_sq, _result
+from .knn import KnnApproxResult, KnnQuery, _check_dual, _check_train, _max_sq, _nearest, _point_sq, _result
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -77,15 +77,15 @@ def anytime_knn_rtree(
     latest-inserted, OFS the one nearest the query by max-distance. The
     budget counts every frontier element ever created; prediction votes
     among the k nearest frontier elements, so a budget that leaves fewer
-    than k raises :class:`InsufficientBudgetError`.
+    than k raises :class:`InsufficientBudgetError`. A book of another kind
+    than dual R-trees raises :class:`BookKindError`.
 
     Every box and every training point is scored once, up front, in two
     array expressions; the descent itself only moves node ids between
     lists, so a query costs O((nodes + points) * d) array work plus one
     Python step per expansion.
     """
-    if len(book.roots) != 2:
-        raise ValueError("anytime rtree descent needs a dual (per-class) codebook")
+    _check_dual(book)
     if strategy not in (STRATEGY_BFS, STRATEGY_DFS, STRATEGY_OFS):
         raise ValueError(f"unknown strategy {strategy!r}: want bfs, dfs or ofs")
     if not book.depths():

@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import Code, CodeBook, ItemAggregate, State, state_filter
+from .coding import EXACT_DEPTH, Code, CodeBook, ItemAggregate, State, state_filter
 from .datasets import RatingMatrix
 from .errors import DivergenceError, ForeignStateError, TrainingConfigError, UndefinedMetricError
 
@@ -297,25 +297,25 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
 
 def predict(
     book: CodeBook,
-    code: Code | int,
+    depth: int,
     query: CfQuery,
     state: State | None = None,
     matrix: RatingMatrix | None = None,
 ) -> CfApproxResult:
-    """Predict the active user's rating of the target item from a code.
+    """Predict the active user's rating of the target item from the code of a depth.
 
     Candidates are the code's nodes, filtered through the state when one is
     given (a node survives iff its ancestor at the state depth rated the
     item). Nodes that rated the item but have no defined, non-degenerate
     weight still count as raters (they stay in the next state) without
     entering the weighted average. An empty weighted set falls back to the
-    user's mean; predictions clamp to the rating scale.
+    user's mean; predictions clamp to the rating scale. A book without
+    rating aggregates raises :class:`BookKindError`.
     """
-    view = book.code_at_depth(code.depth if isinstance(code, Code) else code)
-    depth = view.depth
+    view = book.code_at_depth(depth)
     cols = np.arange(len(view.ids)) if state is None else state_filter(book, depth, state)
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
-    return _score(query, depth, book.deviations(depth), cols, view.ids, len(cols), scale, view)
+    return _score(query, view.depth, book.deviations(depth), cols, view.ids, len(cols), scale, view)
 
 
 def maintain_cf_state(result: CfApproxResult) -> State:
@@ -336,9 +336,6 @@ def refine_chain(book: CodeBook, query: CfQuery, depths=None, matrix=None) -> li
         results.append(result)
         state = maintain_cf_state(result)
     return results
-
-
-EXACT_DEPTH = -1
 
 
 def _predict_over_users(matrix: RatingMatrix, query: CfQuery, users, scanned=None):

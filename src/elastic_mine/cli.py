@@ -125,6 +125,11 @@ def _require(args, mode: str, *names):
 
 
 def _cmd_code_build(args) -> int:
+    # the builder's own size checks, before any input is read or features are trained
+    if args.task == "kmeans":
+        coding._check_kmeans_sizes(args.branching, args.iterations)
+    else:
+        coding._check_rtree_sizes(args.max_entries, args.leaf_capacity)
     if args.task == "knn":
         with open(args.input, encoding="utf-8") as fh:
             train = datasets.parse_libsvm(fh)
@@ -144,7 +149,7 @@ def _cmd_code_build(args) -> int:
     print(f"codebook {args.out}: kind={book.kind} depths={book.depths()}")
     for depth in book.depths():
         code = book.code_at_depth(depth)
-        volume = coding.total_mbr_volume(book, code)
+        volume = coding.total_mbr_volume(book, depth)
         print(f"  depth {depth}: length {code.length} volume {volume:.6g}")
     for w in book.warnings:
         print(f"  warning: {w}")
@@ -198,12 +203,11 @@ def _cmd_mine_knn(args) -> int:
     book, depth, states = _open_mine(args, 1)
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
-    code = book.code_at_depth(depth)
 
     def classify_one(qid):
         query = knn.KnnQuery(test.features[qid], args.k)
-        result = knn.classify(book, code, query, states.get((qid,)))
-        state = knn.maintain_state(book, code, query, result) if args.save_state else None
+        result = knn.classify(book, depth, query, states.get((qid,)))
+        state = knn.maintain_state(book, query, result) if args.save_state else None
         return result, state
 
     outcomes = _run_ordered(classify_one, len(test), args.threads)
@@ -347,11 +351,11 @@ def _cmd_report_quality(args) -> int:
             if row["actual"] is None:
                 continue
             by_depth.setdefault(row["depth"], []).append(row)
-        exact = by_depth.pop(-1, None)
+        exact = by_depth.pop(coding.EXACT_DEPTH, None)
         exact_rmse = None
         if exact is not None:
             exact_rmse = cf.rmse([r["prediction"] for r in exact], [r["actual"] for r in exact])
-            out_rows.append(f"-1,rmse,{exact_rmse!r}")
+            out_rows.append(f"{coding.EXACT_DEPTH},rmse,{exact_rmse!r}")
         for depth in sorted(by_depth):
             rows = by_depth[depth]
             value = cf.rmse([r["prediction"] for r in rows], [r["actual"] for r in rows])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -33,7 +34,7 @@ import numpy as np
 
 from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, deviation_table
 from .errors import (
-    BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
+    BookKindError, BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     ForeignStateError, ParseError,
 )
 
@@ -43,6 +44,7 @@ MAGIC = "elastic-mine-codebook"  # first token of a dump's header line
 KIND_DUAL = "rtree-dual"
 KIND_CF = "rtree-cf"
 KIND_KMEANS = "kmeans-divisive"
+EXACT_DEPTH = -1  # the depth of a result that scanned no code: an exact oracle's or a baseline's
 
 
 @dataclass(frozen=True)
@@ -328,6 +330,7 @@ class CodeBook:
         they are derived data and never written by :func:`dump_codebook`.
         """
         if depth not in self._columns:
+            depth = operator.index(depth)
             if depth != 0 and depth not in self._depths:
                 raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
             # concurrent first calls each build the views; setdefault never
@@ -343,21 +346,21 @@ class CodeBook:
         node of row r of :meth:`columns`, NaN where that node has none. Rows
         run up to the largest item id the depth aggregates (row 0 is all
         NaN): 8 bytes per item and node. Built on first use of the depth
-        and cached; derived data, never written by :func:`dump_codebook`.
+        and cached; derived data, never written by :func:`dump_codebook`. A book
+        without aggregates (a kNN book) raises :class:`BookKindError`.
         """
         table = self._deviations.get(depth)
         if table is None:
             ids = self.columns(depth).ids
             agg = self.arrays.aggregates
             if agg is None:
-                table = deviation_table(1, len(ids), [], [], [])
-            else:
-                starts, stops = agg.ptr[ids], agg.ptr[ids + 1]
-                at = _ranges(starts, stops)
-                items = agg.item[at]
-                rows = np.repeat(np.arange(len(ids)), stops - starts)
-                table = deviation_table(int(items.max(initial=0)) + 1, len(ids), items, rows,
-                                        agg.rating[at] - agg.rater_mean[at])
+                raise BookKindError(f"a {self.kind} book holds no rating aggregates to mine for CF")
+            starts, stops = agg.ptr[ids], agg.ptr[ids + 1]
+            at = _ranges(starts, stops)
+            items = agg.item[at]
+            rows = np.repeat(np.arange(len(ids)), stops - starts)
+            table = deviation_table(int(items.max(initial=0)) + 1, len(ids), items, rows,
+                                    agg.rating[at] - agg.rater_mean[at])
             self._deviations[depth] = table  # an equal table may replace it: no state holds one
         return table
 
@@ -413,13 +416,12 @@ def select_code(book: CodeBook, length_budget: int) -> Code:
     return max(fitting, key=lambda c: c.length)  # the shallowest of equal lengths
 
 
-def total_mbr_volume(book: CodeBook, code: Code | int) -> float:
-    """Sum of bounding-box volumes over the nodes of a code or depth, added in node order.
+def total_mbr_volume(book: CodeBook, depth: int) -> float:
+    """Sum of bounding-box volumes over the nodes of one depth, added in node order.
 
     Reads the book's columns, so it works on a book whose views reject it.
     """
-    depth = code.depth if isinstance(code, Code) else code
-    ids = np.flatnonzero(book.arrays.depth == depth)
+    ids = np.flatnonzero(book.arrays.depth == operator.index(depth))
     return sum(np.prod(book.arrays.upp[ids] - book.arrays.low[ids], axis=1).tolist())
 
 
@@ -682,6 +684,14 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     return labels, centroids
 
 
+def _check_kmeans_sizes(branching: int, iterations: int):
+    """Raise unless both sizes can build a k-means hierarchy."""
+    if branching < 2:
+        raise CodebookConfigError(f"branching must be >= 2, got {branching}")
+    if iterations < 1:
+        raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
+
+
 def build_kmeans_codebook(
     matrix: RatingMatrix,
     features,
@@ -698,10 +708,7 @@ def build_kmeans_codebook(
     branching factor are carried down unsplit (recorded as a warning);
     empty clusters are dropped.
     """
-    if branching < 2:
-        raise CodebookConfigError(f"branching must be >= 2, got {branching}")
-    if iterations < 1:
-        raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
+    _check_kmeans_sizes(branching, iterations)
     values = np.asarray(features, dtype=float)
     if len(values) != matrix.num_users:
         raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")

@@ -38,7 +38,12 @@ class DimensionMismatchError(ElasticMineError, ValueError):
 class ForeignStateError(ElasticMineError, ValueError):
     """A state or result that does not fit the code it is used with: it indexes
     another book, is not above the code's depth, names nodes not at its depth,
-    or comes from a user-level route that scans no code."""
+    or comes from a route that scans no code (an exact oracle or a baseline)."""
+
+
+class BookKindError(ElasticMineError, ValueError):
+    """A codebook of the wrong kind for the miner: kNN needs a dual (per-class)
+    book, CF a book with rating aggregates."""
 
 
 class UnknownUserError(ElasticMineError, ValueError):

@@ -39,13 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import Code, CodeBook, Mbr, State, state_filter
+from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, Mbr, State, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
-    DimensionMismatchError, InsufficientCandidatesError, InvalidQueryError, UndefinedMetricError,
+    BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
+    InvalidQueryError, UndefinedMetricError,
 )
-
-EXACT_DEPTH = -1  # marker depth for results of the full linear scan
 
 
 def _check_dim(q: np.ndarray, dimensionality: int):
@@ -176,24 +175,31 @@ def _result(ids: np.ndarray, d2: np.ndarray, labels: np.ndarray, scanned: int,
                            threshold=distances[-1], scanned=scanned, state=state)
 
 
-def _code_columns(book: CodeBook, code: Code | int, query: KnnQuery) -> Code:
-    columns = book.code_at_depth(code.depth if isinstance(code, Code) else code)
+def _check_dual(book: CodeBook):
+    if book.kind != KIND_DUAL:
+        raise BookKindError(f"kNN mines a {KIND_DUAL} book, not a {book.kind} one")
+
+
+def _code_columns(book: CodeBook, depth: int, query: KnnQuery) -> Code:
+    _check_dual(book)
+    columns = book.code_at_depth(depth)
     _check_dim(query.point, columns.dimensionality)
     return columns
 
 
 def classify(
-    book: CodeBook, code: Code | int, query: KnnQuery, state: State | None = None
+    book: CodeBook, depth: int, query: KnnQuery, state: State | None = None
 ) -> KnnApproxResult:
-    """Select the k nodes of smallest max-distance in the (state-filtered) code.
+    """Select the k nodes of smallest max-distance in the (state-filtered) code of a depth.
 
     With a state, only nodes whose ancestor at the state's depth was
     retained are scanned; the scanned-node count is the result's
     computational cost. Distance ties break by node id. A refined result
     also carries its state: the scanned nodes within its threshold, which
-    :func:`maintain_state` returns as they are.
+    :func:`maintain_state` returns as they are. A book of another kind
+    than dual R-trees raises :class:`BookKindError`.
     """
-    columns = _code_columns(book, code, query)
+    columns = _code_columns(book, depth, query)
     ids, low, upp, labels = columns.ids, columns.low, columns.upp, columns.labels
     if state is not None:
         rows = state_filter(book, columns.depth, state)
@@ -214,21 +220,22 @@ def classify(
     return _result(ids[top], d2[top], labels[top], len(ids), columns.depth, state)
 
 
-def maintain_state(
-    book: CodeBook, code: Code | int, query: KnnQuery, result: KnnApproxResult
-) -> State:
-    """Keep the scanned nodes whose minimal distance is within the threshold.
+def maintain_state(book: CodeBook, query: KnnQuery, result: KnnApproxResult) -> State:
+    """Keep the scanned nodes of the result's code whose minimal distance is within the threshold.
 
     Nodes with ``dist_min > dist_max_kNN`` cannot contain any of the
     query's nearest neighbours at any deeper depth and are dropped; the k
-    result nodes always survive. A refined result of this very view
-    carries that state, which is returned as it is; any other result
-    (one-shot, hand-built, or of another book) has the whole code scanned.
+    result nodes always survive. The code is the book's code at
+    ``result.depth``. A refined result of this book carries that state,
+    which is returned as it is; any other result (one-shot, hand-built, or
+    of another book) has the whole code scanned, with its own threshold.
     From a state this function built, both give the same nodes. ``result``
-    must be the result of ``query`` at this code; a result of another code
-    raises :class:`ForeignStateError`.
+    must be a result of ``query``. A result of no code (``exact_knn`` or a
+    baseline) raises :class:`ForeignStateError`.
     """
-    columns = _code_columns(book, code, query)
+    if result.depth == EXACT_DEPTH:
+        raise ForeignStateError("a result of no code (an exact oracle or a baseline) has no state")
+    columns = _code_columns(book, result.depth, query)
     if result.state is not None and result.state.view is columns:
         return result.state
     rows = columns.rows(result.node_ids)
@@ -242,10 +249,9 @@ def refine_chain(book: CodeBook, query: KnnQuery, depths=None) -> list[KnnApprox
     """Produce one result per depth, each refined from the previous state."""
     results, state = [], None
     for depth in book.depths() if depths is None else depths:
-        code = book.code_at_depth(depth)
-        result = classify(book, code, query, state)
+        result = classify(book, depth, query, state)
         results.append(result)
-        state = maintain_state(book, code, query, result)
+        state = maintain_state(book, query, result)
     return results
 
 

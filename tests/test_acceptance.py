@@ -91,7 +91,7 @@ def test_04_entropy_monotonicity():
         cases.append(("gaussian", em.synthetic.gaussian_mixture(2000, 4, seed=seed), 4))
     for name, data, cap in cases:
         book = em.build_dual_rtrees(data, max_entries=cap, seed=0)
-        vols = [em.total_mbr_volume(book, book.code_at_depth(d)) for d in book.depths()]
+        vols = [em.total_mbr_volume(book, d) for d in book.depths()]
         assert all(a >= b - 1e-9 for a, b in zip(vols, vols[1:])), name
         report = em.audit_entropy_monotonicity(book)
         assert report.monotone, name
@@ -111,8 +111,8 @@ def test_05_pruning_safety(fourclass_split, fourclass_book):
         exact = set(em.exact_knn(train, query).node_ids)
         for depth in book.depths():
             code = book.code_at_depth(depth)
-            result = em.classify(book, code, query)
-            state = em.maintain_state(book, code, query, result)
+            result = em.classify(book, depth, query)
+            state = em.maintain_state(book, query, result)
             for nid in set(code.node_ids) - state.retained:
                 if not exact.isdisjoint(book.arrays.members_of(nid).tolist()):
                     violations += 1
@@ -135,8 +135,8 @@ def test_06_threshold_and_accumulative_monotonicity(fourclass_split, fourclass_b
             1 for a, b in zip(thresholds, thresholds[1:]) if b > a + 1e-9
         )
         costs = [em.classify(book, deepest, query).scanned]
-        for depth, result in zip(book.depths()[:-1], results[:-1]):
-            state = em.maintain_state(book, depth, query, result)
+        for result in results[:-1]:
+            state = em.maintain_state(book, query, result)
             costs.append(em.classify(book, deepest, query, state).scanned)
         cost_violations += sum(1 for a, b in zip(costs, costs[1:]) if b > a)
     assert threshold_violations == 0

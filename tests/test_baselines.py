@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.baselines import sample_users
+from elastic_mine.coding import EXACT_DEPTH
 from elastic_mine.errors import (
-    BaselineConfigError, DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError,
+    BaselineConfigError, BookKindError, DepthNotFoundError, DimensionMismatchError, InsufficientBudgetError,
     InsufficientCandidatesError,
 )
-from elastic_mine.knn import EXACT_DEPTH, KnnApproxResult
+from elastic_mine.knn import KnnApproxResult
 
 from conftest import TABLE_FEATURES
 
@@ -92,7 +93,7 @@ class TestAnytimeRtree:
         code = book.code_at_depth(1)
         query = em.KnnQuery([1.0, 1.0], 3)
         frontier_only = em.anytime_knn_rtree(book, ds, query, code.length, "ofs")
-        first = em.classify(book, code, query)
+        first = em.classify(book, 1, query)
         assert frontier_only.predicted == first.predicted
         assert set(frontier_only.node_ids) == set(first.node_ids)
         assert frontier_only.scanned == code.length
@@ -101,6 +102,11 @@ class TestAnytimeRtree:
         ds, book = small_tree_setup
         with pytest.raises(InsufficientBudgetError):
             em.anytime_knn_rtree(book, ds, em.KnnQuery([0.0, 0.0], 3), 1, "bfs")
+
+    def test_book_of_another_kind_rejected(self, small_tree_setup, example_cf_book):
+        ds, _ = small_tree_setup
+        with pytest.raises(BookKindError):
+            em.anytime_knn_rtree(example_cf_book, ds, em.KnnQuery([0.5, 0.5], 1), 10**9)
 
     def test_ofs_descends_nearest_nodes_first(self):
         feats = np.array(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.coding import ItemAggregate
-from elastic_mine.errors import DivergenceError, ForeignStateError, UndefinedMetricError
+from elastic_mine.errors import BookKindError, DivergenceError, ForeignStateError, UndefinedMetricError
 
 from conftest import TABLE_FEATURES, aggregates_of
 
@@ -261,6 +261,12 @@ class TestPredict:
         assert result.fallback
         assert result.prediction == 4.0
         assert result.all_rater_node_ids == ()
+
+    def test_book_without_aggregates_rejected(self, fourclass_book, example_matrix):
+        """A kNN book aggregates no ratings: it has no answer, not the user's mean."""
+        query = em.CfQuery.from_matrix(example_matrix, 3, 4)
+        with pytest.raises(BookKindError):
+            em.predict(fourclass_book, 1, query, matrix=example_matrix)
 
     def test_prediction_clamped_to_scale(self):
         book = em.load_codebook("""\

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,19 @@ class TestCodeBuild:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, named", [(["cf", "--max-entries", 1], "max entries"),
+                                                (["kmeans", "--branching", 1], "branching"),
+                                                (["kmeans", "--iterations", 0], "iterations")])
+    def test_sizes_checked_before_training(self, workdir, tmp_path, capsys, monkeypatch, setting,
+                                           named):
+        """A codebook size out of range fails before the features are trained."""
+        def train(*args, **kwargs):
+            raise AssertionError("features trained before the size check")
+
+        monkeypatch.setattr("elastic_mine.cf.train_incremental_svd", train)
+        argv = ["code", "build", "--input", workdir / "ratings.csv", "--task", *setting]
+        assert_fails_cleanly([str(a) for a in argv], tmp_path, capsys, named)
+
 
 class TestMine:
     def test_knn_rows_and_state_refinement(self, workdir):
@@ -161,6 +175,23 @@ class TestMine:
         text = report.read_text()
         assert "rmse" in text and "fallback_rate" in text
 
+    @pytest.mark.parametrize("algorithm, size", [("sampling", ["--sample-size", 10]),
+                                                 ("clustering", ["--clusters", 3]),
+                                                 ("recttree", ["--levels", 2])])
+    def test_cf_baseline_rows(self, workdir, algorithm, size):
+        """One row per held-out rating, in (user, item) order, with its actual rating."""
+        out = workdir / f"{algorithm}.csv"
+        assert run(["mine", "baseline", "--algorithm", algorithm, *size, "--ratings",
+                    workdir / "ratings.csv", "--test", workdir / "ratings_test.csv",
+                    "--epochs", 2, "--out", out]) == 0
+        body = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert body[0] == ["user", "item", "algorithm", "scanned", "prediction", "actual",
+                           "fallback_flag"]
+        held = sorted(tuple(map(float, l.split(",")))
+                      for l in (workdir / "ratings_test.csv").read_text().splitlines()[1:])
+        assert [tuple(map(float, (r[0], r[1], r[5]))) for r in body[1:]] == held
+        assert all(r[2] == algorithm and 1.0 <= float(r[4]) <= 5.0 for r in body[1:])
+
     def test_baseline_ranking(self, workdir):
         out = workdir / "rank.csv"
         assert run(["mine", "baseline", "--algorithm", "ranking", "--train",
@@ -191,6 +222,20 @@ class TestReports:
                 if ",accuracy," in l]
         assert len(accs) == len(book.depths())
         assert all(b >= a - 0.02 for a, b in zip(accs, accs[1:]))
+
+    def test_cf_quality_against_exact_rows(self, tmp_path):
+        """Depth -1 rows are the exact oracle's; a row with no actual rating is skipped."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text("user,item,depth,scanned_nodes,prediction,actual,fallback_flag\n"
+                        "1,1,-1,9,3.0,4.0,0\n1,2,-1,9,2.0,2.0,0\n"
+                        "1,1,1,3,3.5,4.0,1\n1,2,1,3,2.0,2.0,0\n1,3,1,3,5.0,,1\n")
+        out = tmp_path / "quality.csv"
+        assert run(["report", "quality", "--pred", pred, "--task", "cf", "--out", out]) == 0
+        exact, approx = math.sqrt(0.5), math.sqrt(0.125)
+        assert out.read_text().splitlines()[2:] == [
+            "depth,metric,value", f"-1,rmse,{exact!r}", f"1,rmse,{approx!r}",
+            f"1,relative_error,{em.relative_error(approx, exact)!r}", "1,fallback_rate,0.5",
+        ]
 
     def test_elasticity_table(self, workdir):
         series = workdir / "series.csv"
@@ -256,6 +301,20 @@ class TestPlan:
         assert "price 0.12" in text
         assert "investment 1.44" in text
 
+    def test_spot_elasticity_bid_table(self, workdir):
+        out = workdir / "plan_bids.txt"
+        assert run(["plan", "--results", workdir / "results.csv", "--scheme", "spot",
+                    "--query", "elasticity-constrained-quality", "--elasticity-floor", 0.1,
+                    "--schedule", workdir / "schedule.csv", "--out", out]) == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert body[:2] == ["[spot]", "result,bid,delta_investment,cumulative_investment,"
+                                      "hours_per_day,capped"]
+        rows = [l.split(",") for l in body[2:]]
+        assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+        cumulative = [float(r[3]) for r in rows]
+        assert all(a < b for a, b in zip(cumulative, cumulative[1:]))
+        assert all(0 < float(r[1]) and 0 < int(r[4]) <= 24 and r[5] in ("0", "1") for r in rows)
+
     def test_infeasible_plan_still_exits_zero(self, workdir):
         out = workdir / "plan_bad.txt"
         code = run(["plan", "--results", workdir / "results.csv", "--scheme", "spot",
@@ -277,6 +336,21 @@ class TestBench:
         assert algorithms == {"elastic", "ranking", "rtree-bfs", "rtree-dfs", "rtree-ofs"}
         # five budgets for the elastic run and for each of the four baselines
         assert len(body) - 1 == 25
+
+    def test_budget_below_every_baseline_reads_nan(self, workdir):
+        """A budget no baseline can run under gives each a NaN accuracy row, not an error."""
+        out = workdir / "bench_small.csv"
+        assert run(["bench", "--input", workdir / "full.libsvm", "--k", 5, "--max-entries", 3,
+                    "--seed", 2, "--budgets", "3,500", "--out", out]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+        baseline = [r for r in rows if r[1] != "elastic"]
+        assert [(r[1], r[3]) for r in baseline] == [
+            (a, b) for a in ("ranking", "rtree-bfs", "rtree-dfs", "rtree-ofs") for b in ("3", "500")]
+        for r in baseline:
+            if r[3] == "3":
+                assert (r[5], r[6]) == ("nan", "0")
+            else:
+                assert 0.5 < float(r[5]) <= 1.0 and 0 < int(r[6]) <= 500
 
     def test_bench_reproducible_without_timings(self, workdir):
         out = workdir / "bench_rep.csv"
@@ -528,6 +602,12 @@ class TestMisuse:
         (BUILD_CF + ["cf", "--leaf-capacity", 0], "leaf capacity"),
         (BUILD_CF + ["kmeans", "--branching", 1], "branching"),
         (BUILD_CF + ["kmeans", "--iterations", 0], "iterations"),
+        (["mine", "cf", "--book", "{f}/knn.ecb", "--ratings", "{f}/ratings.csv", "--user", 3,
+          "--item", 4, "--depth", 1], "rating aggregates"),
+        (["mine", "knn", "--book", "{f}/cf.ecb", "--test", "{w}/test.libsvm", "--depth", 1],
+         "rtree-dual"),
+        (["mine", "baseline", "--algorithm", "rtree-bfs", "--book", "{f}/cf.ecb", "--train",
+          "{w}/train.libsvm", "--test", "{w}/test.libsvm", "--budget", 50], "rtree-dual"),
     ], ids=["spot-no-schedule", "elasticity-no-floor", "max-quality-no-budget",
             "min-investment-no-quality", "negative-deadline", "zero-price-spot", "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
@@ -537,7 +617,8 @@ class TestMisuse:
             *(f"budgets-{b or 'empty'}" for b in BAD_BUDGETS),
             "clustering-iterations-0", "recttree-iterations-negative", "build-knn-max-entries-1",
             "build-knn-leaf-capacity-0", "build-knn-leaf-capacity-negative", "build-cf-max-entries-1",
-            "build-cf-leaf-capacity-0", "build-kmeans-branching-1", "build-kmeans-iterations-0"])
+            "build-cf-leaf-capacity-0", "build-kmeans-branching-1", "build-kmeans-iterations-0",
+            "cf-on-knn-book", "knn-on-cf-book", "rtree-baseline-on-cf-book"])
     def test_exits_2_with_one_error_line(self, workdir, files, tmp_path, capsys, argv, named):
         assert_fails_cleanly(fill(argv, workdir, files), tmp_path, capsys, named)
 

@@ -121,7 +121,7 @@ class TestTreeInvariants:
             depths = set(nodes.depth[(nodes.tree == tree) & is_leaf].tolist())
             assert len(depths) == 1
         # volume never grows with depth; lengths strictly grow
-        vols = [em.total_mbr_volume(book, book.code_at_depth(dd)) for dd in book.depths()]
+        vols = [em.total_mbr_volume(book, dd) for dd in book.depths()]
         assert all(a >= b - 1e-9 for a, b in zip(vols, vols[1:]))
         lengths = [book.code_at_depth(dd).length for dd in book.depths()]
         assert all(a < b for a, b in zip(lengths, lengths[1:]))
@@ -340,8 +340,7 @@ class TestVolume:
             four_users, [[1, 2], [3, 4]],
             np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
         )
-        code = book.code_at_depth(1)
-        assert em.total_mbr_volume(book, code) == pytest.approx(2.0)
+        assert em.total_mbr_volume(book, 1) == pytest.approx(2.0)
 
     def test_zero_extent_dimension(self):
         mbr = Mbr(np.array([0.0, 1.0]), np.array([5.0, 1.0]))

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import Mbr
+from elastic_mine.coding import EXACT_DEPTH, Mbr
 from elastic_mine.errors import (
+    BookKindError,
     DimensionMismatchError,
     ElasticMineError,
     ForeignStateError,
@@ -16,7 +17,7 @@ from elastic_mine.errors import (
     InvalidQueryError,
     UndefinedMetricError,
 )
-from elastic_mine.knn import EXACT_DEPTH, KnnApproxResult, refine_chain
+from elastic_mine.knn import KnnApproxResult, refine_chain
 
 from conftest import box_of
 
@@ -109,14 +110,14 @@ class TestClassify:
         _, book, ids = worked_example
         query = em.KnnQuery([0.0], 3)
         result = em.classify(book, 1, query)
-        state = em.maintain_state(book, 1, query, result)
+        state = em.maintain_state(book, query, result)
         assert state.retained == {ids["N8"], ids["N9"], ids["N10"], ids["N21"]}
 
     def test_refinement_skips_pruned_children(self, worked_example):
         _, book, ids = worked_example
         query = em.KnnQuery([0.0], 3)
         result = em.classify(book, 1, query)
-        state = em.maintain_state(book, 1, query, result)
+        state = em.maintain_state(book, query, result)
         refined = em.classify(book, 2, query, state)
         assert refined.scanned == 9  # 14-node code minus the 5 pruned children
         excluded = {ids[n] for n in ("N12", "N13", "N17", "N18", "N19")}
@@ -143,7 +144,7 @@ class TestClassify:
         assert isinstance(info.value, ElasticMineError)
         result = em.classify(fourclass_book, 1, em.KnnQuery([0.0, 0.0], 3))
         with pytest.raises(DimensionMismatchError):
-            em.maintain_state(fourclass_book, 1, query, result)
+            em.maintain_state(fourclass_book, query, result)
 
     def test_foreign_state_rejected(self, worked_example, fourclass_book):
         _, book, ids = worked_example
@@ -155,7 +156,7 @@ class TestClassify:
         # a state of the larger book names ids that are no depth-1 nodes here
         other = em.KnnQuery([0.0, 0.0], 3)
         first = em.classify(fourclass_book, 1, other)
-        foreign = em.maintain_state(fourclass_book, 1, other, first)
+        foreign = em.maintain_state(fourclass_book, other, first)
         with pytest.raises(ForeignStateError):
             em.classify(book, 2, query, foreign)
         with pytest.raises(ForeignStateError):
@@ -166,22 +167,46 @@ class TestClassify:
             with pytest.raises(ForeignStateError):
                 em.State(view, rows)
 
-    def test_result_of_another_code_rejected(self, worked_example):
-        _, book, _ = worked_example
-        query = em.KnnQuery([0.0], 3)
-        result = em.classify(book, 1, query)
-        with pytest.raises(ForeignStateError):
-            em.maintain_state(book, 2, query, result)
+    def test_result_of_no_code_has_no_state(self, fourclass_split, fourclass_book):
+        """The exact oracle and both anytime baselines scan no code, so none of
+        their results has a state, even where their ids are node ids of a depth."""
+        train, test = fourclass_split
+        query = em.KnnQuery(test.features[0], 5)
+        results = [em.exact_knn(train, query), em.anytime_knn_ranking(train, query, 50),
+                   em.anytime_knn_rtree(fourclass_book, train, query, 50)]
+        for result in results:
+            assert result.depth == EXACT_DEPTH
+            with pytest.raises(ForeignStateError):
+                em.maintain_state(fourclass_book, query, result)
 
-    def test_refined_result_of_another_code_rejected(self, worked_example):
-        """A refined result's kept rows index its own code's view only."""
+    def test_refined_result_keeps_its_own_state(self, worked_example):
         _, book, _ = worked_example
         query = em.KnnQuery([0.0], 3)
-        state = em.maintain_state(book, 1, query, em.classify(book, 1, query))
+        state = em.maintain_state(book, query, em.classify(book, 1, query))
         refined = em.classify(book, 2, query, state)
-        assert refined.state is not None
-        with pytest.raises(ForeignStateError):
-            em.maintain_state(book, 1, query, refined)
+        assert em.maintain_state(book, query, refined) is refined.state
+        assert refined.state.depth == 2
+
+    def test_code_is_no_depth(self, worked_example):
+        """Every miner names a code by its depth; a Code fails, naming its type."""
+        _, book, _ = worked_example
+        code = book.code_at_depth(2)
+        calls = [lambda: em.classify(book, code, em.KnnQuery([0.0], 3)),
+                 lambda: em.total_mbr_volume(book, code), lambda: em.state_of(book, code, [])]
+        for call in calls:
+            with pytest.raises(TypeError) as info:
+                call()
+            assert "'Code'" in str(info.value) and len(str(info.value)) < 80
+
+    def test_book_of_another_kind_rejected(self, example_cf_book):
+        """A CF book's nodes are unlabeled: a vote among them has no answer."""
+        query = em.KnnQuery([1.0, 1.0], 1)
+        assert example_cf_book.code_at_depth(1).dimensionality == 2
+        with pytest.raises(BookKindError):
+            em.classify(example_cf_book, 1, query)
+        result = KnnApproxResult(1, (1,), (0.0,), 1, 0, em.POSITIVE, 0.0, 2)
+        with pytest.raises(BookKindError):
+            em.maintain_state(example_cf_book, query, result)
 
     def test_state_depth_must_be_shallower(self, worked_example):
         _, book, ids = worked_example
@@ -207,13 +232,13 @@ class TestMaintainState:
         q = em.KnnQuery([0.0], 3)
         min_sq = [em.dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
         assert min_sq == pytest.approx([0.0, 81.0, 13689.0, 1521.0, 1570.0, 169.0])
-        result = em.classify(book, code, q)
+        result = em.classify(book, 1, q)
         fake = KnnApproxResult(
             depth=1, node_ids=result.node_ids, distances=result.distances,
             k_pos=result.k_pos, k_neg=result.k_neg, predicted=result.predicted,
             threshold=math.sqrt(25210.0), scanned=6,
         )
-        state = em.maintain_state(book, code, q, fake)
+        state = em.maintain_state(book, q, fake)
         assert len(state.retained) == 6
 
     def test_zero_threshold_keeps_only_result_nodes(self):
@@ -225,7 +250,7 @@ class TestMaintainState:
         q = em.KnnQuery([0.0], 3)
         result = em.classify(book, 1, q)
         assert result.threshold == 0.0
-        state = em.maintain_state(book, 1, q, result)
+        state = em.maintain_state(book, q, result)
         # strict > prunes; equality (the three zero-distance nodes) is kept
         assert state.retained == set(result.node_ids)
 
@@ -238,8 +263,8 @@ class TestMaintainState:
             exact = set(em.exact_knn(train, query).node_ids)
             for depth in book.depths():
                 code = book.code_at_depth(depth)
-                result = em.classify(book, code, query)
-                state = em.maintain_state(book, code, query, result)
+                result = em.classify(book, depth, query)
+                state = em.maintain_state(book, query, result)
                 pruned = set(code.node_ids) - state.retained
                 for nid in pruned:
                     assert exact.isdisjoint(book.arrays.members_of(nid).tolist())
@@ -261,8 +286,8 @@ class TestMonotonicityProperties:
             query = em.KnnQuery(test.features[qi], 5)
             results = refine_chain(book, query)
             costs = [em.classify(book, deepest, query).scanned]
-            for depth, result in zip(book.depths()[:-1], results[:-1]):
-                state = em.maintain_state(book, depth, query, result)
+            for result in results[:-1]:
+                state = em.maintain_state(book, query, result)
                 costs.append(em.classify(book, deepest, query, state).scanned)
             assert all(a >= b for a, b in zip(costs, costs[1:]))
 
@@ -383,7 +408,7 @@ class TestVectorisedKernel:
                 result = em.classify(book, depth, query)
                 assert result == reference_classify(book, depth, query)
                 assert _plain(result)
-                state = em.maintain_state(book, depth, query, result)
+                state = em.maintain_state(book, query, result)
                 assert state == reference_maintain_state(book, depth, query, result)
                 assert type(state.retained) is frozenset
                 assert all(type(i) is int for i in state.retained)
@@ -402,7 +427,7 @@ class TestVectorisedKernel:
             for depth in book.depths():
                 result = em.classify(book, depth, query, state)
                 assert (result.state is None) == (state is None)
-                state = em.maintain_state(book, depth, query, result)
+                state = em.maintain_state(book, query, result)
                 assert state == reference_maintain_state(book, depth, query, result)
                 view = book.columns(depth)
                 assert state.view is view
@@ -425,7 +450,7 @@ class TestVectorisedKernel:
             chain_state = None
             for depth in book.depths():
                 result = em.classify(book, depth, query, chain_state)
-                chain_state = em.maintain_state(book, depth, query, result)
+                chain_state = em.maintain_state(book, query, result)
                 hand = em.state_of(book, chain_state.depth, chain_state.retained)
                 assert hand == chain_state
                 for deeper in book.depths():
@@ -433,8 +458,8 @@ class TestVectorisedKernel:
                         continue
                     carried = em.classify(book, deeper, query, chain_state)
                     assert em.classify(book, deeper, query, hand) == carried
-                    assert em.maintain_state(book, deeper, query, carried) == em.maintain_state(
-                        book, deeper, query, em.classify(book, deeper, query, hand))
+                    assert em.maintain_state(book, query, carried) == em.maintain_state(
+                        book, query, em.classify(book, deeper, query, hand))
 
     @given(books_and_queries())
     @settings(max_examples=30, deadline=None)
@@ -447,7 +472,7 @@ class TestVectorisedKernel:
         if shallow == deeper:
             return
         query = queries[0]
-        state = em.maintain_state(other, shallow, query, em.classify(other, shallow, query))
+        state = em.maintain_state(other, query, em.classify(other, shallow, query))
         own = em.state_of(book, shallow, state.retained)
         assert np.array_equal(own.rows, state.rows) and own != state
         with pytest.raises(ForeignStateError):
