@@ -78,7 +78,8 @@ def anytime_knn_rtree(
     budget counts every frontier element ever created; prediction votes
     among the k nearest frontier elements, so a budget that leaves fewer
     than k raises :class:`InsufficientBudgetError`. A book of another kind
-    than dual R-trees raises :class:`BookKindError`.
+    than dual R-trees raises :class:`BookKindError`, and a strategy other
+    than bfs, dfs and ofs :class:`BaselineConfigError`.
 
     Every box and every training point is scored once, up front, in two
     array expressions; the descent itself only moves node ids between
@@ -87,7 +88,7 @@ def anytime_knn_rtree(
     """
     _check_dual(book)
     if strategy not in (STRATEGY_BFS, STRATEGY_DFS, STRATEGY_OFS):
-        raise ValueError(f"unknown strategy {strategy!r}: want bfs, dfs or ofs")
+        raise BaselineConfigError(f"unknown strategy {strategy!r}: want bfs, dfs or ofs")
     if not book.depths():
         raise DepthNotFoundError("a class tree is a single leaf: there is no depth-1 frontier")
     _check_train(train, query)

@@ -16,12 +16,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from . import __version__, baselines, cf, coding, datasets, elasticity, knn, planner
+from . import __version__
 from .errors import ElasticMineError, ForeignStateError, ParseError
+
+# Each command imports the modules it runs, inside the command, so that a
+# process pays the import cost of its own command only.
 
 
 def _default_seed() -> int:
@@ -86,6 +86,8 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
 def _load_states(path, key_fields, book, depth) -> dict:
     """``state <key ints> <depth> <ids>`` lines as states of ``book`` above the
     code ``depth``, keyed by the key ints."""
+    from . import coding
+
     states = {}
     for at, line in _read_data_lines(path):
         toks = line.split()
@@ -108,8 +110,8 @@ def _load_states(path, key_fields, book, depth) -> dict:
     return states
 
 
-def _state_line(key, state: coding.State) -> str:
-    """A state file line: the key ints, the state's depth and its node ids, ascending."""
+def _state_line(key, state) -> str:
+    """A state file line: the key ints, then the ``coding.State``'s depth and node ids, ascending."""
     return f"state {key} {state.depth} " + " ".join(map(str, state.view.ids[state.rows].tolist()))
 
 
@@ -125,6 +127,8 @@ def _require(args, mode: str, *names):
 
 
 def _cmd_code_build(args) -> int:
+    from . import coding, datasets
+
     # the builder's own size checks, before any input is read or features are trained
     if args.task == "kmeans":
         coding._check_kmeans_sizes(args.branching, args.iterations)
@@ -135,6 +139,8 @@ def _cmd_code_build(args) -> int:
             train = datasets.parse_libsvm(fh)
         book = coding.build_dual_rtrees(train, args.max_entries, args.seed, args.leaf_capacity)
     else:
+        from . import cf
+
         with open(args.input, encoding="utf-8") as fh:
             matrix = datasets.parse_ratings_csv(fh)
         feats = cf.train_incremental_svd(matrix, args.features, args.lr, args.epochs, args.seed)
@@ -171,12 +177,16 @@ def _open_mine(args, key_fields):
             more = ", --budget-ms" if hasattr(args, "budget_ms") else ""
             raise ElasticMineError(f"one of --depth, --budget-nodes{more} is required")
         _require(args, "--budget-ms", "profile")
+    from . import coding
+
     book = coding.load_codebook(args.book)
     if args.depth is not None:
         depth = args.depth
     elif args.budget_nodes is not None:
         depth = coding.select_code(book, args.budget_nodes).depth
     else:
+        from . import planner
+
         profile = None
         for at, line in _read_data_lines(args.profile):
             if line.startswith("nodes_per_second"):
@@ -195,11 +205,15 @@ def _run_ordered(worker, count, threads):
     """Run worker(i) for i in range(count), preserving input order in the output."""
     if threads <= 1:
         return [worker(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(count)))
 
 
 def _cmd_mine_knn(args) -> int:
+    from . import datasets, knn
+
     book, depth, states = _open_mine(args, 1)
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
@@ -235,6 +249,8 @@ def _cmd_mine_knn(args) -> int:
 def _cmd_mine_cf(args) -> int:
     if not args.test and None in (args.user, args.item):
         raise ElasticMineError("mine cf needs --test or --user/--item")
+    from . import cf, datasets
+
     book, depth, states = _open_mine(args, 2)
     with open(args.ratings, encoding="utf-8") as fh:
         matrix = datasets.parse_ratings_csv(fh)
@@ -273,16 +289,22 @@ _CF_BASELINES = {"sampling": "sample_size", "clustering": "clusters", "recttree"
 
 def _knn_baseline(algorithm, train, book, query, budget, order):
     """One query of the anytime kNN baseline ``algorithm``, a name of ``_KNN_BASELINES``."""
+    from . import baselines
+
     if algorithm == "ranking":
         return baselines.anytime_knn_ranking(train, query, budget, order)
     return baselines.anytime_knn_rtree(book, train, query, budget, algorithm.split("-")[1])
 
 
 def _cmd_mine_baseline(args) -> int:
+    from . import baselines, datasets
+
     algo = args.algorithm
     rows = []
     if algo in _KNN_BASELINES:
         _require(args, f"--algorithm {algo}", "train", "test", "budget")
+        from . import coding, knn
+
         with open(args.train, encoding="utf-8") as fh:
             train = datasets.parse_libsvm(fh)
         with open(args.test, encoding="utf-8") as fh:
@@ -300,6 +322,8 @@ def _cmd_mine_baseline(args) -> int:
             )
     else:
         _require(args, f"--algorithm {algo}", "ratings", "test", _CF_BASELINES[algo])
+        from . import cf
+
         with open(args.ratings, encoding="utf-8") as fh:
             matrix = datasets.parse_ratings_csv(fh)
         with open(args.test, encoding="utf-8") as fh:
@@ -329,6 +353,8 @@ def _cmd_mine_baseline(args) -> int:
 def _cmd_report_quality(args) -> int:
     out_rows = ["depth,metric,value"]
     if args.task == "knn":
+        from . import knn
+
         body = _read_table(args.pred, dict.fromkeys(("depth", "predicted", "actual", "k_P", "k_N"), int))
         by_depth: dict[int, list[dict]] = {}
         for row in body:
@@ -344,6 +370,8 @@ def _cmd_report_quality(args) -> int:
             except ElasticMineError:
                 pass
     else:
+        from . import cf, coding
+
         body = _read_table(args.pred, {"depth": int, "prediction": float, "fallback_flag": int,
                                        "actual": lambda v: float(v) if v else None})
         by_depth = {}
@@ -369,6 +397,8 @@ def _cmd_report_quality(args) -> int:
 
 
 def _cmd_report_elasticity(args) -> int:
+    from . import elasticity
+
     points = []
     numbers = dict.fromkeys(("quality", "investment", "resource", "price"), float)
     for row in _read_table(args.series, numbers, required=("quality", "investment")):
@@ -387,6 +417,8 @@ def _cmd_report_elasticity(args) -> int:
 
 
 def _cmd_report_resolution(args) -> int:
+    from . import coding, elasticity
+
     book = coding.load_codebook(args.book)
     report = elasticity.audit_entropy_monotonicity(book, args.m, args.cell_volume, args.log_base)
     out_rows = ["depth,length,volume,n,H_cond_bits,resolution_bits"]
@@ -405,32 +437,35 @@ def _cmd_report_resolution(args) -> int:
 # plan
 
 
-_ANSWER_FIELDS = tuple(f.name for f in dataclasses.fields(planner.PlanAnswer)
-                      if f.name not in ("query", "feasible"))
+# the planner's QUERY_* names, spelled out so that building the parser loads no planner
+_PLAN_QUERIES = ("max-quality-within-budget", "min-investment-for-quality",
+                 "min-bid-for-deadline", "elasticity-constrained-quality")
 
 
-def _answer_lines(answer: planner.PlanAnswer) -> list[str]:
+def _answer_lines(answer) -> list[str]:
+    """The lines of one ``planner.PlanAnswer``."""
+    fields = [f.name for f in dataclasses.fields(answer) if f.name not in ("query", "feasible")]
     out = [f"query {answer.query}", f"feasible {str(answer.feasible).lower()}"]
     cells = [answer.query, str(answer.feasible).lower()]
-    for name in _ANSWER_FIELDS:
+    for name in fields:
         value = getattr(answer, name)
         if value is not None:
             out.append(f"{name} {value!r}" if isinstance(value, float) else f"{name} {value}")
         cells.append("" if value is None else (repr(value) if isinstance(value, float) else str(value)))
-    out.append("csv query,feasible," + ",".join(_ANSWER_FIELDS))
+    out.append("csv query,feasible," + ",".join(fields))
     out.append("csv " + ",".join(cells))
     return out
 
 
-_FIXED_NEEDS = {planner.QUERY_MAX_QUALITY: "budget", planner.QUERY_MIN_INVESTMENT: "quality",
-                planner.QUERY_ELASTICITY: "elasticity_floor"}  # fixed-price query -> option it needs
-
-
 def _cmd_plan(args) -> int:
+    from . import planner
+
+    fixed_needs = {planner.QUERY_MAX_QUALITY: "budget", planner.QUERY_MIN_INVESTMENT: "quality",
+                   planner.QUERY_ELASTICITY: "elasticity_floor"}  # fixed-price query -> option it needs
     # the deadline-driven spot query maps to the quality-floor fixed query
     fixed_query = planner.QUERY_MIN_INVESTMENT if args.query == planner.QUERY_MIN_BID else args.query
     if args.scheme in ("fixed", "both"):
-        _require(args, f"the fixed-price {fixed_query} query", _FIXED_NEEDS[fixed_query])
+        _require(args, f"the fixed-price {fixed_query} query", fixed_needs[fixed_query])
     if args.scheme in ("spot", "both"):
         spot_need = "elasticity_floor" if args.query == planner.QUERY_ELASTICITY else "deadline_hours"
         _require(args, "a spot plan", "schedule", spot_need)
@@ -486,6 +521,10 @@ def _node_budgets(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    import numpy as np
+
+    from . import baselines, coding, datasets, knn
+
     # budgets default to the elastic algorithm's cumulative refinement costs
     budgets = None if args.budgets is None else _node_budgets(args.budgets)
     rows = ["dataset,algorithm,seed,budget,metric_name,metric_value,scanned,wall_ms"]
@@ -641,9 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="fixed/spot budget planning")
     plan.add_argument("--results", required=True, help="CSV with quality,hours columns")
     plan.add_argument("--scheme", choices=["fixed", "spot", "both"], default="both")
-    plan.add_argument("--query", default=planner.QUERY_MIN_INVESTMENT,
-                      choices=[planner.QUERY_MAX_QUALITY, planner.QUERY_MIN_INVESTMENT,
-                               planner.QUERY_MIN_BID, planner.QUERY_ELASTICITY])
+    plan.add_argument("--query", default="min-investment-for-quality", choices=_PLAN_QUERIES)
     plan.add_argument("--fixed-price", type=float, default=0.5)
     plan.add_argument("--schedule", default=None, help="CSV with hour,price rows")
     plan.add_argument("--budget", type=float, default=None)

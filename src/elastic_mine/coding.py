@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, deviation_table
+from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _loadtxt, deviation_table
 from .errors import (
     BookKindError, BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     ForeignStateError, ParseError,
@@ -419,9 +419,12 @@ def select_code(book: CodeBook, length_budget: int) -> Code:
 def total_mbr_volume(book: CodeBook, depth: int) -> float:
     """Sum of bounding-box volumes over the nodes of one depth, added in node order.
 
-    Reads the book's columns, so it works on a book whose views reject it.
+    Reads the book's columns, so it works on a book whose views reject it;
+    a depth without nodes raises :class:`DepthNotFoundError`.
     """
     ids = np.flatnonzero(book.arrays.depth == operator.index(depth))
+    if not len(ids):
+        raise DepthNotFoundError(f"no node at depth {depth}")
     return sum(np.prod(book.arrays.upp[ids] - book.arrays.low[ids], axis=1).tolist())
 
 
@@ -896,13 +899,6 @@ def _numbers(tokens: list[str], convert, dtype, tag: str, line_of) -> np.ndarray
             except (ValueError, OverflowError) as exc:
                 raise ParseError(f"malformed {tag!r} line ({exc})", line_of(k)) from None
         raise
-
-
-def _loadtxt(rows: list[str], dtype) -> np.ndarray | None:
-    try:
-        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
-    except ValueError:
-        return None
 
 
 def _table(rows: list[str], at, dtype, tag: str, want: str) -> np.ndarray:

@@ -3,12 +3,21 @@
 Defines the two training-data containers used by every other module, the
 LIBSVM / ratings-CSV parsers and writers, and deterministic train/test
 splitting. Labels are binary: +1 (positive) and -1 (negative).
+
+Each parser has two paths. Well-formed text goes through numpy's C reader
+(``np.loadtxt``): dense LIBSVM lines (indices 1..d in order, one space
+between tokens) and ``user,item,rating`` lines without spaces, in
+printable ASCII. Everything else, and any value the line loop would
+reject, goes to the line loop. The loop is the reference: the reader path
+accepts a subset of what it accepts, with bit-identical values, and only
+the loop decides what is malformed and reports the error and its line.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -154,13 +163,89 @@ class SplitSpec:
         return count
 
 
-def _as_lines(source) -> Iterable[tuple[int, str]]:
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    for lineno, raw in enumerate(source, start=1):
+def _lines(source) -> list[str]:
+    """The lines of ``source`` as iterating it yields them: a string is read
+    as a text stream, whose lines end at "\n"."""
+    return list(io.StringIO(source) if isinstance(source, str) else source)
+
+
+def _as_lines(lines) -> Iterable[tuple[int, str]]:
+    """(1-based line number, stripped line) of every line that is not blank."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip("\r\n").strip()
         if line:
             yield lineno, line
+
+
+def _loadtxt(source, dtype, delimiter=None) -> np.ndarray | None:
+    """``source`` read by numpy's C reader, one record of ``dtype`` per line,
+    or None where the reader rejects it. A warning counts as a rejection, so
+    what the reader accepts depends on neither numpy's version nor the
+    warning filters."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+def _plain_text(lines, separators: bytes) -> tuple[str, np.ndarray] | None:
+    """(text, separator bytes) of lines the C reader may read, else None.
+
+    The lines qualify when each ends in one "\n" (the last may lack it, and
+    an "\r" may come before it), they hold only printable ASCII, and no
+    separator of ``separators`` or "\n" begins the text or follows another.
+    The text is the lines joined with "\r" dropped, ending in "\n"; the
+    separator bytes are those of its separators and line ends, in order.
+    The loop's lines and stripping then cut the text into the same tokens.
+    """
+    if not lines:
+        return None
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    ends = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines))) - 1
+    if not text.endswith("\n"):
+        text += "\n"
+        ends[-1] += 1
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    if not np.array_equal(np.flatnonzero(raw == 10), ends):
+        return None
+    cr = raw == 13
+    if cr.any():
+        if not (raw[np.flatnonzero(cr) + 1] == 10).all():
+            return None
+        raw, text = raw[~cr], text.replace("\r", "")
+    if ((raw < 32) & (raw != 10)).any() or (raw > 126).any():
+        return None
+    at = np.flatnonzero(np.logical_or.reduce([raw == c for c in separators + b"\n"]))
+    if at[0] == 0 or (np.diff(at) == 1).any():
+        return None
+    return text, raw[at]
+
+
+def _read_libsvm(lines) -> LabeledDataset | None:
+    """The dataset of dense LIBSVM lines (each ``<label> 1:<v1> ... d:<vd>``,
+    one space between tokens) as the C reader reads them, or None for any
+    other text, or for values the loop would reject."""
+    found = _plain_text(lines, b" :")
+    if found is None:
+        return None
+    text, seps = found
+    dim = int(np.argmax(seps == 10)) // 2  # the first line end follows d " " and ":" pairs
+    layout = np.array([32, 58] * dim + [10], np.uint8)
+    if not dim or len(seps) % len(layout) or (seps.reshape(-1, len(layout)) != layout).any():
+        return None
+    pair = [("index", np.int64), ("value", np.float64)]
+    table = _loadtxt(io.StringIO(text.replace(":", " ")), [("label", np.float64), ("x", pair, (dim,))])
+    if table is None:
+        return None
+    raw, indices, features = table["label"], table["x"]["index"], table["x"]["value"]
+    if ((indices != np.arange(1, dim + 1)).any() or not np.isfinite(raw).all()
+            or not np.isfinite(features).all() or len(np.unique(raw)) > 2):
+        return None
+    return LabeledDataset(np.ascontiguousarray(features), np.where(raw > 0, POSITIVE, NEGATIVE))
 
 
 def parse_libsvm(source) -> LabeledDataset:
@@ -171,11 +256,18 @@ def parse_libsvm(source) -> LabeledDataset:
     dimensionality is the largest index seen anywhere in the stream. A NaN
     or infinite feature value is a :class:`ParseError`.
     """
+    lines = _lines(source)
+    dataset = _read_libsvm(lines)
+    return dataset if dataset is not None else _loop_libsvm(lines)
+
+
+def _loop_libsvm(lines) -> LabeledDataset:
+    """:func:`parse_libsvm` line by line: the reference, and the only path that raises."""
     rows: list[dict[int, float]] = []
     raw_labels: list[float] = []
     linenos: list[int] = []
     dim = 0
-    for lineno, line in _as_lines(source):
+    for lineno, line in _as_lines(lines):
         parts = line.split()
         try:
             raw = float(parts[0])
@@ -236,20 +328,62 @@ def parse_ratings_csv(source, rating_scale=(1.0, 5.0)) -> RatingMatrix:
     is recorded on the returned matrix. A rating that is not finite or lies
     outside ``rating_scale`` is a :class:`ParseError`.
     """
+    lines = _lines(source)
+    matrix = _read_ratings(lines, rating_scale)
+    return matrix if matrix is not None else _loop_ratings(lines, rating_scale)
+
+
+def _is_header(parts: list[str]) -> bool:
+    """Whether the stripped fields of a first line name columns: the first is not a number."""
+    try:
+        float(parts[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _read_ratings(lines, rating_scale) -> RatingMatrix | None:
+    """The ratings of ``<user>,<item>,<rating>`` lines after an optional
+    header line, as the C reader reads them, or None for any other text, or
+    for values the loop would reject."""
+    first = [p.strip() for p in lines[0].strip().split(",")] if lines else []
+    if len(first) == 3 and _is_header(first):
+        lines = lines[1:]
+    found = _plain_text(lines, b", ")
+    if found is None:
+        return None
+    text, seps = found
+    if len(seps) % 3 or (seps.reshape(-1, 3) != np.array([44, 44, 10], np.uint8)).any():
+        return None
+    table = _loadtxt(io.StringIO(text), [("user", np.int64), ("item", np.int64), ("rating", np.float64)],
+                     delimiter=",")
+    if table is None:
+        return None
+    users, items, values = table["user"], table["item"], table["rating"]
+    if (users < 1).any() or (items < 1).any() or not np.isfinite(values).all():
+        return None
+    if not rating_scale[0] <= values.min().item() <= values.max().item() <= rating_scale[1]:
+        return None
+    # a repeated pair keeps its first place and its last value, as in the loop
+    ratings = dict(zip(zip(users.tolist(), items.tolist()), values.tolist()))
+    return RatingMatrix(int(users.max()), int(items.max()), ratings, rating_scale=rating_scale,
+                        duplicate_count=len(table) - len(ratings))
+
+
+def _loop_ratings(lines, rating_scale) -> RatingMatrix:
+    """:func:`parse_ratings_csv` line by line: the reference, and the only path that raises."""
     ratings: dict[tuple[int, int], float] = {}
     duplicates = 0
     m = n = 0
     first_data_line = True
-    for lineno, line in _as_lines(source):
+    for lineno, line in _as_lines(lines):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise ParseError(f"expected 3 fields, got {len(parts)}", lineno)
         if first_data_line:
             first_data_line = False
-            try:
-                float(parts[0])
-            except ValueError:
-                continue  # header row
+            if _is_header(parts):
+                continue
         try:
             u = int(parts[0])
             i = int(parts[1])

@@ -63,9 +63,10 @@ class InsufficientBudgetError(ElasticMineError, ValueError):
 
 
 class BaselineConfigError(ElasticMineError, ValueError):
-    """A time-adaptive CF baseline's size is out of range: a user sample or
+    """A baseline setting is out of range: a CF baseline's user sample or
     cluster count outside 1..users, a hierarchy below one level or one branch,
-    or fewer than one k-means iteration."""
+    or fewer than one k-means iteration; or a descent strategy of the R-tree
+    kNN baseline other than bfs, dfs and ofs."""
 
 
 class CodebookConfigError(ElasticMineError, ValueError):

@@ -163,7 +163,7 @@ class TestAnytimeRtree:
         ("rtree", [0.0, 0.0, 0.0], DimensionMismatchError),
         ("ranking", [0.0], DimensionMismatchError),
         ("ranking", [0.0, 0.0, 0.0], DimensionMismatchError),
-        ("rtree-xyz", [0.5, 0.5], ValueError),
+        ("rtree-xyz", [0.5, 0.5], BaselineConfigError),
     ], ids=["rtree-single-leaf-tree", "rtree-1d-query", "rtree-3d-query",
             "ranking-1d-query", "ranking-3d-query", "rtree-unknown-strategy"])
     def test_malformed_question_fails_loudly(self, small_tree_setup, single_leaf_split,

@@ -342,6 +342,14 @@ class TestVolume:
         )
         assert em.total_mbr_volume(book, 1) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("depth", [99, -1])
+    def test_depth_not_in_book(self, fourclass, depth):
+        """A depth the book does not have has no volume, not a volume of 0."""
+        book = em.build_dual_rtrees(fourclass)
+        assert em.total_mbr_volume(book, 0) > 0
+        with pytest.raises(DepthNotFoundError):
+            em.total_mbr_volume(book, depth)
+
     def test_zero_extent_dimension(self):
         mbr = Mbr(np.array([0.0, 1.0]), np.array([5.0, 1.0]))
         assert mbr.volume() == 0.0

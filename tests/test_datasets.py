@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.datasets import round_half_up
+from elastic_mine.datasets import (
+    _lines, _loop_libsvm, _loop_ratings, _read_libsvm, _read_ratings, round_half_up,
+)
 from elastic_mine.errors import LabelCardinalityError, ParseError
 
 
@@ -106,6 +108,111 @@ class TestParseRatingsCsv:
         again = em.parse_ratings_csv(text)
         assert again.ratings == dict(example_matrix.ratings)
         assert em.write_ratings_csv(again) == text
+
+
+def _outcome(parse, *args):
+    """What a parse gives, compared bit for bit: the result's fields, or the
+    error's type, message and line."""
+    try:
+        out = parse(*args)
+    except Exception as exc:  # noqa: BLE001 - both paths must fail alike
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(out, em.LabeledDataset):
+        return [(a.dtype, a.shape, a.tobytes()) for a in (out.features, out.labels)]
+    return (out.num_users, out.num_items, out.rating_scale, out.duplicate_count,
+            [(type(u), u, type(i), i, r.hex()) for (u, i), r in out.ratings.items()])
+
+
+def _text(clean: bool, plain, odd):
+    """``plain`` text in a clean example; else mostly ``plain`` and sometimes ``odd``."""
+    return plain if clean else st.one_of(plain, plain, plain, odd)
+
+
+def _id(value: int, clean: bool):
+    """An id or index: plain, or a spelling ``int`` or ``float`` also reads, or one neither reads."""
+    return _text(clean, st.just(str(value)), st.sampled_from(
+        [f"{value}.0", f"{value}e0", f"{value}_0", f"+{value}", f"0{value}", "１", f"-{value}", "0", ""]))
+
+
+_ODD_VALUES = st.one_of(st.floats(width=64).map(repr), st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "1e-400", "-0", "1_0", "１", "+.5", "5.", "0x1p0", "1e", ""]))
+_ODD_SEPARATORS = st.sampled_from(["  ", "\t", "\x0c", "\xa0", "\u2028", "\x1c", ":"])
+_ODD_LINE_ENDS = st.sampled_from(["\r\n", "\n\n", "\n \n", " \n", "\x0c\n", "\r", "\u2028"])
+
+
+@st.composite
+def _libsvm_texts(draw):
+    """LIBSVM text, dense or sparse: every token well formed in a clean
+    example, any token odd in the loop's eyes in the others."""
+    clean, dense, dim = draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 3))
+    labels = _text(clean, st.sampled_from(["+1", "-1"]), st.sampled_from(["1", "0", "2", "1.0", "nan", "x"]))
+    values = _text(clean, st.floats(-1e6, 1e6).map(repr), _ODD_VALUES)
+    text = draw(_text(clean, st.just(""), st.sampled_from(["label features\n", "# header\n"])))
+    for _ in range(draw(st.integers(1, 5))):
+        indices = range(1, dim + 1) if dense else draw(st.lists(st.integers(1, dim + 1), max_size=dim + 1))
+        tokens = [draw(labels)] + [f"{draw(_id(j, clean))}:{draw(values)}" for j in indices]
+        text += tokens[0] + "".join(draw(_text(clean, st.just(" "), _ODD_SEPARATORS)) + t for t in tokens[1:])
+        text += draw(_text(clean, st.just("\n"), _ODD_LINE_ENDS))
+    return text
+
+
+@st.composite
+def _ratings_texts(draw):
+    """Ratings CSV with repeated (user, item) pairs: every field well formed
+    in a clean example, any field odd in the others, extra or missing ones
+    and ratings outside the scale included."""
+    clean = draw(st.booleans())
+    header = st.sampled_from(["", "user,item,rating\n"])
+    text = draw(_text(clean, header, st.sampled_from(["u,i\n", "user,1,2\n", "\n"])))
+    ratings = _text(clean, st.floats(1, 5).map(repr) | st.sampled_from(["1", "5", "3"]),
+                    _ODD_VALUES | st.sampled_from(["0.5", "6"]))
+    for _ in range(draw(st.integers(1, 6))):
+        fields = [draw(_id(draw(st.integers(1, 3)), clean)) for _ in range(2)] + [draw(ratings)]
+        fields = draw(_text(clean, st.just(fields), st.sampled_from([fields[:2], fields + ["1"]])))
+        separator = draw(_text(clean, st.just(","), st.sampled_from([", ", " ,", ",\xa0", ",,"])))
+        text += separator.join(fields) + draw(_text(clean, st.just("\n"), _ODD_LINE_ENDS))
+    return text
+
+
+class TestReaderEqualsLoop:
+    """The numpy reader path reads only text the line loop reads, to equal bits;
+    everything else goes to the loop, which alone reports errors."""
+
+    @given(text=_libsvm_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_libsvm(self, text):
+        assert _outcome(em.parse_libsvm, text) == _outcome(_loop_libsvm, _lines(text))
+
+    @given(text=_ratings_texts(), scale=st.sampled_from([(1.0, 5.0), (0, 10), (1.0, float("nan"))]))
+    @settings(max_examples=300, deadline=None)
+    def test_ratings(self, text, scale):
+        assert _outcome(em.parse_ratings_csv, text, scale) == _outcome(_loop_ratings, _lines(text), scale)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_written_files_take_the_reader(self, fourclass, example_matrix, newline):
+        """What the writers write, as a string or a stream, is read by numpy's reader."""
+        libsvm = em.write_libsvm(fourclass).replace("\n", newline)
+        csv = em.write_ratings_csv(example_matrix).replace("\n", newline)
+        for source in (libsvm, io.StringIO(libsvm)):
+            assert _read_libsvm(_lines(source)) is not None
+        assert _read_libsvm(_lines(libsvm.rstrip())) is not None  # a last line without its end
+        for source in (csv, io.StringIO(csv)):
+            assert _read_ratings(_lines(source), (1.0, 5.0)) is not None
+
+    @pytest.mark.parametrize("text", [
+        "+1 1:0.5\x0c2:0.25\n", "+1 1:0.5\u20282:0.25\n", "+1 1:0.5 2:0.25\n\x1c-1 1:1 2:1\n",
+        "+1 1.0:0.5\n", "+1 1e0:0.5\n", "+1 1:0.5 1:0.25\n", "+1 2:0.5 1:0.25\n", "+1 1: 0.5\n",
+        "+1 1:0.5:2 0.25\n", "+1 1:1e400\n", "1 1:1\n2 1:2\n3 1:3\n", "+1 １:0.5\n",
+    ])
+    def test_libsvm_the_reader_leaves_to_the_loop(self, text):
+        assert _read_libsvm(_lines(text)) is None
+
+    @pytest.mark.parametrize("text", [
+        "1,1,5\n1,1,6\n", "1,1,nan\n", "0,1,5\n", "1.0,1,5\n", "1e0,1,5\n", "1_0,1,5\n",
+        "１,1,5\n", "1,1,5,\n", "1,1\n", "1, 1,5\n", "1,1,5\n\n2,1,5\n", "1,1,1e400\n",
+    ])
+    def test_ratings_the_reader_leaves_to_the_loop(self, text):
+        assert _read_ratings(_lines(text), (1.0, 5.0)) is None
 
 
 class TestSplit:
