@@ -15,10 +15,10 @@ import warnings as _warnings
 import numpy as np
 
 from .cf import CfApproxResult, CfQuery, _predict_over_users
-from .coding import CodeBook, kmeans
+from .coding import CodeBook, _point_sq, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
-from .knn import KnnApproxResult, KnnQuery, _check_dual, _check_train, _max_sq, _nearest, _point_sq, _result
+from .knn import KnnApproxResult, KnnQuery, _check_dual, _check_train, _max_sq, _nearest, _result
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -40,7 +40,7 @@ def rank_training_points(train: LabeledDataset) -> np.ndarray:
             _warnings.warn(f"class {label} has a single point; it ranks last")
             continue
         feats = train.features[rows]
-        d2 = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+        d2 = _point_sq(feats[:, None, :], feats[None, :, :])
         np.fill_diagonal(d2, np.inf)
         keys[rows] = np.sqrt(d2.min(axis=1))
     return np.lexsort((np.arange(n), keys))
@@ -49,15 +49,24 @@ def rank_training_points(train: LabeledDataset) -> np.ndarray:
 def anytime_knn_ranking(
     train: LabeledDataset, query: KnnQuery, budget: int, order: np.ndarray | None = None
 ) -> KnnApproxResult:
-    """Scan ranked points until the budget runs out; the k nearest vote."""
+    """Scan ranked points until the budget runs out; the k nearest vote.
+
+    ``order`` defaults to :func:`rank_training_points`. Its scanned prefix
+    must hold at least k distinct point indices in 0..n-1, or
+    :class:`BaselineConfigError` is raised; only the prefix is checked.
+    """
     _check_train(train, query)
     if budget < query.k:
         raise InsufficientBudgetError(f"budget {budget} below k={query.k}")
-    q = query.point
     if order is None:
         order = rank_training_points(train)
-    used = order[: min(budget, len(order))]
-    d2 = _point_sq(train.features.take(used, axis=0), q)
+    used = np.asarray(order[:budget])
+    n = len(train)
+    if (used.ndim != 1 or used.dtype.kind not in "iu" or len(used) < query.k
+            or used.min() < 0 or used.max() >= n or len(np.unique(used)) < len(used)):
+        raise BaselineConfigError(f"the scanned prefix of order must hold at least k={query.k} "
+                                  f"distinct point indices in 0..{n - 1}")
+    d2 = _point_sq(train.features.take(used, axis=0), query.point)
     top = _nearest(d2, query.k, used)
     return _result(used[top], d2[top], train.labels.take(used[top]), len(used))
 
@@ -189,7 +198,7 @@ def cf_clustering(
         raise BaselineConfigError(f"k-means iterations must be >= 1, got {iterations}")
     labels, centroids = kmeans(values, k_clusters, iterations)
     own = _user_vector(values, query)
-    cluster = int(np.argmin(((centroids - own) ** 2).sum(axis=1)))
+    cluster = int(np.argmin(_point_sq(centroids, own)))
     users = tuple(int(r) + 1 for r in np.flatnonzero(labels == cluster))
     return _predict_over_users(matrix, query, users)
 
@@ -220,7 +229,7 @@ def cf_recttree(
         labels, centroids = kmeans(values[rows], branching, iterations)
         sizes = np.bincount(labels, minlength=branching)
         keep = np.flatnonzero(sizes > 0)
-        cluster = int(keep[np.argmin(((centroids[keep] - own) ** 2).sum(axis=1))])
+        cluster = int(keep[np.argmin(_point_sq(centroids[keep], own))])
         rows = rows[labels == cluster]
     return _predict_over_users(matrix, query, tuple(int(r) + 1 for r in rows))
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import LabelCardinalityError, ParseError
+from .errors import InvalidDatasetError, LabelCardinalityError, ParseError
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -45,11 +45,13 @@ class LabeledDataset:
         feats = np.asarray(self.features, dtype=float)
         labs = np.asarray(self.labels, dtype=np.int8)
         if feats.ndim != 2 or len(feats) == 0:
-            raise ValueError("dataset must be a non-empty (n, d) array")
+            raise InvalidDatasetError("dataset must be a non-empty (n, d) array")
         if len(labs) != len(feats):
-            raise ValueError("labels and features disagree on point count")
+            raise InvalidDatasetError("labels and features disagree on point count")
         if not np.all(np.isin(labs, (POSITIVE, NEGATIVE))):
-            raise ValueError("labels must be +1 or -1")
+            raise InvalidDatasetError("labels must be +1 or -1")
+        if not np.isfinite(feats).all():
+            raise InvalidDatasetError("a feature value is NaN or infinite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -254,7 +256,7 @@ def parse_libsvm(source) -> LabeledDataset:
     Labels map to the binary classes by sign: raw values > 0 are positive,
     values <= 0 negative. Absent feature indices read as 0.0. The declared
     dimensionality is the largest index seen anywhere in the stream. A NaN
-    or infinite feature value is a :class:`ParseError`.
+    label, or a NaN or infinite feature value, is a :class:`ParseError`.
     """
     lines = _lines(source)
     dataset = _read_libsvm(lines)
@@ -273,6 +275,8 @@ def _loop_libsvm(lines) -> LabeledDataset:
             raw = float(parts[0])
         except ValueError:
             raise ParseError(f"label {parts[0]!r} is not numeric", lineno) from None
+        if math.isnan(raw):
+            raise ParseError(f"label {parts[0]!r} has no sign", lineno)
         feats: dict[int, float] = {}
         for tok in parts[1:]:
             idx, _, val = tok.partition(":")

@@ -19,6 +19,12 @@ class LabelCardinalityError(ParseError):
     """More than two distinct raw labels in a binary classification source."""
 
 
+class InvalidDatasetError(ElasticMineError, ValueError):
+    """A labeled point set with no usable meaning: not a non-empty (n, d)
+    array, labels that disagree with it in count or are not +1 or -1, or a
+    NaN or infinite feature."""
+
+
 class ClassMissingError(ElasticMineError, ValueError):
     """A per-class structure was requested but a class has no points."""
 
@@ -65,8 +71,9 @@ class InsufficientBudgetError(ElasticMineError, ValueError):
 class BaselineConfigError(ElasticMineError, ValueError):
     """A baseline setting is out of range: a CF baseline's user sample or
     cluster count outside 1..users, a hierarchy below one level or one branch,
-    or fewer than one k-means iteration; or a descent strategy of the R-tree
-    kNN baseline other than bfs, dfs and ofs."""
+    or fewer than one k-means iteration; a descent strategy of the R-tree
+    kNN baseline other than bfs, dfs and ofs; or a ranking baseline order
+    whose scanned prefix is not k or more distinct point indices."""
 
 
 class CodebookConfigError(ElasticMineError, ValueError):

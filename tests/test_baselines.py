@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,12 @@ class TestRanking:
         order = em.rank_training_points(ds)
         assert set(order.tolist()) == {0, 1, 2, 3}
 
+    def test_fourclass_matches_recorded_digest(self, fourclass):
+        """The ranking of all 862 points, pinned before the distance kernel was shared."""
+        order = em.rank_training_points(fourclass)
+        assert hashlib.sha256(",".join(map(str, order.tolist())).encode()).hexdigest() == (
+            "a51ce21d3826b25f59225b51f4905af23575c380778237e94fb7e78adb43f390")
+
     def test_singleton_class_ranks_last_with_warning(self):
         ds = em.LabeledDataset([[0.0], [1.0], [5.0]], [1, 1, -1])
         with pytest.warns(UserWarning, match="single point"):
@@ -65,6 +72,22 @@ class TestAnytimeRanking:
         train, _ = fourclass_split
         with pytest.raises(InsufficientBudgetError):
             em.anytime_knn_ranking(train, em.KnnQuery(train.features[0], 5), 4)
+
+    @pytest.mark.parametrize("order", [[0, 0, 0, 1], [-1, 0, 1, 2], [9, 0, 1, 2], [0, 1], [[0, 1, 2, 3]],
+                                       [0.0, 1.0, 2.0, 3.0]],
+                             ids=["repeated", "negative", "past-the-end", "shorter-than-k", "2d", "float"])
+    def test_malformed_order_rejected(self, order):
+        """An order whose scanned prefix is not k or more distinct point indices
+        gets no answer: no repeated votes, no wrap-around, no bare IndexError."""
+        ds = em.LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
+        with pytest.raises(BaselineConfigError, match="distinct point indices in 0..3"):
+            em.anytime_knn_ranking(ds, em.KnnQuery([0.0], 3), 4, np.array(order))
+
+    def test_only_the_scanned_prefix_is_checked(self):
+        ds = em.LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
+        result = em.anytime_knn_ranking(ds, em.KnnQuery([0.0], 3), 3, [2, 1, 0, 0, 9, -1])
+        assert result.node_ids == (0, 1, 2)
+        assert result.scanned == 3
 
 
 @pytest.fixture(scope="module")

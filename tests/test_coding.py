@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import Mbr, kmeans
+from elastic_mine.coding import Mbr, _point_sq, kmeans
 from elastic_mine.errors import (
     BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError, ParseError,
 )
@@ -237,6 +238,18 @@ class TestKmeansCodebook:
         for nid in book.code_at_depth(1).node_ids:
             assert aggregates_of(book, nid)
 
+    @pytest.mark.parametrize("d, digest", [
+        (3, "5e336a4abd86ee2288bafc576c7f1a85d66fd22c5208dc9a5eddf7963fc56475"),
+        (10, "2d37acedfdfe4b9b75efb4ca9d88c9042e6acde0b98ef301a24857e3bf9a0bab"),
+    ])
+    def test_dump_matches_recorded_digest(self, d, digest):
+        """The dump's bytes are pinned on both sides of the distance kernel's
+        column/row split (recorded before the kernel was shared)."""
+        matrix = em.synthetic.ratings_like(num_users=150, num_items=80)
+        feats = np.random.default_rng(d).normal(size=(150, d)) * np.linspace(0.5, 3.0, d)
+        book = em.build_kmeans_codebook(matrix, feats, branching=3, depth_limit=4, seed=0)
+        assert hashlib.sha256(em.dump_codebook(book).encode()).hexdigest() == digest
+
 
 class TestKmeans:
     def test_two_means_split(self):
@@ -249,6 +262,39 @@ class TestKmeans:
         b, cb = kmeans(TABLE_FEATURES, 3, iterations=10)
         assert np.array_equal(a, b)
         assert np.array_equal(ca, cb)
+
+
+def _lone_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The reference: each pair's squared distance as a lone point gets it."""
+    points, q = np.broadcast_arrays(points, q)
+    out = np.empty(points.shape[:-1])
+    for at in np.ndindex(out.shape):
+        out[at] = ((points[at] - q[at]) ** 2).sum()
+    return out
+
+
+class TestPointSq:
+    """The one squared-distance kernel returns, bit for bit, what each
+    lone point gets, for every width and in every broadcast shape its
+    callers use: one query against rows, the ranking's (n, 1, d) against
+    (1, n, d) and k-means' (n, 1, d) against (1, k, d)."""
+
+    @given(data=st.data(), d=st.integers(1, 20), n=st.integers(1, 12), k=st.integers(1, 5),
+           fortran=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lone_point_sum(self, data, d, n, k, fortran):
+        value = st.floats(-1e100, 1e100, allow_nan=False)
+        points = np.array(data.draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+        q = np.array(data.draw(st.lists(value, min_size=d, max_size=d)))
+        centroids = points[data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))]
+        if fortran:
+            points = np.asfortranarray(points)
+        cases = [(points, q), (points[:, None, :], points[None, :, :]),
+                 (points[:, None, :], centroids[None, :, :])]
+        for a, b in cases:
+            got = _point_sq(a, b)
+            assert got.shape == np.broadcast_shapes(a.shape, b.shape)[:-1]
+            assert got.tobytes() == _lone_sq(a, b).tobytes()
 
 
 class TestBuilderSettings:

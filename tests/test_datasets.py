@@ -9,7 +9,7 @@ import elastic_mine as em
 from elastic_mine.datasets import (
     _lines, _loop_libsvm, _loop_ratings, _read_libsvm, _read_ratings, round_half_up,
 )
-from elastic_mine.errors import LabelCardinalityError, ParseError
+from elastic_mine.errors import ElasticMineError, InvalidDatasetError, LabelCardinalityError, ParseError
 
 
 class TestParseLibsvm:
@@ -51,6 +51,12 @@ class TestParseLibsvm:
             em.parse_libsvm("+1 1:0.5\nx 1:0.5")
         assert err.value.line == 2
 
+    def test_nan_label_reports_line(self):
+        """A NaN label has no sign, so no class."""
+        with pytest.raises(ParseError, match="no sign") as err:
+            em.parse_libsvm("+1 1:0.5\n-1 1:1.0\nnan 1:2.0\n")
+        assert err.value.line == 3
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_reports_line(self, value):
         with pytest.raises(ParseError) as err:
@@ -63,6 +69,17 @@ class TestParseLibsvm:
         assert np.array_equal(again.features, fourclass.features)
         assert np.array_equal(again.labels, fourclass.labels)
         assert em.write_libsvm(again) == text
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        """A NaN point would be skipped by every distance comparison, and a
+        NaN box would drop its whole subtree; neither gets built."""
+        feats = [[value, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.5]]
+        with pytest.raises(InvalidDatasetError, match="NaN or infinite") as err:
+            em.LabeledDataset(feats, [1, 1, -1, -1])
+        assert isinstance(err.value, ElasticMineError) and isinstance(err.value, ValueError)
 
 
 class TestParseRatingsCsv:
