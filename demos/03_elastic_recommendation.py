@@ -42,6 +42,6 @@ state = None
 print(f"\nrefining the prediction for user {user}, item {item}:")
 for depth in book.depths():
     result = em.predict(book, depth, query, state, matrix=train)
-    state = em.maintain_cf_state(result)
+    state = result.state  # the raters, handed on to the next depth
     print(f"  depth {depth}: scanned {result.scanned:>3} nodes,"
           f" raters {len(result.all_rater_node_ids):>3}, p = {result.prediction:.3f}")

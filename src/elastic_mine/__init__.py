@@ -33,8 +33,8 @@ _EXPORTS = {  # module -> the names the package re-exports from it
         "exact_knn", "maintain_state",
     ),
     "cf": (
-        "CfApproxResult", "CfQuery", "exact_cf_predict", "maintain_cf_state", "node_weight",
-        "predict", "relative_error", "rmse", "train_incremental_svd",
+        "CfApproxResult", "CfQuery", "exact_cf_predict", "node_weight", "predict",
+        "relative_error", "rmse", "train_incremental_svd",
     ),
     "elasticity": (
         "ElasticityReport", "InvestmentPoint", "ResolutionReport", "audit_entropy_monotonicity",

@@ -15,7 +15,7 @@ import warnings as _warnings
 import numpy as np
 
 from .cf import CfApproxResult, CfQuery, _predict_over_users
-from .coding import CodeBook, _point_sq, kmeans
+from .coding import CodeBook, _point_sq, _user_features, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
 from .knn import KnnApproxResult, KnnQuery, _check_dual, _check_train, _max_sq, _nearest, _result
@@ -191,7 +191,7 @@ def cf_clustering(
     iterations: int = 10,
 ) -> CfApproxResult:
     """Flat k-means over user vectors; predict from the active user's cluster."""
-    values = np.asarray(features, dtype=float)
+    values = _user_features(features, matrix.num_users)
     if not 1 <= k_clusters <= matrix.num_users:
         raise BaselineConfigError(f"cluster count must be in [1, {matrix.num_users}], got {k_clusters}")
     if iterations < 1:
@@ -220,7 +220,7 @@ def cf_recttree(
     if min(levels, branching, iterations) < 1:
         raise BaselineConfigError("levels, branching and k-means iterations must be >= 1, "
                                   f"got {levels}, {branching} and {iterations}")
-    values = np.asarray(features, dtype=float)
+    values = _user_features(features, matrix.num_users)
     rows = np.arange(matrix.num_users)
     own = _user_vector(values, query)
     for _ in range(levels - 1):

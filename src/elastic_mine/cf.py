@@ -24,7 +24,8 @@ with no per-candidate Python step. The sums add the rows in
 bit for bit.
 
 A code-level result carries its raters as its state (the ``coding.State``
-kNN uses too), so a deeper prediction scans only their subtrees.
+kNN uses too), so a deeper prediction scans only their subtrees;
+``result.state`` is the hand-off to the next depth, as in kNN.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .coding import EXACT_DEPTH, Code, CodeBook, ItemAggregate, State, state_filter
 from .datasets import RatingMatrix
-from .errors import DivergenceError, ForeignStateError, TrainingConfigError, UndefinedMetricError
+from .errors import DivergenceError, TrainingConfigError, UndefinedMetricError
 
 
 def train_incremental_svd(
@@ -194,7 +195,7 @@ class CfApproxResult:
     scanned: int
     fallback: bool
     clamped: bool
-    # every rater, the next state; None for user-level routes
+    # every rater, handed on as the next state; None for user-level routes
     state: State | None = field(default=None, repr=False)
 
 
@@ -318,23 +319,14 @@ def predict(
     return _score(query, view.depth, book.deviations(depth), cols, view.ids, len(cols), scale, view)
 
 
-def maintain_cf_state(result: CfApproxResult) -> State:
-    """The state is the full rater set: every scanned node that rated the item.
-
-    A user-level result (the exact oracle, a baseline) has none: it raises
-    :class:`ForeignStateError`."""
-    if result.state is None:
-        raise ForeignStateError("a user-level result has no state: it scanned no code")
-    return result.state
-
-
-def refine_chain(book: CodeBook, query: CfQuery, depths=None, matrix=None) -> list[CfApproxResult]:
-    """Produce one prediction per depth, each refined from the previous state."""
+def refine_chain(book: CodeBook, query: CfQuery, matrix=None) -> list[CfApproxResult]:
+    """Produce one prediction per depth, each refined from the raters the
+    previous result hands on as ``result.state``; the first is one-shot."""
     results, state = [], None
-    for depth in book.depths() if depths is None else depths:
+    for depth in book.depths():
         result = predict(book, depth, query, state, matrix=matrix)
         results.append(result)
-        state = maintain_cf_state(result)
+        state = result.state
     return results
 
 

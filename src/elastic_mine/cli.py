@@ -212,34 +212,34 @@ def _run_ordered(worker, count, threads):
 
 
 def _cmd_mine_knn(args) -> int:
-    from . import datasets, knn
+    from . import coding, datasets, knn
 
     book, depth, states = _open_mine(args, 1)
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
 
     def classify_one(qid):
-        query = knn.KnnQuery(test.features[qid], args.k)
-        result = knn.classify(book, depth, query, states.get((qid,)))
-        state = knn.maintain_state(book, query, result) if args.save_state else None
-        return result, state
+        state = states.get((qid,))
+        if state is None and args.save_state:
+            state = coding._roots_state(book)  # so that the result carries its state
+        return knn.classify(book, depth, knn.KnnQuery(test.features[qid], args.k), state)
 
     outcomes = _run_ordered(classify_one, len(test), args.threads)
     rows = ["query_id,depth,scanned_nodes,k_P,k_N,predicted,actual"]
     state_lines = []
-    for qid, (result, state) in enumerate(outcomes):
+    for qid, result in enumerate(outcomes):
         rows.append(
             f"{qid},{depth},{result.scanned},{result.k_pos},{result.k_neg},"
             f"{result.predicted},{int(test.labels[qid])}"
         )
-        if state is not None:
+        if args.save_state:
             echo = " ".join(f"{v:.9f}" for v in test.features[qid])
             pairs = " ".join(
                 f"{nid}:{dist:.9f}" for nid, dist in zip(result.node_ids, result.distances)
             )
             state_lines.append(f"query {qid} {echo}")
             state_lines.append(f"result {qid} {depth} {pairs}")
-            state_lines.append(_state_line(qid, state))
+            state_lines.append(_state_line(qid, result.state))
     _write(args.out, args, rows)
     if args.save_state:
         _write(args.save_state, args, state_lines)
@@ -276,7 +276,7 @@ def _cmd_mine_cf(args) -> int:
             f"{user},{item},{depth},{result.scanned},{result.prediction!r},{shown},{int(result.fallback)}"
         )
         if args.save_state:
-            state_lines.append(_state_line(f"{user} {item}", cf.maintain_cf_state(result)))
+            state_lines.append(_state_line(f"{user} {item}", result.state))
     _write(args.out, args, rows)
     if args.save_state:
         _write(args.save_state, args, state_lines)
@@ -543,21 +543,25 @@ def _cmd_bench(args) -> int:
     queries = [knn.KnnQuery(test.features[i], args.k) for i in range(len(test))]
     actuals = [int(y) for y in test.labels]
 
-    chain_scans = []
-    elastic_preds: dict[int, list[int]] = {}
-    for query in queries:
-        results = knn.refine_chain(book, query)
-        chain_scans.append(np.cumsum([r.scanned for r in results]))
-        for j, r in enumerate(results):
-            elastic_preds.setdefault(j, []).append(r.predicted)
-    mean_cumulative = np.mean(chain_scans, axis=0)
+    # every query refined from the roots down the depths, each step timed:
+    # the elastic row of a depth costs the steps that reach it
+    depths = book.depths()
+    scans = np.zeros((len(queries), len(depths)), dtype=np.int64)
+    preds = np.zeros((len(depths), len(queries)), dtype=np.int64)
+    step_s = np.zeros(len(depths))
+    for i, query in enumerate(queries):
+        state = coding._roots_state(book)
+        for j, depth in enumerate(depths):
+            t0 = time.perf_counter()
+            result = knn.classify(book, depth, query, state)
+            step_s[j] += time.perf_counter() - t0
+            scans[i, j], preds[j, i], state = result.scanned, result.predicted, result.state
+    mean_cumulative = np.mean(np.cumsum(scans, axis=1), axis=0)
     if budgets is None:
         budgets = [int(round(b)) for b in mean_cumulative]
-    for j, depth in enumerate(book.depths()):
-        t0 = time.perf_counter()
-        acc = knn.accuracy(elastic_preds[j], actuals)
-        emit("elastic", budgets[min(j, len(budgets) - 1)], "accuracy", acc,
-             int(round(mean_cumulative[j])), (time.perf_counter() - t0) * 1000)
+    for j, wall_s in enumerate(np.cumsum(step_s)):
+        emit("elastic", budgets[min(j, len(budgets) - 1)], "accuracy", knn.accuracy(preds[j], actuals),
+             int(round(mean_cumulative[j])), float(wall_s) * 1000)
 
     order = baselines.rank_training_points(train)
     for algorithm in _KNN_BASELINES:

@@ -35,7 +35,7 @@ import numpy as np
 from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _loadtxt, deviation_table
 from .errors import (
     BookKindError, BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
-    ForeignStateError, ParseError,
+    ForeignStateError, InvalidDatasetError, ParseError,
 )
 
 FORMAT_VERSION = 1
@@ -384,6 +384,11 @@ def state_of(book: CodeBook, depth: int, node_ids) -> State:
     return State(view, view.rows(np.unique(np.fromiter(node_ids, dtype=np.intp))))
 
 
+def _roots_state(book: CodeBook) -> State:
+    """The depth-0 state that keeps every root: refining from it is starting over."""
+    return State(book.columns(0), np.arange(len(book.roots)))
+
+
 def state_filter(book: CodeBook, depth: int, state: State) -> np.ndarray:
     """Ascending rows of ``book.columns(depth)`` that descend from the state's rows.
 
@@ -623,6 +628,19 @@ def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.n
     )
 
 
+def _user_features(features, num_users: int) -> np.ndarray:
+    """``features`` as floats; raises :class:`InvalidDatasetError` unless they
+    are a finite 2-D array with one row per user."""
+    values = np.asarray(features, dtype=float)
+    if values.ndim != 2:
+        raise InvalidDatasetError(f"user features must be a 2-D array, not of shape {values.shape}")
+    if len(values) != num_users:
+        raise InvalidDatasetError(f"feature rows {len(values)} != num_users {num_users}")
+    if not np.isfinite(values).all():
+        raise InvalidDatasetError("a user feature is NaN or infinite")
+    return values
+
+
 def build_cf_codebook(
     matrix: RatingMatrix,
     features,
@@ -632,13 +650,13 @@ def build_cf_codebook(
 ) -> CodeBook:
     """R-tree over user feature vectors; every node aggregates the raw ratings.
 
-    ``features`` is the (m, d) user feature matrix (row u-1 for user u).
-    Aggregates are always computed from the original rating matrix, never from
-    other aggregates.
+    ``features`` is the (m, d) user feature matrix (row u-1 for user u);
+    any other shape, or a NaN or infinite feature, raises
+    :class:`InvalidDatasetError`, as in every builder and baseline that
+    reads user features. Aggregates are always computed from the original
+    rating matrix, never from other aggregates.
     """
-    values = np.asarray(features, dtype=float)
-    if len(values) != matrix.num_users:
-        raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
+    values = _user_features(features, matrix.num_users)
     leaf_capacity = _check_rtree_sizes(max_entries, leaf_capacity)
     builder = _Builder()
     root = builder.build_rtree(values, 0, max_entries, leaf_capacity)
@@ -739,9 +757,7 @@ def build_kmeans_codebook(
     empty clusters are dropped.
     """
     _check_kmeans_sizes(branching, iterations)
-    values = np.asarray(features, dtype=float)
-    if len(values) != matrix.num_users:
-        raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
+    values = _user_features(features, matrix.num_users)
     warnings: list[str] = []
     builder = _Builder()
 
@@ -822,9 +838,8 @@ def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBoo
             return [u - 1 for u in s]
         return [to_rows(c) for c in s]
 
-    values = np.asarray(np.arange(matrix.num_users)[:, None] if features is None else features, dtype=float)
-    if len(values) != matrix.num_users:
-        raise ValueError(f"feature rows {len(values)} != num_users {matrix.num_users}")
+    values = _user_features(np.arange(matrix.num_users)[:, None] if features is None else features,
+                            matrix.num_users)
     builder = _Builder()
     rows_spec = to_rows(spec)
     _hierarchy_depth(rows_spec)

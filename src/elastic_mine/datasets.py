@@ -74,7 +74,12 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class RatingMatrix:
-    """A sparse user-item rating matrix with 1-based user and item ids."""
+    """A sparse user-item rating matrix with 1-based user and item ids.
+
+    Raises :class:`InvalidDatasetError` without a user, an item or a
+    rating, for a rating outside the declared ids, and for a rating that
+    is not finite or lies outside ``rating_scale``.
+    """
 
     num_users: int
     num_items: int
@@ -86,14 +91,19 @@ class RatingMatrix:
 
     def __post_init__(self):
         if self.num_users < 1 or self.num_items < 1:
-            raise ValueError("rating matrix must have at least one user and one item")
+            raise InvalidDatasetError("rating matrix must have at least one user and one item")
         if not self.ratings:
-            raise ValueError("rating matrix has no ratings")
+            raise InvalidDatasetError("rating matrix has no ratings")
+        low, high = self.rating_scale
         by_user: dict[int, dict[int, float]] = {}
         for (u, i), r in self.ratings.items():
             if not (1 <= u <= self.num_users and 1 <= i <= self.num_items):
-                raise ValueError(f"rating ({u}, {i}) outside declared {self.num_users}x{self.num_items} bounds")
-            by_user.setdefault(u, {})[i] = float(r)
+                raise InvalidDatasetError(
+                    f"rating ({u}, {i}) outside declared {self.num_users}x{self.num_items} bounds")
+            r = float(r)
+            if not (low <= r <= high and math.isfinite(r)):
+                raise InvalidDatasetError(f"rating {r!r} of ({u}, {i}) outside the scale {(low, high)}")
+            by_user.setdefault(u, {})[i] = r
         object.__setattr__(self, "_by_user", by_user)
 
     @property

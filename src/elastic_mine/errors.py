@@ -20,9 +20,12 @@ class LabelCardinalityError(ParseError):
 
 
 class InvalidDatasetError(ElasticMineError, ValueError):
-    """A labeled point set with no usable meaning: not a non-empty (n, d)
-    array, labels that disagree with it in count or are not +1 or -1, or a
-    NaN or infinite feature."""
+    """A data set with no usable meaning. A labeled point set that is not a
+    non-empty (n, d) array, has labels that disagree with it in count or
+    are not +1 or -1, or has a NaN or infinite feature; a rating matrix
+    without users, items or ratings, or with a rating outside its ids or
+    its scale or not finite; user features that are not a finite (m, d)
+    array with one row per user."""
 
 
 class ClassMissingError(ElasticMineError, ValueError):

@@ -21,11 +21,11 @@ per-node Python step; the view is built once per book, on first use.
 State filtering gathers the subtree row ranges of the retained rows, so
 a refined query costs O(candidates * d). A refined result also carries
 its own state: the scanned nodes whose minimal distance is within the
-threshold, which :func:`maintain_state` returns as they are. For a state
-built by :func:`maintain_state` they are exactly the nodes a scan of the
-whole code would keep (child boxes lie inside their parent's box, so the
-threshold never grows down a chain and every such node lies under a
-retained one); for a hand-made, narrower state they are fewer.
+threshold. Starting over is refining from the roots' state, so this one
+candidate pass builds every state; down a chain it keeps exactly the
+nodes a scan of the whole code would keep (child boxes lie inside their
+parent's box, so the threshold never grows down a chain and every such
+node lies under a retained one); from a hand-made, narrower state, fewer.
 
 Distance comparisons run on squared values internally; every distance a
 caller sees is a true (un-squared) Euclidean distance. Squared box norms
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, Mbr, State, _point_sq, state_filter
+from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, Mbr, State, _point_sq, _roots_state, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
     BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
@@ -93,14 +93,14 @@ def _spread(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.tile(q, (len(rows), 1))
 
 
-def _within(q: np.ndarray, low: np.ndarray, upp: np.ndarray, top_sq: float, threshold: float):
+def _within(q: np.ndarray, low: np.ndarray, upp: np.ndarray, top_sq: float):
     """Where the minimal distance is within the threshold of a result.
 
-    ``top_sq`` is the largest squared distance of the result's nodes.
-    Equality at the boundary must keep a node, so the squared threshold is
-    rebuilt from it, with no sqrt round trip.
+    ``top_sq`` is the largest squared distance of the result's nodes, and
+    the threshold its square root. A node exactly at the threshold must be
+    kept whichever way that root squares back, so both bounds are tried.
     """
-    return _min_sq(q, low, upp) <= max(top_sq, threshold**2)
+    return _min_sq(q, low, upp) <= max(top_sq, float(np.sqrt(top_sq)) ** 2)
 
 
 def dist_max(q, mbr: Mbr) -> float:
@@ -140,7 +140,7 @@ class KnnApproxResult:
     predicted: int
     threshold: float  # largest of the k distances (the pruning threshold)
     scanned: int
-    # a refined scan's survivors, the next state; None after a one-shot scan
+    # a refined scan's survivors, handed on as the next state; None after a one-shot scan
     state: State | None = field(default=None, repr=False)
 
     @property
@@ -197,9 +197,10 @@ def classify(
     With a state, only nodes whose ancestor at the state's depth was
     retained are scanned; the scanned-node count is the result's
     computational cost. Distance ties break by node id. A refined result
-    also carries its state: the scanned nodes within its threshold, which
-    :func:`maintain_state` returns as they are. A book of another kind
-    than dual R-trees raises :class:`BookKindError`.
+    also carries its state: the scanned nodes within its threshold. From
+    the roots' state the answer is the one-shot answer, bit for bit; the
+    one-shot path builds no state. A book of another kind than dual
+    R-trees raises :class:`BookKindError`.
     """
     columns = _code_columns(book, depth, query)
     ids, low, upp, labels = columns.ids, columns.low, columns.upp, columns.labels
@@ -216,41 +217,35 @@ def classify(
     if state is not None:
         # the next state: the candidates are gathered already, so it costs
         # one more pass over them instead of a scan of the whole code
-        top_sq = float(d2[top[-1]])
-        keep = _within(q, low, upp, top_sq, float(np.sqrt(top_sq)))
-        state = State(columns, rows[keep])
+        state = State(columns, rows[_within(q, low, upp, float(d2[top[-1]]))])
     return _result(ids[top], d2[top], labels[top], len(ids), columns.depth, state)
 
 
 def maintain_state(book: CodeBook, query: KnnQuery, result: KnnApproxResult) -> State:
-    """Keep the scanned nodes of the result's code whose minimal distance is within the threshold.
+    """Keep the nodes of the result's code whose minimal distance is within the threshold.
 
     Nodes with ``dist_min > dist_max_kNN`` cannot contain any of the
     query's nearest neighbours at any deeper depth and are dropped; the k
-    result nodes always survive. The code is the book's code at
-    ``result.depth``. A refined result of this book carries that state,
-    which is returned as it is; any other result (one-shot, hand-built, or
-    of another book) has the whole code scanned, with its own threshold.
-    From a state this function built, both give the same nodes. ``result``
-    must be a result of ``query``. A result of no code (``exact_knn`` or a
-    baseline) raises :class:`ForeignStateError`.
+    result nodes always survive. A refined result of this book carries
+    that state, which is returned as it is; any other result of a code
+    (one-shot, hand-built, or of another book) is mined again at
+    ``result.depth`` from the roots' state. ``result`` must be a result of
+    ``query``. A result of no code (``exact_knn`` or a baseline) raises
+    :class:`ForeignStateError`.
     """
     if result.depth == EXACT_DEPTH:
         raise ForeignStateError("a result of no code (an exact oracle or a baseline) has no state")
     columns = _code_columns(book, result.depth, query)
     if result.state is not None and result.state.view is columns:
         return result.state
-    rows = columns.rows(result.node_ids)
-    q, low, upp = query.point, columns.low, columns.upp
-    top_sq = float(_max_sq(q, low[rows], upp[rows]).max())
-    keep = _within(_spread(q, low), low, upp, top_sq, result.threshold)
-    return State(columns, np.flatnonzero(keep))
+    return classify(book, result.depth, query, _roots_state(book)).state
 
 
-def refine_chain(book: CodeBook, query: KnnQuery, depths=None) -> list[KnnApproxResult]:
-    """Produce one result per depth, each refined from the previous state."""
-    results, state = [], None
-    for depth in book.depths() if depths is None else depths:
+def refine_chain(book: CodeBook, query: KnnQuery) -> list[KnnApproxResult]:
+    """Produce one result per depth, each refined from the previous state,
+    the first from the roots' state."""
+    results, state = [], _roots_state(book)
+    for depth in book.depths():
         result = classify(book, depth, query, state)
         results.append(result)
         state = maintain_state(book, query, result)

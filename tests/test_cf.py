@@ -297,7 +297,7 @@ end
         left = int(book.arrays.children_of(book.roots[0])[0])  # subtree of users 1..6
         assert first.all_rater_node_ids == (left,)
         assert first.scanned == 2
-        state = em.maintain_cf_state(first)
+        state = first.state
         assert state.retained == {left}
         refined = em.predict(book, 2, query, state, matrix=example_matrix)
         assert refined.scanned == 2  # both leaves under the retained node
@@ -321,14 +321,13 @@ end
         assert isinstance(info.value, ValueError)
         # a state of an equal copy of the book indexes another view
         copy = em.load_codebook(em.dump_codebook(example_cf_book))
-        state = em.maintain_cf_state(em.predict(copy, 1, query, matrix=example_matrix))
+        state = em.predict(copy, 1, query, matrix=example_matrix).state
         with pytest.raises(ForeignStateError):
             em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
 
     def test_user_level_result_has_no_state(self, example_matrix):
         query = em.CfQuery.from_matrix(example_matrix, user=1, item=4)
-        with pytest.raises(ForeignStateError):
-            em.maintain_cf_state(em.exact_cf_predict(example_matrix, query))
+        assert em.exact_cf_predict(example_matrix, query).state is None
 
     def test_all_raters_retained_when_all_rate(self, example_matrix, example_cf_book):
         # item 3 is rated inside both halves of the user hierarchy
@@ -337,7 +336,7 @@ end
         assert set(result.all_rater_node_ids) == set(
             example_cf_book.code_at_depth(1).node_ids
         )
-        state = em.maintain_cf_state(result)
+        state = result.state
         refined = em.predict(example_cf_book, 2, query, state, matrix=example_matrix)
         assert refined.scanned == 4  # nothing pruned at the next depth
 
@@ -598,7 +597,7 @@ class TestVectorisedKernel:
                     _assert_same_result(result, _reference_predict(book, depth, query, None,
                                                                    given_matrix))
                     assert _plain(result)
-                    state = em.maintain_cf_state(result)
+                    state = result.state
                     for deeper in book.depths():
                         if deeper > depth:
                             _assert_same_result(
@@ -616,11 +615,28 @@ class TestVectorisedKernel:
         matrix, book, queries = case
         depths = sorted(data.draw(st.sets(st.sampled_from(book.depths()), min_size=1)))
         for query in queries:
-            chain = em.cf.refine_chain(book, query, depths, matrix=matrix)
+            chain, state = [], None
+            for depth in depths:
+                chain.append(em.predict(book, depth, query, state, matrix=matrix))
+                state = chain[-1].state
             want = _reference_chain(book, query, matrix, depths)
             assert len(chain) == len(want)
             for got, expected in zip(chain, want):
                 _assert_same_result(got, expected)
+
+    @given(cf_books_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_roots_state_equals_one_shot(self, case):
+        """Predicting from the state that keeps every root equals the one-shot
+        prediction in every field, its state of raters included."""
+        matrix, book, queries = case
+        roots = em.state_of(book, 0, book.roots)
+        for query in queries:
+            for depth in book.depths():
+                one_shot = em.predict(book, depth, query, matrix=matrix)
+                refined = em.predict(book, depth, query, roots, matrix=matrix)
+                _assert_same_result(refined, one_shot)
+                assert refined.state == one_shot.state
 
     @given(cf_books_and_queries(), st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
@@ -771,7 +787,7 @@ class TestRefinementCosts:
             chain = em.cf.refine_chain(book, query, matrix=matrix)
             costs = [em.predict(book, deepest, query, matrix=matrix).scanned]
             for depth, result in zip(book.depths()[:-1], chain[:-1]):
-                state = em.maintain_cf_state(result)
+                state = result.state
                 costs.append(em.predict(book, deepest, query, state, matrix=matrix).scanned)
             assert all(a >= b for a, b in zip(costs, costs[1:]))
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import types
 
 import pytest
 
@@ -360,6 +361,30 @@ class TestBench:
                         "--k", 5, "--max-entries", 3, "--seed", 2, "--out", out]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_elastic_wall_ms_times_the_refining(self, workdir, monkeypatch):
+        """An elastic row's wall_ms is the time to refine every query from the
+        roots to its depth: with a clock that only classify moves, 1 ms a call,
+        the row of depth j reads queries x j ms."""
+        from elastic_mine import cli, knn
+
+        now = [0.0]
+        classify = knn.classify
+
+        def ticking(*args, **kwargs):
+            now[0] += 0.001
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(knn, "classify", ticking)
+        out = workdir / "bench_timed.csv"
+        assert run(["bench", "--input", workdir / "full.libsvm", "--k", 5, "--max-entries", 3,
+                    "--seed", 2, "--budgets", "20", "--timings", "--out", out]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+        elastic = [float(r[7]) for r in rows if r[1] == "elastic"]
+        queries = min(100, len(em.synthetic.fourclass_like(42)) // 5)
+        assert len(elastic) == 5
+        assert elastic == pytest.approx([queries * j for j in range(1, 6)])
 
 
 class TestThreadsAndBudgets:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import elastic_mine as em
 from elastic_mine.coding import Mbr, _point_sq, kmeans
 from elastic_mine.errors import (
-    BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError, ParseError,
+    BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
+    InvalidDatasetError, ParseError,
 )
 
 from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
@@ -186,6 +187,36 @@ class TestCfCodebook:
         for rows in (5, 2):  # one row per user, neither more nor fewer
             with pytest.raises(ValueError, match="feature rows"):
                 em.cf_book_from_hierarchy(matrix, [[1, 2], [3]], np.zeros((rows, 1)))
+
+
+class TestUserFeatures:
+    """Every reader of user features rejects a NaN or infinite one, which
+    would seed a k-means centroid that every distance misses."""
+
+    READERS = {
+        "build_cf_codebook": lambda m, f: em.build_cf_codebook(m, f, max_entries=3),
+        "build_kmeans_codebook": lambda m, f: em.build_kmeans_codebook(m, f),
+        "cf_book_from_hierarchy": lambda m, f: em.cf_book_from_hierarchy(
+            m, [list(range(1, 16)), list(range(16, 31))], f),
+        "cf_clustering": lambda m, f: em.cf_clustering(m, f, em.CfQuery.from_matrix(m, 1, 1), 3),
+        "cf_recttree": lambda m, f: em.cf_recttree(m, f, em.CfQuery.from_matrix(m, 1, 1), 3),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_rejected(self, reader, value):
+        matrix = em.synthetic.ratings_like(num_users=30, num_items=20)
+        features = np.random.default_rng(0).normal(size=(30, 2))
+        self.READERS[reader](matrix, features)
+        features[7, 1] = value
+        with pytest.raises(InvalidDatasetError, match="NaN or infinite"):
+            self.READERS[reader](matrix, features)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_features_not_2d_rejected(self, reader):
+        matrix = em.synthetic.ratings_like(num_users=30, num_items=20)
+        with pytest.raises(InvalidDatasetError, match="2-D"):
+            self.READERS[reader](matrix, np.zeros(30))
 
 
 class TestKmeansCodebook:

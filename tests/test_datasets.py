@@ -82,6 +82,34 @@ class TestLabeledDataset:
         assert isinstance(err.value, ElasticMineError) and isinstance(err.value, ValueError)
 
 
+class TestRatingMatrix:
+    @pytest.mark.parametrize("rating", [np.nan, np.inf, -np.inf, 9.0, 0.5],
+                             ids=["nan", "inf", "minus-inf", "above-scale", "below-scale"])
+    def test_rating_outside_scale_rejected(self, rating):
+        """A NaN rating would make every mean NaN, and one off the scale
+        skews the user's mean; neither matrix gets built."""
+        ratings = {(1, 1): rating, (2, 1): 3.0, (1, 2): 4.0, (2, 2): 4.0}
+        with pytest.raises(InvalidDatasetError, match="outside the scale") as err:
+            em.RatingMatrix(2, 2, ratings)
+        assert isinstance(err.value, ElasticMineError) and isinstance(err.value, ValueError)
+
+    def test_rating_inside_own_scale_accepted(self):
+        matrix = em.RatingMatrix(2, 2, {(1, 1): 9.0, (2, 1): 0.5}, rating_scale=(0.5, 10.0))
+        assert matrix.user_ratings(1) == {1: 9.0}
+
+    @pytest.mark.parametrize("shape, ratings", [
+        ((0, 2), {(1, 1): 3.0}), ((2, 0), {(1, 1): 3.0}), ((2, 2), {}), ((2, 2), {(3, 1): 3.0}),
+    ], ids=["no-user", "no-item", "no-rating", "outside-ids"])
+    def test_matrix_without_meaning_rejected(self, shape, ratings):
+        with pytest.raises(InvalidDatasetError):
+            em.RatingMatrix(*shape, ratings)
+
+    def test_parser_reports_the_line_first(self):
+        with pytest.raises(ParseError) as err:
+            em.parse_ratings_csv("1,1,5\n2,1,nan\n")
+        assert err.value.line == 2
+
+
 class TestParseRatingsCsv:
     def test_example_matrix(self):
         from conftest import TABLE_RATINGS

@@ -4,6 +4,7 @@
 command imports only the modules it runs; these tests pin both.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -32,8 +33,7 @@ EXPORTS = """
     coding.save_codebook coding.select_code coding.state_of coding.total_mbr_volume
     knn.KnnApproxResult knn.KnnQuery knn.accuracy knn.auc knn.classify knn.dist_max
     knn.dist_min knn.exact_knn knn.maintain_state
-    cf.CfApproxResult cf.CfQuery cf.exact_cf_predict cf.maintain_cf_state cf.node_weight
-    cf.predict cf.relative_error cf.rmse cf.train_incremental_svd
+    cf.CfApproxResult cf.CfQuery cf.exact_cf_predict cf.node_weight cf.predict cf.relative_error cf.rmse cf.train_incremental_svd
     elasticity.ElasticityReport elasticity.InvestmentPoint elasticity.ResolutionReport
     elasticity.audit_entropy_monotonicity elasticity.audit_quality_monotonicity
     elasticity.investment_elasticity elasticity.log_binomial elasticity.resolution
@@ -110,3 +110,20 @@ def test_plan_query_choices_are_planner_queries():
     assert list(query.choices) == [planner.QUERY_MAX_QUALITY, planner.QUERY_MIN_INVESTMENT,
                                    planner.QUERY_MIN_BID, planner.QUERY_ELASTICITY]
     assert query.default == planner.QUERY_MIN_INVESTMENT
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    """The package depends on numpy alone: every absolute import in its
+    modules names a standard-library package or numpy."""
+    foreign = []
+    for path in sorted(Path(em.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []

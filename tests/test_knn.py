@@ -219,7 +219,8 @@ class TestClassify:
 
 class TestMaintainState:
     def test_large_threshold_prunes_nothing(self):
-        """Six boxes at squared min-distances up to 13689 all survive a 25210 threshold."""
+        """The k = 5 nearest of six boxes reach out to 59; the sixth box, at
+        minimal distance 58, is no result node but survives too."""
         starts = [None, 9.0, 117.0, 39.0, math.sqrt(1570.0), 13.0]
         feats, pos_spec, neg_spec = [], [], []
         for j, s in enumerate(starts):
@@ -229,17 +230,15 @@ class TestMaintainState:
         ds = em.LabeledDataset(np.array(feats), [1] * 6 + [-1] * 6)
         book = em.dual_book_from_hierarchy(ds, pos_spec, neg_spec)
         code = book.code_at_depth(1)
-        q = em.KnnQuery([0.0], 3)
+        q = em.KnnQuery([59.0], 5)
         min_sq = [em.dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
-        assert min_sq == pytest.approx([0.0, 81.0, 13689.0, 1521.0, 1570.0, 169.0])
+        assert min_sq == pytest.approx([3364.0, 2401.0, 3364.0, 361.0,
+                                        (58.0 - math.sqrt(1570.0)) ** 2, 2025.0])
         result = em.classify(book, 1, q)
-        fake = KnnApproxResult(
-            depth=1, node_ids=result.node_ids, distances=result.distances,
-            k_pos=result.k_pos, k_neg=result.k_neg, predicted=result.predicted,
-            threshold=math.sqrt(25210.0), scanned=6,
-        )
-        state = em.maintain_state(book, q, fake)
-        assert len(state.retained) == 6
+        assert result.threshold == 59.0 and max(min_sq) < result.threshold**2
+        assert code.node_ids[0] not in result.node_ids
+        state = em.maintain_state(book, q, result)
+        assert state.retained == set(code.node_ids)
 
     def test_zero_threshold_keeps_only_result_nodes(self):
         feats = np.array([[0.0], [0.0], [5.0], [6.0], [0.0], [7.0]])
@@ -349,7 +348,8 @@ def reference_maintain_state(book, code, query, result):
 
 
 def reference_chain(book, query, depths=None):
-    results, state = [], None
+    """One result per depth, the first refined from the state that keeps every root."""
+    results, state = [], em.state_of(book, 0, book.roots)
     for depth in book.depths() if depths is None else depths:
         result = reference_classify(book, depth, query, state)
         results.append(result)
@@ -440,7 +440,27 @@ class TestVectorisedKernel:
         _, book, queries = case
         depths = sorted(data.draw(st.sets(st.sampled_from(book.depths()), min_size=1)))
         for query in queries:
-            assert refine_chain(book, query, depths) == reference_chain(book, query, depths)
+            chain, state = [], em.state_of(book, 0, book.roots)
+            for depth in depths:
+                chain.append(em.classify(book, depth, query, state))
+                state = em.maintain_state(book, query, chain[-1])
+            assert chain == reference_chain(book, query, depths)
+
+    @given(books_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_roots_state_equals_one_shot(self, case):
+        """Refining from the roots' state answers as a one-shot query does, bit
+        for bit, and carries the state maintain_state keeps for that answer."""
+        _, book, queries = case
+        roots = em.state_of(book, 0, book.roots)
+        for query in queries:
+            for depth in book.depths():
+                one_shot = em.classify(book, depth, query)
+                refined = em.classify(book, depth, query, roots)
+                assert refined == dataclasses.replace(one_shot, state=refined.state)
+                assert repr(refined.distances) == repr(one_shot.distances)
+                assert refined.state == em.maintain_state(book, query, one_shot)
+                assert refined.state == reference_maintain_state(book, depth, query, one_shot)
 
     @given(books_and_queries())
     @settings(max_examples=40, deadline=None)
