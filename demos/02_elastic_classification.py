@@ -36,8 +36,7 @@ for f in test.features:
     chain = refine_chain(book, query)
     row = [em.classify(book, deepest, query).scanned]
     for result in chain[:-1]:
-        state = em.maintain_state(book, query, result)
-        row.append(em.classify(book, deepest, query, state).scanned)
+        row.append(em.classify(book, deepest, query, result.state).scanned)
     costs.append(row)
 mean = np.mean(costs, axis=0)
 print("\nmean nodes scanned to produce the deepest result, by starting state:")

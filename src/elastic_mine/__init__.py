@@ -23,18 +23,17 @@ _EXPORTS = {  # module -> the names the package re-exports from it
         "UnknownUserError",
     ),
     "coding": (
-        "Aggregates", "Code", "CodeBook", "ItemAggregate", "Mbr", "NodeArrays", "State",
-        "aggregate_ratings", "build_cf_codebook", "build_dual_rtrees", "build_kmeans_codebook",
-        "cf_book_from_hierarchy", "dual_book_from_hierarchy", "dump_codebook", "kmeans",
-        "load_codebook", "save_codebook", "select_code", "state_of", "total_mbr_volume",
+        "Aggregates", "Code", "CodeBook", "NodeArrays", "State", "build_cf_codebook",
+        "build_dual_rtrees", "build_kmeans_codebook", "dump_codebook", "kmeans", "load_codebook",
+        "save_codebook", "select_code", "state_of", "total_mbr_volume",
     ),
     "knn": (
-        "KnnApproxResult", "KnnQuery", "accuracy", "auc", "classify", "dist_max", "dist_min",
-        "exact_knn", "maintain_state",
+        "KnnApproxResult", "KnnQuery", "accuracy", "auc", "classify", "exact_knn",
+        "maintain_state",
     ),
     "cf": (
-        "CfApproxResult", "CfQuery", "exact_cf_predict", "node_weight", "predict",
-        "relative_error", "rmse", "train_incremental_svd",
+        "CfApproxResult", "CfQuery", "exact_cf_predict", "predict", "relative_error", "rmse",
+        "train_incremental_svd",
     ),
     "elasticity": (
         "ElasticityReport", "InvestmentPoint", "ResolutionReport", "audit_entropy_monotonicity",

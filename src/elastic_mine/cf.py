@@ -20,8 +20,9 @@ table's rows of the query's items for them in one step, and takes the
 three correlation sums of every candidate in one reduction: a fixed
 number of numpy calls and O(candidates + ratings x raters) array work,
 with no per-candidate Python step. The sums add the rows in
-``query.ratings`` order, so weights equal the scalar :func:`node_weight`
-bit for bit.
+``query.ratings`` order, so weights equal an item-by-item loop's bit for
+bit; that loop, ``node_weight`` in ``tests/reference.py``, is what the
+tests check the kernel against.
 
 A code-level result carries its raters as its state (the ``coding.State``
 kNN uses too), so a deeper prediction scans only their subtrees;
@@ -36,9 +37,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, Code, CodeBook, ItemAggregate, State, state_filter
+from .coding import EXACT_DEPTH, Code, CodeBook, State, state_filter
 from .datasets import RatingMatrix
-from .errors import DivergenceError, TrainingConfigError, UndefinedMetricError
+from .errors import DivergenceError, InvalidQueryError, TrainingConfigError, UndefinedMetricError
 
 
 def train_incremental_svd(
@@ -149,7 +150,8 @@ class CfQuery:
 
     The query keeps its own copy of ``ratings``, to be read and never
     changed, and builds the arrays the kernel reads from it once: every
-    route and every depth reuses them.
+    route and every depth reuses them. A NaN or infinite mean or rating
+    raises :class:`InvalidQueryError`.
     """
 
     user: int
@@ -165,6 +167,8 @@ class CfQuery:
         count = len(ratings)
         items = np.fromiter(ratings, dtype=np.intp, count=count)[:, None]
         x = (np.fromiter(ratings.values(), dtype=float, count=count) - self.mean)[:, None]
+        if not (math.isfinite(self.mean) and np.isfinite(x).all()):
+            raise InvalidQueryError("the mean or a rating of the query is NaN or infinite")
         bounds = (min(ratings), max(ratings)) if ratings else (0, -1)
         object.__setattr__(self, "ratings", ratings)
         object.__setattr__(self, "_prepared", (items, x, x * x, *bounds))
@@ -199,39 +203,11 @@ class CfApproxResult:
     state: State | None = field(default=None, repr=False)
 
 
-def node_weight(
-    user_ratings: Mapping[int, float], user_mean: float, aggregates: Mapping[int, ItemAggregate]
-) -> float | None:
-    """Pearson-style correlation between a user's and a node's rating deviations.
-
-    Runs over the items both sides rated. Returns None when there is no
-    overlap, and 0.0 when either side's deviations vanish on the overlap
-    (a zero-variance side carries no correlation signal).
-    """
-    num = du = dn = 0.0
-    overlap = 0
-    for item, r in user_ratings.items():
-        agg = aggregates.get(item)
-        if agg is None:
-            continue
-        overlap += 1
-        x = r - user_mean
-        y = agg.rating - agg.rater_mean
-        num += x * y
-        du += x * x
-        dn += y * y
-    if overlap == 0:
-        return None
-    if du <= 0.0 or dn <= 0.0:
-        return 0.0
-    return num / math.sqrt(du * dn)
-
-
 def _column_sums(a: np.ndarray) -> np.ndarray:
     """Column sums of a C-ordered (k, rows, cols) stack, adding the rows first to last.
 
     numpy reduces a C-ordered array's rows one after another, the order
-    of the scalar loop in :func:`node_weight`. A single column is a
+    of an item-by-item loop over the query's ratings. A single column is a
     contiguous vector, which numpy sums pairwise, so it is summed beside a
     copy of itself.
     """
@@ -247,8 +223,10 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
     ``table[i, c]`` is candidate c's ``rating - rater_mean`` for item i, NaN
     where c did not rate i; ``cols`` are the candidates' columns in scan
     order and ``ids[c]`` the id reported for column c. Every candidate that
-    rated the target item is a rater; its weight is :func:`node_weight`
-    over the query's items. One gather takes the raters' rows of the
+    rated the target item is a rater. Its weight is the Pearson-style
+    correlation of the query's and the candidate's deviations over the
+    items both rated: undefined without such an item, 0 when either
+    side's deviations vanish there. One gather takes the raters' rows of the
     query's items, and one reduction takes the three correlation sums,
     each adding the rows in ``query.ratings`` order, so that the weights
     equal the scalar definition bit for bit. A non-rated cell adds a zero
@@ -356,7 +334,7 @@ def rmse(predictions, actuals) -> float:
     predictions = np.asarray(predictions, dtype=float)
     actuals = np.asarray(actuals, dtype=float)
     if predictions.shape != actuals.shape or len(predictions) == 0:
-        raise ValueError("predictions and actuals must be equal-length and non-empty")
+        raise UndefinedMetricError("predictions and actuals must be equal-length and non-empty")
     return float(np.sqrt(np.mean((predictions - actuals) ** 2)))
 
 

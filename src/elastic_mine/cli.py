@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ElasticMineError, ForeignStateError, ParseError
+from .errors import DepthNotFoundError, ElasticMineError, ForeignStateError, ParseError
 
 # Each command imports the modules it runs, inside the command, so that a
 # process pays the import cost of its own command only.
@@ -540,6 +540,8 @@ def _cmd_bench(args) -> int:
         data, datasets.SplitSpec(test_count=min(100, len(data) // 5), seed=args.seed)
     )
     book = coding.build_dual_rtrees(train, args.max_entries, args.seed)
+    if not book.depths():
+        raise DepthNotFoundError(f"the book has no usable code: {'; '.join(book.warnings)}")
     queries = [knn.KnnQuery(test.features[i], args.k) for i in range(len(test))]
     actuals = [int(y) for y in test.labels]
 

@@ -16,8 +16,9 @@ nodes at one depth; depth 0 (the roots) is never usable as a code.
 A book holds its nodes as columns (:class:`NodeArrays`): one array per
 node attribute, with members and aggregates in compressed rows. Builders,
 the dump writer and reader, and the per-depth views work on those arrays.
-:class:`Mbr`, :class:`ItemAggregate` and :func:`aggregate_ratings` are
-the scalar definitions the array code is tested against.
+The scalar definitions they are tested against (a box of points, a
+node's per-item rating aggregates) live with the tests, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,45 +46,6 @@ KIND_DUAL = "rtree-dual"
 KIND_CF = "rtree-cf"
 KIND_KMEANS = "kmeans-divisive"
 EXACT_DEPTH = -1  # the depth of a result that scanned no code: an exact oracle's or a baseline's
-
-
-@dataclass(frozen=True)
-class Mbr:
-    """Axis-aligned minimal bounding rectangle: per-dimension (low, upp)."""
-
-    low: np.ndarray
-    upp: np.ndarray
-
-    def __post_init__(self):
-        low = np.asarray(self.low, dtype=float)
-        upp = np.asarray(self.upp, dtype=float)
-        if low.shape != upp.shape or low.ndim != 1:
-            raise ValueError("low/upp must be equal-length 1-d arrays")
-        if np.any(low > upp):
-            raise ValueError("MBR requires low_i <= upp_i in every dimension")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "upp", upp)
-
-    @classmethod
-    def of_points(cls, points: np.ndarray) -> "Mbr":
-        pts = np.asarray(points, dtype=float)
-        return cls(pts.min(axis=0), pts.max(axis=0))
-
-    @property
-    def dimensionality(self) -> int:
-        return len(self.low)
-
-    def volume(self) -> float:
-        """Product of extents; any zero-extent dimension makes it 0."""
-        return float(np.prod(self.upp - self.low))
-
-
-class ItemAggregate(NamedTuple):
-    """A node's summary for one item: mean rating, mean rater average, rater count."""
-
-    rating: float
-    rater_mean: float
-    raters: int
 
 
 def _ptr(counts) -> np.ndarray:
@@ -364,16 +326,6 @@ class CodeBook:
             self._deviations[depth] = table  # an equal table may replace it: no state holds one
         return table
 
-    def ancestor_at(self, node_id: int, depth: int) -> int:
-        """The id of the node's ancestor at the given shallower depth."""
-        nodes, at = self.arrays, int(node_id)
-        while nodes.depth[at] > depth:
-            at = int(nodes.parent[at])
-        if nodes.depth[at] != depth:
-            raise ValueError(f"node {node_id} has no ancestor at depth {depth}")
-        return at
-
-
 def state_of(book: CodeBook, depth: int, node_ids) -> State:
     """The state of ``book`` that retains the given nodes of one depth; a depth
     or an id that is not one of this book raises :class:`ForeignStateError`."""
@@ -513,11 +465,11 @@ class _Builder:
         at = points.take(members, axis=0)
         low = np.minimum.reduceat(at, member_ptr[:-1], axis=0)
         upp = np.maximum.reduceat(at, member_ptr[:-1], axis=0)
-        # min and max break a tie of 0.0 and -0.0 by position, which these
-        # loops and Mbr.of_points visit in different orders
+        # min and max break a tie of 0.0 and -0.0 by position, which reduceat
+        # and a min or max over one node's points visit in different orders
         for i in np.flatnonzero((low == 0).any(axis=1) | (upp == 0).any(axis=1)).tolist():
-            box = Mbr.of_points(points[self.members[i]])
-            low[i], upp[i] = box.low, box.upp
+            node_points = points[self.members[i]]
+            low[i], upp[i] = node_points.min(axis=0), node_points.max(axis=0)
         arrays = NodeArrays(
             tree=np.array(self.tree, dtype=np.intp),
             depth=np.array(self.depth, dtype=np.intp),
@@ -578,35 +530,14 @@ def build_dual_rtrees(
     return builder.finish(KIND_DUAL, roots, config, seed, train.features, warnings=warnings)
 
 
-def aggregate_ratings(matrix: RatingMatrix, users: Iterable[int]) -> dict[int, ItemAggregate]:
-    """Per-item aggregated rating and mean-rater-average over a user group.
-
-    For each item rated by at least one member, the aggregate rating is the
-    mean of the members' ratings of it, and the rater mean is the mean of
-    those raters' overall average ratings. Items nobody rated are absent.
-    """
-    sums: dict[int, list] = {}
-    for u in users:
-        row = matrix.user_ratings(u)
-        if not row:
-            continue
-        ubar = sum(row.values()) / len(row)
-        for i, r in row.items():
-            s = sums.setdefault(i, [0.0, 0.0, 0])
-            s[0] += r
-            s[1] += ubar
-            s[2] += 1
-    return {
-        i: ItemAggregate(s[0] / s[2], s[1] / s[2], s[2]) for i, s in sorted(sums.items())
-    }
-
-
 def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.ndarray) -> Aggregates:
-    """:func:`aggregate_ratings` of every node at once; members are 0-based user rows.
+    """Every node's item aggregates at once; members are 0-based user rows.
 
-    The sums run over (node, member) pairs in member order through
-    ``bincount``, which adds one weight at a time, so every value equals
-    the scalar definition's bit for bit.
+    For each item a node's members rated, the aggregate rating is the mean
+    of their ratings of it, and the rater mean the mean of those raters'
+    average ratings. The sums run over (node, member) pairs in member order
+    through ``bincount``, which adds one weight at a time, so every value
+    equals a member-by-member loop's bit for bit.
     """
     rated = [matrix.user_ratings(u) for u in range(1, matrix.num_users + 1)]
     user_ptr = _ptr([len(row) for row in rated])
@@ -786,67 +717,6 @@ def build_kmeans_codebook(
     }
     return builder.finish(KIND_KMEANS, [root], config, seed, values, matrix, features=values,
                           warnings=warnings)
-
-
-# ---------------------------------------------------------------------------
-# Explicit-hierarchy builders (worked examples and test fixtures)
-
-
-def _is_leaf_spec(spec) -> bool:
-    return all(isinstance(x, (int, np.integer)) for x in spec)
-
-
-def _hierarchy_depth(spec) -> int:
-    if _is_leaf_spec(spec):
-        return 0
-    depths = {_hierarchy_depth(child) for child in spec}
-    if len(depths) != 1:
-        raise ValueError("hierarchy is not depth-balanced")
-    return depths.pop() + 1
-
-
-def _build_hierarchy(builder: _Builder, spec, tree: int, depth, parent, label):
-    if _is_leaf_spec(spec):
-        members = np.array(spec, dtype=np.intp)
-        return builder.add(tree, depth, parent, members, label), members
-    nid = builder.add(tree, depth, parent, None, label)
-    children = [_build_hierarchy(builder, child, tree, depth + 1, nid, label)[1] for child in spec]
-    builder.members[nid] = np.concatenate(children)
-    return nid, builder.members[nid]
-
-
-def dual_book_from_hierarchy(train: LabeledDataset, positive_spec, negative_spec) -> CodeBook:
-    """Build a dual-tree book from explicit nested row-index groupings.
-
-    A node spec is either a list of dataset row indices (leaf) or a list of
-    child specs. Both trees must be depth-balanced to the same height.
-    """
-    builder = _Builder()
-    roots = []
-    for tree, (spec, label) in enumerate(((positive_spec, POSITIVE), (negative_spec, NEGATIVE))):
-        _hierarchy_depth(spec)
-        nid, _ = _build_hierarchy(builder, spec, tree, 0, None, label)
-        roots.append(nid)
-    return builder.finish(KIND_DUAL, roots, {"task": "knn", "source": "explicit"}, 0, train.features)
-
-
-def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBook:
-    """Build a CF book from an explicit nested grouping of 1-based user ids."""
-
-    def to_rows(s):
-        if _is_leaf_spec(s):
-            return [u - 1 for u in s]
-        return [to_rows(c) for c in s]
-
-    values = _user_features(np.arange(matrix.num_users)[:, None] if features is None else features,
-                            matrix.num_users)
-    builder = _Builder()
-    rows_spec = to_rows(spec)
-    _hierarchy_depth(rows_spec)
-    root, _ = _build_hierarchy(builder, rows_spec, 0, 0, None, None)
-    return builder.finish(
-        KIND_CF, [root], {"task": "cf", "source": "explicit"}, 0, values, matrix, features=values
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidDatasetError, LabelCardinalityError, ParseError
+from .errors import InvalidDatasetError, LabelCardinalityError, ParseError, SplitConfigError
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -86,7 +86,7 @@ class RatingMatrix:
     ratings: Mapping[tuple[int, int], float]
     rating_scale: tuple[float, float] = (1.0, 5.0)
     duplicate_count: int = 0
-    _by_user: dict = field(default=None, repr=False, compare=False)
+    _by_user: dict = field(default=None, init=False, repr=False, compare=False)
     _deviations: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,16 +162,17 @@ class SplitSpec:
     seed: int = 0
 
     def resolve_count(self, n: int) -> int:
+        """The test count for ``n`` elements; :class:`SplitConfigError` unless it is 1..n-1."""
         if self.test_count is not None:
             count = int(self.test_count)
         elif self.test_fraction is not None:
             if not 0.0 < self.test_fraction < 1.0:
-                raise ValueError("test_fraction must lie in (0, 1)")
+                raise SplitConfigError("test_fraction must lie in (0, 1)")
             count = max(1, round_half_up(self.test_fraction * n))
         else:
-            raise ValueError("SplitSpec needs test_count or test_fraction")
+            raise SplitConfigError("SplitSpec needs test_count or test_fraction")
         if not 1 <= count <= n - 1:
-            raise ValueError(f"split leaves no train or no test elements (n={n}, test={count})")
+            raise SplitConfigError(f"split leaves no train or no test elements (n={n}, test={count})")
         return count
 
 
@@ -448,14 +449,15 @@ def split_ratings(
     rated items moves to the test side, keeping at least one training
     rating per user. Users with fewer than two ratings yield no test items.
     Returns the reduced training matrix and (user, item, rating) triples.
-    A ``spec.test_count`` has no per-user meaning and raises ``ValueError``.
+    A ``spec.test_count`` has no per-user meaning and raises
+    :class:`SplitConfigError`, as does a fraction outside (0, 1).
     """
     if spec.test_count is not None:
-        raise ValueError("split_ratings holds out a fraction per user; test_count is not supported")
+        raise SplitConfigError("split_ratings holds out a fraction per user; test_count is not supported")
     rng = np.random.default_rng(spec.seed)
     frac = spec.test_fraction if spec.test_fraction is not None else 0.2
     if not 0.0 < frac < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
+        raise SplitConfigError("test_fraction must lie in (0, 1)")
     n_active = min(matrix.num_users, max(1, round_half_up(active_fraction * matrix.num_users)))
     active = np.sort(rng.permutation(np.arange(1, matrix.num_users + 1))[:n_active])
     held: dict[int, set[int]] = {}

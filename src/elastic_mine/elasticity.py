@@ -32,7 +32,7 @@ from .errors import (
 def log_binomial(n: int, m: int, base: float = 2.0) -> float:
     """log_base of C(n, m), via log-gamma so large n cannot overflow."""
     if m < 0 or n < m:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+        raise UndefinedMetricError(f"need 0 <= m <= n, got n={n}, m={m}")
     value = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     return value / math.log(base)
 

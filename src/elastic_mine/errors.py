@@ -64,7 +64,9 @@ class InsufficientCandidatesError(ElasticMineError, ValueError):
 
 
 class InvalidQueryError(ElasticMineError, ValueError):
-    """A query that has no answer: k below 1, or a NaN or infinite coordinate."""
+    """A query that has no answer: a k that is not an integer (a bool included)
+    or is below 1, a NaN or infinite coordinate, or a NaN or infinite mean or
+    rating of a CF query."""
 
 
 class InsufficientBudgetError(ElasticMineError, ValueError):
@@ -82,6 +84,12 @@ class BaselineConfigError(ElasticMineError, ValueError):
 class CodebookConfigError(ElasticMineError, ValueError):
     """A codebook builder setting is out of range: a fan-out (max entries or
     branching) below 2, a leaf capacity below 1, or fewer than one k-means iteration."""
+
+
+class SplitConfigError(ElasticMineError, ValueError):
+    """A split setting that leaves no train or no test elements: a test
+    fraction outside (0, 1), neither a test count nor a fraction, a test count
+    outside 1..n-1, or a test count where a split holds out a fraction per user."""
 
 
 class TrainingConfigError(ElasticMineError, ValueError):

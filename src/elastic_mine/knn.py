@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, Mbr, State, _point_sq, _roots_state, state_filter
+from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, State, _point_sq, _roots_state, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
     BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
@@ -103,20 +103,6 @@ def _within(q: np.ndarray, low: np.ndarray, upp: np.ndarray, top_sq: float):
     return _min_sq(q, low, upp) <= max(top_sq, float(np.sqrt(top_sq)) ** 2)
 
 
-def dist_max(q, mbr: Mbr) -> float:
-    """Maximal Euclidean distance from q to any point of the box."""
-    q = np.asarray(q, dtype=float)
-    _check_dim(q, mbr.dimensionality)
-    return float(np.sqrt(_max_sq(q, mbr.low, mbr.upp)))
-
-
-def dist_min(q, mbr: Mbr) -> float:
-    """Minimal Euclidean distance from q to the box (0 inside)."""
-    q = np.asarray(q, dtype=float)
-    _check_dim(q, mbr.dimensionality)
-    return float(np.sqrt(_min_sq(q, mbr.low, mbr.upp)))
-
-
 @dataclass(frozen=True)
 class KnnQuery:
     point: np.ndarray
@@ -124,6 +110,8 @@ class KnnQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise InvalidQueryError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise InvalidQueryError(f"k must be >= 1, got {self.k}")
         if not np.isfinite(self.point).all():
@@ -224,13 +212,17 @@ def classify(
 def maintain_state(book: CodeBook, query: KnnQuery, result: KnnApproxResult) -> State:
     """Keep the nodes of the result's code whose minimal distance is within the threshold.
 
-    Nodes with ``dist_min > dist_max_kNN`` cannot contain any of the
-    query's nearest neighbours at any deeper depth and are dropped; the k
-    result nodes always survive. A refined result of this book carries
-    that state, which is returned as it is; any other result of a code
-    (one-shot, hand-built, or of another book) is mined again at
-    ``result.depth`` from the roots' state. ``result`` must be a result of
-    ``query``. A result of no code (``exact_knn`` or a baseline) raises
+    Nodes whose minimal distance exceeds the threshold cannot contain any
+    of the query's nearest neighbours at any deeper depth and are dropped;
+    the k result nodes always survive. A refined result of this book
+    carries that state, which is returned as it is; any other result of a
+    code (one-shot, hand-built, or of another book) is mined again at
+    ``result.depth`` from the roots' state, which costs a second scan: at
+    depth 6 of the knn-skin book about 0.33 ms, against 0.15-0.22 ms for
+    the one-shot itself (2-core x86-64). To get both the answer and the
+    state from one scan, classify from ``state_of(book, 0, book.roots)``
+    and read ``result.state``. ``result`` must be a result of ``query``. A
+    result of no code (``exact_knn`` or a baseline) raises
     :class:`ForeignStateError`.
     """
     if result.depth == EXACT_DEPTH:
@@ -270,7 +262,7 @@ def accuracy(predictions, actuals) -> float:
     predictions = np.asarray(predictions)
     actuals = np.asarray(actuals)
     if predictions.shape != actuals.shape or len(predictions) == 0:
-        raise ValueError("predictions and actuals must be equal-length and non-empty")
+        raise UndefinedMetricError("predictions and actuals must be equal-length and non-empty")
     return float(np.mean(predictions == actuals))
 
 
@@ -298,7 +290,7 @@ def auc(scores, labels) -> float:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
-        raise ValueError("scores and labels must be equal-length")
+        raise UndefinedMetricError("scores and labels must be equal-length")
     n_pos = int((labels == POSITIVE).sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -50,22 +50,6 @@ def skin_like(n: int = 5000, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(features, labels)
 
 
-def gaussian_mixture(
-    n: int = 2000, d: int = 4, components: int = 6, spread: float = 0.7, seed: int = 0
-) -> LabeledDataset:
-    """A labeled Gaussian mixture; alternate components carry opposite classes."""
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-5.0, 5.0, size=(components, d))
-    sizes = np.full(components, n // components)
-    sizes[: n - sizes.sum()] += 1
-    feats = []
-    labels = []
-    for c in range(components):
-        feats.append(rng.normal(centers[c], spread, size=(sizes[c], d)))
-        labels.append(np.full(sizes[c], 1 if c % 2 == 0 else -1))
-    return LabeledDataset(np.vstack(feats), np.concatenate(labels))
-
-
 def ratings_like(
     num_users: int = 600,
     num_items: int = 800,

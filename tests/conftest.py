@@ -3,6 +3,8 @@ import pytest
 
 import elastic_mine as em
 
+from reference import ItemAggregate, Mbr, cf_book_from_hierarchy
+
 # The 12-user, 5-item rating matrix used throughout the CF worked examples.
 TABLE_RATINGS = {
     (1, 1): 5.0,
@@ -37,7 +39,7 @@ def example_matrix() -> em.RatingMatrix:
 
 @pytest.fixture(scope="session")
 def example_cf_book(example_matrix) -> em.CodeBook:
-    return em.cf_book_from_hierarchy(example_matrix, EXAMPLE_HIERARCHY, TABLE_FEATURES)
+    return cf_book_from_hierarchy(example_matrix, EXAMPLE_HIERARCHY, TABLE_FEATURES)
 
 
 @pytest.fixture(scope="session")
@@ -72,17 +74,17 @@ def leaf_with_members(book: em.CodeBook, members: set) -> int:
     raise AssertionError(f"no leaf with members {members}")
 
 
-def box_of(book: em.CodeBook, i: int) -> em.Mbr:
+def box_of(book: em.CodeBook, i: int) -> Mbr:
     """Node i's box as a scalar :class:`Mbr`, read from the book's columns."""
-    return em.Mbr(book.arrays.low[i], book.arrays.upp[i])
+    return Mbr(book.arrays.low[i], book.arrays.upp[i])
 
 
-def aggregates_of(book: em.CodeBook, i: int) -> dict[int, em.ItemAggregate]:
+def aggregates_of(book: em.CodeBook, i: int) -> dict[int, ItemAggregate]:
     """Node i's item -> :class:`ItemAggregate` map, read from ``arrays.aggregates``."""
     agg = book.arrays.aggregates
     at = slice(agg.ptr[i], agg.ptr[i + 1])
     return {
-        item: em.ItemAggregate(*values)
+        item: ItemAggregate(*values)
         for item, *values in zip(agg.item[at].tolist(), agg.rating[at].tolist(),
                                  agg.rater_mean[at].tolist(), agg.raters[at].tolist())
     }

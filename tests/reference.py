@@ -1,0 +1,209 @@
+"""Scalar references and fixture builders the tests check the library against.
+
+The library works on arrays; these are the box-by-box, dict-by-dict
+definitions its results must equal, and the builders of hand-made books
+that the worked examples use. Nothing in ``elastic_mine`` calls them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
+
+from elastic_mine.coding import KIND_CF, KIND_DUAL, CodeBook, _Builder, _user_features
+from elastic_mine.datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
+from elastic_mine.knn import _check_dim, _max_sq, _min_sq
+
+
+@dataclass(frozen=True)
+class Mbr:
+    """Axis-aligned minimal bounding rectangle: per-dimension (low, upp)."""
+
+    low: np.ndarray
+    upp: np.ndarray
+
+    def __post_init__(self):
+        low = np.asarray(self.low, dtype=float)
+        upp = np.asarray(self.upp, dtype=float)
+        if low.shape != upp.shape or low.ndim != 1:
+            raise ValueError("low/upp must be equal-length 1-d arrays")
+        if np.any(low > upp):
+            raise ValueError("MBR requires low_i <= upp_i in every dimension")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "upp", upp)
+
+    @classmethod
+    def of_points(cls, points: np.ndarray) -> "Mbr":
+        pts = np.asarray(points, dtype=float)
+        return cls(pts.min(axis=0), pts.max(axis=0))
+
+    @property
+    def dimensionality(self) -> int:
+        return len(self.low)
+
+    def volume(self) -> float:
+        """Product of extents; any zero-extent dimension makes it 0."""
+        return float(np.prod(self.upp - self.low))
+
+
+def dist_max(q, mbr: Mbr) -> float:
+    """Maximal Euclidean distance from q to any point of the box."""
+    q = np.asarray(q, dtype=float)
+    _check_dim(q, mbr.dimensionality)
+    return float(np.sqrt(_max_sq(q, mbr.low, mbr.upp)))
+
+
+def dist_min(q, mbr: Mbr) -> float:
+    """Minimal Euclidean distance from q to the box (0 inside)."""
+    q = np.asarray(q, dtype=float)
+    _check_dim(q, mbr.dimensionality)
+    return float(np.sqrt(_min_sq(q, mbr.low, mbr.upp)))
+
+
+class ItemAggregate(NamedTuple):
+    """A node's summary for one item: mean rating, mean rater average, rater count."""
+
+    rating: float
+    rater_mean: float
+    raters: int
+
+
+def aggregate_ratings(matrix: RatingMatrix, users: Iterable[int]) -> dict[int, ItemAggregate]:
+    """Per-item aggregated rating and mean-rater-average over a user group.
+
+    For each item rated by at least one member, the aggregate rating is the
+    mean of the members' ratings of it, and the rater mean is the mean of
+    those raters' overall average ratings. Items nobody rated are absent.
+    """
+    sums: dict[int, list] = {}
+    for u in users:
+        row = matrix.user_ratings(u)
+        if not row:
+            continue
+        ubar = sum(row.values()) / len(row)
+        for i, r in row.items():
+            s = sums.setdefault(i, [0.0, 0.0, 0])
+            s[0] += r
+            s[1] += ubar
+            s[2] += 1
+    return {
+        i: ItemAggregate(s[0] / s[2], s[1] / s[2], s[2]) for i, s in sorted(sums.items())
+    }
+
+
+def node_weight(
+    user_ratings: Mapping[int, float], user_mean: float, aggregates: Mapping[int, ItemAggregate]
+) -> float | None:
+    """Pearson-style correlation between a user's and a node's rating deviations.
+
+    Runs over the items both sides rated. Returns None when there is no
+    overlap, and 0.0 when either side's deviations vanish on the overlap
+    (a zero-variance side carries no correlation signal).
+    """
+    num = du = dn = 0.0
+    overlap = 0
+    for item, r in user_ratings.items():
+        agg = aggregates.get(item)
+        if agg is None:
+            continue
+        overlap += 1
+        x = r - user_mean
+        y = agg.rating - agg.rater_mean
+        num += x * y
+        du += x * x
+        dn += y * y
+    if overlap == 0:
+        return None
+    if du <= 0.0 or dn <= 0.0:
+        return 0.0
+    return num / math.sqrt(du * dn)
+
+
+def ancestor_at(book: CodeBook, node_id: int, depth: int) -> int:
+    """The id of the node's ancestor at the given shallower depth."""
+    nodes, at = book.arrays, int(node_id)
+    while nodes.depth[at] > depth:
+        at = int(nodes.parent[at])
+    if nodes.depth[at] != depth:
+        raise ValueError(f"node {node_id} has no ancestor at depth {depth}")
+    return at
+
+
+# ---------------------------------------------------------------------------
+# Explicit-hierarchy builders (worked examples and fixtures)
+
+
+def _is_leaf_spec(spec) -> bool:
+    return all(isinstance(x, (int, np.integer)) for x in spec)
+
+
+def _hierarchy_depth(spec) -> int:
+    if _is_leaf_spec(spec):
+        return 0
+    depths = {_hierarchy_depth(child) for child in spec}
+    if len(depths) != 1:
+        raise ValueError("hierarchy is not depth-balanced")
+    return depths.pop() + 1
+
+
+def _build_hierarchy(builder: _Builder, spec, tree: int, depth, parent, label):
+    if _is_leaf_spec(spec):
+        members = np.array(spec, dtype=np.intp)
+        return builder.add(tree, depth, parent, members, label), members
+    nid = builder.add(tree, depth, parent, None, label)
+    children = [_build_hierarchy(builder, child, tree, depth + 1, nid, label)[1] for child in spec]
+    builder.members[nid] = np.concatenate(children)
+    return nid, builder.members[nid]
+
+
+def dual_book_from_hierarchy(train: LabeledDataset, positive_spec, negative_spec) -> CodeBook:
+    """Build a dual-tree book from explicit nested row-index groupings.
+
+    A node spec is either a list of dataset row indices (leaf) or a list of
+    child specs. Both trees must be depth-balanced to the same height.
+    """
+    builder = _Builder()
+    roots = []
+    for tree, (spec, label) in enumerate(((positive_spec, POSITIVE), (negative_spec, NEGATIVE))):
+        _hierarchy_depth(spec)
+        nid, _ = _build_hierarchy(builder, spec, tree, 0, None, label)
+        roots.append(nid)
+    return builder.finish(KIND_DUAL, roots, {"task": "knn", "source": "explicit"}, 0, train.features)
+
+
+def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBook:
+    """Build a CF book from an explicit nested grouping of 1-based user ids."""
+
+    def to_rows(s):
+        if _is_leaf_spec(s):
+            return [u - 1 for u in s]
+        return [to_rows(c) for c in s]
+
+    values = _user_features(np.arange(matrix.num_users)[:, None] if features is None else features,
+                            matrix.num_users)
+    builder = _Builder()
+    rows_spec = to_rows(spec)
+    _hierarchy_depth(rows_spec)
+    root, _ = _build_hierarchy(builder, rows_spec, 0, 0, None, None)
+    return builder.finish(
+        KIND_CF, [root], {"task": "cf", "source": "explicit"}, 0, values, matrix, features=values
+    )
+
+
+def gaussian_mixture(
+    n: int = 2000, d: int = 4, components: int = 6, spread: float = 0.7, seed: int = 0
+) -> LabeledDataset:
+    """A labeled Gaussian mixture; alternate components carry opposite classes."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-5.0, 5.0, size=(components, d))
+    sizes = np.full(components, n // components)
+    sizes[: n - sizes.sum()] += 1
+    feats = []
+    labels = []
+    for c in range(components):
+        feats.append(rng.normal(centers[c], spread, size=(sizes[c], d)))
+        labels.append(np.full(sizes[c], 1 if c % 2 == 0 else -1))
+    return LabeledDataset(np.vstack(feats), np.concatenate(labels))

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Public benchmark corpora are stood in for by the seeded generators
-in ``elastic_mine.synthetic`` (tests run offline); quality thresholds match
+in ``elastic_mine.synthetic`` and ``tests/reference.py`` (tests run offline); quality thresholds match
 the stated tolerances.
 """
 
@@ -23,6 +23,7 @@ from elastic_mine.planner import (
 )
 
 from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
+from reference import cf_book_from_hierarchy, gaussian_mixture
 
 SPOT_PRICES = (
     0.10, 0.11, 0.12, 0.14, 0.16, 0.18, 0.20, 0.22, 0.24, 0.26, 0.28, 0.30,
@@ -48,7 +49,7 @@ def test_01_aggregation_oracle(example_matrix):
     assert leaf[3].rater_mean == pytest.approx(4.00, abs=0.005)
     assert 2 not in leaf
     # the explicit grouping route agrees
-    explicit = em.cf_book_from_hierarchy(example_matrix, EXAMPLE_HIERARCHY, TABLE_FEATURES)
+    explicit = cf_book_from_hierarchy(example_matrix, EXAMPLE_HIERARCHY, TABLE_FEATURES)
     assert aggregates_of(explicit, leaf_with_members(explicit, {0, 1, 2})) == leaf
     assert time.perf_counter() - t0 < 1.0
     verdict(1, "aggregation oracle", t0)
@@ -88,7 +89,7 @@ def test_04_entropy_monotonicity():
     for seed in (1, 2, 3):
         cases.append(("fourclass-like", em.synthetic.fourclass_like(seed), 3))
         cases.append(("skin-like", em.synthetic.skin_like(5000, seed), 4))
-        cases.append(("gaussian", em.synthetic.gaussian_mixture(2000, 4, seed=seed), 4))
+        cases.append(("gaussian", gaussian_mixture(2000, 4, seed=seed), 4))
     for name, data, cap in cases:
         book = em.build_dual_rtrees(data, max_entries=cap, seed=0)
         vols = [em.total_mbr_volume(book, d) for d in book.depths()]

@@ -16,6 +16,7 @@ from elastic_mine.errors import (
 from elastic_mine.knn import KnnApproxResult
 
 from conftest import TABLE_FEATURES
+from reference import dual_book_from_hierarchy
 
 
 class TestRanking:
@@ -137,7 +138,7 @@ class TestAnytimeRtree:
              [-20.0], [-21.0], [4.0], [5.0], [30.0], [31.0], [32.0]]
         )
         ds = em.LabeledDataset(feats, [1] * 7 + [-1] * 7)
-        book = em.dual_book_from_hierarchy(
+        book = dual_book_from_hierarchy(
             ds, [[[0], [1]], [[2], [3]], [[4], [5], [6]]],
             [[[7], [8]], [[9], [10]], [[11], [12], [13]]],
         )
@@ -152,7 +153,7 @@ class TestAnytimeRtree:
         # 18 far points in one leaf give the near point 18 an id above every node id
         feats = np.array([[50.0]] * 18 + [[-1.0], [1.0], [-3.0], [3.0], [7.0], [8.0]])
         ds = em.LabeledDataset(feats, [1] * 20 + [-1] * 4)
-        book = em.dual_book_from_hierarchy(
+        book = dual_book_from_hierarchy(
             ds, [[[18], [19]], [list(range(18))]], [[[20], [21]], [[22], [23]]]
         )
         assert len(book.arrays.depth) <= 18

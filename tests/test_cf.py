@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import ItemAggregate
-from elastic_mine.errors import BookKindError, DivergenceError, ForeignStateError, UndefinedMetricError
+from elastic_mine.errors import (
+    BookKindError, DivergenceError, ForeignStateError, InvalidQueryError, UndefinedMetricError,
+)
 
 from conftest import TABLE_FEATURES, aggregates_of
+from reference import ItemAggregate, ancestor_at, cf_book_from_hierarchy, node_weight
 
 
 class TestIncrementalSvd:
@@ -189,21 +191,21 @@ class TestWavefrontSvd:
 class TestNodeWeight:
     def test_perfect_agreement(self):
         aggs = {1: ItemAggregate(4.0, 3.0, 2), 2: ItemAggregate(2.0, 3.0, 2)}
-        w = em.node_weight({1: 5.0, 2: 3.0}, 4.0, aggs)
+        w = node_weight({1: 5.0, 2: 3.0}, 4.0, aggs)
         assert w == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_disagreement(self):
         aggs = {1: ItemAggregate(2.0, 3.0, 2), 2: ItemAggregate(4.0, 3.0, 2)}
-        w = em.node_weight({1: 5.0, 2: 3.0}, 4.0, aggs)
+        w = node_weight({1: 5.0, 2: 3.0}, 4.0, aggs)
         assert w == pytest.approx(-1.0, abs=1e-12)
 
     def test_no_overlap_signals_none(self):
         aggs = {9: ItemAggregate(4.0, 3.0, 1)}
-        assert em.node_weight({1: 5.0}, 5.0, aggs) is None
+        assert node_weight({1: 5.0}, 5.0, aggs) is None
 
     def test_degenerate_variance_is_zero(self):
         aggs = {1: ItemAggregate(3.0, 3.0, 2), 2: ItemAggregate(3.0, 3.0, 2)}
-        assert em.node_weight({1: 5.0, 2: 3.0}, 4.0, aggs) == 0.0
+        assert node_weight({1: 5.0, 2: 3.0}, 4.0, aggs) == 0.0
 
     def test_weights_stay_in_range(self):
         rng = np.random.default_rng(0)
@@ -215,7 +217,7 @@ class TestNodeWeight:
                 int(i): ItemAggregate(float(rng.uniform(1, 5)), float(rng.uniform(1, 5)), 2)
                 for i in rng.choice(10, size=int(rng.integers(1, 8)), replace=False) + 1
             }
-            w = em.node_weight(user, float(np.mean(list(user.values()))), aggs)
+            w = node_weight(user, float(np.mean(list(user.values()))), aggs)
             if w is not None:
                 assert -1.0 - 1e-9 <= w <= 1.0 + 1e-9
 
@@ -243,6 +245,17 @@ A 2 2 3.0 {1.0 + math.sqrt(3.0)!r} 1
 A 2 10 3.0 4.0 1
 end
 """)
+
+
+class TestMalformedQuery:
+    @pytest.mark.parametrize("ratings, mean", [
+        ({1: 3.0, 3: 4.0}, math.nan), ({1: 3.0}, math.inf), ({}, math.nan),
+        ({1: math.nan, 3: 4.0}, 3.5), ({1: 3.0, 3: -math.inf}, 3.5),
+    ], ids=["nan-mean", "inf-mean", "cold-nan-mean", "nan-rating", "minus-inf-rating"])
+    def test_query_without_answer_rejected(self, ratings, mean):
+        """A NaN mean would predict NaN as a fallback, and a NaN rating would drop out unseen."""
+        with pytest.raises(InvalidQueryError):
+            em.CfQuery(1, 2, ratings, mean)
 
 
 class TestPredict:
@@ -401,7 +414,7 @@ def _reference_over_users(matrix, query, users):
         raters.append(v)
         v_mean = matrix.user_mean(v)
         aggs = {i: ItemAggregate(r, v_mean, 1) for i, r in row.items()}
-        w = em.node_weight(query.ratings, query.mean, aggs)
+        w = node_weight(query.ratings, query.mean, aggs)
         if w is None or w == 0.0:
             continue
         weighted.append((v, w, row[query.item] - v_mean))
@@ -495,7 +508,7 @@ def _reference_score(query, depth, sources, scanned, scale):
         if agg is None:
             continue
         raters.append(cid)
-        w = em.node_weight(query.ratings, query.mean, aggs)
+        w = node_weight(query.ratings, query.mean, aggs)
         if w is None or w == 0.0:
             continue
         weighted.append((cid, w, agg.rating - agg.rater_mean))
@@ -519,7 +532,7 @@ def _reference_predict(book, depth, query, state=None, matrix=None):
     candidates = list(book.code_at_depth(depth).node_ids)
     if state is not None:
         candidates = [
-            nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
+            nid for nid in candidates if ancestor_at(book, nid, state.depth) in state.retained
         ]
     scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
     sources = ((nid, aggregates_of(book, nid)) for nid in candidates)
@@ -803,8 +816,10 @@ class TestMetrics:
         assert em.rmse([5.0], [3.0]) == 2.0
 
     def test_rmse_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedMetricError):
             em.rmse([1.0], [1.0, 2.0])
+        with pytest.raises(UndefinedMetricError):
+            em.rmse([], [])
 
     def test_relative_error_examples(self):
         assert em.relative_error(0.99, 0.90) == pytest.approx(0.10, abs=1e-12)

@@ -40,6 +40,11 @@ def workdir(tmp_path_factory):
             fh.write(f"{h},{p}\n")
     with open(root / "results.csv", "w") as fh:
         fh.write("quality,hours\n0.74,6.0\n0.80,10.6\n0.86,22.24\n0.91,40.0\n")
+    # too few points to hold out a test point; and a positive class that
+    # is a single leaf in any training split, so the book has no usable code
+    (root / "tiny.libsvm").write_text("".join(f"{(-1) ** i} 1:{i}.0 2:{i * i}.0\n" for i in range(4)))
+    (root / "skewed.libsvm").write_text(
+        "".join(f"{1 if i < 3 else -1} 1:{i}.0 2:{i % 7}.0\n" for i in range(20)))
     return root
 
 
@@ -633,6 +638,8 @@ class TestMisuse:
          "rtree-dual"),
         (["mine", "baseline", "--algorithm", "rtree-bfs", "--book", "{f}/cf.ecb", "--train",
           "{w}/train.libsvm", "--test", "{w}/test.libsvm", "--budget", 50], "rtree-dual"),
+        (["bench", "--input", "{w}/tiny.libsvm"], "no train or no test"),
+        (["bench", "--input", "{w}/skewed.libsvm"], "no usable code"),
     ], ids=["spot-no-schedule", "elasticity-no-floor", "max-quality-no-budget",
             "min-investment-no-quality", "negative-deadline", "zero-price-spot", "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
@@ -643,7 +650,8 @@ class TestMisuse:
             "clustering-iterations-0", "recttree-iterations-negative", "build-knn-max-entries-1",
             "build-knn-leaf-capacity-0", "build-knn-leaf-capacity-negative", "build-cf-max-entries-1",
             "build-cf-leaf-capacity-0", "build-kmeans-branching-1", "build-kmeans-iterations-0",
-            "cf-on-knn-book", "knn-on-cf-book", "rtree-baseline-on-cf-book"])
+            "cf-on-knn-book", "knn-on-cf-book", "rtree-baseline-on-cf-book", "bench-too-few-points",
+            "bench-book-without-code"])
     def test_exits_2_with_one_error_line(self, workdir, files, tmp_path, capsys, argv, named):
         assert_fails_cleanly(fill(argv, workdir, files), tmp_path, capsys, named)
 

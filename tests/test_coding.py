@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import Mbr, _point_sq, kmeans
+from elastic_mine.coding import _point_sq, kmeans
 from elastic_mine.errors import (
     BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     InvalidDatasetError, ParseError,
 )
 
 from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
+from reference import (
+    Mbr, aggregate_ratings, ancestor_at, cf_book_from_hierarchy, dual_book_from_hierarchy,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -186,7 +189,7 @@ class TestCfCodebook:
         matrix = em.RatingMatrix(3, 2, {(1, 1): 5.0, (2, 1): 3.0, (3, 2): 1.0})
         for rows in (5, 2):  # one row per user, neither more nor fewer
             with pytest.raises(ValueError, match="feature rows"):
-                em.cf_book_from_hierarchy(matrix, [[1, 2], [3]], np.zeros((rows, 1)))
+                cf_book_from_hierarchy(matrix, [[1, 2], [3]], np.zeros((rows, 1)))
 
 
 class TestUserFeatures:
@@ -196,7 +199,7 @@ class TestUserFeatures:
     READERS = {
         "build_cf_codebook": lambda m, f: em.build_cf_codebook(m, f, max_entries=3),
         "build_kmeans_codebook": lambda m, f: em.build_kmeans_codebook(m, f),
-        "cf_book_from_hierarchy": lambda m, f: em.cf_book_from_hierarchy(
+        "cf_book_from_hierarchy": lambda m, f: cf_book_from_hierarchy(
             m, [list(range(1, 16)), list(range(16, 31))], f),
         "cf_clustering": lambda m, f: em.cf_clustering(m, f, em.CfQuery.from_matrix(m, 1, 1), 3),
         "cf_recttree": lambda m, f: em.cf_recttree(m, f, em.CfQuery.from_matrix(m, 1, 1), 3),
@@ -365,7 +368,7 @@ def ladder_book():
     matrix = em.RatingMatrix(
         56, 2, {(u, 1 + u % 2): float(u % 5 + 1) for u in range(1, 57)}
     )
-    return em.cf_book_from_hierarchy(matrix, level)
+    return cf_book_from_hierarchy(matrix, level)
 
 
 class TestCodeSelection:
@@ -413,7 +416,7 @@ class TestVolume:
         # one feature row per user: the first four users of the example matrix
         ratings = {(u, i): r for (u, i), r in example_matrix.ratings.items() if u <= 4}
         four_users = em.RatingMatrix(4, 5, ratings)
-        book = em.cf_book_from_hierarchy(
+        book = cf_book_from_hierarchy(
             four_users, [[1, 2], [3, 4]],
             np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
         )
@@ -705,7 +708,7 @@ class TestArrayBuilders:
         for i in range(len(nodes)):
             box = Mbr.of_points(feats[nodes.members_of(i)])
             assert _same_bits(nodes.low[i], box.low) and _same_bits(nodes.upp[i], box.upp)
-            want = em.aggregate_ratings(matrix, [m + 1 for m in nodes.members_of(i).tolist()])
+            want = aggregate_ratings(matrix, [m + 1 for m in nodes.members_of(i).tolist()])
             assert aggregates_of(book, i) == want  # exact: the same sums in the same order
         assert_round_trip(book)
 
@@ -732,7 +735,7 @@ class TestColumnarViews:
         """Moving node 1's only leaf under its sibling keeps every link, child
         list and box consistent, but leaves node 1 childless above depth 2."""
         ds = em.LabeledDataset([[0.0], [0.0], [1.0]], [1, 1, -1])
-        book = em.dual_book_from_hierarchy(ds, [[[0]], [[1]]], [[[2]]])
+        book = dual_book_from_hierarchy(ds, [[[0]], [[1]]], [[[2]]])
         assert book.arrays.parent.tolist() == [-1, 0, 1, 0, 3, -1, 5, 6]
         text = em.dump_codebook(book)
 
@@ -752,7 +755,7 @@ class TestColumnarViews:
             view = book.columns(deeper)
             for shallower in range(deeper):
                 offsets = view.offsets[shallower]
-                above = [book.ancestor_at(x, shallower) for x in view.ids.tolist()]
+                above = [ancestor_at(book, x, shallower) for x in view.ids.tolist()]
                 for r, nid in enumerate(book.columns(shallower).ids.tolist()):
                     below = [row for row, x in enumerate(above) if x == nid]
                     assert below == list(range(offsets[r], offsets[r + 1]))

@@ -9,7 +9,9 @@ import elastic_mine as em
 from elastic_mine.datasets import (
     _lines, _loop_libsvm, _loop_ratings, _read_libsvm, _read_ratings, round_half_up,
 )
-from elastic_mine.errors import ElasticMineError, InvalidDatasetError, LabelCardinalityError, ParseError
+from elastic_mine.errors import (
+    ElasticMineError, InvalidDatasetError, LabelCardinalityError, ParseError, SplitConfigError,
+)
 
 
 class TestParseLibsvm:
@@ -103,6 +105,11 @@ class TestRatingMatrix:
     def test_matrix_without_meaning_rejected(self, shape, ratings):
         with pytest.raises(InvalidDatasetError):
             em.RatingMatrix(*shape, ratings)
+
+    def test_row_table_is_not_a_parameter(self):
+        """The user rows are built from ``ratings``; a passed-in table would be replaced unseen."""
+        with pytest.raises(TypeError, match="_by_user"):
+            em.RatingMatrix(1, 1, {(1, 1): 3.0}, _by_user={7: {7: 1.0}})
 
     def test_parser_reports_the_line_first(self):
         with pytest.raises(ParseError) as err:
@@ -283,13 +290,19 @@ class TestSplit:
         )
 
     def test_fraction_out_of_range(self, fourclass):
-        with pytest.raises(ValueError):
+        with pytest.raises(SplitConfigError):
             em.split_dataset(fourclass, em.SplitSpec(test_fraction=1.5, seed=0))
 
     def test_count_leaving_empty_train_rejected(self):
         ds = em.LabeledDataset([[0.0], [1.0]], [1, -1])
-        with pytest.raises(ValueError):
+        with pytest.raises(SplitConfigError):
             em.split_dataset(ds, em.SplitSpec(test_count=2, seed=0))
+
+    def test_split_without_a_test_share_rejected(self, fourclass, example_matrix):
+        with pytest.raises(SplitConfigError, match="test_count or test_fraction"):
+            em.split_dataset(fourclass, em.SplitSpec())
+        with pytest.raises(SplitConfigError, match="test_fraction"):
+            em.split_ratings(example_matrix, em.SplitSpec(test_fraction=0.0))
 
     def test_rounding_rule(self):
         assert round_half_up(2.4) == 2
@@ -308,7 +321,7 @@ class TestSplit:
 
     def test_ratings_split_rejects_test_count(self, example_matrix):
         # the held-out share is per active user, so an absolute count has no meaning
-        with pytest.raises(ValueError, match="test_count"):
+        with pytest.raises(SplitConfigError, match="test_count"):
             em.split_ratings(example_matrix, em.SplitSpec(test_count=3, seed=1))
 
     def test_ratings_split_keeps_training_rating(self):

@@ -33,8 +33,10 @@ class TestLogBinomial:
         assert math.isfinite(value) and value > 0
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedMetricError):
             log_binomial(3, 5)
+        with pytest.raises(UndefinedMetricError):
+            log_binomial(3, -1)
 
 
 class TestResolution:

@@ -18,6 +18,7 @@ from elastic_mine import planner
 from elastic_mine.cli import build_parser
 
 SRC = str(Path(em.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
 
 # every name the package exposes, as "module.name"; a bare name is a module
 EXPORTS = """
@@ -26,14 +27,13 @@ EXPORTS = """
     datasets.split_ratings datasets.write_libsvm datasets.write_ratings_csv
     errors.DimensionMismatchError errors.ElasticMineError errors.ForeignStateError
     errors.TrainingConfigError errors.UnknownUserError
-    coding.Aggregates coding.Code coding.CodeBook coding.ItemAggregate coding.Mbr
-    coding.NodeArrays coding.State coding.aggregate_ratings coding.build_cf_codebook
-    coding.build_dual_rtrees coding.build_kmeans_codebook coding.cf_book_from_hierarchy
-    coding.dual_book_from_hierarchy coding.dump_codebook coding.kmeans coding.load_codebook
+    coding.Aggregates coding.Code coding.CodeBook coding.NodeArrays coding.State
+    coding.build_cf_codebook coding.build_dual_rtrees coding.build_kmeans_codebook
+    coding.dump_codebook coding.kmeans coding.load_codebook
     coding.save_codebook coding.select_code coding.state_of coding.total_mbr_volume
-    knn.KnnApproxResult knn.KnnQuery knn.accuracy knn.auc knn.classify knn.dist_max
-    knn.dist_min knn.exact_knn knn.maintain_state
-    cf.CfApproxResult cf.CfQuery cf.exact_cf_predict cf.node_weight cf.predict cf.relative_error cf.rmse cf.train_incremental_svd
+    knn.KnnApproxResult knn.KnnQuery knn.accuracy knn.auc knn.classify
+    knn.exact_knn knn.maintain_state
+    cf.CfApproxResult cf.CfQuery cf.exact_cf_predict cf.predict cf.relative_error cf.rmse cf.train_incremental_svd
     elasticity.ElasticityReport elasticity.InvestmentPoint elasticity.ResolutionReport
     elasticity.audit_entropy_monotonicity elasticity.audit_quality_monotonicity
     elasticity.investment_elasticity elasticity.log_binomial elasticity.resolution
@@ -127,3 +127,20 @@ def test_src_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert foreign == []
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name the package exports is used by the library, the benchmark
+    or a demo, as a name, an attribute or an import; docstrings do not count."""
+    paths = [p for p in sorted(Path(em.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    assert sorted(set(em.__all__) - set(em._EXPORTS) - used) == []

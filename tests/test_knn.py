@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import EXACT_DEPTH, Mbr
+from elastic_mine.coding import EXACT_DEPTH
 from elastic_mine.errors import (
     BookKindError,
     DimensionMismatchError,
@@ -20,35 +20,36 @@ from elastic_mine.errors import (
 from elastic_mine.knn import KnnApproxResult, refine_chain
 
 from conftest import box_of
+from reference import Mbr, ancestor_at, dist_max, dist_min, dual_book_from_hierarchy
 
 BOX = Mbr(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
 
 
 class TestDistances:
     def test_dist_max_outside(self):
-        assert em.dist_max([3.0, 3.0], BOX) == pytest.approx(math.sqrt(18))
+        assert dist_max([3.0, 3.0], BOX) == pytest.approx(math.sqrt(18))
 
     def test_dist_max_inside(self):
-        assert em.dist_max([1.0, 1.0], BOX) == pytest.approx(math.sqrt(2))
+        assert dist_max([1.0, 1.0], BOX) == pytest.approx(math.sqrt(2))
 
     def test_dist_max_point_box(self):
         point = Mbr(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert em.dist_max([1.0, 1.0], point) == 0.0
+        assert dist_max([1.0, 1.0], point) == 0.0
 
     def test_dist_min_outside_corner(self):
-        assert em.dist_min([3.0, 3.0], BOX) == pytest.approx(math.sqrt(2))
+        assert dist_min([3.0, 3.0], BOX) == pytest.approx(math.sqrt(2))
 
     def test_dist_min_inside(self):
-        assert em.dist_min([1.0, 1.0], BOX) == 0.0
+        assert dist_min([1.0, 1.0], BOX) == 0.0
 
     def test_dist_min_nearest_face(self):
-        assert em.dist_min([0.0, 5.0], BOX) == 3.0
+        assert dist_min([0.0, 5.0], BOX) == 3.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            em.dist_max([1.0, 2.0, 3.0], BOX)
+            dist_max([1.0, 2.0, 3.0], BOX)
         with pytest.raises(ValueError):
-            em.dist_min([1.0], BOX)
+            dist_min([1.0], BOX)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -57,7 +58,7 @@ class TestDistances:
         pts = rng.normal(size=(8, 3))
         q = rng.normal(size=3)
         box = Mbr.of_points(pts)
-        lo, hi = em.dist_min(q, box), em.dist_max(q, box)
+        lo, hi = dist_min(q, box), dist_max(q, box)
         for p in pts:
             d = float(np.linalg.norm(p - q))
             assert lo - 1e-9 <= d <= hi + 1e-9
@@ -81,7 +82,7 @@ def worked_example():
     ds = em.LabeledDataset(feats, labels)
     pos_spec = [[[0], [1]], [[2], [3]], [[4], [5], [6]]]
     neg_spec = [[[7], [8]], [[9], [10]], [[11], [12], [13]]]
-    book = em.dual_book_from_hierarchy(ds, pos_spec, neg_spec)
+    book = dual_book_from_hierarchy(ds, pos_spec, neg_spec)
     ids = {
         "N8": 1, "N9": 4, "N10": 7, "N20": 12, "N21": 15, "N22": 18,
         "N12": 13, "N13": 14, "N17": 19, "N18": 20, "N19": 21,
@@ -228,10 +229,10 @@ class TestMaintainState:
             feats += [[lo], [hi]]
             (pos_spec if j < 3 else neg_spec).append([2 * j, 2 * j + 1])
         ds = em.LabeledDataset(np.array(feats), [1] * 6 + [-1] * 6)
-        book = em.dual_book_from_hierarchy(ds, pos_spec, neg_spec)
+        book = dual_book_from_hierarchy(ds, pos_spec, neg_spec)
         code = book.code_at_depth(1)
         q = em.KnnQuery([59.0], 5)
-        min_sq = [em.dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
+        min_sq = [dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
         assert min_sq == pytest.approx([3364.0, 2401.0, 3364.0, 361.0,
                                         (58.0 - math.sqrt(1570.0)) ** 2, 2025.0])
         result = em.classify(book, 1, q)
@@ -243,7 +244,7 @@ class TestMaintainState:
     def test_zero_threshold_keeps_only_result_nodes(self):
         feats = np.array([[0.0], [0.0], [5.0], [6.0], [0.0], [7.0]])
         ds = em.LabeledDataset(feats, [1, 1, 1, 1, -1, -1])
-        book = em.dual_book_from_hierarchy(
+        book = dual_book_from_hierarchy(
             ds, [[0], [1], [2], [3]], [[4], [5]]
         )
         q = em.KnnQuery([0.0], 3)
@@ -308,7 +309,7 @@ def reference_classify(book, code, query, state=None):
     candidates = list(code.node_ids)
     if state is not None:
         candidates = [
-            nid for nid in candidates if book.ancestor_at(nid, state.depth) in state.retained
+            nid for nid in candidates if ancestor_at(book, nid, state.depth) in state.retained
         ]
     if len(candidates) < query.k:
         raise InsufficientCandidatesError(f"{len(candidates)} candidates < k={query.k}")
@@ -516,13 +517,17 @@ class TestVectorisedKernel:
 class TestMalformedQuery:
     @pytest.mark.parametrize("point, k", [
         ([math.nan, 0.0], 5), ([math.inf, 0.0], 5), ([0.0, -math.inf], 5), ([0.0, 0.0], 0),
-    ], ids=["nan", "inf", "minus-inf", "k-zero"])
+        ([0.0, 0.0], 2.5), ([0.0, 0.0], True),
+    ], ids=["nan", "inf", "minus-inf", "k-zero", "k-fraction", "k-bool"])
     def test_query_without_answer_rejected(self, point, k):
-        """No route answers a NaN or infinite coordinate, or k below 1."""
+        """No route answers a NaN or infinite coordinate, or a k that is not an integer from 1."""
         with pytest.raises(InvalidQueryError) as info:
             em.KnnQuery(point, k)
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, ElasticMineError)
+
+    def test_numpy_integer_k_accepted(self):
+        assert em.KnnQuery([0.0, 0.0], np.int64(3)).k == 3
 
 
 class TestExactKnn:
@@ -577,8 +582,10 @@ class TestAccuracy:
         assert em.accuracy([1, 1], [-1, -1]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedMetricError):
             em.accuracy([1], [1, -1])
+        with pytest.raises(UndefinedMetricError):
+            em.accuracy([], [])
 
 
 def pair_counting_auc(scores, labels):
@@ -613,6 +620,10 @@ class TestAuc:
     def test_one_class_missing(self):
         with pytest.raises(UndefinedMetricError):
             em.auc([0.1, 0.2], [1, 1])
+
+    def test_length_mismatch(self):
+        with pytest.raises(UndefinedMetricError):
+            em.auc([0.1, 0.2], [1, -1, 1])
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=2, max_size=200))
     @settings(max_examples=80, deadline=None)
