@@ -18,7 +18,7 @@ from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, _point_sq, _user_features, kmeans
 from .datasets import LabeledDataset, RatingMatrix
 from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
-from .knn import KnnApproxResult, KnnQuery, _check_dual, _check_train, _max_sq, _nearest, _result
+from .knn import KnnApproxResult, KnnQuery, _box_sq, _check_dual, _check_train, _nearest, _result
 
 STRATEGY_BFS = "bfs"
 STRATEGY_DFS = "dfs"
@@ -103,9 +103,9 @@ def anytime_knn_rtree(
     _check_train(train, query)
     q = query.point
     nodes = book.arrays
-    # each row's value is the one a lone box or point gets: _max_sq and
+    # each row's value is the one a lone box or point gets: _box_sq and
     # _point_sq score row by row
-    node_sq = _max_sq(q, nodes.low, nodes.upp)
+    node_sq = _box_sq(q, nodes.low, nodes.upp, with_min=False)[0]
     point_sq = _point_sq(train.features, q)
     node_d2 = node_sq.tolist()
     child_ptr, child_ids = (a.tolist() for a in nodes.child_csr)

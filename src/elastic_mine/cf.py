@@ -270,7 +270,8 @@ def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids:
         scanned=scanned,
         fallback=fallback,
         clamped=prediction != raw,
-        state=None if view is None else State(view, cols),
+        # cols ascend (every row or state_filter's rows, filtered), so the state skips the row check
+        state=None if view is None else State._built(view, cols),
     )
 
 

@@ -170,10 +170,17 @@ class State:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
         object.__setattr__(self, "rows", rows)
-        # count_nonzero, not .all(): about 1 us less per state, which every refine step makes
+        # count_nonzero, not .all(): about 1 us less per state
         if np.count_nonzero(rows[1:] <= rows[:-1]) or len(rows) and not (
                 0 <= rows[0] and rows[-1] < self.view.length):
             raise ForeignStateError(f"state rows must ascend strictly within 0..{self.view.length - 1}")
+
+    @classmethod
+    def _built(cls, view: Code, rows: np.ndarray) -> "State":
+        """A state of intp rows the library built ascending within ``view``, taken unchecked."""
+        state = object.__new__(cls)
+        state.__dict__.update(view=view, rows=rows)
+        return state
 
     @property
     def depth(self) -> int:
@@ -192,12 +199,16 @@ class State:
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
     """Columnar views of depths 0..usable; ancestor rows come from stepping a parent array.
 
-    Raises :class:`ParseError` unless the book is in tree order (parent
-    rows never decrease along a depth, so subtrees are row ranges), every
-    node above the deepest view has a child, and every box lies inside its
-    parent's box. Refined scans rely on all three.
+    Raises :class:`ParseError` unless every box is finite with low <= upp,
+    the book is in tree order (parent rows never decrease along a depth, so
+    subtrees are row ranges), every node above the deepest view has a child,
+    and every box lies inside its parent's; the kNN box kernel relies on all four.
     """
     nodes = book.arrays
+    valid = np.isfinite(nodes.low) & np.isfinite(nodes.upp) & (nodes.low <= nodes.upp)
+    bad = np.flatnonzero(~valid.all(axis=1))
+    if len(bad):
+        raise ParseError(f"the box of node {bad[0]} is not finite with low_i <= upp_i in every dimension")
     columns = {}
     for depth in range(book.usable_depth() + 1):
         ids = np.flatnonzero(nodes.depth == depth)
@@ -250,8 +261,8 @@ class CodeBook:
 
     Books come from the builders or from :func:`load_codebook`, which
     checks a custom book written as version 1 text. A book made straight
-    from :class:`NodeArrays` is taken as given: its views check tree order,
-    children and box nesting on first use, but nothing checks its links.
+    from :class:`NodeArrays` is taken as given: its views check boxes, tree
+    order, children and box nesting on first use, but nothing checks its links.
     """
 
     kind: str
@@ -338,7 +349,7 @@ def state_of(book: CodeBook, depth: int, node_ids) -> State:
 
 def _roots_state(book: CodeBook) -> State:
     """The depth-0 state that keeps every root: refining from it is starting over."""
-    return State(book.columns(0), np.arange(len(book.roots)))
+    return State._built(book.columns(0), np.arange(len(book.roots), dtype=np.intp))
 
 
 def state_filter(book: CodeBook, depth: int, state: State) -> np.ndarray:

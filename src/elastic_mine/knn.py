@@ -10,7 +10,7 @@ then filtered through it, which only ever shrinks the scan.
 The kernel works on the book's columnar per-depth view
 (:meth:`CodeBook.code_at_depth`): the boxes of a code as two (L, d) arrays, a
 label array and, per shallower depth, the range of this code's rows that
-lies below each node of that depth. A scan is one vector expression
+lies below each node of that depth. A scan is one box kernel, :func:`_box_sq`,
 over the (state-filtered) rows and the one nearest-k rule, :func:`_nearest`:
 a partial sort to the k-th distance, then a sort of the few entries at or
 below it by distance and node id. The exact oracle and both anytime
@@ -28,14 +28,12 @@ parent's box, so the threshold never grows down a chain and every such
 node lies under a retained one); from a hand-made, narrower state, fewer.
 
 Distance comparisons run on squared values internally; every distance a
-caller sees is a true (un-squared) Euclidean distance. Squared box norms
-go through the same dot routine for a single box and for a whole code, so
-a vectorised scan returns the same bits as a box-by-box one. Point
-distances (the exact oracle and both anytime baselines) go through the
-package's one squared-distance kernel, ``coding._point_sq``, which
-returns the bits a lone point gets; at d = 3 it adds column by column,
-and ``exact_knn`` over 19,700 points takes about 0.15 ms on a 2-core
-x86-64 machine (numpy 2.4).
+caller sees is a true (un-squared) Euclidean distance. Box norms go
+through the dot routine ``d @ d`` uses for a single box, so a vectorised
+scan returns the same bits as a box-by-box one. Point distances (the
+oracle and both anytime baselines) go through ``coding._point_sq``, which
+returns the bits a lone point gets; ``exact_knn`` over 19,700 points
+takes about 0.11-0.13 ms on a 2-core x86-64 machine (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -67,40 +65,32 @@ def _check_train(train: LabeledDataset, query: KnnQuery):
 
 
 def _norm_sq(d: np.ndarray):
-    """Squared Euclidean norm of a vector, or of every row of a matrix.
+    """Squared Euclidean norm of a vector, or of every row of a stack.
 
-    Each row goes through the dot routine ``d @ d`` uses, so a row's value
-    does not depend on how many rows are scored at once; ``einsum`` or a
-    row sum round differently wherever that routine fuses multiply-adds.
+    ``np.vecdot`` (numpy >= 2.0) takes each row through the dot routine ``d @ d``
+    uses, so a row's value does not depend on how many rows are scored at
+    once; ``einsum`` or a row sum round differently where it fuses multiply-adds.
     """
-    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+    return np.vecdot(d, d)
 
 
-def _max_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
-    return _norm_sq(np.maximum(np.abs(q - low), np.abs(q - upp)))
+def _box_sq(point: np.ndarray, low: np.ndarray, upp: np.ndarray, with_min: bool) -> np.ndarray:
+    """Squared max-distances from the point to each box and, ``with_min``,
+    squared min-distances: a (1 or 2, n) stack from one norm call.
 
-
-def _min_sq(q: np.ndarray, low: np.ndarray, upp: np.ndarray):
-    return _norm_sq(np.maximum(0.0, np.maximum(low - q, q - upp)))
-
-
-def _spread(q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """q repeated once per row: subtracting it from short rows is faster
-    as a full array than as a broadcast (``_max_sq`` over the 4,926 boxes
-    of the deepest knn-skin code: 128 µs against 151 µs, 2-core x86-64).
-    Box norms keep this row layout, not the column kernel of points,
-    because their bits come from the dot routine of :func:`_norm_sq`."""
-    return np.tile(q, (len(rows), 1))
-
-
-def _within(q: np.ndarray, low: np.ndarray, upp: np.ndarray, top_sq: float):
-    """Where the minimal distance is within the threshold of a result.
-
-    ``top_sq`` is the largest squared distance of the result's nodes, and
-    the threshold its square root. A node exactly at the threshold must be
-    kept whichever way that root squares back, so both bounds are tried.
-    """
-    return _min_sq(q, low, upp) <= max(top_sq, float(np.sqrt(top_sq)) ** 2)
+    For ``low <= upp`` the larger signed gap of ``q - low`` and ``upp - q``
+    is ``max(|q - low|, |q - upp|)``, and the smaller, clipped at 0,
+    ``-max(0, low - q, q - upp)``: equal squares. ``upp - q`` overwrites the
+    query repeated per row, faster than a broadcast against short rows
+    (``repeat``: 1.2-1.5 µs against 2.8-3.1 µs for ``tile`` at 6-78 rows)."""
+    q = np.repeat(point[None, :], len(low), axis=0)
+    gaps = np.empty((2 if with_min else 1, *low.shape))
+    near = np.subtract(q, low, out=gaps[-1])
+    far = np.subtract(upp, q, out=q)
+    np.maximum(near, far, out=gaps[0])
+    if with_min:
+        np.minimum(np.minimum(near, far, out=near), 0.0, out=near)
+    return _norm_sq(gaps)
 
 
 @dataclass(frozen=True)
@@ -191,22 +181,22 @@ def classify(
     R-trees raises :class:`BookKindError`.
     """
     columns = _code_columns(book, depth, query)
-    ids, low, upp, labels = columns.ids, columns.low, columns.upp, columns.labels
+    low, upp = columns.low, columns.upp
     if state is not None:
         rows = state_filter(book, columns.depth, state)
         # take() gathers (L, d) rows several times faster than fancy indexing
-        ids, low, upp, labels = (a.take(rows, axis=0) for a in (ids, low, upp, labels))
-    k = query.k
-    if len(ids) < k:
-        raise InsufficientCandidatesError(f"{len(ids)} candidate nodes after filtering < k={k}")
-    q = _spread(query.point, low)
-    d2 = _max_sq(q, low, upp)
-    top = _nearest(d2, k, ids)
+        low, upp = low.take(rows, axis=0), upp.take(rows, axis=0)
+    if len(low) < query.k:
+        raise InsufficientCandidatesError(f"{len(low)} candidate nodes after filtering < k={query.k}")
+    sq = _box_sq(query.point, low, upp, with_min=state is not None)
+    d2 = sq[0]
+    top = _nearest(d2, query.k)  # view ids and candidate rows ascend: positions are in id order
+    picked = top if state is None else rows[top]
     if state is not None:
-        # the next state: the candidates are gathered already, so it costs
-        # one more pass over them instead of a scan of the whole code
-        state = State(columns, rows[_within(q, low, upp, float(d2[top[-1]]))])
-    return _result(ids[top], d2[top], labels[top], len(ids), columns.depth, state)
+        # the next state keeps a node exactly at the threshold whichever way its root squares back
+        top_sq = float(d2[top[-1]])
+        state = State._built(columns, rows[sq[1] <= max(top_sq, float(np.sqrt(top_sq)) ** 2)])
+    return _result(columns.ids[picked], d2[top], columns.labels[picked], len(low), columns.depth, state)
 
 
 def maintain_state(book: CodeBook, query: KnnQuery, result: KnnApproxResult) -> State:
@@ -215,15 +205,13 @@ def maintain_state(book: CodeBook, query: KnnQuery, result: KnnApproxResult) -> 
     Nodes whose minimal distance exceeds the threshold cannot contain any
     of the query's nearest neighbours at any deeper depth and are dropped;
     the k result nodes always survive. A refined result of this book
-    carries that state, which is returned as it is; any other result of a
-    code (one-shot, hand-built, or of another book) is mined again at
-    ``result.depth`` from the roots' state, which costs a second scan: at
-    depth 6 of the knn-skin book about 0.33 ms, against 0.15-0.22 ms for
-    the one-shot itself (2-core x86-64). To get both the answer and the
-    state from one scan, classify from ``state_of(book, 0, book.roots)``
-    and read ``result.state``. ``result`` must be a result of ``query``. A
-    result of no code (``exact_knn`` or a baseline) raises
-    :class:`ForeignStateError`.
+    carries that state, returned as it is; any other result of a code
+    (one-shot, hand-built, or of another book) is mined again from the
+    roots' state, a second scan: at depth 6 of the knn-skin book 0.22-0.25
+    ms against 0.11-0.12 ms for the one-shot (2-core x86-64). One scan
+    gives both when it classifies from ``state_of(book, 0, book.roots)``.
+    ``result`` must be a result of ``query``; a result of no code
+    (``exact_knn`` or a baseline) raises :class:`ForeignStateError`.
     """
     if result.depth == EXACT_DEPTH:
         raise ForeignStateError("a result of no code (an exact oracle or a baseline) has no state")

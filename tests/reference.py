@@ -15,7 +15,7 @@ import numpy as np
 
 from elastic_mine.coding import KIND_CF, KIND_DUAL, CodeBook, _Builder, _user_features
 from elastic_mine.datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
-from elastic_mine.knn import _check_dim, _max_sq, _min_sq
+from elastic_mine.knn import _check_dim
 
 
 @dataclass(frozen=True)
@@ -49,18 +49,30 @@ class Mbr:
         return float(np.prod(self.upp - self.low))
 
 
+def max_sq(q, low, upp) -> float:
+    """Squared maximal distance from q to the box ``low``..``upp``, by its definition."""
+    d = np.maximum(np.abs(q - low), np.abs(q - upp))
+    return float(d @ d)
+
+
+def min_sq(q, low, upp) -> float:
+    """Squared minimal distance from q to the box ``low``..``upp``, by its definition."""
+    d = np.maximum(0.0, np.maximum(low - q, q - upp))
+    return float(d @ d)
+
+
 def dist_max(q, mbr: Mbr) -> float:
     """Maximal Euclidean distance from q to any point of the box."""
     q = np.asarray(q, dtype=float)
     _check_dim(q, mbr.dimensionality)
-    return float(np.sqrt(_max_sq(q, mbr.low, mbr.upp)))
+    return float(np.sqrt(max_sq(q, mbr.low, mbr.upp)))
 
 
 def dist_min(q, mbr: Mbr) -> float:
     """Minimal Euclidean distance from q to the box (0 inside)."""
     q = np.asarray(q, dtype=float)
     _check_dim(q, mbr.dimensionality)
-    return float(np.sqrt(_min_sq(q, mbr.low, mbr.upp)))
+    return float(np.sqrt(min_sq(q, mbr.low, mbr.upp)))
 
 
 class ItemAggregate(NamedTuple):

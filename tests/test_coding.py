@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -759,3 +761,45 @@ class TestColumnarViews:
                 for r, nid in enumerate(book.columns(shallower).ids.tolist()):
                     below = [row for row, x in enumerate(above) if x == nid]
                     assert below == list(range(offsets[r], offsets[r + 1]))
+
+
+class TestBoxesOfArrayBooks:
+    """A book made straight from NodeArrays is held to the boxes the reader accepts."""
+
+    @pytest.fixture(scope="class")
+    def skin_book(self):
+        return em.build_dual_rtrees(em.synthetic.skin_like(400), max_entries=4, seed=0)
+
+    @staticmethod
+    def with_box(book, node, edit):
+        low, upp = book.arrays.low.copy(), book.arrays.upp.copy()
+        edit(low[node], upp[node])
+        arrays = dataclasses.replace(book.arrays, low=low, upp=upp)
+        return em.CodeBook(book.kind, arrays, book.roots, book.config, book.seed)
+
+    @staticmethod
+    def swap_axis_0(low, upp):
+        low[0], upp[0] = upp[0], low[0]
+
+    @pytest.mark.parametrize("where", ["leaf", "root"])
+    def test_inverted_box_rejected(self, skin_book, where):
+        ptr, _ = skin_book.arrays.child_csr
+        arrays = skin_book.arrays
+        wide = arrays.low[:, 0] < arrays.upp[:, 0]
+        candidates = np.flatnonzero(wide & ((np.diff(ptr) == 0) if where == "leaf" else (arrays.parent < 0)))
+        node = int(candidates[0])
+        book = self.with_box(skin_book, node, self.swap_axis_0)
+        with pytest.raises(ParseError, match="MBR requires low_i <= upp_i"):
+            em.load_codebook(em.dump_codebook(book))
+        query = em.KnnQuery(arrays.low[node], 5)
+        with pytest.raises(ParseError, match=f"the box of node {node} is not finite with low_i <= upp_i"):
+            em.classify(book, book.depths()[-1], query)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_box_rejected(self, skin_book, value):
+        node = int(np.flatnonzero(np.diff(skin_book.arrays.child_csr[0]) == 0)[0])
+        book = self.with_box(skin_book, node, lambda low, upp: upp.__setitem__(1, value))
+        with pytest.raises(ParseError):
+            em.load_codebook(em.dump_codebook(book))
+        with pytest.raises(ParseError, match=f"the box of node {node} is not finite"):
+            book.columns(0)

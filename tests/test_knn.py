@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import elastic_mine as em
 from elastic_mine.coding import EXACT_DEPTH
@@ -17,10 +18,10 @@ from elastic_mine.errors import (
     InvalidQueryError,
     UndefinedMetricError,
 )
-from elastic_mine.knn import KnnApproxResult, refine_chain
+from elastic_mine.knn import KnnApproxResult, _box_sq, _norm_sq, refine_chain
 
 from conftest import box_of
-from reference import Mbr, ancestor_at, dist_max, dist_min, dual_book_from_hierarchy
+from reference import Mbr, ancestor_at, dist_max, dist_min, dual_book_from_hierarchy, max_sq, min_sq
 
 BOX = Mbr(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
 
@@ -162,11 +163,23 @@ class TestClassify:
             em.classify(book, 2, query, foreign)
         with pytest.raises(ForeignStateError):
             em.state_of(book, -1, [])
-        # hand-made rows: unsorted and repeated, past the view's end, negative
+
+    @pytest.mark.parametrize("rows", [
+        [5, 1, 1], [2, 1], [3, 3], ["end"], [0, "end"], [-1], [-1, 0],
+    ], ids=["unsorted-repeated", "descending", "repeated", "past-end", "ends-past-end",
+            "negative", "starts-negative"])
+    def test_public_state_checks_its_rows(self, fourclass_book, rows):
+        """A hand-made state is checked although the library's own states are not:
+        rows must ascend strictly within the view."""
         view = fourclass_book.columns(2)
-        for rows in ([5, 1, 1], [view.length], [-1]):
-            with pytest.raises(ForeignStateError):
-                em.State(view, rows)
+        rows = [view.length if r == "end" else r for r in rows]
+        with pytest.raises(ForeignStateError, match="state rows must ascend strictly"):
+            em.State(view, rows)
+
+    def test_public_state_equals_carried_state(self, fourclass_book):
+        query = em.KnnQuery([0.0, 0.0], 3)
+        carried = em.classify(fourclass_book, 2, query, em.state_of(fourclass_book, 0, fourclass_book.roots)).state
+        assert em.State(carried.view, carried.rows.tolist()) == carried
 
     def test_result_of_no_code_has_no_state(self, fourclass_split, fourclass_book):
         """The exact oracle and both anytime baselines scan no code, so none of
@@ -232,11 +245,11 @@ class TestMaintainState:
         book = dual_book_from_hierarchy(ds, pos_spec, neg_spec)
         code = book.code_at_depth(1)
         q = em.KnnQuery([59.0], 5)
-        min_sq = [dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
-        assert min_sq == pytest.approx([3364.0, 2401.0, 3364.0, 361.0,
+        mins = [dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
+        assert mins == pytest.approx([3364.0, 2401.0, 3364.0, 361.0,
                                         (58.0 - math.sqrt(1570.0)) ** 2, 2025.0])
         result = em.classify(book, 1, q)
-        assert result.threshold == 59.0 and max(min_sq) < result.threshold**2
+        assert result.threshold == 59.0 and max(mins) < result.threshold**2
         assert code.node_ids[0] not in result.node_ids
         state = em.maintain_state(book, q, result)
         assert state.retained == set(code.node_ids)
@@ -292,14 +305,8 @@ class TestMonotonicityProperties:
             assert all(a >= b for a, b in zip(costs, costs[1:]))
 
 
-def _reference_max_sq(q, mbr):
-    d = np.maximum(np.abs(q - mbr.low), np.abs(q - mbr.upp))
-    return float(d @ d)
-
-
-def _reference_min_sq(q, mbr):
-    d = np.maximum(0.0, np.maximum(mbr.low - q, q - mbr.upp))
-    return float(d @ d)
+def _bounds(book, nid):
+    return book.arrays.low[nid], book.arrays.upp[nid]
 
 
 def reference_classify(book, code, query, state=None):
@@ -313,7 +320,7 @@ def reference_classify(book, code, query, state=None):
         ]
     if len(candidates) < query.k:
         raise InsufficientCandidatesError(f"{len(candidates)} candidates < k={query.k}")
-    scored = sorted((_reference_max_sq(query.point, box_of(book, nid)), nid) for nid in candidates)
+    scored = sorted((max_sq(query.point, *_bounds(book, nid)), nid) for nid in candidates)
     top = scored[: query.k]
     k_pos = sum(1 for _, nid in top if book.arrays.label[nid] == em.POSITIVE)
     k_neg = query.k - k_pos
@@ -337,9 +344,9 @@ def reference_classify(book, code, query, state=None):
 def _reference_keep(book, query, node_ids, result):
     """The given nodes whose minimal distance is within the result's threshold."""
     q = query.point
-    thr_sq = max(_reference_max_sq(q, box_of(book, nid)) for nid in result.node_ids)
+    thr_sq = max(max_sq(q, *_bounds(book, nid)) for nid in result.node_ids)
     thr_sq = max(thr_sq, result.threshold**2)
-    return [nid for nid in node_ids if _reference_min_sq(q, box_of(book, nid)) <= thr_sq]
+    return [nid for nid in node_ids if min_sq(q, *_bounds(book, nid)) <= thr_sq]
 
 
 def reference_maintain_state(book, code, query, result):
@@ -362,7 +369,7 @@ def reference_chain(book, query, depths=None):
 def books_and_queries(draw, leaf_capacity=None, same_class_sizes=False):
     """A dual-tree book over points of which some or all sit on an integer
     grid (so distance ties occur), plus a few queries against it."""
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 9))
     max_entries = draw(st.integers(2, 5))
     if leaf_capacity is None:
         leaf_capacity = draw(st.sampled_from([1, None]))
@@ -512,6 +519,43 @@ class TestVectorisedKernel:
             exact = em.exact_knn(train, query)
             assert chain[-1].distances == pytest.approx(exact.distances, rel=1e-12, abs=0.0)
             assert chain[-1].threshold == pytest.approx(exact.threshold, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def boxes_and_query(draw):
+    """Boxes with low <= upp, some of zero width in a dimension, and a query
+    whose coordinates may lie on a face of some box."""
+    d, n = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    a, b = (draw(arrays(float, (n, d), elements=coords)) for _ in range(2))
+    low, upp = np.minimum(a, b), np.maximum(a, b)
+    flat = draw(arrays(bool, (n, d)))
+    upp[flat] = low[flat]
+    q = draw(arrays(float, d, elements=coords))
+    on = draw(st.integers(0, n - 1))
+    face = draw(arrays(np.int8, d, elements=st.integers(0, 2)))
+    q = np.where(face == 1, low[on], np.where(face == 2, upp[on], q))
+    return q, low, upp
+
+
+class TestBoxKernel:
+    @given(boxes_and_query(), arrays(float, st.tuples(st.just(2), st.integers(1, 12), st.integers(1, 9)),
+                                     elements=st.floats(-1e6, 1e6)))
+    @settings(max_examples=300, deadline=None)
+    def test_squares_equal_definitions(self, case, stack):
+        """The fused kernel's max and min squares are the definitions' bits,
+        and a stacked norm is each row's own dot product."""
+        q, low, upp = case
+        both = _box_sq(q, low, upp, with_min=True)
+        assert both.shape == (2, len(low))
+        for r in range(len(low)):
+            assert both[0, r] == max_sq(q, low[r], upp[r])
+            assert both[1, r] == min_sq(q, low[r], upp[r])
+        assert np.array_equal(_box_sq(q, low, upp, with_min=False), both[:1])
+        norms = _norm_sq(stack)
+        assert [[x == r @ r for x, r in zip(norms[i], stack[i])] for i in range(2)] == [
+            [True] * stack.shape[1]] * 2
+        assert np.array_equal(_norm_sq(stack[1]), norms[1])
 
 
 class TestMalformedQuery:
