@@ -83,31 +83,42 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
     return rows
 
 
-def _load_states(path, key_fields, book, depth) -> dict:
-    """``state <key ints> <depth> <ids>`` lines as states of ``book`` above the
-    code ``depth``, keyed by the key ints."""
+def _load_states(path, key_fields, book, depth) -> tuple[dict, dict]:
+    """The ``state <key ints> <depth> <ids>`` lines of a state file as states of
+    ``book`` above the code ``depth``, and its ``query <key ints> <echo>`` lines
+    as (line number, echo), each keyed by the key ints. A second line of one
+    kind for one key raises :class:`ParseError` naming both lines."""
     from . import coding
 
-    states = {}
+    states, echoes, first = {}, {}, {}
     for at, line in _read_data_lines(path):
-        toks = line.split()
-        if not toks or toks[0] != "state":
+        kind, *toks = line.split() or [None]
+        if kind not in ("state", "query"):
             continue
         try:
-            key = tuple(map(int, toks[1 : 1 + key_fields]))
-            state_depth, ids = int(toks[1 + key_fields]), list(map(int, toks[2 + key_fields :]))
+            key = tuple(int(toks[i]) for i in range(key_fields))
+            if kind == "state":
+                state_depth, ids = int(toks[key_fields]), list(map(int, toks[key_fields + 1 :]))
         except (ValueError, IndexError):
-            raise ParseError(
-                f"malformed state line in {path} (want {key_fields} key ints, a depth and node ids)",
-                at,
-            ) from None
-        if state_depth >= depth:
+            raise ParseError(f"malformed {kind} line in {path} (want {key_fields} key ints, then "
+                             "a depth and node ids, or a point)", at) from None
+        if first.setdefault((kind, key), at) != at:
+            raise ParseError(f"a second {kind} line for one key in {path}, after line {first[kind, key]}", at)
+        if kind == "query":
+            echoes[key] = (at, " ".join(toks[key_fields:]))
+        elif state_depth >= depth:
             raise ParseError(f"state in {path} at depth {state_depth}, not above depth {depth}", at)
-        try:
-            states[key] = coding.state_of(book, state_depth, ids)
-        except ForeignStateError as exc:
-            raise ParseError(f"state in {path} does not fit the book: {exc}", at) from None
-    return states
+        else:
+            try:
+                states[key] = coding.state_of(book, state_depth, ids)
+            except ForeignStateError as exc:
+                raise ParseError(f"state in {path} does not fit the book: {exc}", at) from None
+    return states, echoes
+
+
+def _echo(point) -> str:
+    """A test point as the ``query`` line of a kNN state file echoes it."""
+    return " ".join(f"{v:.9f}" for v in point)
 
 
 def _state_line(key, state) -> str:
@@ -131,7 +142,7 @@ def _cmd_code_build(args) -> int:
 
     # the builder's own size checks, before any input is read or features are trained
     if args.task == "kmeans":
-        coding._check_kmeans_sizes(args.branching, args.iterations)
+        coding._check_kmeans_sizes(args.branching, args.iterations, args.depth_limit)
     else:
         coding._check_rtree_sizes(args.max_entries, args.leaf_capacity)
     if args.task == "knn":
@@ -167,10 +178,11 @@ def _cmd_code_build(args) -> int:
 
 
 def _open_mine(args, key_fields):
-    """(book, depth, states) of ``mine knn|cf``: the depth that ``--depth``,
-    ``--budget-nodes`` or (knn only) ``--budget-ms`` chooses, and the states of
-    ``--from-state`` keyed by ``key_fields`` ints. The options are checked
-    before any file is read."""
+    """(book, depth, start, echoes) of ``mine knn|cf``: the depth that ``--depth``,
+    ``--budget-nodes`` or (knn only) ``--budget-ms`` chooses; the one rule for the
+    state a query (keyed by ``key_fields`` ints) starts from: its ``--from-state``
+    state, else the roots' under ``--save-state``, else none; and the query echoes
+    of ``--from-state``. The options are checked before any file is read."""
     budget_ms = getattr(args, "budget_ms", None)
     if args.depth is None and args.budget_nodes is None:
         if budget_ms is None:
@@ -197,8 +209,9 @@ def _open_mine(args, key_fields):
         if profile is None:
             raise ElasticMineError(f"no nodes_per_second line in {args.profile}")
         depth = coding.select_code(book, planner.length_budget(budget_ms / 1000.0, profile)).depth
-    states = _load_states(args.from_state, key_fields, book, depth) if args.from_state else {}
-    return book, depth, states
+    states, echoes = _load_states(args.from_state, key_fields, book, depth) if args.from_state else ({}, {})
+    roots = coding._roots_state(book) if args.save_state else None  # so that results carry states
+    return book, depth, lambda key: states.get(key, roots), echoes
 
 
 def _run_ordered(worker, count, threads):
@@ -212,32 +225,27 @@ def _run_ordered(worker, count, threads):
 
 
 def _cmd_mine_knn(args) -> int:
-    from . import coding, datasets, knn
+    from . import datasets, knn
 
-    book, depth, states = _open_mine(args, 1)
+    book, depth, start, echoes = _open_mine(args, 1)
     with open(args.test, encoding="utf-8") as fh:
         test = datasets.parse_libsvm(fh)
+    for (qid,), (at, echo) in echoes.items():  # a query past the test set is not mined
+        if qid < len(test) and echo != _echo(test.features[qid]):
+            raise ParseError(f"state of query {qid} in {args.from_state} was saved for another point", at)
 
     def classify_one(qid):
-        state = states.get((qid,))
-        if state is None and args.save_state:
-            state = coding._roots_state(book)  # so that the result carries its state
-        return knn.classify(book, depth, knn.KnnQuery(test.features[qid], args.k), state)
+        return knn.classify(book, depth, knn.KnnQuery(test.features[qid], args.k), start((qid,)))
 
     outcomes = _run_ordered(classify_one, len(test), args.threads)
     rows = ["query_id,depth,scanned_nodes,k_P,k_N,predicted,actual"]
     state_lines = []
     for qid, result in enumerate(outcomes):
-        rows.append(
-            f"{qid},{depth},{result.scanned},{result.k_pos},{result.k_neg},"
-            f"{result.predicted},{int(test.labels[qid])}"
-        )
+        rows.append(f"{qid},{depth},{result.scanned},{result.k_pos},{result.k_neg},"
+                    f"{result.predicted},{int(test.labels[qid])}")
         if args.save_state:
-            echo = " ".join(f"{v:.9f}" for v in test.features[qid])
-            pairs = " ".join(
-                f"{nid}:{dist:.9f}" for nid, dist in zip(result.node_ids, result.distances)
-            )
-            state_lines.append(f"query {qid} {echo}")
+            pairs = " ".join(f"{nid}:{dist:.9f}" for nid, dist in zip(result.node_ids, result.distances))
+            state_lines.append(f"query {qid} {_echo(test.features[qid])}")
             state_lines.append(f"result {qid} {depth} {pairs}")
             state_lines.append(_state_line(qid, result.state))
     _write(args.out, args, rows)
@@ -251,7 +259,7 @@ def _cmd_mine_cf(args) -> int:
         raise ElasticMineError("mine cf needs --test or --user/--item")
     from . import cf, datasets
 
-    book, depth, states = _open_mine(args, 2)
+    book, depth, start, _ = _open_mine(args, 2)
     with open(args.ratings, encoding="utf-8") as fh:
         matrix = datasets.parse_ratings_csv(fh)
     if args.test:
@@ -265,16 +273,15 @@ def _cmd_mine_cf(args) -> int:
     def predict_one(idx):
         user, item, _ = queries[idx]
         query = cf.CfQuery.from_matrix(matrix, user, item)
-        return cf.predict(book, depth, query, states.get((user, item)), matrix=matrix)
+        return cf.predict(book, depth, query, start((user, item)), matrix=matrix)
 
     outcomes = _run_ordered(predict_one, len(queries), args.threads)
     rows = ["user,item,depth,scanned_nodes,prediction,actual,fallback_flag"]
     state_lines = []
     for (user, item, actual), result in zip(queries, outcomes):
         shown = "" if actual is None else repr(actual)
-        rows.append(
-            f"{user},{item},{depth},{result.scanned},{result.prediction!r},{shown},{int(result.fallback)}"
-        )
+        rows.append(f"{user},{item},{depth},{result.scanned},{result.prediction!r},{shown},"
+                    f"{int(result.fallback)}")
         if args.save_state:
             state_lines.append(_state_line(f"{user} {item}", result.state))
     _write(args.out, args, rows)
@@ -328,7 +335,8 @@ def _cmd_mine_baseline(args) -> int:
             matrix = datasets.parse_ratings_csv(fh)
         with open(args.test, encoding="utf-8") as fh:
             tests = sorted(datasets.parse_ratings_csv(fh).ratings.items())
-        feats = cf.train_incremental_svd(matrix, args.features, args.lr, args.epochs, args.seed)
+        if algo != "sampling":  # only the clustering baselines read user features
+            feats = cf.train_incremental_svd(matrix, args.features, args.lr, args.epochs, args.seed)
         rows.append("user,item,algorithm,scanned,prediction,actual,fallback_flag")
         for (user, item), actual in tests:
             query = cf.CfQuery.from_matrix(matrix, user, item)

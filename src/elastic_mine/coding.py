@@ -674,12 +674,14 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     return labels, centroids
 
 
-def _check_kmeans_sizes(branching: int, iterations: int):
-    """Raise unless both sizes can build a k-means hierarchy."""
+def _check_kmeans_sizes(branching: int, iterations: int, depth_limit: int):
+    """Raise unless the sizes can build a k-means hierarchy with a usable code."""
     if branching < 2:
         raise CodebookConfigError(f"branching must be >= 2, got {branching}")
     if iterations < 1:
         raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
+    if depth_limit < 1:
+        raise CodebookConfigError(f"depth limit must be >= 1 for a usable code, got {depth_limit}")
 
 
 def build_kmeans_codebook(
@@ -698,7 +700,7 @@ def build_kmeans_codebook(
     branching factor are carried down unsplit (recorded as a warning);
     empty clusters are dropped.
     """
-    _check_kmeans_sizes(branching, iterations)
+    _check_kmeans_sizes(branching, iterations, depth_limit)
     values = _user_features(features, matrix.num_users)
     warnings: list[str] = []
     builder = _Builder()

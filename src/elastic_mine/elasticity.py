@@ -59,8 +59,7 @@ class ResolutionReport:
     @property
     def monotone(self) -> bool:
         """True when resolution never decreases from one code to the next."""
-        res = [c.resolution for c in self.codes]
-        return all(res[i] <= res[i + 1] + 1e-12 for i in range(len(res) - 1))
+        return self.first_violation() is None
 
     def first_violation(self) -> tuple[int, int] | None:
         res = [c.resolution for c in self.codes]

@@ -83,7 +83,7 @@ class BaselineConfigError(ElasticMineError, ValueError):
 
 class CodebookConfigError(ElasticMineError, ValueError):
     """A codebook builder setting is out of range: a fan-out (max entries or
-    branching) below 2, a leaf capacity below 1, or fewer than one k-means iteration."""
+    branching) below 2, or a leaf capacity, k-means iterations or depth limit below 1."""
 
 
 class SplitConfigError(ElasticMineError, ValueError):

@@ -21,11 +21,13 @@ per-node Python step; the view is built once per book, on first use.
 State filtering gathers the subtree row ranges of the retained rows, so
 a refined query costs O(candidates * d). A refined result also carries
 its own state: the scanned nodes whose minimal distance is within the
-threshold. Starting over is refining from the roots' state, so this one
-candidate pass builds every state; down a chain it keeps exactly the
-nodes a scan of the whole code would keep (child boxes lie inside their
-parent's box, so the threshold never grows down a chain and every such
-node lies under a retained one); from a hand-made, narrower state, fewer.
+threshold. Starting over is refining from the roots' state
+(``state_of(book, 0, book.roots)``), so this one candidate pass builds
+every state, and :func:`maintain_state` only hands a carried state on; a
+one-shot scan builds none. Down a chain a state keeps exactly the nodes a
+scan of the whole code would keep (child boxes lie inside their parent's
+box, so the threshold never grows down a chain and every such node lies
+under a retained one); from a hand-made, narrower state, fewer.
 
 Distance comparisons run on squared values internally; every distance a
 caller sees is a true (un-squared) Euclidean distance. Box norms go
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, KIND_DUAL, Code, CodeBook, State, _point_sq, _roots_state, state_filter
+from .coding import EXACT_DEPTH, KIND_DUAL, CodeBook, State, _point_sq, _roots_state, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
     BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
@@ -160,13 +162,6 @@ def _check_dual(book: CodeBook):
         raise BookKindError(f"kNN mines a {KIND_DUAL} book, not a {book.kind} one")
 
 
-def _code_columns(book: CodeBook, depth: int, query: KnnQuery) -> Code:
-    _check_dual(book)
-    columns = book.code_at_depth(depth)
-    _check_dim(query.point, columns.dimensionality)
-    return columns
-
-
 def classify(
     book: CodeBook, depth: int, query: KnnQuery, state: State | None = None
 ) -> KnnApproxResult:
@@ -180,7 +175,9 @@ def classify(
     one-shot path builds no state. A book of another kind than dual
     R-trees raises :class:`BookKindError`.
     """
-    columns = _code_columns(book, depth, query)
+    _check_dual(book)
+    columns = book.code_at_depth(depth)
+    _check_dim(query.point, columns.dimensionality)
     low, upp = columns.low, columns.upp
     if state is not None:
         rows = state_filter(book, columns.depth, state)
@@ -199,26 +196,20 @@ def classify(
     return _result(columns.ids[picked], d2[top], columns.labels[picked], len(low), columns.depth, state)
 
 
-def maintain_state(book: CodeBook, query: KnnQuery, result: KnnApproxResult) -> State:
-    """Keep the nodes of the result's code whose minimal distance is within the threshold.
+def maintain_state(book: CodeBook, result: KnnApproxResult) -> State:
+    """Hand on the state a refined result of this book carries.
 
-    Nodes whose minimal distance exceeds the threshold cannot contain any
-    of the query's nearest neighbours at any deeper depth and are dropped;
-    the k result nodes always survive. A refined result of this book
-    carries that state, returned as it is; any other result of a code
-    (one-shot, hand-built, or of another book) is mined again from the
-    roots' state, a second scan: at depth 6 of the knn-skin book 0.22-0.25
-    ms against 0.11-0.12 ms for the one-shot (2-core x86-64). One scan
-    gives both when it classifies from ``state_of(book, 0, book.roots)``.
-    ``result`` must be a result of ``query``; a result of no code
-    (``exact_knn`` or a baseline) raises :class:`ForeignStateError`.
+    A refined :func:`classify` builds the state; this only returns it. Any
+    other result (one-shot, hand-built, of another book, or of no code, as
+    from ``exact_knn`` or a baseline) raises :class:`ForeignStateError`:
+    classifying from ``state_of(book, 0, book.roots)`` gives an answer and
+    its state in one scan.
     """
-    if result.depth == EXACT_DEPTH:
-        raise ForeignStateError("a result of no code (an exact oracle or a baseline) has no state")
-    columns = _code_columns(book, result.depth, query)
-    if result.state is not None and result.state.view is columns:
-        return result.state
-    return classify(book, result.depth, query, _roots_state(book)).state
+    state = result.state
+    if state is None or book._columns.get(result.depth) is not state.view:
+        raise ForeignStateError(f"the result carries no state of this book's depth {result.depth}; classify "
+                                "from state_of(book, 0, book.roots) for an answer and its state in one scan")
+    return state
 
 
 def refine_chain(book: CodeBook, query: KnnQuery) -> list[KnnApproxResult]:
@@ -228,7 +219,7 @@ def refine_chain(book: CodeBook, query: KnnQuery) -> list[KnnApproxResult]:
     for depth in book.depths():
         result = classify(book, depth, query, state)
         results.append(result)
-        state = maintain_state(book, query, result)
+        state = maintain_state(book, result)
     return results
 
 

@@ -206,6 +206,11 @@ def _check_results(results: Sequence[ResultPoint]):
         raise PlanConfigError("results must be ordered by cumulative execution time")
 
 
+def _first_meeting(results: Sequence[ResultPoint], required_quality: float) -> int | None:
+    """Index of the first result whose quality meets the floor, or None."""
+    return next((i for i, r in enumerate(results) if r.quality >= required_quality - 1e-12), None)
+
+
 def fixed_plan(
     results: Sequence[ResultPoint],
     fixed_price: float,
@@ -237,12 +242,12 @@ def fixed_plan(
     if query == QUERY_MIN_INVESTMENT:
         if required_quality is None:
             raise PlanConfigError("min-investment query needs required_quality")
-        for i, r in enumerate(results):
-            if r.quality >= required_quality - 1e-12:
-                if budget is not None and invest[i] > budget + 1e-12:
-                    return answer(None, feasible=False, binding="budget")
-                return answer(i, binding="quality")
-        return answer(None, feasible=False, binding="quality")
+        i = _first_meeting(results, required_quality)
+        if i is None:
+            return answer(None, feasible=False, binding="quality")
+        if budget is not None and invest[i] > budget + 1e-12:
+            return answer(None, feasible=False, binding="budget")
+        return answer(i, binding="quality")
 
     if query == QUERY_MAX_QUALITY:
         if budget is None:
@@ -297,14 +302,7 @@ def spot_plan(
     if not 0 < deadline_hours < math.inf:
         raise PlanConfigError("deadline must be positive and finite")
     _check_finite(quality=required_quality, budget=budget)
-    target = None
-    if required_quality is None:
-        target = len(results) - 1
-    else:
-        for i, r in enumerate(results):
-            if r.quality >= required_quality - 1e-12:
-                target = i
-                break
+    target = len(results) - 1 if required_quality is None else _first_meeting(results, required_quality)
     if target is None:
         return PlanAnswer(query=QUERY_MIN_BID, feasible=False, binding="quality")
     work = results[target].hours

@@ -104,6 +104,7 @@ def test_05_pruning_safety(fourclass_split, fourclass_book):
     t0 = time.perf_counter()
     train, test = fourclass_split
     book = fourclass_book
+    roots = em.state_of(book, 0, book.roots)
     rng = np.random.default_rng(17)
     queries = rng.choice(len(test), size=100, replace=False)
     violations = 0
@@ -112,8 +113,7 @@ def test_05_pruning_safety(fourclass_split, fourclass_book):
         exact = set(em.exact_knn(train, query).node_ids)
         for depth in book.depths():
             code = book.code_at_depth(depth)
-            result = em.classify(book, depth, query)
-            state = em.maintain_state(book, query, result)
+            state = em.classify(book, depth, query, roots).state
             for nid in set(code.node_ids) - state.retained:
                 if not exact.isdisjoint(book.arrays.members_of(nid).tolist()):
                     violations += 1
@@ -137,7 +137,7 @@ def test_06_threshold_and_accumulative_monotonicity(fourclass_split, fourclass_b
         )
         costs = [em.classify(book, deepest, query).scanned]
         for result in results[:-1]:
-            state = em.maintain_state(book, query, result)
+            state = em.maintain_state(book, result)
             costs.append(em.classify(book, deepest, query, state).scanned)
         cost_violations += sum(1 for a, b in zip(costs, costs[1:]) if b > a)
     assert threshold_violations == 0

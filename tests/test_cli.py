@@ -105,7 +105,9 @@ class TestCodeBuild:
 
     @pytest.mark.parametrize("setting, named", [(["cf", "--max-entries", 1], "max entries"),
                                                 (["kmeans", "--branching", 1], "branching"),
-                                                (["kmeans", "--iterations", 0], "iterations")])
+                                                (["kmeans", "--iterations", 0], "iterations"),
+                                                (["kmeans", "--depth-limit", 0], "depth limit"),
+                                                (["kmeans", "--depth-limit", -1], "depth limit")])
     def test_sizes_checked_before_training(self, workdir, tmp_path, capsys, monkeypatch, setting,
                                            named):
         """A codebook size out of range fails before the features are trained."""
@@ -197,6 +199,16 @@ class TestMine:
                       for l in (workdir / "ratings_test.csv").read_text().splitlines()[1:])
         assert [tuple(map(float, (r[0], r[1], r[5]))) for r in body[1:]] == held
         assert all(r[2] == algorithm and 1.0 <= float(r[4]) <= 5.0 for r in body[1:])
+
+    def test_cf_sampling_trains_no_features(self, workdir, monkeypatch):
+        """Sampling reads no user features, so none are trained."""
+        def train(*args, **kwargs):
+            raise AssertionError("features trained for the sampling baseline")
+
+        monkeypatch.setattr("elastic_mine.cf.train_incremental_svd", train)
+        assert run(["mine", "baseline", "--algorithm", "sampling", "--sample-size", 10, "--ratings",
+                    workdir / "ratings.csv", "--test", workdir / "ratings_test.csv",
+                    "--out", workdir / "sampling_no_svd.csv"]) == 0
 
     def test_baseline_ranking(self, workdir):
         out = workdir / "rank.csv"
@@ -439,6 +451,31 @@ class TestThreadsAndBudgets:
         assert len(token.split(":")[1].split(".")[1]) == 9  # nine decimal places
         assert lines[2].startswith("state 0 1 ")
 
+    def test_state_of_other_queries_rejected(self, workdir, files, tmp_path, capsys):
+        """A kNN state file echoes each query's point; applied to other test
+        points it fails at the first echo that differs, and without its
+        query lines it is read as before."""
+        lines = (workdir / "test.libsvm").read_text().splitlines(keepends=True)
+        (tmp_path / "a.libsvm").write_text("".join(lines[:20]))
+        (tmp_path / "b.libsvm").write_text("".join(lines[20:40]))
+        state = tmp_path / "s2.txt"
+        mine = ["mine", "knn", "--book", files / "knn.ecb", "--k", 5]
+        assert run(mine + ["--test", tmp_path / "a.libsvm", "--depth", 2, "--save-state", state,
+                           "--out", tmp_path / "a2.csv"]) == 0
+        assert run(mine + ["--test", tmp_path / "a.libsvm", "--depth", 4, "--from-state", state,
+                           "--out", tmp_path / "a4.csv"]) == 0
+        capsys.readouterr()
+        assert run(mine + ["--test", tmp_path / "b.libsvm", "--depth", 4, "--from-state", state,
+                           "--out", tmp_path / "never.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and "query 0" in err and str(state) in err
+        assert not (tmp_path / "never.csv").exists()
+        bare = tmp_path / "bare.txt"
+        bare.write_text("".join(l for l in state.read_text().splitlines(keepends=True)
+                                if not l.startswith("query ")))
+        assert run(mine + ["--test", tmp_path / "b.libsvm", "--depth", 4, "--from-state", bare,
+                           "--out", tmp_path / "b4.csv"]) == 0
+
     def test_cf_state_round_trip(self, workdir):
         state = workdir / "cf_state.txt"
         assert run(["mine", "cf", "--book", workdir / "cf.ecb", "--ratings",
@@ -465,6 +502,9 @@ class TestSideFiles:
         ("state.txt", "# header\nstate 0 3 1 2\n", 2, ["mine", "knn", "--depth", 3, "--from-state"]),
         ("state.txt", "state 0 3 1 2\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
         ("state.txt", "state 0 1 0\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
+        ("state.txt", "query x 1.0 2.0\n", 1, ["mine", "knn", "--depth", 2, "--from-state"]),
+        ("state.txt", "state 0 1 1\nquery 0 1234.000000000 5678.000000000\n", 2,
+         ["mine", "knn", "--depth", 2, "--from-state"]),
         ("pred.csv", "query_id,scanned_nodes,k_P,k_N,predicted,actual\n0,4,3,2,1,1\n", 1,
          ["report", "quality", "--task", "knn", "--pred"]),
         ("profile.txt", "nodes_per_second abc\n", 1,
@@ -484,7 +524,8 @@ class TestSideFiles:
         ("schedule.csv", SCHEDULE + "3,0.5\n", 26,
          ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
     ], ids=["state-bad-depth", "state-no-depth", "state-at-mined-depth", "state-below-mined-depth",
-            "state-root-id", "pred-no-depth-column", "profile-bad-rate", "profile-negative-rate",
+            "state-root-id", "query-bad-key", "query-other-point",
+            "pred-no-depth-column", "profile-bad-rate", "profile-negative-rate",
             "profile-nan-rate", "profile-inf-rate", "series-nan", "results-nan-hours",
             "schedule-bad-price", "schedule-nan-price", "schedule-inf-price", "schedule-repeated-hour"])
     def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
@@ -501,6 +542,15 @@ class TestSideFiles:
         assert captured.out == ""
         assert captured.err.startswith(f"error: line {line}: ")
         assert str(path) in captured.err and captured.err.count("\n") == 1
+
+    def test_repeated_state_key_names_both_lines(self, workdir, files, fourclass_book, tmp_path, capsys):
+        a, b = fourclass_book.code_at_depth(1).node_ids[:2]
+        path = tmp_path / "state.txt"
+        path.write_text(f"state 0 1 {a}\nstate 1 1 {a}\n# note\nstate 0 1 {b}\n")
+        assert run(["mine", "knn", "--book", files / "knn.ecb", "--test", workdir / "test.libsvm",
+                    "--depth", 2, "--from-state", path, "--out", tmp_path / "never.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ") and "after line 1" in err and str(path) in err
 
     def test_cf_state_that_does_not_fit_fails_cleanly(self, workdir, tmp_path, capsys):
         """A CF state must lie above the mined depth, as a kNN state must."""

@@ -111,16 +111,14 @@ class TestClassify:
     def test_state_prunes_far_boxes(self, worked_example):
         _, book, ids = worked_example
         query = em.KnnQuery([0.0], 3)
-        result = em.classify(book, 1, query)
-        state = em.maintain_state(book, query, result)
+        state = em.classify(book, 1, query, em.state_of(book, 0, book.roots)).state
         assert state.retained == {ids["N8"], ids["N9"], ids["N10"], ids["N21"]}
 
     def test_refinement_skips_pruned_children(self, worked_example):
         _, book, ids = worked_example
         query = em.KnnQuery([0.0], 3)
-        result = em.classify(book, 1, query)
-        state = em.maintain_state(book, query, result)
-        refined = em.classify(book, 2, query, state)
+        result = em.classify(book, 1, query, em.state_of(book, 0, book.roots))
+        refined = em.classify(book, 2, query, result.state)
         assert refined.scanned == 9  # 14-node code minus the 5 pruned children
         excluded = {ids[n] for n in ("N12", "N13", "N17", "N18", "N19")}
         assert excluded.isdisjoint(refined.node_ids)
@@ -144,9 +142,8 @@ class TestClassify:
             em.classify(fourclass_book, 1, query)
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, ElasticMineError)
-        result = em.classify(fourclass_book, 1, em.KnnQuery([0.0, 0.0], 3))
         with pytest.raises(DimensionMismatchError):
-            em.maintain_state(fourclass_book, query, result)
+            em.classify(fourclass_book, 1, query, em.state_of(fourclass_book, 0, fourclass_book.roots))
 
     def test_foreign_state_rejected(self, worked_example, fourclass_book):
         _, book, ids = worked_example
@@ -157,8 +154,7 @@ class TestClassify:
         assert isinstance(info.value, ValueError)
         # a state of the larger book names ids that are no depth-1 nodes here
         other = em.KnnQuery([0.0, 0.0], 3)
-        first = em.classify(fourclass_book, 1, other)
-        foreign = em.maintain_state(fourclass_book, other, first)
+        foreign = em.classify(fourclass_book, 1, other, em.state_of(fourclass_book, 0, fourclass_book.roots)).state
         with pytest.raises(ForeignStateError):
             em.classify(book, 2, query, foreign)
         with pytest.raises(ForeignStateError):
@@ -191,14 +187,14 @@ class TestClassify:
         for result in results:
             assert result.depth == EXACT_DEPTH
             with pytest.raises(ForeignStateError):
-                em.maintain_state(fourclass_book, query, result)
+                em.maintain_state(fourclass_book, result)
 
     def test_refined_result_keeps_its_own_state(self, worked_example):
         _, book, _ = worked_example
         query = em.KnnQuery([0.0], 3)
-        state = em.maintain_state(book, query, em.classify(book, 1, query))
+        state = em.classify(book, 1, query, em.state_of(book, 0, book.roots)).state
         refined = em.classify(book, 2, query, state)
-        assert em.maintain_state(book, query, refined) is refined.state
+        assert em.maintain_state(book, refined) is refined.state
         assert refined.state.depth == 2
 
     def test_code_is_no_depth(self, worked_example):
@@ -219,8 +215,8 @@ class TestClassify:
         with pytest.raises(BookKindError):
             em.classify(example_cf_book, 1, query)
         result = KnnApproxResult(1, (1,), (0.0,), 1, 0, em.POSITIVE, 0.0, 2)
-        with pytest.raises(BookKindError):
-            em.maintain_state(example_cf_book, query, result)
+        with pytest.raises(ForeignStateError):
+            em.maintain_state(example_cf_book, result)
 
     def test_state_depth_must_be_shallower(self, worked_example):
         _, book, ids = worked_example
@@ -232,6 +228,32 @@ class TestClassify:
 
 
 class TestMaintainState:
+    def test_hands_on_only_a_carried_state(self, worked_example, monkeypatch):
+        """A refined result's own state is handed on without another scan; a
+        result that carries no state of this book's code of its depth is refused."""
+        _, book, _ = worked_example
+        query = em.KnnQuery([0.0], 3)
+        refined = em.classify(book, 1, query, em.state_of(book, 0, book.roots))
+        deeper = em.classify(book, 2, query, refined.state)
+        copy = em.load_codebook(em.dump_codebook(book))
+        foreign = em.classify(copy, 1, query, em.state_of(copy, 0, copy.roots))
+        refused = [
+            em.classify(book, 1, query),  # one-shot
+            dataclasses.replace(deeper, state=refined.state),  # hand-built: a state of depth 1 at depth 2
+            foreign,  # an equal copy's view
+            dataclasses.replace(refined, depth=EXACT_DEPTH),  # of no code
+        ]
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("maintain_state mined the code again")
+
+        monkeypatch.setattr(em.knn, "classify", no_scan)
+        assert em.maintain_state(book, refined) is refined.state
+        assert em.maintain_state(book, deeper) is deeper.state
+        for result in refused:
+            with pytest.raises(ForeignStateError, match=r"state_of\(book, 0, book.roots\)"):
+                em.maintain_state(book, result)
+
     def test_large_threshold_prunes_nothing(self):
         """The k = 5 nearest of six boxes reach out to 59; the sixth box, at
         minimal distance 58, is no result node but survives too."""
@@ -248,11 +270,10 @@ class TestMaintainState:
         mins = [dist_min(q.point, box_of(book, n)) ** 2 for n in code.node_ids]
         assert mins == pytest.approx([3364.0, 2401.0, 3364.0, 361.0,
                                         (58.0 - math.sqrt(1570.0)) ** 2, 2025.0])
-        result = em.classify(book, 1, q)
+        result = em.classify(book, 1, q, em.state_of(book, 0, book.roots))
         assert result.threshold == 59.0 and max(mins) < result.threshold**2
         assert code.node_ids[0] not in result.node_ids
-        state = em.maintain_state(book, q, result)
-        assert state.retained == set(code.node_ids)
+        assert result.state.retained == set(code.node_ids)
 
     def test_zero_threshold_keeps_only_result_nodes(self):
         feats = np.array([[0.0], [0.0], [5.0], [6.0], [0.0], [7.0]])
@@ -261,23 +282,22 @@ class TestMaintainState:
             ds, [[0], [1], [2], [3]], [[4], [5]]
         )
         q = em.KnnQuery([0.0], 3)
-        result = em.classify(book, 1, q)
+        result = em.classify(book, 1, q, em.state_of(book, 0, book.roots))
         assert result.threshold == 0.0
-        state = em.maintain_state(book, q, result)
         # strict > prunes; equality (the three zero-distance nodes) is kept
-        assert state.retained == set(result.node_ids)
+        assert result.state.retained == set(result.node_ids)
 
     def test_pruned_subtrees_never_hold_exact_neighbours(self, fourclass_split, fourclass_book):
         train, test = fourclass_split
         book = fourclass_book
+        roots = em.state_of(book, 0, book.roots)
         rng = np.random.default_rng(0)
         for qi in rng.choice(len(test), size=20, replace=False):
             query = em.KnnQuery(test.features[qi], 5)
             exact = set(em.exact_knn(train, query).node_ids)
             for depth in book.depths():
                 code = book.code_at_depth(depth)
-                result = em.classify(book, depth, query)
-                state = em.maintain_state(book, query, result)
+                state = em.classify(book, depth, query, roots).state
                 pruned = set(code.node_ids) - state.retained
                 for nid in pruned:
                     assert exact.isdisjoint(book.arrays.members_of(nid).tolist())
@@ -300,7 +320,7 @@ class TestMonotonicityProperties:
             results = refine_chain(book, query)
             costs = [em.classify(book, deepest, query).scanned]
             for result in results[:-1]:
-                state = em.maintain_state(book, query, result)
+                state = em.maintain_state(book, result)
                 costs.append(em.classify(book, deepest, query, state).scanned)
             assert all(a >= b for a, b in zip(costs, costs[1:]))
 
@@ -411,12 +431,13 @@ class TestVectorisedKernel:
     @settings(max_examples=60, deadline=None)
     def test_equals_reference_kernel(self, case):
         _, book, queries = case
+        roots = em.state_of(book, 0, book.roots)
         for query in queries:
             for depth in book.depths():
                 result = em.classify(book, depth, query)
                 assert result == reference_classify(book, depth, query)
                 assert _plain(result)
-                state = em.maintain_state(book, query, result)
+                state = em.classify(book, depth, query, roots).state
                 assert state == reference_maintain_state(book, depth, query, result)
                 assert type(state.retained) is frozenset
                 assert all(type(i) is int for i in state.retained)
@@ -431,11 +452,11 @@ class TestVectorisedKernel:
         scan of the whole code keeps, and its carried rows name its nodes."""
         _, book, queries = case
         for query in queries:
-            state = None
+            state = em.state_of(book, 0, book.roots)
             for depth in book.depths():
                 result = em.classify(book, depth, query, state)
-                assert (result.state is None) == (state is None)
-                state = em.maintain_state(book, query, result)
+                state = em.maintain_state(book, result)
+                assert state is result.state
                 assert state == reference_maintain_state(book, depth, query, result)
                 view = book.columns(depth)
                 assert state.view is view
@@ -451,14 +472,15 @@ class TestVectorisedKernel:
             chain, state = [], em.state_of(book, 0, book.roots)
             for depth in depths:
                 chain.append(em.classify(book, depth, query, state))
-                state = em.maintain_state(book, query, chain[-1])
+                state = em.maintain_state(book, chain[-1])
             assert chain == reference_chain(book, query, depths)
 
     @given(books_and_queries())
     @settings(max_examples=60, deadline=None)
     def test_roots_state_equals_one_shot(self, case):
         """Refining from the roots' state answers as a one-shot query does, bit
-        for bit, and carries the state maintain_state keeps for that answer."""
+        for bit, and carries the state the reference keeps for that answer; the
+        one-shot result carries none to hand on."""
         _, book, queries = case
         roots = em.state_of(book, 0, book.roots)
         for query in queries:
@@ -467,7 +489,9 @@ class TestVectorisedKernel:
                 refined = em.classify(book, depth, query, roots)
                 assert refined == dataclasses.replace(one_shot, state=refined.state)
                 assert repr(refined.distances) == repr(one_shot.distances)
-                assert refined.state == em.maintain_state(book, query, one_shot)
+                assert em.maintain_state(book, refined) is refined.state
+                with pytest.raises(ForeignStateError):
+                    em.maintain_state(book, one_shot)
                 assert refined.state == reference_maintain_state(book, depth, query, one_shot)
 
     @given(books_and_queries())
@@ -475,10 +499,10 @@ class TestVectorisedKernel:
     def test_hand_made_state_equals_carried_state(self, case):
         _, book, queries = case
         for query in queries:
-            chain_state = None
+            chain_state = em.state_of(book, 0, book.roots)
             for depth in book.depths():
                 result = em.classify(book, depth, query, chain_state)
-                chain_state = em.maintain_state(book, query, result)
+                chain_state = em.maintain_state(book, result)
                 hand = em.state_of(book, chain_state.depth, chain_state.retained)
                 assert hand == chain_state
                 for deeper in book.depths():
@@ -486,8 +510,8 @@ class TestVectorisedKernel:
                         continue
                     carried = em.classify(book, deeper, query, chain_state)
                     assert em.classify(book, deeper, query, hand) == carried
-                    assert em.maintain_state(book, query, carried) == em.maintain_state(
-                        book, query, em.classify(book, deeper, query, hand))
+                    assert em.maintain_state(book, carried) == em.maintain_state(
+                        book, em.classify(book, deeper, query, hand))
 
     @given(books_and_queries())
     @settings(max_examples=30, deadline=None)
@@ -500,7 +524,7 @@ class TestVectorisedKernel:
         if shallow == deeper:
             return
         query = queries[0]
-        state = em.maintain_state(other, query, em.classify(other, shallow, query))
+        state = em.classify(other, shallow, query, em.state_of(other, 0, other.roots)).state
         own = em.state_of(book, shallow, state.retained)
         assert np.array_equal(own.rows, state.rows) and own != state
         with pytest.raises(ForeignStateError):
