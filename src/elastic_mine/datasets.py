@@ -27,6 +27,7 @@ from .errors import InvalidDatasetError, LabelCardinalityError, ParseError, Spli
 
 POSITIVE = 1
 NEGATIVE = -1
+ACTIVE_FRACTION = 0.2  # share of users whose ratings split_ratings holds out from
 
 
 def round_half_up(x: float) -> int:
@@ -440,11 +441,11 @@ def split_dataset(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledData
 
 
 def split_ratings(
-    matrix: RatingMatrix, spec: SplitSpec, active_fraction: float = 0.2
+    matrix: RatingMatrix, spec: SplitSpec
 ) -> tuple[RatingMatrix, tuple[tuple[int, int, float], ...]]:
     """Hold out test ratings for a deterministic subset of active users.
 
-    ``active_fraction`` of users are selected as active (round half up,
+    ``ACTIVE_FRACTION`` of users are selected as active (round half up,
     minimum 1); for each, ``spec.test_fraction`` (default 0.2) of their
     rated items moves to the test side, keeping at least one training
     rating per user. Users with fewer than two ratings yield no test items.
@@ -458,7 +459,7 @@ def split_ratings(
     frac = spec.test_fraction if spec.test_fraction is not None else 0.2
     if not 0.0 < frac < 1.0:
         raise SplitConfigError("test_fraction must lie in (0, 1)")
-    n_active = min(matrix.num_users, max(1, round_half_up(active_fraction * matrix.num_users)))
+    n_active = min(matrix.num_users, max(1, round_half_up(ACTIVE_FRACTION * matrix.num_users)))
     active = np.sort(rng.permutation(np.arange(1, matrix.num_users + 1))[:n_active])
     held: dict[int, set[int]] = {}
     test: list[tuple[int, int, float]] = []

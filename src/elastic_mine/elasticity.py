@@ -199,7 +199,7 @@ class PairElasticity:
     start: int  # index of the base result (0-based)
     quality_gain_pct: float
     investment_gain_pct: float
-    elasticity: float | None  # None when a base quantity is zero
+    elasticity: float | None  # None when the step has no finite elasticity (see _step_elasticity)
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,22 @@ class ElasticityReport:
         return best.start
 
 
+def _step_elasticity(q0: float, q1: float, base: float, increase: float) -> float | None:
+    """Elasticity of one step from quality ``q0`` to ``q1`` as the investment
+    grows from ``base`` by ``increase``: ``((q1 - q0) / q0) / (increase / base)``.
+
+    None unless ``q0`` and ``base`` are positive, ``increase / base`` is
+    positive and finite, and the quotient is finite.
+    """
+    if not (q0 > 0.0 and base > 0.0):
+        return None
+    rate = increase / base
+    if not 0.0 < rate < math.inf:
+        return None
+    elasticity = ((q1 - q0) / q0) / rate
+    return elasticity if math.isfinite(elasticity) else None
+
+
 def investment_elasticity(series: Sequence[InvestmentPoint]) -> ElasticityReport:
     """Pairwise elasticity over consecutive results of an investment series."""
     if len(series) < 2:
@@ -229,9 +245,9 @@ def investment_elasticity(series: Sequence[InvestmentPoint]) -> ElasticityReport
         if a.quality <= 0.0 or a.investment <= 0.0:
             pairs.append(PairElasticity(i, math.nan, math.nan, None))
             continue
-        dq = (b.quality - a.quality) / a.quality
-        di = (b.investment - a.investment) / a.investment
-        pairs.append(PairElasticity(i, dq, di, dq / di if di > 0 else None))
+        increase = b.investment - a.investment
+        pairs.append(PairElasticity(i, (b.quality - a.quality) / a.quality, increase / a.investment,
+                                    _step_elasticity(a.quality, b.quality, a.investment, increase)))
     return ElasticityReport(tuple(pairs))
 
 

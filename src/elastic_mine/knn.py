@@ -246,30 +246,29 @@ def accuracy(predictions, actuals) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks ascending by value; tied values share the mean rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    """1-based ranks ascending by value; tied values share the mean rank.
+
+    A tie group of ``count`` values ending at 1-based position ``end`` holds
+    ranks ``end - count + 1`` to ``end``, whose mean is ``(2 * end - count + 1) / 2``.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[group]
 
 
 def auc(scores, labels) -> float:
     """Rank-based AUC of positive-class scores (Mann-Whitney, average ranks).
 
     ``scores`` are estimated positive-class probabilities (k_pos / k for
-    kNN results); ``labels`` are actual classes. Both classes must appear.
+    kNN results); ``labels`` are actual classes. Both classes must appear,
+    and every score must be finite.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise UndefinedMetricError("scores and labels must be equal-length")
+    if not np.isfinite(scores).all():
+        raise UndefinedMetricError("AUC needs finite scores")
     n_pos = int((labels == POSITIVE).sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

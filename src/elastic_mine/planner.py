@@ -36,13 +36,26 @@ class ResultPoint(NamedTuple):
     hours: float
 
 
+def _check_positive(**settings):
+    """Reject a given (not None) setting that is not positive and finite."""
+    for name, value in settings.items():
+        if value is not None and not 0 < value < math.inf:
+            raise PlanConfigError(f"{name.replace('_', ' ')} must be positive and finite, got {value}")
+
+
+def _check_finite(**settings):
+    """Reject a given (not None) setting that is NaN or infinite: no comparison can honour it."""
+    for name, value in settings.items():
+        if value is not None and not math.isfinite(value):
+            raise PlanConfigError(f"{name.replace('_', ' ')} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ThroughputProfile:
     nodes_per_second: float
 
     def __post_init__(self):
-        if not 0 < self.nodes_per_second < math.inf:
-            raise PlanConfigError(f"nodes_per_second {self.nodes_per_second} is not positive and finite")
+        _check_positive(nodes_per_second=self.nodes_per_second)
 
 
 def calibrate(book: CodeBook, queries: Sequence[KnnQuery], clock=time.perf_counter) -> ThroughputProfile:
@@ -66,8 +79,7 @@ def calibrate(book: CodeBook, queries: Sequence[KnnQuery], clock=time.perf_count
 
 def length_budget(time_budget_seconds: float, profile: ThroughputProfile) -> int:
     """Largest code length processable within the time budget."""
-    if not 0 < time_budget_seconds < math.inf:
-        raise PlanConfigError("time budget must be positive and finite")
+    _check_positive(time_budget=time_budget_seconds)
     return int(math.floor(time_budget_seconds * profile.nodes_per_second))
 
 
@@ -79,9 +91,10 @@ class PriceSchedule:
     spot_prices: tuple[float, ...]
 
     def __post_init__(self):
-        _check_price(self.fixed_price)
-        if len(self.spot_prices) != 24 or not all(0 < p < math.inf for p in self.spot_prices):
-            raise PlanConfigError("spot schedule needs exactly 24 positive finite hourly prices")
+        if len(self.spot_prices) != 24:
+            raise PlanConfigError(f"spot schedule needs 24 hourly prices, got {len(self.spot_prices)}")
+        _check_positive(fixed_price=self.fixed_price,
+                        **{f"spot price of hour {h}": p for h, p in enumerate(self.spot_prices)})
 
     def levels(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.spot_prices)))
@@ -113,9 +126,8 @@ class PriceSchedule:
 
 
 def spot_availability(schedule: PriceSchedule, bid: float) -> tuple[tuple[int, ...], int]:
-    """Hours of the day the bid covers (price <= bid) and their count."""
-    if not bid > 0:
-        raise PlanConfigError("bid must be positive")
+    """Hours of the day the bid covers (price <= bid) and their count: the grant rule."""
+    _check_positive(bid=bid)
     hours = tuple(h for h, p in enumerate(schedule.spot_prices) if p <= bid + 1e-12)
     return hours, len(hours)
 
@@ -139,6 +151,7 @@ def simulate_spot(
     Each suspend/resume cycle burns ``resume_overhead_hours`` of granted
     time before mining continues (zero by default, and never billed).
     """
+    grants = spot_availability(schedule, bid)[0]
     granted = 0.0
     done = 0.0  # mining progress net of resume overheads
     pending = 0.0  # overhead still to burn before mining continues
@@ -148,7 +161,7 @@ def simulate_spot(
     previous_granted = False
     hour = 0
     while hour < deadline_hours:
-        if schedule.spot_prices[hour % 24] <= bid + 1e-12:
+        if hour % 24 in grants:
             duration = min(1.0, deadline_hours - hour)
             if not previous_granted and granted > 0.0:
                 pending += resume_overhead_hours
@@ -186,24 +199,19 @@ class PlanAnswer:
     binding: str | None = None  # name of the constraint that decided the answer
 
 
-def _check_price(fixed_price: float):
-    if not 0 < fixed_price < math.inf:
-        raise PlanConfigError(f"fixed price must be positive and finite, got {fixed_price}")
-
-
-def _check_finite(**settings):
-    """Reject a given (not None) setting that is NaN or infinite: no comparison can honour it."""
-    for name, value in settings.items():
-        if value is not None and not math.isfinite(value):
-            raise PlanConfigError(f"{name.replace('_', ' ')} must be finite, got {value}")
-
-
-def _check_results(results: Sequence[ResultPoint]):
+def _series(results: Sequence[ResultPoint]) -> list[ResultPoint]:
+    """The results as ``ResultPoint``s, if they form a series a plan can be read from:
+    non-empty, every quality finite, and every ``hours`` finite, at least 0 and
+    no less than the one before."""
+    results = [ResultPoint(*r) for r in results]
     if not results:
         raise PlanConfigError("empty result series")
-    hours = [r.hours for r in results]
-    if any(b < a for a, b in zip(hours, hours[1:])):
+    for i, r in enumerate(results):
+        if not (math.isfinite(r.quality) and 0 <= r.hours < math.inf):
+            raise PlanConfigError(f"result {i} {tuple(r)} needs a finite quality and finite hours >= 0")
+    if any(b.hours < a.hours for a, b in zip(results, results[1:])):
         raise PlanConfigError("results must be ordered by cumulative execution time")
+    return results
 
 
 def _first_meeting(results: Sequence[ResultPoint], required_quality: float) -> int | None:
@@ -220,64 +228,46 @@ def fixed_plan(
     elasticity_floor: float | None = None,
 ) -> PlanAnswer:
     """Answer a fixed-price query by scanning the cumulative result series."""
-    results = [ResultPoint(*r) for r in results]
-    _check_results(results)
-    _check_price(fixed_price)
-    _check_finite(budget=budget, quality=required_quality, elasticity_floor=elasticity_floor)
+    results = _series(results)
+    _check_positive(fixed_price=fixed_price, elasticity_floor=elasticity_floor)
+    _check_finite(budget=budget, quality=required_quality)
     invest = [r.hours * fixed_price for r in results]
 
-    def answer(i, feasible=True, binding=None):
-        return PlanAnswer(
-            query=query, feasible=feasible, result_index=i,
-            quality=results[i].quality if i is not None else None,
-            price=fixed_price,
-            investment=invest[i] if i is not None else None,
-            work_hours=results[i].hours if i is not None else None,
-            execution_hours=results[i].hours if i is not None else None,
-            suspended_hours=0.0 if i is not None else None,
-            elapsed_hours=results[i].hours if i is not None else None,
-            binding=binding,
-        )
+    def affordable(i):
+        return budget is None or invest[i] <= budget + 1e-12
 
     if query == QUERY_MIN_INVESTMENT:
         if required_quality is None:
             raise PlanConfigError("min-investment query needs required_quality")
-        i = _first_meeting(results, required_quality)
-        if i is None:
-            return answer(None, feasible=False, binding="quality")
-        if budget is not None and invest[i] > budget + 1e-12:
-            return answer(None, feasible=False, binding="budget")
-        return answer(i, binding="quality")
-
-    if query == QUERY_MAX_QUALITY:
+        index, binding = _first_meeting(results, required_quality), "quality"
+        if index is not None and not affordable(index):
+            index, binding = None, "budget"
+    elif query == QUERY_MAX_QUALITY:
         if budget is None:
             raise PlanConfigError("max-quality query needs a budget")
-        affordable = [i for i in range(len(results)) if invest[i] <= budget + 1e-12]
-        if not affordable:
-            return answer(None, feasible=False, binding="budget")
-        best = max(affordable, key=lambda i: (results[i].quality, -i))
-        return answer(best, binding="budget")
-
-    if query == QUERY_ELASTICITY:
+        index = max((i for i in range(len(results)) if affordable(i)),
+                    key=lambda i: (results[i].quality, -i), default=None)
+        binding = "budget"
+    elif query == QUERY_ELASTICITY:
         if elasticity_floor is None:
             raise PlanConfigError("elasticity-constrained query needs elasticity_floor")
-        if budget is not None and invest[0] > budget + 1e-12:
-            return answer(None, feasible=False, binding="budget")
-        last = 0
-        for i in range(len(results) - 1):
-            q0, q1 = results[i].quality, results[i + 1].quality
-            i0, i1 = invest[i], invest[i + 1]
-            if q0 <= 0 or i0 <= 0 or i1 <= i0:
-                break
-            elasticity = ((q1 - q0) / q0) / ((i1 - i0) / i0)
-            if elasticity < elasticity_floor - 1e-12:
-                break
-            if budget is not None and i1 > budget + 1e-12:
-                break
-            last = i + 1
-        return answer(last, binding="elasticity")
+        from .elasticity import _step_elasticity
 
-    raise PlanConfigError(f"unknown fixed-price query {query!r}")
+        index, binding = (0, "elasticity") if affordable(0) else (None, "budget")
+        while index is not None and index + 1 < len(results) and affordable(index + 1):
+            elasticity = _step_elasticity(results[index].quality, results[index + 1].quality,
+                                          invest[index], invest[index + 1] - invest[index])
+            if elasticity is None or elasticity < elasticity_floor - 1e-12:
+                break
+            index += 1
+    else:
+        raise PlanConfigError(f"unknown fixed-price query {query!r}")
+    if index is None:
+        return PlanAnswer(query=query, feasible=False, price=fixed_price, binding=binding)
+    hours = results[index].hours
+    return PlanAnswer(query=query, feasible=True, result_index=index, quality=results[index].quality,
+                      price=fixed_price, investment=invest[index], work_hours=hours,
+                      execution_hours=hours, suspended_hours=0.0, elapsed_hours=hours, binding=binding)
 
 
 def spot_plan(
@@ -297,43 +287,33 @@ def spot_plan(
     deadlines report the best achievable completion time at the maximum
     level.
     """
-    results = [ResultPoint(*r) for r in results]
-    _check_results(results)
-    if not 0 < deadline_hours < math.inf:
-        raise PlanConfigError("deadline must be positive and finite")
+    results = _series(results)
+    _check_positive(deadline=deadline_hours)
     _check_finite(quality=required_quality, budget=budget)
     target = len(results) - 1 if required_quality is None else _first_meeting(results, required_quality)
     if target is None:
         return PlanAnswer(query=QUERY_MIN_BID, feasible=False, binding="quality")
     work = results[target].hours
+    fields = dict(query=QUERY_MIN_BID, result_index=target, quality=results[target].quality,
+                  work_hours=work)
     for bid in schedule.levels():
         window = simulate_spot(schedule, bid, deadline_hours, work, resume_overhead_hours)
         if window.completion is not None:
             investment = window.granted_hours * bid
             if budget is not None and investment > budget + 1e-12:
-                return PlanAnswer(
-                    query=QUERY_MIN_BID, feasible=False, result_index=target,
-                    quality=results[target].quality, price=bid, investment=investment,
-                    work_hours=work, binding="budget",
-                )
-            _, per_day = spot_availability(schedule, bid)
+                return PlanAnswer(feasible=False, price=bid, investment=investment, binding="budget",
+                                  **fields)
             return PlanAnswer(
-                query=QUERY_MIN_BID, feasible=True, result_index=target,
-                quality=results[target].quality, price=bid, investment=investment,
-                work_hours=work,
+                feasible=True, price=bid, investment=investment,
                 execution_hours=window.granted_hours,
                 suspended_hours=window.window_end - window.granted_hours,
                 elapsed_hours=window.window_end,
                 completion_hours=window.completion,
-                hours_per_day=per_day,
-                binding="deadline",
+                hours_per_day=spot_availability(schedule, bid)[1],
+                binding="deadline", **fields,
             )
-    return PlanAnswer(
-        query=QUERY_MIN_BID, feasible=False, result_index=target,
-        quality=results[target].quality, work_hours=work,
-        completion_hours=work,  # best case: the maximum bid grants every hour
-        binding="deadline",
-    )
+    # best case: the maximum bid grants every hour
+    return PlanAnswer(feasible=False, completion_hours=work, binding="deadline", **fields)
 
 
 class ElasticityBid(NamedTuple):
@@ -360,10 +340,10 @@ def spot_elasticity_bids(
     quality-gain / floor of the cumulative investment and the bid becomes
     that increment divided by the result's execution time.
     """
-    results = [ResultPoint(*r) for r in results]
-    _check_results(results)
-    if not 0 < elasticity_floor < math.inf:
-        raise PlanConfigError("elasticity floor must be positive and finite")
+    results = _series(results)
+    _check_positive(elasticity_floor=elasticity_floor)
+    from .elasticity import _step_elasticity
+
     base = max(schedule.levels())
     increments = [results[0].hours] + [
         b.hours - a.hours for a, b in zip(results, results[1:])
@@ -380,12 +360,11 @@ def spot_elasticity_bids(
             raise PlanConfigError(
                 f"result {i} does not improve on result {i - 1}; no bid can meet the floor"
             )
-        gain = (q1 - q0) / q0
         delta = increments[i] * base
-        capped = False
-        if cumulative > 0 and delta / cumulative > 0 and gain / (delta / cumulative) < elasticity_floor - 1e-12:
-            delta = (gain / elasticity_floor) * cumulative
-            capped = True
+        elasticity = _step_elasticity(q0, q1, cumulative, delta)
+        capped = elasticity is not None and elasticity < elasticity_floor - 1e-12
+        if capped:
+            delta = ((q1 - q0) / q0 / elasticity_floor) * cumulative
         bid = delta / increments[i] if increments[i] > 0 else base
         cumulative += delta
         rows.append(ElasticityBid(i, bid, delta, cumulative,

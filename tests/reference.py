@@ -219,3 +219,19 @@ def gaussian_mixture(
         feats.append(rng.normal(centers[c], spread, size=(sizes[c], d)))
         labels.append(np.full(sizes[c], 1 if c % 2 == 0 else -1))
     return LabeledDataset(np.vstack(feats), np.concatenate(labels))
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks ascending by value, tied values sharing the mean rank, by a
+    walk over the sorted values."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks

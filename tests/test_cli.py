@@ -59,6 +59,7 @@ def files(tmp_path_factory, fourclass_book, example_cf_book, example_matrix):
     (root / "pred.csv").write_text("query_id,depth,scanned_nodes,k_P,k_N,predicted,actual\n0,1,4,3,2,1,1\n")
     (root / "series.csv").write_text("investment,quality\n1,0.5\n2,0.6\n")
     (root / "one.csv").write_text("investment,quality\n1,0.5\n")
+    (root / "negative_hours.csv").write_text("quality,hours\n0.74,-6.0\n0.80,10.6\n")
     (root / "profile.txt").write_text("nodes_per_second 1000.0\n")
     return root
 
@@ -647,6 +648,8 @@ class TestMisuse:
         (["plan", "--results", "{w}/results.csv", "--scheme", "fixed",
           "--query", "max-quality-within-budget"], "--budget"),
         (["plan", "--results", "{w}/results.csv", "--scheme", "fixed"], "--quality"),
+        (["plan", "--results", "{f}/negative_hours.csv", "--schedule", "{w}/schedule.csv",
+          "--deadline-hours", 48, "--quality", 0.8], "hours >= 0"),
         (SPOT + ["--deadline-hours", -1], "deadline"),
         (SPOT + ["--deadline-hours", 48, "--fixed-price", 0], "fixed price"),
         (["plan", "--results", "{w}/results.csv", "--scheme", "fixed", "--quality", 0.8,
@@ -691,7 +694,8 @@ class TestMisuse:
         (["bench", "--input", "{w}/tiny.libsvm"], "no train or no test"),
         (["bench", "--input", "{w}/skewed.libsvm"], "no usable code"),
     ], ids=["spot-no-schedule", "elasticity-no-floor", "max-quality-no-budget",
-            "min-investment-no-quality", "negative-deadline", "zero-price-spot", "negative-price-fixed",
+            "min-investment-no-quality", "negative-hours", "negative-deadline", "zero-price-spot",
+            "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
             "cf-no-query", "ranking-no-train", "ranking-no-budget", "clustering-no-clusters",
             "missing-input", "sample-size-0", "sample-size-above-users", "clusters-0",

@@ -151,6 +151,16 @@ class TestInvestmentElasticity:
         with pytest.raises(UndefinedMetricError):
             em.investment_elasticity(series).argmax_pair()
 
+    @pytest.mark.parametrize("series", [
+        [InvestmentPoint(math.nan, 1.0), InvestmentPoint(0.8, 2.0)],
+        [InvestmentPoint(0.7, 1.0), InvestmentPoint(0.8, math.inf)],
+    ], ids=["nan-quality", "inf-investment"])
+    def test_non_finite_step_is_undefined(self, series):
+        report = em.investment_elasticity(series)
+        assert report.pairs[0].elasticity is None
+        with pytest.raises(UndefinedMetricError):
+            report.argmax_pair()
+
     def test_one_result_has_no_elasticity(self):
         with pytest.raises(UndefinedMetricError) as info:
             em.investment_elasticity(EXAMPLE_SERIES[:1])

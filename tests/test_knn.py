@@ -18,10 +18,12 @@ from elastic_mine.errors import (
     InvalidQueryError,
     UndefinedMetricError,
 )
-from elastic_mine.knn import KnnApproxResult, _box_sq, _norm_sq, refine_chain
+from elastic_mine.knn import KnnApproxResult, _average_ranks, _box_sq, _norm_sq, refine_chain
 
 from conftest import box_of
-from reference import Mbr, ancestor_at, dist_max, dist_min, dual_book_from_hierarchy, max_sq, min_sq
+from reference import (
+    Mbr, ancestor_at, average_ranks, dist_max, dist_min, dual_book_from_hierarchy, max_sq, min_sq,
+)
 
 BOX = Mbr(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
 
@@ -692,6 +694,21 @@ class TestAuc:
     def test_length_mismatch(self):
         with pytest.raises(UndefinedMetricError):
             em.auc([0.1, 0.2], [1, -1, 1])
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([math.nan, 0.2, 0.3], [1, -1, 1]),
+        ([math.nan, 0.2, math.nan], [1, -1, -1]),
+        ([math.inf, 0.2, 0.3], [1, -1, 1]),
+    ], ids=["nan", "nan-twice", "inf"])
+    def test_non_finite_score_has_no_auc(self, scores, labels):
+        with pytest.raises(UndefinedMetricError, match="finite"):
+            em.auc(scores, labels)
+
+    @given(arrays(np.float64, st.integers(0, 60), elements=st.integers(-4, 4).map(lambda v: v / 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_equal_the_sorted_walk(self, values):
+        """Ranks from the tie groups of ``np.unique`` equal the walk's, bit for bit."""
+        assert _average_ranks(values).tobytes() == average_ranks(values).tobytes()
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=2, max_size=200))
     @settings(max_examples=80, deadline=None)

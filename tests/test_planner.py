@@ -30,9 +30,47 @@ RESULTS = [
 ]
 
 
+# Result series no plan can be read from: a quality that is not finite, or hours that are
+# not finite and at least 0.
+NAN, INF = float("nan"), float("inf")
+MALFORMED_SERIES = {
+    "nan-quality": [ResultPoint(NAN, 6.0), ResultPoint(0.80, 10.6)],
+    "nan-hours": [ResultPoint(0.74, NAN), ResultPoint(0.80, 10.6)],
+    "inf-hours": [ResultPoint(0.74, 6.0), ResultPoint(0.80, INF)],
+    "negative-hours": [ResultPoint(0.74, -6.0), ResultPoint(0.80, 10.6)],
+}
+
+# Every planning entry point, as a function of the result series and the spot schedule.
+PLANS = {
+    "fixed-max-quality": lambda results, schedule: em.fixed_plan(
+        results, FIXED_PRICE, QUERY_MAX_QUALITY, budget=20.0),
+    "fixed-min-investment": lambda results, schedule: em.fixed_plan(
+        results, FIXED_PRICE, QUERY_MIN_INVESTMENT, required_quality=0.8),
+    "fixed-elasticity": lambda results, schedule: em.fixed_plan(
+        results, FIXED_PRICE, QUERY_ELASTICITY, elasticity_floor=0.1),
+    "spot": lambda results, schedule: em.spot_plan(results, schedule, 48.0, required_quality=0.8),
+    "spot-elasticity-bids": lambda results, schedule: em.spot_elasticity_bids(results, schedule, 0.1),
+}
+
+
 @pytest.fixture(scope="module")
 def schedule():
     return em.PriceSchedule(FIXED_PRICE, SPOT_PRICES)
+
+
+class TestResultSeries:
+    @pytest.mark.parametrize("series", MALFORMED_SERIES.values(), ids=MALFORMED_SERIES)
+    @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS)
+    def test_malformed_series_gets_no_plan(self, schedule, plan, series):
+        with pytest.raises(PlanConfigError, match="finite quality and finite hours >= 0"):
+            plan(series, schedule)
+
+    @pytest.mark.parametrize("plan", [PLANS[name] for name in PLANS if name != "spot-elasticity-bids"],
+                             ids=[name for name in PLANS if name != "spot-elasticity-bids"])
+    def test_zero_hours_and_negative_quality_are_valid(self, schedule, plan):
+        """Only the elasticity bids need a positive quality; they check it themselves."""
+        answer = plan([ResultPoint(-0.5, 0.0), ResultPoint(0.8, 0.0), ResultPoint(0.9, 2.0)], schedule)
+        assert answer.feasible
 
 
 class TestThroughput:
