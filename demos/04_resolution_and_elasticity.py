@@ -44,7 +44,5 @@ print(f"four elastic-algorithm properties hold: {verdictk.all_passed}")
 for price in (0.5, 1.0, 2.0):
     priced = [InvestmentPoint(p.quality, p.investment * price,
                               resource=p.investment, price=price) for p in series]
-    triple = em.resource_and_price_elasticity(priced, product_investment_model=True,
-                                              state_independent=True)
-    first = triple.investment.pairs[0].elasticity
+    first = em.resource_and_price_elasticity(priced).pairs[0].elasticity
     print(f"price {price:>3}: first-pair elasticity {first:.4f} (invariant to price)")

@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .coding import EXACT_DEPTH, Code, CodeBook, State, state_filter
-from .datasets import RatingMatrix
+from .datasets import RATING_SCALE, RatingMatrix
 from .errors import DivergenceError, InvalidQueryError, TrainingConfigError, UndefinedMetricError
 
 
@@ -294,7 +294,7 @@ def predict(
     """
     view = book.code_at_depth(depth)
     cols = np.arange(len(view.ids)) if state is None else state_filter(book, depth, state)
-    scale = matrix.rating_scale if matrix is not None else (1.0, 5.0)
+    scale = matrix.rating_scale if matrix is not None else RATING_SCALE
     return _score(query, view.depth, book.deviations(depth), cols, view.ids, len(cols), scale, view)
 
 

@@ -650,6 +650,8 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     centres chosen so far (ties by row index). Returns (labels, centroids).
     Empty clusters keep their previous centroid.
     """
+    if k < 1:
+        raise CodebookConfigError(f"k must be >= 1, got {k}")
     if iterations < 1:
         raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
     X = np.asarray(X, dtype=float)

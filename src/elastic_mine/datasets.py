@@ -28,6 +28,8 @@ from .errors import InvalidDatasetError, LabelCardinalityError, ParseError, Spli
 POSITIVE = 1
 NEGATIVE = -1
 ACTIVE_FRACTION = 0.2  # share of users whose ratings split_ratings holds out from
+TEST_FRACTION = 0.2  # share of an active user's ratings split_ratings holds out
+RATING_SCALE = (1.0, 5.0)  # lowest and highest rating the parsers and generators accept
 
 
 def round_half_up(x: float) -> int:
@@ -85,7 +87,7 @@ class RatingMatrix:
     num_users: int
     num_items: int
     ratings: Mapping[tuple[int, int], float]
-    rating_scale: tuple[float, float] = (1.0, 5.0)
+    rating_scale: tuple[float, float] = RATING_SCALE
     duplicate_count: int = 0
     _by_user: dict = field(default=None, init=False, repr=False, compare=False)
     _deviations: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -156,22 +158,17 @@ def deviation_table(num_rows: int, num_columns: int, items, columns, deviations)
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Deterministic split request: absolute ``test_count`` wins over ``test_fraction``."""
+    """Deterministic split request: ``split_dataset`` holds out ``test_count``
+    elements; ``split_ratings`` reads only the seed."""
 
-    test_fraction: float | None = None
     test_count: int | None = None
     seed: int = 0
 
     def resolve_count(self, n: int) -> int:
         """The test count for ``n`` elements; :class:`SplitConfigError` unless it is 1..n-1."""
-        if self.test_count is not None:
-            count = int(self.test_count)
-        elif self.test_fraction is not None:
-            if not 0.0 < self.test_fraction < 1.0:
-                raise SplitConfigError("test_fraction must lie in (0, 1)")
-            count = max(1, round_half_up(self.test_fraction * n))
-        else:
-            raise SplitConfigError("SplitSpec needs test_count or test_fraction")
+        if self.test_count is None:
+            raise SplitConfigError("SplitSpec needs a test_count")
+        count = int(self.test_count)
         if not 1 <= count <= n - 1:
             raise SplitConfigError(f"split leaves no train or no test elements (n={n}, test={count})")
         return count
@@ -336,17 +333,17 @@ def write_libsvm(dataset: LabeledDataset, stream=None) -> str | None:
     return None
 
 
-def parse_ratings_csv(source, rating_scale=(1.0, 5.0)) -> RatingMatrix:
+def parse_ratings_csv(source) -> RatingMatrix:
     """Parse ``user,item,rating`` CSV text into a sparse rating matrix.
 
     An optional header line is detected by a non-numeric first field.
     Duplicate (user, item) pairs keep the last value; the collision count
     is recorded on the returned matrix. A rating that is not finite or lies
-    outside ``rating_scale`` is a :class:`ParseError`.
+    outside ``RATING_SCALE`` is a :class:`ParseError`.
     """
     lines = _lines(source)
-    matrix = _read_ratings(lines, rating_scale)
-    return matrix if matrix is not None else _loop_ratings(lines, rating_scale)
+    matrix = _read_ratings(lines)
+    return matrix if matrix is not None else _loop_ratings(lines)
 
 
 def _is_header(parts: list[str]) -> bool:
@@ -358,7 +355,7 @@ def _is_header(parts: list[str]) -> bool:
     return False
 
 
-def _read_ratings(lines, rating_scale) -> RatingMatrix | None:
+def _read_ratings(lines) -> RatingMatrix | None:
     """The ratings of ``<user>,<item>,<rating>`` lines after an optional
     header line, as the C reader reads them, or None for any other text, or
     for values the loop would reject."""
@@ -378,15 +375,15 @@ def _read_ratings(lines, rating_scale) -> RatingMatrix | None:
     users, items, values = table["user"], table["item"], table["rating"]
     if (users < 1).any() or (items < 1).any() or not np.isfinite(values).all():
         return None
-    if not rating_scale[0] <= values.min().item() <= values.max().item() <= rating_scale[1]:
+    if not RATING_SCALE[0] <= values.min().item() <= values.max().item() <= RATING_SCALE[1]:
         return None
     # a repeated pair keeps its first place and its last value, as in the loop
     ratings = dict(zip(zip(users.tolist(), items.tolist()), values.tolist()))
-    return RatingMatrix(int(users.max()), int(items.max()), ratings, rating_scale=rating_scale,
+    return RatingMatrix(int(users.max()), int(items.max()), ratings,
                         duplicate_count=len(table) - len(ratings))
 
 
-def _loop_ratings(lines, rating_scale) -> RatingMatrix:
+def _loop_ratings(lines) -> RatingMatrix:
     """:func:`parse_ratings_csv` line by line: the reference, and the only path that raises."""
     ratings: dict[tuple[int, int], float] = {}
     duplicates = 0
@@ -408,8 +405,8 @@ def _loop_ratings(lines, rating_scale) -> RatingMatrix:
             raise ParseError(f"non-numeric field in {parts!r}", lineno) from None
         if u < 1 or i < 1:
             raise ParseError(f"ids must be >= 1, got user={u} item={i}", lineno)
-        if not (math.isfinite(r) and rating_scale[0] <= r <= rating_scale[1]):
-            raise ParseError(f"rating {r!r} outside the scale {tuple(rating_scale)}", lineno)
+        if not (math.isfinite(r) and RATING_SCALE[0] <= r <= RATING_SCALE[1]):
+            raise ParseError(f"rating {r!r} outside the scale {RATING_SCALE}", lineno)
         if (u, i) in ratings:
             duplicates += 1
         ratings[(u, i)] = r
@@ -417,7 +414,7 @@ def _loop_ratings(lines, rating_scale) -> RatingMatrix:
         n = max(n, i)
     if not ratings:
         raise ParseError("empty stream: no ratings")
-    return RatingMatrix(m, n, ratings, rating_scale=rating_scale, duplicate_count=duplicates)
+    return RatingMatrix(m, n, ratings, duplicate_count=duplicates)
 
 
 def write_ratings_csv(matrix: RatingMatrix, stream=None) -> str | None:
@@ -446,19 +443,16 @@ def split_ratings(
     """Hold out test ratings for a deterministic subset of active users.
 
     ``ACTIVE_FRACTION`` of users are selected as active (round half up,
-    minimum 1); for each, ``spec.test_fraction`` (default 0.2) of their
-    rated items moves to the test side, keeping at least one training
-    rating per user. Users with fewer than two ratings yield no test items.
-    Returns the reduced training matrix and (user, item, rating) triples.
-    A ``spec.test_count`` has no per-user meaning and raises
-    :class:`SplitConfigError`, as does a fraction outside (0, 1).
+    minimum 1); for each, ``TEST_FRACTION`` of their rated items (round
+    half up, minimum 1) moves to the test side, keeping at least one
+    training rating per user. Users with fewer than two ratings yield no
+    test items. Returns the reduced training matrix and (user, item,
+    rating) triples. A ``spec.test_count`` has no per-user meaning and
+    raises :class:`SplitConfigError`.
     """
     if spec.test_count is not None:
         raise SplitConfigError("split_ratings holds out a fraction per user; test_count is not supported")
     rng = np.random.default_rng(spec.seed)
-    frac = spec.test_fraction if spec.test_fraction is not None else 0.2
-    if not 0.0 < frac < 1.0:
-        raise SplitConfigError("test_fraction must lie in (0, 1)")
     n_active = min(matrix.num_users, max(1, round_half_up(ACTIVE_FRACTION * matrix.num_users)))
     active = np.sort(rng.permutation(np.arange(1, matrix.num_users + 1))[:n_active])
     held: dict[int, set[int]] = {}
@@ -467,7 +461,7 @@ def split_ratings(
         items = sorted(matrix.user_ratings(u))
         if len(items) < 2:
             continue
-        take = min(len(items) - 1, max(1, round_half_up(frac * len(items))))
+        take = min(len(items) - 1, max(1, round_half_up(TEST_FRACTION * len(items))))
         chosen = rng.permutation(len(items))[:take]
         held[u] = {items[c] for c in sorted(chosen.tolist())}
         for i in sorted(held[u]):

@@ -10,7 +10,8 @@ the monotonicity verdict does not depend on that constant.
 Elasticity between consecutive results is the percentage quality gain per
 percentage investment increase. Under the product investment model
 I = R * P with a state independent of resource and price, the resource and
-price elasticities coincide with the investment elasticity.
+price elasticities coincide with the investment elasticity; the library
+assumes that independence.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ import numpy as np
 
 from .coding import CodeBook, total_mbr_volume
 from .errors import (
-    AssumptionRequiredError, PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError,
-    UndefinedMetricError,
+    PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError,
 )
 
 
 def log_binomial(n: int, m: int, base: float = 2.0) -> float:
-    """log_base of C(n, m), via log-gamma so large n cannot overflow."""
+    """log_base of C(n, m), via log-gamma so large n cannot overflow.
+
+    A base that is not a finite number above 1 raises :class:`ResolutionConfigError`.
+    """
+    _check_settings(None, base)
     if m < 0 or n < m:
         raise UndefinedMetricError(f"need 0 <= m <= n, got n={n}, m={m}")
     value = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
@@ -86,15 +90,13 @@ def resolution(
     m: int,
     prior_points: int,
     log_base: float = 2.0,
-    depths: Sequence[int] | None = None,
-    lengths: Sequence[int] | None = None,
-    volumes: Sequence[float] | None = None,
 ) -> ResolutionReport:
     """Resolution of codes given their possible-point counts.
 
     ``counts[j]`` is the number of point placements consistent with code j;
     the prior admits ``prior_points`` placements. Entropy is
-    log C(count, m); resolution is the prior entropy minus it. An m below 1
+    log C(count, m); resolution is the prior entropy minus it. Code j is
+    labelled depth j + 1, with length 0 and no volume. An m below 1
     or a log base that is not a finite number above 1 raises
     :class:`ResolutionConfigError`.
     """
@@ -110,9 +112,9 @@ def resolution(
         h = log_binomial(int(count), m, log_base)
         rows.append(
             CodeResolution(
-                depth=depths[j] if depths is not None else j + 1,
-                length=lengths[j] if lengths is not None else 0,
-                volume=volumes[j] if volumes is not None else None,
+                depth=j + 1,
+                length=0,
+                volume=None,
                 possible_points=int(count),
                 conditional_entropy=h,
                 resolution=prior_entropy - h,
@@ -175,8 +177,10 @@ def audit_entropy_monotonicity(
             f"cell volume {cell} too coarse: a code admits fewer than m={m} points",
             min_cell_volume=workable,
         )
-    report = resolution(counts, m, prior, log_base, depths=depths, lengths=lengths, volumes=volumes)
-    return replace(report, cell_volume=cell)
+    report = resolution(counts, m, prior, log_base)
+    codes = tuple(replace(code, depth=d, length=n, volume=v)
+                  for code, d, n, v in zip(report.codes, depths, lengths, volumes))
+    return replace(report, codes=codes, cell_volume=cell)
 
 
 # ---------------------------------------------------------------------------
@@ -251,31 +255,14 @@ def investment_elasticity(series: Sequence[InvestmentPoint]) -> ElasticityReport
     return ElasticityReport(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class EquivalentElasticities:
-    investment: ElasticityReport
-    resource: ElasticityReport
-    price: ElasticityReport
+def resource_and_price_elasticity(series: Sequence[InvestmentPoint]) -> ElasticityReport:
+    """Resource and price elasticity of a series priced as I = R * P.
 
-
-def resource_and_price_elasticity(
-    series: Sequence[InvestmentPoint],
-    product_investment_model: bool = False,
-    state_independent: bool = False,
-) -> EquivalentElasticities:
-    """Resource and price elasticity under the declared equivalence conditions.
-
-    Requires the caller to declare both the product model I = R * P and
-    state independence; only then do the three elasticities coincide and
-    the function returns the investment elasticity for all three. Series
-    entries must carry consistent resource and price values.
+    Assumes the state is independent of resource and price; then both
+    elasticities coincide with the investment elasticity, which is returned.
+    Every entry must carry a resource and a price whose product is its
+    investment, else :class:`PlanConfigError`.
     """
-    if not (product_investment_model and state_independent):
-        raise AssumptionRequiredError(
-            "resource/price elasticity needs product_investment_model=True and "
-            "state_independent=True; with a state-dependent investment the "
-            "equivalence to investment elasticity does not hold"
-        )
     for i, p in enumerate(series):
         if p.resource is None or p.price is None:
             raise PlanConfigError(f"series entry {i} lacks resource or price")
@@ -283,8 +270,7 @@ def resource_and_price_elasticity(
             raise PlanConfigError(
                 f"entry {i} violates I = R * P: {p.investment} != {p.resource * p.price}"
             )
-    report = investment_elasticity(series)
-    return EquivalentElasticities(report, report, report)
+    return investment_elasticity(series)
 
 
 @dataclass(frozen=True)
@@ -314,8 +300,11 @@ def audit_quality_monotonicity(
     by at most ``slack`` against any earlier result as investment grows
     (dips within slack are reported, not failed). When ``refine_costs``
     gives the cost of reaching a common target from each result's state,
-    those costs must not increase with result quality.
+    those costs must not increase with result quality. A slack that is NaN,
+    infinite or negative raises :class:`PlanConfigError`.
     """
+    if not 0.0 <= slack < math.inf:
+        raise PlanConfigError(f"slack must be finite and at least 0, got {slack}")
     if len(series) < 2:
         raise UndefinedMetricError("the audit needs at least two results")
     measurable = all(math.isfinite(p.quality) and math.isfinite(p.investment) for p in series)

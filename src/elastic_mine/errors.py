@@ -132,9 +132,5 @@ class ResolutionInfeasibleError(ElasticMineError, ValueError):
         super().__init__(message)
 
 
-class AssumptionRequiredError(ElasticMineError, ValueError):
-    """An elasticity equivalence was requested without declaring its assumptions."""
-
-
 class ClockResolutionError(ElasticMineError):
     """A profiling run elapsed zero time on the available clock."""

@@ -9,7 +9,7 @@ Spot semantics: a bid grants every hour whose posted price it covers
 (boundary inclusive). Billing follows day-granularity arithmetic: a
 feasible answer pays the bid for every granted hour inside the deadline
 window, while the hour-by-hour simulation reports when the mining work
-itself completes. Suspension/resume overhead defaults to zero.
+itself completes.
 """
 
 from __future__ import annotations
@@ -136,50 +136,24 @@ class SpotWindow(NamedTuple):
     granted_hours: float  # total granted time inside the window
     window_end: float  # end of the last granted hour (0 when none)
     completion: float | None  # when `work` hours of mining finish, None if never
-    resumes: int  # suspend/resume cycles before completion (or window end)
 
 
-def simulate_spot(
-    schedule: PriceSchedule,
-    bid: float,
-    deadline_hours: float,
-    work_hours: float,
-    resume_overhead_hours: float = 0.0,
-) -> SpotWindow:
-    """Hour-by-hour grant simulation from hour 0 of day 1.
-
-    Each suspend/resume cycle burns ``resume_overhead_hours`` of granted
-    time before mining continues (zero by default, and never billed).
-    """
+def simulate_spot(schedule: PriceSchedule, bid: float, deadline_hours: float,
+                  work_hours: float) -> SpotWindow:
+    """Hour-by-hour grant simulation from hour 0 of day 1: mining runs through
+    every granted hour before the deadline."""
+    _check_positive(deadline=deadline_hours)
     grants = spot_availability(schedule, bid)[0]
-    granted = 0.0
-    done = 0.0  # mining progress net of resume overheads
-    pending = 0.0  # overhead still to burn before mining continues
-    window_end = 0.0
+    granted = window_end = 0.0
     completion = None
-    resumes = 0
-    previous_granted = False
-    hour = 0
-    while hour < deadline_hours:
+    for hour in range(math.ceil(deadline_hours)):
         if hour % 24 in grants:
             duration = min(1.0, deadline_hours - hour)
-            if not previous_granted and granted > 0.0:
-                pending += resume_overhead_hours
-                if completion is None:
-                    resumes += 1
-            burn = min(pending, duration)
-            pending -= burn
-            usable = duration - burn
-            if completion is None and done + usable >= work_hours - 1e-12:
-                completion = hour + burn + (work_hours - done)
-            done += usable
+            if completion is None and granted + duration >= work_hours - 1e-12:
+                completion = hour + (work_hours - granted)
             granted += duration
             window_end = hour + duration
-            previous_granted = True
-        else:
-            previous_granted = False
-        hour += 1
-    return SpotWindow(granted, window_end, completion, resumes)
+    return SpotWindow(granted, window_end, completion)
 
 
 @dataclass(frozen=True)
@@ -276,16 +250,14 @@ def spot_plan(
     deadline_hours: float,
     required_quality: float | None = None,
     budget: float | None = None,
-    resume_overhead_hours: float = 0.0,
 ) -> PlanAnswer:
     """Minimal bid whose granted hours fit the target result before the deadline.
 
     The target is the first result meeting ``required_quality`` (the last
     result when no floor is given). Candidate bids are the schedule's
     distinct price levels; billing covers every granted hour inside the
-    deadline window, never the suspend/resume overhead. Infeasible
-    deadlines report the best achievable completion time at the maximum
-    level.
+    deadline window. Infeasible deadlines report the best achievable
+    completion time at the maximum level.
     """
     results = _series(results)
     _check_positive(deadline=deadline_hours)
@@ -297,7 +269,7 @@ def spot_plan(
     fields = dict(query=QUERY_MIN_BID, result_index=target, quality=results[target].quality,
                   work_hours=work)
     for bid in schedule.levels():
-        window = simulate_spot(schedule, bid, deadline_hours, work, resume_overhead_hours)
+        window = simulate_spot(schedule, bid, deadline_hours, work)
         if window.completion is not None:
             investment = window.granted_hours * bid
             if budget is not None and investment > budget + 1e-12:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import LabeledDataset, RatingMatrix
+from .datasets import RATING_SCALE, LabeledDataset, RatingMatrix
 
 
 def fourclass_like(seed: int = 42) -> LabeledDataset:
@@ -81,9 +81,9 @@ def ratings_like(
         affinity = np.array([taste @ item_vec[i] for i in items])
         noise = rng.normal(0.0, 0.35, size=len(items))
         mu = 3.0 + 0.55 * affinity + item_bias[items] + noise
-        for i, r in zip(items.tolist(), np.clip(np.rint(mu), 1.0, 5.0).tolist()):
+        for i, r in zip(items.tolist(), np.clip(np.rint(mu), *RATING_SCALE).tolist()):
             ratings[(u + 1, i + 1)] = r
-    matrix = RatingMatrix(num_users, num_items, ratings, rating_scale=(1.0, 5.0))
+    matrix = RatingMatrix(num_users, num_items, ratings)
     if return_groups:
         return matrix, user_group
     return matrix

@@ -224,10 +224,8 @@ def test_10_elasticity_fixtures():
             InvestmentPoint(p.quality, p.investment * price, resource=p.investment, price=price)
             for p in series
         ]
-        triple = em.resource_and_price_elasticity(
-            priced, product_investment_model=True, state_independent=True
-        )
-        sequences.append([pair.elasticity for pair in triple.investment.pairs])
+        report = em.resource_and_price_elasticity(priced)
+        sequences.append([pair.elasticity for pair in report.pairs])
     for other in sequences[1:]:
         for a, b in zip(sequences[0], other):
             assert a == pytest.approx(b, abs=1e-12)

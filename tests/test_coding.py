@@ -347,11 +347,14 @@ class TestBuilderSettings:
         (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=0, iterations=-1),
          "iterations"),
         (lambda ds, m: kmeans(TABLE_FEATURES, 2, iterations=0), "iterations"),
+        (lambda ds, m: kmeans(TABLE_FEATURES, 0), "k must be"),
+        (lambda ds, m: kmeans(TABLE_FEATURES, -3), "k must be"),
         (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=0), "depth limit"),
         (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=-2), "depth limit"),
     ], ids=["dual-max-entries-1", "dual-leaf-capacity-0", "dual-leaf-capacity-negative",
             "cf-max-entries-1", "cf-leaf-capacity-0", "kmeans-branching-1", "kmeans-iterations-0",
             "kmeans-unsplit-iterations-negative", "kmeans-function-iterations-0",
+            "kmeans-function-k-0", "kmeans-function-k-negative",
             "kmeans-depth-limit-0", "kmeans-depth-limit-negative"])
     def test_out_of_range_setting_rejected(self, fourclass, example_matrix, build, named):
         with pytest.raises(CodebookConfigError, match=named) as info:

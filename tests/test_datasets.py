@@ -152,8 +152,10 @@ class TestParseRatingsCsv:
         assert err.value.line == 3
 
     def test_rating_scale_bounds_accepted(self):
-        matrix = em.parse_ratings_csv("1,1,0\n1,2,10", rating_scale=(0.0, 10.0))
-        assert matrix.ratings == {(1, 1): 0.0, (1, 2): 10.0}
+        low, high = em.datasets.RATING_SCALE
+        matrix = em.parse_ratings_csv(f"1,1,{low}\n1,2,{high}")
+        assert matrix.ratings == {(1, 1): low, (1, 2): high}
+        assert matrix.rating_scale == (low, high)
 
     def test_round_trip(self, example_matrix):
         text = em.write_ratings_csv(example_matrix)
@@ -235,10 +237,10 @@ class TestReaderEqualsLoop:
     def test_libsvm(self, text):
         assert _outcome(em.parse_libsvm, text) == _outcome(_loop_libsvm, _lines(text))
 
-    @given(text=_ratings_texts(), scale=st.sampled_from([(1.0, 5.0), (0, 10), (1.0, float("nan"))]))
+    @given(text=_ratings_texts())
     @settings(max_examples=300, deadline=None)
-    def test_ratings(self, text, scale):
-        assert _outcome(em.parse_ratings_csv, text, scale) == _outcome(_loop_ratings, _lines(text), scale)
+    def test_ratings(self, text):
+        assert _outcome(em.parse_ratings_csv, text) == _outcome(_loop_ratings, _lines(text))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_written_files_take_the_reader(self, fourclass, example_matrix, newline):
@@ -249,7 +251,7 @@ class TestReaderEqualsLoop:
             assert _read_libsvm(_lines(source)) is not None
         assert _read_libsvm(_lines(libsvm.rstrip())) is not None  # a last line without its end
         for source in (csv, io.StringIO(csv)):
-            assert _read_ratings(_lines(source), (1.0, 5.0)) is not None
+            assert _read_ratings(_lines(source)) is not None
 
     @pytest.mark.parametrize("text", [
         "+1 1:0.5\x0c2:0.25\n", "+1 1:0.5\u20282:0.25\n", "+1 1:0.5 2:0.25\n\x1c-1 1:1 2:1\n",
@@ -264,7 +266,7 @@ class TestReaderEqualsLoop:
         "１,1,5\n", "1,1,5,\n", "1,1\n", "1, 1,5\n", "1,1,5\n\n2,1,5\n", "1,1,1e400\n",
     ])
     def test_ratings_the_reader_leaves_to_the_loop(self, text):
-        assert _read_ratings(_lines(text), (1.0, 5.0)) is None
+        assert _read_ratings(_lines(text)) is None
 
 
 class TestSplit:
@@ -275,34 +277,28 @@ class TestSplit:
 
     def test_deterministic_under_seed(self, fourclass):
         for seed in range(100):
-            spec = em.SplitSpec(test_fraction=0.25, seed=seed)
+            spec = em.SplitSpec(test_count=216, seed=seed)
             a_train, a_test = em.split_dataset(fourclass, spec)
             b_train, b_test = em.split_dataset(fourclass, spec)
             assert np.array_equal(a_test.features, b_test.features)
             assert np.array_equal(a_train.features, b_train.features)
 
     def test_partition_is_exact(self, fourclass):
-        train, test = em.split_dataset(fourclass, em.SplitSpec(test_fraction=0.3, seed=3))
+        train, test = em.split_dataset(fourclass, em.SplitSpec(test_count=259, seed=3))
         assert len(train) + len(test) == len(fourclass)
         combined = np.vstack([train.features, test.features])
         assert np.array_equal(
             np.sort(combined, axis=0), np.sort(fourclass.features, axis=0)
         )
 
-    def test_fraction_out_of_range(self, fourclass):
-        with pytest.raises(SplitConfigError):
-            em.split_dataset(fourclass, em.SplitSpec(test_fraction=1.5, seed=0))
-
     def test_count_leaving_empty_train_rejected(self):
         ds = em.LabeledDataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(SplitConfigError):
             em.split_dataset(ds, em.SplitSpec(test_count=2, seed=0))
 
-    def test_split_without_a_test_share_rejected(self, fourclass, example_matrix):
-        with pytest.raises(SplitConfigError, match="test_count or test_fraction"):
+    def test_split_without_a_test_share_rejected(self, fourclass):
+        with pytest.raises(SplitConfigError, match="needs a test_count"):
             em.split_dataset(fourclass, em.SplitSpec())
-        with pytest.raises(SplitConfigError, match="test_fraction"):
-            em.split_ratings(example_matrix, em.SplitSpec(test_fraction=0.0))
 
     def test_rounding_rule(self):
         assert round_half_up(2.4) == 2

@@ -11,7 +11,7 @@ from elastic_mine.elasticity import (
     log_binomial,
 )
 from elastic_mine.errors import (
-    AssumptionRequiredError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError,
+    PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError,
 )
 
 # qualities and cumulative investments of the eight-result example series
@@ -37,6 +37,11 @@ class TestLogBinomial:
             log_binomial(3, 5)
         with pytest.raises(UndefinedMetricError):
             log_binomial(3, -1)
+
+    @pytest.mark.parametrize("base", [1.0, 0.5, math.inf, math.nan])
+    def test_base_must_be_finite_and_above_1(self, base):
+        with pytest.raises(ResolutionConfigError, match="log base"):
+            log_binomial(10, 3, base)
 
 
 class TestResolution:
@@ -179,13 +184,10 @@ class TestResourcePriceElasticity:
     def test_equivalence_across_prices(self):
         reference = None
         for price in (0.5, 1.0, 2.0):
-            triple = em.resource_and_price_elasticity(
-                self.series_at_price(price),
-                product_investment_model=True, state_independent=True,
-            )
-            values = [p.elasticity for p in triple.investment.pairs]
-            assert values == [p.elasticity for p in triple.resource.pairs]
-            assert values == [p.elasticity for p in triple.price.pairs]
+            series = self.series_at_price(price)
+            report = em.resource_and_price_elasticity(series)
+            values = [p.elasticity for p in report.pairs]
+            assert report == em.investment_elasticity(series)
             if reference is None:
                 reference = values
             else:
@@ -198,16 +200,10 @@ class TestResourcePriceElasticity:
         for a, b in zip(half, double):
             assert b.investment == pytest.approx(4 * a.investment)
 
-    def test_assumptions_required(self):
-        with pytest.raises(AssumptionRequiredError):
-            em.resource_and_price_elasticity(self.series_at_price(1.0))
-
     def test_product_model_verified(self):
         series = [InvestmentPoint(0.5, 9.0, resource=2.0, price=1.0)]
-        with pytest.raises(ValueError):
-            em.resource_and_price_elasticity(
-                series, product_investment_model=True, state_independent=True
-            )
+        with pytest.raises(PlanConfigError, match="I = R"):
+            em.resource_and_price_elasticity(series)
 
 
 class TestQualityMonotonicityAudit:
@@ -228,6 +224,12 @@ class TestQualityMonotonicityAudit:
         series = [InvestmentPoint(0.5, 1.0), InvestmentPoint(0.4, 2.0)]
         verdict = audit_quality_monotonicity(series, slack=0.02)
         assert not verdict.quality_monotone
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1.0])
+    def test_slack_must_be_finite_and_not_negative(self, slack):
+        """A NaN or infinite slack forgives any dip, and a negative one fails a rising series."""
+        with pytest.raises(PlanConfigError, match="slack"):
+            audit_quality_monotonicity([InvestmentPoint(0.8, 1.0), InvestmentPoint(0.5, 2.0)], slack)
 
     def test_negative_quality_fails_meaningful(self):
         series = [InvestmentPoint(-0.1, 1.0), InvestmentPoint(0.2, 2.0)]

@@ -144,3 +144,10 @@ def test_every_export_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
     assert sorted(set(em.__all__) - set(em._EXPORTS) - used) == []
+
+
+def test_settable_value_count():
+    """The number of values a caller can set, as ``tools/settable_values.py`` counts
+    them. A change that adds or removes a setting updates this pin in its own diff."""
+    script = (ROOT / "tools" / "settable_values.py").read_text(encoding="utf-8")
+    assert _python(script, ROOT).split()[0] == "376"

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elastic_mine as em
 from elastic_mine.errors import ClockResolutionError, ParseError, PlanConfigError
@@ -227,6 +229,8 @@ class TestSpotPlan:
     def test_deadline_must_be_positive_and_finite(self, schedule, deadline):
         with pytest.raises(PlanConfigError):
             em.spot_plan(RESULTS, schedule, deadline)
+        with pytest.raises(PlanConfigError, match="deadline"):  # an infinite one would never end
+            simulate_spot(schedule, 0.12, deadline, 10.6)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("setting", ["required_quality", "budget"])
@@ -279,16 +283,18 @@ class TestSpotElasticityBids:
         assert window.granted_hours == pytest.approx(12.0)
         assert window.completion == pytest.approx(46.6)
         assert window.window_end == pytest.approx(48.0)
-        assert window.resumes == 2  # restarts at hours 21 and 45; hour 0 is the start
 
-    def test_resume_overhead_delays_completion(self, schedule):
-        base = simulate_spot(schedule, 0.12, 48.0, 10.6)
-        slow = simulate_spot(schedule, 0.12, 48.0, 10.6, resume_overhead_hours=0.4)
-        assert slow.completion > base.completion
-        assert slow.granted_hours == base.granted_hours  # billing never changes
-        blocked = simulate_spot(schedule, 0.12, 48.0, 10.6, resume_overhead_hours=3.0)
-        assert blocked.completion is None
-        answer = em.spot_plan(RESULTS, schedule, 48.0, required_quality=0.8,
-                              resume_overhead_hours=3.0)
-        # the heavy overhead forces a higher bid than the overhead-free 0.12
-        assert answer.feasible and answer.price > 0.12
+
+@given(prices=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4]), min_size=24, max_size=24),
+       bid=st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.4]),
+       deadline=st.floats(0.05, 100.0),
+       work=st.floats(0.01, 60.0))  # above 0: without a granted hour even no work never finishes
+@settings(max_examples=300, deadline=None)
+def test_simulate_spot_matches_its_definition(prices, bid, deadline, work):
+    """Mining runs through every granted hour before the deadline: the hours of
+    the day whose price the bid covers, cut at the deadline."""
+    window = simulate_spot(em.PriceSchedule(FIXED_PRICE, tuple(prices)), bid, deadline, work)
+    granted = [h for h in range(200) if h < deadline and prices[h % 24] <= bid]
+    assert window.granted_hours == pytest.approx(sum(min(1.0, deadline - h) for h in granted))
+    assert window.window_end == (granted[-1] + min(1.0, deadline - granted[-1]) if granted else 0.0)
+    assert (window.completion is None) == (window.granted_hours < work - 1e-12)
