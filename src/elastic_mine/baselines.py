@@ -17,7 +17,9 @@ import numpy as np
 from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, _point_sq, _user_features, kmeans
 from .datasets import LabeledDataset, RatingMatrix
-from .errors import BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError
+from .errors import (
+    BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError, _integer,
+)
 from .knn import KnnApproxResult, KnnQuery, _box_sq, _check_dual, _check_train, _nearest, _result
 
 STRATEGY_BFS = "bfs"
@@ -56,8 +58,7 @@ def anytime_knn_ranking(
     :class:`BaselineConfigError` is raised; only the prefix is checked.
     """
     _check_train(train, query)
-    if budget < query.k:
-        raise InsufficientBudgetError(f"budget {budget} below k={query.k}")
+    budget = _integer(InsufficientBudgetError, "budget", budget, query.k)
     if order is None:
         order = rank_training_points(train)
     used = np.asarray(order[:budget])
@@ -101,13 +102,7 @@ def anytime_knn_rtree(
     if not book.depths():
         raise DepthNotFoundError("a class tree is a single leaf: there is no depth-1 frontier")
     _check_train(train, query)
-    q = query.point
     nodes = book.arrays
-    # each row's value is the one a lone box or point gets: _box_sq and
-    # _point_sq score row by row
-    node_sq = _box_sq(q, nodes.low, nodes.upp, with_min=False)[0]
-    point_sq = _point_sq(train.features, q)
-    node_d2 = node_sq.tolist()
     child_ptr, child_ids = (a.tolist() for a in nodes.child_csr)
     trees = nodes.tree.tolist()
     # each tree's unexpanded nodes in insertion order: BFS takes the first, DFS the last
@@ -115,10 +110,12 @@ def anytime_knn_rtree(
     for root in book.roots:
         open_nodes[trees[root]].extend(child_ids[child_ptr[root] : child_ptr[root + 1]])
     scanned = len(open_nodes[0]) + len(open_nodes[1])  # frontier elements ever created
-    if budget < scanned:
-        raise InsufficientBudgetError(
-            f"budget {budget} below the initial frontier size {scanned}"
-        )
+    budget = _integer(InsufficientBudgetError, "budget, which counts the initial frontier,", budget, scanned)
+    # each row's value is the one a lone box or point gets: _box_sq and
+    # _point_sq score row by row
+    node_sq = _box_sq(query.point, nodes.low, nodes.upp, with_min=False)[0]
+    point_sq = _point_sq(train.features, query.point)
+    node_d2 = node_sq.tolist()
     points = []  # training rows of expanded leaves
 
     def pick(frontier: list[int]) -> int:
@@ -165,8 +162,8 @@ def anytime_knn_rtree(
 
 def sample_users(num_users: int, sample_size: int, seed: int) -> tuple[int, ...]:
     """Seeded user sample with the prefix property: growing the size only appends."""
-    if not 1 <= sample_size <= num_users:
-        raise BaselineConfigError(f"sample size must be in [1, {num_users}], got {sample_size}")
+    sample_size = _integer(BaselineConfigError, "sample size", sample_size, 1, num_users)
+    seed = _integer(BaselineConfigError, "seed", seed, 0)
     perm = np.random.default_rng(seed).permutation(num_users) + 1
     return tuple(int(u) for u in perm[:sample_size])
 
@@ -192,10 +189,8 @@ def cf_clustering(
 ) -> CfApproxResult:
     """Flat k-means over user vectors; predict from the active user's cluster."""
     values = _user_features(features, matrix.num_users)
-    if not 1 <= k_clusters <= matrix.num_users:
-        raise BaselineConfigError(f"cluster count must be in [1, {matrix.num_users}], got {k_clusters}")
-    if iterations < 1:
-        raise BaselineConfigError(f"k-means iterations must be >= 1, got {iterations}")
+    k_clusters = _integer(BaselineConfigError, "cluster count", k_clusters, 1, matrix.num_users)
+    iterations = _integer(BaselineConfigError, "k-means iterations", iterations, 1)
     labels, centroids = kmeans(values, k_clusters, iterations)
     own = _user_vector(values, query)
     cluster = int(np.argmin(_point_sq(centroids, own)))
@@ -217,9 +212,9 @@ def cf_recttree(
     ``branching``-means. The active user is routed to the nearest centroid
     at every level, so deeper levels never enlarge their cluster.
     """
-    if min(levels, branching, iterations) < 1:
-        raise BaselineConfigError("levels, branching and k-means iterations must be >= 1, "
-                                  f"got {levels}, {branching} and {iterations}")
+    levels = _integer(BaselineConfigError, "levels", levels, 1)
+    branching = _integer(BaselineConfigError, "branching", branching, 1)
+    iterations = _integer(BaselineConfigError, "k-means iterations", iterations, 1)
     values = _user_features(features, matrix.num_users)
     rows = np.arange(matrix.num_users)
     own = _user_vector(values, query)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .coding import EXACT_DEPTH, Code, CodeBook, State, state_filter
 from .datasets import RATING_SCALE, RatingMatrix
-from .errors import DivergenceError, InvalidQueryError, TrainingConfigError, UndefinedMetricError
+from .errors import DivergenceError, InvalidQueryError, TrainingConfigError, UndefinedMetricError, _integer
 
 
 def train_incremental_svd(
@@ -73,14 +73,13 @@ def train_incremental_svd(
     20 x 15), with break-even near 100 x 70.
 
     Raises :class:`TrainingConfigError` for ``d`` or ``epochs_per_feature``
-    below 1 and for a learning rate that is not positive and finite, and
+    below 1, a negative seed and a learning rate that is not positive and finite, and
     :class:`DivergenceError`, naming the feature and the epoch, when any
     user or item value of a feature is non-finite at the end of an epoch.
     """
-    if d < 1:
-        raise TrainingConfigError(f"d must be >= 1, got {d!r}")
-    if epochs_per_feature < 1:
-        raise TrainingConfigError(f"epochs_per_feature must be >= 1, got {epochs_per_feature!r}")
+    d = _integer(TrainingConfigError, "d", d, 1)
+    epochs_per_feature = _integer(TrainingConfigError, "epochs_per_feature", epochs_per_feature, 1)
+    seed = _integer(TrainingConfigError, "seed", seed, 0)
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise TrainingConfigError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     m, n = matrix.num_users, matrix.num_items
@@ -158,7 +157,6 @@ class CfQuery:
     item: int
     ratings: Mapping[int, float]
     mean: float
-    cold: bool = False  # mean fell back to the global mean (user had no ratings)
     # rated item ids as a column, x = rating - mean and x * x (columns too), min and max item id
     _prepared: tuple = field(init=False, repr=False, compare=False)
 
@@ -183,10 +181,9 @@ class CfQuery:
 
     @classmethod
     def from_matrix(cls, matrix: RatingMatrix, user: int, item: int) -> "CfQuery":
+        """The user's rating row and mean; a user without ratings has the global mean."""
         mean = matrix.user_mean(user)
-        if mean is None:
-            return cls(user, item, {}, matrix.global_mean(), cold=True)
-        return cls(user, item, matrix.user_ratings(user), mean)
+        return cls(user, item, matrix.user_ratings(user), matrix.global_mean() if mean is None else mean)
 
 
 @dataclass(frozen=True)

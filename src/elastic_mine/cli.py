@@ -142,9 +142,9 @@ def _cmd_code_build(args) -> int:
 
     # the builder's own size checks, before any input is read or features are trained
     if args.task == "kmeans":
-        coding._check_kmeans_sizes(args.branching, args.iterations, args.depth_limit)
+        coding._check_kmeans_sizes(args.branching, args.iterations, args.depth_limit, args.seed)
     else:
-        coding._check_rtree_sizes(args.max_entries, args.leaf_capacity)
+        coding._check_rtree_sizes(args.max_entries, args.leaf_capacity, args.seed)
     if args.task == "knn":
         with open(args.input, encoding="utf-8") as fh:
             train = datasets.parse_libsvm(fh)

@@ -36,7 +36,7 @@ import numpy as np
 from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _loadtxt, deviation_table
 from .errors import (
     BookKindError, BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
-    ForeignStateError, InvalidDatasetError, ParseError,
+    ForeignStateError, InvalidDatasetError, ParseError, _integer,
 )
 
 FORMAT_VERSION = 1
@@ -370,8 +370,7 @@ def state_filter(book: CodeBook, depth: int, state: State) -> np.ndarray:
 
 def select_code(book: CodeBook, length_budget: int) -> Code:
     """The code of greatest length not exceeding the budget."""
-    if length_budget < 1:
-        raise BudgetTooSmallError(f"length budget {length_budget} must be >= 1")
+    length_budget = _integer(BudgetTooSmallError, "length budget", length_budget, 1)
     codes = [book.code_at_depth(d) for d in book.depths()]
     if not codes:
         raise DepthNotFoundError("the book has no usable code: a tree is a single leaf")
@@ -496,15 +495,13 @@ class _Builder:
                         features=features, warnings=tuple(warnings))
 
 
-def _check_rtree_sizes(max_entries: int, leaf_capacity: int | None) -> int:
-    """The leaf capacity to build with; raise unless both sizes can build a tree."""
-    if max_entries < 2:
-        raise CodebookConfigError(f"max entries must be >= 2, got {max_entries}")
-    if leaf_capacity is None:
-        return max_entries
-    if leaf_capacity < 1:
-        raise CodebookConfigError(f"leaf capacity must be >= 1, got {leaf_capacity}")
-    return leaf_capacity
+def _check_rtree_sizes(max_entries: int, leaf_capacity: int | None, seed: int) -> tuple[int, int, int]:
+    """The max entries, leaf capacity and seed to build with; raise unless
+    both sizes can build a tree and the seed is an integer."""
+    max_entries = _integer(CodebookConfigError, "max entries", max_entries, 2)
+    if leaf_capacity is not None:
+        leaf_capacity = _integer(CodebookConfigError, "leaf capacity", leaf_capacity, 1)
+    return max_entries, leaf_capacity or max_entries, _integer(CodebookConfigError, "seed", seed)
 
 
 def build_dual_rtrees(
@@ -518,7 +515,7 @@ def build_dual_rtrees(
     in both trees are usable and the deeper levels are dropped with a
     warning recorded on the book.
     """
-    leaf_capacity = _check_rtree_sizes(max_entries, leaf_capacity)
+    max_entries, leaf_capacity, seed = _check_rtree_sizes(max_entries, leaf_capacity, seed)
     pos, neg = train.class_counts()
     if pos < 1 or neg < 1:
         raise ClassMissingError(f"both classes need points (positive={pos}, negative={neg})")
@@ -599,7 +596,7 @@ def build_cf_codebook(
     rating matrix, never from other aggregates.
     """
     values = _user_features(features, matrix.num_users)
-    leaf_capacity = _check_rtree_sizes(max_entries, leaf_capacity)
+    max_entries, leaf_capacity, seed = _check_rtree_sizes(max_entries, leaf_capacity, seed)
     builder = _Builder()
     root = builder.build_rtree(values, 0, max_entries, leaf_capacity)
     config = {"max_entries": max_entries, "leaf_capacity": leaf_capacity, "task": "cf"}
@@ -648,13 +645,12 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     Seeding is farthest-point, so there is no random seed: the first centre is the point farthest from
     the data centroid, each further centre maximises the distance to the
     centres chosen so far (ties by row index). Returns (labels, centroids).
-    Empty clusters keep their previous centroid.
+    Empty clusters keep their previous centroid. ``X`` that is not a finite
+    2-D array raises :class:`InvalidDatasetError`.
     """
-    if k < 1:
-        raise CodebookConfigError(f"k must be >= 1, got {k}")
-    if iterations < 1:
-        raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
-    X = np.asarray(X, dtype=float)
+    k = _integer(CodebookConfigError, "k", k, 1)
+    iterations = _integer(CodebookConfigError, "iterations", iterations, 1)
+    X = _user_features(X, len(X))
     n = len(X)
     k = min(k, n)
     centre = X.mean(axis=0)
@@ -676,14 +672,13 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     return labels, centroids
 
 
-def _check_kmeans_sizes(branching: int, iterations: int, depth_limit: int):
-    """Raise unless the sizes can build a k-means hierarchy with a usable code."""
-    if branching < 2:
-        raise CodebookConfigError(f"branching must be >= 2, got {branching}")
-    if iterations < 1:
-        raise CodebookConfigError(f"iterations must be >= 1, got {iterations}")
-    if depth_limit < 1:
-        raise CodebookConfigError(f"depth limit must be >= 1 for a usable code, got {depth_limit}")
+def _check_kmeans_sizes(branching: int, iterations: int, depth_limit: int, seed: int) -> tuple[int, ...]:
+    """The four settings as ints; raise unless the sizes can build a k-means
+    hierarchy with a usable code and the seed is an integer."""
+    return (_integer(CodebookConfigError, "branching", branching, 2),
+            _integer(CodebookConfigError, "iterations", iterations, 1),
+            _integer(CodebookConfigError, "depth limit", depth_limit, 1),
+            _integer(CodebookConfigError, "seed", seed))
 
 
 def build_kmeans_codebook(
@@ -702,7 +697,7 @@ def build_kmeans_codebook(
     branching factor are carried down unsplit (recorded as a warning);
     empty clusters are dropped.
     """
-    _check_kmeans_sizes(branching, iterations, depth_limit)
+    branching, iterations, depth_limit, seed = _check_kmeans_sizes(branching, iterations, depth_limit, seed)
     values = _user_features(features, matrix.num_users)
     warnings: list[str] = []
     builder = _Builder()

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidDatasetError, LabelCardinalityError, ParseError, SplitConfigError
+from .errors import InvalidDatasetError, LabelCardinalityError, ParseError, SplitConfigError, _integer
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -93,8 +93,8 @@ class RatingMatrix:
     _deviations: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_users < 1 or self.num_items < 1:
-            raise InvalidDatasetError("rating matrix must have at least one user and one item")
+        for name in ("num_users", "num_items"):
+            object.__setattr__(self, name, _integer(InvalidDatasetError, name, getattr(self, name), 1))
         if not self.ratings:
             raise InvalidDatasetError("rating matrix has no ratings")
         low, high = self.rating_scale
@@ -159,19 +159,20 @@ def deviation_table(num_rows: int, num_columns: int, items, columns, deviations)
 @dataclass(frozen=True)
 class SplitSpec:
     """Deterministic split request: ``split_dataset`` holds out ``test_count``
-    elements; ``split_ratings`` reads only the seed."""
+    elements; ``split_ratings`` reads only the seed, an integer from 0."""
 
     test_count: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(SplitConfigError, "seed", self.seed, 0))
+
     def resolve_count(self, n: int) -> int:
-        """The test count for ``n`` elements; :class:`SplitConfigError` unless it is 1..n-1."""
+        """The test count for ``n`` elements; :class:`SplitConfigError` unless it is an integer in 1..n-1."""
         if self.test_count is None:
             raise SplitConfigError("SplitSpec needs a test_count")
-        count = int(self.test_count)
-        if not 1 <= count <= n - 1:
-            raise SplitConfigError(f"split leaves no train or no test elements (n={n}, test={count})")
-        return count
+        name = f"test count (a split of {n} elements leaves no train or no test elements otherwise)"
+        return _integer(SplitConfigError, name, self.test_count, 1, n - 1)
 
 
 def _lines(source) -> list[str]:

@@ -25,18 +25,19 @@ import numpy as np
 
 from .coding import CodeBook, total_mbr_volume
 from .errors import (
-    PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError,
+    PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError, _integer,
 )
 
 
 def log_binomial(n: int, m: int, base: float = 2.0) -> float:
     """log_base of C(n, m), via log-gamma so large n cannot overflow.
 
-    A base that is not a finite number above 1 raises :class:`ResolutionConfigError`.
+    A base that is not a finite number above 1 raises :class:`ResolutionConfigError`,
+    and an m and n that are not integers with 0 <= m <= n :class:`UndefinedMetricError`.
     """
     _check_settings(None, base)
-    if m < 0 or n < m:
-        raise UndefinedMetricError(f"need 0 <= m <= n, got n={n}, m={m}")
+    m = _integer(UndefinedMetricError, "m", m, 0)
+    n = _integer(UndefinedMetricError, "n", n, m)
     value = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     return value / math.log(base)
 
@@ -73,16 +74,17 @@ class ResolutionReport:
         return None
 
 
-def _check_settings(m: int | None, log_base: float, cell_volume: float | None = None):
-    """Raise :class:`ResolutionConfigError` for settings no entropy can be computed with."""
-    if m is not None and m < 1:
-        raise ResolutionConfigError(f"m must be >= 1, got {m}")
+def _check_settings(m: int | None, log_base: float, cell_volume: float | None = None) -> int | None:
+    """m as an int or None; :class:`ResolutionConfigError` for settings no entropy can be computed with."""
+    if m is not None:
+        m = _integer(ResolutionConfigError, "m", m, 1)
     if not (math.isfinite(log_base) and log_base > 1.0):
         raise ResolutionConfigError(f"log base must be a finite number above 1, got {log_base}")
     if cell_volume is not None and not (math.isfinite(cell_volume) and cell_volume > 0.0):
         raise ResolutionConfigError(
             f"cell volume must be a finite number above 0, got {cell_volume}"
         )
+    return m
 
 
 def resolution(
@@ -96,31 +98,21 @@ def resolution(
     ``counts[j]`` is the number of point placements consistent with code j;
     the prior admits ``prior_points`` placements. Entropy is
     log C(count, m); resolution is the prior entropy minus it. Code j is
-    labelled depth j + 1, with length 0 and no volume. An m below 1
-    or a log base that is not a finite number above 1 raises
-    :class:`ResolutionConfigError`.
+    labelled depth j + 1, with length 0 and no volume. An m that is not an
+    integer from 1 or a log base that is not a finite number above 1 raises
+    :class:`ResolutionConfigError`, and a count that is not an integer from
+    m :class:`ResolutionInfeasibleError`.
     """
-    _check_settings(m, log_base)
-    for c in list(counts) + [prior_points]:
-        if c < m:
-            raise ResolutionInfeasibleError(
-                f"possible-point count {c} cannot represent {m} points"
-            )
+    m = _check_settings(m, log_base)
+    counts = [_integer(ResolutionInfeasibleError, "possible-point count", c, m) for c in counts]
+    prior_points = _integer(ResolutionInfeasibleError, "prior possible-point count", prior_points, m)
     prior_entropy = log_binomial(prior_points, m, log_base)
     rows = []
     for j, count in enumerate(counts):
-        h = log_binomial(int(count), m, log_base)
-        rows.append(
-            CodeResolution(
-                depth=j + 1,
-                length=0,
-                volume=None,
-                possible_points=int(count),
-                conditional_entropy=h,
-                resolution=prior_entropy - h,
-            )
-        )
-    return ResolutionReport(m, log_base, int(prior_points), prior_entropy, tuple(rows))
+        h = log_binomial(count, m, log_base)
+        rows.append(CodeResolution(depth=j + 1, length=0, volume=None, possible_points=count,
+                                   conditional_entropy=h, resolution=prior_entropy - h))
+    return ResolutionReport(m, log_base, prior_points, prior_entropy, tuple(rows))
 
 
 def default_cell_volume(book: CodeBook) -> float:
@@ -152,11 +144,11 @@ def audit_entropy_monotonicity(
     usable code, or any count below m, raises
     :class:`ResolutionInfeasibleError`; for a count below m it reports the
     largest cell volume that would have worked.
-    A given m below 1, a cell volume that is not a finite number above 0
-    or a log base that is not a finite number above 1 raises
-    :class:`ResolutionConfigError` before any arithmetic.
+    A given m that is not an integer from 1, a cell volume that is not a
+    finite number above 0 or a log base that is not a finite number above 1
+    raises :class:`ResolutionConfigError` before any arithmetic.
     """
-    _check_settings(m, log_base, cell_volume)
+    m = _check_settings(m, log_base, cell_volume)
     depths = list(book.depths())
     if not depths:
         raise ResolutionInfeasibleError("book has no usable codes")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule every integer setting obeys."""
+
+import operator
 
 
 class ElasticMineError(Exception):
@@ -76,9 +78,9 @@ class InsufficientBudgetError(ElasticMineError, ValueError):
 class BaselineConfigError(ElasticMineError, ValueError):
     """A baseline setting is out of range: a CF baseline's user sample or
     cluster count outside 1..users, a hierarchy below one level or one branch,
-    or fewer than one k-means iteration; a descent strategy of the R-tree
-    kNN baseline other than bfs, dfs and ofs; or a ranking baseline order
-    whose scanned prefix is not k or more distinct point indices."""
+    fewer than one k-means iteration, or a negative sampling seed; a descent
+    strategy of the R-tree kNN baseline other than bfs, dfs and ofs; or a
+    ranking baseline order whose scanned prefix is not k or more distinct point indices."""
 
 
 class CodebookConfigError(ElasticMineError, ValueError):
@@ -87,13 +89,13 @@ class CodebookConfigError(ElasticMineError, ValueError):
 
 
 class SplitConfigError(ElasticMineError, ValueError):
-    """A split setting that leaves no train or no test elements: a test
-    fraction outside (0, 1), neither a test count nor a fraction, a test count
-    outside 1..n-1, or a test count where a split holds out a fraction per user."""
+    """A split setting that leaves no train or no test elements: no test
+    count, a test count outside 1..n-1, or a test count where a split holds
+    out a fraction per user; or a negative seed."""
 
 
 class TrainingConfigError(ElasticMineError, ValueError):
-    """A training setting is out of range, such as a non-positive learning rate."""
+    """A training setting is out of range, such as a non-positive learning rate or a negative seed."""
 
 
 class DivergenceError(ElasticMineError):
@@ -112,8 +114,8 @@ class UndefinedMetricError(ElasticMineError, ValueError):
 class PlanConfigError(ElasticMineError, ValueError):
     """A planning or elasticity setting that has no answer: a price, bid, deadline,
     floor or throughput that is not positive and finite, a budget or quality
-    that is not finite, a missing query setting, or a result or investment
-    series out of order."""
+    that is not finite, spot work that is negative or not finite, a missing
+    query setting, or a result or investment series out of order."""
 
 
 class ResolutionConfigError(ElasticMineError, ValueError):
@@ -121,7 +123,7 @@ class ResolutionConfigError(ElasticMineError, ValueError):
 
 
 class ResolutionInfeasibleError(ElasticMineError, ValueError):
-    """A derived possible-point count fell below the dataset size.
+    """A possible-point count, derived or given, fell below the dataset size.
 
     ``min_cell_volume`` is the largest cell volume that would have kept
     every count feasible, or None when no constant can work.
@@ -134,3 +136,19 @@ class ResolutionInfeasibleError(ElasticMineError, ValueError):
 
 class ClockResolutionError(ElasticMineError):
     """A profiling run elapsed zero time on the available clock."""
+
+
+def _integer(error, name, value, low=None, high=None) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer from ``low``
+    to ``high`` (a bound of None is open). Anything else, a float of integral
+    value or a bool included, raises ``error`` with a message naming the setting."""
+    try:
+        if isinstance(value, bool):  # numpy's bool has no __index__
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if (low is not None and number < low) or (high is not None and number > high):
+        bounds = f">= {low}" if high is None else f"<= {high}" if low is None else f"in {low}..{high}"
+        raise error(f"{name} must be {bounds}, got {number}")
+    return number

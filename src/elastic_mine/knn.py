@@ -48,7 +48,7 @@ from .coding import EXACT_DEPTH, KIND_DUAL, CodeBook, State, _point_sq, _roots_s
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
     BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
-    InvalidQueryError, UndefinedMetricError,
+    InvalidQueryError, UndefinedMetricError, _integer,
 )
 
 
@@ -102,10 +102,7 @@ class KnnQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise InvalidQueryError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise InvalidQueryError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _integer(InvalidQueryError, "k", self.k, 1))
         if not np.isfinite(self.point).all():
             raise InvalidQueryError("a query coordinate is NaN or infinite")
 

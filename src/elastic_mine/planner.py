@@ -141,11 +141,14 @@ class SpotWindow(NamedTuple):
 def simulate_spot(schedule: PriceSchedule, bid: float, deadline_hours: float,
                   work_hours: float) -> SpotWindow:
     """Hour-by-hour grant simulation from hour 0 of day 1: mining runs through
-    every granted hour before the deadline."""
+    every granted hour before the deadline. Work within 1e-12 of 0 is done at hour 0,
+    whatever the bid grants; negative or non-finite work raises :class:`PlanConfigError`."""
     _check_positive(deadline=deadline_hours)
+    if not 0 <= work_hours < math.inf:
+        raise PlanConfigError(f"work hours must be finite and >= 0, got {work_hours}")
     grants = spot_availability(schedule, bid)[0]
     granted = window_end = 0.0
-    completion = None
+    completion = 0.0 if work_hours <= 1e-12 else None
     for hour in range(math.ceil(deadline_hours)):
         if hour % 24 in grants:
             duration = min(1.0, deadline_hours - hour)

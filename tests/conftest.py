@@ -31,6 +31,21 @@ TABLE_FEATURES = np.array([
 # Leaf grouping of those users into four leaves under two internal nodes.
 EXAMPLE_HIERARCHY = [[[1, 2, 3], [4, 5, 6]], [[7, 8, 9], [10, 11, 12]]]
 
+# Values that no integer setting accepts, by test id: a fraction, a float of
+# integral value, Python's and numpy's bool, and NaN.
+NON_INTEGERS = {"2.5": 2.5, "3.0": 3.0, "True": True, "np.True_": np.True_, "nan": float("nan")}
+
+
+def non_integer_rows(calls: dict) -> list:
+    """Parametrize rows that hand each value of NON_INTEGERS to each call.
+
+    ``calls`` maps a name to ``(call, *rest)``; each row is ``(bound, *rest)``,
+    where ``bound(*args)`` is ``call(*args, value)``, with id ``name-value``.
+    """
+    return [pytest.param(lambda *args, call=call, value=value: call(*args, value), *rest,
+                         id=f"{name}-{label}")
+            for name, (call, *rest) in calls.items() for label, value in NON_INTEGERS.items()]
+
 
 @pytest.fixture(scope="session")
 def example_matrix() -> em.RatingMatrix:

@@ -15,7 +15,7 @@ from elastic_mine.errors import (
 )
 from elastic_mine.knn import KnnApproxResult
 
-from conftest import TABLE_FEATURES
+from conftest import TABLE_FEATURES, non_integer_rows
 from reference import dual_book_from_hierarchy
 
 
@@ -126,6 +126,16 @@ class TestAnytimeRtree:
         ds, book = small_tree_setup
         with pytest.raises(InsufficientBudgetError):
             em.anytime_knn_rtree(book, ds, em.KnnQuery([0.0, 0.0], 3), 1, "bfs")
+
+    @pytest.mark.parametrize("run", non_integer_rows({
+        "ranking": (lambda ds, book, query, v: em.anytime_knn_ranking(ds, query, v),),
+        "rtree": (lambda ds, book, query, v: em.anytime_knn_rtree(book, ds, query, v),),
+    }))
+    def test_budget_must_be_an_integer(self, small_tree_setup, run):
+        """A NaN budget would compare false against every size and scan everything."""
+        ds, book = small_tree_setup
+        with pytest.raises(InsufficientBudgetError, match="budget"):
+            run(ds, book, em.KnnQuery([0.0, 0.0], 3))
 
     def test_book_of_another_kind_rejected(self, small_tree_setup, example_cf_book):
         ds, _ = small_tree_setup
@@ -371,6 +381,18 @@ class TestCfRectTree:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
+# Every integer setting of a CF baseline, with each value no integer setting accepts.
+NON_INTEGER_SIZES = non_integer_rows({
+    "sample": (lambda m, f, q, v: em.cf_sampling(m, q, v),),
+    "sampling-seed": (lambda m, f, q, v: em.cf_sampling(m, q, 5, seed=v),),
+    "clusters": (lambda m, f, q, v: em.cf_clustering(m, f, q, k_clusters=v),),
+    "clustering-iterations": (lambda m, f, q, v: em.cf_clustering(m, f, q, 3, iterations=v),),
+    "levels": (lambda m, f, q, v: em.cf_recttree(m, f, q, levels=v),),
+    "branching": (lambda m, f, q, v: em.cf_recttree(m, f, q, levels=2, branching=v),),
+    "recttree-iterations": (lambda m, f, q, v: em.cf_recttree(m, f, q, levels=2, iterations=v),),
+})
+
+
 class TestCfBaselineSizes:
     @pytest.mark.parametrize("baseline", [
         lambda m, f, q: em.cf_sampling(m, q, 0),
@@ -380,8 +402,11 @@ class TestCfBaselineSizes:
         lambda m, f, q: em.cf_recttree(m, f, q, levels=0),
         lambda m, f, q: em.cf_recttree(m, f, q, levels=2, branching=0),
         lambda m, f, q: em.cf_recttree(m, f, q, levels=2, branching=-1),
+        lambda m, f, q: em.cf_sampling(m, q, 5, seed=-1),
+        *NON_INTEGER_SIZES,
     ], ids=["sample-0", "sample-above-users", "clusters-0", "clusters-above-users", "levels-0",
-            "branching-0", "branching-negative"])
+            "branching-0", "branching-negative", "sampling-seed-negative"]
+       + [row.id for row in NON_INTEGER_SIZES])
     def test_out_of_range_size_rejected(self, cf_setup, baseline):
         matrix, feats, queries = cf_setup
         with pytest.raises(BaselineConfigError) as info:

@@ -13,7 +13,7 @@ from elastic_mine.errors import (
     BookKindError, DivergenceError, ForeignStateError, InvalidQueryError, UndefinedMetricError,
 )
 
-from conftest import TABLE_FEATURES, aggregates_of
+from conftest import NON_INTEGERS, TABLE_FEATURES, aggregates_of
 from reference import ItemAggregate, ancestor_at, cf_book_from_hierarchy, node_weight
 
 
@@ -180,12 +180,19 @@ class TestWavefrontSvd:
     @pytest.mark.parametrize("d, epochs, lr", [
         (0, 10, 0.001), (-1, 10, 0.001), (2, 0, 0.001), (2, 10, 0.0), (2, 10, -0.001),
         (2, 10, math.nan), (2, 10, math.inf),
+        *(pytest.param(value, 10, 0.001, id=f"d-{name}") for name, value in NON_INTEGERS.items()),
+        *(pytest.param(2, value, 0.001, id=f"epochs-{name}") for name, value in NON_INTEGERS.items()),
     ])
     def test_bad_settings_rejected(self, example_matrix, d, epochs, lr):
         with pytest.raises(em.TrainingConfigError) as err:
             em.train_incremental_svd(example_matrix, d, lr, epochs)
         assert isinstance(err.value, ValueError)
         assert isinstance(err.value, em.ElasticMineError)
+
+    @pytest.mark.parametrize("seed", [-1, *NON_INTEGERS.values()], ids=["negative", *NON_INTEGERS])
+    def test_seed_must_be_an_integer_from_0(self, example_matrix, seed):
+        with pytest.raises(em.TrainingConfigError, match="seed"):
+            em.train_incremental_svd(example_matrix, seed=seed)
 
 
 class TestNodeWeight:
@@ -378,7 +385,7 @@ class TestExactPredict:
     def test_cold_user_gets_global_mean(self, example_matrix):
         bigger = em.RatingMatrix(13, 5, dict(example_matrix.ratings))
         query = em.CfQuery.from_matrix(bigger, user=13, item=1)
-        assert query.cold
+        assert not query.ratings
         assert query.mean == pytest.approx(bigger.global_mean())
 
     def test_leaf_code_matches_exact_oracle(self):
@@ -457,7 +464,7 @@ class TestUserLevelScorer:
         pairs = [(int(rng.integers(1, 51)), int(rng.integers(1, 41))) for _ in range(40)]
         pairs += [(51, 3), (7, 41), (51, 41)]
         queries = [em.CfQuery.from_matrix(matrix, u, i) for u, i in pairs]
-        assert any(q.cold for q in queries)
+        assert any(not q.ratings for q in queries)
         return matrix, feats, queries
 
     def test_exact_oracle(self, setup):
@@ -475,7 +482,7 @@ class TestUserLevelScorer:
     def test_cold_user_outside_matrix(self, setup):
         matrix, _, _ = setup
         query = em.CfQuery.from_matrix(matrix, matrix.num_users + 1, 3)
-        assert query.cold
+        assert not query.ratings
         users = range(1, matrix.num_users + 1)
         want = dataclasses.replace(_reference_over_users(matrix, query, users),
                                    scanned=matrix.num_users - 1)
@@ -697,8 +704,7 @@ class TestVectorisedKernel:
             ]
             for k in order:
                 route, want = routes[k]
-                fresh = em.CfQuery(query.user, query.item, dict(query.ratings), query.mean,
-                                   query.cold)
+                fresh = em.CfQuery(query.user, query.item, dict(query.ratings), query.mean)
                 for results in (route(query), route(fresh)):
                     assert len(results) == len(want)
                     for got, expected in zip(results, want):

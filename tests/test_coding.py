@@ -15,7 +15,9 @@ from elastic_mine.errors import (
     InvalidDatasetError, ParseError,
 )
 
-from conftest import EXAMPLE_HIERARCHY, TABLE_FEATURES, aggregates_of, leaf_with_members
+from conftest import (
+    EXAMPLE_HIERARCHY, NON_INTEGERS, TABLE_FEATURES, aggregates_of, leaf_with_members, non_integer_rows,
+)
 from reference import (
     Mbr, aggregate_ratings, ancestor_at, cf_book_from_hierarchy, dual_book_from_hierarchy,
 )
@@ -299,6 +301,14 @@ class TestKmeans:
         assert np.array_equal(a, b)
         assert np.array_equal(ca, cb)
 
+    @pytest.mark.parametrize("X", [
+        [[math.nan, 1.0], [0.0, 1.0], [2.0, 3.0]], [[0.0, -math.inf], [0.0, 1.0]], [0.0, 1.0, 2.0],
+        [[[0.0], [1.0]], [[2.0], [3.0]]],
+    ], ids=["nan", "minus-inf", "1d", "3d"])
+    def test_points_must_be_a_finite_2d_array(self, X):
+        with pytest.raises(InvalidDatasetError):
+            kmeans(np.array(X), 2)
+
 
 def _lone_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The reference: each pair's squared distance as a lone point gets it."""
@@ -333,6 +343,28 @@ class TestPointSq:
             assert got.tobytes() == _lone_sq(a, b).tobytes()
 
 
+# Every integer setting of a builder or of kmeans, with each value no integer setting accepts.
+NON_INTEGER_SETTINGS = non_integer_rows({
+    "dual-max-entries": (lambda ds, m, v: em.build_dual_rtrees(ds, max_entries=v), "max entries"),
+    "dual-leaf-capacity": (lambda ds, m, v: em.build_dual_rtrees(ds, leaf_capacity=v), "leaf capacity"),
+    "dual-seed": (lambda ds, m, v: em.build_dual_rtrees(ds, seed=v), "seed"),
+    "cf-max-entries": (lambda ds, m, v: em.build_cf_codebook(m, TABLE_FEATURES, max_entries=v),
+                       "max entries"),
+    "cf-leaf-capacity": (lambda ds, m, v: em.build_cf_codebook(m, TABLE_FEATURES, leaf_capacity=v),
+                         "leaf capacity"),
+    "cf-seed": (lambda ds, m, v: em.build_cf_codebook(m, TABLE_FEATURES, seed=v), "seed"),
+    "kmeans-branching": (lambda ds, m, v: em.build_kmeans_codebook(m, TABLE_FEATURES, branching=v),
+                         "branching"),
+    "kmeans-depth-limit": (lambda ds, m, v: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=v),
+                           "depth limit"),
+    "kmeans-iterations": (lambda ds, m, v: em.build_kmeans_codebook(m, TABLE_FEATURES, iterations=v),
+                          "iterations"),
+    "kmeans-seed": (lambda ds, m, v: em.build_kmeans_codebook(m, TABLE_FEATURES, seed=v), "seed"),
+    "kmeans-function-k": (lambda ds, m, v: kmeans(TABLE_FEATURES, v), "k must be"),
+    "kmeans-function-iterations": (lambda ds, m, v: kmeans(TABLE_FEATURES, 2, v), "iterations"),
+})
+
+
 class TestBuilderSettings:
     """A setting that cannot build a usable code raises one typed error, before any work."""
 
@@ -351,11 +383,12 @@ class TestBuilderSettings:
         (lambda ds, m: kmeans(TABLE_FEATURES, -3), "k must be"),
         (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=0), "depth limit"),
         (lambda ds, m: em.build_kmeans_codebook(m, TABLE_FEATURES, depth_limit=-2), "depth limit"),
+        *NON_INTEGER_SETTINGS,
     ], ids=["dual-max-entries-1", "dual-leaf-capacity-0", "dual-leaf-capacity-negative",
             "cf-max-entries-1", "cf-leaf-capacity-0", "kmeans-branching-1", "kmeans-iterations-0",
             "kmeans-unsplit-iterations-negative", "kmeans-function-iterations-0",
             "kmeans-function-k-0", "kmeans-function-k-negative",
-            "kmeans-depth-limit-0", "kmeans-depth-limit-negative"])
+            "kmeans-depth-limit-0", "kmeans-depth-limit-negative"] + [row.id for row in NON_INTEGER_SETTINGS])
     def test_out_of_range_setting_rejected(self, fourclass, example_matrix, build, named):
         with pytest.raises(CodebookConfigError, match=named) as info:
             build(fourclass, example_matrix)
@@ -394,6 +427,11 @@ class TestCodeSelection:
     def test_select_code_too_small(self, ladder_book):
         with pytest.raises(BudgetTooSmallError):
             em.select_code(ladder_book, 1)
+
+    @pytest.mark.parametrize("budget", [0, *NON_INTEGERS.values()], ids=["0", *NON_INTEGERS])
+    def test_budget_must_be_an_integer_from_1(self, ladder_book, budget):
+        with pytest.raises(BudgetTooSmallError, match="length budget"):
+            em.select_code(ladder_book, budget)
 
     def test_book_without_codes_has_nothing_to_select(self, single_leaf_split):
         _, book = single_leaf_split
@@ -454,6 +492,15 @@ class TestPersistence:
         loaded = em.load_codebook(path)
         assert em.dump_codebook(loaded) == em.dump_codebook(fourclass_book)
         assert loaded.depths() == fourclass_book.depths()
+
+    def test_numpy_integer_settings_round_trip(self, fourclass):
+        """A book built from numpy integers holds ints: it dumps as one built
+        from ints does, and loads back byte for byte."""
+        book = em.build_dual_rtrees(fourclass, max_entries=np.int64(3), seed=np.int64(3))
+        assert type(book.seed) is int and type(book.config["max_entries"]) is int
+        text = em.dump_codebook(book)
+        assert text == em.dump_codebook(em.build_dual_rtrees(fourclass, max_entries=3, seed=3))
+        assert_round_trip(book)
 
     def test_round_trip_cf(self, example_cf_book):
         text = em.dump_codebook(example_cf_book)

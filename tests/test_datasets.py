@@ -13,6 +13,8 @@ from elastic_mine.errors import (
     ElasticMineError, InvalidDatasetError, LabelCardinalityError, ParseError, SplitConfigError,
 )
 
+from conftest import NON_INTEGERS, non_integer_rows
+
 
 class TestParseLibsvm:
     def test_two_point_example(self):
@@ -101,7 +103,10 @@ class TestRatingMatrix:
 
     @pytest.mark.parametrize("shape, ratings", [
         ((0, 2), {(1, 1): 3.0}), ((2, 0), {(1, 1): 3.0}), ((2, 2), {}), ((2, 2), {(3, 1): 3.0}),
-    ], ids=["no-user", "no-item", "no-rating", "outside-ids"])
+        *(((value, 2), {(1, 1): 3.0}) for value in NON_INTEGERS.values()),
+        *(((2, value), {(1, 1): 3.0}) for value in NON_INTEGERS.values()),
+    ], ids=["no-user", "no-item", "no-rating", "outside-ids", *(f"users-{name}" for name in NON_INTEGERS),
+            *(f"items-{name}" for name in NON_INTEGERS)])
     def test_matrix_without_meaning_rejected(self, shape, ratings):
         with pytest.raises(InvalidDatasetError):
             em.RatingMatrix(*shape, ratings)
@@ -295,6 +300,17 @@ class TestSplit:
         ds = em.LabeledDataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(SplitConfigError):
             em.split_dataset(ds, em.SplitSpec(test_count=2, seed=0))
+
+    @pytest.mark.parametrize("split", non_integer_rows({
+        "test-count": (lambda ds, m, v: em.split_dataset(ds, em.SplitSpec(test_count=v)),),
+        "seed": (lambda ds, m, v: em.split_dataset(ds, em.SplitSpec(test_count=100, seed=v)),),
+        "ratings-seed": (lambda ds, m, v: em.split_ratings(m, em.SplitSpec(seed=v)),),
+    }) + [pytest.param(lambda ds, m: em.split_dataset(ds, em.SplitSpec(test_count=100, seed=-1)),
+                       id="seed-negative")])
+    def test_split_setting_must_be_an_integer(self, fourclass, example_matrix, split):
+        """A fractional count used to be truncated, and numpy read a bool seed as 0 or 1."""
+        with pytest.raises(SplitConfigError):
+            split(fourclass, example_matrix)
 
     def test_split_without_a_test_share_rejected(self, fourclass):
         with pytest.raises(SplitConfigError, match="needs a test_count"):

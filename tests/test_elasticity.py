@@ -14,6 +14,8 @@ from elastic_mine.errors import (
     PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError,
 )
 
+from conftest import NON_INTEGERS, non_integer_rows
+
 # qualities and cumulative investments of the eight-result example series
 EXAMPLE_SERIES = [
     InvestmentPoint(quality=q, investment=float(i + 1))
@@ -37,6 +39,15 @@ class TestLogBinomial:
             log_binomial(3, 5)
         with pytest.raises(UndefinedMetricError):
             log_binomial(3, -1)
+
+    @pytest.mark.parametrize("call", non_integer_rows({
+        "n": (lambda v: log_binomial(v, 2),),
+        "m": (lambda v: log_binomial(10, v),),
+    }))
+    def test_n_and_m_must_be_integers(self, call):
+        """C(10.5, 2.5) has a log-gamma value, but no count of placements."""
+        with pytest.raises(UndefinedMetricError):
+            call()
 
     @pytest.mark.parametrize("base", [1.0, 0.5, math.inf, math.nan])
     def test_base_must_be_finite_and_above_1(self, base):
@@ -71,7 +82,19 @@ class TestResolution:
         with pytest.raises(ResolutionInfeasibleError):
             em.resolution([1], m=2, prior_points=10)
 
-    @pytest.mark.parametrize("m, log_base", [(0, 2.0), (1, 1.0), (1, math.nan)])
+    @pytest.mark.parametrize("call", non_integer_rows({
+        "count": (lambda v: em.resolution([v], m=1, prior_points=100),),
+        "prior": (lambda v: em.resolution([50], m=1, prior_points=v),),
+    }))
+    def test_count_must_be_an_integer(self, call):
+        """A count of 50.7 used to be read as 50."""
+        with pytest.raises(ResolutionInfeasibleError, match="count"):
+            call()
+
+    @pytest.mark.parametrize("m, log_base", [
+        (0, 2.0), (1, 1.0), (1, math.nan),
+        *(pytest.param(value, 2.0, id=f"m-{name}") for name, value in NON_INTEGERS.items()),
+    ])
     def test_bad_setting_is_a_typed_value_error(self, m, log_base):
         with pytest.raises(ResolutionConfigError) as err:
             em.resolution([50], m=m, prior_points=100, log_base=log_base)
@@ -99,6 +122,11 @@ class TestEntropyAudit:
         with pytest.warns(UserWarning, match="vacuous"):
             report = em.audit_entropy_monotonicity(book)
         assert report.monotone
+
+    @pytest.mark.parametrize("m", [0, *NON_INTEGERS.values()], ids=["0", *NON_INTEGERS])
+    def test_m_must_be_an_integer_from_1(self, fourclass_book, m):
+        with pytest.raises(ResolutionConfigError, match="m must be"):
+            em.audit_entropy_monotonicity(fourclass_book, m=m)
 
     def test_book_without_codes_is_infeasible(self):
         ds = em.LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])

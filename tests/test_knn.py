@@ -587,8 +587,10 @@ class TestBoxKernel:
 class TestMalformedQuery:
     @pytest.mark.parametrize("point, k", [
         ([math.nan, 0.0], 5), ([math.inf, 0.0], 5), ([0.0, -math.inf], 5), ([0.0, 0.0], 0),
-        ([0.0, 0.0], 2.5), ([0.0, 0.0], True),
-    ], ids=["nan", "inf", "minus-inf", "k-zero", "k-fraction", "k-bool"])
+        ([0.0, 0.0], 2.5), ([0.0, 0.0], True), ([0.0, 0.0], 3.0), ([0.0, 0.0], np.True_),
+        ([0.0, 0.0], math.nan),
+    ], ids=["nan", "inf", "minus-inf", "k-zero", "k-fraction", "k-bool", "k-integral-float",
+            "k-numpy-bool", "k-nan"])
     def test_query_without_answer_rejected(self, point, k):
         """No route answers a NaN or infinite coordinate, or a k that is not an integer from 1."""
         with pytest.raises(InvalidQueryError) as info:

@@ -232,6 +232,19 @@ class TestSpotPlan:
         with pytest.raises(PlanConfigError, match="deadline"):  # an infinite one would never end
             simulate_spot(schedule, 0.12, deadline, 10.6)
 
+    @pytest.mark.parametrize("work", [-3.0, float("nan"), float("inf")])
+    def test_work_must_be_finite_and_not_negative(self, schedule, work):
+        """Negative work used to complete before hour 0, and NaN work never."""
+        with pytest.raises(PlanConfigError, match="work hours"):
+            simulate_spot(schedule, 0.12, 48.0, work)
+
+    def test_result_needing_no_hours_costs_nothing(self):
+        """Zero work completes at hour 0, so the cheapest bid wins even when it grants no hour."""
+        schedule = em.PriceSchedule(FIXED_PRICE, (0.30,) + (0.10,) * 23)
+        answer = em.spot_plan([ResultPoint(0.9, 0.0)], schedule, 0.5, required_quality=0.8)
+        assert answer.feasible
+        assert (answer.price, answer.investment, answer.completion_hours) == (0.10, 0.0, 0.0)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("setting", ["required_quality", "budget"])
     def test_non_finite_setting_rejected(self, schedule, setting, value):
@@ -288,7 +301,7 @@ class TestSpotElasticityBids:
 @given(prices=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4]), min_size=24, max_size=24),
        bid=st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.4]),
        deadline=st.floats(0.05, 100.0),
-       work=st.floats(0.01, 60.0))  # above 0: without a granted hour even no work never finishes
+       work=st.just(0.0) | st.floats(0.0, 60.0))
 @settings(max_examples=300, deadline=None)
 def test_simulate_spot_matches_its_definition(prices, bid, deadline, work):
     """Mining runs through every granted hour before the deadline: the hours of
@@ -298,3 +311,4 @@ def test_simulate_spot_matches_its_definition(prices, bid, deadline, work):
     assert window.granted_hours == pytest.approx(sum(min(1.0, deadline - h) for h in granted))
     assert window.window_end == (granted[-1] + min(1.0, deadline - granted[-1]) if granted else 0.0)
     assert (window.completion is None) == (window.granted_hours < work - 1e-12)
+    assert work > 0 or window.completion == 0.0  # no work is done at hour 0, granted or not
