@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,9 +59,19 @@ def _ptr(counts) -> np.ndarray:
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The integer ranges ``starts[k]`` up to ``stops[k]``, concatenated."""
     lengths = stops - starts
-    ends = np.cumsum(lengths)  # where each range ends in the output
+    ends = lengths.cumsum()  # where each range ends in the output
     # output position c of the range ending at e holds stop - (e - c)
-    return np.repeat(stops - ends, lengths) + np.arange(ends[-1] if len(ends) else 0)
+    return (stops - ends).repeat(lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _depth(depth) -> int:
+    """``depth`` as an ``int``. A number that is not an integer, a bool
+    included, raises :class:`DepthNotFoundError`; any other object keeps the
+    ``TypeError`` of ``operator.index``, which names its type (a ``Code`` is
+    not a depth)."""
+    if isinstance(depth, (numbers.Number, np.bool_)):
+        return _integer(DepthNotFoundError, "depth", depth)
+    return operator.index(depth)
 
 
 class Aggregates(NamedTuple):
@@ -301,9 +312,12 @@ class CodeBook:
 
         Views of every depth are built together on first use and cached;
         they are derived data and never written by :func:`dump_codebook`.
+        A number that is not an integer (a bool or a float included) and a
+        depth the book lacks raise :class:`DepthNotFoundError`.
         """
+        if type(depth) is not int:  # one test on the cached path
+            depth = _depth(depth)
         if depth not in self._columns:
-            depth = operator.index(depth)
             if depth != 0 and depth not in self._depths:
                 raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
             # concurrent first calls each build the views; setdefault never
@@ -389,7 +403,7 @@ def total_mbr_volume(book: CodeBook, depth: int) -> float:
     Reads the book's columns, so it works on a book whose views reject it;
     a depth without nodes raises :class:`DepthNotFoundError`.
     """
-    ids = np.flatnonzero(book.arrays.depth == operator.index(depth))
+    ids = np.flatnonzero(book.arrays.depth == _depth(depth))
     if not len(ids):
         raise DepthNotFoundError(f"no node at depth {depth}")
     return sum(np.prod(book.arrays.upp[ids] - book.arrays.low[ids], axis=1).tolist())
@@ -646,12 +660,14 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     the data centroid, each further centre maximises the distance to the
     centres chosen so far (ties by row index). Returns (labels, centroids).
     Empty clusters keep their previous centroid. ``X`` that is not a finite
-    2-D array raises :class:`InvalidDatasetError`.
+    2-D array of at least one point raises :class:`InvalidDatasetError`.
     """
     k = _integer(CodebookConfigError, "k", k, 1)
     iterations = _integer(CodebookConfigError, "iterations", iterations, 1)
-    X = _user_features(X, len(X))
+    X = _user_features(X, len(X) if np.ndim(X) else 0)  # a 0-d X has no len
     n = len(X)
+    if not n:
+        raise InvalidDatasetError("k-means needs at least one point")
     k = min(k, n)
     centre = X.mean(axis=0)
     first = int(np.argmax(_point_sq(X, centre)))

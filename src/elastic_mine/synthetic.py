@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import RATING_SCALE, LabeledDataset, RatingMatrix
+from .errors import InvalidDatasetError, _integer
 
 
 def fourclass_like(seed: int = 42) -> LabeledDataset:
@@ -65,8 +66,12 @@ def ratings_like(
     product of group and item vectors, so neighbourhood methods have real
     signal to find. Row counts per user vary widely, as in the MovieLens
     and Netflix corpora. With ``return_groups`` the per-user latent group
-    assignment is returned alongside the matrix.
+    assignment is returned alongside the matrix. ``num_users`` or
+    ``num_items`` that is not an integer from 1 raises
+    :class:`InvalidDatasetError`.
     """
+    num_users = _integer(InvalidDatasetError, "num_users", num_users, 1)
+    num_items = _integer(InvalidDatasetError, "num_items", num_items, 1)
     rng = np.random.default_rng(seed)
     user_group = rng.integers(0, groups, size=num_users)
     group_vec = rng.normal(0.0, 1.0, size=(groups, 4))

@@ -264,6 +264,21 @@ class TestMalformedQuery:
         with pytest.raises(InvalidQueryError):
             em.CfQuery(1, 2, ratings, mean)
 
+    @pytest.mark.parametrize("field", ["user", "item"])
+    @pytest.mark.parametrize("value", NON_INTEGERS.values(), ids=NON_INTEGERS)
+    def test_ids_must_be_integers(self, field, value):
+        """User 3.0 would predict as user 3, and item 4.5 died in numpy's indexing."""
+        ids = {"user": 3, "item": 4, field: value}
+        with pytest.raises(InvalidQueryError, match=f"{field} must be an integer"):
+            em.CfQuery(ids["user"], ids["item"], {1: 3.0}, 3.0)
+
+    def test_numpy_ids_become_ints(self, example_matrix):
+        query = em.CfQuery(np.int64(7), np.int32(2), example_matrix.user_ratings(7),
+                           example_matrix.user_mean(7))
+        assert (type(query.user), type(query.item)) == (int, int)
+        assert repr(em.exact_cf_predict(example_matrix, query)) == repr(
+            em.exact_cf_predict(example_matrix, em.CfQuery.from_matrix(example_matrix, 7, 2)))
+
 
 class TestPredict:
     def test_weighted_average_hand_example(self):
@@ -709,6 +724,33 @@ class TestVectorisedKernel:
                     assert len(results) == len(want)
                     for got, expected in zip(results, want):
                         _assert_same_result(got, expected)
+
+    def test_ratings_out_of_item_order_equal_reference(self):
+        """The sums follow ``query.ratings`` order, not item order: a row given
+        descending or shuffled gets the reference loop's bits on every route,
+        and those bits differ from the ascending row's."""
+        matrix = em.synthetic.ratings_like(num_users=60, num_items=40, seed=3)
+        feats = em.train_incremental_svd(matrix, d=2, epochs_per_feature=20, seed=1)
+        book = em.build_cf_codebook(matrix, feats, max_entries=3)
+        users = range(1, matrix.num_users + 1)
+        rng = np.random.default_rng(5)
+        moved = 0
+        for user, item in [(1, 2), (9, 17), (23, 33), (41, 7)]:
+            row = sorted(matrix.user_ratings(user).items())
+            ascending = em.CfQuery(user, item, dict(row), matrix.user_mean(user))
+            for order in (row[::-1], [row[k] for k in rng.permutation(len(row))]):
+                query = em.CfQuery(user, item, dict(order), matrix.user_mean(user))
+                assert list(query.ratings) != sorted(query.ratings)
+                for depth in book.depths():
+                    got = em.predict(book, depth, query, matrix=matrix)
+                    _assert_same_result(got, _reference_predict(book, depth, query, None, matrix))
+                    moved += got.weights != em.predict(book, depth, ascending, matrix=matrix).weights
+                for got, want in zip(em.cf.refine_chain(book, query, matrix=matrix),
+                                     _reference_chain(book, query, matrix), strict=True):
+                    _assert_same_result(got, want)
+                _assert_same_result(em.exact_cf_predict(matrix, query), dataclasses.replace(
+                    _reference_over_users(matrix, query, users), scanned=matrix.num_users - 1))
+        assert moved
 
     def test_query_keeps_its_own_ratings(self, example_matrix, example_cf_book):
         """Changing the dict a query was built from changes none of its predictions."""

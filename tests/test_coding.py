@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import _point_sq, kmeans
+from elastic_mine.coding import _point_sq, _ranges, kmeans
 from elastic_mine.errors import (
     BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     InvalidDatasetError, ParseError,
@@ -309,6 +309,13 @@ class TestKmeans:
         with pytest.raises(InvalidDatasetError):
             kmeans(np.array(X), 2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("X", [np.zeros((0, 2)), np.float64(5.0), 5.0], ids=["empty", "0d-numpy", "0d"])
+    def test_no_points_rejected_before_any_work(self, X):
+        """No point has no centre: no "Mean of empty slice" warning, no bare numpy error."""
+        with pytest.raises(InvalidDatasetError):
+            kmeans(X, 2)
+
 
 def _lone_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The reference: each pair's squared distance as a lone point gets it."""
@@ -444,6 +451,19 @@ class TestCodeSelection:
             fourclass_book.code_at_depth(0)
         with pytest.raises(DepthNotFoundError):
             fourclass_book.code_at_depth(99)
+
+    @pytest.mark.parametrize("depth", [1.0, 1.5, True, np.True_, np.float64(1.0)],
+                             ids=["1.0", "1.5", "True", "np.True_", "np.float64"])
+    def test_depth_must_be_an_integer_whatever_is_cached(self, fourclass, depth):
+        """A bool or float depth is no depth, on a fresh book and once its views are cached."""
+        book = em.build_dual_rtrees(fourclass)
+        assert not book._columns
+        with pytest.raises(DepthNotFoundError, match="depth must be an integer"):
+            book.columns(depth)
+        assert book.code_at_depth(1) is book.code_at_depth(np.int64(1))
+        for call in (book.columns, book.code_at_depth, lambda d: em.total_mbr_volume(book, d)):
+            with pytest.raises(DepthNotFoundError, match="depth must be an integer"):
+                call(depth)
 
     def test_code_ordering_by_tree_then_construction(self, fourclass_book):
         for depth in fourclass_book.depths():
@@ -814,6 +834,20 @@ class TestColumnarViews:
                 for r, nid in enumerate(book.columns(shallower).ids.tolist()):
                     below = [row for row, x in enumerate(above) if x == nid]
                     assert below == list(range(offsets[r], offsets[r + 1]))
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=12))
+@example([])
+@example([(4, 0), (9, 0)])
+@example([(7, 5)])
+def test_ranges_concatenate_python_ranges(spans):
+    """``_ranges`` is the concatenation of ``range(start, stop)``; empty input and
+    zero-length ranges give nothing, a single range gives itself."""
+    starts = np.array([start for start, _ in spans], dtype=np.intp)
+    stops = np.array([start + length for start, length in spans], dtype=np.intp)
+    got = _ranges(starts, stops)
+    assert got.dtype == np.intp
+    assert got.tolist() == [x for start, length in spans for x in range(start, start + length)]
 
 
 class TestBoxesOfArrayBooks:

@@ -373,6 +373,12 @@ def _reference_ratings_like(num_users, num_items, min_per_user, max_per_user, gr
 
 
 class TestRatingsLike:
+    @pytest.mark.parametrize("name", ["num_users", "num_items"])
+    @pytest.mark.parametrize("value", [0, *NON_INTEGERS.values()], ids=["0", *NON_INTEGERS])
+    def test_shape_must_be_an_integer_from_1(self, name, value):
+        with pytest.raises(InvalidDatasetError, match=name):
+            em.synthetic.ratings_like(**{name: value})
+
     @pytest.mark.parametrize("shape", [
         dict(num_users=40, num_items=60, min_per_user=15, max_per_user=120, groups=8),
         dict(num_users=25, num_items=10, min_per_user=3, max_per_user=40, groups=3),
