@@ -113,7 +113,7 @@ def anytime_knn_rtree(
     budget = _integer(InsufficientBudgetError, "budget, which counts the initial frontier,", budget, scanned)
     # each row's value is the one a lone box or point gets: _box_sq and
     # _point_sq score row by row
-    node_sq = _box_sq(query.point, nodes.low, nodes.upp, with_min=False)[0]
+    node_sq = _box_sq(query.point, nodes.bounds, with_min=False)[0]
     point_sq = _point_sq(train.features, query.point)
     node_d2 = node_sq.tolist()
     points = []  # training rows of expanded leaves

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, Code, CodeBook, State, state_filter
+from .coding import EXACT_DEPTH, Code, CodeBook, State, _column_sums, state_filter
 from .datasets import RATING_SCALE, RatingMatrix
 from .errors import DivergenceError, InvalidQueryError, TrainingConfigError, UndefinedMetricError, _integer
 
@@ -204,19 +204,6 @@ class CfApproxResult:
     clamped: bool
     # every rater, handed on as the next state; None for user-level routes
     state: State | None = field(default=None, repr=False)
-
-
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Column sums of a C-ordered (k, rows, cols) stack, adding the rows first to last.
-
-    numpy reduces a C-ordered array's rows one after another, the order
-    of an item-by-item loop over the query's ratings. A single column is a
-    contiguous vector, which numpy sums pairwise, so it is summed beside a
-    copy of itself.
-    """
-    if a.shape[-1] == 1:
-        return np.add.reduce(np.concatenate((a, a), axis=-1), axis=-2)[:, :1]
-    return np.add.reduce(a, axis=-2)
 
 
 def _score(query: CfQuery, depth: int, table: np.ndarray, cols: np.ndarray, ids: np.ndarray,

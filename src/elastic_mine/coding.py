@@ -114,6 +114,11 @@ class NodeArrays:
         ids = ids[np.argsort(self.parent[ids], kind="stable")]
         return _ptr(np.bincount(self.parent[ids], minlength=len(self))), ids
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """The (2, d, N) box block of every node: ``bounds[0]`` the lows, ``bounds[1]`` the upps."""
+        return np.array((self.low.T, self.upp.T))  # np.stack would keep the transposed strides
+
     def children_of(self, i: int) -> np.ndarray:
         ptr, ids = self.child_csr
         return ids[ptr[i] : ptr[i + 1]]
@@ -135,8 +140,7 @@ class Code:
 
     depth: int
     ids: np.ndarray  # (L,) ascending node ids
-    low: np.ndarray  # (L, d)
-    upp: np.ndarray  # (L, d)
+    bounds: np.ndarray  # (2, d, L): lows, then upps; bounds[:, :, r] is the box of row r
     labels: np.ndarray  # (L,)
     offsets: dict[int, np.ndarray]  # shallower depth s -> (L_s + 1,) first descendant rows
 
@@ -151,7 +155,7 @@ class Code:
 
     @property
     def dimensionality(self) -> int:
-        return self.low.shape[1]
+        return self.bounds.shape[1]
 
     def rows(self, node_ids) -> np.ndarray:
         """Row positions of the given node ids, which must all lie at this depth."""
@@ -223,8 +227,7 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
     columns = {}
     for depth in range(book.usable_depth() + 1):
         ids = np.flatnonzero(nodes.depth == depth)
-        low = nodes.low.take(ids, axis=0)
-        upp = nodes.upp.take(ids, axis=0)
+        bounds = np.array((nodes.low.take(ids, axis=0).T, nodes.upp.take(ids, axis=0).T))
         offsets, up = {}, ids
         for shallower in range(depth - 1, -1, -1):
             up = nodes.parent[up]
@@ -234,19 +237,18 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
                 parents = rows
             offsets[shallower] = np.searchsorted(rows, np.arange(len(above) + 1))
         if depth:
-            _check_nesting(columns[depth - 1], ids, low, upp, parents, offsets[depth - 1])
+            _check_nesting(columns[depth - 1], ids, bounds, parents, offsets[depth - 1])
         columns[depth] = Code(
             depth=depth,
             ids=ids,
-            low=low,
-            upp=upp,
+            bounds=bounds,
             labels=nodes.label[ids],
             offsets=offsets,
         )
     return columns
 
 
-def _check_nesting(above: Code, ids, low, upp, parents, offsets):
+def _check_nesting(above: Code, ids, bounds, parents, offsets):
     """Raise :class:`ParseError` unless one depth nests in the depth above it."""
     bad = np.flatnonzero(np.diff(parents) < 0)
     if len(bad):
@@ -257,7 +259,8 @@ def _check_nesting(above: Code, ids, low, upp, parents, offsets):
     bad = np.flatnonzero(np.diff(offsets) == 0)
     if len(bad):
         raise ParseError(f"node {above.ids[bad[0]]} has no child at depth {above.depth + 1}")
-    outside = (low < above.low[parents]).any(axis=1) | (upp > above.upp[parents]).any(axis=1)
+    up = above.bounds.take(parents, axis=2)
+    outside = ((bounds[0] < up[0]) | (bounds[1] > up[1])).any(axis=0)
     bad = np.flatnonzero(outside)
     if len(bad):
         raise ParseError(
@@ -647,6 +650,19 @@ def _point_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
         c *= c
         d2 += c
     return d2
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered (k, rows, cols) stack, adding the rows first to last.
+
+    numpy reduces a C-ordered array's rows one after another, the order of
+    a scalar loop over the rows (CF's item-by-item correlation sums, a box
+    norm's coordinates). A single column is a contiguous vector, which
+    numpy sums pairwise from 8 rows, so it is summed beside a copy of itself.
+    """
+    if a.shape[-1] == 1:
+        return np.add.reduce(np.concatenate((a, a), axis=-1), axis=-2)[:, :1]
+    return np.add.reduce(a, axis=-2)
 
 
 # ---------------------------------------------------------------------------

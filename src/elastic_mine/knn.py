@@ -8,8 +8,8 @@ matter as rows of its book's view; deeper codes of that book alone are
 then filtered through it, which only ever shrinks the scan.
 
 The kernel works on the book's columnar per-depth view
-(:meth:`CodeBook.code_at_depth`): the boxes of a code as two (L, d) arrays, a
-label array and, per shallower depth, the range of this code's rows that
+(:meth:`CodeBook.code_at_depth`): the boxes of a code as one (2, d, L) block,
+a label array and, per shallower depth, the range of this code's rows that
 lies below each node of that depth. A scan is one box kernel, :func:`_box_sq`,
 over the (state-filtered) rows and the one nearest-k rule, :func:`_nearest`:
 a partial sort to the k-th distance, then a sort of the few entries at or
@@ -30,12 +30,13 @@ box, so the threshold never grows down a chain and every such node lies
 under a retained one); from a hand-made, narrower state, fewer.
 
 Distance comparisons run on squared values internally; every distance a
-caller sees is a true (un-squared) Euclidean distance. Box norms go
-through the dot routine ``d @ d`` uses for a single box, so a vectorised
-scan returns the same bits as a box-by-box one. Point distances (the
-oracle and both anytime baselines) go through ``coding._point_sq``, which
-returns the bits a lone point gets; ``exact_knn`` over 19,700 points
-takes about 0.11-0.13 ms on a 2-core x86-64 machine (numpy 2.4).
+caller sees is a true (un-squared) Euclidean distance. A box norm adds its
+squared gaps first to last, a coordinate row of the block at a time: the
+bits of a scalar loop over one box, whatever the BLAS build. Point
+distances (the oracle and both anytime baselines) go through
+``coding._point_sq``, the bits a lone point gets, by the same rule below
+8 dimensions; ``exact_knn`` over 19,700 points takes about 0.11-0.13 ms
+on a 2-core x86-64 machine (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import EXACT_DEPTH, KIND_DUAL, CodeBook, State, _point_sq, _roots_state, state_filter
+from .coding import EXACT_DEPTH, KIND_DUAL, CodeBook, State, _column_sums, _point_sq, _roots_state, state_filter
 from .datasets import LabeledDataset, POSITIVE, NEGATIVE
 from .errors import (
     BookKindError, DimensionMismatchError, ForeignStateError, InsufficientCandidatesError,
@@ -66,33 +67,25 @@ def _check_train(train: LabeledDataset, query: KnnQuery):
     _check_dim(query.point, train.dimensionality)
 
 
-def _norm_sq(d: np.ndarray):
-    """Squared Euclidean norm of a vector, or of every row of a stack.
-
-    ``np.vecdot`` (numpy >= 2.0) takes each row through the dot routine ``d @ d``
-    uses, so a row's value does not depend on how many rows are scored at
-    once; ``einsum`` or a row sum round differently where it fuses multiply-adds.
-    """
-    return np.vecdot(d, d)
-
-
-def _box_sq(point: np.ndarray, low: np.ndarray, upp: np.ndarray, with_min: bool) -> np.ndarray:
-    """Squared max-distances from the point to each box and, ``with_min``,
-    squared min-distances: a (1 or 2, n) stack from one norm call.
+def _box_sq(point: np.ndarray, bounds: np.ndarray, with_min: bool) -> np.ndarray:
+    """Squared max-distances from the point to each box of a (2, d, n) bounds
+    block and, ``with_min``, squared min-distances: a (1 or 2, n) stack.
 
     For ``low <= upp`` the larger signed gap of ``q - low`` and ``upp - q``
     is ``max(|q - low|, |q - upp|)``, and the smaller, clipped at 0,
-    ``-max(0, low - q, q - upp)``: equal squares. ``upp - q`` overwrites the
-    query repeated per row, faster than a broadcast against short rows
-    (``repeat``: 1.2-1.5 µs against 2.8-3.1 µs for ``tile`` at 6-78 rows)."""
-    q = np.repeat(point[None, :], len(low), axis=0)
-    gaps = np.empty((2 if with_min else 1, *low.shape))
-    near = np.subtract(q, low, out=gaps[-1])
-    far = np.subtract(upp, q, out=q)
+    ``-max(0, low - q, q - upp)``: equal squares. The gaps are squared in
+    place and one reduce over the coordinate rows adds each box's squares
+    first to last (``coding._column_sums``), the order of a scalar loop over
+    its coordinates, so a box's value does not depend on how many are scored."""
+    q = point[:, None]
+    gaps = np.empty((2 if with_min else 1, *bounds.shape[1:]))
+    near = np.subtract(q, bounds[0], out=gaps[-1])
+    far = np.subtract(bounds[1], q)
     np.maximum(near, far, out=gaps[0])
     if with_min:
         np.minimum(np.minimum(near, far, out=near), 0.0, out=near)
-    return _norm_sq(gaps)
+    gaps *= gaps
+    return _column_sums(gaps)
 
 
 @dataclass(frozen=True)
@@ -144,14 +137,18 @@ def _nearest(d2: np.ndarray, k: int, *ties: np.ndarray) -> np.ndarray:
 def _result(ids: np.ndarray, d2: np.ndarray, labels: np.ndarray, scanned: int,
             depth: int = EXACT_DEPTH, state: State | None = None) -> KnnApproxResult:
     """The answer from the k nearest elements' ids, squared distances and
-    labels, in ascending distance."""
+    labels, in ascending distance. As in ``State._built``, the fields are
+    set directly: the frozen ``__init__`` costs about 1.3 µs a result."""
     distances = np.sqrt(d2).tolist()
-    k_pos = int(np.count_nonzero(labels == POSITIVE))
+    k_pos = labels.tolist().count(POSITIVE)
     k_neg = len(labels) - k_pos
     # ties (even k) go to the negative class: the vote rule is strict
     predicted = POSITIVE if k_pos > k_neg else NEGATIVE
-    return KnnApproxResult(depth, tuple(ids.tolist()), tuple(distances), k_pos, k_neg, predicted,
-                           threshold=distances[-1], scanned=scanned, state=state)
+    result = object.__new__(KnnApproxResult)
+    result.__dict__.update(depth=depth, node_ids=tuple(ids.tolist()), distances=tuple(distances), k_pos=k_pos,
+                           k_neg=k_neg, predicted=predicted, threshold=distances[-1], scanned=scanned,
+                           state=state)
+    return result
 
 
 def _check_dual(book: CodeBook):
@@ -175,14 +172,14 @@ def classify(
     _check_dual(book)
     columns = book.code_at_depth(depth)
     _check_dim(query.point, columns.dimensionality)
-    low, upp = columns.low, columns.upp
+    bounds = columns.bounds
     if state is not None:
         rows = state_filter(book, columns.depth, state)
-        # take() gathers (L, d) rows several times faster than fancy indexing
-        low, upp = low.take(rows, axis=0), upp.take(rows, axis=0)
-    if len(low) < query.k:
-        raise InsufficientCandidatesError(f"{len(low)} candidate nodes after filtering < k={query.k}")
-    sq = _box_sq(query.point, low, upp, with_min=state is not None)
+        bounds = bounds.take(rows, axis=2)  # take() gathers several times faster than fancy indexing
+    scanned = bounds.shape[2]
+    if scanned < query.k:
+        raise InsufficientCandidatesError(f"{scanned} candidate nodes after filtering < k={query.k}")
+    sq = _box_sq(query.point, bounds, with_min=state is not None)
     d2 = sq[0]
     top = _nearest(d2, query.k)  # view ids and candidate rows ascend: positions are in id order
     picked = top if state is None else rows[top]
@@ -190,7 +187,7 @@ def classify(
         # the next state keeps a node exactly at the threshold whichever way its root squares back
         top_sq = float(d2[top[-1]])
         state = State._built(columns, rows[sq[1] <= max(top_sq, float(np.sqrt(top_sq)) ** 2)])
-    return _result(columns.ids[picked], d2[top], columns.labels[picked], len(low), columns.depth, state)
+    return _result(columns.ids[picked], d2[top], columns.labels[picked], scanned, columns.depth, state)
 
 
 def maintain_state(book: CodeBook, result: KnnApproxResult) -> State:

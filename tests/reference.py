@@ -49,16 +49,22 @@ class Mbr:
         return float(np.prod(self.upp - self.low))
 
 
+def _sum_sq(gaps: np.ndarray) -> float:
+    """The squared gaps added first to last, one Python float at a time."""
+    total = 0.0
+    for g in gaps.tolist():
+        total += g * g
+    return total
+
+
 def max_sq(q, low, upp) -> float:
     """Squared maximal distance from q to the box ``low``..``upp``, by its definition."""
-    d = np.maximum(np.abs(q - low), np.abs(q - upp))
-    return float(d @ d)
+    return _sum_sq(np.maximum(np.abs(q - low), np.abs(q - upp)))
 
 
 def min_sq(q, low, upp) -> float:
     """Squared minimal distance from q to the box ``low``..``upp``, by its definition."""
-    d = np.maximum(0.0, np.maximum(low - q, q - upp))
-    return float(d @ d)
+    return _sum_sq(np.maximum(0.0, np.maximum(low - q, q - upp)))
 
 
 def dist_max(q, mbr: Mbr) -> float:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,7 @@ from elastic_mine.errors import (
     InvalidQueryError,
     UndefinedMetricError,
 )
-from elastic_mine.knn import KnnApproxResult, _average_ranks, _box_sq, _norm_sq, refine_chain
+from elastic_mine.knn import KnnApproxResult, _average_ranks, _box_sq, refine_chain
 
 from conftest import box_of
 from reference import (
@@ -537,14 +537,21 @@ class TestVectorisedKernel:
     @given(books_and_queries(leaf_capacity=1, same_class_sizes=True))
     @settings(max_examples=40, deadline=None)
     def test_leaf_chain_distances_equal_exact(self, case):
+        """A one-point leaf's box distance is the point's own: the same bits
+        below 8 dimensions, where both kernels add the squares first to
+        last; from 8, ``_point_sq`` adds them pairwise."""
         train, book, queries = case
         deepest = book.depths()[-1]
         assert book.code_at_depth(deepest).length == len(train)
         for query in queries:
             chain = refine_chain(book, query)
             exact = em.exact_knn(train, query)
-            assert chain[-1].distances == pytest.approx(exact.distances, rel=1e-12, abs=0.0)
-            assert chain[-1].threshold == pytest.approx(exact.threshold, rel=1e-12, abs=0.0)
+            if train.dimensionality < 8:
+                assert chain[-1].distances == exact.distances
+                assert chain[-1].threshold == exact.threshold
+            else:
+                assert chain[-1].distances == pytest.approx(exact.distances, rel=1e-12, abs=0.0)
+                assert chain[-1].threshold == pytest.approx(exact.threshold, rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -564,24 +571,34 @@ def boxes_and_query(draw):
     return q, low, upp
 
 
+def _one_box(d):
+    """One box of d dimensions and a query; at d = 8 and 9 a pairwise sum
+    rounds both its max and its min squares differently from a
+    first-to-last one (seed 16 is drawn to show it)."""
+    rng = np.random.default_rng(16)
+    low = rng.normal(0.0, 3.0, (1, d))
+    upp = low + rng.random((1, d))
+    return rng.normal(0.0, 3.0, d), low, upp
+
+
 class TestBoxKernel:
-    @given(boxes_and_query(), arrays(float, st.tuples(st.just(2), st.integers(1, 12), st.integers(1, 9)),
-                                     elements=st.floats(-1e6, 1e6)))
+    @given(boxes_and_query())
+    # a lone box is a contiguous column, which numpy adds pairwise from 8 coordinates
+    @example(_one_box(8))
+    @example(_one_box(9))
+    @example(_one_box(1))
     @settings(max_examples=300, deadline=None)
-    def test_squares_equal_definitions(self, case, stack):
-        """The fused kernel's max and min squares are the definitions' bits,
-        and a stacked norm is each row's own dot product."""
+    def test_squares_equal_definitions(self, case):
+        """The fused kernel's max and min squares over a (2, d, n) bounds
+        block are the definitions' bits, each box's squares added first to last."""
         q, low, upp = case
-        both = _box_sq(q, low, upp, with_min=True)
+        bounds = np.array((low.T, upp.T))
+        both = _box_sq(q, bounds, with_min=True)
         assert both.shape == (2, len(low))
         for r in range(len(low)):
             assert both[0, r] == max_sq(q, low[r], upp[r])
             assert both[1, r] == min_sq(q, low[r], upp[r])
-        assert np.array_equal(_box_sq(q, low, upp, with_min=False), both[:1])
-        norms = _norm_sq(stack)
-        assert [[x == r @ r for x, r in zip(norms[i], stack[i])] for i in range(2)] == [
-            [True] * stack.shape[1]] * 2
-        assert np.array_equal(_norm_sq(stack[1]), norms[1])
+        assert np.array_equal(_box_sq(q, bounds, with_min=False), both[:1])
 
 
 class TestMalformedQuery:
