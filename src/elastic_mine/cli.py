@@ -24,10 +24,6 @@ from .errors import DepthNotFoundError, ElasticMineError, ForeignStateError, Par
 # process pays the import cost of its own command only.
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ELASTIC_MINE_SEED", "0"))
-
-
 def _config(args) -> dict:
     """The command and every option its parser defines, so no option can miss the header."""
     routing = ("command", "subcommand", "func", "command_path")
@@ -51,14 +47,15 @@ def _read_data_lines(path) -> list[tuple[int, str]]:
         return [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
 
 
-def _read_table(path, columns: dict, required=None) -> list[dict]:
+def _read_table(path, columns: dict, required=None, check=None) -> list[dict]:
     """Rows of a CSV with a header line, as header -> cell.
 
     A column named in ``columns`` is converted by its function, any other
     is kept as a string. Every column of ``required`` (by default, every
     column of ``columns``) must be in the header. A missing column, a row
-    of the wrong width, a cell that does not convert or a number that is
-    NaN or infinite raises :class:`ParseError` with the path and line number.
+    of the wrong width, a cell that does not convert, a number that is NaN
+    or infinite, or a converted row for which ``check`` raises ``ValueError``
+    raises :class:`ParseError` with the path and line number.
     """
     lines = [(n, line.strip()) for n, line in _read_data_lines(path) if line.strip()]
     if not lines:
@@ -75,6 +72,8 @@ def _read_table(path, columns: dict, required=None) -> list[dict]:
             raise ParseError(f"{len(cells)} cells under {len(header)} columns in {path}", at)
         try:
             row = {h: columns.get(h, str)(c) for h, c in zip(header, cells)}
+            if check is not None:
+                check(row)
         except ValueError as exc:
             raise ParseError(f"malformed row in {path} ({exc})", at) from None
         if any(isinstance(v, float) and not math.isfinite(v) for v in row.values()):
@@ -358,12 +357,29 @@ def _cmd_mine_baseline(args) -> int:
 # report
 
 
+def _check_knn_prediction(row):
+    """Raise ``ValueError`` unless a kNN prediction row counts at least one
+    neighbour, none negatively, and its labels are +1 or -1."""
+    if row["k_P"] < 0 or row["k_N"] < 0 or row["k_P"] + row["k_N"] == 0:
+        raise ValueError(f"k_P {row['k_P']} and k_N {row['k_N']} are not counts of one or more neighbours")
+    for name in ("predicted", "actual"):
+        if row[name] not in (1, -1):
+            raise ValueError(f"{name} {row[name]} is not 1 or -1")
+
+
+def _check_cf_prediction(row):
+    """Raise ``ValueError`` unless a CF prediction row's fallback flag is 0 or 1."""
+    if row["fallback_flag"] not in (0, 1):
+        raise ValueError(f"fallback_flag {row['fallback_flag']} is not 0 or 1")
+
+
 def _cmd_report_quality(args) -> int:
     out_rows = ["depth,metric,value"]
     if args.task == "knn":
         from . import knn
 
-        body = _read_table(args.pred, dict.fromkeys(("depth", "predicted", "actual", "k_P", "k_N"), int))
+        body = _read_table(args.pred, dict.fromkeys(("depth", "predicted", "actual", "k_P", "k_N"), int),
+                           check=_check_knn_prediction)
         by_depth: dict[int, list[dict]] = {}
         for row in body:
             by_depth.setdefault(row["depth"], []).append(row)
@@ -381,7 +397,8 @@ def _cmd_report_quality(args) -> int:
         from . import cf, coding
 
         body = _read_table(args.pred, {"depth": int, "prediction": float, "fallback_flag": int,
-                                       "actual": lambda v: float(v) if v else None})
+                                       "actual": lambda v: float(v) if v else None},
+                           check=_check_cf_prediction)
         by_depth = {}
         for row in body:
             if row["actual"] is None:
@@ -617,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     mining.add_argument("--from-state", default=None)
     mining.add_argument("--save-state", default=None)
     mining.add_argument("--out", default="-")
-    mining.add_argument("--seed", type=int, default=_default_seed())
+    mining.add_argument("--seed", type=int, default=0)
     mining.add_argument("--threads", type=int, default=1)
 
     code = sub.add_parser("code", help="codebook construction").add_subparsers(
@@ -627,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--task", choices=["knn", "cf", "kmeans"], required=True)
     build.add_argument("--input", required=True)
     build.add_argument("--out", required=True)
-    build.add_argument("--seed", type=int, default=_default_seed())
+    build.add_argument("--seed", type=int, default=0)
     build.add_argument("--max-entries", type=int, default=4)
     build.add_argument("--leaf-capacity", type=int, default=None)
     build.add_argument("--branching", type=int, default=2)
@@ -666,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine_base.add_argument("--branching", type=int, default=2)
     mine_base.add_argument("--iterations", type=int, default=10)
     mine_base.add_argument("--out", default="-")
-    mine_base.add_argument("--seed", type=int, default=_default_seed())
+    mine_base.add_argument("--seed", type=int, default=0)
     mine_base.set_defaults(func=_cmd_mine_baseline, command_path="mine baseline")
 
     report = sub.add_parser("report", help="metrics and audits").add_subparsers(
@@ -709,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--input", required=True)
     bench.add_argument("--k", type=int, default=5)
     bench.add_argument("--max-entries", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=_default_seed())
+    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--budgets", default=None, help="comma-separated node budgets")
     bench.add_argument("--timings", action="store_true", help="record wall_ms (non-reproducible)")
     bench.add_argument("--out", default="-")

@@ -98,8 +98,7 @@ class NodeArrays:
     depth: np.ndarray  # (N,)
     parent: np.ndarray  # (N,) -1 for roots
     label: np.ndarray  # (N,) +1/-1 for classification trees, 0 for unlabeled nodes
-    low: np.ndarray  # (N, d)
-    upp: np.ndarray  # (N, d)
+    bounds: np.ndarray  # (2, d, N): lows, then upps; bounds[:, :, i] is the box of node i
     member_ptr: np.ndarray  # (N + 1,)
     members: np.ndarray
     aggregates: Aggregates | None = None  # CF coders
@@ -113,11 +112,6 @@ class NodeArrays:
         ids = np.flatnonzero(self.parent >= 0)
         ids = ids[np.argsort(self.parent[ids], kind="stable")]
         return _ptr(np.bincount(self.parent[ids], minlength=len(self))), ids
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """The (2, d, N) box block of every node: ``bounds[0]`` the lows, ``bounds[1]`` the upps."""
-        return np.array((self.low.T, self.upp.T))  # np.stack would keep the transposed strides
 
     def children_of(self, i: int) -> np.ndarray:
         ptr, ids = self.child_csr
@@ -214,20 +208,24 @@ class State:
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
     """Columnar views of depths 0..usable; ancestor rows come from stepping a parent array.
 
-    Raises :class:`ParseError` unless every box is finite with low <= upp,
-    the book is in tree order (parent rows never decrease along a depth, so
-    subtrees are row ranges), every node above the deepest view has a child,
-    and every box lies inside its parent's; the kNN box kernel relies on all four.
+    Raises :class:`ParseError` unless the boxes are a float (2, d, N) block,
+    d >= 1, of finite boxes with low <= upp, the book is in tree order (parent
+    rows never decrease along a depth, so subtrees are row ranges), every node
+    above the deepest view has a child, and every box lies inside its parent's.
     """
-    nodes = book.arrays
-    valid = np.isfinite(nodes.low) & np.isfinite(nodes.upp) & (nodes.low <= nodes.upp)
-    bad = np.flatnonzero(~valid.all(axis=1))
+    nodes, block = book.arrays, book.arrays.bounds
+    if not (isinstance(block, np.ndarray) and block.dtype == float and block.ndim == 3
+            and block.shape[::2] == (2, len(nodes)) and block.shape[1]):
+        raise ParseError(f"the node boxes must be a float (2, d, {len(nodes)}) block with d >= 1,"
+                         f" not {getattr(block, 'dtype', type(block).__name__)} of shape {np.shape(block)}")
+    valid = np.isfinite(block).all(axis=(0, 1)) & (block[0] <= block[1]).all(axis=0)
+    bad = np.flatnonzero(~valid)
     if len(bad):
         raise ParseError(f"the box of node {bad[0]} is not finite with low_i <= upp_i in every dimension")
     columns = {}
     for depth in range(book.usable_depth() + 1):
         ids = np.flatnonzero(nodes.depth == depth)
-        bounds = np.array((nodes.low.take(ids, axis=0).T, nodes.upp.take(ids, axis=0).T))
+        bounds = block.take(ids, axis=2)
         offsets, up = {}, ids
         for shallower in range(depth - 1, -1, -1):
             up = nodes.parent[up]
@@ -400,16 +398,23 @@ def select_code(book: CodeBook, length_budget: int) -> Code:
     return max(fitting, key=lambda c: c.length)  # the shallowest of equal lengths
 
 
+def _extents(book: CodeBook, depth) -> np.ndarray:
+    """The (L, d) extents ``upp - low`` of the boxes of one depth, one row per
+    node in id order; a depth without nodes raises :class:`DepthNotFoundError`."""
+    ids = np.flatnonzero(book.arrays.depth == _depth(depth))
+    if not len(ids):
+        raise DepthNotFoundError(f"no node at depth {depth}")
+    low, upp = book.arrays.bounds.take(ids, axis=2)
+    return (upp - low).T
+
+
 def total_mbr_volume(book: CodeBook, depth: int) -> float:
-    """Sum of bounding-box volumes over the nodes of one depth, added in node order.
+    """Sum of box volumes (extents multiplied first to last) over one depth, in node order.
 
     Reads the book's columns, so it works on a book whose views reject it;
     a depth without nodes raises :class:`DepthNotFoundError`.
     """
-    ids = np.flatnonzero(book.arrays.depth == _depth(depth))
-    if not len(ids):
-        raise DepthNotFoundError(f"no node at depth {depth}")
-    return sum(np.prod(book.arrays.upp[ids] - book.arrays.low[ids], axis=1).tolist())
+    return sum(np.prod(_extents(book, depth), axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +495,19 @@ class _Builder:
         members = np.concatenate(self.members).astype(np.intp, copy=False)
         points = np.asarray(points, dtype=float)
         at = points.take(members, axis=0)
-        low = np.minimum.reduceat(at, member_ptr[:-1], axis=0)
-        upp = np.maximum.reduceat(at, member_ptr[:-1], axis=0)
+        # one C-ordered (2, d, N) block: np.stack would keep the transposed strides
+        bounds = np.array([f.reduceat(at, member_ptr[:-1], axis=0).T for f in (np.minimum, np.maximum)])
         # min and max break a tie of 0.0 and -0.0 by position, which reduceat
         # and a min or max over one node's points visit in different orders
-        for i in np.flatnonzero((low == 0).any(axis=1) | (upp == 0).any(axis=1)).tolist():
+        for i in np.flatnonzero((bounds == 0).any(axis=(0, 1))).tolist():
             node_points = points[self.members[i]]
-            low[i], upp[i] = node_points.min(axis=0), node_points.max(axis=0)
+            bounds[:, :, i] = node_points.min(axis=0), node_points.max(axis=0)
         arrays = NodeArrays(
             tree=np.array(self.tree, dtype=np.intp),
             depth=np.array(self.depth, dtype=np.intp),
             parent=np.array(self.parent, dtype=np.intp),
             label=np.array(self.label, dtype=int),
-            low=low,
-            upp=upp,
+            bounds=bounds,
             member_ptr=member_ptr,
             members=members,
             aggregates=None if matrix is None else _aggregate_nodes(matrix, member_ptr, members),
@@ -798,9 +802,9 @@ def dump_codebook(book: CodeBook) -> str:
     lines.append(f"nodes {len(nodes)}")
     parents = ["-" if p < 0 else str(p) for p in nodes.parent.tolist()]
     labels = ["-" if x == 0 else str(x) for x in nodes.label.tolist()]
-    box_ptr = np.arange(len(nodes) + 1) * nodes.low.shape[1]
-    low = _joined_rows(box_ptr, _texts(nodes.low, repr))
-    upp = _joined_rows(box_ptr, _texts(nodes.upp, repr))
+    box_ptr = np.arange(len(nodes) + 1) * nodes.bounds.shape[1]
+    low = _joined_rows(box_ptr, _texts(nodes.bounds[0].T, repr))
+    upp = _joined_rows(box_ptr, _texts(nodes.bounds[1].T, repr))
     child_ptr, child_ids = nodes.child_csr
     children = _joined_rows(child_ptr, list(map(str, child_ids.tolist())))
     members = _joined_rows(nodes.member_ptr, list(map(str, nodes.members.tolist())))
@@ -924,20 +928,19 @@ def _member_rows(rows: list[str], at) -> tuple[np.ndarray, np.ndarray]:
     return ptr, _numbers([t for row in split for t in row], int, np.intp, "N", _in_rows(ptr, at))
 
 
-def _boxes(rows: list[str], at) -> tuple[np.ndarray, np.ndarray]:
-    """The 'low | upp' boxes of 'N' lines as two (N, d) arrays."""
+def _boxes(rows: list[str], at) -> np.ndarray:
+    """The 'low | upp' boxes of 'N' lines as one (2, d, N) block."""
     d = len(rows[0].split()) // 2 if rows else 1
     want = f"{d} low values, '|' and {d} upp values after 'M'"
     if not d:
         raise ParseError(f"malformed 'N' line (want {want})", at[0])
     table = _table(rows, at, [("low", float, (d,)), ("bar", "U2"), ("upp", float, (d,))], "N", want)
     _require(table["bar"] == "|", at, lambda r: f"malformed 'N' line (want {want})")
-    low, upp = np.ascontiguousarray(table["low"]), np.ascontiguousarray(table["upp"])
-    _require(np.isfinite(low).all(axis=1) & np.isfinite(upp).all(axis=1), at,
-             lambda r: "non-finite box coordinate in an 'N' line")
-    _require((low <= upp).all(axis=1), at,
+    bounds = np.array((table["low"].T, table["upp"].T))
+    _require(np.isfinite(bounds).all(axis=(0, 1)), at, lambda r: "non-finite box coordinate in an 'N' line")
+    _require((bounds[0] <= bounds[1]).all(axis=0), at,
              lambda r: "malformed 'N' line (MBR requires low_i <= upp_i in every dimension)")
-    return low, upp
+    return bounds
 
 
 def _read_nodes(bodies, at, agg_lines, agg_at):
@@ -966,10 +969,10 @@ def _read_nodes(bodies, at, agg_lines, agg_at):
     negative = np.flatnonzero(member_ids < 0)
     if len(negative):
         raise ParseError("negative member in an 'N' line", _in_rows(member_ptr, at)(negative[0]))
-    low, upp = _boxes(box_rows, at)
+    bounds = _boxes(box_rows, at)
     _require(nid == np.arange(n), at,
              lambda r: f"node {nid[r]} out of place: 'N' lines run 0..{n - 1} in id order")
-    arrays = NodeArrays(tree=tree, depth=depth, parent=parent, label=label, low=low, upp=upp,
+    arrays = NodeArrays(tree=tree, depth=depth, parent=parent, label=label, bounds=bounds,
                         member_ptr=member_ptr, members=member_ids,
                         aggregates=_read_aggregates(agg_lines, agg_at, n) if agg_lines else None)
     return arrays, (child_ptr, child_ids)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import CodeBook, total_mbr_volume
+from .coding import CodeBook, _extents, total_mbr_volume
 from .errors import (
     PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError, _integer,
 )
@@ -121,8 +121,7 @@ def default_cell_volume(book: CodeBook) -> float:
     Chosen so every non-degenerate leaf box holds at least one possible
     point; the audit verdict is invariant to this constant anyway.
     """
-    ids = np.flatnonzero(book.arrays.depth == book.depths()[-1])
-    extents = book.arrays.upp[ids] - book.arrays.low[ids]
+    extents = _extents(book, book.depths()[-1])
     positive = extents[extents > 0]
     if not len(positive):
         raise ResolutionInfeasibleError(

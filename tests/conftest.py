@@ -91,7 +91,7 @@ def leaf_with_members(book: em.CodeBook, members: set) -> int:
 
 def box_of(book: em.CodeBook, i: int) -> Mbr:
     """Node i's box as a scalar :class:`Mbr`, read from the book's columns."""
-    return Mbr(book.arrays.low[i], book.arrays.upp[i])
+    return Mbr(*book.arrays.bounds[:, :, i])
 
 
 def aggregates_of(book: em.CodeBook, i: int) -> dict[int, ItemAggregate]:

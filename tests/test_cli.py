@@ -9,6 +9,7 @@ import elastic_mine as em
 from elastic_mine.cli import build_parser, main
 
 SCHEDULE = "hour,price\n" + "".join(f"{h},0.{10 + h}\n" for h in range(24))  # hour h on line h + 2
+KNN_PRED = "query_id,depth,scanned_nodes,k_P,k_N,predicted,actual\n0,1,4,3,2,1,1\n"  # a good row on line 2
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +509,12 @@ class TestSideFiles:
          ["mine", "knn", "--depth", 2, "--from-state"]),
         ("pred.csv", "query_id,scanned_nodes,k_P,k_N,predicted,actual\n0,4,3,2,1,1\n", 1,
          ["report", "quality", "--task", "knn", "--pred"]),
+        ("pred.csv", KNN_PRED + "1,1,4,0,0,1,1\n", 3, ["report", "quality", "--task", "knn", "--pred"]),
+        ("pred.csv", KNN_PRED + "1,1,4,6,-1,1,1\n", 3, ["report", "quality", "--task", "knn", "--pred"]),
+        ("pred.csv", KNN_PRED + "1,1,4,3,2,7,1\n", 3, ["report", "quality", "--task", "knn", "--pred"]),
+        ("pred.csv", KNN_PRED + "1,1,4,3,2,1,0\n", 3, ["report", "quality", "--task", "knn", "--pred"]),
+        ("pred.csv", "user,item,depth,scanned,prediction,actual,fallback_flag\n1,2,1,3,3.5,4.0,7\n", 2,
+         ["report", "quality", "--task", "cf", "--pred"]),
         ("profile.txt", "nodes_per_second abc\n", 1,
          ["mine", "knn", "--budget-ms", 30, "--profile"]),
         ("profile.txt", "nodes_per_second -5\n", 1, ["mine", "knn", "--budget-ms", 30, "--profile"]),
@@ -526,7 +533,8 @@ class TestSideFiles:
          ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
     ], ids=["state-bad-depth", "state-no-depth", "state-at-mined-depth", "state-below-mined-depth",
             "state-root-id", "query-bad-key", "query-other-point",
-            "pred-no-depth-column", "profile-bad-rate", "profile-negative-rate",
+            "pred-no-depth-column", "pred-no-neighbours", "pred-negative-count", "pred-predicted-7",
+            "pred-actual-0", "pred-fallback-7", "profile-bad-rate", "profile-negative-rate",
             "profile-nan-rate", "profile-inf-rate", "series-nan", "results-nan-hours",
             "schedule-bad-price", "schedule-nan-price", "schedule-inf-price", "schedule-repeated-hour"])
     def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
@@ -577,15 +585,6 @@ class TestReproducibility:
                         "--out", out]) == 0
             blobs.add(out.read_bytes())
         assert len(blobs) == 1
-
-    def test_seed_env_override(self, workdir, monkeypatch):
-        monkeypatch.setenv("ELASTIC_MINE_SEED", "123")
-        from elastic_mine.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["mine", "knn", "--book", "x", "--test", "y", "--depth", "1"]
-        )
-        assert args.seed == 123
 
 
 def _commands(parser, path=""):

@@ -122,8 +122,9 @@ class TestTreeInvariants:
         nodes = book.arrays
         child = np.flatnonzero(nodes.parent >= 0)
         parent = nodes.parent[child]
-        assert (nodes.low[parent] <= nodes.low[child]).all()
-        assert (nodes.upp[child] <= nodes.upp[parent]).all()
+        low, upp = nodes.bounds
+        assert (low[:, parent] <= low[:, child]).all()
+        assert (upp[:, child] <= upp[:, parent]).all()
         # depth balance: every leaf of a tree sits at that tree's max depth
         is_leaf = np.diff(nodes.child_csr[0]) == 0
         for tree in (0, 1):
@@ -772,7 +773,7 @@ class TestArrayBuilders:
         nodes = book.arrays
         for i in range(len(nodes)):
             box = Mbr.of_points(train.features[nodes.members_of(i)])
-            assert _same_bits(nodes.low[i], box.low) and _same_bits(nodes.upp[i], box.upp)
+            assert _same_bits(nodes.bounds[:, :, i], (box.low, box.upp))
         assert_round_trip(book)
 
     @given(rated_books())
@@ -782,7 +783,7 @@ class TestArrayBuilders:
         nodes = book.arrays
         for i in range(len(nodes)):
             box = Mbr.of_points(feats[nodes.members_of(i)])
-            assert _same_bits(nodes.low[i], box.low) and _same_bits(nodes.upp[i], box.upp)
+            assert _same_bits(nodes.bounds[:, :, i], (box.low, box.upp))
             want = aggregate_ratings(matrix, [m + 1 for m in nodes.members_of(i).tolist()])
             assert aggregates_of(book, i) == want  # exact: the same sums in the same order
         assert_round_trip(book)
@@ -858,11 +859,15 @@ class TestBoxesOfArrayBooks:
         return em.build_dual_rtrees(em.synthetic.skin_like(400), max_entries=4, seed=0)
 
     @staticmethod
-    def with_box(book, node, edit):
-        low, upp = book.arrays.low.copy(), book.arrays.upp.copy()
-        edit(low[node], upp[node])
-        arrays = dataclasses.replace(book.arrays, low=low, upp=upp)
+    def with_bounds(book, bounds):
+        arrays = dataclasses.replace(book.arrays, bounds=bounds)
         return em.CodeBook(book.kind, arrays, book.roots, book.config, book.seed)
+
+    @classmethod
+    def with_box(cls, book, node, edit):
+        bounds = book.arrays.bounds.copy()
+        edit(*bounds[:, :, node])
+        return cls.with_bounds(book, bounds)
 
     @staticmethod
     def swap_axis_0(low, upp):
@@ -872,13 +877,14 @@ class TestBoxesOfArrayBooks:
     def test_inverted_box_rejected(self, skin_book, where):
         ptr, _ = skin_book.arrays.child_csr
         arrays = skin_book.arrays
-        wide = arrays.low[:, 0] < arrays.upp[:, 0]
+        low, upp = arrays.bounds
+        wide = low[0] < upp[0]
         candidates = np.flatnonzero(wide & ((np.diff(ptr) == 0) if where == "leaf" else (arrays.parent < 0)))
         node = int(candidates[0])
         book = self.with_box(skin_book, node, self.swap_axis_0)
         with pytest.raises(ParseError, match="MBR requires low_i <= upp_i"):
             em.load_codebook(em.dump_codebook(book))
-        query = em.KnnQuery(arrays.low[node], 5)
+        query = em.KnnQuery(low[:, node], 5)
         with pytest.raises(ParseError, match=f"the box of node {node} is not finite with low_i <= upp_i"):
             em.classify(book, book.depths()[-1], query)
 
@@ -889,4 +895,15 @@ class TestBoxesOfArrayBooks:
         with pytest.raises(ParseError):
             em.load_codebook(em.dump_codebook(book))
         with pytest.raises(ParseError, match=f"the box of node {node} is not finite"):
+            book.columns(0)
+
+    @pytest.mark.parametrize("malform", [
+        lambda b: b[0].T.copy(), lambda b: b[:, :, 1:], lambda b: b[:, :0],
+        lambda b: np.concatenate((b, b[:1])), lambda b: b.astype(int), np.ndarray.tolist,
+    ], ids=["(N, d)", "wrong N", "d = 0", "three layers", "ints", "lists"])
+    def test_malformed_box_block_rejected(self, skin_book, malform):
+        """The views need the boxes as a float (2, d, N) array with d >= 1."""
+        book = self.with_bounds(skin_book, malform(skin_book.arrays.bounds))
+        n = len(skin_book.arrays)
+        with pytest.raises(ParseError, match=rf"node boxes must be a float \(2, d, {n}\) block with d >= 1"):
             book.columns(0)

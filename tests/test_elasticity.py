@@ -144,8 +144,7 @@ class TestEntropyAudit:
             depth=np.array([0, 1, 2, 0, 1, 2]),
             parent=np.array([-1, 0, 1, -1, 3, 4]),
             label=np.array([1, 1, 1, -1, -1, -1]),
-            low=np.zeros((6, 2)),
-            upp=np.repeat(widths[:, None], 2, axis=1),
+            bounds=np.array((np.zeros((2, 6)), np.repeat(widths[None, :], 2, axis=0))),
             member_ptr=np.arange(0, 13, 2),
             members=np.array([0, 1] * 3 + [2, 3] * 3),
         )

@@ -129,6 +129,23 @@ def test_src_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
+def test_src_reads_no_environment_variable():
+    """The package takes its settings from arguments alone: no module reads
+    ``os.environ`` or calls ``os.getenv``, by attribute or by import."""
+    reads = []
+    for path in sorted(Path(em.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb")]
+    assert reads == []
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     """Each name the package exports is used by the library, the benchmark
     or a demo, as a name, an attribute or an import; docstrings do not count."""
@@ -150,4 +167,4 @@ def test_settable_value_count():
     """The number of values a caller can set, as ``tools/settable_values.py`` counts
     them. A change that adds or removes a setting updates this pin in its own diff."""
     script = (ROOT / "tools" / "settable_values.py").read_text(encoding="utf-8")
-    assert _python(script, ROOT).split()[0] == "374"
+    assert _python(script, ROOT).split()[0] == "373"

@@ -328,7 +328,7 @@ class TestMonotonicityProperties:
 
 
 def _bounds(book, nid):
-    return book.arrays.low[nid], book.arrays.upp[nid]
+    return tuple(book.arrays.bounds[:, :, nid])
 
 
 def reference_classify(book, code, query, state=None):
