@@ -126,17 +126,20 @@ class Code:
     """The code of one depth, as arrays; row r describes node ``ids[r]``.
 
     Node ids follow a depth-first build order, so the descendants at this
-    depth of any node at a shallower depth s are one contiguous run of rows
+    depth of any node at a shallower depth are one contiguous run of rows
     (the interval, or "nested set", encoding of a tree): rows
-    ``offsets[s][r]`` up to ``offsets[s][r + 1]`` descend from row r of the
-    view of depth s. Unlabeled (CF) nodes carry label 0.
+    ``offsets[r]`` up to ``offsets[r + 1]`` are the children of row r of
+    the view of the depth above, and :func:`state_filter` composes the
+    offsets of consecutive depths for a depth further up. The view of
+    depth 0 has no depth above and no offsets. Unlabeled (CF) nodes carry
+    label 0.
     """
 
     depth: int
     ids: np.ndarray  # (L,) ascending node ids
     bounds: np.ndarray  # (2, d, L): lows, then upps; bounds[:, :, r] is the box of row r
     labels: np.ndarray  # (L,)
-    offsets: dict[int, np.ndarray]  # shallower depth s -> (L_s + 1,) first descendant rows
+    offsets: np.ndarray | None  # (L_above + 1,) first child rows of the depth above; None at depth 0
 
     @property
     def length(self) -> int:
@@ -206,7 +209,7 @@ class State:
 
 
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
-    """Columnar views of depths 0..usable; ancestor rows come from stepping a parent array.
+    """Columnar views of depths 0..usable; each view's offsets come from its nodes' parents.
 
     Raises :class:`ParseError` unless the boxes are a float (2, d, N) block,
     d >= 1, of finite boxes with low <= upp, the book is in tree order (parent
@@ -222,27 +225,17 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
     bad = np.flatnonzero(~valid)
     if len(bad):
         raise ParseError(f"the box of node {bad[0]} is not finite with low_i <= upp_i in every dimension")
-    columns = {}
+    columns, above = {}, None
     for depth in range(book.usable_depth() + 1):
         ids = np.flatnonzero(nodes.depth == depth)
         bounds = block.take(ids, axis=2)
-        offsets, up = {}, ids
-        for shallower in range(depth - 1, -1, -1):
-            up = nodes.parent[up]
-            above = columns[shallower].ids
-            rows = np.searchsorted(above, up)  # each node's ancestor row at that depth
-            if shallower == depth - 1:
-                parents = rows
-            offsets[shallower] = np.searchsorted(rows, np.arange(len(above) + 1))
-        if depth:
-            _check_nesting(columns[depth - 1], ids, bounds, parents, offsets[depth - 1])
-        columns[depth] = Code(
-            depth=depth,
-            ids=ids,
-            bounds=bounds,
-            labels=nodes.label[ids],
-            offsets=offsets,
-        )
+        offsets = None
+        if above is not None:
+            parents = np.searchsorted(above.ids, nodes.parent[ids])  # each node's parent row
+            offsets = np.searchsorted(parents, np.arange(above.length + 1))
+            _check_nesting(above, ids, bounds, parents, offsets)
+        columns[depth] = above = Code(depth=depth, ids=ids, bounds=bounds, labels=nodes.label[ids],
+                                      offsets=offsets)
     return columns
 
 
@@ -272,9 +265,11 @@ class CodeBook:
     """A codebook: its nodes as columns, plus how it was built.
 
     Books come from the builders or from :func:`load_codebook`, which
-    checks a custom book written as version 1 text. A book made straight
-    from :class:`NodeArrays` is taken as given: its views check boxes, tree
-    order, children and box nesting on first use, but nothing checks its links.
+    checks a custom book written as version 1 text. Making a book builds
+    the columnar view of every depth up to the usable one, which checks
+    boxes, tree order, children and box nesting: a book that fails raises
+    :class:`ParseError` and is never made. Nothing checks the links of a
+    book made straight from :class:`NodeArrays`.
     """
 
     kind: str
@@ -285,12 +280,13 @@ class CodeBook:
     features: np.ndarray | None = None  # CF coders: the user feature matrix
     warnings: tuple[str, ...] = ()
     _depths: tuple = field(default=(), init=False, repr=False, compare=False)
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _columns: dict = field(init=False, repr=False, compare=False)
     _deviations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
         object.__setattr__(self, "_depths", tuple(range(1, self.usable_depth() + 1)))
+        object.__setattr__(self, "_columns", _build_columns(self))
 
     def tree_depth(self, tree: int) -> int:
         return int(self.arrays.depth[self.arrays.tree == tree].max())
@@ -303,7 +299,7 @@ class CodeBook:
         return self._depths
 
     def code_at_depth(self, depth: int) -> Code:
-        """The code of one usable depth: the cached view :meth:`columns` returns."""
+        """The code of one usable depth: the view :meth:`columns` returns."""
         if depth == 0:
             raise DepthNotFoundError("depth 0 holds only the root nodes and is not a usable code")
         return self.columns(depth)
@@ -311,21 +307,17 @@ class CodeBook:
     def columns(self, depth: int) -> Code:
         """The columnar view of one depth, 0 (the roots) included.
 
-        Views of every depth are built together on first use and cached;
-        they are derived data and never written by :func:`dump_codebook`.
-        A number that is not an integer (a bool or a float included) and a
-        depth the book lacks raise :class:`DepthNotFoundError`.
+        The views are built when the book is made; they are derived data and
+        never written by :func:`dump_codebook`. A number that is not an
+        integer (a bool or a float included) and a depth the book lacks, a
+        depth below its usable code included, raise :class:`DepthNotFoundError`.
         """
-        if type(depth) is not int:  # one test on the cached path
+        if type(depth) is not int:  # one test on the common path
             depth = _depth(depth)
-        if depth not in self._columns:
-            if depth != 0 and depth not in self._depths:
-                raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
-            # concurrent first calls each build the views; setdefault never
-            # replaces a stored view, so all callers get the first one stored
-            for d, view in _build_columns(self).items():
-                self._columns.setdefault(d, view)
-        return self._columns[depth]
+        view = self._columns.get(depth)
+        if view is None:
+            raise DepthNotFoundError(f"no code at depth {depth}; available depths {self._depths}")
+        return view
 
     def deviations(self, depth: int) -> np.ndarray:
         """The item-major deviation table of one depth of a CF book.
@@ -373,14 +365,20 @@ def state_filter(book: CodeBook, depth: int, state: State) -> np.ndarray:
     The state must index this book's own view of a shallower depth; any
     other, a state of an equal copy of the book included, raises
     :class:`ForeignStateError`. The rows are the concatenated subtree ranges
-    of the state's rows: O(retained + candidates), not O(code length).
+    of the state's rows, found by stepping each range's ends down through
+    the offsets of every depth in between: O(retained * gap + candidates),
+    not O(code length).
     """
     if book._columns.get(state.depth) is not state.view:
         raise ForeignStateError(f"the state indexes another book's view of depth {state.depth}")
     if depth <= state.depth:
         raise ForeignStateError(f"state depth {state.depth} must be above code depth {depth}")
-    offsets = book.columns(depth).offsets[state.depth]
-    return _ranges(offsets[state.rows], offsets[state.rows + 1])
+    offsets = book.columns(depth).offsets
+    starts, stops = state.rows, state.rows + 1
+    for between in range(state.depth + 1, depth):
+        step = book._columns[between].offsets
+        starts, stops = step[starts], step[stops]
+    return _ranges(offsets[starts], offsets[stops])
 
 
 def select_code(book: CodeBook, length_budget: int) -> Code:
@@ -398,23 +396,13 @@ def select_code(book: CodeBook, length_budget: int) -> Code:
     return max(fitting, key=lambda c: c.length)  # the shallowest of equal lengths
 
 
-def _extents(book: CodeBook, depth) -> np.ndarray:
-    """The (L, d) extents ``upp - low`` of the boxes of one depth, one row per
-    node in id order; a depth without nodes raises :class:`DepthNotFoundError`."""
-    ids = np.flatnonzero(book.arrays.depth == _depth(depth))
-    if not len(ids):
-        raise DepthNotFoundError(f"no node at depth {depth}")
-    low, upp = book.arrays.bounds.take(ids, axis=2)
-    return (upp - low).T
-
-
 def total_mbr_volume(book: CodeBook, depth: int) -> float:
-    """Sum of box volumes (extents multiplied first to last) over one depth, in node order.
-
-    Reads the book's columns, so it works on a book whose views reject it;
-    a depth without nodes raises :class:`DepthNotFoundError`.
+    """Sum of box volumes (extents multiplied first to last) over the view of one
+    depth, 0 included, in node order; as in :meth:`CodeBook.columns`, a depth
+    the book lacks, or one below its usable code, raises :class:`DepthNotFoundError`.
     """
-    return sum(np.prod(_extents(book, depth), axis=1).tolist())
+    low, upp = book.columns(depth).bounds
+    return sum(np.prod(upp - low, axis=0).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -1060,9 +1048,9 @@ def load_codebook(path_or_text) -> CodeBook:
     item) order; a root that is not a depth-0 node of its tree; a parent
     outside the depth above or another tree; a child list that differs from the
     children named by parent links; and members that do not partition each
-    depth up to the usable one. The columnar views are built here, so a book
-    out of tree order, with a childless node above its deepest usable depth or
-    with a box outside its parent's box raises :class:`ParseError` too.
+    depth up to the usable one. Making the book builds its columnar views, so a
+    book out of tree order, with a childless node above its deepest usable depth
+    or with a box outside its parent's box raises :class:`ParseError` too.
     """
     if isinstance(path_or_text, str) and (
         "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)
@@ -1118,7 +1106,6 @@ def load_codebook(path_or_text) -> CodeBook:
     _check_links(nodes, roots, at, header["roots"][0])
     book = CodeBook(header["kind"][1], nodes, roots, config, seed,
                     features=features, warnings=tuple(warnings))
-    book.columns(0)  # builds the views, which checks the tree's structure
     _check_children(nodes, listed, at)
     _check_members(nodes, book.usable_depth(), at)
     return book

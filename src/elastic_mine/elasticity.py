@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coding import CodeBook, _extents, total_mbr_volume
+from .coding import CodeBook, total_mbr_volume
 from .errors import (
     PlanConfigError, ResolutionConfigError, ResolutionInfeasibleError, UndefinedMetricError, _integer,
 )
@@ -119,15 +119,19 @@ def default_cell_volume(book: CodeBook) -> float:
     """Half the smallest positive extent in the deepest code, to the power d.
 
     Chosen so every non-degenerate leaf box holds at least one possible
-    point; the audit verdict is invariant to this constant anyway.
+    point; the audit verdict is invariant to this constant anyway. A book
+    with no usable code raises :class:`ResolutionInfeasibleError`.
     """
-    extents = _extents(book, book.depths()[-1])
+    if not book.depths():
+        raise ResolutionInfeasibleError("book has no usable codes")
+    low, upp = book.columns(book.depths()[-1]).bounds
+    extents = upp - low
     positive = extents[extents > 0]
     if not len(positive):
         raise ResolutionInfeasibleError(
             "every leaf box is a point; volumes carry no resolution signal"
         )
-    return (float(positive.min()) / 2.0) ** extents.shape[1]
+    return (float(positive.min()) / 2.0) ** len(extents)
 
 
 def audit_entropy_monotonicity(
@@ -158,7 +162,7 @@ def audit_entropy_monotonicity(
     cell = cell_volume if cell_volume is not None else default_cell_volume(book)
     root_volume = total_mbr_volume(book, 0)
     volumes = [total_mbr_volume(book, d) for d in depths]
-    lengths = np.bincount(book.arrays.depth)[depths].tolist()
+    lengths = [book.columns(d).length for d in depths]
     counts = [int(v / cell) for v in volumes]
     prior = int(root_volume / cell)
     if any(c < m for c in counts) or prior < m:

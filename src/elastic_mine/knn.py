@@ -9,14 +9,14 @@ then filtered through it, which only ever shrinks the scan.
 
 The kernel works on the book's columnar per-depth view
 (:meth:`CodeBook.code_at_depth`): the boxes of a code as one (2, d, L) block,
-a label array and, per shallower depth, the range of this code's rows that
-lies below each node of that depth. A scan is one box kernel, :func:`_box_sq`,
+a label array and the range of this code's rows that lies below each node
+of the depth above. A scan is one box kernel, :func:`_box_sq`,
 over the (state-filtered) rows and the one nearest-k rule, :func:`_nearest`:
 a partial sort to the k-th distance, then a sort of the few entries at or
 below it by distance and node id. The exact oracle and both anytime
 baselines select through the same rule and vote through :func:`_result`.
 A one-shot query at a code of length L costs O(L * d) array work, with no
-per-node Python step; the view is built once per book, on first use.
+per-node Python step; the views are built, and checked, when the book is made.
 
 State filtering gathers the subtree row ranges of the retained rows, so
 a refined query costs O(candidates * d). A refined result also carries

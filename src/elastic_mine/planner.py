@@ -78,9 +78,12 @@ def calibrate(book: CodeBook, queries: Sequence[KnnQuery], clock=time.perf_count
 
 
 def length_budget(time_budget_seconds: float, profile: ThroughputProfile) -> int:
-    """Largest code length processable within the time budget."""
+    """Largest code length processable within the time budget; a time budget
+    and a rate whose product is not finite raise :class:`PlanConfigError`."""
     _check_positive(time_budget=time_budget_seconds)
-    return int(math.floor(time_budget_seconds * profile.nodes_per_second))
+    nodes = time_budget_seconds * profile.nodes_per_second
+    _check_finite(**{"time budget times nodes per second": nodes})
+    return int(math.floor(nodes))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ def files(tmp_path_factory, fourclass_book, example_cf_book, example_matrix):
     (root / "one.csv").write_text("investment,quality\n1,0.5\n")
     (root / "negative_hours.csv").write_text("quality,hours\n0.74,-6.0\n0.80,10.6\n")
     (root / "profile.txt").write_text("nodes_per_second 1000.0\n")
+    (root / "huge_profile.txt").write_text("nodes_per_second 1e300\n")
     return root
 
 
@@ -657,6 +658,7 @@ class TestMisuse:
         (KNN, "--depth"),
         (KNN + ["--budget-ms", 5], "--profile"),
         (KNN + ["--budget-ms", 0, "--profile", "{f}/profile.txt"], "time budget"),
+        (KNN + ["--budget-ms", 1e300, "--profile", "{f}/huge_profile.txt"], "finite"),
         (["mine", "cf", "--book", "{f}/cf.ecb", "--ratings", "{f}/ratings.csv", "--depth", 1],
          "--test"),
         (["mine", "baseline", "--algorithm", "ranking", "--test", "{w}/test.libsvm", "--budget", 50],
@@ -696,6 +698,7 @@ class TestMisuse:
             "min-investment-no-quality", "negative-hours", "negative-deadline", "zero-price-spot",
             "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
+            "budget-ms-overflow",
             "cf-no-query", "ranking-no-train", "ranking-no-budget", "clustering-no-clusters",
             "missing-input", "sample-size-0", "sample-size-above-users", "clusters-0",
             "clusters-above-users", "levels-0", "branching-0",

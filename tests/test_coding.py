@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
-from elastic_mine.coding import _point_sq, _ranges, kmeans
+from elastic_mine.coding import _point_sq, _ranges, kmeans, state_filter
 from elastic_mine.errors import (
     BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     InvalidDatasetError, ParseError,
@@ -456,9 +456,8 @@ class TestCodeSelection:
     @pytest.mark.parametrize("depth", [1.0, 1.5, True, np.True_, np.float64(1.0)],
                              ids=["1.0", "1.5", "True", "np.True_", "np.float64"])
     def test_depth_must_be_an_integer_whatever_is_cached(self, fourclass, depth):
-        """A bool or float depth is no depth, on a fresh book and once its views are cached."""
+        """A bool or float depth is no depth, before and after a view is read."""
         book = em.build_dual_rtrees(fourclass)
-        assert not book._columns
         with pytest.raises(DepthNotFoundError, match="depth must be an integer"):
             book.columns(depth)
         assert book.code_at_depth(1) is book.code_at_depth(np.int64(1))
@@ -806,6 +805,23 @@ def edited(text, prefix, edit):
     return "".join(lines), at + 1
 
 
+@st.composite
+def books_with_a_state(draw):
+    """A dual, CF or k-means book with two views, two depths s < d of it and
+    ascending rows of the view of s."""
+    if draw(st.booleans()):
+        book = em.build_dual_rtrees(draw(dual_datasets()), max_entries=draw(st.integers(2, 4)),
+                                    leaf_capacity=draw(st.sampled_from([1, None])))
+    else:
+        book = draw(rated_books())[2]
+    usable = book.usable_depth()
+    assume(usable >= 1)
+    shallower = draw(st.integers(0, usable - 1))
+    deeper = draw(st.integers(shallower + 1, usable))
+    rows = sorted(draw(st.sets(st.integers(0, book.columns(shallower).length - 1))))
+    return book, shallower, deeper, rows
+
+
 class TestColumnarViews:
     def test_childless_node_above_deepest_code_rejected(self):
         """Moving node 1's only leaf under its sibling keeps every link, child
@@ -825,16 +841,19 @@ class TestColumnarViews:
         with pytest.raises(ParseError, match="node 1 has no child at depth 2"):
             em.load_codebook(text)
 
-    def test_offsets_are_subtree_row_ranges(self, fourclass_book):
-        book = fourclass_book
-        for deeper in range(book.usable_depth() + 1):
-            view = book.columns(deeper)
-            for shallower in range(deeper):
-                offsets = view.offsets[shallower]
-                above = [ancestor_at(book, x, shallower) for x in view.ids.tolist()]
-                for r, nid in enumerate(book.columns(shallower).ids.tolist()):
-                    below = [row for row, x in enumerate(above) if x == nid]
-                    assert below == list(range(offsets[r], offsets[r + 1]))
+    @given(books_with_a_state())
+    @settings(max_examples=80, deadline=None)
+    @example((em.build_dual_rtrees(em.synthetic.fourclass_like(42)), 0, 3, [0, 1]))
+    def test_state_filter_keeps_the_descendants_of_kept_rows(self, case):
+        """From any depth s to any deeper d, the filter keeps exactly the depth-d
+        rows whose ancestor at s, found by following parents, is a kept row."""
+        book, shallower, deeper, rows = case
+        above = book.columns(shallower)
+        kept = set(above.ids[rows].tolist())
+        want = [r for r, nid in enumerate(book.columns(deeper).ids.tolist())
+                if ancestor_at(book, nid, shallower) in kept]
+        got = state_filter(book, deeper, em.State(above, np.array(rows, dtype=np.intp)))
+        assert got.tolist() == want
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=12))
@@ -852,7 +871,8 @@ def test_ranges_concatenate_python_ranges(spans):
 
 
 class TestBoxesOfArrayBooks:
-    """A book made straight from NodeArrays is held to the boxes the reader accepts."""
+    """A book made straight from NodeArrays is held to the boxes the reader accepts:
+    one the views reject raises when it is made."""
 
     @pytest.fixture(scope="class")
     def skin_book(self):
@@ -870,6 +890,17 @@ class TestBoxesOfArrayBooks:
         return cls.with_bounds(book, bounds)
 
     @staticmethod
+    def with_box_line(book, node, edit):
+        """The book's dump with ``edit(low, upp)`` applied to the tokens of the box of node."""
+        def edit_tokens(toks):
+            m, bar, p = toks.index("M"), toks.index("|"), toks.index("P")
+            low, upp = toks[m + 1 : bar], toks[bar + 1 : p]
+            edit(low, upp)
+            toks[m + 1 : p] = [*low, "|", *upp]
+
+        return edited(em.dump_codebook(book), f"N {node} ", edit_tokens)[0]
+
+    @staticmethod
     def swap_axis_0(low, upp):
         low[0], upp[0] = upp[0], low[0]
 
@@ -881,21 +912,18 @@ class TestBoxesOfArrayBooks:
         wide = low[0] < upp[0]
         candidates = np.flatnonzero(wide & ((np.diff(ptr) == 0) if where == "leaf" else (arrays.parent < 0)))
         node = int(candidates[0])
-        book = self.with_box(skin_book, node, self.swap_axis_0)
         with pytest.raises(ParseError, match="MBR requires low_i <= upp_i"):
-            em.load_codebook(em.dump_codebook(book))
-        query = em.KnnQuery(low[:, node], 5)
+            em.load_codebook(self.with_box_line(skin_book, node, self.swap_axis_0))
         with pytest.raises(ParseError, match=f"the box of node {node} is not finite with low_i <= upp_i"):
-            em.classify(book, book.depths()[-1], query)
+            self.with_box(skin_book, node, self.swap_axis_0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_box_rejected(self, skin_book, value):
         node = int(np.flatnonzero(np.diff(skin_book.arrays.child_csr[0]) == 0)[0])
-        book = self.with_box(skin_book, node, lambda low, upp: upp.__setitem__(1, value))
-        with pytest.raises(ParseError):
-            em.load_codebook(em.dump_codebook(book))
+        with pytest.raises(ParseError, match="non-finite box coordinate"):
+            em.load_codebook(self.with_box_line(skin_book, node, lambda low, upp: upp.__setitem__(1, repr(value))))
         with pytest.raises(ParseError, match=f"the box of node {node} is not finite"):
-            book.columns(0)
+            self.with_box(skin_book, node, lambda low, upp: upp.__setitem__(1, value))
 
     @pytest.mark.parametrize("malform", [
         lambda b: b[0].T.copy(), lambda b: b[:, :, 1:], lambda b: b[:, :0],
@@ -903,7 +931,14 @@ class TestBoxesOfArrayBooks:
     ], ids=["(N, d)", "wrong N", "d = 0", "three layers", "ints", "lists"])
     def test_malformed_box_block_rejected(self, skin_book, malform):
         """The views need the boxes as a float (2, d, N) array with d >= 1."""
-        book = self.with_bounds(skin_book, malform(skin_book.arrays.bounds))
         n = len(skin_book.arrays)
         with pytest.raises(ParseError, match=rf"node boxes must be a float \(2, d, {n}\) block with d >= 1"):
-            book.columns(0)
+            self.with_bounds(skin_book, malform(skin_book.arrays.bounds))
+
+    def test_box_outside_parent_rejected(self, skin_book):
+        """A leaf grown past its parent's box would let a deeper code's volume grow."""
+        node = int(np.flatnonzero(np.diff(skin_book.arrays.child_csr[0]) == 0)[0])
+        parent = int(skin_book.arrays.parent[node])
+        grow = lambda low, upp: upp.__setitem__(0, skin_book.arrays.bounds[1, 0, parent] + 1.0)
+        with pytest.raises(ParseError, match=f"the box of node {node} is not inside the box of its parent {parent}"):
+            self.with_box(skin_book, node, grow)

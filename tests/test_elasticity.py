@@ -134,21 +134,23 @@ class TestEntropyAudit:
         assert book.depths() == ()
         with pytest.raises(ResolutionInfeasibleError, match="no usable codes"):
             em.audit_entropy_monotonicity(book)
+        with pytest.raises(ResolutionInfeasibleError, match="no usable codes"):
+            default_cell_volume(book)
 
     def test_enclosure_violation_detected(self):
-        # a book whose depth-2 boxes outgrow their parents: load_codebook
-        # rejects it, so it is built from columns
-        widths = np.array([4.0, 1.0, 3.0, 4.0, 1.0, 3.0])
+        # in each tree the depth-1 box [0, 4] holds two overlapping depth-2
+        # boxes, [0, 3] and [1, 4]: every box nests, but depth 2 has more volume
         arrays = em.NodeArrays(
-            tree=np.array([0, 0, 0, 1, 1, 1]),
-            depth=np.array([0, 1, 2, 0, 1, 2]),
-            parent=np.array([-1, 0, 1, -1, 3, 4]),
-            label=np.array([1, 1, 1, -1, -1, -1]),
-            bounds=np.array((np.zeros((2, 6)), np.repeat(widths[None, :], 2, axis=0))),
-            member_ptr=np.arange(0, 13, 2),
-            members=np.array([0, 1] * 3 + [2, 3] * 3),
+            tree=np.array([0, 0, 0, 0, 1, 1, 1, 1]),
+            depth=np.array([0, 1, 2, 2] * 2),
+            parent=np.array([-1, 0, 1, 1, -1, 4, 5, 5]),
+            label=np.array([1] * 4 + [-1] * 4),
+            bounds=np.array([[[0.0, 0.0, 0.0, 1.0] * 2], [[4.0, 4.0, 3.0, 4.0] * 2]]),
+            member_ptr=np.array([0, 2, 4, 5, 6, 8, 10, 11, 12]),
+            members=np.array([0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3]),
         )
-        book = em.CodeBook("rtree-dual", arrays, (0, 3), {}, 0)
+        book = em.CodeBook("rtree-dual", arrays, (0, 4), {}, 0)
+        assert [em.total_mbr_volume(book, d) for d in (0, 1, 2)] == [8.0, 8.0, 12.0]
         report = em.audit_entropy_monotonicity(book, m=4, cell_volume=0.05)
         assert not report.monotone
         assert report.first_violation() == (1, 2)

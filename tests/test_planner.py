@@ -97,6 +97,11 @@ class TestThroughput:
         assert em.length_budget(0.01, profile) == 20
         assert em.length_budget(1e-6, profile) == 0
 
+    def test_length_budget_must_be_finite(self):
+        """A time budget and a rate, each finite, whose product overflows give no node count."""
+        with pytest.raises(PlanConfigError, match="finite"):
+            em.length_budget(1e300, em.ThroughputProfile(nodes_per_second=1e300))
+
     @pytest.mark.parametrize("value", BAD_NUMBERS)
     def test_rate_and_time_budget_must_be_positive_and_finite(self, value):
         with pytest.raises(PlanConfigError):
