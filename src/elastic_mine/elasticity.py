@@ -122,9 +122,10 @@ def default_cell_volume(book: CodeBook) -> float:
     point; the audit verdict is invariant to this constant anyway. A book
     with no usable code raises :class:`ResolutionInfeasibleError`.
     """
-    if not book.depths():
+    depths = book.depths()
+    if not depths:
         raise ResolutionInfeasibleError("book has no usable codes")
-    low, upp = book.columns(book.depths()[-1]).bounds
+    low, upp = book.columns(depths[-1]).bounds
     extents = upp - low
     positive = extents[extents > 0]
     if not len(positive):

@@ -891,14 +891,14 @@ class TestBoxesOfArrayBooks:
 
     @staticmethod
     def with_box_line(book, node, edit):
-        """The book's dump with ``edit(low, upp)`` applied to the tokens of the box of node."""
-        def edit_tokens(toks):
-            m, bar, p = toks.index("M"), toks.index("|"), toks.index("P")
-            low, upp = toks[m + 1 : bar], toks[bar + 1 : p]
-            edit(low, upp)
-            toks[m + 1 : p] = [*low, "|", *upp]
+        """The book's dump with ``edit(low, upp)`` applied to the box in the 'N' line of node."""
+        low, upp = book.arrays.bounds[:, :, node].copy()
+        edit(low, upp)
 
-        return edited(em.dump_codebook(book), f"N {node} ", edit_tokens)[0]
+        def write_box(toks):
+            toks[toks.index("M") + 1 : toks.index("P")] = [*map(repr, low.tolist()), "|", *map(repr, upp.tolist())]
+
+        return edited(em.dump_codebook(book), f"N {node} ", write_box)[0]
 
     @staticmethod
     def swap_axis_0(low, upp):
@@ -920,10 +920,14 @@ class TestBoxesOfArrayBooks:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_box_rejected(self, skin_book, value):
         node = int(np.flatnonzero(np.diff(skin_book.arrays.child_csr[0]) == 0)[0])
+
+        def edit(low, upp):
+            upp[1] = value
+
         with pytest.raises(ParseError, match="non-finite box coordinate"):
-            em.load_codebook(self.with_box_line(skin_book, node, lambda low, upp: upp.__setitem__(1, repr(value))))
+            em.load_codebook(self.with_box_line(skin_book, node, edit))
         with pytest.raises(ParseError, match=f"the box of node {node} is not finite"):
-            self.with_box(skin_book, node, lambda low, upp: upp.__setitem__(1, value))
+            self.with_box(skin_book, node, edit)
 
     @pytest.mark.parametrize("malform", [
         lambda b: b[0].T.copy(), lambda b: b[:, :, 1:], lambda b: b[:, :0],
@@ -939,6 +943,9 @@ class TestBoxesOfArrayBooks:
         """A leaf grown past its parent's box would let a deeper code's volume grow."""
         node = int(np.flatnonzero(np.diff(skin_book.arrays.child_csr[0]) == 0)[0])
         parent = int(skin_book.arrays.parent[node])
-        grow = lambda low, upp: upp.__setitem__(0, skin_book.arrays.bounds[1, 0, parent] + 1.0)
-        with pytest.raises(ParseError, match=f"the box of node {node} is not inside the box of its parent {parent}"):
+
+        def grow(low, upp):
+            upp[0] = skin_book.arrays.bounds[1, 0, parent] + 1.0
+
+        with pytest.raises(ParseError, match=f"box of node {node} is not inside the box of its parent {parent}"):
             self.with_box(skin_book, node, grow)
