@@ -160,7 +160,7 @@ def _cmd_code_build(args) -> int:
             book = coding.build_kmeans_codebook(
                 matrix, feats, args.branching, args.depth_limit, args.iterations, args.seed
             )
-    book = dataclasses.replace(book, config={**book.config, "cli": _config(args)})
+    book.config["cli"] = _config(args)  # the book's own dict: a replaced book would build its views again
     coding.save_codebook(book, args.out)
     print(f"codebook {args.out}: kind={book.kind} depths={book.depths()}")
     for depth in book.depths():

@@ -212,9 +212,10 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
     """Columnar views of depths 0..usable; each view's offsets come from its nodes' parents.
 
     Raises :class:`ParseError` unless the boxes are a float (2, d, N) block,
-    d >= 1, of finite boxes with low <= upp, the book is in tree order (parent
-    rows never decrease along a depth, so subtrees are row ranges), every node
-    above the deepest view has a child, and every box lies inside its parent's.
+    d >= 1, of finite boxes with low <= upp, every parent is a node of the depth
+    above, the book is in tree order (parent rows never decrease along a depth,
+    so subtrees are row ranges), every node above the deepest view has a child,
+    and every box lies inside its parent's.
     """
     nodes, block = book.arrays, book.arrays.bounds
     if not (isinstance(block, np.ndarray) and block.dtype == float and block.ndim == 3
@@ -232,6 +233,9 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
         offsets = None
         if above is not None:
             parents = np.searchsorted(above.ids, nodes.parent[ids])  # each node's parent row
+            bad = np.flatnonzero(above.ids.take(parents, mode="clip") != nodes.parent[ids])
+            if len(bad):
+                raise ParseError(f"the parent of node {ids[bad[0]]} is not a node of depth {depth - 1}")
             offsets = np.searchsorted(parents, np.arange(above.length + 1))
             _check_nesting(above, ids, bounds, parents, offsets)
         columns[depth] = above = Code(depth=depth, ids=ids, bounds=bounds, labels=nodes.label[ids],
@@ -267,9 +271,9 @@ class CodeBook:
     Books come from the builders or from :func:`load_codebook`, which
     checks a custom book written as version 1 text. Making a book builds
     the columnar view of every depth up to the usable one, which checks
-    boxes, tree order, children and box nesting: a book that fails raises
-    :class:`ParseError` and is never made. Nothing checks the links of a
-    book made straight from :class:`NodeArrays`.
+    boxes, parent links, tree order, children and box nesting, also of a
+    book made straight from :class:`NodeArrays`: a book that fails raises
+    :class:`ParseError` and is never made.
     """
 
     kind: str
@@ -578,10 +582,10 @@ def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.n
 
 def _user_features(features, num_users: int) -> np.ndarray:
     """``features`` as floats; raises :class:`InvalidDatasetError` unless they
-    are a finite 2-D array with one row per user."""
+    are a finite 2-D array with one row per user and at least one column."""
     values = np.asarray(features, dtype=float)
-    if values.ndim != 2:
-        raise InvalidDatasetError(f"user features must be a 2-D array, not of shape {values.shape}")
+    if values.ndim != 2 or not values.shape[1]:
+        raise InvalidDatasetError(f"user features must be 2-D with d >= 1, not of shape {values.shape}")
     if len(values) != num_users:
         raise InvalidDatasetError(f"feature rows {len(values)} != num_users {num_users}")
     if not np.isfinite(values).all():
@@ -622,22 +626,16 @@ def build_cf_codebook(
 
 def _point_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances along the last axis of ``points - q``
-    (broadcast), each the bits a lone point gets from ``((p - q) ** 2).sum()``.
+    (broadcast), each point's squared gaps added first to last.
 
-    numpy adds fewer than 8 terms first to last, so a short row is summed
-    column by column over strided views: no (n, d) temporary, and several
-    times faster than a row sum at d = 3. From 8 terms numpy adds pairwise,
-    which only a C-ordered row sum reproduces; it is also faster there. A
-    row of no columns (d = 0) takes the row sum too, which gives it 0.
+    One column at a time over strided views, at every width d >= 1: no
+    (n, d) temporary, and the order of a scalar loop over one point, which
+    is also the order in which a box norm (:func:`_column_sums`) adds its
+    coordinates, so a one-point box's distance is its point's, bit for bit.
     """
-    d = points.shape[-1]
-    if not 0 < d < 8:
-        diff = np.subtract(points, q, order="C")
-        diff *= diff
-        return diff.sum(axis=-1)
     d2 = points[..., 0] - q[..., 0]
     d2 *= d2
-    for j in range(1, d):
+    for j in range(1, points.shape[-1]):
         c = points[..., j] - q[..., j]
         c *= c
         d2 += c
@@ -668,7 +666,7 @@ def kmeans(X: np.ndarray, k: int, iterations: int = 10) -> tuple[np.ndarray, np.
     the data centroid, each further centre maximises the distance to the
     centres chosen so far (ties by row index). Returns (labels, centroids).
     Empty clusters keep their previous centroid. ``X`` that is not a finite
-    2-D array of at least one point raises :class:`InvalidDatasetError`.
+    2-D array of at least one point and one column raises :class:`InvalidDatasetError`.
     """
     k = _integer(CodebookConfigError, "k", k, 1)
     iterations = _integer(CodebookConfigError, "iterations", iterations, 1)

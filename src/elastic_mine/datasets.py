@@ -47,8 +47,8 @@ class LabeledDataset:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         labs = np.asarray(self.labels, dtype=np.int8)
-        if feats.ndim != 2 or len(feats) == 0:
-            raise InvalidDatasetError("dataset must be a non-empty (n, d) array")
+        if feats.ndim != 2 or 0 in feats.shape:
+            raise InvalidDatasetError(f"dataset must be (n, d) with n, d >= 1, not of shape {feats.shape}")
         if len(labs) != len(feats):
             raise InvalidDatasetError("labels and features disagree on point count")
         if not np.all(np.isin(labs, (POSITIVE, NEGATIVE))):

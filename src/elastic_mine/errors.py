@@ -22,12 +22,12 @@ class LabelCardinalityError(ParseError):
 
 
 class InvalidDatasetError(ElasticMineError, ValueError):
-    """A data set with no usable meaning. A labeled point set that is not a
-    non-empty (n, d) array, has labels that disagree with it in count or
+    """A data set with no usable meaning. A labeled point set that is not an
+    (n, d) array with n, d >= 1, has labels that disagree with it in count or
     are not +1 or -1, or has a NaN or infinite feature; a rating matrix
     without users, items or ratings, or with a rating outside its ids or
     its scale or not finite; user features that are not a finite (m, d)
-    array with one row per user."""
+    array, d >= 1, with one row per user."""
 
 
 class ClassMissingError(ElasticMineError, ValueError):

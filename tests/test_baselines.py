@@ -16,7 +16,7 @@ from elastic_mine.errors import (
 from elastic_mine.knn import KnnApproxResult
 
 from conftest import TABLE_FEATURES, non_integer_rows
-from reference import dual_book_from_hierarchy
+from reference import _sum_sq, dual_book_from_hierarchy
 
 
 class TestRanking:
@@ -177,8 +177,9 @@ class TestAnytimeRtree:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(10, 40), st.integers(2, 4))
     @settings(max_examples=80, deadline=None)
     def test_batched_point_scores_equal_one_point_sums(self, seed, d, n, max_entries):
-        """With every point in the result, each distance is the one-point
-        sum's, bit for bit, over coordinates of mixed magnitudes."""
+        """With every point in the result, each distance is the root of the
+        point's squared gaps added first to last, bit for bit, over
+        coordinates of mixed magnitudes."""
         # n >= 10 gives each class a tree with a depth-1 code
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.integers(-6, 7, size=(n + 1, d))
@@ -189,7 +190,7 @@ class TestAnytimeRtree:
         result = em.anytime_knn_rtree(book, ds, em.KnnQuery(q, n), 10**9)
         assert sorted(result.node_ids) == list(range(n))
         for row, dist in zip(result.node_ids, result.distances):
-            assert dist == float(np.sqrt(((ds.features[row] - q) ** 2).sum()))
+            assert dist == math.sqrt(_sum_sq(ds.features[row] - q))
 
     @pytest.mark.parametrize("baseline, point, error", [
         ("rtree", [0.0, 0.0], DepthNotFoundError),

@@ -96,6 +96,16 @@ class TestCodeBuild:
         assert book.features is not None
         assert book.config["cli"]["features"] == 2
 
+    def test_build_makes_one_book(self, workdir, monkeypatch):
+        """The CLI settings join the built book's config: no second book, so
+        its views are built and checked once."""
+        builds = []
+        build_columns = em.coding._build_columns
+        monkeypatch.setattr(em.coding, "_build_columns", lambda book: builds.append(book) or build_columns(book))
+        assert run(["code", "build", "--task", "knn", "--input", workdir / "train.libsvm",
+                    "--max-entries", 3, "--out", workdir / "one.ecb"]) == 0
+        assert len(builds) == 1 and builds[0].config["cli"]["max_entries"] == 3
+
     @pytest.mark.parametrize("setting", [["--epochs", 0], ["--lr", 0], ["--lr", -0.001],
                                          ["--lr", "nan"], ["--features", 0]])
     def test_bad_svd_setting_fails_loudly(self, workdir, capsys, setting):
@@ -496,7 +506,8 @@ class TestThreadsAndBudgets:
 
 class TestSideFiles:
     """A malformed state, prediction, profile, series or schedule file exits 2
-    with one error line naming the file and the line."""
+    with one error line naming the file and the line; a LIBSVM input of
+    labels alone exits 2 with one error line, before any tree is built."""
 
     @pytest.mark.parametrize("name, text, line, command", [
         ("state.txt", "# header\nstate 0 x 1 2\n", 2,
@@ -532,12 +543,14 @@ class TestSideFiles:
          ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
         ("schedule.csv", SCHEDULE + "3,0.5\n", 26,
          ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
+        ("train.libsvm", "1\n-1\n1\n", None, ["code", "build", "--task", "knn", "--input"]),
     ], ids=["state-bad-depth", "state-no-depth", "state-at-mined-depth", "state-below-mined-depth",
             "state-root-id", "query-bad-key", "query-other-point",
             "pred-no-depth-column", "pred-no-neighbours", "pred-negative-count", "pred-predicted-7",
             "pred-actual-0", "pred-fallback-7", "profile-bad-rate", "profile-negative-rate",
             "profile-nan-rate", "profile-inf-rate", "series-nan", "results-nan-hours",
-            "schedule-bad-price", "schedule-nan-price", "schedule-inf-price", "schedule-repeated-hour"])
+            "schedule-bad-price", "schedule-nan-price", "schedule-inf-price", "schedule-repeated-hour",
+            "libsvm-labels-only"])
     def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
                                           name, text, line, command):
         path = tmp_path / name
@@ -550,8 +563,11 @@ class TestSideFiles:
         assert run(args + ["--out", tmp_path / "never.csv"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: line {line}: ")
-        assert str(path) in captured.err and captured.err.count("\n") == 1
+        assert captured.err.count("\n") == 1
+        if line is None:  # points with no coordinate: no line is at fault
+            assert captured.err.startswith("error: dataset must be (n, d) with n, d >= 1, not of shape (3, 0)")
+        else:
+            assert captured.err.startswith(f"error: line {line}: ") and str(path) in captured.err
 
     def test_repeated_state_key_names_both_lines(self, workdir, files, fourclass_book, tmp_path, capsys):
         a, b = fourclass_book.code_at_depth(1).node_ids[:2]

@@ -19,7 +19,7 @@ from conftest import (
     EXAMPLE_HIERARCHY, NON_INTEGERS, TABLE_FEATURES, aggregates_of, leaf_with_members, non_integer_rows,
 )
 from reference import (
-    Mbr, aggregate_ratings, ancestor_at, cf_book_from_hierarchy, dual_book_from_hierarchy,
+    Mbr, _sum_sq, aggregate_ratings, ancestor_at, cf_book_from_hierarchy, dual_book_from_hierarchy,
 )
 
 
@@ -222,9 +222,12 @@ class TestUserFeatures:
 
     @pytest.mark.parametrize("reader", READERS)
     def test_features_not_2d_rejected(self, reader):
+        """A user needs a 2-D row of at least one coordinate; with none every
+        distance would read 0.0, and a tree would have no box to build."""
         matrix = em.synthetic.ratings_like(num_users=30, num_items=20)
-        with pytest.raises(InvalidDatasetError, match="2-D"):
-            self.READERS[reader](matrix, np.zeros(30))
+        for shape in [(30,), (30, 0)]:
+            with pytest.raises(InvalidDatasetError, match="2-D with d >= 1"):
+                self.READERS[reader](matrix, np.zeros(shape))
 
 
 class TestKmeansCodebook:
@@ -282,8 +285,9 @@ class TestKmeansCodebook:
         (10, "2d37acedfdfe4b9b75efb4ca9d88c9042e6acde0b98ef301a24857e3bf9a0bab"),
     ])
     def test_dump_matches_recorded_digest(self, d, digest):
-        """The dump's bytes are pinned on both sides of the distance kernel's
-        column/row split (recorded before the kernel was shared)."""
+        """The dump's bytes are pinned at 3 and at 10 feature columns, digests
+        recorded before the distance kernel was shared (10 columns were then
+        a row sum, which numpy adds pairwise; k-means splits the same now)."""
         matrix = em.synthetic.ratings_like(num_users=150, num_items=80)
         feats = np.random.default_rng(d).normal(size=(150, d)) * np.linspace(0.5, 3.0, d)
         book = em.build_kmeans_codebook(matrix, feats, branching=3, depth_limit=4, seed=0)
@@ -304,8 +308,8 @@ class TestKmeans:
 
     @pytest.mark.parametrize("X", [
         [[math.nan, 1.0], [0.0, 1.0], [2.0, 3.0]], [[0.0, -math.inf], [0.0, 1.0]], [0.0, 1.0, 2.0],
-        [[[0.0], [1.0]], [[2.0], [3.0]]],
-    ], ids=["nan", "minus-inf", "1d", "3d"])
+        [[[0.0], [1.0]], [[2.0], [3.0]]], [[], []],
+    ], ids=["nan", "minus-inf", "1d", "3d", "no-column"])
     def test_points_must_be_a_finite_2d_array(self, X):
         with pytest.raises(InvalidDatasetError):
             kmeans(np.array(X), 2)
@@ -318,18 +322,10 @@ class TestKmeans:
             kmeans(X, 2)
 
 
-def _lone_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The reference: each pair's squared distance as a lone point gets it."""
-    points, q = np.broadcast_arrays(points, q)
-    out = np.empty(points.shape[:-1])
-    for at in np.ndindex(out.shape):
-        out[at] = ((points[at] - q[at]) ** 2).sum()
-    return out
-
-
 class TestPointSq:
-    """The one squared-distance kernel returns, bit for bit, what each
-    lone point gets, for every width and in every broadcast shape its
+    """The one squared-distance kernel returns, bit for bit, each pair's
+    squared gaps added first to last (the definition a box's distance
+    follows too), for every width and in every broadcast shape its
     callers use: one query against rows, the ranking's (n, 1, d) against
     (1, n, d) and k-means' (n, 1, d) against (1, k, d)."""
 
@@ -348,7 +344,8 @@ class TestPointSq:
         for a, b in cases:
             got = _point_sq(a, b)
             assert got.shape == np.broadcast_shapes(a.shape, b.shape)[:-1]
-            assert got.tobytes() == _lone_sq(a, b).tobytes()
+            pairs = zip(*(x.reshape(-1, d) for x in np.broadcast_arrays(a, b)))
+            assert got.tobytes() == np.array([_sum_sq(p - r) for p, r in pairs]).reshape(got.shape).tobytes()
 
 
 # Every integer setting of a builder or of kmeans, with each value no integer setting accepts.
@@ -949,3 +946,15 @@ class TestBoxesOfArrayBooks:
 
         with pytest.raises(ParseError, match=f"box of node {node} is not inside the box of its parent {parent}"):
             self.with_box(skin_book, node, grow)
+
+    @pytest.mark.parametrize("node, parent", [(430, 435), (2, 0)], ids=["past-the-depth", "root"])
+    def test_parent_off_the_depth_above_rejected(self, node, parent):
+        """A depth-2 node whose parent is a depth-5 node past every depth-1 id
+        (once a bare IndexError) or a root (once accepted) gets no view."""
+        book = em.build_dual_rtrees(em.synthetic.fourclass_like(42), max_entries=3)
+        assert book.arrays.depth[[node, parent]].tolist() == [2, 5 if parent else 0]
+        links = book.arrays.parent.copy()
+        links[node] = parent
+        arrays = dataclasses.replace(book.arrays, parent=links)
+        with pytest.raises(ParseError, match=f"the parent of node {node} is not a node of depth 1"):
+            em.CodeBook(book.kind, arrays, book.roots, book.config, book.seed)

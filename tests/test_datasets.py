@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,12 @@ class TestLabeledDataset:
         with pytest.raises(InvalidDatasetError, match="NaN or infinite") as err:
             em.LabeledDataset(feats, [1, 1, -1, -1])
         assert isinstance(err.value, ElasticMineError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 2), (0, 0)], ids=["no-column", "no-point", "neither"])
+    def test_empty_array_rejected(self, shape):
+        """A point needs a coordinate: with none, every distance would read 0.0."""
+        with pytest.raises(InvalidDatasetError, match=re.escape(f"(n, d) with n, d >= 1, not of shape {shape}")):
+            em.LabeledDataset(np.zeros(shape), [1, 1, -1, -1][: shape[0]])
 
 
 class TestRatingMatrix:

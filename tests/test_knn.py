@@ -537,21 +537,16 @@ class TestVectorisedKernel:
     @given(books_and_queries(leaf_capacity=1, same_class_sizes=True))
     @settings(max_examples=40, deadline=None)
     def test_leaf_chain_distances_equal_exact(self, case):
-        """A one-point leaf's box distance is the point's own: the same bits
-        below 8 dimensions, where both kernels add the squares first to
-        last; from 8, ``_point_sq`` adds them pairwise."""
+        """A one-point leaf's box distance is the point's own, bit for bit,
+        at every dimensionality: both kernels add the squares first to last."""
         train, book, queries = case
         deepest = book.depths()[-1]
         assert book.code_at_depth(deepest).length == len(train)
         for query in queries:
             chain = refine_chain(book, query)
             exact = em.exact_knn(train, query)
-            if train.dimensionality < 8:
-                assert chain[-1].distances == exact.distances
-                assert chain[-1].threshold == exact.threshold
-            else:
-                assert chain[-1].distances == pytest.approx(exact.distances, rel=1e-12, abs=0.0)
-                assert chain[-1].threshold == pytest.approx(exact.threshold, rel=1e-12, abs=0.0)
+            assert chain[-1].distances == exact.distances
+            assert chain[-1].threshold == exact.threshold
 
 
 @st.composite
