@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import DepthNotFoundError, ElasticMineError, ForeignStateError, ParseError
+from .errors import DepthNotFoundError, ElasticMineError, ForeignStateError, InvalidDatasetError, ParseError
 
 # Each command imports the modules it runs, inside the command, so that a
 # process pays the import cost of its own command only.
@@ -39,6 +39,16 @@ def _write(path, args, lines: list[str]):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _read_input(path, parse):
+    """``parse`` of the open file at ``path``; a :class:`ParseError` or
+    :class:`InvalidDatasetError` it raises names the file, as a side file's does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except (ParseError, InvalidDatasetError) as exc:
+            raise type(exc)(f"{exc} in {path}") from None
 
 
 def _read_data_lines(path) -> list[tuple[int, str]]:
@@ -145,14 +155,12 @@ def _cmd_code_build(args) -> int:
     else:
         coding._check_rtree_sizes(args.max_entries, args.leaf_capacity, args.seed)
     if args.task == "knn":
-        with open(args.input, encoding="utf-8") as fh:
-            train = datasets.parse_libsvm(fh)
+        train = _read_input(args.input, datasets.parse_libsvm)
         book = coding.build_dual_rtrees(train, args.max_entries, args.seed, args.leaf_capacity)
     else:
         from . import cf
 
-        with open(args.input, encoding="utf-8") as fh:
-            matrix = datasets.parse_ratings_csv(fh)
+        matrix = _read_input(args.input, datasets.parse_ratings_csv)
         feats = cf.train_incremental_svd(matrix, args.features, args.lr, args.epochs, args.seed)
         if args.task == "cf":
             book = coding.build_cf_codebook(matrix, feats, args.max_entries, args.seed, args.leaf_capacity)
@@ -190,7 +198,7 @@ def _open_mine(args, key_fields):
         _require(args, "--budget-ms", "profile")
     from . import coding
 
-    book = coding.load_codebook(args.book)
+    book = _read_input(args.book, coding.load_codebook)
     if args.depth is not None:
         depth = args.depth
     elif args.budget_nodes is not None:
@@ -227,8 +235,7 @@ def _cmd_mine_knn(args) -> int:
     from . import datasets, knn
 
     book, depth, start, echoes = _open_mine(args, 1)
-    with open(args.test, encoding="utf-8") as fh:
-        test = datasets.parse_libsvm(fh)
+    test = _read_input(args.test, datasets.parse_libsvm)
     for (qid,), (at, echo) in echoes.items():  # a query past the test set is not mined
         if qid < len(test) and echo != _echo(test.features[qid]):
             raise ParseError(f"state of query {qid} in {args.from_state} was saved for another point", at)
@@ -259,13 +266,10 @@ def _cmd_mine_cf(args) -> int:
     from . import cf, datasets
 
     book, depth, start, _ = _open_mine(args, 2)
-    with open(args.ratings, encoding="utf-8") as fh:
-        matrix = datasets.parse_ratings_csv(fh)
+    matrix = _read_input(args.ratings, datasets.parse_ratings_csv)
     if args.test:
-        with open(args.test, encoding="utf-8") as fh:
-            queries = [
-                (u, i, r) for (u, i), r in sorted(datasets.parse_ratings_csv(fh).ratings.items())
-            ]
+        rated = _read_input(args.test, datasets.parse_ratings_csv).ratings
+        queries = [(u, i, r) for (u, i), r in sorted(rated.items())]
     else:
         queries = [(args.user, args.item, None)]
 
@@ -311,13 +315,11 @@ def _cmd_mine_baseline(args) -> int:
         _require(args, f"--algorithm {algo}", "train", "test", "budget")
         from . import coding, knn
 
-        with open(args.train, encoding="utf-8") as fh:
-            train = datasets.parse_libsvm(fh)
-        with open(args.test, encoding="utf-8") as fh:
-            test = datasets.parse_libsvm(fh)
+        train = _read_input(args.train, datasets.parse_libsvm)
+        test = _read_input(args.test, datasets.parse_libsvm)
         rows.append("query_id,algorithm,budget,scanned,predicted,actual")
         order = baselines.rank_training_points(train) if algo == "ranking" else None
-        book = coding.load_codebook(args.book) if args.book else (
+        book = _read_input(args.book, coding.load_codebook) if args.book else (
             None if algo == "ranking" else coding.build_dual_rtrees(train, seed=args.seed)
         )
         for qid in range(len(test)):
@@ -330,10 +332,8 @@ def _cmd_mine_baseline(args) -> int:
         _require(args, f"--algorithm {algo}", "ratings", "test", _CF_BASELINES[algo])
         from . import cf
 
-        with open(args.ratings, encoding="utf-8") as fh:
-            matrix = datasets.parse_ratings_csv(fh)
-        with open(args.test, encoding="utf-8") as fh:
-            tests = sorted(datasets.parse_ratings_csv(fh).ratings.items())
+        matrix = _read_input(args.ratings, datasets.parse_ratings_csv)
+        tests = sorted(_read_input(args.test, datasets.parse_ratings_csv).ratings.items())
         if algo != "sampling":  # only the clustering baselines read user features
             feats = cf.train_incremental_svd(matrix, args.features, args.lr, args.epochs, args.seed)
         rows.append("user,item,algorithm,scanned,prediction,actual,fallback_flag")
@@ -444,7 +444,7 @@ def _cmd_report_elasticity(args) -> int:
 def _cmd_report_resolution(args) -> int:
     from . import coding, elasticity
 
-    book = coding.load_codebook(args.book)
+    book = _read_input(args.book, coding.load_codebook)
     report = elasticity.audit_entropy_monotonicity(book, args.m, args.cell_volume, args.log_base)
     out_rows = ["depth,length,volume,n,H_cond_bits,resolution_bits"]
     for c in report.codes:
@@ -505,11 +505,8 @@ def _cmd_plan(args) -> int:
         out_rows.append("[fixed]")
         out_rows.extend(_answer_lines(answer))
     if args.scheme in ("spot", "both"):
-        with open(args.schedule, encoding="utf-8") as fh:
-            try:
-                schedule = planner.PriceSchedule.from_csv(fh.read(), args.fixed_price)
-            except ParseError as exc:
-                raise ParseError(f"{exc} in {args.schedule}") from None
+        schedule = _read_input(args.schedule,
+                               lambda fh: planner.PriceSchedule.from_csv(fh.read(), args.fixed_price))
         if args.query == planner.QUERY_ELASTICITY:
             bids = planner.spot_elasticity_bids(results, schedule, args.elasticity_floor)
             out_rows.append("[spot]")
@@ -559,8 +556,7 @@ def _cmd_bench(args) -> int:
         ms = repr(wall_ms) if args.timings else "0.0"
         rows.append(f"{name},{algorithm},{args.seed},{budget},{metric},{value!r},{scanned},{ms}")
 
-    with open(args.input, encoding="utf-8") as fh:
-        data = datasets.parse_libsvm(fh)
+    data = _read_input(args.input, datasets.parse_libsvm)
     train, test = datasets.split_dataset(
         data, datasets.SplitSpec(test_count=min(100, len(data) // 5), seed=args.seed)
     )

@@ -208,24 +208,85 @@ class State:
         return same_view and np.array_equal(other.rows, self.rows)
 
 
+def _require(ok, at, message):
+    """Raise :class:`ParseError` for the first row r where ``ok`` is False: at line
+    ``at[r]``, or naming node r when ``at`` is None; ``message(r)`` says what is wrong."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if len(bad):
+        r = int(bad[0])
+        raise ParseError(message(r), node=r) if at is None else ParseError(message(r), at[r])
+
+
+def _check_links(kind: str, nodes: NodeArrays, roots: tuple[int, ...]):
+    """Raise :class:`ParseError` unless every tree has its root and every other node a
+    parent one depth above it in its tree, and every node carries its tree's label:
+    a dual book's two trees are labelled +1 and -1, any other book's one tree 0."""
+    n, tree, depth, parent, label = len(nodes), nodes.tree, nodes.depth, nodes.parent, nodes.label
+    labels = np.array((POSITIVE, NEGATIVE) if kind == KIND_DUAL else (0,))
+    if len(roots) != len(labels):
+        raise ParseError(f"a {kind} book has {('one root', 'two roots')[len(labels) - 1]}, not {len(roots)}")
+    for t, r in enumerate(roots):
+        if not (0 <= r < n and depth[r] == 0 and tree[r] == t):
+            raise ParseError(f"root {r} of tree {t} is not a depth-0 node of that tree")
+    _require((tree >= 0) & (tree < len(roots)), None, lambda i: f"node {i} is in tree {tree[i]} of {len(roots)}")
+    _require(depth >= 0, None, lambda i: f"node {i} has negative depth {depth[i]}")
+    _require((depth > 0) | np.isin(np.arange(n), roots), None, lambda i: f"node {i} at depth 0 is no root")
+    _require((depth > 0) | (parent == -1), None, lambda i: f"root {i} has parent {parent[i]}")
+    _require((depth == 0) | (parent >= 0) & (parent < n), None,
+             lambda i: f"node {i} at depth {depth[i]} names parent {parent[i]}, which is not a node")
+    up = np.maximum(parent, 0)
+    _require((parent < 0) | ((depth[up] == depth - 1) & (tree[up] == tree)), None,
+             lambda i: f"node {i} at depth {depth[i]} of tree {tree[i]} has parent {parent[i]}"
+                       f" at depth {depth[parent[i]]} of tree {tree[parent[i]]}")
+    _require(label == labels[tree], None,
+             lambda i: f"node {i} of tree {tree[i]} has label {label[i]}: a {kind} book labels that tree"
+                       f" {labels[tree[i]]}")
+
+
+def _check_members(nodes: NodeArrays, usable: int):
+    """Raise :class:`ParseError` unless the member offsets ascend from 0 to the member
+    count, no member is negative, and the member lists of the nodes of each depth
+    up to ``usable`` hold every root member exactly once."""
+    ptr, members = nodes.member_ptr, nodes.members
+    if len(ptr) != len(nodes) + 1 or ptr[0] or ptr[-1] != len(members) or (np.diff(ptr) < 0).any():
+        raise ParseError(f"the member offsets must be {len(nodes) + 1} ascending offsets from 0 to {len(members)}")
+    holder = _in_rows(ptr, range(len(nodes)))  # the node of member entry k
+    bad = np.flatnonzero(members < 0)
+    if len(bad):
+        raise ParseError(f"node {holder(bad[0])} holds a negative member", node=holder(bad[0]))
+
+    def at_depth(d):  # which member entries belong to nodes of depth d
+        return np.repeat(nodes.depth == d, np.diff(ptr))
+
+    # count members by value, or by rank when the values are sparse; one depth at a time, in little memory
+    rank = np.unique(members, return_inverse=True)[1] if members.max(initial=-1) >= len(members) else members
+    size = int(rank.max(initial=-1)) + 1
+    roots = np.bincount(rank[at_depth(0)], minlength=size)
+    for d in range(usable + 1):
+        counts = np.bincount(rank[at_depth(d)], minlength=size)
+        bad = np.flatnonzero((counts != roots) | (counts > 1))
+        if len(bad):
+            r = bad[0]
+            held = np.flatnonzero((rank == r) & at_depth(d if counts[r] else 0))[-1]
+            raise ParseError(f"member {members[held]} is held {counts[r]} times at depth {d} and {roots[r]}"
+                             f" at depth 0, not once at each", node=holder(held))
+
+
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
     """Columnar views of depths 0..usable; each view's offsets come from its nodes' parents.
 
     Raises :class:`ParseError` unless the boxes are a float (2, d, N) block,
-    d >= 1, of finite boxes with low <= upp, every parent is a node of the depth
-    above, the book is in tree order (parent rows never decrease along a depth,
-    so subtrees are row ranges), every node above the deepest view has a child,
-    and every box lies inside its parent's.
+    d >= 1, of finite boxes with low <= upp, the book is in tree order (parent
+    rows never decrease along a depth, so subtrees are row ranges), every node
+    above the deepest view has a child, and every box lies inside its parent's.
     """
     nodes, block = book.arrays, book.arrays.bounds
     if not (isinstance(block, np.ndarray) and block.dtype == float and block.ndim == 3
             and block.shape[::2] == (2, len(nodes)) and block.shape[1]):
         raise ParseError(f"the node boxes must be a float (2, d, {len(nodes)}) block with d >= 1,"
                          f" not {getattr(block, 'dtype', type(block).__name__)} of shape {np.shape(block)}")
-    valid = np.isfinite(block).all(axis=(0, 1)) & (block[0] <= block[1]).all(axis=0)
-    bad = np.flatnonzero(~valid)
-    if len(bad):
-        raise ParseError(f"the box of node {bad[0]} is not finite with low_i <= upp_i in every dimension")
+    _require(np.isfinite(block).all(axis=(0, 1)) & (block[0] <= block[1]).all(axis=0), None,
+             lambda i: f"the box of node {i} is not finite with low_i <= upp_i in every dimension")
     columns, above = {}, None
     for depth in range(book.usable_depth() + 1):
         ids = np.flatnonzero(nodes.depth == depth)
@@ -233,9 +294,6 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
         offsets = None
         if above is not None:
             parents = np.searchsorted(above.ids, nodes.parent[ids])  # each node's parent row
-            bad = np.flatnonzero(above.ids.take(parents, mode="clip") != nodes.parent[ids])
-            if len(bad):
-                raise ParseError(f"the parent of node {ids[bad[0]]} is not a node of depth {depth - 1}")
             offsets = np.searchsorted(parents, np.arange(above.length + 1))
             _check_nesting(above, ids, bounds, parents, offsets)
         columns[depth] = above = Code(depth=depth, ids=ids, bounds=bounds, labels=nodes.label[ids],
@@ -245,35 +303,33 @@ def _build_columns(book: "CodeBook") -> dict[int, Code]:
 
 def _check_nesting(above: Code, ids, bounds, parents, offsets):
     """Raise :class:`ParseError` unless one depth nests in the depth above it."""
-    bad = np.flatnonzero(np.diff(parents) < 0)
+    bad = np.flatnonzero(np.diff(parents) < 0) + 1
     if len(bad):
-        raise ParseError(
-            f"node {ids[bad[0] + 1]} breaks tree order: its parent {above.ids[parents[bad[0] + 1]]}"
-            f" precedes {above.ids[parents[bad[0]]]}, the parent of node {ids[bad[0]]}"
-        )
+        r = bad[0]
+        raise ParseError(f"node {ids[r]} breaks tree order: its parent {above.ids[parents[r]]} precedes"
+                         f" {above.ids[parents[r - 1]]}, the parent of node {ids[r - 1]}", node=int(ids[r]))
     bad = np.flatnonzero(np.diff(offsets) == 0)
     if len(bad):
-        raise ParseError(f"node {above.ids[bad[0]]} has no child at depth {above.depth + 1}")
+        node = int(above.ids[bad[0]])
+        raise ParseError(f"node {node} has no child at depth {above.depth + 1}", node=node)
     up = above.bounds.take(parents, axis=2)
-    outside = ((bounds[0] < up[0]) | (bounds[1] > up[1])).any(axis=0)
-    bad = np.flatnonzero(outside)
+    bad = np.flatnonzero(((bounds[0] < up[0]) | (bounds[1] > up[1])).any(axis=0))
     if len(bad):
-        raise ParseError(
-            f"the box of node {ids[bad[0]]} is not inside the box of its parent"
-            f" {above.ids[parents[bad[0]]]}"
-        )
+        r = bad[0]
+        raise ParseError(f"the box of node {ids[r]} is not inside the box of its parent {above.ids[parents[r]]}",
+                         node=int(ids[r]))
 
 
 @dataclass(frozen=True)
 class CodeBook:
     """A codebook: its nodes as columns, plus how it was built.
 
-    Books come from the builders or from :func:`load_codebook`, which
-    checks a custom book written as version 1 text. Making a book builds
-    the columnar view of every depth up to the usable one, which checks
-    boxes, parent links, tree order, children and box nesting, also of a
-    book made straight from :class:`NodeArrays`: a book that fails raises
-    :class:`ParseError` and is never made.
+    Books come from the builders, from :func:`load_codebook` or straight from
+    :class:`NodeArrays`. Making a book is the one check of its structure:
+    :func:`_check_links`, then :func:`_build_columns`, which builds the view of
+    every depth up to the usable one, then :func:`_check_members`. A book that
+    fails raises :class:`ParseError` naming the node at fault in ``node`` (None
+    for a rule of the roots or of a whole column) and is never made.
     """
 
     kind: str
@@ -289,8 +345,10 @@ class CodeBook:
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(int(r) for r in self.roots))
+        _check_links(self.kind, self.arrays, self.roots)
         object.__setattr__(self, "_depths", tuple(range(1, self.usable_depth() + 1)))
         object.__setattr__(self, "_columns", _build_columns(self))
+        _check_members(self.arrays, self.usable_depth())
 
     def tree_depth(self, tree: int) -> int:
         return int(self.arrays.depth[self.arrays.tree == tree].max())
@@ -824,14 +882,6 @@ _AGGREGATE_LINE = np.dtype([("tag", "U1"), ("owner", np.intp), ("item", np.intp)
                             ("rating", float), ("rater_mean", float), ("raters", np.intp)])
 
 
-def _require(ok, at, message):
-    """Raise :class:`ParseError` at line ``at[r]`` for the first row r where
-    ``ok`` is False; ``message(r)`` says what is wrong."""
-    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
-    if len(bad):
-        raise ParseError(message(bad[0]), at[bad[0]])
-
-
 def _numbers(tokens: list[str], convert, dtype, tag: str, line_of) -> np.ndarray:
     """The tokens converted in one pass; ``line_of(k)`` is the line of token k."""
     try:
@@ -864,18 +914,9 @@ def _table(rows: list[str], at, dtype, tag: str, want: str) -> np.ndarray:
     raise ParseError(f"malformed {tag!r} line (want {want})", at[lo])
 
 
-def _parent_id(token: str) -> int:
-    if token == "-":
-        return -1
-    if int(token) < 0:
-        raise ValueError(f"parent id {token} is negative")
-    return int(token)
-
-
-def _label(token: str) -> int:
-    if token not in ("-", "1", "-1"):
-        raise ValueError(f"label {token!r} is not 1, -1 or -")
-    return 0 if token == "-" else int(token)
+def _marked(empty: int):
+    """A reader of integer tokens that reads '-' as ``empty``."""
+    return lambda token: empty if token == "-" else int(token)
 
 
 def _shape(rest: str) -> tuple[int, int]:
@@ -922,11 +963,7 @@ def _boxes(rows: list[str], at) -> np.ndarray:
         raise ParseError(f"malformed 'N' line (want {want})", at[0])
     table = _table(rows, at, [("low", float, (d,)), ("bar", "U2"), ("upp", float, (d,))], "N", want)
     _require(table["bar"] == "|", at, lambda r: f"malformed 'N' line (want {want})")
-    bounds = np.array((table["low"].T, table["upp"].T))
-    _require(np.isfinite(bounds).all(axis=(0, 1)), at, lambda r: "non-finite box coordinate in an 'N' line")
-    _require((bounds[0] <= bounds[1]).all(axis=0), at,
-             lambda r: "malformed 'N' line (MBR requires low_i <= upp_i in every dimension)")
-    return bounds
+    return np.array((table["low"].T, table["upp"].T))
 
 
 def _read_nodes(bodies, at, agg_lines, agg_at):
@@ -947,14 +984,11 @@ def _read_nodes(bodies, at, agg_lines, agg_at):
     nid = _numbers(heads[0::5], int, np.intp, "N", line)
     tree = _numbers(heads[1::5], int, np.intp, "N", line)
     depth = _numbers(heads[2::5], int, np.intp, "N", line)
-    parent = _numbers(heads[3::5], _parent_id, np.intp, "N", line)
-    label = _numbers(heads[4::5], _label, int, "N", line)
+    parent = _numbers(heads[3::5], _marked(-1), np.intp, "N", line)
+    label = _numbers(heads[4::5], _marked(0), int, "N", line)
     child_ptr = _ptr(child_counts)
     child_ids = _numbers(children, int, np.intp, "N", _in_rows(child_ptr, at))
     member_ptr, member_ids = _member_rows(member_rows, at)
-    negative = np.flatnonzero(member_ids < 0)
-    if len(negative):
-        raise ParseError("negative member in an 'N' line", _in_rows(member_ptr, at)(negative[0]))
     bounds = _boxes(box_rows, at)
     _require(nid == np.arange(n), at,
              lambda r: f"node {nid[r]} out of place: 'N' lines run 0..{n - 1} in id order")
@@ -980,30 +1014,6 @@ def _read_aggregates(lines, at, n) -> Aggregates:
     return Aggregates(np.searchsorted(owner, np.arange(n + 1)), item, rating, rater_mean, raters)
 
 
-def _check_links(nodes: NodeArrays, roots, at, roots_at):
-    """Raise :class:`ParseError` unless every tree has its root and every
-    other node a parent one depth above it in its tree."""
-    n, tree, depth, parent = len(nodes), nodes.tree, nodes.depth, nodes.parent
-    if not roots:
-        raise ParseError("the 'roots' line names no node", roots_at)
-    for t, r in enumerate(roots):
-        if not (0 <= r < n and depth[r] == 0 and tree[r] == t):
-            raise ParseError(f"root {r} of tree {t} is not a depth-0 node of that tree", roots_at)
-    _require((tree >= 0) & (tree < len(roots)), at,
-             lambda i: f"node {i} is in tree {tree[i]} of {len(roots)}")
-    _require(depth >= 0, at, lambda i: f"node {i} has negative depth {depth[i]}")
-    _require((depth > 0) | np.isin(np.arange(n), roots), at,
-             lambda i: f"node {i} at depth 0 is no root")
-    _require((depth == 0) | (parent >= 0), at,
-             lambda i: f"node {i} at depth {depth[i]} has no parent")
-    _require((depth > 0) | (parent < 0), at, lambda i: f"root {i} has parent {parent[i]}")
-    _require(parent < n, at, lambda i: f"node {i} names parent {parent[i]}, which has no 'N' line")
-    up = np.maximum(parent, 0)
-    _require((parent < 0) | ((depth[up] == depth - 1) & (tree[up] == tree)), at,
-             lambda i: f"node {i} at depth {depth[i]} of tree {tree[i]} has parent {parent[i]}"
-                       f" at depth {depth[parent[i]]} of tree {tree[parent[i]]}")
-
-
 def _check_children(nodes: NodeArrays, listed, at):
     """Raise :class:`ParseError` unless each node lists, in order, the nodes naming it as parent."""
     (ptr, ids), (listed_ptr, listed_ids) = nodes.child_csr, listed
@@ -1015,45 +1025,28 @@ def _check_children(nodes: NodeArrays, listed, at):
              f" but nodes {nodes.children_of(i).tolist()} name it as parent")
 
 
-def _check_members(nodes: NodeArrays, usable: int, at):
-    """Raise :class:`ParseError` unless the member lists of the nodes of each
-    depth up to ``usable`` hold every root member exactly once."""
-    depth, members = np.repeat(nodes.depth, np.diff(nodes.member_ptr)), nodes.members
-    # count members by value, or by rank when the values are sparse
-    rank = np.unique(members, return_inverse=True)[1] if members.max(initial=-1) >= len(members) else members
-    size = int(rank.max(initial=-1)) + 1
-    counts = np.bincount(depth * size + rank, minlength=(usable + 1) * size)
-    counts = counts[: (usable + 1) * size].reshape(usable + 1, size)  # depths 0..usable
-    bad = np.argwhere((counts != counts[0]) | (counts > 1))
-    if len(bad):
-        d, r = bad[0]
-        held = np.flatnonzero((rank == r) & (depth == (d if counts[d, r] else 0)))[-1]
-        raise ParseError(f"member {members[held]} is held {counts[d, r]} times at depth {d} and {counts[0, r]}"
-                         f" at depth 0, not once at each", _in_rows(nodes.member_ptr, at)(held))
-
-
 def load_codebook(path_or_text) -> CodeBook:
-    """Read a dump written by :func:`dump_codebook` (a path, or the text itself).
+    """Read a dump written by :func:`dump_codebook` (a path, an open text file or the text).
 
     A string is read as the text itself when it is empty, holds a newline or
-    starts with the header's first token; any other string is a path.
-    :class:`ParseError`, with the 1-based line number, is raised for: a bad
-    header; a missing ``end``, ``kind``, ``seed``, ``config``, ``roots``,
-    ``features`` or ``nodes`` line; a malformed line; a NaN or infinite number;
-    an item id below 1; an ``F`` line count or width that differs from the
-    ``features`` line; a node count that differs from the ``nodes`` line; ``N``
-    lines not in id order 0..N-1; ``A`` lines not in strictly ascending (node,
-    item) order; a root that is not a depth-0 node of its tree; a parent
-    outside the depth above or another tree; a child list that differs from the
-    children named by parent links; and members that do not partition each
-    depth up to the usable one. Making the book builds its columnar views, so a
-    book out of tree order, with a childless node above its deepest usable depth
-    or with a box outside its parent's box raises :class:`ParseError` too.
+    starts with the header's first token; any other string is a path. The
+    reader only parses. :class:`ParseError`, with the 1-based line number, is
+    raised for: a bad header; a missing ``end``, ``kind``, ``seed``, ``config``,
+    ``roots``, ``features`` or ``nodes`` line; a malformed line; a NaN or
+    infinite number in an ``F`` or ``A`` line; an item id below 1; an ``F`` line
+    count or width that differs from the ``features`` line; a node count that
+    differs from the ``nodes`` line; ``N`` lines not in id order 0..N-1; ``A``
+    lines not in strictly ascending (node, item) order; and a child list that
+    differs from the parent links. Making the :class:`CodeBook` checks its
+    structure; a rule it breaks raises at the ``N`` line of the node at fault,
+    or at the ``roots`` line for a rule of the roots.
     """
     if isinstance(path_or_text, str) and (
         "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)
     ):
         lines = path_or_text.splitlines()
+    elif hasattr(path_or_text, "read"):
+        lines = path_or_text.read().splitlines()
     else:
         with open(path_or_text, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -1101,9 +1094,10 @@ def load_codebook(path_or_text) -> CodeBook:
         raise ParseError(f"'nodes {declared}' but {len(body['N'][0])} node lines", header["nodes"][0])
     features = _read_features(*body["F"], m, d, header["features"][0])
     (nodes, listed), at = _read_nodes(*body["N"], *body["A"]), body["N"][1]
-    _check_links(nodes, roots, at, header["roots"][0])
-    book = CodeBook(header["kind"][1], nodes, roots, config, seed,
-                    features=features, warnings=tuple(warnings))
+    try:
+        book = CodeBook(header["kind"][1], nodes, roots, config, seed,
+                        features=features, warnings=tuple(warnings))
+    except ParseError as exc:  # the book's own check: at the line of its node, or of the roots
+        raise ParseError(str(exc), header["roots"][0] if exc.node is None else at[exc.node], exc.node) from None
     _check_children(nodes, listed, at)
-    _check_members(nodes, book.usable_depth(), at)
     return book

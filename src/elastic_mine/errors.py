@@ -8,10 +8,12 @@ class ElasticMineError(Exception):
 
 
 class ParseError(ElasticMineError, ValueError):
-    """Malformed input text. Carries the 1-based line number when known."""
+    """Malformed input text, or a codebook that breaks a rule of its structure.
+    Carries the 1-based ``line`` and the id of the ``node`` at fault when known."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, node=None):
         self.line = line
+        self.node = node
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

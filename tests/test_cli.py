@@ -504,10 +504,16 @@ class TestThreadsAndBudgets:
         assert all(int(l.split(",")[3]) <= full for l in body[1:])
 
 
+BAD_LIBSVM = "1 1:0.5 2:0.5\n-1 1:x 2:0.5\n"  # a malformed token on line 2
+BAD_RATINGS = "user,item,rating\n1,1,4.0\n1,2,9.0\n"  # a rating off the scale on line 3
+BAD_BOOK = "elastic-mine-codebook 2\n"  # a header of another version on line 1
+
+
 class TestSideFiles:
-    """A malformed state, prediction, profile, series or schedule file exits 2
-    with one error line naming the file and the line; a LIBSVM input of
-    labels alone exits 2 with one error line, before any tree is built."""
+    """A malformed input, state, prediction, profile, series or schedule file
+    exits 2 with one error line naming the file and the line; a LIBSVM input
+    of labels alone exits 2 with one error line naming the file, before any
+    tree is built."""
 
     @pytest.mark.parametrize("name, text, line, command", [
         ("state.txt", "# header\nstate 0 x 1 2\n", 2,
@@ -544,30 +550,42 @@ class TestSideFiles:
         ("schedule.csv", SCHEDULE + "3,0.5\n", 26,
          ["plan", "--scheme", "spot", "--deadline-hours", 48, "--schedule"]),
         ("train.libsvm", "1\n-1\n1\n", None, ["code", "build", "--task", "knn", "--input"]),
+        ("train.libsvm", BAD_LIBSVM, 2, ["code", "build", "--task", "knn", "--input"]),
+        ("ratings.csv", BAD_RATINGS, 3, ["code", "build", "--task", "cf", "--input"]),
+        ("test.libsvm", BAD_LIBSVM, 2, ["mine", "knn", "--depth", 2, "--test"]),
+        ("bad.ecb", BAD_BOOK, 1, ["mine", "knn", "--depth", 2, "--book"]),
+        ("ratings.csv", BAD_RATINGS, 3, ["mine", "cf", "--book", "{f}/cf.ecb", "--user", 1, "--item", 2,
+                                         "--depth", 1, "--ratings"]),
+        ("train.libsvm", BAD_LIBSVM, 2, ["mine", "baseline", "--algorithm", "ranking", "--test", "{w}/test.libsvm",
+                                         "--budget", 10, "--train"]),
+        ("bad.ecb", BAD_BOOK, 1, ["report", "resolution", "--book"]),
+        ("full.libsvm", BAD_LIBSVM, 2, ["bench", "--input"]),
     ], ids=["state-bad-depth", "state-no-depth", "state-at-mined-depth", "state-below-mined-depth",
             "state-root-id", "query-bad-key", "query-other-point",
             "pred-no-depth-column", "pred-no-neighbours", "pred-negative-count", "pred-predicted-7",
             "pred-actual-0", "pred-fallback-7", "profile-bad-rate", "profile-negative-rate",
             "profile-nan-rate", "profile-inf-rate", "series-nan", "results-nan-hours",
             "schedule-bad-price", "schedule-nan-price", "schedule-inf-price", "schedule-repeated-hour",
-            "libsvm-labels-only"])
-    def test_malformed_file_fails_cleanly(self, workdir, fourclass_book, tmp_path, capsys,
+            "libsvm-labels-only", "code-build-libsvm", "code-build-ratings", "mine-knn-test", "mine-knn-book",
+            "mine-cf-ratings", "mine-baseline-train", "report-resolution-book", "bench-input"])
+    def test_malformed_file_fails_cleanly(self, workdir, files, fourclass_book, tmp_path, capsys,
                                           name, text, line, command):
         path = tmp_path / name
         path.write_text(text)
         em.save_codebook(fourclass_book, tmp_path / "book.ecb")
-        mine = ["--book", tmp_path / "book.ecb", "--test", workdir / "test.libsvm", "--k", 5]
+        command = fill(command, workdir, files)
+        if command[:2] == ["mine", "knn"]:  # the file under test comes last, so it wins
+            command[2:2] = ["--book", tmp_path / "book.ecb", "--test", workdir / "test.libsvm", "--k", 5]
         if command[0] == "plan" and name != "results.csv":
             command = command[:1] + ["--results", workdir / "results.csv"] + command[1:]
-        args = command + [path] + (mine if command[0] == "mine" else [])
-        assert run(args + ["--out", tmp_path / "never.csv"]) == 2
+        assert run(command + [path, "--out", tmp_path / "never.csv"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
+        assert captured.err.count("\n") == 1 and str(path) in captured.err
         if line is None:  # points with no coordinate: no line is at fault
             assert captured.err.startswith("error: dataset must be (n, d) with n, d >= 1, not of shape (3, 0)")
         else:
-            assert captured.err.startswith(f"error: line {line}: ") and str(path) in captured.err
+            assert captured.err.startswith(f"error: line {line}: ")
 
     def test_repeated_state_key_names_both_lines(self, workdir, files, fourclass_book, tmp_path, capsys):
         a, b = fourclass_book.code_at_depth(1).node_ids[:2]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -655,17 +656,18 @@ class TestPersistence:
             em.load_codebook(text)
         assert err.value.line == at
 
-    @pytest.mark.parametrize("prefix, index, value", [
-        ("N ", lambda toks: toks.index("M") + 1, "nan"),
-        ("N ", lambda toks: toks.index("|") + 1, "inf"),
-        ("A ", lambda toks: 4, "inf"),
-        ("A ", lambda toks: 3, "-inf"),
-        ("F ", lambda toks: 1, "nan"),
+    @pytest.mark.parametrize("prefix, index, value, message", [
+        ("N ", lambda toks: toks.index("M") + 1, "nan", "the box of node 0 is not finite"),
+        ("N ", lambda toks: toks.index("|") + 1, "inf", "the box of node 0 is not finite"),
+        ("A ", lambda toks: 4, "inf", "non-finite"),
+        ("A ", lambda toks: 3, "-inf", "non-finite"),
+        ("F ", lambda toks: 1, "nan", "non-finite"),
     ], ids=["low", "upp", "rater-mean", "rating", "feature"])
-    def test_non_finite_numbers_rejected(self, example_cf_book, prefix, index, value):
+    def test_non_finite_numbers_rejected(self, example_cf_book, prefix, index, value, message):
+        """A box is checked by the book's one box rule, at the line of its node."""
         text, at = edited(em.dump_codebook(example_cf_book), prefix,
                           lambda toks: toks.__setitem__(index(toks), value))
-        with pytest.raises(ParseError, match="non-finite") as err:
+        with pytest.raises(ParseError, match=message) as err:
             em.load_codebook(text)
         assert err.value.line == at
 
@@ -867,35 +869,63 @@ def test_ranges_concatenate_python_ranges(spans):
     assert got.tolist() == [x for start, length in spans for x in range(start, start + length)]
 
 
+def assert_one_rule(book, message, node, kind=None, roots=None, **columns):
+    """Making ``book`` with its kind, roots or NodeArrays columns replaced and
+    loading the dump of the same edit raise one message, which holds ``message``
+    and names ``node``; the reader raises it at that node's 'N' line, or at the
+    'roots' line when ``node`` is None (a rule of the roots)."""
+    fields = dict(kind=book.kind if kind is None else kind, roots=book.roots if roots is None else roots,
+                  arrays=dataclasses.replace(book.arrays, **columns), config=book.config, seed=book.seed,
+                  features=book.features, warnings=book.warnings)
+    with pytest.raises(ParseError) as made:
+        em.CodeBook(**fields)
+    text = em.dump_codebook(types.SimpleNamespace(**fields))  # the writer reads only these fields
+    with pytest.raises(ParseError) as loaded:
+        em.load_codebook(text)
+    made, loaded = made.value, loaded.value
+    assert message in str(made) and made.line is None
+    prefix = "roots " if node is None else f"N {node} "
+    line = next(n for n, at in enumerate(text.splitlines(), 1) if at.startswith(prefix))
+    assert (made.node, loaded.node, loaded.line, str(loaded)) == (node, node, line, f"line {line}: {made}")
+
+
+def with_member(nodes, node, member):
+    """The member columns of ``nodes`` with ``member`` appended to the members of ``node``."""
+    return dict(members=np.insert(nodes.members, nodes.member_ptr[node + 1], member),
+                member_ptr=nodes.member_ptr + (np.arange(len(nodes) + 1) > node))
+
+
+def changed(column, i, value):
+    """A copy of ``column`` with entry i set to ``value``."""
+    column = column.copy()
+    column[i] = value
+    return column
+
+
 class TestBoxesOfArrayBooks:
-    """A book made straight from NodeArrays is held to the boxes the reader accepts:
-    one the views reject raises when it is made."""
+    """A book is checked once, when it is made: a book made straight from
+    NodeArrays and the reader's book of the same edit break one rule, with one
+    message, and the reader names the line of the node at fault."""
 
     @pytest.fixture(scope="class")
     def skin_book(self):
         return em.build_dual_rtrees(em.synthetic.skin_like(400), max_entries=4, seed=0)
+
+    @pytest.fixture(scope="class")
+    def fourclass_book(self):
+        return em.build_dual_rtrees(em.synthetic.fourclass_like(42), max_entries=3)
 
     @staticmethod
     def with_bounds(book, bounds):
         arrays = dataclasses.replace(book.arrays, bounds=bounds)
         return em.CodeBook(book.kind, arrays, book.roots, book.config, book.seed)
 
-    @classmethod
-    def with_box(cls, book, node, edit):
+    @staticmethod
+    def assert_box_rule(book, node, edit, message):
+        """``edit(low, upp)`` of the box of ``node`` breaks one rule at both doors."""
         bounds = book.arrays.bounds.copy()
         edit(*bounds[:, :, node])
-        return cls.with_bounds(book, bounds)
-
-    @staticmethod
-    def with_box_line(book, node, edit):
-        """The book's dump with ``edit(low, upp)`` applied to the box in the 'N' line of node."""
-        low, upp = book.arrays.bounds[:, :, node].copy()
-        edit(low, upp)
-
-        def write_box(toks):
-            toks[toks.index("M") + 1 : toks.index("P")] = [*map(repr, low.tolist()), "|", *map(repr, upp.tolist())]
-
-        return edited(em.dump_codebook(book), f"N {node} ", write_box)[0]
+        assert_one_rule(book, message, node, bounds=bounds)
 
     @staticmethod
     def swap_axis_0(low, upp):
@@ -909,10 +939,8 @@ class TestBoxesOfArrayBooks:
         wide = low[0] < upp[0]
         candidates = np.flatnonzero(wide & ((np.diff(ptr) == 0) if where == "leaf" else (arrays.parent < 0)))
         node = int(candidates[0])
-        with pytest.raises(ParseError, match="MBR requires low_i <= upp_i"):
-            em.load_codebook(self.with_box_line(skin_book, node, self.swap_axis_0))
-        with pytest.raises(ParseError, match=f"the box of node {node} is not finite with low_i <= upp_i"):
-            self.with_box(skin_book, node, self.swap_axis_0)
+        self.assert_box_rule(skin_book, node, self.swap_axis_0,
+                             f"the box of node {node} is not finite with low_i <= upp_i in every dimension")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_box_rejected(self, skin_book, value):
@@ -921,10 +949,7 @@ class TestBoxesOfArrayBooks:
         def edit(low, upp):
             upp[1] = value
 
-        with pytest.raises(ParseError, match="non-finite box coordinate"):
-            em.load_codebook(self.with_box_line(skin_book, node, edit))
-        with pytest.raises(ParseError, match=f"the box of node {node} is not finite"):
-            self.with_box(skin_book, node, edit)
+        self.assert_box_rule(skin_book, node, edit, f"the box of node {node} is not finite")
 
     @pytest.mark.parametrize("malform", [
         lambda b: b[0].T.copy(), lambda b: b[:, :, 1:], lambda b: b[:, :0],
@@ -944,17 +969,47 @@ class TestBoxesOfArrayBooks:
         def grow(low, upp):
             upp[0] = skin_book.arrays.bounds[1, 0, parent] + 1.0
 
-        with pytest.raises(ParseError, match=f"box of node {node} is not inside the box of its parent {parent}"):
-            self.with_box(skin_book, node, grow)
+        self.assert_box_rule(skin_book, node, grow,
+                             f"box of node {node} is not inside the box of its parent {parent}")
 
     @pytest.mark.parametrize("node, parent", [(430, 435), (2, 0)], ids=["past-the-depth", "root"])
-    def test_parent_off_the_depth_above_rejected(self, node, parent):
+    def test_parent_off_the_depth_above_rejected(self, fourclass_book, node, parent):
         """A depth-2 node whose parent is a depth-5 node past every depth-1 id
-        (once a bare IndexError) or a root (once accepted) gets no view."""
-        book = em.build_dual_rtrees(em.synthetic.fourclass_like(42), max_entries=3)
-        assert book.arrays.depth[[node, parent]].tolist() == [2, 5 if parent else 0]
-        links = book.arrays.parent.copy()
-        links[node] = parent
-        arrays = dataclasses.replace(book.arrays, parent=links)
-        with pytest.raises(ParseError, match=f"the parent of node {node} is not a node of depth 1"):
-            em.CodeBook(book.kind, arrays, book.roots, book.config, book.seed)
+        (once a bare IndexError) or a root (once accepted) breaks the link rule."""
+        arrays = fourclass_book.arrays
+        assert arrays.depth[[node, parent]].tolist() == [2, 5 if parent else 0]
+        tree = arrays.tree[node]
+        message = f"node {node} at depth 2 of tree {tree} has parent {parent} at depth {arrays.depth[parent]}"
+        assert_one_rule(fourclass_book, message, node, parent=changed(arrays.parent, node, parent))
+
+    @pytest.mark.parametrize("book, edit, node, message", [
+        ("skin", lambda b: dict(roots=b.roots + (1,)), None, "a rtree-dual book has two roots, not 3"),
+        ("skin", lambda b: dict(roots=(1,) + b.roots[1:]), None, "root 1 of tree 0 is not a depth-0 node"),
+        ("skin", lambda b: dict(tree=changed(b.arrays.tree, 5, 5)), 5, "node 5 is in tree 5 of 2"),
+        ("skin", lambda b: with_member(b.arrays, 4, b.arrays.members_of(3)[0]), 4,
+         "member 79 is held 2 times at depth 3 and 1 at depth 0"),
+        ("skin", lambda b: dict(parent=changed(b.arrays.parent, 138, 0)), 138,
+         "node 138 at depth 4 of tree 1 has parent 0 at depth 0 of tree 0"),
+        ("skin", lambda b: dict(parent=changed(b.arrays.parent, 138, 144)), 138,
+         "node 138 at depth 4 names parent 144, which is not a node"),
+        ("skin", lambda b: dict(members=np.where(b.arrays.members == 9, -1, b.arrays.members)), 0,
+         "node 0 holds a negative member"),
+        ("cf", lambda b: dict(kind=em.coding.KIND_DUAL), None, "a rtree-dual book has two roots, not 1"),
+        ("fourclass", lambda b: dict(label=changed(b.arrays.label, 5, -1)), 5,
+         "node 5 of tree 0 has label -1: a rtree-dual book labels that tree 1"),
+    ], ids=["third-root", "depth-1-root", "tree-5", "repeated-member", "below-usable-parent-root",
+            "parent-not-a-node", "negative-member", "cf-kind-dual", "relabelled-node"])
+    def test_one_rule_at_both_doors(self, request, book, edit, node, message):
+        """Books the views once accepted: a root count, a root, a tree, a
+        member or a label off the rules, or a parent link below the usable depth."""
+        book = request.getfixturevalue({"skin": "skin_book", "cf": "example_cf_book",
+                                        "fourclass": "fourclass_book"}[book])
+        assert_one_rule(book, message, node, **edit(book))
+
+    def test_member_offsets_must_span_the_members(self, skin_book):
+        """Offsets that overrun the members once ended in a bare numpy ValueError."""
+        ptr = changed(skin_book.arrays.member_ptr, -1, skin_book.arrays.member_ptr[-1] + 5)
+        arrays = dataclasses.replace(skin_book.arrays, member_ptr=ptr)
+        with pytest.raises(ParseError, match="member offsets must be 140 ascending offsets from 0 to ") as err:
+            em.CodeBook(skin_book.kind, arrays, skin_book.roots, skin_book.config, skin_book.seed)
+        assert err.value.node is None

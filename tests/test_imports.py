@@ -164,7 +164,9 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 
 def test_settable_value_count():
-    """The number of values a caller can set, as ``tools/settable_values.py`` counts
-    them. A change that adds or removes a setting updates this pin in its own diff."""
+    """The number of values a caller can set and of exported names, as
+    ``tools/settable_values.py`` counts them. A change that adds or removes a
+    setting or an export updates these pins in its own diff."""
     script = (ROOT / "tools" / "settable_values.py").read_text(encoding="utf-8")
-    assert _python(script, ROOT).split()[0] == "373"
+    settable, exported = _python(script, ROOT).splitlines()
+    assert (settable.split()[0], exported.split()[0]) == ("373", "79")

@@ -4,7 +4,8 @@ Counted: the parameters of the public functions each module defines, the
 parameters of the public methods and classmethods of its classes (not
 ``self`` or ``cls``; exception classes are skipped), the ``__init__``
 fields of its dataclasses and NamedTuples, and every command-line option
-except help and the choice of subcommand. Run from the repository root:
+except help and the choice of subcommand. A second line counts the names
+``elastic_mine.__all__`` exports. Run from the repository root:
 
     PYTHONPATH=src python tools/settable_values.py
 """
@@ -62,3 +63,4 @@ if __name__ == "__main__":
     options = option_count(build_parser())
     print(f"{params + fields + options} settable values: {params} parameters, "
           f"{fields} record fields, {options} command-line options")
+    print(f"{len(elastic_mine.__all__)} exported names")
