@@ -8,9 +8,10 @@ Three coders share one codebook representation:
 * a divisive k-means hierarchy as an alternate rating coder.
 
 R-trees are bulk loaded top-down: each node's point set is tiled into its
-children with a sort-tile-recursive pass, so sibling boxes have disjoint
-interiors, every leaf sits at the same depth, and the per-depth sum of
-bounding-box volumes can never grow with depth. A "code" is the set of all
+children with a sort-tile-recursive pass, run for all nodes of a depth at
+once, so sibling boxes have disjoint interiors, every leaf sits at the
+same depth, and the per-depth sum of bounding-box volumes can never grow
+with depth. A "code" is the set of all
 nodes at one depth; depth 0 (the roots) is never usable as a code.
 
 A book holds its nodes as columns (:class:`NodeArrays`): one array per
@@ -272,6 +273,29 @@ def _check_members(nodes: NodeArrays, usable: int):
                              f" at depth 0, not once at each", node=holder(held))
 
 
+def _check_aggregates(nodes: NodeArrays):
+    """Raise :class:`ParseError` unless the aggregate offsets are N + 1 offsets
+    ascending from 0 to the entry count, every column holds one value per
+    entry, and every entry has a finite rating and rater mean and at least one rater."""
+    agg, n = nodes.aggregates, len(nodes)
+    ptr, size = np.asarray(agg.ptr), len(agg.item)
+    rule = f"the aggregate offsets must be {n + 1} ascending offsets from 0 to {size}"
+    if len(ptr) > n + 1 or any(len(column) != size for column in agg[2:]):
+        raise ParseError(f"{rule}, and every aggregate column must hold {size} values")
+    ends = np.full(n + 1, -1)  # a missing offset reads -1
+    ends[: len(ptr)] = ptr
+    ok = ends[1:] >= ends[:-1]  # node i's entries run from ends[i] to ends[i + 1]
+    ok[0] &= ends[0] == 0
+    ok[-1] &= ends[-1] == size
+    _require(ok, None, lambda i: f"node {i} has aggregate offsets {ptr[i : i + 2].tolist()}: {rule}")
+    holder = np.repeat(np.arange(n), np.diff(ptr))  # the node of each entry
+    for bad, says in ((~(np.isfinite(agg.rating) & np.isfinite(agg.rater_mean)), "a non-finite rating or rater mean"),
+                      (agg.raters < 1, "fewer than one rater")):
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ParseError(f"node {holder[k]} aggregates item {agg.item[k]} with {says}", node=int(holder[k]))
+
+
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
     """Columnar views of depths 0..usable; each view's offsets come from its nodes' parents.
 
@@ -327,7 +351,8 @@ class CodeBook:
     Books come from the builders, from :func:`load_codebook` or straight from
     :class:`NodeArrays`. Making a book is the one check of its structure:
     :func:`_check_links`, then :func:`_build_columns`, which builds the view of
-    every depth up to the usable one, then :func:`_check_members`. A book that
+    every depth up to the usable one, then :func:`_check_members`, and for a
+    CF book with aggregates :func:`_check_aggregates`. A book that
     fails raises :class:`ParseError` naming the node at fault in ``node`` (None
     for a rule of the roots or of a whole column) and is never made.
     """
@@ -349,6 +374,8 @@ class CodeBook:
         object.__setattr__(self, "_depths", tuple(range(1, self.usable_depth() + 1)))
         object.__setattr__(self, "_columns", _build_columns(self))
         _check_members(self.arrays, self.usable_depth())
+        if self.kind in (KIND_CF, KIND_KMEANS) and self.arrays.aggregates is not None:
+            _check_aggregates(self.arrays)
 
     def tree_depth(self, tree: int) -> int:
         return int(self.arrays.depth[self.arrays.tree == tree].max())
@@ -471,23 +498,6 @@ def total_mbr_volume(book: CodeBook, depth: int) -> float:
 # R-tree bulk loading
 
 
-def _tile(X: np.ndarray, order: np.ndarray, ngroups: int, cap: int, dim: int = 0) -> list[np.ndarray]:
-    """Sort-tile-recursive pass: split ``order`` into <= ngroups groups of <= cap rows."""
-    n = len(order)
-    if ngroups <= 1 or n <= cap:
-        return [order]
-    srt = order[np.argsort(X[order, dim], kind="stable")]
-    if X.shape[1] - dim <= 1:
-        return [srt[i : i + cap] for i in range(0, n, cap)]
-    slabs = math.ceil(ngroups ** (1.0 / (X.shape[1] - dim)))
-    pages_per_slab = math.ceil(ngroups / slabs)
-    slab_rows = pages_per_slab * cap
-    groups: list[np.ndarray] = []
-    for s in range(0, n, slab_rows):
-        groups.extend(_tile(X, srt[s : s + slab_rows], pages_per_slab, cap, dim + 1))
-    return groups
-
-
 def _tree_height(n: int, max_entries: int, leaf_capacity: int) -> int:
     n_leaves = math.ceil(n / leaf_capacity)
     if n_leaves <= 1:
@@ -495,68 +505,157 @@ def _tree_height(n: int, max_entries: int, leaf_capacity: int) -> int:
     return max(1, math.ceil(math.log(n_leaves) / math.log(max_entries) - 1e-12))
 
 
+def _sorted_within(perm: np.ndarray, start: np.ndarray, size: np.ndarray, rank: np.ndarray, width: int):
+    """Stably sort the rows of ``perm`` in each slice ``start[t]`` up to
+    ``start[t] + size[t]`` by ``rank`` (values below ``width``), in place.
+
+    The slices ascend and do not overlap, so one stable sort of (slice, rank)
+    keys sorts every slice at once and keeps each tie's order.
+    """
+    at = _ranges(start, start + size)
+    rows = perm[at]
+    key = np.repeat(np.arange(len(size)) * width, size) + rank[rows]
+    if len(size) * width <= 1 << 16:  # numpy sorts 16-bit keys stably by radix, in linear time
+        key = key.astype(np.uint16)
+    perm[at] = rows[np.argsort(key, kind="stable")]
+
+
+def _str_depth(ranks: list[tuple[np.ndarray, int]], perm: np.ndarray, ptr: np.ndarray, cap: int):
+    """Tile every node of one depth into its children, sort-tile-recursively.
+
+    Node i holds the rows ``perm[ptr[i]:ptr[i + 1]]``; each child is to hold
+    at most ``cap`` rows. A node is tiled as in Leutenegger, Lopez and
+    Edgington's STR: to fill g = ceil(rows / cap) pages over d coordinates,
+    sort its rows by the first coordinate, cut them into slabs of
+    ceil(g / ceil(g ** (1 / d))) pages and tile each slab, as a tile of that
+    many pages, over the other coordinates; at the last coordinate, cut the
+    sorted rows into pages. A tile with at most one page to fill, or at most
+    ``cap`` rows, is a child as it stands. ``ranks`` holds each coordinate's
+    dense ranks and their count. All tiles of the depth are cut at once, one
+    coordinate after another.
+
+    Returns the depth's row order below, its children's offsets into it and
+    each child's node.
+    """
+    perm = perm.copy()
+    start, size = ptr[:-1], np.diff(ptr)
+    owner = np.arange(len(size))
+    pages = -(-size // cap)
+    d = len(ranks)
+    for dim, (rank, width) in enumerate(ranks):
+        live = (pages > 1) & (size > cap)
+        if not live.any():
+            break
+        _sorted_within(perm, start[live], size[live], rank, width)
+        if dim < d - 1:
+            # in Python floats, once per distinct page count: numpy's power may
+            # round differently and move a ceil at an exact power
+            table = np.ones(int(pages.max()) + 1, dtype=np.intp)
+            for g in np.flatnonzero(np.bincount(pages[live])).tolist():
+                table[g] = math.ceil(g / math.ceil(g ** (1.0 / (d - dim))))
+            per_slab = table[pages]
+        else:
+            per_slab = np.ones(len(size), dtype=np.intp)  # at the last coordinate, slabs are pages
+        step = np.where(live, per_slab * cap, size)  # a tile not cut stays whole
+        cuts = -(-size // step)
+        step = np.repeat(step, cuts)
+        at = np.repeat(start, cuts) + (np.arange(len(step)) - np.repeat(_ptr(cuts)[:-1], cuts)) * step
+        size = np.minimum(step, np.repeat(start + size, cuts) - at)
+        start, owner = at, np.repeat(owner, cuts)
+        pages = np.repeat(np.where(live, per_slab, 0), cuts)
+    return perm, np.append(start, ptr[-1]), owner
+
+
 class _Builder:
-    """Accumulates nodes for one codebook; node ids are assigned in construction order."""
+    """Accumulates nodes for one codebook as blocks of columns; node ids are
+    assigned in construction order."""
 
     def __init__(self):
-        self.tree: list[int] = []
-        self.depth: list[int] = []
-        self.parent: list[int] = []
-        self.label: list[int] = []
-        self.members: list[np.ndarray] = []
+        self.size = 0  # nodes so far
+        self.blocks: list[tuple] = []  # (tree, depth, parent, label, member count, members) columns
 
     def add(self, tree, depth, parent, members, label=None) -> int:
-        self.tree.append(tree)
-        self.depth.append(depth)
-        self.parent.append(-1 if parent is None else parent)
-        self.label.append(label or 0)
-        self.members.append(members)
-        return len(self.tree) - 1
+        members = np.asarray(members, dtype=np.intp)
+        self.blocks.append(([tree], [depth], [-1 if parent is None else parent], [label or 0], [len(members)],
+                            members))
+        self.size += 1
+        return self.size - 1
 
     def build_rtree(self, X: np.ndarray, tree: int, max_entries: int, leaf_capacity: int,
                     label=None, rows=None) -> int:
         """Bulk load one R-tree over the rows of X; returns the root's id.
 
-        Members are X's row numbers, or ``rows[i]`` for row i of X when
-        ``rows`` (the dataset rows X was taken from) is given.
+        Sort-tile-recursive packing, level-synchronous: :func:`_str_depth`
+        tiles every node of a depth at once, with one stable sort per depth
+        and coordinate over the rows of the nodes still to cut, keyed by
+        node and by the dense rank of the coordinate, which is computed once
+        per tree. Ties keep their order, so each node is tiled
+        exactly as it would be alone. Node ids run depth first, computed from
+        subtree sizes, and each node's members are a slice of its depth's row
+        order. Members are X's row numbers, or ``rows[i]`` for row i of X
+        when ``rows`` (the dataset rows X was taken from) is given.
         """
-        height = _tree_height(len(X), max_entries, leaf_capacity)
-
-        def rec(order: np.ndarray, remaining: int, depth: int, parent):
-            nid = self.add(tree, depth, parent, order if rows is None else rows[order], label)
-            if remaining == 0:
-                return nid
-            child_cap = leaf_capacity * max_entries ** (remaining - 1)
-            ngroups = math.ceil(len(order) / child_cap)
-            groups = _tile(X, order, ngroups, child_cap) if ngroups > 1 else [order]
-            for grp in groups:
-                rec(grp, remaining - 1, depth + 1, nid)
-            return nid
-
-        return rec(np.arange(len(X)), height, 0, None)
+        n = len(X)
+        height = _tree_height(n, max_entries, leaf_capacity)
+        ranks = [(rank, len(values)) for values, rank in
+                 (np.unique(X[:, j], return_inverse=True) for j in range(X.shape[1]))]
+        perms, ptrs, owners = [np.arange(n)], [np.array([0, n])], [np.zeros(1, dtype=np.intp)]
+        for remaining in range(height, 0, -1):
+            perm, ptr, owner = _str_depth(ranks, perms[-1], ptrs[-1], leaf_capacity * max_entries ** (remaining - 1))
+            perms.append(perm)
+            ptrs.append(ptr)
+            owners.append(owner)
+        # each node's first child; every node above the leaves has one
+        firsts = [np.flatnonzero(np.diff(owner, prepend=-1)) for owner in owners[1:]]
+        sizes = [np.ones(len(owners[-1]), dtype=np.intp)]  # subtree sizes, bottom up
+        for first in firsts[::-1]:
+            sizes.insert(0, 1 + np.add.reduceat(sizes[0], first))
+        # depth-first ids, top down: a node follows its parent and its earlier siblings' subtrees
+        base = self.size
+        ids = [np.array([base])]
+        for size, owner, first in zip(sizes[1:], owners[1:], firsts):
+            before = np.cumsum(size) - size
+            ids.append(ids[-1][owner] + 1 + before - before[first][owner])
+        total = int(sizes[0][0])
+        order = np.empty(total, dtype=np.intp)
+        order[np.concatenate(ids) - base] = np.arange(total)  # level-order position of each id
+        depth = np.repeat(np.arange(height + 1), [len(i) for i in ids])[order]
+        parent = np.concatenate([[-1]] + [i[o] for i, o in zip(ids, owners[1:])])[order]
+        counts = np.concatenate([np.diff(p) for p in ptrs])[order]
+        member_ptr = _ptr(counts)
+        members = np.empty(member_ptr[-1], dtype=np.intp)
+        for i, perm in zip(ids, perms):
+            at = member_ptr[i - base]
+            members[_ranges(at, at + counts[i - base])] = perm
+        self.blocks.append((np.full(total, tree), depth, parent, np.full(total, label or 0), counts,
+                            members if rows is None else rows[members]))
+        self.size += total
+        return base
 
     def finish(self, kind, roots, config, seed, points, matrix=None, features=None,
                warnings=()) -> CodeBook:
         """The book. Each box bounds the node's members' rows of ``points``;
         given a rating matrix, each node aggregates its members' ratings."""
-        member_ptr = _ptr([len(m) for m in self.members])
-        if not np.diff(member_ptr).all():
+        tree, depth, parent, label, counts, members = (np.concatenate(c) for c in zip(*self.blocks))
+        member_ptr = _ptr(counts)
+        if not counts.all():
             raise ValueError("every node needs at least one member")
-        members = np.concatenate(self.members).astype(np.intp, copy=False)
         points = np.asarray(points, dtype=float)
-        at = points.take(members, axis=0)
-        # one C-ordered (2, d, N) block: np.stack would keep the transposed strides
-        bounds = np.array([f.reduceat(at, member_ptr[:-1], axis=0).T for f in (np.minimum, np.maximum)])
-        # min and max break a tie of 0.0 and -0.0 by position, which reduceat
-        # and a min or max over one node's points visit in different orders
-        for i in np.flatnonzero((bounds == 0).any(axis=(0, 1))).tolist():
-            node_points = points[self.members[i]]
+        at = np.ascontiguousarray(points.T).take(members, axis=1)  # (d, members)
+        # one C-ordered (2, d, N) block
+        bounds = np.array([f.reduceat(at, member_ptr[:-1], axis=1) for f in (np.minimum, np.maximum)])
+        # min and max break a tie of 0.0 and -0.0 by position, which reduceat and a
+        # min or max over one node's points visit in different orders; only a node
+        # holding a -0.0 in a coordinate whose bound is 0 can meet such a tie
+        negative_zero = np.logical_or.reduceat((at == 0) & np.signbit(at), member_ptr[:-1], axis=1)
+        for i in np.flatnonzero((negative_zero & (bounds == 0).any(axis=0)).any(axis=0)).tolist():
+            node_points = points.take(members[member_ptr[i] : member_ptr[i + 1]], axis=0)
             bounds[:, :, i] = node_points.min(axis=0), node_points.max(axis=0)
         arrays = NodeArrays(
-            tree=np.array(self.tree, dtype=np.intp),
-            depth=np.array(self.depth, dtype=np.intp),
-            parent=np.array(self.parent, dtype=np.intp),
-            label=np.array(self.label, dtype=int),
+            tree=tree.astype(np.intp, copy=False),
+            depth=depth.astype(np.intp, copy=False),
+            parent=parent.astype(np.intp, copy=False),
+            label=label.astype(int, copy=False),
             bounds=bounds,
             member_ptr=member_ptr,
             members=members,
@@ -672,7 +771,7 @@ def build_cf_codebook(
     root = builder.build_rtree(values, 0, max_entries, leaf_capacity)
     config = {"max_entries": max_entries, "leaf_capacity": leaf_capacity, "task": "cf"}
     warnings = []
-    if len(builder.tree) == 1:
+    if builder.size == 1:
         warnings.append("tree is a single leaf; no usable code exists")
     return builder.finish(KIND_CF, [root], config, seed, values, matrix, features=values,
                           warnings=warnings)
@@ -828,53 +927,75 @@ def _joined_rows(ptr: np.ndarray, text: list[str]) -> list[str]:
     return [" ".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def dump_codebook(book: CodeBook) -> str:
+_DUMP_CHUNK = 1 << 14  # about this many numbers per piece of a dump
+
+
+def _dump_pieces(book: CodeBook):
+    """The version 1 text of a book, in pieces of whole lines: the header,
+    the 'F' lines in runs, then runs of 'N' lines, each node followed by its
+    'A' lines, and 'end'. A run holds about :data:`_DUMP_CHUNK` numbers, so
+    its strings, not the whole text's, are alive at once."""
     nodes = book.arrays
-    lines = [f"{MAGIC} {FORMAT_VERSION}"]
-    lines.append(f"kind {book.kind}")
-    lines.append(f"seed {book.seed}")
-    lines.append("config " + json.dumps(book.config, sort_keys=True, separators=(",", ":")))
-    for w in book.warnings:
-        lines.append("warning " + w)
+    lines = [f"{MAGIC} {FORMAT_VERSION}", f"kind {book.kind}", f"seed {book.seed}",
+             "config " + json.dumps(book.config, sort_keys=True, separators=(",", ":"))]
+    lines += ["warning " + w for w in book.warnings]
     lines.append("roots " + " ".join(str(r) for r in book.roots))
-    if book.features is None:
-        lines.append("features 0 0")
-    else:
-        m, d = book.features.shape
-        lines.append(f"features {m} {d}")
-        lines.extend("F " + " ".join(map(repr, row)) for row in book.features.tolist())
-    lines.append(f"nodes {len(nodes)}")
-    parents = ["-" if p < 0 else str(p) for p in nodes.parent.tolist()]
-    labels = ["-" if x == 0 else str(x) for x in nodes.label.tolist()]
-    box_ptr = np.arange(len(nodes) + 1) * nodes.bounds.shape[1]
-    low = _joined_rows(box_ptr, _texts(nodes.bounds[0].T, repr))
-    upp = _joined_rows(box_ptr, _texts(nodes.bounds[1].T, repr))
+    m, d = (0, 0) if book.features is None else book.features.shape
+    lines.append(f"features {m} {d}")
+    yield "\n".join(lines) + "\n"
+    step = _DUMP_CHUNK // max(d, 1) or 1
+    for lo in range(0, m, step):
+        yield "".join("F " + " ".join(map(repr, row)) + "\n" for row in book.features[lo : lo + step].tolist())
+    n, d = len(nodes), nodes.bounds.shape[1]
+    yield f"nodes {n}\n"
     child_ptr, child_ids = nodes.child_csr
-    children = _joined_rows(child_ptr, list(map(str, child_ids.tolist())))
-    members = _joined_rows(nodes.member_ptr, list(map(str, nodes.members.tolist())))
-    agg = nodes.aggregates
-    if agg is None:
-        agg_lines, agg_ptr = [], [0] * (len(nodes) + 1)
-    else:
-        owner = np.repeat(np.arange(len(nodes)), np.diff(agg.ptr))
-        agg_lines = list(map(" ".join, zip(
-            repeat("A"), _texts(owner, str), _texts(agg.item, str), _texts(agg.rating, repr),
-            _texts(agg.rater_mean, repr), _texts(agg.raters, str),
-        )))
-        agg_ptr = agg.ptr.tolist()
-    for i, (tree, depth) in enumerate(zip(nodes.tree.tolist(), nodes.depth.tolist())):
+    agg_ptr = np.zeros(n + 1, dtype=np.intp) if nodes.aggregates is None else nodes.aggregates.ptr
+    # cut the nodes into runs of about _DUMP_CHUNK numbers: box, members, aggregates
+    weight = np.cumsum(2 * d + np.diff(nodes.member_ptr[: n + 1]) + 5 * np.diff(agg_ptr[: n + 1]))
+    cuts = np.unique(np.r_[0, np.searchsorted(weight, np.arange(_DUMP_CHUNK, weight[-1], _DUMP_CHUNK)), n])
+    for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()):
+        yield "\n".join(_node_lines(nodes, lo, hi, d, child_ptr, child_ids, agg_ptr)) + "\n"
+    yield "end\n"
+
+
+def _node_lines(nodes: NodeArrays, lo: int, hi: int, d: int, child_ptr, child_ids, agg_ptr) -> list[str]:
+    """The 'N' lines of nodes lo up to hi, each followed by its 'A' lines."""
+    parents = ["-" if p < 0 else str(p) for p in nodes.parent[lo:hi].tolist()]
+    labels = ["-" if x == 0 else str(x) for x in nodes.label[lo:hi].tolist()]
+    box_ptr = np.arange(hi - lo + 1) * d
+    low = _joined_rows(box_ptr, _texts(nodes.bounds[0, :, lo:hi].T, repr))
+    upp = _joined_rows(box_ptr, _texts(nodes.bounds[1, :, lo:hi].T, repr))
+    children = _joined_rows(child_ptr[lo : hi + 1] - child_ptr[lo],
+                            list(map(str, child_ids[child_ptr[lo] : child_ptr[hi]].tolist())))
+    member_ptr = nodes.member_ptr[lo : hi + 1]
+    members = _joined_rows(member_ptr - member_ptr[0],
+                           list(map(str, nodes.members[member_ptr[0] : member_ptr[-1]].tolist())))
+    agg, a, b = nodes.aggregates, int(agg_ptr[lo]), int(agg_ptr[hi])
+    agg_lines = [] if agg is None else list(map(" ".join, zip(
+        repeat("A"), _texts(np.repeat(np.arange(lo, hi), np.diff(agg_ptr[lo : hi + 1])), str),
+        _texts(agg.item[a:b], str), _texts(agg.rating[a:b], repr), _texts(agg.rater_mean[a:b], repr),
+        _texts(agg.raters[a:b], str),
+    )))
+    agg_rows = (agg_ptr[lo : hi + 1] - a).tolist()
+    lines = []
+    for r, (tree, depth) in enumerate(zip(nodes.tree[lo:hi].tolist(), nodes.depth[lo:hi].tolist())):
         lines.append(
-            f"N {i} {tree} {depth} {parents[i]} {labels[i]} C {children[i]}"
-            f" M {low[i]} | {upp[i]} P {members[i]}"
+            f"N {lo + r} {tree} {depth} {parents[r]} {labels[r]} C {children[r]}"
+            f" M {low[r]} | {upp[r]} P {members[r]}"
         )
-        lines.extend(agg_lines[agg_ptr[i] : agg_ptr[i + 1]])
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+        lines.extend(agg_lines[agg_rows[r] : agg_rows[r + 1]])
+    return lines
+
+
+def dump_codebook(book: CodeBook) -> str:
+    """The version 1 text of a book, as one string; :func:`save_codebook`
+    writes the same bytes piece by piece."""
+    return "".join(_dump_pieces(book))
 
 
 def save_codebook(book: CodeBook, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_codebook(book))
+        fh.writelines(_dump_pieces(book))
 
 
 _HEADER_TAGS = ("kind", "seed", "config", "roots", "features", "nodes")

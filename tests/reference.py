@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from elastic_mine.coding import KIND_CF, KIND_DUAL, CodeBook, _Builder, _user_features
+from elastic_mine.coding import KIND_CF, KIND_DUAL, CodeBook, _Builder, _ptr, _tree_height, _user_features
 from elastic_mine.datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
 from elastic_mine.knn import _check_dim
 
@@ -151,6 +151,69 @@ def ancestor_at(book: CodeBook, node_id: int, depth: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Sort-tile-recursive bulk loading, one node at a time
+
+
+def str_tile(X: np.ndarray, order: np.ndarray, ngroups: int, cap: int, dim: int = 0) -> list[np.ndarray]:
+    """Sort-tile-recursive pass: split ``order`` into <= ngroups groups of <= cap rows."""
+    n = len(order)
+    if ngroups <= 1 or n <= cap:
+        return [order]
+    srt = order[np.argsort(X[order, dim], kind="stable")]
+    if X.shape[1] - dim <= 1:
+        return [srt[i : i + cap] for i in range(0, n, cap)]
+    slabs = math.ceil(ngroups ** (1.0 / (X.shape[1] - dim)))
+    pages_per_slab = math.ceil(ngroups / slabs)
+    slab_rows = pages_per_slab * cap
+    groups: list[np.ndarray] = []
+    for s in range(0, n, slab_rows):
+        groups.extend(str_tile(X, srt[s : s + slab_rows], pages_per_slab, cap, dim + 1))
+    return groups
+
+
+def str_rtree(X: np.ndarray, max_entries: int, leaf_capacity: int) -> list[tuple[int, int, np.ndarray]]:
+    """One R-tree over the rows of X, bulk loaded top-down by tiling one node
+    at a time: (depth, parent, member rows of X) of every node, depth first;
+    the parent is a position in the list, -1 for the root."""
+    nodes: list[tuple[int, int, np.ndarray]] = []
+
+    def rec(order: np.ndarray, remaining: int, depth: int, parent: int):
+        nid = len(nodes)
+        nodes.append((depth, parent, order))
+        if remaining == 0:
+            return
+        child_cap = leaf_capacity * max_entries ** (remaining - 1)
+        ngroups = math.ceil(len(order) / child_cap)
+        for grp in str_tile(X, order, ngroups, child_cap) if ngroups > 1 else [order]:
+            rec(grp, remaining - 1, depth + 1, nid)
+
+    rec(np.arange(len(X)), _tree_height(len(X), max_entries, leaf_capacity), 0, -1)
+    return nodes
+
+
+def str_columns(points, trees, max_entries: int, leaf_capacity: int) -> dict[str, np.ndarray]:
+    """The node columns of a book of :func:`str_rtree` trees over ``points``,
+    one tree per (rows, label) of ``trees``, in that order; each box is
+    :meth:`Mbr.of_points` of its node's points."""
+    points = np.asarray(points, dtype=float)
+    tree, depth, parent, label, members, boxes = [], [], [], [], [], []
+    for t, (rows, tree_label) in enumerate(trees):
+        base = len(tree)
+        for node_depth, up, order in str_rtree(points[rows], max_entries, leaf_capacity):
+            tree.append(t)
+            depth.append(node_depth)
+            parent.append(-1 if up < 0 else base + up)
+            label.append(tree_label)
+            members.append(rows[order])
+            boxes.append(Mbr.of_points(points[rows[order]]))
+    return dict(
+        tree=np.array(tree), depth=np.array(depth), parent=np.array(parent), label=np.array(label),
+        member_ptr=_ptr([len(m) for m in members]), members=np.concatenate(members),
+        bounds=np.array([[box.low for box in boxes], [box.upp for box in boxes]]).transpose(0, 2, 1),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Explicit-hierarchy builders (worked examples and fixtures)
 
 
@@ -167,14 +230,19 @@ def _hierarchy_depth(spec) -> int:
     return depths.pop() + 1
 
 
-def _build_hierarchy(builder: _Builder, spec, tree: int, depth, parent, label):
+def _spec_members(spec) -> np.ndarray:
+    """The rows a node spec holds: its leaves' rows, in order."""
     if _is_leaf_spec(spec):
-        members = np.array(spec, dtype=np.intp)
-        return builder.add(tree, depth, parent, members, label), members
-    nid = builder.add(tree, depth, parent, None, label)
-    children = [_build_hierarchy(builder, child, tree, depth + 1, nid, label)[1] for child in spec]
-    builder.members[nid] = np.concatenate(children)
-    return nid, builder.members[nid]
+        return np.array(spec, dtype=np.intp)
+    return np.concatenate([_spec_members(child) for child in spec])
+
+
+def _build_hierarchy(builder: _Builder, spec, tree: int, depth, parent, label) -> int:
+    nid = builder.add(tree, depth, parent, _spec_members(spec), label)
+    if not _is_leaf_spec(spec):
+        for child in spec:
+            _build_hierarchy(builder, child, tree, depth + 1, nid, label)
+    return nid
 
 
 def dual_book_from_hierarchy(train: LabeledDataset, positive_spec, negative_spec) -> CodeBook:
@@ -187,8 +255,7 @@ def dual_book_from_hierarchy(train: LabeledDataset, positive_spec, negative_spec
     roots = []
     for tree, (spec, label) in enumerate(((positive_spec, POSITIVE), (negative_spec, NEGATIVE))):
         _hierarchy_depth(spec)
-        nid, _ = _build_hierarchy(builder, spec, tree, 0, None, label)
-        roots.append(nid)
+        roots.append(_build_hierarchy(builder, spec, tree, 0, None, label))
     return builder.finish(KIND_DUAL, roots, {"task": "knn", "source": "explicit"}, 0, train.features)
 
 
@@ -205,7 +272,7 @@ def cf_book_from_hierarchy(matrix: RatingMatrix, spec, features=None) -> CodeBoo
     builder = _Builder()
     rows_spec = to_rows(spec)
     _hierarchy_depth(rows_spec)
-    root, _ = _build_hierarchy(builder, rows_spec, 0, 0, None, None)
+    root = _build_hierarchy(builder, rows_spec, 0, 0, None, None)
     return builder.finish(
         KIND_CF, [root], {"task": "cf", "source": "explicit"}, 0, values, matrix, features=values
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import types
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from conftest import (
     EXAMPLE_HIERARCHY, NON_INTEGERS, TABLE_FEATURES, aggregates_of, leaf_with_members, non_integer_rows,
 )
 from reference import (
-    Mbr, _sum_sq, aggregate_ratings, ancestor_at, cf_book_from_hierarchy, dual_book_from_hierarchy,
+    Mbr, _sum_sq, aggregate_ratings, ancestor_at, cf_book_from_hierarchy, dual_book_from_hierarchy, str_columns,
 )
 
 
@@ -787,6 +788,57 @@ class TestArrayBuilders:
         assert_round_trip(book)
 
 
+def grid_points(seed: int, n: int, d: int, scale: float) -> np.ndarray:
+    """n points of d coordinates rounded to integers: ties everywhere, and -0.0."""
+    rng = np.random.default_rng(seed)
+    points = np.round(rng.normal(0.0, scale, size=(n, d)))
+    points[rng.random(points.shape) < 0.1] = -0.0
+    return points
+
+
+def assert_str_columns(nodes, want):
+    """The book's columns are the node-by-node STR book's, its boxes bit for bit."""
+    for name in ("tree", "depth", "parent", "label", "member_ptr", "members"):
+        assert getattr(nodes, name).tolist() == want[name].tolist(), name
+    assert _same_bits(nodes.bounds, want["bounds"])
+
+
+class TestBulkLoad:
+    """The level-synchronous STR pass builds the book that tiling one node at
+    a time builds (``str_rtree`` in tests/reference.py): the same ids, the
+    same member order per node and the same boxes."""
+
+    @given(seed=st.integers(0, 2**32 - 1), pos=st.integers(1, 80), neg=st.integers(1, 80), d=st.integers(1, 4),
+           scale=st.sampled_from([0.7, 3.0, 30.0]), max_entries=st.integers(2, 6), leaf_capacity=st.integers(1, 5))
+    @example(seed=0, pos=1, neg=40, d=2, scale=3.0, max_entries=2, leaf_capacity=1)  # a one-leaf tree
+    @example(seed=1, pos=5, neg=80, d=3, scale=0.7, max_entries=3, leaf_capacity=5)  # heights 0 and 3
+    @example(seed=2, pos=30, neg=80, d=4, scale=0.7, max_entries=2, leaf_capacity=2)  # heights 4 and 6
+    @settings(max_examples=100, deadline=None)
+    def test_dual_books(self, seed, pos, neg, d, scale, max_entries, leaf_capacity):
+        points = grid_points(seed, pos + neg, d, scale)
+        labels = np.random.default_rng(seed).permutation([1] * pos + [-1] * neg)
+        book = em.build_dual_rtrees(em.LabeledDataset(points, labels), max_entries, leaf_capacity=leaf_capacity)
+        trees = [(np.flatnonzero(labels == label), label) for label in (1, -1)]
+        assert_str_columns(book.arrays, str_columns(points, trees, max_entries, leaf_capacity))
+
+    @given(seed=st.integers(0, 2**32 - 1), users=st.integers(1, 120), d=st.integers(1, 4),
+           scale=st.sampled_from([0.7, 3.0, 30.0]), max_entries=st.integers(2, 6), leaf_capacity=st.integers(1, 5))
+    @example(seed=0, users=3, d=2, scale=3.0, max_entries=2, leaf_capacity=5)  # a one-leaf tree
+    @settings(max_examples=60, deadline=None)
+    def test_cf_books(self, seed, users, d, scale, max_entries, leaf_capacity):
+        points = grid_points(seed, users, d, scale)
+        matrix = em.RatingMatrix(users, 1, {(u, 1): 3.0 for u in range(1, users + 1)})
+        book = em.build_cf_codebook(matrix, points, max_entries, leaf_capacity=leaf_capacity)
+        assert_str_columns(book.arrays, str_columns(points, [(np.arange(users), 0)], max_entries, leaf_capacity))
+
+    def test_skin_book(self):
+        """236 distinct values per coordinate and six -0.0 coordinates."""
+        train = em.synthetic.skin_like(3000)
+        book = em.build_dual_rtrees(train, max_entries=4)
+        trees = [(np.flatnonzero(train.labels == label), label) for label in (1, -1)]
+        assert_str_columns(book.arrays, str_columns(train.features, trees, 4, 4))
+
+
 def assert_round_trip(book):
     """dump -> load -> dump is byte-identical."""
     text = em.dump_codebook(book)
@@ -997,14 +1049,45 @@ class TestBoxesOfArrayBooks:
         ("cf", lambda b: dict(kind=em.coding.KIND_DUAL), None, "a rtree-dual book has two roots, not 1"),
         ("fourclass", lambda b: dict(label=changed(b.arrays.label, 5, -1)), 5,
          "node 5 of tree 0 has label -1: a rtree-dual book labels that tree 1"),
+        ("cf", lambda b: dict(aggregates=b.arrays.aggregates._replace(
+            raters=changed(b.arrays.aggregates.raters, 10, 0))), 3, "node 3 aggregates item 1 with fewer than one rater"),
     ], ids=["third-root", "depth-1-root", "tree-5", "repeated-member", "below-usable-parent-root",
-            "parent-not-a-node", "negative-member", "cf-kind-dual", "relabelled-node"])
+            "parent-not-a-node", "negative-member", "cf-kind-dual", "relabelled-node", "no-rater"])
     def test_one_rule_at_both_doors(self, request, book, edit, node, message):
         """Books the views once accepted: a root count, a root, a tree, a
         member or a label off the rules, or a parent link below the usable depth."""
         book = request.getfixturevalue({"skin": "skin_book", "cf": "example_cf_book",
                                         "fourclass": "fourclass_book"}[book])
         assert_one_rule(book, message, node, **edit(book))
+
+    @pytest.mark.parametrize("edit, node, message", [
+        (lambda a: dict(ptr=a.ptr[:-3]), 4, "node 4 has aggregate offsets [13]: the aggregate offsets must be 8"
+                                            " ascending offsets from 0 to 21"),
+        (lambda a: dict(ptr=changed(a.ptr, 3, 14)), 3, "node 3 has aggregate offsets [14, 13]"),
+        (lambda a: dict(ptr=a.ptr + 1), 0, "node 0 has aggregate offsets [1, 6]"),
+        (lambda a: dict(ptr=changed(a.ptr, -1, 20)), 6, "node 6 has aggregate offsets [19, 20]"),
+        (lambda a: dict(ptr=np.append(a.ptr, 21)), None, "must be 8 ascending offsets from 0 to 21"),
+        (lambda a: dict(rating=a.rating[:-1]), None, "every aggregate column must hold 21 values"),
+        (lambda a: dict(rating=changed(a.rating, 10, math.nan)), 3,
+         "node 3 aggregates item 1 with a non-finite rating or rater mean"),
+        (lambda a: dict(rater_mean=changed(a.rater_mean, 10, math.inf)), 3,
+         "node 3 aggregates item 1 with a non-finite rating or rater mean"),
+        (lambda a: dict(raters=changed(a.raters, 10, 0)), 3, "node 3 aggregates item 1 with fewer than one rater"),
+    ], ids=["short", "descending", "not-from-0", "not-to-the-end", "long", "short-column", "nan-rating",
+            "infinite-rater-mean", "no-rater"])
+    @pytest.mark.parametrize("kind", [em.coding.KIND_CF, em.coding.KIND_KMEANS])
+    def test_aggregates_of_array_books(self, example_cf_book, kind, edit, node, message):
+        """A CF or k-means book made from NodeArrays is checked for its
+        aggregates: a short ``ptr`` once ended in a bare IndexError in
+        ``cf.predict``, and NaN ratings gave a fallback answer. The text holds
+        no offsets, and the reader rejects a non-finite number at its own 'A'
+        line, so only a rater count of 0 reaches the book through the reader
+        (the two-door table)."""
+        arrays = dataclasses.replace(example_cf_book.arrays, aggregates=example_cf_book.arrays.aggregates._replace(
+            **edit(example_cf_book.arrays.aggregates)))
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            em.CodeBook(kind, arrays, example_cf_book.roots, example_cf_book.config, example_cf_book.seed)
+        assert err.value.node == node
 
     def test_member_offsets_must_span_the_members(self, skin_book):
         """Offsets that overrun the members once ended in a bare numpy ValueError."""
