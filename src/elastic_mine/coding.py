@@ -717,11 +717,10 @@ def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.n
     through ``bincount``, which adds one weight at a time, so every value
     equals a member-by-member loop's bit for bit.
     """
-    rated = [matrix.user_ratings(u) for u in range(1, matrix.num_users + 1)]
-    user_ptr = _ptr([len(row) for row in rated])
-    items = np.fromiter((i for row in rated for i in row), dtype=np.intp, count=user_ptr[-1])
-    ratings = np.fromiter((r for row in rated for r in row.values()), dtype=float, count=user_ptr[-1])
-    means = np.array([sum(row.values()) / len(row) if row else 0.0 for row in rated])
+    users, items, ratings = matrix.rating_arrays()
+    user_ptr = np.searchsorted(users, np.arange(1, matrix.num_users + 2))
+    means = np.array([0.0 if mean is None else mean
+                      for mean in map(matrix.user_mean, range(1, matrix.num_users + 1))])
     counts = user_ptr[members + 1] - user_ptr[members]
     entries = _ranges(user_ptr[members], user_ptr[members + 1])  # (node, member, item) order
     owner = np.repeat(np.repeat(np.arange(len(member_ptr) - 1), np.diff(member_ptr)), counts)

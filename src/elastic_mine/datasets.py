@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -80,8 +82,9 @@ class RatingMatrix:
     """A sparse user-item rating matrix with 1-based user and item ids.
 
     Raises :class:`InvalidDatasetError` without a user, an item or a
-    rating, for a rating outside the declared ids, and for a rating that
-    is not finite or lies outside ``rating_scale``.
+    rating, for a rating whose user or item id is not an integer or lies
+    outside the declared ids, and for a rating that is not finite or lies
+    outside ``rating_scale``.
     """
 
     num_users: int
@@ -90,6 +93,7 @@ class RatingMatrix:
     rating_scale: tuple[float, float] = RATING_SCALE
     duplicate_count: int = 0
     _by_user: dict = field(default=None, init=False, repr=False, compare=False)
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _deviations: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,8 +103,13 @@ class RatingMatrix:
             raise InvalidDatasetError("rating matrix has no ratings")
         low, high = self.rating_scale
         by_user: dict[int, dict[int, float]] = {}
+        index = operator.index
         for (u, i), r in self.ratings.items():
-            if not (1 <= u <= self.num_users and 1 <= i <= self.num_items):
+            try:
+                inside = 1 <= index(u) <= self.num_users and 1 <= index(i) <= self.num_items
+            except TypeError:
+                raise InvalidDatasetError(f"rating ({u!r}, {i!r}) has an id that is not an integer") from None
+            if not inside:
                 raise InvalidDatasetError(
                     f"rating ({u}, {i}) outside declared {self.num_users}x{self.num_items} bounds")
             r = float(r)
@@ -126,6 +135,28 @@ class RatingMatrix:
 
     def global_mean(self) -> float:
         return sum(self.ratings.values()) / len(self.ratings)
+
+    def rating_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The user ids, item ids and ratings of every rating, in (user, item)
+        order, built on first use and cached as read-only arrays. Ids are
+        32-bit while ``num_users + num_items`` fits, so a matrix keeps 16
+        bytes per rating."""
+        if self._arrays is None:
+            rows = self._by_user
+            counts = [len(row) for row in rows.values()]
+            total = sum(counts)
+            users = np.repeat(np.fromiter(rows, dtype=np.intp, count=len(rows)), counts)
+            items = np.fromiter(chain.from_iterable(rows.values()), dtype=np.intp, count=total)
+            ratings = np.fromiter(chain.from_iterable(row.values() for row in rows.values()),
+                                  dtype=float, count=total)
+            order = np.argsort(users * (self.num_items + 1) + items)  # keys are distinct
+            ids = np.int32 if self.num_users + self.num_items < 1 << 31 else np.intp
+            arrays = (users[order].astype(ids), items[order].astype(ids), ratings[order])
+            for column in arrays:
+                column.flags.writeable = False
+            # one attribute store: concurrent first calls each build equal arrays
+            object.__setattr__(self, "_arrays", arrays)
+        return self._arrays
 
     def deviations(self) -> np.ndarray:
         """The item-major user deviation table, built on first use and cached.

@@ -140,6 +140,25 @@ def node_weight(
     return num / math.sqrt(du * dn)
 
 
+def wavefront_levels(cells: list[tuple[int, int]], m: int, n: int) -> list[int]:
+    """The wavefront level of every (user, item) cell of a sequence, in its order.
+
+    A cell's level is one more than the larger of the levels of the
+    previous cell of its user and of its item (-1 when there is none), so
+    no two cells of a level share a user or an item, and a cell's level is
+    above the level of every earlier cell that shares its user or its item.
+    A cell may occur again, as it does in every epoch of a training pass.
+    """
+    user_level = [-1] * (m + 1)
+    item_level = [-1] * (n + 1)
+    levels = []
+    for u, i in cells:
+        level = max(user_level[u], item_level[i]) + 1
+        user_level[u] = item_level[i] = level
+        levels.append(level)
+    return levels
+
+
 def ancestor_at(book: CodeBook, node_id: int, depth: int) -> int:
     """The id of the node's ancestor at the given shallower depth."""
     nodes, at = book.arrays, int(node_id)

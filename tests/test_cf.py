@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
+from elastic_mine.cf import _EPOCH_BLOCK, _levels
 from elastic_mine.errors import (
     BookKindError, DivergenceError, ForeignStateError, InvalidQueryError, UndefinedMetricError,
 )
 
 from conftest import NON_INTEGERS, TABLE_FEATURES, aggregates_of
-from reference import ItemAggregate, ancestor_at, cf_book_from_hierarchy, node_weight
+from reference import ItemAggregate, ancestor_at, cf_book_from_hierarchy, node_weight, wavefront_levels
 
 
 class TestIncrementalSvd:
@@ -153,6 +154,10 @@ def sparse_rating_matrices(draw):
                            rated_items + draw(st.integers(0, 2)), dict(zip(cells, values)))
 
 
+# every user and item shares a cell with another, so levels chain across epochs
+_CHAINED = em.RatingMatrix(3, 3, {(1, 1): 4.5, (1, 2): 1.5, (2, 1): 2.0, (2, 3): 3.25, (3, 2): 5.0})
+
+
 class TestWavefrontSvd:
     """The wavefront schedule equals the sequential SGD loop bit for bit."""
 
@@ -160,6 +165,11 @@ class TestWavefrontSvd:
            st.integers(1, 30), st.integers(0, 2**16))
     @example(em.RatingMatrix(1, 1, {(1, 1): 3.5}), 2, 0.01, 5, 0)
     @example(em.RatingMatrix(3, 4, {(2, 3): 4.25}), 3, 0.05, 30, 1)
+    # around and across the block size
+    @example(_CHAINED, 2, 0.05, 3, 2)
+    @example(_CHAINED, 2, 0.05, 4, 2)
+    @example(_CHAINED, 2, 0.05, 5, 2)
+    @example(_CHAINED, 2, 0.05, 9, 2)
     @settings(max_examples=100, deadline=None)
     def test_equals_sequential_loop(self, matrix, d, lr, epochs, seed):
         want = _svd_outcome(_reference_svd, matrix, d, lr, epochs, seed)
@@ -176,6 +186,29 @@ class TestWavefrontSvd:
         want = _svd_outcome(_reference_svd, example_matrix, 3, lr, 50, 0)
         assert want[0] == "diverged"
         assert _svd_outcome(_wavefront_svd, example_matrix, 3, lr, 50, 0) == want
+
+    def test_divergence_parity_inside_a_block(self, example_matrix):
+        """A block that ends non-finite is replayed epoch by epoch, so the error
+        names the epoch the loop stops at, not the end of the block."""
+        want = _svd_outcome(_reference_svd, example_matrix, 3, 0.284, 50, 0)
+        assert want[0] == "diverged" and want[2] % _EPOCH_BLOCK != _EPOCH_BLOCK - 1
+        assert _svd_outcome(_wavefront_svd, example_matrix, 3, 0.284, 50, 0) == want
+
+    def test_divergence_parity_in_the_remainder_block(self, example_matrix):
+        epochs = 11  # blocks of epochs 0-3, 4-7 and the remainder 8-10
+        want = _svd_outcome(_reference_svd, example_matrix, 3, 0.282, epochs, 0)
+        assert want[0] == "diverged" and want[2] >= epochs - epochs % _EPOCH_BLOCK
+        assert _svd_outcome(_wavefront_svd, example_matrix, 3, 0.282, epochs, 0) == want
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)), min_size=1, max_size=30, unique=True),
+           st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_levels_equal_the_sequential_programme(self, cells, passes):
+        """The vectorised levels are the dynamic programme's, for every (pass, cell)."""
+        cells.sort()
+        users, items = (np.array(cells, dtype=np.intp) - 1).T
+        want = wavefront_levels(cells * passes, 6, 5)
+        assert _levels(users, items, 5, passes).ravel().tolist() == want
 
     @pytest.mark.parametrize("d, epochs, lr", [
         (0, 10, 0.001), (-1, 10, 0.001), (2, 0, 0.001), (2, 10, 0.0), (2, 10, -0.001),

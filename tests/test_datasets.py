@@ -123,6 +123,25 @@ class TestRatingMatrix:
         with pytest.raises(TypeError, match="_by_user"):
             em.RatingMatrix(1, 1, {(1, 1): 3.0}, _by_user={7: {7: 1.0}})
 
+    @pytest.mark.parametrize("key", [(1.5, 1), (1, 2.0), ("1", 1)], ids=["float-user", "float-item", "str-user"])
+    def test_non_integer_id_rejected(self, key):
+        """An id like 1.5 would be truncated to user 1 by the rating arrays."""
+        with pytest.raises(InvalidDatasetError, match="not an integer"):
+            em.RatingMatrix(2, 2, {key: 3.0, (2, 2): 4.0})
+
+    def test_rating_arrays_in_user_item_order(self):
+        """One array per column, sorted as ``sorted(ratings)``, cached and read-only."""
+        ratings = {(2, 1): 3, (1, 3): 4.5, (2, 3): 1.0, (1, 1): 2.25, (3, 2): 5.0}
+        matrix = em.RatingMatrix(3, 3, ratings)
+        users, items, values = matrix.rating_arrays()
+        keys = sorted(ratings)
+        assert list(zip(users.tolist(), items.tolist())) == keys
+        assert values.tolist() == [float(ratings[k]) for k in keys]
+        assert values.dtype == float
+        assert matrix.rating_arrays()[0] is users
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
     def test_parser_reports_the_line_first(self):
         with pytest.raises(ParseError) as err:
             em.parse_ratings_csv("1,1,5\n2,1,nan\n")
