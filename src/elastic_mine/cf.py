@@ -27,7 +27,10 @@ kernel against.
 
 A code-level result carries its raters as its state (the ``coding.State``
 kNN uses too), so a deeper prediction scans only their subtrees;
-``result.state`` is the hand-off to the next depth, as in kNN.
+``result.state`` is the hand-off to the next depth, as in kNN. A refined
+prediction from a chain's state at depth >= 1 equals the one-shot at its
+depth in every field but ``scanned``: by the book's rater rule a node below
+depth 1 aggregates only its parent's items, so no rater is filtered out.
 """
 
 from __future__ import annotations

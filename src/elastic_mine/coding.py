@@ -244,13 +244,24 @@ def _check_links(kind: str, nodes: NodeArrays, roots: tuple[int, ...]):
                        f" {labels[tree[i]]}")
 
 
+def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integers ordered as ``values``, and their bound: the values if below their count, else dense ranks."""
+    rank = np.unique(values, return_inverse=True)[1] if values.max(initial=-1) >= len(values) else values
+    return rank, int(rank.max(initial=-1)) + 1
+
+
+def _check_offsets(what: str, ptr, n: int, size: int):
+    """Raise :class:`ParseError` unless ``ptr`` holds n + 1 offsets ascending from 0 to ``size``."""
+    if len(ptr) != n + 1 or ptr[0] or ptr[-1] != size or (np.diff(ptr) < 0).any():
+        raise ParseError(f"the {what} offsets must be {n + 1} ascending offsets from 0 to {size}")
+
+
 def _check_members(nodes: NodeArrays, usable: int):
     """Raise :class:`ParseError` unless the member offsets ascend from 0 to the member
     count, no member is negative, and the member lists of the nodes of each depth
     up to ``usable`` hold every root member exactly once."""
     ptr, members = nodes.member_ptr, nodes.members
-    if len(ptr) != len(nodes) + 1 or ptr[0] or ptr[-1] != len(members) or (np.diff(ptr) < 0).any():
-        raise ParseError(f"the member offsets must be {len(nodes) + 1} ascending offsets from 0 to {len(members)}")
+    _check_offsets("member", ptr, len(nodes), len(members))
     holder = _in_rows(ptr, range(len(nodes)))  # the node of member entry k
     bad = np.flatnonzero(members < 0)
     if len(bad):
@@ -259,9 +270,7 @@ def _check_members(nodes: NodeArrays, usable: int):
     def at_depth(d):  # which member entries belong to nodes of depth d
         return np.repeat(nodes.depth == d, np.diff(ptr))
 
-    # count members by value, or by rank when the values are sparse; one depth at a time, in little memory
-    rank = np.unique(members, return_inverse=True)[1] if members.max(initial=-1) >= len(members) else members
-    size = int(rank.max(initial=-1)) + 1
+    rank, size = _dense(members)  # count members by value, or by rank; one depth at a time, in little memory
     roots = np.bincount(rank[at_depth(0)], minlength=size)
     for d in range(usable + 1):
         counts = np.bincount(rank[at_depth(d)], minlength=size)
@@ -274,26 +283,34 @@ def _check_members(nodes: NodeArrays, usable: int):
 
 
 def _check_aggregates(nodes: NodeArrays):
-    """Raise :class:`ParseError` unless the aggregate offsets are N + 1 offsets
-    ascending from 0 to the entry count, every column holds one value per
-    entry, and every entry has a finite rating and rater mean and at least one rater."""
+    """Raise :class:`ParseError` unless every column holds one value per entry, the offsets ascend from
+    0 to the entry count, each node's items ascend strictly from 1, a node below depth 1 aggregates only
+    its parent's items (its members are its parent's), and every entry has finite values and a rater."""
     agg, n = nodes.aggregates, len(nodes)
-    ptr, size = np.asarray(agg.ptr), len(agg.item)
-    rule = f"the aggregate offsets must be {n + 1} ascending offsets from 0 to {size}"
-    if len(ptr) > n + 1 or any(len(column) != size for column in agg[2:]):
-        raise ParseError(f"{rule}, and every aggregate column must hold {size} values")
-    ends = np.full(n + 1, -1)  # a missing offset reads -1
-    ends[: len(ptr)] = ptr
-    ok = ends[1:] >= ends[:-1]  # node i's entries run from ends[i] to ends[i + 1]
-    ok[0] &= ends[0] == 0
-    ok[-1] &= ends[-1] == size
-    _require(ok, None, lambda i: f"node {i} has aggregate offsets {ptr[i : i + 2].tolist()}: {rule}")
-    holder = np.repeat(np.arange(n), np.diff(ptr))  # the node of each entry
-    for bad, says in ((~(np.isfinite(agg.rating) & np.isfinite(agg.rater_mean)), "a non-finite rating or rater mean"),
-                      (agg.raters < 1, "fewer than one rater")):
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ParseError(f"node {holder[k]} aggregates item {agg.item[k]} with {says}", node=int(holder[k]))
+    item, size = agg.item, len(agg.item)
+    if any(len(column) != size for column in agg[2:]):
+        raise ParseError(f"every aggregate column must hold {size} values")
+    _check_offsets("aggregate", agg.ptr, n, size)
+    counts, holder = np.diff(agg.ptr), _in_rows(agg.ptr, range(n))  # holder(k): the node of entry k
+    rank, width = _dense(item)  # so the keys stay below n * (size + 1): a huge item id cannot wrap them
+    keys = np.repeat(np.arange(n) * width, counts) + rank  # (node, item): ascending iff every node's items are
+    up = np.repeat(nodes.parent * width, counts) + rank  # (parent, item)
+    for ok, says in (
+        ((item >= 1) & np.r_[True, keys[1:] > keys[:-1]], "out of order: a node's items ascend strictly from 1"),
+        (np.repeat(nodes.depth < 2, counts) | np.isin(up, keys), "that its parent does not aggregate"),
+        (np.isfinite(agg.rating) & np.isfinite(agg.rater_mean), "with a non-finite rating or rater mean"),
+        (agg.raters >= 1, "with fewer than one rater"),
+    ):
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            raise ParseError(f"node {holder(k)} aggregates item {item[k]} {says}", node=holder(k))
+
+
+def _check_features(features, line=None):
+    """Raise :class:`ParseError`, at ``line``, unless the features are None or a finite float (m, d) array, d >= 1."""
+    if not (features is None or isinstance(features, np.ndarray) and features.dtype == float
+            and features.ndim == 2 and features.shape[1] and np.isfinite(features).all()):
+        raise ParseError("the user features must be None or a finite float (m, d) array with d >= 1", line)
 
 
 def _build_columns(book: "CodeBook") -> dict[int, Code]:
@@ -351,10 +368,10 @@ class CodeBook:
     Books come from the builders, from :func:`load_codebook` or straight from
     :class:`NodeArrays`. Making a book is the one check of its structure:
     :func:`_check_links`, then :func:`_build_columns`, which builds the view of
-    every depth up to the usable one, then :func:`_check_members`, and for a
-    CF book with aggregates :func:`_check_aggregates`. A book that
-    fails raises :class:`ParseError` naming the node at fault in ``node`` (None
-    for a rule of the roots or of a whole column) and is never made.
+    every depth up to the usable one, then :func:`_check_members`, for a book of
+    any kind with aggregates :func:`_check_aggregates`, and :func:`_check_features`.
+    A book that fails raises :class:`ParseError` naming the node at fault in ``node`` (None
+    for a rule of the roots, of a whole column or of the features) and is never made.
     """
 
     kind: str
@@ -374,8 +391,9 @@ class CodeBook:
         object.__setattr__(self, "_depths", tuple(range(1, self.usable_depth() + 1)))
         object.__setattr__(self, "_columns", _build_columns(self))
         _check_members(self.arrays, self.usable_depth())
-        if self.kind in (KIND_CF, KIND_KMEANS) and self.arrays.aggregates is not None:
+        if self.arrays.aggregates is not None:
             _check_aggregates(self.arrays)
+        _check_features(self.features)
 
     def tree_depth(self, tree: int) -> int:
         return int(self.arrays.depth[self.arrays.tree == tree].max())
@@ -1056,8 +1074,8 @@ def _read_features(bodies, at, m, d, lineno) -> np.ndarray | None:
         raise ParseError(f"'features {m} {d}' but {len(bodies)} 'F' lines", lineno)
     if not m:
         return None
-    values = _table(bodies, at, [("f", float, (d,))], "F", f"{d} values")["f"]
-    _require(np.isfinite(values).all(axis=1), at, lambda r: "non-finite value in an 'F' line")
+    values = _table(bodies, at, [("f", float, (d,))], "F", f"{d} values")["f"] if d else np.zeros((m, 0))
+    _check_features(values, lineno)  # the book's features rule, at the 'features' line
     return np.ascontiguousarray(values)
 
 
@@ -1119,19 +1137,14 @@ def _read_nodes(bodies, at, agg_lines, agg_at):
 
 
 def _read_aggregates(lines, at, n) -> Aggregates:
-    """The aggregates of whole 'A' lines, which run in strictly ascending (node, item) order."""
+    """The aggregates of whole 'A' lines, cut into nodes by their node ids: 0..N-1, never descending."""
     table = _table(lines, at, _AGGREGATE_LINE, "A",
                    "node id, item id, rating, rater mean and rater count")
-    owner, item, rating, rater_mean, raters = (table[f] for f in _AGGREGATE_LINE.names[1:])
-    _require(np.isfinite(rating) & np.isfinite(rater_mean), at,
-             lambda r: "non-finite value in an 'A' line")
-    _require((owner >= 0) & (owner < n), at,
-             lambda r: f"aggregate of node {owner[r]}, which has no 'N' line")
-    _require(item >= 1, at, lambda r: f"item id {item[r]} must be >= 1")
-    step = np.diff(owner)
-    _require(np.r_[True, (step > 0) | (step == 0) & (np.diff(item) > 0)], at,
-             lambda r: f"aggregate of item {item[r]} in node {owner[r]} repeats or breaks (node, item) order")
-    return Aggregates(np.searchsorted(owner, np.arange(n + 1)), item, rating, rater_mean, raters)
+    owner = table["owner"]
+    _require((owner >= 0) & (owner < n) & np.r_[True, owner[1:] >= owner[:-1]], at,
+             lambda r: f"aggregate of node {owner[r]} out of place: 'A' lines run in node order 0..{n - 1}")
+    columns = (np.ascontiguousarray(table[f]) for f in _AGGREGATE_LINE.names[2:])  # the book's checks read faster
+    return Aggregates(np.searchsorted(owner, np.arange(n + 1)), *columns)
 
 
 def _check_children(nodes: NodeArrays, listed, at):
@@ -1152,14 +1165,14 @@ def load_codebook(path_or_text) -> CodeBook:
     starts with the header's first token; any other string is a path. The
     reader only parses. :class:`ParseError`, with the 1-based line number, is
     raised for: a bad header; a missing ``end``, ``kind``, ``seed``, ``config``,
-    ``roots``, ``features`` or ``nodes`` line; a malformed line; a NaN or
-    infinite number in an ``F`` or ``A`` line; an item id below 1; an ``F`` line
+    ``roots``, ``features`` or ``nodes`` line; a malformed line; an ``F`` line
     count or width that differs from the ``features`` line; a node count that
     differs from the ``nodes`` line; ``N`` lines not in id order 0..N-1; ``A``
-    lines not in strictly ascending (node, item) order; and a child list that
-    differs from the parent links. Making the :class:`CodeBook` checks its
-    structure; a rule it breaks raises at the ``N`` line of the node at fault,
-    or at the ``roots`` line for a rule of the roots.
+    lines whose node ids leave 0..N-1 or descend; and a child list that
+    differs from the parent links. The book's rules are checked by the
+    :class:`CodeBook`: the features rule is raised at the ``features`` line, a
+    rule of a node (its aggregates included) at the node's ``N`` line, which
+    its ``A`` lines follow, and a rule of the roots at the ``roots`` line.
     """
     if isinstance(path_or_text, str) and (
         "\n" in path_or_text or path_or_text == "" or path_or_text.startswith(MAGIC)

@@ -166,14 +166,9 @@ class RatingMatrix:
         (num_items + 1, num_users), 8 bytes per cell.
         """
         if self._deviations is None:
-            items, users, devs = [], [], []
-            for u, row in self._by_user.items():
-                mean = self.user_mean(u)
-                for i, r in row.items():
-                    items.append(i)
-                    users.append(u - 1)
-                    devs.append(r - mean)
-            table = deviation_table(self.num_items + 1, self.num_users, items, users, devs)
+            users, items, ratings = self.rating_arrays()
+            means = np.array(list(map(self.user_mean, range(1, self.num_users + 1))), dtype=float)
+            table = deviation_table(self.num_items + 1, self.num_users, items, users - 1, ratings - means[users - 1])
             # one attribute store: concurrent first calls each build an equal table
             object.__setattr__(self, "_deviations", table)
         return self._deviations

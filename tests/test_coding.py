@@ -548,6 +548,12 @@ class TestPersistence:
             em.load_codebook("".join(lines))
         assert err.value.line == at + 1
 
+    def test_negative_feature_count_reports_line(self, example_cf_book):
+        text, at = edited(em.dump_codebook(example_cf_book), "features ", lambda toks: toks.__setitem__(1, "-1"))
+        with pytest.raises(ParseError, match="malformed 'features' line \\(negative size\\)") as err:
+            em.load_codebook(text)
+        assert err.value.line == at
+
     def test_truncated_dump_rejected(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
         with pytest.raises(ParseError) as err:
@@ -565,13 +571,14 @@ class TestPersistence:
         assert err.value.line == 2
 
     def test_item_id_below_one_rejected(self, example_cf_book):
+        """The book's item rule, raised at the 'N' line of the node whose 'A' line it is."""
         lines = em.dump_codebook(example_cf_book).splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines) if line.startswith("A "))
         toks = lines[at].split()
         lines[at] = " ".join(toks[:2] + ["-1"] + toks[3:]) + "\n"
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=f"node {toks[1]} aggregates item -1 out of order") as err:
             em.load_codebook("".join(lines))
-        assert err.value.line == at + 1
+        assert err.value.line == next(n for n, line in enumerate(lines, 1) if line.startswith(f"N {toks[1]} "))
 
     def test_child_box_outside_parent_rejected(self, fourclass_book):
         lines = em.dump_codebook(fourclass_book).splitlines(keepends=True)
@@ -606,15 +613,17 @@ class TestPersistence:
 
     @pytest.mark.parametrize("edit", ["repeat", "swap"])
     def test_aggregates_out_of_order_rejected(self, example_cf_book, edit):
-        """A repeated 'A' line, or two swapped, fails at the second line."""
+        """A repeated 'A' line, or two swapped, breaks the book's item order,
+        raised at the 'N' line of their node and naming the second line's item."""
         lines = em.dump_codebook(example_cf_book).splitlines(keepends=True)
         at = next(n for n, line in enumerate(lines)
                   if line.startswith("A ") and lines[n + 1].startswith("A "))
+        node, item = lines[at].split()[1:3]
         lines[at + 1 : at + 1] = [lines[at]] if edit == "repeat" else []
         lines[at], lines[at + 1] = lines[at + 1], lines[at]
-        with pytest.raises(ParseError, match="repeats or breaks") as err:
+        with pytest.raises(ParseError, match=f"node {node} aggregates item {item} out of order") as err:
             em.load_codebook("".join(lines))
-        assert err.value.line == at + 2
+        assert err.value.line == next(n for n, line in enumerate(lines, 1) if line.startswith(f"N {node} "))
 
     def test_leaf_repeating_a_sibling_member_rejected(self, fourclass_book):
         """Members must partition every depth: no leaf may hold its sibling's member."""
@@ -657,20 +666,21 @@ class TestPersistence:
             em.load_codebook(text)
         assert err.value.line == at
 
-    @pytest.mark.parametrize("prefix, index, value, message", [
-        ("N ", lambda toks: toks.index("M") + 1, "nan", "the box of node 0 is not finite"),
-        ("N ", lambda toks: toks.index("|") + 1, "inf", "the box of node 0 is not finite"),
-        ("A ", lambda toks: 4, "inf", "non-finite"),
-        ("A ", lambda toks: 3, "-inf", "non-finite"),
-        ("F ", lambda toks: 1, "nan", "non-finite"),
+    @pytest.mark.parametrize("prefix, index, value, message, reported", [
+        ("N ", lambda toks: toks.index("M") + 1, "nan", "the box of node 0 is not finite", "N 0 "),
+        ("N ", lambda toks: toks.index("|") + 1, "inf", "the box of node 0 is not finite", "N 0 "),
+        ("A ", lambda toks: 4, "inf", "node 0 aggregates item 1 with a non-finite rating or rater mean", "N 0 "),
+        ("A ", lambda toks: 3, "-inf", "node 0 aggregates item 1 with a non-finite rating or rater mean", "N 0 "),
+        ("F ", lambda toks: 1, "nan", r"the user features must be None or a finite float \(m, d\) array", "features "),
     ], ids=["low", "upp", "rater-mean", "rating", "feature"])
-    def test_non_finite_numbers_rejected(self, example_cf_book, prefix, index, value, message):
-        """A box is checked by the book's one box rule, at the line of its node."""
-        text, at = edited(em.dump_codebook(example_cf_book), prefix,
-                          lambda toks: toks.__setitem__(index(toks), value))
+    def test_non_finite_numbers_rejected(self, example_cf_book, prefix, index, value, message, reported):
+        """Each number is checked by a rule of the book: a box or an aggregate at
+        the line of its node, a feature at the 'features' line."""
+        text, _ = edited(em.dump_codebook(example_cf_book), prefix,
+                         lambda toks: toks.__setitem__(index(toks), value))
         with pytest.raises(ParseError, match=message) as err:
             em.load_codebook(text)
-        assert err.value.line == at
+        assert err.value.line == next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith(reported))
 
     def test_child_list_must_match_parent_links(self, fourclass_book):
         """A root listing its first child twice keeps every parent link intact."""
@@ -690,8 +700,12 @@ class TestPersistence:
         lambda toks: toks.__setitem__(1, "1"),
         lambda toks: toks.insert(toks.index("|"), "7.0"),
         lambda toks: toks.remove("P"),
-    ], ids=["label-0", "negative-parent", "grandparent", "repeated-id", "uneven-box", "no-P"])
+        lambda toks: toks.__setitem__(2, "x"),
+        lambda toks: toks.__setitem__(toks.index("C") + 1, "1.5"),
+    ], ids=["label-0", "negative-parent", "grandparent", "repeated-id", "uneven-box", "no-P", "tree-x",
+            "child-1.5"])
     def test_malformed_node_line_reports_line(self, fourclass_book, edit):
+        """The last two take the token-by-token path of a number the fast reader rejects."""
         text, at = edited(em.dump_codebook(fourclass_book), "N 2 ", edit)
         with pytest.raises(ParseError) as err:
             em.load_codebook(text)
@@ -786,6 +800,26 @@ class TestArrayBuilders:
             want = aggregate_ratings(matrix, [m + 1 for m in nodes.members_of(i).tolist()])
             assert aggregates_of(book, i) == want  # exact: the same sums in the same order
         assert_round_trip(book)
+
+
+class TestCfRefine:
+    """The rater rule at work: a node aggregates only its parent's items, so a
+    state of raters at depth >= 1 keeps every rater of a deeper depth."""
+
+    @given(rated_books(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_refined_step_equals_one_shot(self, case, data):
+        """Each refined step of a chain, from the state of depth >= 1 before it,
+        equals the one-shot at its depth in every field but ``scanned``, bit for
+        bit, and scans no more."""
+        matrix, _, book = case
+        user = data.draw(st.integers(1, matrix.num_users))
+        for item in range(1, matrix.num_items + 1):
+            query = em.CfQuery.from_matrix(matrix, user, item)
+            for refined in em.cf.refine_chain(book, query, matrix=matrix)[1:]:
+                one_shot = em.predict(book, refined.depth, query, matrix=matrix)
+                assert repr(dataclasses.replace(refined, scanned=one_shot.scanned)) == repr(one_shot)
+                assert refined.state == one_shot.state and refined.scanned <= one_shot.scanned
 
 
 def grid_points(seed: int, n: int, d: int, scale: float) -> np.ndarray:
@@ -921,22 +955,25 @@ def test_ranges_concatenate_python_ranges(spans):
     assert got.tolist() == [x for start, length in spans for x in range(start, start + length)]
 
 
-def assert_one_rule(book, message, node, kind=None, roots=None, **columns):
-    """Making ``book`` with its kind, roots or NodeArrays columns replaced and
-    loading the dump of the same edit raise one message, which holds ``message``
-    and names ``node``; the reader raises it at that node's 'N' line, or at the
-    'roots' line when ``node`` is None (a rule of the roots)."""
+def assert_one_rule(book, message, node, kind=None, roots=None, features=None, written=None, **columns):
+    """Making ``book`` with its kind, roots, features or NodeArrays columns
+    replaced and loading the dump of the same edit raise one message, which
+    holds ``message`` and names ``node``; the reader raises it at that node's
+    'N' line, at the 'features' line for new ``features``, or at the 'roots'
+    line when ``node`` is None (a rule of the roots). ``written`` is what the
+    dump holds for features the text cannot hold (a 1-D array)."""
     fields = dict(kind=book.kind if kind is None else kind, roots=book.roots if roots is None else roots,
                   arrays=dataclasses.replace(book.arrays, **columns), config=book.config, seed=book.seed,
-                  features=book.features, warnings=book.warnings)
+                  features=book.features if features is None else features, warnings=book.warnings)
     with pytest.raises(ParseError) as made:
         em.CodeBook(**fields)
-    text = em.dump_codebook(types.SimpleNamespace(**fields))  # the writer reads only these fields
+    dumped = fields if written is None else dict(fields, features=written)
+    text = em.dump_codebook(types.SimpleNamespace(**dumped))  # the writer reads only these fields
     with pytest.raises(ParseError) as loaded:
         em.load_codebook(text)
     made, loaded = made.value, loaded.value
     assert message in str(made) and made.line is None
-    prefix = "roots " if node is None else f"N {node} "
+    prefix = "features " if features is not None else "roots " if node is None else f"N {node} "
     line = next(n for n, at in enumerate(text.splitlines(), 1) if at.startswith(prefix))
     assert (made.node, loaded.node, loaded.line, str(loaded)) == (node, node, line, f"line {line}: {made}")
 
@@ -952,6 +989,18 @@ def changed(column, i, value):
     column = column.copy()
     column[i] = value
     return column
+
+
+def with_items(book, edits):
+    """The aggregates of ``book`` with entry k's item set to ``edits[k]``."""
+    agg = book.arrays.aggregates
+    item = agg.item.copy()
+    item[list(edits)] = list(edits.values())
+    return dict(aggregates=agg._replace(item=item))
+
+
+OFFSETS_RULE = "the aggregate offsets must be 8 ascending offsets from 0 to 21"  # of example_cf_book
+FEATURES_RULE = "the user features must be None or a finite float (m, d) array with d >= 1"
 
 
 class TestBoxesOfArrayBooks:
@@ -1051,22 +1100,42 @@ class TestBoxesOfArrayBooks:
          "node 5 of tree 0 has label -1: a rtree-dual book labels that tree 1"),
         ("cf", lambda b: dict(aggregates=b.arrays.aggregates._replace(
             raters=changed(b.arrays.aggregates.raters, 10, 0))), 3, "node 3 aggregates item 1 with fewer than one rater"),
+        # example_cf_book's items per node: 0 [1..5], 1 [1, 2, 3], 2 [1, 3], 3 [1, 2, 3], 4 [3, 4, 5], ...
+        ("cf", lambda b: with_items(b, {5: 2, 6: 1}), 1, "node 1 aggregates item 1 out of order"),
+        ("cf", lambda b: with_items(b, {11: 1}), 3, "node 3 aggregates item 1 out of order"),
+        ("cf", lambda b: with_items(b, {8: 0}), 2, "node 2 aggregates item 0 out of order"),
+        ("cf", lambda b: with_items(b, {13: -3}), 4, "node 4 aggregates item -3 out of order"),
+        ("cf", lambda b: with_items(b, {9: 4}), 2, "node 2 aggregates item 4 that its parent does not aggregate"),
+        ("cf", lambda b: with_items(b, {6: 2**63 - 1}), 1, "node 1 aggregates item 3 out of order"),
+        ("cf", lambda b: with_items(b, {9: 2**63 - 1}), 2,
+         f"node 2 aggregates item {2**63 - 1} that its parent does not aggregate"),
+        ("cf", lambda b: dict(kind="custom", **with_items(b, {13: -3})), 4, "node 4 aggregates item -3 out of order"),
+        ("cf", lambda b: dict(kind="custom", **with_items(b, {5: 2, 6: 1})), 1,
+         "node 1 aggregates item 1 out of order"),
+        ("cf", lambda b: dict(features=changed(b.features, (3, 1), math.nan)), None, FEATURES_RULE),
+        ("cf", lambda b: dict(features=b.features[:, 0], written=b.features[:, :0]), None, FEATURES_RULE),
     ], ids=["third-root", "depth-1-root", "tree-5", "repeated-member", "below-usable-parent-root",
-            "parent-not-a-node", "negative-member", "cf-kind-dual", "relabelled-node", "no-rater"])
+            "parent-not-a-node", "negative-member", "cf-kind-dual", "relabelled-node", "no-rater",
+            "swapped-items", "repeated-item", "item-0", "item-minus-3", "not-the-parents-item",
+            "huge-item-out-of-order", "huge-item-not-the-parents", "custom-kind-item-minus-3",
+            "custom-kind-swapped-items", "nan-feature", "1-d-features"])
     def test_one_rule_at_both_doors(self, request, book, edit, node, message):
         """Books the views once accepted: a root count, a root, a tree, a
-        member or a label off the rules, or a parent link below the usable depth."""
+        member or a label off the rules, a parent link below the usable depth,
+        an item out of order or missing from its parent's aggregates (in a
+        book of any kind, and with an item id near 2**63), or
+        features that are not finite or not 2-D (the text writes those as
+        features without a column, which breaks the same rule)."""
         book = request.getfixturevalue({"skin": "skin_book", "cf": "example_cf_book",
                                         "fourclass": "fourclass_book"}[book])
         assert_one_rule(book, message, node, **edit(book))
 
     @pytest.mark.parametrize("edit, node, message", [
-        (lambda a: dict(ptr=a.ptr[:-3]), 4, "node 4 has aggregate offsets [13]: the aggregate offsets must be 8"
-                                            " ascending offsets from 0 to 21"),
-        (lambda a: dict(ptr=changed(a.ptr, 3, 14)), 3, "node 3 has aggregate offsets [14, 13]"),
-        (lambda a: dict(ptr=a.ptr + 1), 0, "node 0 has aggregate offsets [1, 6]"),
-        (lambda a: dict(ptr=changed(a.ptr, -1, 20)), 6, "node 6 has aggregate offsets [19, 20]"),
-        (lambda a: dict(ptr=np.append(a.ptr, 21)), None, "must be 8 ascending offsets from 0 to 21"),
+        (lambda a: dict(ptr=a.ptr[:-3]), None, OFFSETS_RULE),
+        (lambda a: dict(ptr=changed(a.ptr, 3, 14)), None, OFFSETS_RULE),
+        (lambda a: dict(ptr=a.ptr + 1), None, OFFSETS_RULE),
+        (lambda a: dict(ptr=changed(a.ptr, -1, 20)), None, OFFSETS_RULE),
+        (lambda a: dict(ptr=np.append(a.ptr, 21)), None, OFFSETS_RULE),
         (lambda a: dict(rating=a.rating[:-1]), None, "every aggregate column must hold 21 values"),
         (lambda a: dict(rating=changed(a.rating, 10, math.nan)), 3,
          "node 3 aggregates item 1 with a non-finite rating or rater mean"),
@@ -1079,9 +1148,9 @@ class TestBoxesOfArrayBooks:
     def test_aggregates_of_array_books(self, example_cf_book, kind, edit, node, message):
         """A CF or k-means book made from NodeArrays is checked for its
         aggregates: a short ``ptr`` once ended in a bare IndexError in
-        ``cf.predict``, and NaN ratings gave a fallback answer. The text holds
-        no offsets, and the reader rejects a non-finite number at its own 'A'
-        line, so only a rater count of 0 reaches the book through the reader
+        ``cf.predict``, and NaN ratings gave a fallback answer. The offsets
+        rule, like the member offsets rule, names no node. The text holds no
+        offsets; the rules of an entry reach the book through the reader too
         (the two-door table)."""
         arrays = dataclasses.replace(example_cf_book.arrays, aggregates=example_cf_book.arrays.aggregates._replace(
             **edit(example_cf_book.arrays.aggregates)))

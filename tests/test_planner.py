@@ -32,14 +32,17 @@ RESULTS = [
 ]
 
 
-# Result series no plan can be read from: a quality that is not finite, or hours that are
-# not finite and at least 0.
+# Result series no plan can be read from, with the error each raises: no result, a quality
+# that is not finite, hours that are not finite and at least 0, or hours that descend.
 NAN, INF = float("nan"), float("inf")
+NOT_FINITE = "finite quality and finite hours >= 0"
 MALFORMED_SERIES = {
-    "nan-quality": [ResultPoint(NAN, 6.0), ResultPoint(0.80, 10.6)],
-    "nan-hours": [ResultPoint(0.74, NAN), ResultPoint(0.80, 10.6)],
-    "inf-hours": [ResultPoint(0.74, 6.0), ResultPoint(0.80, INF)],
-    "negative-hours": [ResultPoint(0.74, -6.0), ResultPoint(0.80, 10.6)],
+    "empty": ([], "empty result series"),
+    "nan-quality": ([ResultPoint(NAN, 6.0), ResultPoint(0.80, 10.6)], NOT_FINITE),
+    "nan-hours": ([ResultPoint(0.74, NAN), ResultPoint(0.80, 10.6)], NOT_FINITE),
+    "inf-hours": ([ResultPoint(0.74, 6.0), ResultPoint(0.80, INF)], NOT_FINITE),
+    "negative-hours": ([ResultPoint(0.74, -6.0), ResultPoint(0.80, 10.6)], NOT_FINITE),
+    "descending-hours": ([ResultPoint(0.74, 10.6), ResultPoint(0.80, 6.0)], "ordered by cumulative execution time"),
 }
 
 # Every planning entry point, as a function of the result series and the spot schedule.
@@ -61,10 +64,10 @@ def schedule():
 
 
 class TestResultSeries:
-    @pytest.mark.parametrize("series", MALFORMED_SERIES.values(), ids=MALFORMED_SERIES)
+    @pytest.mark.parametrize("series, message", MALFORMED_SERIES.values(), ids=MALFORMED_SERIES)
     @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS)
-    def test_malformed_series_gets_no_plan(self, schedule, plan, series):
-        with pytest.raises(PlanConfigError, match="finite quality and finite hours >= 0"):
+    def test_malformed_series_gets_no_plan(self, schedule, plan, series, message):
+        with pytest.raises(PlanConfigError, match=message):
             plan(series, schedule)
 
     @pytest.mark.parametrize("plan", [PLANS[name] for name in PLANS if name != "spot-elasticity-bids"],
@@ -85,6 +88,10 @@ class TestThroughput:
             fourclass_book.code_at_depth(d).length for d in fourclass_book.depths()
         )
         assert profile.nodes_per_second == pytest.approx(total / 2.0)
+
+    def test_no_sample_query_rejected(self, fourclass_book):
+        with pytest.raises(PlanConfigError, match="at least one sample query"):
+            em.calibrate(fourclass_book, [])
 
     def test_zero_elapsed_rejected(self, fourclass_book, fourclass_split):
         _, test = fourclass_split
@@ -131,6 +138,11 @@ class TestSchedule:
         with pytest.raises(ParseError) as info:
             em.PriceSchedule.from_csv("hour,price\n" + "\n".join(rows), FIXED_PRICE)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("prices", [SPOT_PRICES[:23], SPOT_PRICES + (0.10,)], ids=["23", "25"])
+    def test_schedule_needs_24_hourly_prices(self, prices):
+        with pytest.raises(PlanConfigError, match=f"24 hourly prices, got {len(prices)}"):
+            em.PriceSchedule(FIXED_PRICE, prices)
 
     @pytest.mark.parametrize("price", BAD_NUMBERS)
     def test_prices_must_be_positive_and_finite(self, price):
@@ -196,6 +208,17 @@ class TestFixedPlan:
         settings = {"budget": 20.0, "required_quality": 0.8, "elasticity_floor": 0.1, setting: value}
         with pytest.raises(PlanConfigError, match="finite"):
             em.fixed_plan(RESULTS, FIXED_PRICE, query, **settings)
+
+    @pytest.mark.parametrize("query, message", [
+        ("cheapest-result", "unknown fixed-price query 'cheapest-result'"),
+        (QUERY_MIN_INVESTMENT, "min-investment query needs required_quality"),
+        (QUERY_MAX_QUALITY, "max-quality query needs a budget"),
+        (QUERY_ELASTICITY, "elasticity-constrained query needs elasticity_floor"),
+    ], ids=["unknown-query", "min-investment", "max-quality", "elasticity"])
+    def test_query_without_its_setting_rejected(self, query, message):
+        """A query no plan answers: an unknown name, or a query missing the one setting it reads."""
+        with pytest.raises(PlanConfigError, match=message):
+            em.fixed_plan(RESULTS, FIXED_PRICE, query)
 
     def test_investment_consistency(self):
         answer = em.fixed_plan(RESULTS, FIXED_PRICE, QUERY_MIN_INVESTMENT,
