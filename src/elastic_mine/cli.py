@@ -51,6 +51,14 @@ def _read_input(path, parse):
             raise type(exc)(f"{exc} in {path}") from None
 
 
+def _rating_triples(path) -> list[tuple[int, int, float]]:
+    """(user, item, rating) of every rating of the ratings CSV at ``path``, in (user, item) order."""
+    from . import datasets
+
+    columns = _read_input(path, datasets.parse_ratings_csv).rating_arrays()
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def _read_data_lines(path) -> list[tuple[int, str]]:
     """(1-based line number, line) of every line that is not a ``#`` comment."""
     with open(path, encoding="utf-8") as fh:
@@ -268,8 +276,7 @@ def _cmd_mine_cf(args) -> int:
     book, depth, start, _ = _open_mine(args, 2)
     matrix = _read_input(args.ratings, datasets.parse_ratings_csv)
     if args.test:
-        rated = _read_input(args.test, datasets.parse_ratings_csv).ratings
-        queries = [(u, i, r) for (u, i), r in sorted(rated.items())]
+        queries = _rating_triples(args.test)
     else:
         queries = [(args.user, args.item, None)]
 
@@ -333,11 +340,11 @@ def _cmd_mine_baseline(args) -> int:
         from . import cf
 
         matrix = _read_input(args.ratings, datasets.parse_ratings_csv)
-        tests = sorted(_read_input(args.test, datasets.parse_ratings_csv).ratings.items())
+        tests = _rating_triples(args.test)
         if algo != "sampling":  # only the clustering baselines read user features
             feats = cf.train_incremental_svd(matrix, args.features, args.lr, args.epochs, args.seed)
         rows.append("user,item,algorithm,scanned,prediction,actual,fallback_flag")
-        for (user, item), actual in tests:
+        for user, item, actual in tests:
             query = cf.CfQuery.from_matrix(matrix, user, item)
             if algo == "sampling":
                 result = baselines.cf_sampling(matrix, query, args.sample_size, args.seed)

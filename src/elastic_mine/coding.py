@@ -737,8 +737,6 @@ def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.n
     """
     users, items, ratings = matrix.rating_arrays()
     user_ptr = np.searchsorted(users, np.arange(1, matrix.num_users + 2))
-    means = np.array([0.0 if mean is None else mean
-                      for mean in map(matrix.user_mean, range(1, matrix.num_users + 1))])
     counts = user_ptr[members + 1] - user_ptr[members]
     entries = _ranges(user_ptr[members], user_ptr[members + 1])  # (node, member, item) order
     owner = np.repeat(np.repeat(np.arange(len(member_ptr) - 1), np.diff(member_ptr)), counts)
@@ -749,7 +747,7 @@ def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.n
         ptr=np.searchsorted(keys // width, np.arange(len(member_ptr))),
         item=keys % width,
         rating=np.bincount(slot, weights=ratings[entries]) / raters,
-        rater_mean=np.bincount(slot, weights=np.repeat(means[members], counts)) / raters,
+        rater_mean=np.bincount(slot, weights=np.repeat(matrix._user_means()[members], counts)) / raters,
         raters=raters,
     )
 

@@ -2,7 +2,11 @@
 
 Defines the two training-data containers used by every other module, the
 LIBSVM / ratings-CSV parsers and writers, and deterministic train/test
-splitting. Labels are binary: +1 (positive) and -1 (negative).
+splitting. Labels are binary: +1 (positive) and -1 (negative). Both
+containers hold arrays: a dataset its (n, d) features and its labels, a
+rating matrix three columns of user ids, item ids and ratings. The
+parsers, writers and splitters work on those arrays, with no Python step
+per rating or per value.
 
 Each parser has two paths. Well-formed text goes through numpy's C reader
 (``np.loadtxt``): dense LIBSVM lines (indices 1..d in order, one space
@@ -20,8 +24,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -77,14 +80,33 @@ class LabeledDataset:
         return LabeledDataset(self.features[idx], self.labels[idx])
 
 
+class _RatingColumns(NamedTuple):
+    """Ratings given as columns: user ids, item ids and ratings of distinct
+    (user, item) pairs, in insertion order."""
+
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
+
+
 @dataclass(frozen=True)
 class RatingMatrix:
     """A sparse user-item rating matrix with 1-based user and item ids.
 
+    The ratings are held as three read-only columns, user ids, item ids and
+    ratings, in insertion order, with each user's positions in them, so a
+    matrix keeps 16 bytes per rating (ids are 32-bit while ``num_users +
+    num_items`` fits) and no Python object per rating. ``ratings`` is a
+    mapping of (user, item) -> rating; its columns are taken in one pass
+    and checked as arrays. ``matrix.ratings`` is a dict of the same ratings
+    in the same order, made from the columns on first read and cached. Two
+    matrices are equal when their shapes, ratings, scales and duplicate
+    counts are.
+
     Raises :class:`InvalidDatasetError` without a user, an item or a
     rating, for a rating whose user or item id is not an integer or lies
     outside the declared ids, and for a rating that is not finite or lies
-    outside ``rating_scale``.
+    outside ``rating_scale``; the error names the first such rating.
     """
 
     num_users: int
@@ -92,66 +114,125 @@ class RatingMatrix:
     ratings: Mapping[tuple[int, int], float]
     rating_scale: tuple[float, float] = RATING_SCALE
     duplicate_count: int = 0
-    _by_user: dict = field(default=None, init=False, repr=False, compare=False)
+    _columns: tuple = field(default=None, init=False, repr=False, compare=False)  # users, items, ratings
+    # the column positions grouped by user (a stable argsort), each user's in
+    # insertion order; the k-th user with ratings, ascending, has them at
+    # _rows[_row_ptr[k]:_row_ptr[k + 1]], so nothing is sized by the largest id
+    _rows: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _row_users: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _row_ptr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _means: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _deviations: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("num_users", "num_items"):
             object.__setattr__(self, name, _integer(InvalidDatasetError, name, getattr(self, name), 1))
-        if not self.ratings:
+        given = self.ratings
+        object.__delattr__(self, "ratings")  # every matrix makes it from its columns on first read
+        keys = None if isinstance(given, _RatingColumns) else list(given or ())
+        users, items, values = given if keys is None else _key_columns(keys, given, self.num_users, self.num_items)
+        if not len(values):
             raise InvalidDatasetError("rating matrix has no ratings")
         low, high = self.rating_scale
-        by_user: dict[int, dict[int, float]] = {}
-        index = operator.index
-        for (u, i), r in self.ratings.items():
+        inside = (users >= 1) & (users <= self.num_users) & (items >= 1) & (items <= self.num_items)
+        bad = ~(inside & (low <= values) & (values <= high) & np.isfinite(values))
+        first = int(np.argmax(bad))
+        if bad[first]:  # the first bad rating in mapping order, named by the scalar rule
+            u, i = (users[first].item(), items[first].item()) if keys is None else keys[first]
             try:
-                inside = 1 <= index(u) <= self.num_users and 1 <= index(i) <= self.num_items
+                inside = 1 <= operator.index(u) <= self.num_users and 1 <= operator.index(i) <= self.num_items
             except TypeError:
                 raise InvalidDatasetError(f"rating ({u!r}, {i!r}) has an id that is not an integer") from None
             if not inside:
                 raise InvalidDatasetError(
                     f"rating ({u}, {i}) outside declared {self.num_users}x{self.num_items} bounds")
-            r = float(r)
-            if not (low <= r <= high and math.isfinite(r)):
-                raise InvalidDatasetError(f"rating {r!r} of ({u}, {i}) outside the scale {(low, high)}")
-            by_user.setdefault(u, {})[i] = r
-        object.__setattr__(self, "_by_user", by_user)
+            raise InvalidDatasetError(f"rating {values[first].item()!r} of ({u}, {i}) outside the scale {(low, high)}")
+        ids = np.int32 if self.num_users + self.num_items < 1 << 31 else np.intp
+        columns = (users.astype(ids), items.astype(ids), np.array(values, dtype=float))
+        for column in columns:
+            column.flags.writeable = False
+        rows = np.argsort(columns[0], kind="stable")
+        grouped = columns[0][rows]
+        starts = np.flatnonzero(np.diff(grouped)) + 1
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_row_users", grouped[np.r_[0, starts]])
+        object.__setattr__(self, "_row_ptr", np.r_[0, starts, len(grouped)])
+
+    def __getattr__(self, name):
+        # only ``ratings`` is ever missing, until its first read
+        if name != "ratings" or self._columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        users, items, values = self._columns
+        ratings = dict(zip(zip(users.tolist(), items.tolist()), values.tolist()))
+        # one attribute store: concurrent first reads each make an equal dict
+        object.__setattr__(self, "ratings", ratings)
+        return ratings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.num_users, self.num_items, self.rating_scale, self.duplicate_count)
+                == (other.num_users, other.num_items, other.rating_scale, other.duplicate_count)
+                and all(map(np.array_equal, self.rating_arrays(), other.rating_arrays())))
 
     @property
     def num_ratings(self) -> int:
-        return len(self.ratings)
+        return len(self._columns[2])
+
+    def _positions(self, user) -> np.ndarray:
+        """Where the user's ratings lie in the columns, in insertion order
+        (empty for users with no ratings)."""
+        try:
+            u = operator.index(user)
+        except TypeError:
+            return np.arange(0)
+        k = int(np.searchsorted(self._row_users, u))
+        if k == len(self._row_users) or self._row_users[k] != u:
+            return np.arange(0)
+        return self._rows[self._row_ptr[k] : self._row_ptr[k + 1]]
 
     def user_ratings(self, user: int) -> dict[int, float]:
-        """The user's item -> rating map (empty for users with no ratings)."""
-        return self._by_user.get(user, {})
+        """The user's item -> rating map in insertion order (empty for users with no ratings)."""
+        at = self._positions(user)
+        _, items, ratings = self._columns
+        return dict(zip(items[at].tolist(), ratings[at].tolist()))
 
     def user_mean(self, user: int) -> float | None:
         """Average rating of the user, or None when the user has no ratings."""
-        row = self._by_user.get(user)
-        if not row:
-            return None
-        return sum(row.values()) / len(row)
+        at = self._positions(user)
+        return sum(self._columns[2][at].tolist()) / len(at) if len(at) else None
+
+    def _user_means(self) -> np.ndarray:
+        """Every user's mean rating, NaN for users without ratings, built on
+        first use and cached. Each is :meth:`user_mean`: Python's ``sum`` of
+        the user's ratings from 0 in insertion order. A pairwise sum may round
+        differently, and keeps a sum of -0.0 ratings at -0.0 where ``sum`` gives 0.0."""
+        if self._means is None:
+            ratings, ptr = self._columns[2][self._rows].tolist(), self._row_ptr.tolist()
+            means = np.full(self.num_users, math.nan)
+            means[self._row_users - 1] = [sum(ratings[a:b]) / (b - a) for a, b in zip(ptr, ptr[1:])]
+            object.__setattr__(self, "_means", means)
+        return self._means
 
     def global_mean(self) -> float:
-        return sum(self.ratings.values()) / len(self.ratings)
+        ratings = self._columns[2].tolist()
+        return sum(ratings) / len(ratings)
 
     def rating_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The user ids, item ids and ratings of every rating, in (user, item)
-        order, built on first use and cached as read-only arrays. Ids are
-        32-bit while ``num_users + num_items`` fits, so a matrix keeps 16
-        bytes per rating."""
+        order, built on first use and cached as read-only arrays."""
         if self._arrays is None:
-            rows = self._by_user
-            counts = [len(row) for row in rows.values()]
-            total = sum(counts)
-            users = np.repeat(np.fromiter(rows, dtype=np.intp, count=len(rows)), counts)
-            items = np.fromiter(chain.from_iterable(rows.values()), dtype=np.intp, count=total)
-            ratings = np.fromiter(chain.from_iterable(row.values() for row in rows.values()),
-                                  dtype=float, count=total)
-            order = np.argsort(users * (self.num_items + 1) + items)  # keys are distinct
-            ids = np.int32 if self.num_users + self.num_items < 1 << 31 else np.intp
-            arrays = (users[order].astype(ids), items[order].astype(ids), ratings[order])
+            rows, counts = self._rows, np.diff(self._row_ptr)
+            items, width = self._columns[1][rows], self.num_items + 1
+            if len(counts) * width >> 63:  # the keys below would wrap int64: key the items by rank
+                _, items = np.unique(items, return_inverse=True)
+                width = int(items.max()) + 1
+            # the rows are grouped by user and a user's items are distinct, so one
+            # sort of (row, item) keys orders the ratings within each row
+            order = rows[np.argsort(np.repeat(np.arange(len(counts)) * width, counts) + items)]
+            arrays = tuple(column[order] for column in self._columns)
             for column in arrays:
                 column.flags.writeable = False
             # one attribute store: concurrent first calls each build equal arrays
@@ -167,11 +248,36 @@ class RatingMatrix:
         """
         if self._deviations is None:
             users, items, ratings = self.rating_arrays()
-            means = np.array(list(map(self.user_mean, range(1, self.num_users + 1))), dtype=float)
+            means = self._user_means()
             table = deviation_table(self.num_items + 1, self.num_users, items, users - 1, ratings - means[users - 1])
             # one attribute store: concurrent first calls each build an equal table
             object.__setattr__(self, "_deviations", table)
         return self._deviations
+
+
+def _key_columns(keys: list, ratings: Mapping, num_users: int, num_items: int):
+    """The user ids, item ids and ratings of a mapping with the given keys.
+    Ids numpy reads as 64-bit integers are taken as they are; otherwise
+    each id is ``operator.index`` of it, clamped to 0..bound + 1 so that it
+    fits, and 0 where it is not an integer, so that such a rating lies
+    outside the declared ids."""
+    ids = np.array(keys)
+    if ids.dtype != np.int64 or ids.shape != (len(keys), 2):
+        ids = np.zeros((len(keys), 2), dtype=np.int64)
+        bounds = (num_users + 1, num_items + 1)
+        for k, (u, i) in enumerate(keys):
+            try:
+                ids[k] = min(max(operator.index(u), 0), bounds[0]), min(max(operator.index(i), 0), bounds[1])
+            except TypeError:
+                pass
+    values = np.fromiter(ratings.values() if keys else (), dtype=float, count=len(keys))
+    return _RatingColumns(ids[:, 0], ids[:, 1], values)
+
+
+def _ascending_pairs(users: np.ndarray, items: np.ndarray) -> bool:
+    """Whether the (user, item) pairs strictly ascend, so none repeats."""
+    step = np.diff(users)
+    return bool(((step > 0) | ((step == 0) & (np.diff(items) > 0))).all())
 
 
 def deviation_table(num_rows: int, num_columns: int, items, columns, deviations) -> np.ndarray:
@@ -351,10 +457,9 @@ def write_libsvm(dataset: LabeledDataset, stream=None) -> str | None:
     identical bytes, and a parse/write/parse round trip is exact.
     """
     out = stream or io.StringIO()
-    for i in range(len(dataset)):
-        label = "+1" if dataset.labels[i] == POSITIVE else "-1"
-        feats = " ".join(f"{j + 1}:{float(dataset.features[i, j])!r}" for j in range(dataset.dimensionality))
-        out.write(f"{label} {feats}\n")
+    row = "%s " + " ".join(f"{j}:%r" for j in range(1, dataset.dimensionality + 1)) + "\n"
+    labels = ["+1" if label == POSITIVE else "-1" for label in dataset.labels.tolist()]
+    out.write("".join(row % (label, *values) for label, values in zip(labels, dataset.features.tolist())))
     if stream is None:
         return out.getvalue()
     return None
@@ -404,10 +509,16 @@ def _read_ratings(lines) -> RatingMatrix | None:
         return None
     if not RATING_SCALE[0] <= values.min().item() <= values.max().item() <= RATING_SCALE[1]:
         return None
-    # a repeated pair keeps its first place and its last value, as in the loop
-    ratings = dict(zip(zip(users.tolist(), items.tolist()), values.tolist()))
-    return RatingMatrix(int(users.max()), int(items.max()), ratings,
-                        duplicate_count=len(table) - len(ratings))
+    if not _ascending_pairs(users, items):
+        # a repeated pair keeps its first place and its last value, as in the loop
+        order = np.lexsort((items, users))  # a pair's lines stay in line order
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (np.diff(users[order]) != 0) | (np.diff(items[order]) != 0)
+        places, lasts = order[first], order[np.append(first[1:], True)]
+        by_place = np.argsort(places)
+        users, items, values = users[places[by_place]], items[places[by_place]], values[lasts[by_place]]
+    return RatingMatrix(int(users.max()), int(items.max()), _RatingColumns(users, items, values),
+                        duplicate_count=len(table) - len(users))
 
 
 def _loop_ratings(lines) -> RatingMatrix:
@@ -448,8 +559,8 @@ def write_ratings_csv(matrix: RatingMatrix, stream=None) -> str | None:
     """Canonical ratings CSV: header plus rows sorted by (user, item)."""
     out = stream or io.StringIO()
     out.write("user,item,rating\n")
-    for (u, i) in sorted(matrix.ratings):
-        out.write(f"{u},{i},{float(matrix.ratings[(u, i)])!r}\n")
+    columns = (column.tolist() for column in matrix.rating_arrays())
+    out.write("".join(f"{u},{i},{r!r}\n" for u, i, r in zip(*columns)))
     if stream is None:
         return out.getvalue()
     return None
@@ -482,22 +593,20 @@ def split_ratings(
     rng = np.random.default_rng(spec.seed)
     n_active = min(matrix.num_users, max(1, round_half_up(ACTIVE_FRACTION * matrix.num_users)))
     active = np.sort(rng.permutation(np.arange(1, matrix.num_users + 1))[:n_active])
-    held: dict[int, set[int]] = {}
-    test: list[tuple[int, int, float]] = []
+    users, items, ratings = matrix._columns
+    held = [np.arange(0)]  # positions of the test ratings in the columns, by user and then item
     for u in active.tolist():
-        items = sorted(matrix.user_ratings(u))
-        if len(items) < 2:
+        at = matrix._positions(u)
+        if len(at) < 2:
             continue
-        take = min(len(items) - 1, max(1, round_half_up(TEST_FRACTION * len(items))))
-        chosen = rng.permutation(len(items))[:take]
-        held[u] = {items[c] for c in sorted(chosen.tolist())}
-        for i in sorted(held[u]):
-            test.append((u, i, matrix.ratings[(u, i)]))
-    remaining = {
-        (u, i): r for (u, i), r in matrix.ratings.items() if not (u in held and i in held[u])
-    }
-    train = RatingMatrix(
-        matrix.num_users, matrix.num_items, remaining, rating_scale=matrix.rating_scale
-    )
+        at = at[np.argsort(items[at])]
+        take = min(len(at) - 1, max(1, round_half_up(TEST_FRACTION * len(at))))
+        held.append(at[np.sort(rng.permutation(len(at))[:take])])
+    held = np.concatenate(held)
+    test = zip(users[held].tolist(), items[held].tolist(), ratings[held].tolist())
+    keep = np.ones(len(users), dtype=bool)
+    keep[held] = False
+    train = RatingMatrix(matrix.num_users, matrix.num_items,
+                         _RatingColumns(users[keep], items[keep], ratings[keep]), rating_scale=matrix.rating_scale)
     return train, tuple(test)
 

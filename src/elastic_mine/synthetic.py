@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import RATING_SCALE, LabeledDataset, RatingMatrix
+from .datasets import RATING_SCALE, LabeledDataset, RatingMatrix, _RatingColumns
 from .errors import InvalidDatasetError, _integer
 
 
@@ -77,7 +77,7 @@ def ratings_like(
     group_vec = rng.normal(0.0, 1.0, size=(groups, 4))
     item_vec = rng.normal(0.0, 1.0, size=(num_items, 4))
     item_bias = rng.normal(0.0, 0.3, size=num_items)
-    ratings: dict[tuple[int, int], float] = {}
+    chosen, ratings = [], []
     for u in range(num_users):
         count = int(rng.integers(min_per_user, max_per_user + 1))
         items = rng.choice(num_items, size=min(count, num_items), replace=False)
@@ -86,9 +86,10 @@ def ratings_like(
         affinity = np.array([taste @ item_vec[i] for i in items])
         noise = rng.normal(0.0, 0.35, size=len(items))
         mu = 3.0 + 0.55 * affinity + item_bias[items] + noise
-        for i, r in zip(items.tolist(), np.clip(np.rint(mu), *RATING_SCALE).tolist()):
-            ratings[(u + 1, i + 1)] = r
-    matrix = RatingMatrix(num_users, num_items, ratings)
+        chosen.append(items + 1)
+        ratings.append(np.clip(np.rint(mu), *RATING_SCALE))
+    users = np.repeat(np.arange(1, num_users + 1), [len(items) for items in chosen])
+    matrix = RatingMatrix(num_users, num_items, _RatingColumns(users, np.concatenate(chosen), np.concatenate(ratings)))
     if return_groups:
         return matrix, user_group
     return matrix

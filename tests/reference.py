@@ -8,13 +8,17 @@ that the worked examples use. Nothing in ``elastic_mine`` calls them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from elastic_mine.coding import KIND_CF, KIND_DUAL, CodeBook, _Builder, _ptr, _tree_height, _user_features
-from elastic_mine.datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix
+from elastic_mine.datasets import (
+    ACTIVE_FRACTION, NEGATIVE, POSITIVE, RATING_SCALE, TEST_FRACTION, LabeledDataset, RatingMatrix, round_half_up,
+)
+from elastic_mine.errors import InvalidDatasetError
 from elastic_mine.knn import _check_dim
 
 
@@ -79,6 +83,89 @@ def dist_min(q, mbr: Mbr) -> float:
     q = np.asarray(q, dtype=float)
     _check_dim(q, mbr.dimensionality)
     return float(np.sqrt(min_sq(q, mbr.low, mbr.upp)))
+
+
+@dataclass(frozen=True)
+class DictRatingMatrix:
+    """A rating matrix as a ``{(user, item): rating}`` dict and a dict of
+    dicts per user, checked rating by rating: the definition of every value
+    :class:`RatingMatrix` answers from its columns, and of its errors."""
+
+    num_users: int
+    num_items: int
+    ratings: Mapping[tuple[int, int], float]
+    rating_scale: tuple[float, float] = RATING_SCALE
+    duplicate_count: int = 0
+    by_user: dict = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.ratings:
+            raise InvalidDatasetError("rating matrix has no ratings")
+        low, high = self.rating_scale
+        by_user: dict[int, dict[int, float]] = {}
+        for (u, i), r in self.ratings.items():
+            try:
+                inside = 1 <= operator.index(u) <= self.num_users and 1 <= operator.index(i) <= self.num_items
+            except TypeError:
+                raise InvalidDatasetError(f"rating ({u!r}, {i!r}) has an id that is not an integer") from None
+            if not inside:
+                raise InvalidDatasetError(
+                    f"rating ({u}, {i}) outside declared {self.num_users}x{self.num_items} bounds")
+            r = float(r)
+            if not (low <= r <= high and math.isfinite(r)):
+                raise InvalidDatasetError(f"rating {r!r} of ({u}, {i}) outside the scale {(low, high)}")
+            by_user.setdefault(u, {})[i] = r
+        object.__setattr__(self, "by_user", by_user)
+
+    def user_ratings(self, user: int) -> dict[int, float]:
+        return self.by_user.get(user, {})
+
+    def user_mean(self, user: int) -> float | None:
+        row = self.by_user.get(user)
+        return sum(row.values()) / len(row) if row else None
+
+    def global_mean(self) -> float:
+        return sum(self.ratings.values()) / len(self.ratings)
+
+    def rating_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        keys = sorted(self.ratings)
+        ids = np.int32 if self.num_users + self.num_items < 1 << 31 else np.intp
+        return (np.array([u for u, _ in keys], dtype=ids), np.array([i for _, i in keys], dtype=ids),
+                np.array([float(self.ratings[k]) for k in keys]))
+
+    def deviations(self) -> np.ndarray:
+        table = np.full((self.num_items + 1, self.num_users), np.nan)
+        for (u, i), r in self.ratings.items():
+            table[i, u - 1] = float(r) - self.user_mean(u)
+        return table
+
+
+def dict_split_ratings(matrix: DictRatingMatrix, seed: int):
+    """``split_ratings(matrix, SplitSpec(seed=seed))`` rating by rating."""
+    rng = np.random.default_rng(seed)
+    n_active = min(matrix.num_users, max(1, round_half_up(ACTIVE_FRACTION * matrix.num_users)))
+    active = np.sort(rng.permutation(np.arange(1, matrix.num_users + 1))[:n_active])
+    held: dict[int, set[int]] = {}
+    test = []
+    for u in active.tolist():
+        items = sorted(matrix.user_ratings(u))
+        if len(items) < 2:
+            continue
+        take = min(len(items) - 1, max(1, round_half_up(TEST_FRACTION * len(items))))
+        chosen = rng.permutation(len(items))[:take]
+        held[u] = {items[c] for c in sorted(chosen.tolist())}
+        for i in sorted(held[u]):
+            test.append((u, i, matrix.ratings[(u, i)]))
+    remaining = {(u, i): r for (u, i), r in matrix.ratings.items() if not (u in held and i in held[u])}
+    return DictRatingMatrix(matrix.num_users, matrix.num_items, remaining, matrix.rating_scale), tuple(test)
+
+
+def dict_ratings_csv(matrix: DictRatingMatrix) -> str:
+    """``write_ratings_csv(matrix)``: the header, then one line per rating in key order."""
+    lines = ["user,item,rating\n"]
+    for (u, i) in sorted(matrix.ratings):
+        lines.append(f"{u},{i},{float(matrix.ratings[(u, i)])!r}\n")
+    return "".join(lines)
 
 
 class ItemAggregate(NamedTuple):

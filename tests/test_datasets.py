@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from elastic_mine.errors import (
 )
 
 from conftest import NON_INTEGERS, non_integer_rows
+from reference import DictRatingMatrix, dict_ratings_csv, dict_split_ratings
 
 
 class TestParseLibsvm:
@@ -109,19 +111,36 @@ class TestRatingMatrix:
         assert matrix.user_ratings(1) == {1: 9.0}
 
     @pytest.mark.parametrize("shape, ratings", [
-        ((0, 2), {(1, 1): 3.0}), ((2, 0), {(1, 1): 3.0}), ((2, 2), {}), ((2, 2), {(3, 1): 3.0}),
+        ((0, 2), {(1, 1): 3.0}), ((2, 0), {(1, 1): 3.0}), ((2, 2), {}), ((2, 2), {(3, 1): 3.0}), ((2, 2), None),
         *(((value, 2), {(1, 1): 3.0}) for value in NON_INTEGERS.values()),
         *(((2, value), {(1, 1): 3.0}) for value in NON_INTEGERS.values()),
-    ], ids=["no-user", "no-item", "no-rating", "outside-ids", *(f"users-{name}" for name in NON_INTEGERS),
-            *(f"items-{name}" for name in NON_INTEGERS)])
+    ], ids=["no-user", "no-item", "no-rating", "outside-ids", "ratings-none",
+            *(f"users-{name}" for name in NON_INTEGERS), *(f"items-{name}" for name in NON_INTEGERS)])
     def test_matrix_without_meaning_rejected(self, shape, ratings):
         with pytest.raises(InvalidDatasetError):
             em.RatingMatrix(*shape, ratings)
 
     def test_row_table_is_not_a_parameter(self):
-        """The user rows are built from ``ratings``; a passed-in table would be replaced unseen."""
-        with pytest.raises(TypeError, match="_by_user"):
-            em.RatingMatrix(1, 1, {(1, 1): 3.0}, _by_user={7: {7: 1.0}})
+        """The columns and user rows are built from ``ratings``; a passed-in table would be replaced unseen."""
+        for name in ("_columns", "_rows", "_row_ptr"):
+            with pytest.raises(TypeError, match=name):
+                em.RatingMatrix(1, 1, {(1, 1): 3.0}, **{name: None})
+
+    def test_nothing_sized_by_the_largest_id(self):
+        """A matrix holds its ratings, not a slot per declared user: a user id
+        of 10**12 costs what any other id costs."""
+        big = 10**12
+        matrix = em.parse_ratings_csv(f"{big},1,3\n1,2,4\n")
+        assert matrix.num_users == big and matrix.user_ratings(big) == {1: 3.0} and matrix.user_mean(big) == 3.0
+        assert matrix.user_ratings(2) == {} and matrix.user_mean(big - 1) is None
+        assert em.write_ratings_csv(matrix) == f"user,item,rating\n1,2,4.0\n{big},1,3.0\n"
+
+    def test_huge_item_ids_keep_the_order(self):
+        """Users times item ids past 2**63 cannot wrap the (user, item) order."""
+        big = 6 * 10**18
+        matrix = em.parse_ratings_csv(f"3,1,2\n1,{big},3\n2,5,1\n1,2,4\n")
+        assert [column.tolist() for column in matrix.rating_arrays()] == [
+            [1, 1, 2, 3], [2, big, 5, 1], [4.0, 3.0, 1.0, 2.0]]
 
     @pytest.mark.parametrize("key", [(1.5, 1), (1, 2.0), ("1", 1)], ids=["float-user", "float-item", "str-user"])
     def test_non_integer_id_rejected(self, key):
@@ -378,6 +397,137 @@ class TestSplit:
         assert train.ratings == again_train.ratings
         held = {(u, i) for u, i, _ in test}
         assert held.isdisjoint(train.ratings.keys())
+
+
+def _bits(value):
+    """A float's bits as text (None stays None), so that 0.0 and -0.0 differ."""
+    return None if value is None else float(value).hex()
+
+
+def _items_bits(mapping):
+    return [(key, _bits(r)) for key, r in mapping.items()]
+
+
+@st.composite
+def _rating_maps(draw):
+    """(num_users, num_items, rating_scale, ratings): distinct (user, item)
+    keys in a random insertion order, so some users rate nothing, on a
+    scale that may hold 0, with signed zeros and the scale's ends among
+    the ratings."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    low, high = scale = draw(st.sampled_from([em.datasets.RATING_SCALE, (0.0, 5.0), (-2.5, 2.5)]))
+    marks = [v for v in (low, high, 0.0, -0.0, 1.0, 2.5, 3.0) if low <= v <= high]
+    values = st.sampled_from(marks) | st.floats(low, high)
+    keys = draw(st.lists(st.tuples(st.integers(1, m), st.integers(1, n)), min_size=1, max_size=m * n, unique=True))
+    return m, n, scale, {key: draw(values) for key in keys}
+
+
+def _made(build):
+    """What a constructor gives: the object, or its error's type and message."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - both models must fail alike
+        return type(exc), str(exc)
+
+
+class TestColumnsEqualDictModel:
+    """The array-backed matrix answers every question as the dict model of
+    ``tests/reference.py`` does, to the bit."""
+
+    @given(case=_rating_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_values(self, case):
+        m, n, scale, ratings = case
+        matrix, want = em.RatingMatrix(m, n, ratings, scale), DictRatingMatrix(m, n, ratings, scale)
+        assert _items_bits(matrix.ratings) == _items_bits(want.ratings)
+        assert matrix.num_ratings == len(want.ratings)
+        for u in range(m + 2):
+            assert _items_bits(matrix.user_ratings(u)) == _items_bits(want.user_ratings(u))
+            assert _bits(matrix.user_mean(u)) == _bits(want.user_mean(u))
+        assert _bits(matrix.global_mean()) == _bits(want.global_mean())
+        for got, expected in zip(matrix.rating_arrays(), want.rating_arrays(), strict=True):
+            assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes())
+        assert matrix.deviations().tobytes() == want.deviations().tobytes()
+        reordered = dict(reversed(ratings.items()))
+        assert matrix == em.RatingMatrix(m, n, reordered, scale)
+        key, value = next(iter(ratings.items()))
+        for other in (scale[0], scale[1], -value if scale[0] <= -value <= scale[1] else value):  # -0.0 equals 0.0
+            changed = {**ratings, key: other}
+            assert (matrix == em.RatingMatrix(m, n, changed, scale)) == (want == DictRatingMatrix(m, n, changed, scale))
+        assert matrix != em.RatingMatrix(m, n, ratings, scale, duplicate_count=1)
+
+    @given(case=_rating_maps())
+    @settings(max_examples=100, deadline=None)
+    def test_split_and_round_trip(self, case):
+        m, n, scale, ratings = case
+        matrix, want = em.RatingMatrix(m, n, ratings, scale), DictRatingMatrix(m, n, ratings, scale)
+        for seed in range(3):
+            train, test = em.split_ratings(matrix, em.SplitSpec(seed=seed))
+            want_train, want_test = dict_split_ratings(want, seed)
+            assert _items_bits(train.ratings) == _items_bits(want_train.ratings)
+            assert [(u, i, _bits(r)) for u, i, r in test] == [(u, i, _bits(r)) for u, i, r in want_test]
+            assert train.rating_scale == scale
+        text = em.write_ratings_csv(matrix)
+        assert text == dict_ratings_csv(want)
+        if all(em.datasets.RATING_SCALE[0] <= r <= em.datasets.RATING_SCALE[1] for r in ratings.values()):
+            again = em.parse_ratings_csv(text)
+            assert _items_bits(again.ratings) == _items_bits(dict(sorted(want.ratings.items())))
+            assert em.write_ratings_csv(again) == text
+
+    @given(case=_rating_maps(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_rating_named(self, case, data):
+        m, n, scale, ratings = case
+        bad = st.sampled_from([
+            ((0, 1), 1.0), ((m + 1, 1), 1.0), ((1, n + 1), 1.0), ((1, -2), 1.0), ((2 ** 70, 1), 1.0),
+            ((1.5, 1), 1.0), (("1", 1), 1.0), ((1, 2.5), 1.0), ((1, 1), float("nan")), ((1, 1), float("inf")),
+            ((2, 1), scale[1] + 1), ((1, 2), scale[0] - 0.5)])
+        pairs = list(ratings.items())
+        for pair in data.draw(st.lists(bad, min_size=1, max_size=3)):
+            pairs.insert(data.draw(st.integers(0, len(pairs))), pair)
+        given_map = dict(pairs)
+        got = _made(lambda: em.RatingMatrix(m, n, given_map, scale))
+        want = _made(lambda: DictRatingMatrix(m, n, given_map, scale))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert _items_bits(got.ratings) == _items_bits(want.ratings)
+
+    @given(case=_rating_maps(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_with_repeated_pairs(self, case, data):
+        """A repeated pair keeps its first place and its last value, and counts as a duplicate."""
+        _, _, _, ratings = case
+        lines = data.draw(st.lists(st.tuples(st.sampled_from(list(ratings)), st.floats(1, 5)), min_size=1, max_size=12))
+        text = "".join(f"{u},{i},{r!r}\n" for (u, i), r in lines)
+        assert _read_ratings(_lines(text)) is not None
+        want: dict = {}
+        for key, r in lines:
+            want[key] = r
+        matrix = em.parse_ratings_csv(text)
+        assert _items_bits(matrix.ratings) == _items_bits(want)
+        assert matrix.duplicate_count == len(lines) - len(want)
+        assert (matrix.num_users, matrix.num_items) == (max(u for u, _ in want), max(i for _, i in want))
+
+
+def test_ratings_hold_no_object_per_rating():
+    """The default generator and the cf-ratings split keep their ratings as
+    columns: their traced peak stays below a bound that the dict model,
+    run on the same ratings, exceeds."""
+    bound = 6e6
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: em.split_ratings(em.synthetic.ratings_like(), em.SplitSpec(seed=11))) < bound
+    columns = [c.tolist() for c in em.synthetic.ratings_like().rating_arrays()]
+    assert peak(lambda: dict_split_ratings(DictRatingMatrix(600, 800, dict(zip(zip(*columns[:2]), columns[2]))),
+                                           11)) > bound
 
 
 def _reference_ratings_like(num_users, num_items, min_per_user, max_per_user, groups, seed):
