@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _loadtxt, deviation_table
+from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _loadtxt, _texts, deviation_table
 from .errors import (
     BookKindError, BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     ForeignStateError, InvalidDatasetError, ParseError, _integer,
@@ -739,13 +739,16 @@ def _aggregate_nodes(matrix: RatingMatrix, member_ptr: np.ndarray, members: np.n
     user_ptr = np.searchsorted(users, np.arange(1, matrix.num_users + 2))
     counts = user_ptr[members + 1] - user_ptr[members]
     entries = _ranges(user_ptr[members], user_ptr[members + 1])  # (node, member, item) order
-    owner = np.repeat(np.repeat(np.arange(len(member_ptr) - 1), np.diff(member_ptr)), counts)
-    width = matrix.num_items + 1
-    keys, slot = np.unique(owner * width + items[entries], return_inverse=True)
+    owner = np.repeat(np.arange(len(member_ptr) - 1), np.diff(member_ptr))  # each member's node
+    rated = items[entries]
+    rank, width = _dense(rated)  # ranks where ids are large, so the keys cannot wrap int64
+    keys, slot = np.unique(np.repeat(owner, counts) * width + rank, return_inverse=True)
     raters = np.bincount(slot)
+    item = np.empty(len(keys), dtype=np.int64)
+    item[slot] = rated
     return Aggregates(
         ptr=np.searchsorted(keys // width, np.arange(len(member_ptr))),
-        item=keys % width,
+        item=item,
         rating=np.bincount(slot, weights=ratings[entries]) / raters,
         rater_mean=np.bincount(slot, weights=np.repeat(matrix._user_means()[members], counts)) / raters,
         raters=raters,
@@ -925,15 +928,6 @@ def build_kmeans_codebook(
 
 # ---------------------------------------------------------------------------
 # Persistence: canonical, versioned structured text
-
-
-def _texts(values: np.ndarray, fmt) -> list[str]:
-    """``fmt`` of every value of an 8-byte array, flattened; formatted once
-    per distinct value, told apart by bits so that 0.0 and -0.0 differ."""
-    flat = np.ascontiguousarray(values).ravel()
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    text = list(map(fmt, bits.view(flat.dtype).tolist()))
-    return [text[k] for k in inverse.tolist()]
 
 
 def _joined_rows(ptr: np.ndarray, text: list[str]) -> list[str]:

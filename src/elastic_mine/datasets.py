@@ -450,6 +450,15 @@ def _loop_libsvm(lines) -> LabeledDataset:
     return LabeledDataset(features, labels)
 
 
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of every value of an array, flattened. Each distinct value is
+    formatted once, told apart by its bits at the array's own item size, so
+    0.0 and -0.0 differ and 32-bit ids stay one value each."""
+    flat = np.ascontiguousarray(values).ravel()
+    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    return np.array(list(map(fmt, bits.view(flat.dtype).tolist())), dtype=object)[inverse].tolist()
+
+
 def write_libsvm(dataset: LabeledDataset, stream=None) -> str | None:
     """Write a dataset in LIBSVM syntax, densely (every index emitted).
 
@@ -457,9 +466,9 @@ def write_libsvm(dataset: LabeledDataset, stream=None) -> str | None:
     identical bytes, and a parse/write/parse round trip is exact.
     """
     out = stream or io.StringIO()
-    row = "%s " + " ".join(f"{j}:%r" for j in range(1, dataset.dimensionality + 1)) + "\n"
-    labels = ["+1" if label == POSITIVE else "-1" for label in dataset.labels.tolist()]
-    out.write("".join(row % (label, *values) for label, values in zip(labels, dataset.features.tolist())))
+    labels = _texts(dataset.labels, {POSITIVE: "+1", NEGATIVE: "-1"}.__getitem__)
+    columns = (_texts(dataset.features[:, j], f"{j + 1}:{{!r}}".format) for j in range(dataset.dimensionality))
+    out.write("\n".join(map(" ".join, zip(labels, *columns))) + "\n")
     if stream is None:
         return out.getvalue()
     return None
@@ -559,8 +568,8 @@ def write_ratings_csv(matrix: RatingMatrix, stream=None) -> str | None:
     """Canonical ratings CSV: header plus rows sorted by (user, item)."""
     out = stream or io.StringIO()
     out.write("user,item,rating\n")
-    columns = (column.tolist() for column in matrix.rating_arrays())
-    out.write("".join(f"{u},{i},{r!r}\n" for u, i, r in zip(*columns)))
+    users, items, ratings = matrix.rating_arrays()
+    out.write("\n".join(map(",".join, zip(_texts(users, str), _texts(items, str), _texts(ratings, repr)))) + "\n")
     if stream is None:
         return out.getvalue()
     return None

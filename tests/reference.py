@@ -168,6 +168,13 @@ def dict_ratings_csv(matrix: DictRatingMatrix) -> str:
     return "".join(lines)
 
 
+def row_libsvm(dataset: LabeledDataset) -> str:
+    """``write_libsvm(dataset)`` row by row, each value written by ``%r``."""
+    row = "%s " + " ".join(f"{j}:%r" for j in range(1, dataset.dimensionality + 1)) + "\n"
+    labels = ["+1" if label == POSITIVE else "-1" for label in dataset.labels.tolist()]
+    return "".join(row % (label, *values) for label, values in zip(labels, dataset.features.tolist()))
+
+
 class ItemAggregate(NamedTuple):
     """A node's summary for one item: mean rating, mean rater average, rater count."""
 

@@ -190,6 +190,23 @@ class TestCfCodebook:
                     np.mean([example_matrix.user_mean(u) for u in raters]), abs=1e-9
                 )
 
+    def test_huge_item_ids_aggregate_as_small_ones(self):
+        """Items are keyed by rank where ids are large, so a key cannot wrap
+        int64: renaming an item to 2**61 changes the book's item ids and
+        nothing else."""
+        matrix = em.synthetic.ratings_like(60, 30, seed=1)
+        users, items, ratings = matrix.rating_arrays()
+        huge = 2**61
+        keys = zip(users.tolist(), [huge if i == 30 else i for i in items.tolist()])
+        renamed = em.RatingMatrix(60, huge, dict(zip(keys, ratings.tolist())))
+        features = np.random.default_rng(0).normal(size=(60, 3))
+        want, got = (em.build_cf_codebook(m, features, max_entries=3).arrays for m in (matrix, renamed))
+        for name in ("tree", "depth", "parent", "label", "bounds", "member_ptr", "members"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("ptr", "rating", "rater_mean", "raters"):
+            assert np.array_equal(getattr(got.aggregates, name), getattr(want.aggregates, name)), name
+        assert np.array_equal(got.aggregates.item, np.where(want.aggregates.item == 30, huge, want.aggregates.item))
+
     def test_feature_row_count_checked(self, example_matrix):
         with pytest.raises(ValueError):
             em.build_cf_codebook(example_matrix, TABLE_FEATURES[:5], max_entries=3)

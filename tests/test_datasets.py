@@ -16,7 +16,27 @@ from elastic_mine.errors import (
 )
 
 from conftest import NON_INTEGERS, non_integer_rows
-from reference import DictRatingMatrix, dict_ratings_csv, dict_split_ratings
+from reference import DictRatingMatrix, dict_ratings_csv, dict_split_ratings, row_libsvm
+
+
+# finite floats, with the edges a number's text turns on: signed zeros,
+# subnormals, the largest magnitudes and integer values
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.integers(-300, 300).map(float),
+)
+
+
+@st.composite
+def _datasets(draw):
+    """A dataset of 1 to 30 rows (a dataset is never empty) and 1 to 4
+    features, many of whose values repeat."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    pool = draw(st.lists(_FINITE, min_size=1, max_size=5))
+    values = draw(st.lists(_FINITE | st.sampled_from(pool), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from([em.POSITIVE, em.NEGATIVE]), min_size=n, max_size=n))
+    return em.LabeledDataset(np.reshape(values, (n, d)), labels)
 
 
 class TestParseLibsvm:
@@ -76,6 +96,11 @@ class TestParseLibsvm:
         assert np.array_equal(again.features, fourclass.features)
         assert np.array_equal(again.labels, fourclass.labels)
         assert em.write_libsvm(again) == text
+
+    @given(dataset=_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_writer_equals_per_row_reference(self, dataset):
+        assert em.write_libsvm(dataset) == row_libsvm(dataset)
 
 
 class TestLabeledDataset:
@@ -548,20 +573,38 @@ def _reference_ratings_like(num_users, num_items, min_per_user, max_per_user, gr
     return ratings, user_group
 
 
+_LOOP_SHAPES = [
+    dict(num_users=40, num_items=60, min_per_user=15, max_per_user=120, groups=8),
+    dict(num_users=25, num_items=10, min_per_user=3, max_per_user=40, groups=3),
+    dict(num_users=1, num_items=1, min_per_user=1, max_per_user=1, groups=1),
+    dict(num_users=12, num_items=5, min_per_user=5, max_per_user=5, groups=2),
+]
+
+# each setting of ratings_like, and the largest value it rejects under the defaults
+_BELOW = {"num_users": 0, "num_items": 0, "groups": 0, "min_per_user": -1, "max_per_user": 14, "seed": -1}
+
+
 class TestRatingsLike:
-    @pytest.mark.parametrize("name", ["num_users", "num_items"])
-    @pytest.mark.parametrize("value", [0, *NON_INTEGERS.values()], ids=["0", *NON_INTEGERS])
+    @pytest.mark.parametrize("name, value", [
+        pytest.param(name, value, id=f"{label}-{name}")
+        for name, below in _BELOW.items() for label, value in {str(below): below, **NON_INTEGERS}.items()
+    ])
     def test_shape_must_be_an_integer_from_1(self, name, value):
+        """Every count and the seed is an integer from its least value: 1 for
+        the shape and the groups, 0 for ``min_per_user`` and the seed, and
+        ``min_per_user`` (15 by default) for ``max_per_user``."""
         with pytest.raises(InvalidDatasetError, match=name):
             em.synthetic.ratings_like(**{name: value})
+        if type(value) is int:  # the least value is accepted
+            em.synthetic.ratings_like(**{name: value + 1})
 
-    @pytest.mark.parametrize("shape", [
-        dict(num_users=40, num_items=60, min_per_user=15, max_per_user=120, groups=8),
-        dict(num_users=25, num_items=10, min_per_user=3, max_per_user=40, groups=3),
-        dict(num_users=1, num_items=1, min_per_user=1, max_per_user=1, groups=1),
-        dict(num_users=12, num_items=5, min_per_user=5, max_per_user=5, groups=2),
+    @pytest.mark.parametrize("shape, seed", [
+        *(pytest.param(shape, seed, id=f"{seed}-shape{k}")
+          for seed in (0, 3, 97) for k, shape in enumerate(_LOOP_SHAPES)),
+        # the matrices the golden digests and the demos are made from
+        *(pytest.param(dict(num_users=m, num_items=n, min_per_user=15, max_per_user=120, groups=8), 3,
+                       id=f"3-{m}x{n}") for m, n in [(600, 800), (120, 60), (400, 300), (120, 80)]),
     ])
-    @pytest.mark.parametrize("seed", [0, 3, 97])
     def test_equals_per_rating_loop(self, shape, seed):
         matrix, groups = em.synthetic.ratings_like(**shape, seed=seed, return_groups=True)
         want, want_groups = _reference_ratings_like(**shape, seed=seed)
