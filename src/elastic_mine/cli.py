@@ -193,17 +193,21 @@ def _cmd_code_build(args) -> int:
 
 
 def _open_mine(args, key_fields):
-    """(book, depth, start, echoes) of ``mine knn|cf``: the depth that ``--depth``,
-    ``--budget-nodes`` or (knn only) ``--budget-ms`` chooses; the one rule for the
+    """(book, depth, start, echoes) of ``mine knn|cf``: the depth that the one given of
+    ``--depth``, ``--budget-nodes`` or (knn only) ``--budget-ms`` chooses; the one rule for the
     state a query (keyed by ``key_fields`` ints) starts from: its ``--from-state``
     state, else the roots' under ``--save-state``, else none; and the query echoes
     of ``--from-state``. The options are checked before any file is read."""
     budget_ms = getattr(args, "budget_ms", None)
-    if args.depth is None and args.budget_nodes is None:
-        if budget_ms is None:
-            more = ", --budget-ms" if hasattr(args, "budget_ms") else ""
-            raise ElasticMineError(f"one of --depth, --budget-nodes{more} is required")
+    chosen = sum(v is not None for v in (args.depth, args.budget_nodes, budget_ms))
+    if chosen != 1:
+        more = ", --budget-ms" if hasattr(args, "budget_ms") else ""
+        raise ElasticMineError(f"one of --depth, --budget-nodes{more} is required"
+                               if chosen == 0 else f"give only one of --depth, --budget-nodes{more}")
+    if budget_ms is not None:
         _require(args, "--budget-ms", "profile")
+    elif getattr(args, "profile", None) is not None:
+        raise ElasticMineError("--profile is read only with --budget-ms")
     from . import coding
 
     book = _read_input(args.book, coding.load_codebook)
@@ -217,6 +221,8 @@ def _open_mine(args, key_fields):
         profile = None
         for at, line in _read_data_lines(args.profile):
             if line.startswith("nodes_per_second"):
+                if profile is not None:
+                    raise ParseError(f"a second nodes_per_second line in {args.profile}", at)
                 try:
                     profile = planner.ThroughputProfile(float(line.split()[1]))
                 except (ValueError, IndexError):

@@ -63,6 +63,7 @@ def files(tmp_path_factory, fourclass_book, example_cf_book, example_matrix):
     (root / "negative_hours.csv").write_text("quality,hours\n0.74,-6.0\n0.80,10.6\n")
     (root / "profile.txt").write_text("nodes_per_second 1000.0\n")
     (root / "huge_profile.txt").write_text("nodes_per_second 1e300\n")
+    (root / "two_speeds.txt").write_text("nodes_per_second 1000.0\nnodes_per_second 50.0\n")
     return root
 
 
@@ -693,6 +694,12 @@ class TestMisuse:
         (KNN + ["--budget-ms", 5], "--profile"),
         (KNN + ["--budget-ms", 0, "--profile", "{f}/profile.txt"], "time budget"),
         (KNN + ["--budget-ms", 1e300, "--profile", "{f}/huge_profile.txt"], "finite"),
+        (KNN + ["--depth", 3, "--budget-nodes", 30], "only one of --depth, --budget-nodes, --budget-ms"),
+        (KNN + ["--budget-nodes", 30, "--budget-ms", 5, "--profile", "{f}/profile.txt"], "only one of"),
+        (KNN + ["--depth", 1, "--profile", "{f}/profile.txt"], "--profile is read only with --budget-ms"),
+        (KNN + ["--budget-ms", 5, "--profile", "{f}/two_speeds.txt"], "line 2: a second nodes_per_second"),
+        (["mine", "cf", "--book", "{f}/cf.ecb", "--ratings", "{f}/ratings.csv", "--test", "{f}/ratings.csv",
+          "--depth", 1, "--budget-nodes", 3], "only one of --depth, --budget-nodes"),
         (["mine", "cf", "--book", "{f}/cf.ecb", "--ratings", "{f}/ratings.csv", "--depth", 1],
          "--test"),
         (["mine", "baseline", "--algorithm", "ranking", "--test", "{w}/test.libsvm", "--budget", 50],
@@ -732,7 +739,8 @@ class TestMisuse:
             "min-investment-no-quality", "negative-hours", "negative-deadline", "zero-price-spot",
             "negative-price-fixed",
             "one-row-series", "knn-no-depth", "budget-ms-no-profile", "budget-ms-zero",
-            "budget-ms-overflow",
+            "budget-ms-overflow", "depth-and-budget-nodes", "budget-nodes-and-budget-ms",
+            "profile-no-budget-ms", "profile-two-speeds", "cf-depth-and-budget-nodes",
             "cf-no-query", "ranking-no-train", "ranking-no-budget", "clustering-no-clusters",
             "missing-input", "sample-size-0", "sample-size-above-users", "clusters-0",
             "clusters-above-users", "levels-0", "branching-0",
