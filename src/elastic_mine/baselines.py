@@ -16,7 +16,7 @@ import numpy as np
 
 from .cf import CfApproxResult, CfQuery, _predict_over_users
 from .coding import CodeBook, _point_sq, _user_features, kmeans
-from .datasets import LabeledDataset, RatingMatrix
+from .datasets import LabeledDataset, RatingMatrix, _distinct
 from .errors import (
     BaselineConfigError, DepthNotFoundError, InsufficientBudgetError, UnknownUserError, _integer,
 )
@@ -27,24 +27,35 @@ STRATEGY_DFS = "dfs"
 STRATEGY_OFS = "ofs"
 
 
+_RANK_BLOCK = 1024  # rows of a class scored against the whole class at once
+
+
 def rank_training_points(train: LabeledDataset) -> np.ndarray:
     """Order points by distance to their nearest same-class point, ascending.
 
     Smaller distance ranks higher (more important); ties break by the
     original index. A class singleton has no same-class neighbour: it gets
-    an infinite key, ranks last, and triggers a warning.
+    an infinite key, ranks last, and triggers a warning. A class of n_c
+    points is scored ``_RANK_BLOCK`` rows at a time, so it holds a few
+    (1,024, n_c) arrays at once, not (n_c, n_c) ones; each distance is the
+    one ``_point_sq`` gives a lone pair, so the keys do not depend on the
+    block.
     """
     n = len(train)
     keys = np.full(n, np.inf)
-    for label in np.unique(train.labels):
+    for label in _distinct(train.labels).tolist():
         rows = np.flatnonzero(train.labels == label)
         if len(rows) < 2:
             _warnings.warn(f"class {label} has a single point; it ranks last")
             continue
         feats = train.features[rows]
-        d2 = _point_sq(feats[:, None, :], feats[None, :, :])
-        np.fill_diagonal(d2, np.inf)
-        keys[rows] = np.sqrt(d2.min(axis=1))
+        nearest = np.empty(len(rows))
+        for lo in range(0, len(rows), _RANK_BLOCK):
+            d2 = _point_sq(feats[lo : lo + _RANK_BLOCK, None, :], feats[None, :, :])
+            own = np.arange(len(d2))
+            d2[own, lo + own] = np.inf
+            nearest[lo : lo + len(d2)] = d2.min(axis=1)
+        keys[rows] = np.sqrt(nearest)
     return np.lexsort((np.arange(n), keys))
 
 
@@ -64,7 +75,7 @@ def anytime_knn_ranking(
     used = np.asarray(order[:budget])
     n = len(train)
     if (used.ndim != 1 or used.dtype.kind not in "iu" or len(used) < query.k
-            or used.min() < 0 or used.max() >= n or len(np.unique(used)) < len(used)):
+            or used.min() < 0 or used.max() >= n or len(_distinct(used)) < len(used)):
         raise BaselineConfigError(f"the scanned prefix of order must hold at least k={query.k} "
                                   f"distinct point indices in 0..{n - 1}")
     d2 = _point_sq(train.features.take(used, axis=0), query.point)

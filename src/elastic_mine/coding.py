@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _loadtxt, _texts, deviation_table
+from .datasets import NEGATIVE, POSITIVE, LabeledDataset, RatingMatrix, _distinct, _loadtxt, _texts, deviation_table
 from .errors import (
     BookKindError, BudgetTooSmallError, ClassMissingError, CodebookConfigError, DepthNotFoundError,
     ForeignStateError, InvalidDatasetError, ParseError, _integer,
@@ -458,7 +458,7 @@ def state_of(book: CodeBook, depth: int, node_ids) -> State:
         view = book.columns(depth)
     except DepthNotFoundError:
         raise ForeignStateError(f"state depth {depth} is not a depth of this book") from None
-    return State(view, view.rows(np.unique(np.fromiter(node_ids, dtype=np.intp))))
+    return State(view, view.rows(_distinct(np.fromiter(node_ids, dtype=np.intp))))
 
 
 def _roots_state(book: CodeBook) -> State:
@@ -659,7 +659,7 @@ class _Builder:
         if not counts.all():
             raise ValueError("every node needs at least one member")
         points = np.asarray(points, dtype=float)
-        at = np.ascontiguousarray(points.T).take(members, axis=1)  # (d, members)
+        at = np.ascontiguousarray(points.T).take(members, axis=1)  # (d, members); a dataset's features: no copy
         # one C-ordered (2, d, N) block
         bounds = np.array([f.reduceat(at, member_ptr[:-1], axis=1) for f in (np.minimum, np.maximum)])
         # min and max break a tie of 0.0 and -0.0 by position, which reduceat and a
@@ -667,7 +667,7 @@ class _Builder:
         # holding a -0.0 in a coordinate whose bound is 0 can meet such a tie
         negative_zero = np.logical_or.reduceat((at == 0) & np.signbit(at), member_ptr[:-1], axis=1)
         for i in np.flatnonzero((negative_zero & (bounds == 0).any(axis=0)).any(axis=0)).tolist():
-            node_points = points.take(members[member_ptr[i] : member_ptr[i + 1]], axis=0)
+            node_points = at[:, member_ptr[i] : member_ptr[i + 1]].T.copy()  # the members' rows, C-ordered
             bounds[:, :, i] = node_points.min(axis=0), node_points.max(axis=0)
         arrays = NodeArrays(
             tree=tree.astype(np.intp, copy=False),
@@ -803,7 +803,8 @@ def _point_sq(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances along the last axis of ``points - q``
     (broadcast), each point's squared gaps added first to last.
 
-    One column at a time over strided views, at every width d >= 1: no
+    One column at a time, at every width d >= 1 (contiguous reads for a
+    dataset's column-major features, strided views otherwise): no
     (n, d) temporary, and the order of a scalar loop over one point, which
     is also the order in which a box norm (:func:`_column_sums`) adds its
     coordinates, so a one-point box's distance is its point's, bit for bit.
@@ -961,7 +962,7 @@ def _dump_pieces(book: CodeBook):
     agg_ptr = np.zeros(n + 1, dtype=np.intp) if nodes.aggregates is None else nodes.aggregates.ptr
     # cut the nodes into runs of about _DUMP_CHUNK numbers: box, members, aggregates
     weight = np.cumsum(2 * d + np.diff(nodes.member_ptr[: n + 1]) + 5 * np.diff(agg_ptr[: n + 1]))
-    cuts = np.unique(np.r_[0, np.searchsorted(weight, np.arange(_DUMP_CHUNK, weight[-1], _DUMP_CHUNK)), n])
+    cuts = _distinct(np.r_[0, np.searchsorted(weight, np.arange(_DUMP_CHUNK, weight[-1], _DUMP_CHUNK)), n])
     for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()):
         yield "\n".join(_node_lines(nodes, lo, hi, d, child_ptr, child_ids, agg_ptr)) + "\n"
     yield "end\n"

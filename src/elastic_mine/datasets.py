@@ -37,6 +37,16 @@ TEST_FRACTION = 0.2  # share of an active user's ratings split_ratings holds out
 RATING_SCALE = (1.0, 5.0)  # lowest and highest rating the parsers and generators accept
 
 
+def _distinct(values) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` without its check for a
+    masked array, which imports ``numpy.ma`` (10-20 ms of CPU) on first call."""
+    values = np.sort(values, axis=None)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves away from zero (2.5 -> 3)."""
     return int(math.floor(x + 0.5))
@@ -44,13 +54,19 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A class-labeled point set: ``features`` is (n, d), ``labels`` is (n,) in {+1, -1}."""
+    """A class-labeled point set: ``features`` is (n, d), ``labels`` is (n,) in {+1, -1}.
+
+    The features are held column by column (Fortran order), copied once
+    unless they are so already: a distance scan (``coding._point_sq``)
+    reads each coordinate as one contiguous column, and a book's boxes are
+    built from the (d, n) transpose without a copy.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
+        feats = np.asarray(self.features, dtype=float, order="F")
         labs = np.asarray(self.labels, dtype=np.int8)
         if feats.ndim != 2 or 0 in feats.shape:
             raise InvalidDatasetError(f"dataset must be (n, d) with n, d >= 1, not of shape {feats.shape}")
@@ -76,8 +92,15 @@ class LabeledDataset:
         return pos, len(self) - pos
 
     def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(self.features[idx], self.labels[idx])
+        """The points at the given positions, in their order; raises
+        :class:`InvalidDatasetError` unless ``indices`` is a 1-D sequence of
+        integers in 0..n-1 (so neither a boolean mask nor a negative
+        position from the end)."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or not len(idx) or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(self):
+            raise InvalidDatasetError("subset indices must be a non-empty 1-D sequence of integers in "
+                                      f"0..{len(self) - 1}")
+        return LabeledDataset(self.features.T.take(idx, axis=1).T, self.labels.take(idx))
 
 
 class _RatingColumns(NamedTuple):
@@ -387,9 +410,9 @@ def _read_libsvm(lines) -> LabeledDataset | None:
         return None
     raw, indices, features = table["label"], table["x"]["index"], table["x"]["value"]
     if ((indices != np.arange(1, dim + 1)).any() or not np.isfinite(raw).all()
-            or not np.isfinite(features).all() or len(np.unique(raw)) > 2):
+            or not np.isfinite(features).all() or len(_distinct(raw)) > 2):
         return None
-    return LabeledDataset(np.ascontiguousarray(features), np.where(raw > 0, POSITIVE, NEGATIVE))
+    return LabeledDataset(np.asfortranarray(features), np.where(raw > 0, POSITIVE, NEGATIVE))
 
 
 def parse_libsvm(source) -> LabeledDataset:
@@ -439,7 +462,7 @@ def _loop_libsvm(lines) -> LabeledDataset:
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
         raise LabelCardinalityError(f"{len(distinct)} distinct labels {distinct}; binary input required")
-    features = np.zeros((len(rows), dim))
+    features = np.zeros((len(rows), dim), order="F")
     for i, feats in enumerate(rows):
         for j, v in feats.items():
             features[i, j - 1] = v

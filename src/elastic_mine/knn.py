@@ -12,9 +12,11 @@ The kernel works on the book's columnar per-depth view
 a label array and the range of this code's rows that lies below each node
 of the depth above. A scan is one box kernel, :func:`_box_sq`,
 over the (state-filtered) rows and the one nearest-k rule, :func:`_nearest`:
-a partial sort to the k-th distance, then a sort of the few entries at or
-below it by distance and node id. The exact oracle and both anytime
-baselines select through the same rule and vote through :func:`_result`.
+a bound no smaller than the k-th distance (from 1,024 entries on, the
+k-th smallest of 16 strided block minima: over the oracle's 19,700 points
+half the time of a partial sort of every distance), then a sort of the
+few entries at or below it by distance and node id. The exact oracle and both anytime baselines select
+through the same rule and vote through :func:`_result`.
 A one-shot query at a code of length L costs O(L * d) array work, with no
 per-node Python step; the views are built, and checked, when the book is made.
 
@@ -36,8 +38,9 @@ bits of a scalar loop over one box, whatever the BLAS build. Point
 distances (the oracle and both anytime baselines) go through
 ``coding._point_sq``, which adds a point's squares by the same rule at
 every dimensionality, so a one-point box is as far as its point, bit for
-bit; ``exact_knn`` over 19,700 3-d points takes about 0.11-0.13 ms on a
-2-core x86-64 machine (numpy 2.4).
+bit; a dataset holds its features column by column, so that pass reads
+each coordinate contiguously. ``exact_knn`` over 19,700 3-d points takes
+about 0.07 ms on a 2-core x86-64 machine (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -124,14 +127,35 @@ class KnnApproxResult:
         return self.k_pos / self.k
 
 
+_BLOCKS = 16  # strided blocks whose minima bound a large scan's k-th distance
+_BLOCK_BOUND_FROM = 1024  # scan length from which the block bound is the faster one
+
+
 def _nearest(d2: np.ndarray, k: int, *ties: np.ndarray) -> np.ndarray:
     """Positions of the k smallest squared distances, ascending; distance
     ties go by the ``ties`` keys in the order given, then by position.
 
-    A partial sort finds the k-th distance; only the few entries at or
-    below it are sorted, by a stable lexsort (its last key decides first).
+    A bound at or above the k-th distance picks the few entries worth
+    sorting, and a stable lexsort (its last key decides first) orders them.
+    A short scan partially sorts all of ``d2`` for the k-th distance
+    itself. A long one (``_BLOCK_BOUND_FROM`` entries, and ``_BLOCKS``
+    entries per pick) takes the minimum of each column of its first
+    ``_BLOCKS * m`` entries as a (``_BLOCKS``, m) block and partially sorts
+    only those m minima: the k smallest are the distances of k distinct
+    entries, so the k-th of them is no smaller than the k-th distance,
+    every entry at or below that passes, and the sort picks the same k,
+    ties included. For 300 held-out queries of ``skin_like(20000)`` at
+    k = 5, 5.3 entries pass on average (8 at most) in the oracle's scan and
+    5.0 in a one-shot scan of the deepest code of its dual R-tree book.
     """
-    near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+    n = len(d2)
+    m = n // _BLOCKS
+    if n >= _BLOCK_BOUND_FROM and m >= k:
+        bound = np.minimum.reduce(d2[: _BLOCKS * m].reshape(_BLOCKS, m))
+        bound.partition(k - 1)
+    else:
+        bound = np.partition(d2, k - 1)
+    near = np.flatnonzero(d2 <= bound[k - 1])
     return near[np.lexsort((*(t[near] for t in reversed(ties)), d2[near]))][:k]
 
 

@@ -14,7 +14,9 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from elastic_mine.coding import KIND_CF, KIND_DUAL, CodeBook, _Builder, _ptr, _tree_height, _user_features
+from elastic_mine.coding import (
+    KIND_CF, KIND_DUAL, CodeBook, _Builder, _point_sq, _ptr, _tree_height, _user_features,
+)
 from elastic_mine.datasets import (
     ACTIVE_FRACTION, NEGATIVE, POSITIVE, RATING_SCALE, TEST_FRACTION, LabeledDataset, RatingMatrix, round_half_up,
 )
@@ -421,3 +423,24 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j) / 2 + 1
         i = j + 1
     return ranks
+
+
+def nearest_k(d2: np.ndarray, k: int, *ties: np.ndarray) -> np.ndarray:
+    """Positions of the first k of a stable sort of ``d2`` by distance, then
+    by the ``ties`` keys in the order given: the definition ``knn._nearest``
+    must meet."""
+    order = sorted(range(len(d2)), key=lambda i: (float(d2[i]), *(int(t[i]) for t in ties)))
+    return np.array(order[:k], dtype=np.intp)
+
+
+def whole_ranking(train: LabeledDataset) -> np.ndarray:
+    """``rank_training_points`` from one (n_c, n_c) squared-distance matrix per class."""
+    keys = np.full(len(train), np.inf)
+    for label in (NEGATIVE, POSITIVE):
+        rows = np.flatnonzero(train.labels == label)
+        if len(rows) > 1:
+            feats = train.features[rows]
+            d2 = _point_sq(feats[:, None, :], feats[None, :, :])
+            np.fill_diagonal(d2, np.inf)
+            keys[rows] = np.sqrt(d2.min(axis=1))
+    return np.lexsort((np.arange(len(train)), keys))

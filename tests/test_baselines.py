@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elastic_mine as em
+from elastic_mine import baselines
 from elastic_mine.baselines import sample_users
 from elastic_mine.coding import EXACT_DEPTH
 from elastic_mine.errors import (
@@ -16,7 +17,7 @@ from elastic_mine.errors import (
 from elastic_mine.knn import KnnApproxResult
 
 from conftest import TABLE_FEATURES, non_integer_rows
-from reference import _sum_sq, dual_book_from_hierarchy
+from reference import _sum_sq, dual_book_from_hierarchy, whole_ranking
 
 
 class TestRanking:
@@ -42,6 +43,22 @@ class TestRanking:
         order = em.rank_training_points(fourclass)
         assert hashlib.sha256(",".join(map(str, order.tolist())).encode()).hexdigest() == (
             "a51ce21d3826b25f59225b51f4905af23575c380778237e94fb7e78adb43f390")
+
+    @pytest.mark.parametrize("n, seed", [(2400, 1), (3300, 2), (3076, 3)])
+    def test_blocks_equal_whole_matrix(self, n, seed):
+        """Scored in row blocks, the keys and the order are those of one whole
+        distance matrix per class: class sizes 800/1,600, 1,100/2,200 and
+        1,025/2,051 fall below, just above and at twice the block size, and
+        integer features tie often."""
+        ds = em.synthetic.skin_like(n, seed=seed)
+        assert baselines._RANK_BLOCK == 1024
+        assert em.rank_training_points(ds).tolist() == whole_ranking(ds).tolist()
+
+    @pytest.mark.parametrize("block", [1, 7, 286, 287, 288])
+    def test_any_block_size_keeps_the_order(self, block, fourclass, monkeypatch):
+        """Blocks of one row up to past the smaller class (287 points) give the whole-matrix order."""
+        monkeypatch.setattr(baselines, "_RANK_BLOCK", block)
+        assert em.rank_training_points(fourclass).tolist() == whole_ranking(fourclass).tolist()
 
     def test_singleton_class_ranks_last_with_warning(self):
         ds = em.LabeledDataset([[0.0], [1.0], [5.0]], [1, 1, -1])
@@ -299,6 +316,32 @@ class TestNearestRule:
         expected = sorted_reference(train, query, everyone, created)
         for strategy in ("bfs", "dfs", "ofs"):
             assert em.anytime_knn_rtree(book, train, query, 10**9, strategy) == expected
+
+
+class TestFeatureLayout:
+    """A dataset answers alike whatever the memory layout of the features it is made from."""
+
+    def test_oracle_and_rtree_descent_equal_over_layouts(self):
+        data = em.synthetic.skin_like(4000, seed=4)  # over 1,024 training points: a block-bound scan
+        labels = data.labels
+        wide = np.zeros((len(data), 2 * data.dimensionality))
+        wide[:, ::2] = data.features
+        layouts = {"C": np.ascontiguousarray(data.features), "F": np.asfortranarray(data.features),
+                   "strided": wide[:, ::2]}
+        answers = {}
+        for name, features in layouts.items():
+            train, test = em.split_dataset(em.LabeledDataset(features, labels), em.SplitSpec(test_count=40, seed=1))
+            assert train.features.flags.f_contiguous and test.features.flags.f_contiguous
+            book = em.build_dual_rtrees(train, max_entries=4)
+            queries = [em.KnnQuery(p, 5) for p in test.features]
+            answers[name] = ([em.exact_knn(train, q) for q in queries],
+                             [em.anytime_knn_rtree(book, train, q, 400, strategy) for q in queries
+                              for strategy in ("bfs", "ofs")])
+        assert answers["C"] == answers["F"] == answers["strided"]
+
+    def test_column_major_features_are_not_copied(self):
+        features = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+        assert em.LabeledDataset(features, [1, -1] * 3).features is features
 
 
 @pytest.fixture(scope="module")

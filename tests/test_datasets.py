@@ -119,6 +119,21 @@ class TestLabeledDataset:
         with pytest.raises(InvalidDatasetError, match=re.escape(f"(n, d) with n, d >= 1, not of shape {shape}")):
             em.LabeledDataset(np.zeros(shape), [1, 1, -1, -1][: shape[0]])
 
+    @pytest.mark.parametrize("indices", [[True, False, True, False], [0.7], [-1], [5], [], [[0, 1]]],
+                             ids=["mask", "fraction", "negative", "past-the-end", "none", "two-d"])
+    def test_subset_outside_the_points_rejected(self, indices):
+        """A mask would be read as positions 1 and 0, a fraction truncated,
+        a negative position wrapped to the end: none gets a plausible subset."""
+        ds = em.LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
+        with pytest.raises(InvalidDatasetError, match=re.escape("integers in 0..3")):
+            ds.subset(indices)
+
+    def test_subset_keeps_order_and_columns(self):
+        ds = em.LabeledDataset([[0.0, 5.0], [1.0, 6.0], [2.0, 7.0], [3.0, 8.0]], [1, 1, -1, -1])
+        sub = ds.subset(np.array([3, 0, 3], dtype=np.uint8))
+        assert sub.features.tolist() == [[3.0, 8.0], [0.0, 5.0], [3.0, 8.0]] and sub.labels.tolist() == [-1, 1, -1]
+        assert sub.features.flags.f_contiguous and ds.subset(range(2)).features.tolist() == [[0.0, 5.0], [1.0, 6.0]]
+
 
 class TestRatingMatrix:
     @pytest.mark.parametrize("rating", [np.nan, np.inf, -np.inf, 9.0, 0.5],

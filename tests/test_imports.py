@@ -103,6 +103,33 @@ def test_plan_and_knn_report_load_no_other_command(tmp_path):
     assert "auc" in (tmp_path / "quality.csv").read_text()
 
 
+def test_knn_commands_do_not_load_numpy_ma(tmp_path):
+    """``code build --task knn``, ``mine knn --from-state`` and ``bench`` never
+    import ``numpy.ma``, which a plain ``np.unique`` does on first call
+    (about 10 ms of a cold process). The inputs are written beforehand, by
+    this process."""
+    data = em.synthetic.fourclass_like(42)
+    train, test = em.split_dataset(data, em.SplitSpec(test_count=60, seed=7))
+    for name, dataset in (("train", train), ("test", test), ("full", data)):
+        with open(tmp_path / f"{name}.libsvm", "w") as fh:
+            em.write_libsvm(dataset, fh)
+    mine = "'mine', 'knn', '--book', 'book.ecb', '--test', 'test.libsvm', '--k', '5'"
+    script = (
+        "import sys\n"
+        "from elastic_mine.cli import main\n"
+        "for argv in (['code', 'build', '--task', 'knn', '--input', 'train.libsvm', '--max-entries', '3',\n"
+        "              '--out', 'book.ecb'],\n"
+        f"             [{mine}, '--depth', '1', '--save-state', 'state.txt', '--out', 'd1.csv'],\n"
+        f"             [{mine}, '--depth', '3', '--from-state', 'state.txt', '--out', 'd3.csv'],\n"
+        "             ['bench', '--task', 'knn', '--input', 'full.libsvm', '--k', '5', '--max-entries', '3',\n"
+        "              '--out', 'bench.csv']):\n"
+        "    assert main(argv) == 0\n"
+        "    print('numpy.ma after', argv[0], 'numpy.ma' in sys.modules)\n"
+    )
+    loaded = [line for line in _python(script, tmp_path).splitlines() if line.startswith("numpy.ma after")]
+    assert loaded == [f"numpy.ma after {command} False" for command in ("code", "mine", "mine", "bench")]
+
+
 def test_plan_query_choices_are_planner_queries():
     """The parser spells out the planner's query names, so they are pinned to them here."""
     sub = next(a for a in build_parser()._actions if a.dest == "command")

@@ -18,11 +18,13 @@ from elastic_mine.errors import (
     InvalidQueryError,
     UndefinedMetricError,
 )
-from elastic_mine.knn import KnnApproxResult, _average_ranks, _box_sq, refine_chain
+from elastic_mine.knn import (
+    _BLOCK_BOUND_FROM, _BLOCKS, KnnApproxResult, _average_ranks, _box_sq, _nearest, refine_chain,
+)
 
 from conftest import box_of
 from reference import (
-    Mbr, ancestor_at, average_ranks, dist_max, dist_min, dual_book_from_hierarchy, max_sq, min_sq,
+    Mbr, ancestor_at, average_ranks, dist_max, dist_min, dual_book_from_hierarchy, max_sq, min_sq, nearest_k,
 )
 
 BOX = Mbr(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
@@ -594,6 +596,37 @@ class TestBoxKernel:
             assert both[0, r] == max_sq(q, low[r], upp[r])
             assert both[1, r] == min_sq(q, low[r], upp[r])
         assert np.array_equal(_box_sq(q, bounds, with_min=False), both[:1])
+
+
+@st.composite
+def nearest_questions(draw):
+    """Squared distances with heavy ties and infinities, in random, ascending
+    or descending order, 0-2 integer tie keys and a k up to n; n falls on
+    both sides of the length from which ``_nearest`` bounds by block minima."""
+    edge = _BLOCK_BOUND_FROM
+    n = draw(st.sampled_from([1, _BLOCKS - 1, _BLOCKS, edge - 1, edge, edge + 1, edge + _BLOCKS - 1, 3 * edge + 7])
+             | st.integers(1, 3 * edge))
+    k = draw(st.integers(1, min(n, 60)) | st.integers(1, n))
+    pool = draw(st.lists(st.floats(0.0, 1e6) | st.just(math.inf), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d2 = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), rng.choice(pool, n), rng.random(n) * 1e3)
+    layout = draw(st.sampled_from(["random", "ascending", "descending"]))
+    if layout != "random":
+        d2 = np.sort(d2)[:: 1 if layout == "ascending" else -1].copy()
+    ties = [rng.integers(0, draw(st.integers(1, 4)), n) for _ in range(draw(st.integers(0, 2)))]
+    return d2, k, ties
+
+
+class TestNearest:
+    @given(nearest_questions())
+    # the k smallest share one column of the block, and the rest tie above them
+    @example((np.where(np.arange(_BLOCK_BOUND_FROM) % (_BLOCK_BOUND_FROM // _BLOCKS), 1.0, 0.0), 5, []))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_sort_prefix(self, question):
+        """The k picked, in their order, are the first k of a stable sort by
+        (distance, ties..., position), whether or not a block bound is taken."""
+        d2, k, ties = question
+        assert _nearest(d2, k, *ties).tolist() == nearest_k(d2, k, *ties).tolist()
 
 
 class TestMalformedQuery:
